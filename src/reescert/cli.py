@@ -199,16 +199,19 @@ def cmd_verify(args) -> int:
     confl = confluence_check(basis)
     dt = time.perf_counter() - t0
     results["confluence"] = {
-        "pairs": confl.pairs_checked,
+        "pairs": confl.pairs_total,
+        "pairs_reduced": confl.pairs_reduced,
+        "pairs_skipped": confl.pairs_skipped,
         "max_reduction_length": confl.max_reduction_length,
         "failures": len(confl.failures),
         "passed": confl.confluent,
         "seconds": round(dt, 3),
     }
     lines.append(
-        f"confluence: {confl.pairs_checked} s-pairs,"
-        f" {len(confl.failures)} failure(s), max reduction length"
-        f" {confl.max_reduction_length} ({dt:.2f}s)")
+        f"confluence: {confl.pairs_total} s-pairs,"
+        f" {len(confl.failures)} failure(s), {confl.pairs_reduced} reduced,"
+        f" {confl.pairs_skipped} skipped (coprime leads), max reduction"
+        f" length {confl.max_reduction_length} ({dt:.2f}s)")
 
     t0 = time.perf_counter()
     unf = verify_unique_normal_forms(fam, basis, args.max_degree)

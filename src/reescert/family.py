@@ -117,6 +117,11 @@ class LeveledFamily:
         return f"LeveledFamily(mode={self.mode!r}, n={self.n}, sizes=[{sizes}])"
 
 
+def _is_int(value) -> bool:
+    """An int from JSON; bool is an int subclass but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_level(entry, pos: int, n: int):
     if not isinstance(entry, dict):
         raise FamilyError(f"level {pos}: expected an object")
@@ -124,7 +129,7 @@ def _parse_level(entry, pos: int, n: int):
     if unknown:
         raise FamilyError(f"level {pos}: unknown keys {sorted(unknown)}")
     degree = entry.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         raise FamilyError(f"level {pos}: degree must be a positive integer")
     has_borel = "borel" in entry
     has_list = "generators" in entry
@@ -169,7 +174,7 @@ def build_family(data: dict) -> LeveledFamily:
     if mode not in MODES:
         raise FamilyError(f"mode must be one of {MODES}, got {mode!r}")
     n = data.get("variables")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise FamilyError("variables must be a positive integer")
     raw_levels = data.get("levels")
     if not isinstance(raw_levels, list):
@@ -195,7 +200,7 @@ def build_family(data: dict) -> LeveledFamily:
 
     if not parsed:
         raise FamilyError("fiber mode needs at least one level")
-    if not isinstance(m, int) or m <= degrees[-1]:
+    if not _is_int(m) or m <= degrees[-1]:
         raise FamilyError(
             "embedding_degree must be an integer larger than every level"
             f" degree (top degree is {degrees[-1]})")

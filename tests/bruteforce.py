@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from reescert.monomials import Monomial
+from reescert.presentation import normal_form, s_polynomial
 
 
 def revlex_gt_by_factors(u: Monomial, v: Monomial) -> bool:
@@ -146,3 +147,18 @@ def min_inversions_by_permutation(rows):
             best = c
             best_rows = list(perm)
     return best, best_rows
+
+
+def confluent_by_all_spairs(basis):
+    """Reduce the S-polynomial of every rule pair, coprime leads included.
+
+    Returns (confluent, failing (i, j) pairs): the exhaustive Groebner
+    test, with no criterion applied.
+    """
+    failures = []
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if not normal_form(s_polynomial(basis[i], basis[j]),
+                               basis).is_zero():
+                failures.append((i, j))
+    return not failures, tuple(failures)

@@ -119,7 +119,8 @@ def test_criterion_05_groebner_suite(tower):
         assert len(set(g.lead.refs)) == 2
         assert psi_eval(g.lead, fam) == psi_eval(g.trail, fam)
     report = confluence_check(basis)
-    assert report.pairs_checked == 104 * 103 // 2
+    assert report.pairs_total == 104 * 103 // 2
+    assert report.pairs_reduced + report.pairs_skipped == report.pairs_total
     assert report.confluent
     _passline(5, t0, 60.0, "quadratic squarefree marked basis, confluent")
 
@@ -198,7 +199,8 @@ def test_criterion_10_powers_instance(powers):
         assert g.lead.degree == 2 and len(set(g.lead.refs)) == 2
         assert psi_eval(g.lead, fam) == psi_eval(g.trail, fam)
     report = confluence_check(basis)
-    assert report.pairs_checked == 121 * 120 // 2
+    assert report.pairs_total == 121 * 120 // 2
+    assert report.pairs_reduced + report.pairs_skipped == report.pairs_total
     assert report.confluent
     assert verify_unique_normal_forms(fam, basis, 2).passed
     assert verify_kernel_generation(fam, basis, 2).passed

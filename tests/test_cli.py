@@ -142,7 +142,7 @@ def test_certify_open_family(capsys, open_family_file):
 def test_verify_passes(capsys, tower4_file):
     code, out, _ = run(capsys, "verify", tower4_file, "--max-degree", "2")
     assert code == 0
-    assert "confluence: 5356 s-pairs, 0 failure(s)" in out
+    assert "confluence: 5356 s-pairs, 0 failure(s), 1017 reduced, 4339 skipped" in out
     assert "normal forms: 324 monomials" in out
     assert "result: PASS" in out
 
@@ -154,6 +154,8 @@ def test_verify_json(capsys, tower4_file):
     data = json.loads(out)
     assert data["passed"] is True
     assert data["confluence"]["pairs"] == 5356
+    assert data["confluence"]["pairs_reduced"] == 1017
+    assert data["confluence"]["pairs_skipped"] == 4339
     assert data["normal_forms"]["monomials"] == 324
     assert data["kernel"]["passed"] is True
     assert data["measure"]["passed"] is True
@@ -256,6 +258,15 @@ def test_invalid_family_file(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"mode": "rees", "variables": 0,
                                 "levels": []}))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "variables" in err
+
+
+def test_boolean_counts_exit_2(capsys, tmp_path):
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps({"mode": "rees", "variables": True,
+                                "levels": [{"degree": True, "borel": "x1"}]}))
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "variables" in err

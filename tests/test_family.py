@@ -93,6 +93,11 @@ def test_empty_levels_ok_in_rees():
      "non-empty"),
     (lambda d: d["levels"].__setitem__(0, {"degree": 0, "borel": "1"}),
      "positive"),
+    (lambda d: d.update(variables=True), "variables"),
+    (lambda d: d.update(variables=True, levels=[{"degree": 1, "borel": "x1"}]),
+     "variables"),
+    (lambda d: d.update(variables=1, levels=[{"degree": True, "borel": "x1"}]),
+     "positive integer"),
 ])
 def test_rees_validation_errors(mutate, message):
     data = family_dict("tower4")
@@ -105,6 +110,10 @@ def test_rees_validation_errors(mutate, message):
     lambda d: d.pop("embedding_degree"),
     lambda d: d.update(embedding_degree=3),
     lambda d: d.update(levels=[]),
+    lambda d: d.update(embedding_degree=True),
+    lambda d: d.update(variables=True),
+    lambda d: d["levels"].__setitem__(
+        0, {"degree": True, "generators": ["x1"]}),
 ])
 def test_fiber_validation_errors(mutate):
     data = family_dict("fiber_pair")

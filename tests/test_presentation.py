@@ -11,6 +11,7 @@ from reescert.errors import (
     NotClosedError,
 )
 from reescert.family import GenRef, build_family, comparable
+from bruteforce import confluent_by_all_spairs
 from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
@@ -254,6 +255,16 @@ def test_step_cap_raises_on_cyclic_rules(tower4):
     )
     with pytest.raises(InternalInvariantError):
         normal_form(P("T[1,3]*T[1,4]"), cyclic, max_steps=10)
+    # these leads are coprime, so the product criterion skips the only
+    # pair; termination is the measure's premise, not this check's
+    report = confluence_check(cyclic, max_steps=10)
+    assert (report.pairs_reduced, report.pairs_skipped) == (0, 1)
+    overlapping = (
+        MarkedBinomial(T((1, 3), (1, 4)), T((1, 3), (1, 5))),
+        MarkedBinomial(T((1, 3), (1, 5)), T((1, 3), (1, 4))),
+    )
+    with pytest.raises(InternalInvariantError):
+        confluence_check(overlapping, max_steps=10)
 
 
 # --------------------------------------------------------- s-polynomials
@@ -277,17 +288,57 @@ def test_confluence_small_family():
     basis = build_basis(fam)
     report = confluence_check(basis)
     assert report.confluent
-    assert report.pairs_checked == len(basis) * (len(basis) - 1) // 2
+    assert report.pairs_total == len(basis) * (len(basis) - 1) // 2
+    assert report.pairs_reduced + report.pairs_skipped == report.pairs_total
     assert report.max_reduction_length >= 1
 
 
-def test_confluence_fails_with_sabotaged_trail(tower4):
-    basis = list(build_basis(tower4))
-    g = basis[0]
+def _sabotaged(basis):
     # point one trail at a wrong monomial of matching shape
-    basis[0] = MarkedBinomial(g.lead, T((4, 1), (4, 1)))
-    report = confluence_check(tuple(basis))
+    g = basis[0]
+    return (MarkedBinomial(g.lead, T((4, 1), (4, 1))),) + basis[1:]
+
+
+def test_confluence_fails_with_sabotaged_trail(tower4):
+    report = confluence_check(_sabotaged(build_basis(tower4)))
     assert not report.confluent
+
+
+def test_confluence_agrees_with_all_spairs(tower4, fiber_pair):
+    basis = build_basis(tower4)
+    dropped = tuple(g for g in basis if g.lead != T((0, 1), (1, 2)))
+    assert len(dropped) == len(basis) - 1
+    cases = [(basis, True), (build_basis(fiber_pair), True),
+             (dropped, False), (_sabotaged(basis), False)]
+    for case, want in cases:
+        report = confluence_check(case)
+        confluent, failures = confluent_by_all_spairs(case)
+        assert report.confluent == confluent == want
+        assert set(report.failures) <= set(failures)
+
+
+def _overlapping_pairs(basis):
+    leads = [frozenset(g.lead.refs) for g in basis]
+    return sum(1 for i, a in enumerate(leads) for b in leads[i + 1:]
+               if not a.isdisjoint(b))
+
+
+@pytest.mark.parametrize("top, total, overlapping", [
+    (3, 90525, 9932),
+    (4, 1813560, 103047),
+])
+def test_confluence_reaches_max_powers(top, total, overlapping):
+    fam = build_family({
+        "mode": "rees", "variables": 4,
+        "levels": [{"degree": d, "borel": f"x4^{d}"}
+                   for d in range(1, top + 1)]})
+    basis = build_basis(fam)
+    assert len(basis) * (len(basis) - 1) // 2 == total
+    assert _overlapping_pairs(basis) == overlapping
+    report = confluence_check(basis)
+    assert (report.pairs_total, report.pairs_reduced) == (total, overlapping)
+    assert report.pairs_skipped == total - overlapping
+    assert report.confluent
 
 
 def test_kernel_membership(tower4):
