@@ -58,10 +58,15 @@ class Level:
 
 
 class LeveledFamily:
-    """Validated family with fast ref lookup.  Treat as immutable."""
+    """Validated family with fast ref lookup.  Treat as immutable.
+
+    Every ref pair is classified once, on construction: the incomparable
+    ones, with the positions of their rewrite images, make the pair
+    table that closure, the marked basis and complete reducedness read.
+    """
 
     __slots__ = ("mode", "n", "embedding_degree", "levels",
-                 "_by_index", "_positions", "_refs")
+                 "_by_index", "_positions", "_refs", "_pairs")
 
     def __init__(self, mode, n, levels, embedding_degree=None):
         self.mode = mode
@@ -78,6 +83,17 @@ class LeveledFamily:
             for lv in self.levels
             for j in range(1, len(lv.generators) + 1)
         )
+        # positions, not images: a Monomial pair per entry costs
+        # megabytes on the larger families
+        pairs = {}
+        for ai, a in enumerate(self._refs):
+            ua = self.generator(a)
+            for b in self._refs[ai + 1:]:
+                images = rewrite_images(self, a, b)
+                if images != (ua, self.generator(b)):
+                    pairs[(a, b)] = (self.position(a.level, images[0]),
+                                     self.position(b.level, images[1]))
+        self._pairs = pairs
 
     @property
     def top_level(self) -> int:
@@ -108,6 +124,13 @@ class LeveledFamily:
     def position(self, level_index: int, monomial: Monomial):
         """1-based position of the monomial in the level, or None."""
         return self._positions.get(level_index, {}).get(monomial)
+
+    def incomparable_pairs(self) -> dict:
+        """The pair table: each incomparable ref pair (a, b), a < b, in
+        lexicographic order, mapped to the 1-based positions of its two
+        rewrite images in the levels of a and b.  A position is None
+        when that image is not in the family.  Do not mutate."""
+        return self._pairs
 
     def __len__(self) -> int:
         return len(self._refs)
@@ -237,10 +260,8 @@ def rewrite_images(fam: LeveledFamily, a: GenRef, b: GenRef):
 def comparable(fam: LeveledFamily, a: GenRef, b: GenRef) -> bool:
     """True when the referenced pair is fixed by its rewrite: sorted for
     same-level pairs, ordered for cross-level pairs."""
-    ua, ub = _check_refs(fam, a, b)
-    if a[0] == b[0]:
-        return sort_pair(ua, ub) == (ua, ub)
-    return ord_pair(ua, ub) == (ua, ub)
+    _check_refs(fam, a, b)
+    return (tuple(a), tuple(b)) not in fam.incomparable_pairs()
 
 
 @dataclass(frozen=True)
@@ -268,35 +289,23 @@ def is_closed_under_comparability(
         max_witnesses: int = 32) -> ClosureReport:
     """Check that every incomparable pair rewrites back into the family.
 
-    Pairs are scanned in lexicographic ref order, so the witness list is
-    deterministic.  Collection stops at ``max_witnesses`` unless
-    ``all_witnesses`` is set; closure itself is always decided exactly.
+    Walks the family's pair table in lexicographic ref order, so the
+    witness list is deterministic.  Collection stops at ``max_witnesses``
+    unless ``all_witnesses`` is set; closure itself is always decided
+    exactly.
     """
-    refs = fam.refs()
     witnesses = []
     truncated = False
-    pairs = 0
-    for ai in range(len(refs)):
-        for bi in range(ai + 1, len(refs)):
-            a, b = refs[ai], refs[bi]
-            ua, ub = fam.generator(a), fam.generator(b)
-            if a[0] == b[0]:
-                images = sort_pair(ua, ub)
-            else:
-                images = ord_pair(ua, ub)
-            pairs += 1
-            if images == (ua, ub):
-                continue
-            targets = (a[0], b[0])
-            missing = tuple(
-                k for k in (0, 1)
-                if fam.position(targets[k], images[k]) is None)
-            if not missing:
-                continue
-            if all_witnesses or len(witnesses) < max_witnesses:
-                witnesses.append(Witness((a, b), images, missing))
-            else:
-                truncated = True
+    for (a, b), positions in fam.incomparable_pairs().items():
+        missing = tuple(k for k in (0, 1) if positions[k] is None)
+        if not missing:
+            continue
+        if all_witnesses or len(witnesses) < max_witnesses:
+            witnesses.append(
+                Witness((a, b), rewrite_images(fam, a, b), missing))
+        else:
+            truncated = True
+    pairs = len(fam) * (len(fam) - 1) // 2
     return ClosureReport(not witnesses and not truncated,
                          tuple(witnesses), pairs, truncated)
 

@@ -17,6 +17,7 @@ exactly the monomials at measure (0, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ResourceCapError
@@ -30,8 +31,9 @@ from .presentation import (
 )
 
 ROW_CAP = 10
-
-_minimal_cache: dict[tuple, tuple] = {}
+# row multisets kept by inversion_minimal; one oracle-ladder benchmark
+# run meets about 6,900 distinct ones
+MINIMAL_CACHE_SIZE = 2**16
 
 
 class ReductionMeasure(NamedTuple):
@@ -97,7 +99,8 @@ def inversion_minimal(rows, max_rows: int = ROW_CAP):
 
     Only the same-column part of the count depends on the row order, so
     a subset dynamic program over rows finds the true minimum without
-    walking all permutations.  Results are memoized by row multiset.
+    walking all permutations.  Results are memoized by row multiset, in
+    a bounded cache.
     """
     rows = tuple(tuple(r) for r in rows)
     if len(rows) > max_rows:
@@ -105,14 +108,15 @@ def inversion_minimal(rows, max_rows: int = ROW_CAP):
             f"level matrix has {len(rows)} rows, cap is {max_rows}")
     if len(set(len(r) for r in rows)) > 1:
         raise ValueError("rows must share one degree")
-    key = tuple(sorted(rows))
-    hit = _minimal_cache.get(key)
-    if hit is not None:
-        return hit
+    return _inversion_minimal(tuple(sorted(rows)))
+
+
+@lru_cache(maxsize=MINIMAL_CACHE_SIZE)
+def _inversion_minimal(rows):
+    """``inversion_minimal`` on sorted rows.  The answer depends on the
+    row multiset only: ties between minimizers break on row content."""
     if len(rows) <= 1:
-        result = (inversion_count(rows), rows)
-        _minimal_cache[key] = result
-        return result
+        return inversion_count(rows), rows
 
     r = len(rows)
     cross, w = _pair_costs(rows)
@@ -152,27 +156,7 @@ def inversion_minimal(rows, max_rows: int = ROW_CAP):
         order.append(rows[x])
         subset &= ~(1 << x)
 
-    result = (cross + h[full], tuple(order))
-    _minimal_cache[key] = result
-    return result
-
-
-def inversion_revlex_heuristic(rows):
-    """Fast guess: rows sorted revlex-descending as monomials.
-
-    Not always minimal (two rows can prefer the opposite order), so this
-    is only a starting point; use ``inversion_minimal`` for the measure.
-    """
-    from .monomials import Monomial, revlex_key
-
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return 0, ()
-    n = max(max(r) for r in rows if r) if any(rows) else 1
-    ordered = tuple(sorted(
-        rows, key=lambda r: revlex_key(Monomial.from_factors(r, n)),
-        reverse=True))
-    return inversion_count(ordered), ordered
+    return cross + h[full], tuple(order)
 
 
 def comparability_number(mono: TMonomial, fam: LeveledFamily) -> int:

@@ -23,11 +23,15 @@ from .errors import (
     InternalInvariantError,
     MonomialParseError,
     NotClosedError,
+    ResourceCapError,
 )
-from .family import GenRef, LeveledFamily, comparable, rewrite_images
-from .family import is_closed_under_comparability
+from .family import GenRef, LeveledFamily, is_closed_under_comparability
+# Not called here (the family's pair table answers both); imported because
+# perfbench/tracer.py counts calls by patching these names in this module.
+from .family import comparable, rewrite_images  # noqa: F401
 
 DEFAULT_STEP_CAP = 10**6
+MAX_TERM_DEGREE = 1000
 
 
 class TMonomial:
@@ -49,10 +53,6 @@ class TMonomial:
 
     def __mul__(self, other: "TMonomial") -> "TMonomial":
         return TMonomial(self.refs + other.refs)
-
-    def divisible_by_pair(self, a: GenRef, b: GenRef) -> bool:
-        """Does the squarefree quadratic a*b (a < b) divide this?"""
-        return a in self.refs and b in self.refs
 
     def without_pair(self, a: GenRef, b: GenRef) -> "TMonomial":
         left = list(self.refs)
@@ -88,9 +88,6 @@ class TMonomial:
         return f"TMonomial({self.text()!r})"
 
 
-ONE = TMonomial()
-
-
 class TPolynomial:
     """Sparse polynomial in the T variables over the rationals."""
 
@@ -110,10 +107,6 @@ class TPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("TPolynomial is immutable")
-
-    @classmethod
-    def zero(cls) -> "TPolynomial":
-        return cls()
 
     @classmethod
     def monomial(cls, mono: TMonomial, coeff=1) -> "TPolynomial":
@@ -147,15 +140,6 @@ class TPolynomial:
 
     def __sub__(self, other: "TPolynomial") -> "TPolynomial":
         return self + (-other)
-
-    def scaled(self, coeff) -> "TPolynomial":
-        c = Fraction(coeff)
-        if not c:
-            return TPolynomial()
-        return TPolynomial({m: c * k for m, k in self.terms.items()})
-
-    def times_monomial(self, mono: TMonomial) -> "TPolynomial":
-        return TPolynomial({m * mono: c for m, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TPolynomial) and self.terms == other.terms
@@ -193,10 +177,6 @@ class MarkedBinomial:
     """lead - trail with the lead marked for reduction."""
     lead: TMonomial
     trail: TMonomial
-
-    def as_polynomial(self) -> TPolynomial:
-        return TPolynomial([(self.lead, Fraction(1)),
-                            (self.trail, Fraction(-1))])
 
     def __str__(self) -> str:
         return f"{self.lead.text()} - {self.trail.text()}"
@@ -244,28 +224,20 @@ def psi_eval(mono: TMonomial, fam: LeveledFamily) -> PsiImage:
 def build_basis(fam: LeveledFamily) -> tuple[MarkedBinomial, ...]:
     """One marked binomial per incomparable ref pair, sorted by lead.
 
-    Requires closure under comparability; otherwise some trail would
-    reference monomials outside the family.
+    The rules come straight from the family's pair table.  Requires
+    closure under comparability; otherwise some trail would reference
+    monomials outside the family.
     """
-    report = is_closed_under_comparability(fam)
-    if not report.closed:
-        raise NotClosedError(
-            "family is not closed under comparability"
-            f" ({len(report.witnesses)} witness pair(s))",
-            report.witnesses)
-    refs = fam.refs()
     out = []
-    for ai in range(len(refs)):
-        for bi in range(ai + 1, len(refs)):
-            a, b = refs[ai], refs[bi]
-            if comparable(fam, a, b):
-                continue
-            first, second = rewrite_images(fam, a, b)
-            trail = TMonomial([
-                GenRef(a.level, fam.position(a.level, first)),
-                GenRef(b.level, fam.position(b.level, second)),
-            ])
-            out.append(MarkedBinomial(TMonomial([a, b]), trail))
+    for (a, b), (first, second) in fam.incomparable_pairs().items():
+        if first is None or second is None:
+            report = is_closed_under_comparability(fam)
+            raise NotClosedError(
+                "family is not closed under comparability"
+                f" ({len(report.witnesses)} witness pair(s))",
+                report.witnesses)
+        trail = TMonomial([GenRef(a.level, first), GenRef(b.level, second)])
+        out.append(MarkedBinomial(TMonomial([a, b]), trail))
     return tuple(out)
 
 
@@ -317,40 +289,19 @@ def reduction_options(f: TPolynomial, basis, _index=None
     return out
 
 
-def reduce_step(f: TPolynomial, basis, _index=None) -> TPolynomial | None:
+def reduce_step(f: TPolynomial, basis) -> TPolynomial | None:
     """One deterministic reduction step, or None at a normal form.
 
     Strategy: rewrite the greatest reducible support monomial (factor-lex
     order); among the leads dividing it use the basis element with the
-    least lead ref pair.
+    least lead ref pair, i.e. the first entry of ``reduction_options``.
     """
-    index = _lead_index(basis) if _index is None else _index
-    for mono in f.support():
-        for key in _divisible_leads(mono.refs, index):
-            return apply_reduction(f, mono, index[key])
-    return None
+    options = reduction_options(f, basis)
+    return apply_reduction(f, *options[0]) if options else None
 
 
-def _step_cap_error(max_steps: int) -> InternalInvariantError:
-    return InternalInvariantError(
-        f"reduction exceeded {max_steps} steps; the termination"
-        " measure should forbid this")
-
-
-def _reduce_fully(f, basis, max_steps):
-    index = _lead_index(basis)
-    steps = 0
-    while True:
-        nxt = reduce_step(f, basis, _index=index)
-        if nxt is None:
-            return f, steps
-        f = nxt
-        steps += 1
-        if steps > max_steps:
-            raise _step_cap_error(max_steps)
-
-
-def _monomial_normal_form(refs: tuple, index, max_steps: int
+def _monomial_normal_form(refs: tuple, index,
+                          max_steps: int = DEFAULT_STEP_CAP
                           ) -> tuple[tuple, int]:
     """Deterministic normal form of one monomial as a sorted ref tuple.
 
@@ -369,20 +320,26 @@ def _monomial_normal_form(refs: tuple, index, max_steps: int
         refs = tuple(sorted(rest + list(index[key].trail.refs)))
         steps += 1
         if steps > max_steps:
-            raise _step_cap_error(max_steps)
+            raise InternalInvariantError(
+                f"reduction exceeded {max_steps} steps; the termination"
+                " measure should forbid this")
 
 
 def normal_form(f: TPolynomial, basis,
                 max_steps: int = DEFAULT_STEP_CAP) -> TPolynomial:
-    nf, _ = _reduce_fully(f, basis, max_steps)
-    return nf
+    """Deterministic normal form, the sum of c*nf(m) over the terms c*m.
 
-
-def reduction_length(f: TPolynomial, basis,
-                     max_steps: int = DEFAULT_STEP_CAP) -> int:
-    """Number of deterministic steps from f to its normal form."""
-    _, steps = _reduce_fully(f, basis, max_steps)
-    return steps
+    Every rule is a +-1 binomial, so a monomial rewrites to a monomial,
+    and the rule ``reduce_step`` applies to a support monomial depends on
+    that monomial alone.  Reducing term by term therefore gives the
+    polynomial that repeated ``reduce_step`` reaches, for any basis,
+    confluent or not.  A monomial whose chain is longer than
+    ``max_steps`` raises ``InternalInvariantError``.
+    """
+    index = _lead_index(basis)
+    return TPolynomial(
+        (TMonomial(_monomial_normal_form(m.refs, index, max_steps)[0]), c)
+        for m, c in f.terms.items())
 
 
 def is_completely_reduced(mono: TMonomial, fam: LeveledFamily) -> bool:
@@ -392,31 +349,21 @@ def is_completely_reduced(mono: TMonomial, fam: LeveledFamily) -> bool:
     the sorting rewrite.
     """
     distinct = sorted(set(mono.refs))
-    for ai in range(len(distinct)):
-        for bi in range(ai + 1, len(distinct)):
-            if not comparable(fam, distinct[ai], distinct[bi]):
-                return False
-    return True
+    for ref in distinct:
+        fam.generator(ref)
+    table = fam.incomparable_pairs()
+    return not any((a, b) in table
+                   for i, a in enumerate(distinct) for b in distinct[i + 1:])
 
 
 def s_polynomial(g1: MarkedBinomial, g2: MarkedBinomial) -> TPolynomial:
     """S-polynomial on the multiset lcm of the two leads."""
-    lcm_counts = Counter(g1.lead.refs) | Counter(g2.lead.refs)
-    lcm = TMonomial([r for r, k in lcm_counts.items() for _ in range(k)])
-    cof1 = lcm
-    for r in g1.lead.refs:
-        cof1 = TMonomial(_remove_one(cof1.refs, r))
-    cof2 = lcm
-    for r in g2.lead.refs:
-        cof2 = TMonomial(_remove_one(cof2.refs, r))
-    return (TPolynomial.monomial(g2.trail).times_monomial(cof2)
-            - TPolynomial.monomial(g1.trail).times_monomial(cof1))
-
-
-def _remove_one(refs, r):
-    out = list(refs)
-    out.remove(r)
-    return out
+    lead1, lead2 = Counter(g1.lead.refs), Counter(g2.lead.refs)
+    lcm = lead1 | lead2
+    cof1 = TMonomial((lcm - lead1).elements())
+    cof2 = TMonomial((lcm - lead2).elements())
+    return (TPolynomial.monomial(g2.trail * cof2)
+            - TPolynomial.monomial(g1.trail * cof1))
 
 
 @dataclass(frozen=True)
@@ -598,6 +545,9 @@ class _TermParser:
                 if kind2 == "op" and value2 == "^":
                     self.take()
                     power = self.expect_num()
+                if len(refs) + power > MAX_TERM_DEGREE:
+                    raise ResourceCapError(
+                        f"a term of degree over {MAX_TERM_DEGREE}")
                 if self.fam is not None:
                     try:
                         self.fam.generator(ref)
@@ -623,7 +573,8 @@ def parse_tpolynomial(text: str, fam: LeveledFamily | None = None
                       ) -> TPolynomial:
     """Parse e.g. ``T[1,3]*T[1,4] - T[1,2]*T[1,5]`` or ``1/2*T[0,1]^2``.
 
-    With a family given, refs are checked against it.
+    With a family given, refs are checked against it.  A term of total
+    degree over ``MAX_TERM_DEGREE`` raises ``ResourceCapError``.
     """
     if not text.strip():
         raise MonomialParseError("empty expression")

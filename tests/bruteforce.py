@@ -56,6 +56,22 @@ def sort_closed_form(u: Monomial, v: Monomial) -> tuple[Monomial, Monomial]:
     return Monomial(a), Monomial(b)
 
 
+def order_by_exponents(u: Monomial, v: Monomial) -> tuple[Monomial, Monomial]:
+    """Per-variable form of the ordering rewrite for deg(u) <= deg(v).
+
+    Fill the second output with the combined exponents from x1 upward
+    until it has degree deg(v); what is left is the first output.
+    """
+    assert u.degree <= v.degree
+    need = v.degree
+    high = []
+    for a, b in zip(u.exps, v.exps):
+        high.append(min(a + b, need))
+        need -= high[-1]
+    low = [a + b - h for a, b, h in zip(u.exps, v.exps, high)]
+    return Monomial(low), Monomial(high)
+
+
 def borel_closure_by_moves(generator: Monomial) -> set[Monomial]:
     """Borel set as the closure of {generator} under single swaps
     x_j -> x_i with i < j, one unit at a time."""

@@ -213,6 +213,14 @@ def test_normal_form_trace_json(capsys, tower4_file):
     assert data["normal_form"] == "T[0,3]*T[2,3]"
 
 
+def test_normal_form_power_over_cap_exits_3(capsys, tower4_file):
+    code, out, err = run(capsys, "normal-form", tower4_file,
+                         "T[0,1]^100000000")
+    assert code == 3
+    assert "resource cap" in err
+    assert out == ""
+
+
 def test_normal_form_bad_expression(capsys, tower4_file):
     code, _, err = run(capsys, "normal-form", tower4_file, "T[9,9]")
     assert code == 2

@@ -8,6 +8,7 @@ import pytest
 from reescert.errors import FamilyError
 from reescert.family import (
     GenRef,
+    Witness,
     build_family,
     characterize,
     comparable,
@@ -17,8 +18,16 @@ from reescert.family import (
 )
 from reescert.monomials import parse_monomial
 
-from bruteforce import rand_rees_family
+from bruteforce import order_by_exponents, rand_rees_family, sort_closed_form
 from conftest import family_dict
+
+
+def open_tower4():
+    """tower4 with x1*x2 dropped from level 1: not closed."""
+    data = family_dict("tower4")
+    data["levels"][0] = {"degree": 2, "generators": [
+        "x1^2", "x2^2", "x1*x3", "x2*x3", "x3^2", "x1*x4", "x2*x4", "x3*x4"]}
+    return data
 
 
 # ----------------------------------------------------------- construction
@@ -147,6 +156,36 @@ def test_comparable_frozen_pairs(tower4):
     assert comparable(tower4, GenRef(2, 1), GenRef(3, 1))
 
 
+@pytest.mark.parametrize("name", ["tower4", "maxpowers3", "fiber_pair",
+                                  "open_tower4"])
+def test_pair_table_matches_definitions(name):
+    data = open_tower4() if name == "open_tower4" else family_dict(name)
+    fam = build_family(data)
+    refs = fam.refs()
+    incomparable = 0
+    witnesses = []
+    for i, a in enumerate(refs):
+        for b in refs[i + 1:]:
+            u, v = fam.generator(a), fam.generator(b)
+            if a.level == b.level:
+                images = sort_closed_form(u, v)
+            else:
+                images = order_by_exponents(u, v)
+            assert comparable(fam, a, b) == (images == (u, v))
+            if images == (u, v):
+                continue
+            incomparable += 1
+            missing = tuple(
+                k for k, ref in enumerate((a, b))
+                if images[k] not in fam.level(ref.level).generators)
+            if missing:
+                witnesses.append(Witness((a, b), images, missing))
+    assert incomparable == len(fam.incomparable_pairs())
+    report = is_closed_under_comparability(fam, all_witnesses=True)
+    assert report.witnesses == tuple(witnesses)
+    assert report.closed == (name != "open_tower4")
+
+
 def test_comparable_argument_checks(tower4):
     with pytest.raises(ValueError):
         comparable(tower4, GenRef(1, 4), GenRef(1, 3))
@@ -177,12 +216,7 @@ def test_fiber_pair_closed(fiber_pair):
 
 
 def test_missing_generator_yields_witnesses():
-    data = family_dict("tower4")
-    # drop x1*x2 from level 1, keep the rest explicit
-    gens = ["x1^2", "x2^2", "x1*x3", "x2*x3", "x3^2",
-            "x1*x4", "x2*x4", "x3*x4"]
-    data["levels"][0] = {"degree": 2, "generators": gens}
-    fam = build_family(data)
+    fam = build_family(open_tower4())
     report = is_closed_under_comparability(fam, all_witnesses=True)
     assert not report.closed
     images = {img.text() for w in report.witnesses for k in w.missing

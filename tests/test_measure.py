@@ -11,7 +11,6 @@ from reescert.measure import (
     comparability_number,
     inversion_count,
     inversion_minimal,
-    inversion_revlex_heuristic,
     level_matrix,
     polynomial_reduction_level,
     reduction_level,
@@ -90,26 +89,6 @@ def test_inversion_minimal_row_cap():
     with pytest.raises(ResourceCapError):
         inversion_minimal(rows)
     assert inversion_minimal([(1,)] * 10)[0] == 0
-
-
-def test_revlex_heuristic_is_not_always_minimal():
-    # both rows live in the Borel set of x2*x3*x4, so this comes up
-    rows = [(1, 1, 4), (2, 3, 3)]
-    h_count, h_order = inversion_revlex_heuristic(rows)
-    count, order = inversion_minimal(rows)
-    assert count == 2
-    assert order == ((1, 1, 4), (2, 3, 3))
-    assert h_order == ((2, 3, 3), (1, 1, 4))
-    assert h_count == 3  # strictly worse than the true minimum
-
-
-def test_revlex_heuristic_never_beats_minimal():
-    rng = random.Random(43)
-    for _ in range(300):
-        width = rng.randint(1, 4)
-        rows = [tuple(sorted(rng.randint(1, 5) for _ in range(width)))
-                for _ in range(rng.randint(1, 6))]
-        assert inversion_revlex_heuristic(rows)[0] >= inversion_minimal(rows)[0]
 
 
 # ----------------------------------------------------------- the measure

@@ -86,6 +86,7 @@ def test_dropped_rule_is_caught(tower4):
     assert not report.passed
     lead = basis[10].lead
     assert any(lead in fail.monomials for fail in report.failures)
+    assert not verify_kernel_generation(tower4, broken, 2).passed
 
 
 def test_wrong_trail_is_caught(tower4):
@@ -95,6 +96,7 @@ def test_wrong_trail_is_caught(tower4):
     basis[5] = MarkedBinomial(g.lead, TMonomial([(4, 1), (4, 1)]))
     report = verify_unique_normal_forms(tower4, tuple(basis), 2)
     assert not report.passed
+    assert not verify_kernel_generation(tower4, tuple(basis), 2).passed
 
 
 def test_representative_ignores_enumeration_order(tower4):

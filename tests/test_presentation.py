@@ -9,10 +9,12 @@ from reescert.errors import (
     InternalInvariantError,
     MonomialParseError,
     NotClosedError,
+    ResourceCapError,
 )
 from reescert.family import GenRef, build_family, comparable
 from bruteforce import confluent_by_all_spairs
 from reescert.presentation import (
+    MAX_TERM_DEGREE,
     MarkedBinomial,
     TMonomial,
     TPolynomial,
@@ -26,7 +28,6 @@ from reescert.presentation import (
     parse_tpolynomial,
     psi_eval,
     reduce_step,
-    reduction_length,
     s_polynomial,
 )
 
@@ -51,8 +52,6 @@ def test_tmonomial_sorts_refs_and_multiplies():
 
 def test_tmonomial_pair_division():
     m = T((0, 1), (0, 1), (1, 2))
-    assert m.divisible_by_pair(GenRef(0, 1), GenRef(1, 2))
-    assert not m.divisible_by_pair(GenRef(0, 2), GenRef(1, 2))
     assert m.without_pair(GenRef(0, 1), GenRef(1, 2)) == T((0, 1))
 
 
@@ -61,8 +60,6 @@ def test_tpolynomial_cancellation():
     g = TPolynomial([(T((1, 1)), Fraction(-1))])
     assert (f + g).support() == [T((1, 2))]
     assert (f - f).is_zero()
-    assert f.scaled(0).is_zero()
-    assert (f.scaled(Fraction(1, 2))).coeff(T((1, 2))) == 1
 
 
 def test_tpolynomial_text_signs():
@@ -110,6 +107,16 @@ def test_parse_rejects_garbage(tower4):
         P("T[9,9]", tower4)
     # in range with the family attached
     assert P("T[4,1]", tower4).coeff(T((4, 1))) == 1
+
+
+def test_parse_caps_term_degree():
+    at_cap = P(f"T[0,1]^{MAX_TERM_DEGREE - 2}*T[0,2]*T[1,1]")
+    assert at_cap.support()[0].degree == MAX_TERM_DEGREE
+    for over in (f"T[0,1]^{MAX_TERM_DEGREE + 1}",
+                 f"T[0,1]^{MAX_TERM_DEGREE - 1}*T[0,2]*T[1,1]",
+                 "T[0,1] + T[0,2]^100000000"):
+        with pytest.raises(ResourceCapError):
+            P(over)
 
 
 # ---------------------------------------------------------------- psi
@@ -216,7 +223,6 @@ def test_reduce_step_frozen(tower4):
     f1 = reduce_step(f, basis)
     assert f1 == P("T[1,2]*T[1,5]")
     assert reduce_step(f1, basis) is None
-    assert reduction_length(f, basis) == 1
     assert normal_form(f, basis) == f1
 
 
@@ -239,6 +245,42 @@ def test_reduction_preserves_psi_and_terminates(tower4):
         assert psi_eval(out, tower4) == psi_eval(m, tower4)
         assert is_completely_reduced(out, tower4)
         assert normal_form(nf, basis) == nf
+
+
+def _reduce_by_steps(f, basis):
+    for _ in range(10_000):
+        nxt = reduce_step(f, basis)
+        if nxt is None:
+            return f
+        f = nxt
+    raise AssertionError("reduce_step did not reach a normal form")
+
+
+@pytest.mark.parametrize("drop", [None, 10])
+def test_normal_form_is_the_reduce_step_limit(tower4, drop):
+    # term-by-term monomial normal forms against the polynomial stepper,
+    # on the basis and on a non-confluent one without rule 10
+    basis = build_basis(tower4)
+    if drop is not None:
+        basis = basis[:drop] + basis[drop + 1:]
+    assert confluence_check(basis).confluent == (drop is None)
+    refs = tower4.refs()
+    rng = random.Random(23)
+    cancelling = 0
+    for _ in range(120):
+        f = TPolynomial([
+            (TMonomial(rng.choices(refs, k=rng.randint(0, 4))),
+             Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 4))])
+        m = TMonomial(rng.choices(refs, k=rng.randint(2, 4)))
+        stepped = reduce_step(TPolynomial.monomial(m), basis)
+        if stepped is not None:
+            # m - m' with m' one step from m: same fiber, cancels
+            diff = TPolynomial.monomial(m) - stepped
+            cancelling += normal_form(diff, basis).is_zero()
+            f = f + diff
+        assert normal_form(f, basis) == _reduce_by_steps(f, basis)
+    assert cancelling > 0
 
 
 def test_is_completely_reduced_frozen(tower4):
