@@ -34,10 +34,52 @@ SUBJECTS = {
 }
 
 
+def closure_json(report, ch) -> dict:
+    """Closure scan and characterization as the JSON keys shared by
+    ``reescert check`` and the certificate."""
+    return {
+        "pairs_checked": report.pairs_checked,
+        "witnesses": [
+            {"pair": [list(w.pair[0]), list(w.pair[1])],
+             "images": [img.text() for img in w.images],
+             "missing": list(w.missing)}
+            for w in report.witnesses
+        ],
+        "characterization": {
+            "level_indices": list(ch.level_indices),
+            "borel_equal": list(ch.borel_equal),
+            "borel_subset": list(ch.borel_subset),
+            "chain": list(ch.chain),
+            "conjunction": ch.conjunction,
+        },
+    }
+
+
+def closure_lines(data: dict, closed: bool) -> list[str]:
+    """Text lines for the closure verdict and the characterization of a
+    dict holding the ``closure_json`` keys."""
+    yn = lambda b: "yes" if b else "no"
+    lines = [f"closed under comparability: {yn(closed)}"
+             f"  ({data['pairs_checked']} pairs checked)"]
+    ch = data["characterization"]
+    if ch["level_indices"]:
+        lines.append("borel equality by level: " + " ".join(
+            f"{i}:{yn(ok)}"
+            for i, ok in zip(ch["level_indices"], ch["borel_equal"])))
+        if ch["chain"]:
+            lines.append("support chain: " + " ".join(
+                f"{i}-{j}:{yn(ok)}"
+                for i, j, ok in zip(ch["level_indices"],
+                                    ch["level_indices"][1:], ch["chain"])))
+        lines.append(f"structural conjunction: {yn(ch['conjunction'])}")
+    return lines
+
+
 def build_certificate(fam: LeveledFamily) -> dict:
     """Certificate dict; JSON-ready.  Conclusions only when closed."""
     report = is_closed_under_comparability(fam)
-    ch = characterize(fam)
+    closure = closure_json(report, characterize(fam))
+    witnesses = closure.pop("witnesses")
     out = {
         "mode": fam.mode,
         "subject": SUBJECTS[fam.mode],
@@ -47,24 +89,12 @@ def build_certificate(fam: LeveledFamily) -> dict:
             for lv in fam.levels
         ],
         "closed_under_comparability": report.closed,
-        "pairs_checked": report.pairs_checked,
-        "characterization": {
-            "level_indices": list(ch.level_indices),
-            "borel_equal": list(ch.borel_equal),
-            "borel_subset": list(ch.borel_subset),
-            "chain": list(ch.chain),
-            "conjunction": ch.conjunction,
-        },
+        **closure,
     }
     if fam.mode == "fiber":
         out["embedding_degree"] = fam.embedding_degree
     if not report.closed:
-        out["witnesses"] = [
-            {"pair": [list(w.pair[0]), list(w.pair[1])],
-             "images": [img.text() for img in w.images],
-             "missing": list(w.missing)}
-            for w in report.witnesses
-        ]
+        out["witnesses"] = witnesses
         out["conclusions"] = []
         out["citations"] = {}
         return out
@@ -91,22 +121,7 @@ def certificate_text(cert: dict) -> str:
     if cert["mode"] == "fiber":
         lines.append(f"embedding degree: {cert['embedding_degree']}")
     closed = cert["closed_under_comparability"]
-    lines.append(f"closed under comparability: {'yes' if closed else 'no'}"
-                 f"  ({cert['pairs_checked']} pairs checked)")
-    ch = cert["characterization"]
-    if ch["level_indices"]:
-        borel = " ".join(
-            f"{i}:{'yes' if ok else 'no'}"
-            for i, ok in zip(ch["level_indices"], ch["borel_equal"]))
-        lines.append(f"borel equality by level: {borel}")
-        if ch["chain"]:
-            chain = " ".join(
-                f"{i}-{j}:{'yes' if ok else 'no'}"
-                for i, j, ok in zip(ch["level_indices"],
-                                    ch["level_indices"][1:], ch["chain"]))
-            lines.append(f"support chain: {chain}")
-        lines.append(
-            f"structural conjunction: {'yes' if ch['conjunction'] else 'no'}")
+    lines += closure_lines(cert, closed)
     if not closed:
         lines.append("verdict: no certificate; family is not closed")
         for w in cert["witnesses"][:8]:

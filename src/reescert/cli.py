@@ -12,7 +12,12 @@ import json
 import sys
 import time
 
-from .certify import build_certificate, certificate_text
+from .certify import (
+    build_certificate,
+    certificate_text,
+    closure_json,
+    closure_lines,
+)
 from .errors import (
     FamilyError,
     InternalInvariantError,
@@ -87,46 +92,20 @@ def cmd_check(args) -> int:
     fam = family_from_file(args.family)
     report = is_closed_under_comparability(
         fam, all_witnesses=args.all_witnesses)
-    ch = characterize(fam)
     data = {
         "mode": fam.mode,
         "closed": report.closed,
-        "pairs_checked": report.pairs_checked,
-        "witnesses": [
-            {"pair": [list(w.pair[0]), list(w.pair[1])],
-             "images": [img.text() for img in w.images],
-             "missing": list(w.missing)}
-            for w in report.witnesses
-        ],
         "witnesses_truncated": report.truncated,
-        "characterization": {
-            "level_indices": list(ch.level_indices),
-            "borel_equal": list(ch.borel_equal),
-            "borel_subset": list(ch.borel_subset),
-            "chain": list(ch.chain),
-            "conjunction": ch.conjunction,
-        },
+        **closure_json(report, characterize(fam)),
     }
 
     def text(d):
         yn = lambda b: "yes" if b else "no"
-        lines = [f"closed under comparability: {yn(d['closed'])}"
-                 f"  ({d['pairs_checked']} pairs checked)"]
-        chd = d["characterization"]
-        if chd["level_indices"]:
-            lines.append("borel equality by level: " + " ".join(
-                f"{i}:{yn(ok)}" for i, ok in
-                zip(chd["level_indices"], chd["borel_equal"])))
-            if chd["chain"]:
-                lines.append("support chain: " + " ".join(
-                    f"{i}-{j}:{yn(ok)}" for i, j, ok in
-                    zip(chd["level_indices"], chd["level_indices"][1:],
-                        chd["chain"])))
-            lines.append(f"structural conjunction: {yn(chd['conjunction'])}")
+        lines = closure_lines(d, d["closed"])
         if fam.mode == "rees":
             lines.append(
                 f"conjunction agrees with closure: "
-                f"{yn(chd['conjunction'] == d['closed'])}")
+                f"{yn(d['characterization']['conjunction'] == d['closed'])}")
         for w in d["witnesses"]:
             a, b = w["pair"]
             lines.append(
@@ -143,11 +122,7 @@ def cmd_check(args) -> int:
 
 def cmd_basis(args) -> int:
     fam = family_from_file(args.family)
-    try:
-        basis = build_basis(fam)
-    except NotClosedError as exc:
-        print(f"not closed under comparability: {exc}", file=sys.stderr)
-        return 1
+    basis = build_basis(fam)
     data = basis_to_json(basis)
 
     def text(d):
@@ -181,11 +156,7 @@ def cmd_verify(args) -> int:
     fam = family_from_file(args.family)
     if args.max_degree < 1:
         raise FamilyError("--max-degree must be at least 1")
-    try:
-        basis = build_basis(fam)
-    except NotClosedError as exc:
-        print(f"not closed under comparability: {exc}", file=sys.stderr)
-        return 1
+    basis = build_basis(fam)
     if args.drop_rule is not None:
         if not 0 <= args.drop_rule < len(basis):
             raise FamilyError(
@@ -270,11 +241,7 @@ def cmd_verify(args) -> int:
 def cmd_normal_form(args) -> int:
     fam = family_from_file(args.family)
     f = parse_tpolynomial(args.expression, fam)
-    try:
-        basis = build_basis(fam)
-    except NotClosedError as exc:
-        print(f"not closed under comparability: {exc}", file=sys.stderr)
-        return 1
+    basis = build_basis(fam)
 
     if not args.trace:
         from .presentation import normal_form
@@ -354,9 +321,12 @@ def main(argv=None) -> int:
     except (FamilyError, MonomialParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NotClosedError as exc:
+        print(f"not closed under comparability: {exc}", file=sys.stderr)
+        return 1
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

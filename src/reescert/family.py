@@ -235,7 +235,7 @@ def family_from_file(path) -> LeveledFamily:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, over-long ints
             raise FamilyError(f"{path}: not valid JSON ({exc})") from exc
     return build_family(data)
 

@@ -23,6 +23,7 @@ from typing import NamedTuple
 from .errors import ResourceCapError
 from .family import LeveledFamily
 from .presentation import (
+    DEFAULT_STEP_CAP,
     TMonomial,
     TPolynomial,
     _lead_index,
@@ -93,7 +94,7 @@ def _pair_costs(rows):
     return cross, w
 
 
-def inversion_minimal(rows, max_rows: int = ROW_CAP):
+def inversion_minimal(rows):
     """Exact minimum inversion count over row orders, with the minimizing
     order itself (lexicographically least among minimizers).
 
@@ -103,9 +104,9 @@ def inversion_minimal(rows, max_rows: int = ROW_CAP):
     a bounded cache.
     """
     rows = tuple(tuple(r) for r in rows)
-    if len(rows) > max_rows:
+    if len(rows) > ROW_CAP:
         raise ResourceCapError(
-            f"level matrix has {len(rows)} rows, cap is {max_rows}")
+            f"level matrix has {len(rows)} rows, cap is {ROW_CAP}")
     if len(set(len(r) for r in rows)) > 1:
         raise ValueError("rows must share one degree")
     return _inversion_minimal(tuple(sorted(rows)))
@@ -122,8 +123,10 @@ def _inversion_minimal(rows):
     cross, w = _pair_costs(rows)
     full = (1 << r) - 1
 
-    # h[S] = least same-column cost of arranging the row set S
+    # h[S] = least same-column cost of arranging the row set S; first[S]
+    # the least index (rows are sorted: the least row) that can lead it
     h = [0] * (full + 1)
+    first = [0] * (full + 1)
     for subset in range(1, full + 1):
         best = None
         for x in range(r):
@@ -135,24 +138,13 @@ def _inversion_minimal(rows):
                 if rest & (1 << y):
                     cost += w[x][y]
             if best is None or cost < best:
-                best = cost
+                best, first[subset] = cost, x
         h[subset] = best
 
     order = []
     subset = full
     while subset:
-        candidates = []
-        for x in range(r):
-            if not subset & (1 << x):
-                continue
-            rest = subset & ~(1 << x)
-            cost = h[rest]
-            for y in range(r):
-                if rest & (1 << y):
-                    cost += w[x][y]
-            if cost == h[subset]:
-                candidates.append(x)
-        x = min(candidates, key=lambda i: (rows[i], i))
+        x = first[subset]
         order.append(rows[x])
         subset &= ~(1 << x)
 
@@ -221,8 +213,8 @@ class ReductionTrace:
         return [self.initial_measure] + [s.measure for s in self.steps]
 
 
-def traced_normal_form(f: TPolynomial, basis, fam: LeveledFamily,
-                       max_steps: int = 10**6) -> ReductionTrace:
+def traced_normal_form(f: TPolynomial, basis,
+                       fam: LeveledFamily) -> ReductionTrace:
     """Deterministic reduction with the (c, e) measure after every step."""
     index = _lead_index(basis)
     steps = []
@@ -236,6 +228,6 @@ def traced_normal_form(f: TPolynomial, basis, fam: LeveledFamily,
         current = apply_reduction(current, mono, rule)
         steps.append(TraceStep(
             mono, rule, current, polynomial_reduction_level(current, fam)))
-        if len(steps) > max_steps:
+        if len(steps) > DEFAULT_STEP_CAP:
             raise ResourceCapError(
-                f"trace exceeded {max_steps} steps")
+                f"trace exceeded {DEFAULT_STEP_CAP} steps")

@@ -128,7 +128,7 @@ class Monomial:
 def parse_monomial(text: str, n: int) -> Monomial:
     """Parse ``x3*x4``, ``x1^2*x3``, or ``1`` into a monomial in n variables."""
     if n < 1:
-        raise ValueError("need at least one variable")
+        raise MonomialParseError("need at least one variable")
     s = text.strip()
     if not s:
         raise MonomialParseError("empty monomial text")
@@ -140,11 +140,15 @@ def parse_monomial(text: str, n: int) -> Monomial:
         m = _TERM_RE.match(term)
         if m is None:
             raise MonomialParseError(f"bad term {term!r} in {text!r}")
-        idx = int(m.group(1))
+        try:
+            idx = int(m.group(1))
+            exp = 1 if m.group(2) is None else int(m.group(2))
+        except ValueError:  # over Python's digit limit for int()
+            raise MonomialParseError(
+                f"number too long in term {term[:16]!r}...") from None
         if not 1 <= idx <= n:
             raise MonomialParseError(
                 f"variable x{idx} out of range x1..x{n} in {text!r}")
-        exp = 1 if m.group(2) is None else int(m.group(2))
         if exp < 0:
             raise MonomialParseError(f"negative exponent in term {term!r}")
         exps[idx - 1] += exp

@@ -15,13 +15,14 @@ from math import comb
 
 from .errors import InternalInvariantError, ResourceCapError
 from .family import LeveledFamily
+from .measure import reduction_level
 from .presentation import (
     DEFAULT_STEP_CAP,
     PsiImage,
     TMonomial,
     TPolynomial,
     _lead_index,
-    _monomial_normal_form,
+    _rewrite_chain,
     apply_reduction,
     is_completely_reduced,
     psi_eval,
@@ -87,11 +88,10 @@ class FiberReport:
 
 
 def verify_unique_normal_forms(fam: LeveledFamily, basis,
-                               max_degree: int,
-                               cap: int = ENUMERATION_CAP) -> FiberReport:
+                               max_degree: int) -> FiberReport:
     """Every fiber must hold exactly one completely reduced monomial and
     every member must reduce to exactly that one."""
-    buckets = enumerate_fibers(fam, max_degree, cap)
+    buckets = enumerate_fibers(fam, max_degree)
     index = _lead_index(basis)
     failures = []
     truncated = False
@@ -114,7 +114,7 @@ def verify_unique_normal_forms(fam: LeveledFamily, basis,
                    f" found {len(reduced)}", reduced or members)
         rep = reduced[0] if len(reduced) == 1 else None
         for m in members:
-            out, _ = _monomial_normal_form(m.refs, index)
+            out = _rewrite_chain(m.refs, index)[-1]
             reductions += 1
             if rep is not None and out != rep.refs:
                 out = TMonomial(out)
@@ -140,8 +140,7 @@ class KernelReport:
 
 
 def verify_kernel_generation(fam: LeveledFamily, basis,
-                             max_degree: int,
-                             cap: int = ENUMERATION_CAP) -> KernelReport:
+                             max_degree: int) -> KernelReport:
     """The basis must reduce every fiber difference to zero.
 
     The differences member - representative span the degree-bounded part
@@ -149,7 +148,7 @@ def verify_kernel_generation(fam: LeveledFamily, basis,
     to the cap degree.  A difference m - rep of two monomials reduces to
     zero exactly when nf(m) == nf(rep), which is what is compared.
     """
-    buckets = enumerate_fibers(fam, max_degree, cap)
+    buckets = enumerate_fibers(fam, max_degree)
     index = _lead_index(basis)
     failures = []
     truncated = False
@@ -159,12 +158,12 @@ def verify_kernel_generation(fam: LeveledFamily, basis,
             continue
         reduced = [m for m in members if is_completely_reduced(m, fam)]
         rep = reduced[0] if len(reduced) == 1 else members[0]
-        rep_nf, _ = _monomial_normal_form(rep.refs, index)
+        rep_nf = _rewrite_chain(rep.refs, index)[-1]
         for m in members:
             if m == rep:
                 continue
             differences += 1
-            m_nf, _ = _monomial_normal_form(m.refs, index)
+            m_nf = _rewrite_chain(m.refs, index)[-1]
             if m_nf != rep_nf:
                 if len(failures) < FAILURE_CAP:
                     nf = TPolynomial([(TMonomial(m_nf), 1),
@@ -193,21 +192,21 @@ class MeasureReport:
 def verify_measure_decrease(fam: LeveledFamily, basis, samples: int = 200,
                             max_degree: int = 5,
                             seed: int = 20260822) -> MeasureReport:
-    """Reduce random T-monomials and insist the (c, e) measure drops
+    """Walk random T-monomials along the rewrite chain whose critical
+    pairs ``confluence_check`` joins, and insist the (c, e) measure drops
     strictly in lexicographic order at every single step."""
     import random
 
-    from .measure import traced_normal_form
-
     rng = random.Random(seed)
     refs = fam.refs()
+    index = _lead_index(basis)
     steps = 0
     failures = []
     for _ in range(samples):
         mono = TMonomial(rng.choices(refs, k=rng.randint(1, max_degree)))
-        trace = traced_normal_form(TPolynomial.monomial(mono), basis, fam)
-        seq = trace.measures()
-        steps += len(trace.steps)
+        chain = _rewrite_chain(mono.refs, index)
+        seq = [reduction_level(TMonomial(r), fam) for r in chain]
+        steps += len(chain) - 1
         ok = all(after < before for before, after in zip(seq, seq[1:]))
         if not ok or seq[-1] != (0, 0):
             if len(failures) < FAILURE_CAP:
@@ -215,8 +214,7 @@ def verify_measure_decrease(fam: LeveledFamily, basis, samples: int = 200,
     return MeasureReport(samples, max_degree, steps, tuple(failures))
 
 
-def normal_form_randomized(f: TPolynomial, basis, rng,
-                           max_steps: int = DEFAULT_STEP_CAP) -> TPolynomial:
+def normal_form_randomized(f: TPolynomial, basis, rng) -> TPolynomial:
     """Reduce with uniformly random choices instead of the deterministic
     strategy.  Confluence makes the result independent of ``rng``."""
     index = _lead_index(basis)
@@ -228,6 +226,6 @@ def normal_form_randomized(f: TPolynomial, basis, rng,
         mono, rule = rng.choice(options)
         f = apply_reduction(f, mono, rule)
         steps += 1
-        if steps > max_steps:
+        if steps > DEFAULT_STEP_CAP:
             raise InternalInvariantError(
-                f"randomized reduction exceeded {max_steps} steps")
+                f"randomized reduction exceeded {DEFAULT_STEP_CAP} steps")

@@ -300,26 +300,26 @@ def reduce_step(f: TPolynomial, basis) -> TPolynomial | None:
     return apply_reduction(f, *options[0]) if options else None
 
 
-def _monomial_normal_form(refs: tuple, index,
-                          max_steps: int = DEFAULT_STEP_CAP
-                          ) -> tuple[tuple, int]:
-    """Deterministic normal form of one monomial as a sorted ref tuple.
+def _rewrite_chain(refs: tuple, index,
+                   max_steps: int = DEFAULT_STEP_CAP) -> list[tuple]:
+    """Deterministic rewrite chain of one monomial, as the sorted ref
+    tuples from ``refs`` to its normal form.
 
     Same strategy as ``reduce_step`` on a one-term polynomial: rewrite
-    along the least dividing lead pair.  Returns the normal form and the
-    number of steps taken.
+    along the least dividing lead pair.  A chain of more than
+    ``max_steps`` steps raises ``InternalInvariantError``.
     """
-    steps = 0
+    chain = [refs]
     while True:
         key = next(_divisible_leads(refs, index), None)
         if key is None:
-            return refs, steps
+            return chain
         rest = list(refs)
         rest.remove(key[0])
         rest.remove(key[1])
         refs = tuple(sorted(rest + list(index[key].trail.refs)))
-        steps += 1
-        if steps > max_steps:
+        chain.append(refs)
+        if len(chain) > max_steps + 1:
             raise InternalInvariantError(
                 f"reduction exceeded {max_steps} steps; the termination"
                 " measure should forbid this")
@@ -338,7 +338,7 @@ def normal_form(f: TPolynomial, basis,
     """
     index = _lead_index(basis)
     return TPolynomial(
-        (TMonomial(_monomial_normal_form(m.refs, index, max_steps)[0]), c)
+        (TMonomial(_rewrite_chain(m.refs, index, max_steps)[-1]), c)
         for m, c in f.terms.items())
 
 
@@ -424,12 +424,12 @@ def confluence_check(basis, max_steps: int = DEFAULT_STEP_CAP
                 g2 = basis[j]
                 (c,) = (r for r in g2.lead.refs if r != ref)
                 reduced += 1
-                nf1, steps1 = _monomial_normal_form(
+                chain1 = _rewrite_chain(
                     tuple(sorted(g1.trail.refs + (c,))), index, max_steps)
-                nf2, steps2 = _monomial_normal_form(
+                chain2 = _rewrite_chain(
                     tuple(sorted(g2.trail.refs + (b,))), index, max_steps)
-                longest = max(longest, steps1, steps2)
-                if nf1 != nf2:
+                longest = max(longest, len(chain1) - 1, len(chain2) - 1)
+                if chain1[-1] != chain2[-1]:
                     failures.append((i, j))
     total = len(basis) * (len(basis) - 1) // 2
     return ConfluenceReport(total, reduced, tuple(sorted(failures)), longest)
@@ -461,13 +461,17 @@ def _tokenize(text: str):
                 break
             raise MonomialParseError(
                 f"unexpected input {rest[:12]!r} at position {pos}")
-        if m.group("tref"):
-            out.append(("ref", GenRef(int(m.group("lvl")),
-                                      int(m.group("idx")))))
-        elif m.group("num"):
-            out.append(("num", int(m.group("num"))))
-        else:
-            out.append(("op", m.group("op")))
+        try:
+            if m.group("tref"):
+                out.append(("ref", GenRef(int(m.group("lvl")),
+                                          int(m.group("idx")))))
+            elif m.group("num"):
+                out.append(("num", int(m.group("num"))))
+            else:
+                out.append(("op", m.group("op")))
+        except ValueError:  # over Python's digit limit for int()
+            raise MonomialParseError(
+                f"number too long at position {pos}") from None
         pos = m.end()
     out.append(("end", None))
     return out

@@ -256,6 +256,44 @@ def test_bset_bad_monomial(capsys):
 
 # ------------------------------------------------------------ file errors
 
+BIG = "9" * 5000  # over Python's 4,300-digit limit on int() of a string
+
+
+def _write(tmp_path, text) -> str:
+    path = tmp_path / "input.json"
+    if isinstance(text, str):
+        text = text.encode()
+    path.write_bytes(text)
+    return str(path)
+
+
+INPUT_ERRORS = {
+    "long expression number": lambda tmp, tower4: [
+        "normal-form", tower4, f"T[0,1]^{BIG}"],
+    "long variables count": lambda tmp, _: [
+        "check", _write(tmp, f'{{"mode": "rees", "variables": {BIG},'
+                             ' "levels": []}')],
+    "long borel exponent": lambda tmp, _: [
+        "check", _write(tmp, '{"mode": "rees", "variables": 2, "levels":'
+                             f' [{{"degree": 2, "borel": "x1^{BIG}"}}]}}')],
+    "long generator index": lambda tmp, _: [
+        "check", _write(tmp, '{"mode": "rees", "variables": 2, "levels":'
+                             f' [{{"degree": 2, "generators": ["x{BIG}"]}}]}}')],
+    "not utf-8": lambda tmp, _: [
+        "check", _write(tmp, b'{"mode": "rees", \xff\xfe}')],
+    "directory": lambda tmp, _: ["check", str(tmp)],
+    "no variables": lambda tmp, _: ["bset", "-n", "0", "x1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors_exit_2(capsys, tmp_path, tower4_file, case):
+    code, out, err = run(capsys, *INPUT_ERRORS[case](tmp_path, tower4_file))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "check", "/no/such/family.json")
     assert code == 2

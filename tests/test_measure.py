@@ -19,6 +19,8 @@ from reescert.measure import (
 from reescert.presentation import (
     TMonomial,
     TPolynomial,
+    _lead_index,
+    _rewrite_chain,
     build_basis,
     is_completely_reduced,
     parse_tpolynomial,
@@ -163,6 +165,25 @@ def test_measure_drops_lexicographically(tower4, maxpowers3):
             for before, after in zip(seq, seq[1:]):
                 assert after < before
             assert seq[-1] == (0, 0)
+
+
+def test_rewrite_chain_is_the_one_term_trace(tower4, maxpowers3):
+    # the measure suite walks _rewrite_chain; the CLI's --trace steps
+    # polynomials: on one monomial both take the same steps
+    rng = random.Random(49)
+    for fam in (tower4, maxpowers3):
+        basis = build_basis(fam)
+        index = _lead_index(basis)
+        refs = fam.refs()
+        for _ in range(200):
+            m = TMonomial(rng.choices(refs, k=rng.randint(1, 6)))
+            chain = [TMonomial(r) for r in _rewrite_chain(m.refs, index)]
+            f = TPolynomial.monomial(m)
+            trace = traced_normal_form(f, basis, fam)
+            assert [TPolynomial.monomial(c) for c in chain] == \
+                [f] + [s.result for s in trace.steps]
+            assert [reduction_level(c, fam) for c in chain] == \
+                trace.measures()
 
 
 def test_cross_level_steps_drop_c_same_level_steps_drop_e(tower4):

@@ -11,6 +11,7 @@ from reescert.oracle import (
     enumerate_fibers,
     normal_form_randomized,
     verify_kernel_generation,
+    verify_measure_decrease,
     verify_unique_normal_forms,
 )
 from reescert.presentation import (
@@ -125,3 +126,17 @@ def test_randomized_strategy_agrees(tower4):
         for seed in range(50):
             assert normal_form_randomized(
                 f, basis, random.Random(seed)) == want
+
+
+def test_measure_suite_reports_frozen(tower4, maxpowers3):
+    basis = build_basis(tower4)
+    report = verify_measure_decrease(tower4, basis)
+    assert (report.samples, report.steps, report.failures) == (200, 254, ())
+    assert report.passed
+    report = verify_measure_decrease(maxpowers3, build_basis(maxpowers3))
+    assert (report.steps, report.passed) == (328, True)
+    # without this rule a sample stops at a monomial of nonzero measure
+    assert basis[17].lead.text() == "T[0,2]*T[1,5]"
+    report = verify_measure_decrease(tower4, basis[:17] + basis[18:])
+    assert (report.steps, len(report.failures)) == (253, 1)
+    assert not report.passed
