@@ -20,18 +20,23 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import FamilyError
+from .errors import FamilyError, ResourceCapError
 from .monomials import (
     Monomial,
     borel_closure,
     borel_member,
+    ord_factors,
     ord_pair,
     parse_monomial,
     revlex_key,
+    sort_factors,
     sort_pair,
 )
 
 MODES = ("rees", "fiber")
+
+# Most ref pairs a family classifies (C(v, 2), about 1,415 refs).
+PAIR_CAP = 10**6
 
 
 class GenRef(NamedTuple):
@@ -60,9 +65,12 @@ class Level:
 class LeveledFamily:
     """Validated family with fast ref lookup.  Treat as immutable.
 
-    Every ref pair is classified once, on construction: the incomparable
-    ones, with the positions of their rewrite images, make the pair
-    table that closure, the marked basis and complete reducedness read.
+    Every ref pair is classified once, on construction, on the standard
+    factorizations of its generators: the incomparable ones, with the
+    positions of their rewrite images, make the pair table that closure,
+    the marked basis and complete reducedness read.  More than
+    ``PAIR_CAP`` pairs raise ``ResourceCapError`` before any is
+    classified.
     """
 
     __slots__ = ("mode", "n", "embedding_degree", "levels",
@@ -74,25 +82,32 @@ class LeveledFamily:
         self.embedding_degree = embedding_degree
         self.levels = tuple(levels)
         self._by_index = {lv.index: lv for lv in self.levels}
+        # level index -> {standard factorization: 1-based position}
         self._positions = {
-            lv.index: {g: j for j, g in enumerate(lv.generators, start=1)}
+            lv.index: {g.factors(): j
+                       for j, g in enumerate(lv.generators, start=1)}
             for lv in self.levels
         }
-        self._refs = tuple(
-            GenRef(lv.index, j)
-            for lv in self.levels
-            for j in range(1, len(lv.generators) + 1)
-        )
+        factors = [(GenRef(lv.index, j), g.factors())
+                   for lv in self.levels
+                   for j, g in enumerate(lv.generators, start=1)]
+        self._refs = tuple(ref for ref, _ in factors)
+        v = len(self._refs)
+        if v * (v - 1) // 2 > PAIR_CAP:
+            raise ResourceCapError(
+                f"{v} generators make {v * (v - 1) // 2} pairs,"
+                f" more than {PAIR_CAP}")
         # positions, not images: a Monomial pair per entry costs
         # megabytes on the larger families
         pairs = {}
-        for ai, a in enumerate(self._refs):
-            ua = self.generator(a)
-            for b in self._refs[ai + 1:]:
-                images = rewrite_images(self, a, b)
-                if images != (ua, self.generator(b)):
-                    pairs[(a, b)] = (self.position(a.level, images[0]),
-                                     self.position(b.level, images[1]))
+        for ai, (a, fa) in enumerate(factors):
+            for b, fb in factors[ai + 1:]:
+                rewrite = sort_factors if a.level == b.level else ord_factors
+                images = rewrite(fa, fb)
+                if images != (fa, fb):
+                    pairs[(a, b)] = (
+                        self._positions[a.level].get(images[0]),
+                        self._positions[b.level].get(images[1]))
         self._pairs = pairs
 
     @property
@@ -123,7 +138,7 @@ class LeveledFamily:
 
     def position(self, level_index: int, monomial: Monomial):
         """1-based position of the monomial in the level, or None."""
-        return self._positions.get(level_index, {}).get(monomial)
+        return self._positions.get(level_index, {}).get(monomial.factors())
 
     def incomparable_pairs(self) -> dict:
         """The pair table: each incomparable ref pair (a, b), a < b, in

@@ -4,18 +4,25 @@ A monomial is stored as its exponent vector.  Its standard factorization
 lists the variables with multiplicity in ascending index order, which is
 descending variable order; the first factor is the greatest variable
 occurring, the last factor the least.  The sorting and ordering rewrites
-(``sort_pair``, ``ord_pair``) and the Borel suffix-dominance test live
-here; everything downstream is built on them.
+work on standard factorizations (``sort_factors``, ``ord_factors``);
+``sort_pair`` and ``ord_pair`` are their checked wrappers on
+``Monomial`` pairs.  The Borel suffix-dominance test and ``borel_closure``,
+which generates a Borel set directly and refuses one of more than
+``BOREL_CAP`` members, live here too; everything downstream is built on
+them.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import combinations_with_replacement
+from itertools import accumulate
 
-from .errors import MonomialParseError
+from .errors import MonomialParseError, ResourceCapError
 
 _TERM_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z")
+
+# Largest Borel set ``borel_closure`` builds (bset, family levels).
+BOREL_CAP = 10**5
 
 
 class Monomial:
@@ -176,6 +183,23 @@ def revlex_key(u: Monomial):
     return (u.degree, tuple(-e for e in reversed(u.exps)))
 
 
+def sort_factors(fu: tuple[int, ...], fv: tuple[int, ...]):
+    """Sorting rewrite on two standard factorizations of equal length:
+    merge them and deal the factors alternately, odd positions to the
+    first output, even to the second."""
+    fact = sorted(fu + fv)
+    return tuple(fact[0::2]), tuple(fact[1::2])
+
+
+def ord_factors(fu: tuple[int, ...], fv: tuple[int, ...]):
+    """Ordering rewrite on two standard factorizations, len(fu) <= len(fv):
+    merge them; the first len(fv) factors make the second output, the
+    rest the first."""
+    fact = sorted(fu + fv)
+    q = len(fv)
+    return tuple(fact[q:]), tuple(fact[:q])
+
+
 def ord_pair(u: Monomial, v: Monomial) -> tuple[Monomial, Monomial]:
     """Ordering rewrite for deg(u) <= deg(v).
 
@@ -189,9 +213,8 @@ def ord_pair(u: Monomial, v: Monomial) -> tuple[Monomial, Monomial]:
     p, q = u.degree, v.degree
     if p > q:
         raise ValueError(f"ord_pair needs deg(u) <= deg(v), got {p} > {q}")
-    fact = (u * v).factors()
-    return (Monomial.from_factors(fact[q:], u.n),
-            Monomial.from_factors(fact[:q], u.n))
+    low, high = ord_factors(u.factors(), v.factors())
+    return Monomial.from_factors(low, u.n), Monomial.from_factors(high, u.n)
 
 
 def sort_pair(u: Monomial, v: Monomial) -> tuple[Monomial, Monomial]:
@@ -202,9 +225,9 @@ def sort_pair(u: Monomial, v: Monomial) -> tuple[Monomial, Monomial]:
     if u.degree != v.degree:
         raise ValueError(
             f"sort_pair needs equal degrees, got {u.degree} != {v.degree}")
-    fact = (u * v).factors()
-    return (Monomial.from_factors(fact[0::2], u.n),
-            Monomial.from_factors(fact[1::2], u.n))
+    first, second = sort_factors(u.factors(), v.factors())
+    return (Monomial.from_factors(first, u.n),
+            Monomial.from_factors(second, u.n))
 
 
 def borel_member(candidate: Monomial, generator: Monomial) -> bool:
@@ -226,19 +249,56 @@ def borel_member(candidate: Monomial, generator: Monomial) -> bool:
     return True
 
 
+def _borel_size(bound: list[int]) -> int:
+    """Size of the Borel set whose generator has suffix masses ``bound``
+    (``bound[k]`` on x_(k+1)..x_n, 0-based k), or a count over
+    ``BOREL_CAP`` as soon as one is reached.
+
+    ``ways[s]`` counts the exponent choices on x_2..x_(k+1) once mass s
+    sits on x_(k+2)..x_n; ``ways[0]`` then counts the members on
+    x1..x_(k+1), a subset of the whole set.
+    """
+    if bound[1] >= BOREL_CAP:  # x1^(d-t)*x2^t for t = 0..bound[1]
+        return bound[1] + 1
+    ways = [1] * (bound[1] + 1)
+    for k in range(1, len(bound) - 1):
+        ways = list(accumulate(reversed(ways)))[::-1][:bound[k + 1] + 1]
+        if ways[0] > BOREL_CAP:
+            break
+    return ways[0]
+
+
 def borel_closure(generator: Monomial) -> tuple[Monomial, ...]:
     """All monomials in the Borel set of ``generator``, revlex descending.
 
     The first element is always x1^d, the last is the generator itself.
+    Members are generated directly: revlex descending order is ascending
+    order of the exponents read from x_n down to x_2, and each exponent
+    is bounded by the generator's suffix mass from its variable on, less
+    what the later variables hold.  Raises ``ResourceCapError`` before
+    building any member when the set has more than ``BOREL_CAP``.
     """
-    d, n = generator.degree, generator.n
-    if d == 0:
-        return (generator,)
-    members = [
-        m
-        for fact in combinations_with_replacement(range(1, n + 1), d)
-        for m in (Monomial.from_factors(fact, n),)
-        if borel_member(m, generator)
-    ]
-    members.sort(key=revlex_key, reverse=True)
-    return tuple(members)
+    d, n, exps = generator.degree, generator.n, generator.exps
+    bound = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        bound[k] = bound[k + 1] + exps[k]
+    if _borel_size(bound) > BOREL_CAP:
+        raise ResourceCapError(
+            f"Borel set of {generator} has more than {BOREL_CAP} members")
+    current = [d] + [0] * (n - 1)
+    members = [Monomial(current)]
+    while True:
+        # lexicographic successor of (e_n, ..., e_2): raise the first
+        # exponent from x_2 up that has room, clear the ones below it
+        below = 0
+        for k in range(1, n):
+            mass = d - current[0] - below  # on x_(k+1)..x_n, k 0-based
+            if mass < bound[k]:
+                current[k] += 1
+                current[1:k] = [0] * (k - 1)
+                current[0] = d - mass - 1
+                break
+            below += current[k]
+        else:
+            return tuple(members)
+        members.append(Monomial(current))

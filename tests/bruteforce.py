@@ -7,9 +7,10 @@ these slow and obvious.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
-from reescert.monomials import Monomial
+from reescert.family import rewrite_images
+from reescert.monomials import Monomial, borel_member, revlex_key
 from reescert.presentation import normal_form, s_polynomial
 
 
@@ -91,6 +92,38 @@ def borel_closure_by_moves(generator: Monomial) -> set[Monomial]:
                     seen.add(moved)
                     frontier.append(moved)
     return seen
+
+
+def borel_closure_by_filter(generator: Monomial) -> tuple[Monomial, ...]:
+    """Borel set by filtering every monomial of the generator's degree
+    through the suffix-dominance test, sorted revlex descending."""
+    d, n = generator.degree, generator.n
+    members = [
+        m
+        for fact in combinations_with_replacement(range(1, n + 1), d)
+        for m in (Monomial.from_factors(fact, n),)
+        if borel_member(m, generator)
+    ]
+    members.sort(key=revlex_key, reverse=True)
+    return tuple(members)
+
+
+def pair_table_by_rewrite_images(fam) -> dict:
+    """The pair table from ``rewrite_images`` on generator monomials,
+    with image positions looked up by ``Monomial`` in each level."""
+    positions = {
+        lv.index: {g: j for j, g in enumerate(lv.generators, start=1)}
+        for lv in fam.levels
+    }
+    refs = fam.refs()
+    table = {}
+    for i, a in enumerate(refs):
+        for b in refs[i + 1:]:
+            images = rewrite_images(fam, a, b)
+            if images != (fam.generator(a), fam.generator(b)):
+                table[(a, b)] = (positions[a.level].get(images[0]),
+                                 positions[b.level].get(images[1]))
+    return table
 
 
 def column_major_inversions(rows: list[tuple[int, ...]]) -> int:

@@ -52,6 +52,14 @@ def family_dict(name: str) -> dict:
                           "fiber_pair": FIBER_PAIR}[name])
 
 
+def open_tower4() -> dict:
+    """tower4 with x1*x2 dropped from level 1: not closed."""
+    data = family_dict("tower4")
+    data["levels"][0] = {"degree": 2, "generators": [
+        "x1^2", "x2^2", "x1*x3", "x2*x3", "x3^2", "x1*x4", "x2*x4", "x3*x4"]}
+    return data
+
+
 @pytest.fixture
 def tower4():
     return build_family(family_dict("tower4"))

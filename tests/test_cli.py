@@ -294,6 +294,37 @@ def test_input_errors_exit_2(capsys, tmp_path, tower4_file, case):
     assert out == ""
 
 
+RESOURCE_CAPS = {  # case: (stderr text, argv)
+    # C(29, 10) = 20,030,010 members, over BOREL_CAP
+    "bset": ("more than 100000 members",
+             lambda tmp: ["bset", "-n", "20", "x20^10"]),
+    "borel level": ("more than 100000 members", lambda tmp: [
+        "check", _write(tmp, '{"mode": "rees", "variables": 20, "levels":'
+                             ' [{"degree": 10, "borel": "x20^10"}]}')]),
+    # characterize compares a listed level with the Borel set of its
+    # least generator
+    "listed level": ("more than 100000 members", lambda tmp: [
+        "check", _write(tmp, '{"mode": "rees", "variables": 20, "levels":'
+                             ' [{"degree": 10, "generators": ["x20^10"]}]}')]),
+    # the 1,820 quartics in 13 variables make 1,655,290 pairs, over
+    # PAIR_CAP
+    "pair table": ("1655290 pairs", lambda tmp: [
+        "check", _write(tmp, '{"mode": "fiber", "variables": 13,'
+                             ' "embedding_degree": 5, "levels":'
+                             ' [{"degree": 4, "borel": "x13^4"}]}')]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESOURCE_CAPS))
+def test_resource_caps_exit_3(capsys, tmp_path, case):
+    message, argv = RESOURCE_CAPS[case]
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 3
+    assert err.startswith("resource cap: ")
+    assert message in err
+    assert out == ""
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "check", "/no/such/family.json")
     assert code == 2

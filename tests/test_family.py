@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
-from reescert.errors import FamilyError
+from reescert import family
+from reescert.errors import FamilyError, ResourceCapError
 from reescert.family import (
     GenRef,
     Witness,
@@ -18,16 +21,13 @@ from reescert.family import (
 )
 from reescert.monomials import parse_monomial
 
-from bruteforce import order_by_exponents, rand_rees_family, sort_closed_form
-from conftest import family_dict
-
-
-def open_tower4():
-    """tower4 with x1*x2 dropped from level 1: not closed."""
-    data = family_dict("tower4")
-    data["levels"][0] = {"degree": 2, "generators": [
-        "x1^2", "x2^2", "x1*x3", "x2*x3", "x3^2", "x1*x4", "x2*x4", "x3*x4"]}
-    return data
+from bruteforce import (
+    order_by_exponents,
+    pair_table_by_rewrite_images,
+    rand_rees_family,
+    sort_closed_form,
+)
+from conftest import family_dict, open_tower4
 
 
 # ----------------------------------------------------------- construction
@@ -184,6 +184,50 @@ def test_pair_table_matches_definitions(name):
     report = is_closed_under_comparability(fam, all_witnesses=True)
     assert report.witnesses == tuple(witnesses)
     assert report.closed == (name != "open_tower4")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_pair_table_matches_monomial_route(monkeypatch):
+    """The table built on factorizations equals, in content and order,
+    the one built by ``rewrite_images`` and lookup by ``Monomial``."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from families import KINDS, LADDER, STRATA, draw_family
+
+    families = [family_from_file(path)
+                for path in sorted((ROOT / "demos" / "families").glob("*.json"))]
+    families.append(build_family(open_tower4()))
+    families.extend(build_family(LADDER[name])
+                    for name in ("max4_3", "max5_3", "max4_4"))
+    rng = random.Random(20261018)
+    for kind in KINDS:
+        for stratum in STRATA[::4]:
+            families.append(build_family(draw_family(rng, stratum, kind)))
+    assert len(families) == 7 + 5 * 5
+    for fam in families:
+        assert (list(fam.incomparable_pairs().items())
+                == list(pair_table_by_rewrite_images(fam).items()))
+
+
+def _generated_family(n: int, degree: int) -> dict:
+    gens = ["*".join(f"x{i}" for i in fact)
+            for fact in combinations_with_replacement(range(1, n + 1), degree)]
+    return {"mode": "rees", "variables": n,
+            "levels": [{"degree": degree, "generators": gens}]}
+
+
+def test_pair_cap(monkeypatch):
+    # 13 variables plus the 1,820 quartics in them: 1,833 refs, 1,679,028
+    # pairs
+    with pytest.raises(ResourceCapError, match="1833 generators"):
+        build_family(_generated_family(13, 4))
+    # the cap is inclusive: tower4 has 24 refs, 276 pairs
+    monkeypatch.setattr(family, "PAIR_CAP", 276)
+    assert len(build_family(family_dict("tower4"))) == 24
+    monkeypatch.setattr(family, "PAIR_CAP", 275)
+    with pytest.raises(ResourceCapError):
+        build_family(family_dict("tower4"))
 
 
 def test_comparable_argument_checks(tower4):

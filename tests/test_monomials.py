@@ -4,19 +4,23 @@ import random
 
 import pytest
 
+from reescert import monomials
 from reescert.monomials import (
     Monomial,
     borel_closure,
     borel_member,
+    ord_factors,
     ord_pair,
     parse_monomial,
     revlex_cmp,
     revlex_key,
+    sort_factors,
     sort_pair,
 )
-from reescert.errors import MonomialParseError
+from reescert.errors import MonomialParseError, ResourceCapError
 
 from bruteforce import (
+    borel_closure_by_filter,
     borel_closure_by_moves,
     rand_monomial,
     revlex_gt_by_factors,
@@ -155,6 +159,21 @@ def test_sort_matches_closed_form():
         assert sort_pair(u, v) == sort_closed_form(u, v)
 
 
+def test_factor_rewrites_match_monomial_rewrites():
+    rng = random.Random(13)
+    for _ in range(5000):
+        n = rng.randint(1, 6)
+        p = rng.randint(0, 5)
+        q = rng.randint(p, 6)
+        u = rand_monomial(rng, n, p)
+        v = rand_monomial(rng, n, q)
+        w = rand_monomial(rng, n, p)
+        assert ord_factors(u.factors(), v.factors()) == tuple(
+            m.factors() for m in ord_pair(u, v))
+        assert sort_factors(u.factors(), w.factors()) == tuple(
+            m.factors() for m in sort_pair(u, w))
+
+
 def test_sort_stays_inside_borel_set():
     rng = random.Random(10)
     for _ in range(500):
@@ -203,6 +222,34 @@ def test_borel_closure_matches_move_closure():
         assert ours[-1] == gen
         for a, b in zip(ours, ours[1:]):
             assert a > b
+
+
+def test_borel_closure_matches_filter():
+    rng = random.Random(14)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        d = rng.randint(0, 6)
+        gen = rand_monomial(rng, n, d)
+        assert borel_closure(gen) == borel_closure_by_filter(gen)
+
+
+def test_borel_closure_cap(monkeypatch):
+    # C(29, 10) = 20,030,010 members: refused before any is built
+    with pytest.raises(ResourceCapError, match="more than 100000"):
+        borel_closure(parse_monomial("x20^10", 20))
+    with pytest.raises(ResourceCapError):
+        borel_closure(parse_monomial(f"x2^{10**5}", 2))
+    # the cap is inclusive: x3*x4 in four variables has 9 members
+    monkeypatch.setattr(monomials, "BOREL_CAP", 9)
+    assert len(borel_closure(M("x3*x4"))) == 9
+    monkeypatch.setattr(monomials, "BOREL_CAP", 8)
+    with pytest.raises(ResourceCapError):
+        borel_closure(M("x3*x4"))
+    # x1^(d-t)*x2^t, t = 0..d, in two variables
+    monkeypatch.setattr(monomials, "BOREL_CAP", 3)
+    assert len(borel_closure(parse_monomial("x2^2", 2))) == 3
+    with pytest.raises(ResourceCapError):
+        borel_closure(parse_monomial("x2^3", 2))
 
 
 def test_borel_nesting():

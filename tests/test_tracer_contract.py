@@ -9,7 +9,7 @@ import reescert
 import reescert.cli  # noqa: F401  (the tracer patches the cli module too)
 from reescert.family import build_family
 
-from conftest import family_dict
+from conftest import family_dict, open_tower4
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,6 +24,9 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     try:
         cert = reescert.certify.build_certificate(
             build_family(family_dict("tower4")))
+        # a closed family rewrites no monomial pair; the witness images
+        # of a non-closed one still go through sort_pair and ord_pair
+        reescert.certify.build_certificate(build_family(open_tower4()))
     finally:
         tracer.uninstall()
     assert cert["conclusions"]
