@@ -13,7 +13,7 @@ Cohen-Macaulay (Hochster).
 from __future__ import annotations
 
 from .family import LeveledFamily, characterize, is_closed_under_comparability
-from .presentation import basis_to_json, build_basis
+from .presentation import basis_shape, build_basis
 
 CITATIONS = {
     "koszul": (
@@ -100,7 +100,7 @@ def build_certificate(fam: LeveledFamily) -> dict:
         return out
 
     basis = build_basis(fam)
-    shape = basis_to_json(basis)
+    shape = basis_shape(basis)
     out["basis_size"] = shape["count"]
     out["quadratic"] = shape["quadratic"]
     out["squarefree_leads"] = shape["squarefree_leads"]

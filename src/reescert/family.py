@@ -37,6 +37,9 @@ MODES = ("rees", "fiber")
 
 # Most ref pairs a family classifies (C(v, 2), about 1,415 refs).
 PAIR_CAP = 10**6
+# Highest declared level degree; the family keeps one factor tuple of
+# this length per generator.  Matches MAX_TERM_DEGREE in presentation.
+MAX_GENERATOR_DEGREE = 1000
 
 
 class GenRef(NamedTuple):
@@ -65,16 +68,17 @@ class Level:
 class LeveledFamily:
     """Validated family with fast ref lookup.  Treat as immutable.
 
-    Every ref pair is classified once, on construction, on the standard
-    factorizations of its generators: the incomparable ones, with the
-    positions of their rewrite images, make the pair table that closure,
-    the marked basis and complete reducedness read.  More than
-    ``PAIR_CAP`` pairs raise ``ResourceCapError`` before any is
-    classified.
+    Every generator is factored once, on construction, and its standard
+    factorization kept (``factors``).  Every ref pair is classified once,
+    on those factorizations: the incomparable ones, with the positions
+    of their rewrite images, make the pair table that closure, the
+    marked basis and complete reducedness read.  ``level_refs`` maps a
+    position back to its ref.  More than ``PAIR_CAP`` pairs raise
+    ``ResourceCapError`` before any is classified.
     """
 
-    __slots__ = ("mode", "n", "embedding_degree", "levels",
-                 "_by_index", "_positions", "_refs", "_pairs")
+    __slots__ = ("mode", "n", "embedding_degree", "levels", "_by_index",
+                 "_positions", "_level_refs", "_factors", "_refs", "_pairs")
 
     def __init__(self, mode, n, levels, embedding_degree=None):
         self.mode = mode
@@ -83,15 +87,20 @@ class LeveledFamily:
         self.levels = tuple(levels)
         self._by_index = {lv.index: lv for lv in self.levels}
         # level index -> {standard factorization: 1-based position}
-        self._positions = {
-            lv.index: {g.factors(): j
-                       for j, g in enumerate(lv.generators, start=1)}
-            for lv in self.levels
-        }
-        factors = [(GenRef(lv.index, j), g.factors())
-                   for lv in self.levels
-                   for j, g in enumerate(lv.generators, start=1)]
-        self._refs = tuple(ref for ref, _ in factors)
+        self._positions = {}
+        # level index -> the level's refs, so a position maps to its ref
+        self._level_refs = {}
+        # ref -> standard factorization of its generator
+        self._factors = {}
+        for lv in self.levels:
+            refs = tuple(GenRef(lv.index, j)
+                         for j in range(1, len(lv.generators) + 1))
+            self._level_refs[lv.index] = refs
+            here = self._positions[lv.index] = {}
+            for ref, g in zip(refs, lv.generators):
+                f = self._factors[ref] = g.factors()
+                here[f] = ref.index
+        self._refs = tuple(self._factors)
         v = len(self._refs)
         if v * (v - 1) // 2 > PAIR_CAP:
             raise ResourceCapError(
@@ -99,15 +108,23 @@ class LeveledFamily:
                 f" more than {PAIR_CAP}")
         # positions, not images: a Monomial pair per entry costs
         # megabytes on the larger families
+        blocks = [(self._positions[i], [(ref, self._factors[ref])
+                                        for ref in refs])
+                  for i, refs in self._level_refs.items()]
         pairs = {}
-        for ai, (a, fa) in enumerate(factors):
-            for b, fb in factors[ai + 1:]:
-                rewrite = sort_factors if a.level == b.level else ord_factors
-                images = rewrite(fa, fb)
-                if images != (fa, fb):
-                    pairs[(a, b)] = (
-                        self._positions[a.level].get(images[0]),
-                        self._positions[b.level].get(images[1]))
+        for li, (here, row) in enumerate(blocks):
+            for ai, (a, fa) in enumerate(row):
+                # same level sorts, a higher level orders; lexicographic
+                # ref order either way
+                targets = [(sort_factors, here, row[ai + 1:])]
+                targets += [(ord_factors, there, col)
+                            for there, col in blocks[li + 1:]]
+                for rewrite, there, col in targets:
+                    for b, fb in col:
+                        images = rewrite(fa, fb)
+                        if images != (fa, fb):
+                            pairs[(a, b)] = (here.get(images[0]),
+                                             there.get(images[1]))
         self._pairs = pairs
 
     @property
@@ -135,6 +152,20 @@ class LeveledFamily:
                 f"index {ref[1]} out of range 1..{len(lv.generators)}"
                 f" at level {ref[0]}")
         return lv.generators[ref[1] - 1]
+
+    def level_refs(self, level_index: int) -> tuple[GenRef, ...]:
+        """The level's refs in position order: entry j - 1 is the ref at
+        1-based position j."""
+        self.level(level_index)
+        return self._level_refs[level_index]
+
+    def factors(self, ref: GenRef) -> tuple[int, ...]:
+        """Standard factorization of the referenced generator, as kept
+        since construction.  An unknown ref raises like ``generator``."""
+        try:
+            return self._factors[ref]
+        except (KeyError, TypeError):
+            return self.generator(ref).factors()
 
     def position(self, level_index: int, monomial: Monomial):
         """1-based position of the monomial in the level, or None."""
@@ -169,6 +200,9 @@ def _parse_level(entry, pos: int, n: int):
     degree = entry.get("degree")
     if not _is_int(degree) or degree < 1:
         raise FamilyError(f"level {pos}: degree must be a positive integer")
+    if degree > MAX_GENERATOR_DEGREE:
+        raise ResourceCapError(
+            f"level {pos}: degree {degree} is over {MAX_GENERATOR_DEGREE}")
     has_borel = "borel" in entry
     has_list = "generators" in entry
     if has_borel == has_list:
@@ -312,9 +346,9 @@ def is_closed_under_comparability(
     witnesses = []
     truncated = False
     for (a, b), positions in fam.incomparable_pairs().items():
-        missing = tuple(k for k in (0, 1) if positions[k] is None)
-        if not missing:
+        if None not in positions:
             continue
+        missing = tuple(k for k in (0, 1) if positions[k] is None)
         if all_witnesses or len(witnesses) < max_witnesses:
             witnesses.append(
                 Witness((a, b), rewrite_images(fam, a, b), missing))

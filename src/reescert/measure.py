@@ -52,7 +52,7 @@ def level_matrix(mono: TMonomial, fam: LeveledFamily,
                  level: int) -> LevelMatrix:
     """Rows are the factorizations of the level's referenced generators,
     in ref order with multiplicity."""
-    rows = tuple(fam.generator(ref).factors()
+    rows = tuple(fam.factors(ref)
                  for ref in mono.refs if ref.level == level)
     return LevelMatrix(level, rows)
 
@@ -157,8 +157,7 @@ def comparability_number(mono: TMonomial, fam: LeveledFamily) -> int:
     fixed by the ordering rewrite."""
     by_level: dict[int, list[int]] = {}
     for ref in mono.refs:
-        by_level.setdefault(ref.level, []).extend(
-            fam.generator(ref).factors())
+        by_level.setdefault(ref.level, []).extend(fam.factors(ref))
     levels = sorted(by_level)
     total = 0
     for pos, i in enumerate(levels):

@@ -60,7 +60,7 @@ def enumerate_fibers(fam: LeveledFamily, max_degree: int,
     buckets: dict[PsiImage, list[TMonomial]] = {}
     for d in range(1, max_degree + 1):
         for combo in combinations_with_replacement(refs, d):
-            mono = TMonomial(combo)
+            mono = TMonomial._of_sorted(combo)
             buckets.setdefault(psi_eval(mono, fam), []).append(mono)
     return buckets
 
@@ -205,7 +205,7 @@ def verify_measure_decrease(fam: LeveledFamily, basis, samples: int = 200,
     for _ in range(samples):
         mono = TMonomial(rng.choices(refs, k=rng.randint(1, max_degree)))
         chain = _rewrite_chain(mono.refs, index)
-        seq = [reduction_level(TMonomial(r), fam) for r in chain]
+        seq = [reduction_level(TMonomial._of_sorted(r), fam) for r in chain]
         steps += len(chain) - 1
         ok = all(after < before for before, after in zip(seq, seq[1:]))
         if not ok or seq[-1] != (0, 0):

@@ -32,6 +32,8 @@ from .family import comparable, rewrite_images  # noqa: F401
 
 DEFAULT_STEP_CAP = 10**6
 MAX_TERM_DEGREE = 1000
+# Most critical pairs confluence_check reduces (max(4,4) has 103,047)
+CRITICAL_PAIR_CAP = 10**6
 
 
 class TMonomial:
@@ -43,6 +45,15 @@ class TMonomial:
         object.__setattr__(
             self, "refs",
             tuple(sorted(GenRef(int(i), int(j)) for i, j in refs)))
+
+    @classmethod
+    def _of_sorted(cls, refs: tuple) -> "TMonomial":
+        """The monomial of a sorted tuple of ``GenRef``s, taken as it is:
+        no conversion, no sort.  For callers that already hold one; text
+        and other user input goes through the constructor."""
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "refs", refs)
+        return mono
 
     def __setattr__(self, name, value):
         raise AttributeError("TMonomial is immutable")
@@ -224,10 +235,13 @@ def psi_eval(mono: TMonomial, fam: LeveledFamily) -> PsiImage:
 def build_basis(fam: LeveledFamily) -> tuple[MarkedBinomial, ...]:
     """One marked binomial per incomparable ref pair, sorted by lead.
 
-    The rules come straight from the family's pair table.  Requires
+    The rules come straight from the family's pair table: the lead is
+    the pair, the trail the two refs at its image positions.  Requires
     closure under comparability; otherwise some trail would reference
     monomials outside the family.
     """
+    level_refs = {i: fam.level_refs(i) for i in fam.level_indices()}
+    of_sorted = TMonomial._of_sorted
     out = []
     for (a, b), (first, second) in fam.incomparable_pairs().items():
         if first is None or second is None:
@@ -236,8 +250,10 @@ def build_basis(fam: LeveledFamily) -> tuple[MarkedBinomial, ...]:
                 "family is not closed under comparability"
                 f" ({len(report.witnesses)} witness pair(s))",
                 report.witnesses)
-        trail = TMonomial([GenRef(a.level, first), GenRef(b.level, second)])
-        out.append(MarkedBinomial(TMonomial([a, b]), trail))
+        c = level_refs[a.level][first - 1]
+        d = level_refs[b.level][second - 1]
+        out.append(MarkedBinomial(of_sorted((a, b)),
+                                  of_sorted((c, d) if c <= d else (d, c))))
     return tuple(out)
 
 
@@ -404,13 +420,20 @@ def confluence_check(basis, max_steps: int = DEFAULT_STEP_CAP
     by the (c, e) measure; given it, Newman's lemma makes joinable
     critical pairs equivalent to confluence, and two distinct normal
     forms are two irreducible reducts of one monomial.  A rewrite chain
-    longer than ``max_steps`` raises ``InternalInvariantError``.
+    longer than ``max_steps`` raises ``InternalInvariantError``.  More
+    than ``CRITICAL_PAIR_CAP`` critical pairs raise ``ResourceCapError``
+    before any is reduced.
     """
     index = _lead_index(basis)
     by_ref = defaultdict(list)
     for i, g in enumerate(basis):
         for ref in g.lead.refs:
             by_ref[ref].append(i)
+    critical = sum(len(rules) * (len(rules) - 1) // 2
+                   for rules in by_ref.values())
+    if critical > CRITICAL_PAIR_CAP:
+        raise ResourceCapError(
+            f"{critical} critical pairs, more than {CRITICAL_PAIR_CAP}")
     reduced = 0
     failures = []
     longest = 0
@@ -585,13 +608,20 @@ def parse_tpolynomial(text: str, fam: LeveledFamily | None = None
     return _TermParser(text, fam).parse()
 
 
-def basis_to_json(basis) -> dict:
+def basis_shape(basis) -> dict:
+    """The rule count and the two shape flags, read off the rules."""
     return {
         "count": len(basis),
         "quadratic": all(g.lead.degree == 2 and g.trail.degree == 2
                          for g in basis),
         "squarefree_leads": all(len(set(g.lead.refs)) == g.lead.degree
                                 for g in basis),
+    }
+
+
+def basis_to_json(basis) -> dict:
+    return {
+        **basis_shape(basis),
         "relations": [
             {"lead": [list(r) for r in g.lead.refs],
              "trail": [list(r) for r in g.trail.refs]}

@@ -9,9 +9,19 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
 
-from reescert.family import rewrite_images
+from reescert.errors import NotClosedError
+from reescert.family import (
+    GenRef,
+    is_closed_under_comparability,
+    rewrite_images,
+)
 from reescert.monomials import Monomial, borel_member, revlex_key
-from reescert.presentation import normal_form, s_polynomial
+from reescert.presentation import (
+    MarkedBinomial,
+    TMonomial,
+    normal_form,
+    s_polynomial,
+)
 
 
 def revlex_gt_by_factors(u: Monomial, v: Monomial) -> bool:
@@ -124,6 +134,23 @@ def pair_table_by_rewrite_images(fam) -> dict:
                 table[(a, b)] = (positions[a.level].get(images[0]),
                                  positions[b.level].get(images[1]))
     return table
+
+
+def basis_by_public_constructor(fam) -> tuple[MarkedBinomial, ...]:
+    """The marked basis with every rule built through the public
+    ``TMonomial`` constructor: one rule per pair-table entry, the trail
+    made of the refs at the two image positions."""
+    out = []
+    for (a, b), (first, second) in fam.incomparable_pairs().items():
+        if first is None or second is None:
+            report = is_closed_under_comparability(fam)
+            raise NotClosedError(
+                "family is not closed under comparability"
+                f" ({len(report.witnesses)} witness pair(s))",
+                report.witnesses)
+        trail = TMonomial([GenRef(a.level, first), GenRef(b.level, second)])
+        out.append(MarkedBinomial(TMonomial([a, b]), trail))
+    return tuple(out)
 
 
 def column_major_inversions(rows: list[tuple[int, ...]]) -> int:

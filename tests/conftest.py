@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import copy
+import random
+from pathlib import Path
 
 import pytest
 
 from reescert.family import build_family
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Two-variable-block tower over four variables: degrees 2,3,3,5 with every
 # level a full Borel set and the support chain satisfied.  The canonical
@@ -73,3 +77,28 @@ def maxpowers3():
 @pytest.fixture
 def fiber_pair():
     return build_family(family_dict("fiber_pair"))
+
+
+@pytest.fixture
+def bench_families(monkeypatch):
+    """``perfbench/families.py``: the benchmark's family generators."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import families
+    return families
+
+
+def reference_descs(bench_families, seed: int = 20261018) -> dict:
+    """Named family descriptions: the three demos, ``open_tower4``,
+    max(4,3), max(4,4) and 25 seeded families, five of each
+    certify-mix kind, over every fourth size stratum."""
+    descs = {name: family_dict(name)
+             for name in ("tower4", "maxpowers3", "fiber_pair")}
+    descs["open_tower4"] = open_tower4()
+    for name in ("max4_3", "max4_4"):
+        descs[name] = copy.deepcopy(bench_families.LADDER[name])
+    rng = random.Random(seed)
+    for kind in bench_families.KINDS:
+        for lo, hi in bench_families.STRATA[::4]:
+            descs[f"{kind}-{lo}"] = bench_families.draw_family(
+                rng, (lo, hi), kind)
+    return descs

@@ -312,6 +312,18 @@ RESOURCE_CAPS = {  # case: (stderr text, argv)
         "check", _write(tmp, '{"mode": "fiber", "variables": 13,'
                              ' "embedding_degree": 5, "levels":'
                              ' [{"degree": 4, "borel": "x13^4"}]}')]),
+    # over MAX_GENERATOR_DEGREE, refused before the level is parsed
+    "generator degree": ("degree 3000000 is over 1000", lambda tmp: [
+        "check", _write(tmp, '{"mode": "rees", "variables": 1, "levels":'
+                             ' [{"degree": 3000000,'
+                             ' "borel": "x1^3000000"}]}')]),
+    # max(6,4): 18,908 rules, 3,391,240 critical pairs, over
+    # CRITICAL_PAIR_CAP
+    "critical pairs": ("3391240 critical pairs", lambda tmp: [
+        "verify", _write(tmp, json.dumps({
+            "mode": "rees", "variables": 6,
+            "levels": [{"degree": d, "borel": f"x6^{d}"}
+                       for d in range(1, 5)]}))]),
 }
 
 

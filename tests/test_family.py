@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -228,6 +229,43 @@ def test_pair_cap(monkeypatch):
     monkeypatch.setattr(family, "PAIR_CAP", 275)
     with pytest.raises(ResourceCapError):
         build_family(family_dict("tower4"))
+
+
+def _one_level(level: dict) -> dict:
+    return {"mode": "rees", "variables": 1, "levels": [level]}
+
+
+def test_generator_degree_cap():
+    cap = family.MAX_GENERATOR_DEGREE
+    # the cap is inclusive
+    fam = build_family(_one_level({"degree": cap, "borel": f"x1^{cap}"}))
+    assert len(fam.factors(GenRef(1, 1))) == cap
+    with pytest.raises(ResourceCapError, match="degree 1001 is over 1000"):
+        build_family(_one_level({"degree": cap + 1,
+                                 "borel": f"x1^{cap + 1}"}))
+    # refused before any generator of the level is parsed
+    with pytest.raises(ResourceCapError):
+        build_family(_one_level({"degree": 3000000,
+                                 "generators": ["not a monomial"]}))
+
+
+def test_factors_and_level_refs(tower4, fiber_pair):
+    for fam in (tower4, fiber_pair):
+        for i in fam.level_indices():
+            refs = fam.level_refs(i)
+            assert refs == tuple(r for r in fam.refs() if r.level == i)
+            for j, ref in enumerate(refs, start=1):
+                assert type(ref) is GenRef
+                assert fam.position(i, fam.generator(ref)) == j
+        for ref in fam.refs():
+            assert fam.factors(ref) == fam.generator(ref).factors()
+    for bad in (GenRef(1, 10), GenRef(7, 1), GenRef(1, 0), GenRef(1, -1)):
+        with pytest.raises(ValueError) as expected:
+            tower4.generator(bad)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            tower4.factors(bad)
+    with pytest.raises(ValueError):
+        tower4.level_refs(7)
 
 
 def test_comparable_argument_checks(tower4):

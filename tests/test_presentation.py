@@ -11,14 +11,17 @@ from reescert.errors import (
     NotClosedError,
     ResourceCapError,
 )
+from reescert import presentation
 from reescert.family import GenRef, build_family, comparable
-from bruteforce import confluent_by_all_spairs
+from bruteforce import basis_by_public_constructor, confluent_by_all_spairs
+from conftest import reference_descs
 from reescert.presentation import (
     MAX_TERM_DEGREE,
     MarkedBinomial,
     TMonomial,
     TPolynomial,
     basis_from_json,
+    basis_shape,
     basis_to_json,
     build_basis,
     confluence_check,
@@ -215,6 +218,59 @@ def test_basis_json_round_trip(tower4):
         basis_from_json({"nope": 1})
 
 
+def test_basis_matches_public_constructor(bench_families):
+    """Rules built from the family's refs equal, as an ordered tuple,
+    the rules built through the public ``TMonomial`` constructor."""
+    descs = reference_descs(bench_families)
+    closed = 0
+    for name, desc in descs.items():
+        fam = build_family(desc)
+        for ref in fam.refs():
+            assert fam.factors(ref) == fam.generator(ref).factors()
+        try:
+            expected = basis_by_public_constructor(fam)
+        except NotClosedError as exc:
+            with pytest.raises(NotClosedError) as info:
+                build_basis(fam)
+            assert info.value.witnesses == exc.witnesses, name
+            continue
+        basis = build_basis(fam)
+        assert basis == expected, name
+        for g in basis:
+            for mono in (g.lead, g.trail):
+                assert all(type(r) is GenRef for r in mono.refs)
+                assert list(mono.refs) == sorted(mono.refs)
+        closed += 1
+    # the demos, max(4,3), max(4,4) and ten of the seeded families
+    assert closed == 15
+
+
+def test_basis_shape_matches_json(tower4):
+    cubic = basis_from_json({"relations": [
+        {"lead": [[0, 1], [1, 2], [1, 3]],
+         "trail": [[0, 2], [1, 1], [1, 3]]}]})
+    cubic_trail = basis_from_json({"relations": [
+        {"lead": [[0, 1], [1, 2]], "trail": [[0, 2], [1, 1], [1, 3]]}]})
+    repeated = basis_from_json({"relations": [
+        {"lead": [[0, 1], [0, 1]], "trail": [[0, 2], [0, 3]]}]})
+    basis = build_basis(tower4)
+    for b in (basis, (), cubic, cubic_trail, repeated,
+              basis + cubic + repeated):
+        data = basis_to_json(b)
+        assert basis_shape(b) == {key: data[key] for key in
+                                  ("count", "quadratic", "squarefree_leads")}
+        assert set(data) == {"count", "quadratic", "squarefree_leads",
+                             "relations"}
+    assert basis_shape(basis) == {"count": 104, "quadratic": True,
+                                  "squarefree_leads": True}
+    assert basis_shape(cubic) == {"count": 1, "quadratic": False,
+                                  "squarefree_leads": True}
+    assert basis_shape(repeated) == {"count": 1, "quadratic": True,
+                                     "squarefree_leads": False}
+    assert basis_shape(cubic_trail) == {"count": 1, "quadratic": False,
+                                        "squarefree_leads": True}
+
+
 # ------------------------------------------------------------- reduction
 
 def test_reduce_step_frozen(tower4):
@@ -381,6 +437,16 @@ def test_confluence_reaches_max_powers(top, total, overlapping):
     assert (report.pairs_total, report.pairs_reduced) == (total, overlapping)
     assert report.pairs_skipped == total - overlapping
     assert report.confluent
+
+
+def test_critical_pair_cap(tower4, monkeypatch):
+    basis = build_basis(tower4)
+    # the cap is inclusive: tower4 has 1,017 critical pairs
+    monkeypatch.setattr(presentation, "CRITICAL_PAIR_CAP", 1017)
+    assert confluence_check(basis).pairs_reduced == 1017
+    monkeypatch.setattr(presentation, "CRITICAL_PAIR_CAP", 1016)
+    with pytest.raises(ResourceCapError, match="1017 critical pairs"):
+        confluence_check(basis)
 
 
 def test_kernel_membership(tower4):
