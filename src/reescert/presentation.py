@@ -252,6 +252,8 @@ def build_basis(fam: LeveledFamily) -> tuple[MarkedBinomial, ...]:
                 report.witnesses)
         c = level_refs[a.level][first - 1]
         d = level_refs[b.level][second - 1]
+        # rewrite images already come in ref order; the one comparison
+        # keeps the trail sorted without relying on that
         out.append(MarkedBinomial(of_sorted((a, b)),
                                   of_sorted((c, d) if c <= d else (d, c))))
     return tuple(out)
