@@ -174,6 +174,7 @@ def cmd_verify(args) -> int:
         "pairs_reduced": confl.pairs_reduced,
         "pairs_skipped": confl.pairs_skipped,
         "max_reduction_length": confl.max_reduction_length,
+        "normal_forms": confl.normal_forms,
         "failures": len(confl.failures),
         "passed": confl.confluent,
         "seconds": round(dt, 3),

@@ -7,6 +7,7 @@ these slow and obvious.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations_with_replacement, permutations
 
 from reescert.errors import NotClosedError
@@ -17,8 +18,12 @@ from reescert.family import (
 )
 from reescert.monomials import Monomial, borel_member, revlex_key
 from reescert.presentation import (
+    DEFAULT_STEP_CAP,
+    ConfluenceReport,
     MarkedBinomial,
     TMonomial,
+    _lead_index,
+    _rewrite_chain,
     normal_form,
     s_polynomial,
 )
@@ -238,3 +243,39 @@ def confluent_by_all_spairs(basis):
                                basis).is_zero():
                 failures.append((i, j))
     return not failures, tuple(failures)
+
+
+def confluence_by_chains(basis, max_steps=DEFAULT_STEP_CAP):
+    """``confluence_check`` with no memo: both rewrites of every critical
+    pair are reduced from scratch along their whole ``_rewrite_chain``.
+
+    ``normal_forms`` counts the distinct monomials on all those chains.
+    """
+    index = _lead_index(basis)
+    by_ref = defaultdict(list)
+    for i, g in enumerate(basis):
+        for ref in g.lead.refs:
+            by_ref[ref].append(i)
+    reduced = 0
+    failures = []
+    longest = 0
+    seen = set()
+    for ref, rules in by_ref.items():
+        for pos, i in enumerate(rules):
+            g1 = basis[i]
+            (b,) = (r for r in g1.lead.refs if r != ref)
+            for j in rules[pos + 1:]:
+                g2 = basis[j]
+                (c,) = (r for r in g2.lead.refs if r != ref)
+                reduced += 1
+                chain1 = _rewrite_chain(
+                    tuple(sorted(g1.trail.refs + (c,))), index, max_steps)
+                chain2 = _rewrite_chain(
+                    tuple(sorted(g2.trail.refs + (b,))), index, max_steps)
+                longest = max(longest, len(chain1) - 1, len(chain2) - 1)
+                seen.update(chain1, chain2)
+                if chain1[-1] != chain2[-1]:
+                    failures.append((i, j))
+    total = len(basis) * (len(basis) - 1) // 2
+    return ConfluenceReport(total, reduced, tuple(sorted(failures)), longest,
+                            len(seen))

@@ -156,6 +156,7 @@ def test_verify_json(capsys, tower4_file):
     assert data["confluence"]["pairs"] == 5356
     assert data["confluence"]["pairs_reduced"] == 1017
     assert data["confluence"]["pairs_skipped"] == 4339
+    assert data["confluence"]["normal_forms"] == 1048
     assert data["normal_forms"]["monomials"] == 324
     assert data["kernel"]["passed"] is True
     assert data["measure"]["passed"] is True

@@ -13,7 +13,11 @@ from reescert.errors import (
 )
 from reescert import presentation
 from reescert.family import GenRef, build_family, comparable
-from bruteforce import basis_by_public_constructor, confluent_by_all_spairs
+from bruteforce import (
+    basis_by_public_constructor,
+    confluence_by_chains,
+    confluent_by_all_spairs,
+)
 from conftest import reference_descs
 from reescert.presentation import (
     MAX_TERM_DEGREE,
@@ -413,6 +417,51 @@ def test_confluence_agrees_with_all_spairs(tower4, fiber_pair):
         confluent, failures = confluent_by_all_spairs(case)
         assert report.confluent == confluent == want
         assert set(report.failures) <= set(failures)
+
+
+def _single_rule_drops(basis):
+    return [basis[:k] + basis[k + 1:] for k in range(len(basis))]
+
+
+def test_confluence_matches_reference(tower4, maxpowers3, fiber_pair,
+                                      bench_families):
+    """The memoized check returns the whole report of the un-memoized
+    reference, failures, lengths and monomial count included."""
+    t4 = build_basis(tower4)
+    mp3 = build_basis(maxpowers3)
+    cases = [t4, mp3, build_basis(fiber_pair), _sabotaged(t4),
+             tuple(g for g in t4 if g.lead != T((0, 1), (1, 2)))]
+    for name in ("max4_3", "max4_4"):
+        cases.append(build_basis(build_family(bench_families.LADDER[name])))
+    cases += _single_rule_drops(t4) + _single_rule_drops(mp3)
+    assert len(cases) == 7 + 104 + 121
+    broken = 0
+    for basis in cases:
+        report = confluence_check(basis)
+        assert report == confluence_by_chains(basis)
+        broken += not report.confluent
+    # the sabotaged and dropped bases, and 6 + 2 drops that leave a
+    # confluent basis of a smaller ideal
+    assert broken == 2 + (104 - 6) + (121 - 2)
+
+
+@pytest.mark.parametrize("max_steps", range(6))
+def test_step_cap_through_memo_hits(tower4, maxpowers3, max_steps):
+    # a chain that ends on a memoized monomial still counts the steps
+    # left from there against the cap
+    raised = 0
+    for fam in (tower4, maxpowers3):
+        basis = build_basis(fam)
+        try:
+            want = confluence_by_chains(basis, max_steps)
+        except InternalInvariantError:
+            with pytest.raises(InternalInvariantError):
+                confluence_check(basis, max_steps)
+            raised += 1
+            continue
+        assert confluence_check(basis, max_steps) == want
+    # both bases reach length 4, so caps 0..3 raise and 4, 5 do not
+    assert raised == (2 if max_steps < 4 else 0)
 
 
 def _overlapping_pairs(basis):
