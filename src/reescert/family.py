@@ -146,14 +146,6 @@ class LeveledFamily:
         return self._refs
 
     def generator(self, ref: GenRef) -> Monomial:
-        """The referenced generator.  A ref the family keeps is looked
-        up directly; any other raises ``ValueError`` naming the missing
-        level or the index range."""
-        try:
-            if ref in self._factors:
-                return self._by_index[ref[0]].generators[ref[1] - 1]
-        except TypeError:  # an unhashable ref such as a list
-            pass
         lv = self.level(ref[0])
         if not 1 <= ref[1] <= len(lv.generators):
             raise ValueError(

@@ -213,24 +213,22 @@ def psi_eval(mono: TMonomial, fam: LeveledFamily) -> PsiImage:
     mode pads each level-i generator with the auxiliary variable
     x_{n+i} up to the embedding degree.
     """
-    generator = fam.generator
     if fam.mode == "rees":
         xs = [0] * fam.n
         ts = [0] * fam.top_level
         for ref in mono.refs:
-            for k, e in enumerate(generator(ref).exps):
+            for k, e in enumerate(fam.generator(ref).exps):
                 xs[k] += e
             if ref.level >= 1:
                 ts[ref.level - 1] += 1
         return PsiImage(tuple(xs), tuple(ts))
-    n = fam.n
-    xs = [0] * (n + fam.top_level)
+    s = fam.top_level
+    xs = [0] * (fam.n + s)
     for ref in mono.refs:
-        g = generator(ref)
-        for k, e in enumerate(g.exps):
+        lv = fam.level(ref.level)
+        for k, e in enumerate(fam.generator(ref).exps):
             xs[k] += e
-        # every generator of a level has the level's degree
-        xs[n + ref.level - 1] += fam.embedding_degree - g.degree
+        xs[fam.n + ref.level - 1] += fam.embedding_degree - lv.degree
     return PsiImage(tuple(xs), ())
 
 
