@@ -4,6 +4,9 @@ Runs ``check``, ``basis`` and ``certify`` with ``--format text`` and
 ``--format json`` on the three demo families and on ``open_tower4()``,
 and stores each command's stdout in ``<family>.<command>.<format>``
 next to this file, plus the exit codes and stderr in ``index.json``.
+It also runs ``normal-form`` on tower4 for each of ``NORMAL_FORMS``,
+in both formats, with and without ``--trace``, into
+``tower4.normal-form[-trace].<input>.<format>``.
 
     PYTHONPATH=src python3 tests/golden/make_golden.py
 
@@ -26,6 +29,15 @@ sys.path.insert(0, str(HERE.parent))
 
 COMMANDS = ("check", "basis", "certify")
 FORMATS = ("text", "json")
+# normal-form inputs on tower4, by the name used in the golden file
+NORMAL_FORMS = {
+    "lead": "T[1,3]*T[1,4]",
+    "cross": "T[0,1]*T[2,7]",
+    "cancel": "T[1,3]*T[1,4] - T[1,2]*T[1,5]",
+    "mixed": "2*T[1,3]*T[1,4]*T[2,7] + 1/2*T[0,1]^3"
+             " - T[0,3]*T[1,2]*T[2,5]",
+    "unknown": "T[9,1]",
+}
 
 
 def family_files(tmp: Path) -> dict[str, Path]:
@@ -50,10 +62,16 @@ def run_cli(argv) -> tuple[int, str, str]:
 
 def cases(tmp: Path):
     """(golden file name, argv) for every golden output."""
-    for name, path in family_files(tmp).items():
+    files = family_files(tmp)
+    for name, path in files.items():
         for cmd in COMMANDS:
             for fmt in FORMATS:
                 yield f"{name}.{cmd}.{fmt}", [cmd, str(path), "--format", fmt]
+    for key, expr in NORMAL_FORMS.items():
+        for fmt in FORMATS:
+            argv = ["normal-form", str(files["tower4"]), expr, "--format", fmt]
+            yield f"tower4.normal-form.{key}.{fmt}", argv
+            yield f"tower4.normal-form-trace.{key}.{fmt}", argv + ["--trace"]
 
 
 def main() -> None:
