@@ -27,8 +27,8 @@ from .presentation import (
     TMonomial,
     TPolynomial,
     _lead_index,
-    apply_reduction,
-    reduction_options,
+    _polynomial_step,
+    _step_cap_error,
 )
 
 ROW_CAP = 10
@@ -214,19 +214,22 @@ class ReductionTrace:
 
 def traced_normal_form(f: TPolynomial, basis,
                        fam: LeveledFamily) -> ReductionTrace:
-    """Deterministic reduction with the (c, e) measure after every step."""
+    """Deterministic reduction with the (c, e) measure after every step.
+
+    Takes the steps ``reduce_step`` takes.  More than
+    ``DEFAULT_STEP_CAP`` of them raise ``InternalInvariantError``, as in
+    every other reduction: the measure should forbid that many.
+    """
     index = _lead_index(basis)
     steps = []
     current = f
     initial = polynomial_reduction_level(f, fam)
     while True:
-        options = reduction_options(current, basis, _index=index)
-        if not options:
+        step = _polynomial_step(current, index)
+        if step is None:
             return ReductionTrace(f, initial, tuple(steps))
-        mono, rule = options[0]
-        current = apply_reduction(current, mono, rule)
+        mono, rule, current = step
         steps.append(TraceStep(
             mono, rule, current, polynomial_reduction_level(current, fam)))
         if len(steps) > DEFAULT_STEP_CAP:
-            raise ResourceCapError(
-                f"trace exceeded {DEFAULT_STEP_CAP} steps")
+            raise _step_cap_error(DEFAULT_STEP_CAP)

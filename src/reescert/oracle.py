@@ -13,20 +13,17 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
-from .errors import InternalInvariantError, ResourceCapError
+from .errors import ResourceCapError
 from .family import LeveledFamily
 from .measure import reduction_level
 from .presentation import (
-    DEFAULT_STEP_CAP,
     PsiImage,
     TMonomial,
     TPolynomial,
     _lead_index,
     _rewrite_chain,
-    apply_reduction,
     is_completely_reduced,
     psi_eval,
-    reduction_options,
 )
 # Not called here (the suites reduce monomials directly); imported because
 # perfbench/tracer.py times calls by patching this name in this module.
@@ -212,20 +209,3 @@ def verify_measure_decrease(fam: LeveledFamily, basis, samples: int = 200,
             if len(failures) < FAILURE_CAP:
                 failures.append(mono)
     return MeasureReport(samples, max_degree, steps, tuple(failures))
-
-
-def normal_form_randomized(f: TPolynomial, basis, rng) -> TPolynomial:
-    """Reduce with uniformly random choices instead of the deterministic
-    strategy.  Confluence makes the result independent of ``rng``."""
-    index = _lead_index(basis)
-    steps = 0
-    while True:
-        options = reduction_options(f, basis, _index=index)
-        if not options:
-            return f
-        mono, rule = rng.choice(options)
-        f = apply_reduction(f, mono, rule)
-        steps += 1
-        if steps > DEFAULT_STEP_CAP:
-            raise InternalInvariantError(
-                f"randomized reduction exceeded {DEFAULT_STEP_CAP} steps")

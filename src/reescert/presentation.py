@@ -65,12 +65,6 @@ class TMonomial:
     def __mul__(self, other: "TMonomial") -> "TMonomial":
         return TMonomial(self.refs + other.refs)
 
-    def without_pair(self, a: GenRef, b: GenRef) -> "TMonomial":
-        left = list(self.refs)
-        left.remove(a)
-        left.remove(b)
-        return TMonomial(left)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TMonomial) and self.refs == other.refs
 
@@ -271,67 +265,52 @@ def _lead_index(basis) -> dict[tuple[GenRef, GenRef], MarkedBinomial]:
     return index
 
 
-def _divisible_leads(refs, index):
-    """Lead pairs dividing the monomial with these refs, in ascending
-    pair order."""
-    distinct = sorted(set(refs))
-    for ai in range(len(distinct)):
-        for bi in range(ai + 1, len(distinct)):
-            key = (distinct[ai], distinct[bi])
-            if key in index:
-                yield key
+def _least_lead(refs: tuple, index) -> tuple[GenRef, GenRef] | None:
+    """The least lead ref pair dividing the monomial with these sorted
+    refs, or None at a normal form.
 
-
-def apply_reduction(f: TPolynomial, mono: TMonomial,
-                    g: MarkedBinomial) -> TPolynomial:
-    """Rewrite one support monomial of f along one basis element."""
-    coeff = f.coeff(mono)
-    rest = mono.without_pair(*g.lead.refs)
-    update = {mono: -coeff, rest * g.trail: coeff}
-    return f + TPolynomial(update)
-
-
-def reduction_options(f: TPolynomial, basis, _index=None
-                      ) -> list[tuple[TMonomial, MarkedBinomial]]:
-    """Every applicable (support monomial, rule) pair.
-
-    Ordered by the deterministic strategy: support monomials greatest
-    first, rules by ascending lead ref pair within a monomial, so the
-    first entry is the step ``reduce_step`` takes.
+    This is the one rule choice of every reduction in the package: a
+    monomial rewrites along the rule with this lead.
     """
-    index = _lead_index(basis) if _index is None else _index
-    out = []
+    for i, a in enumerate(refs):
+        if i and refs[i - 1] == a:
+            continue
+        for b in refs[i + 1:]:
+            if (a, b) in index:
+                return a, b
+    return None
+
+
+def _rewrite_step(refs: tuple, rule: MarkedBinomial) -> tuple:
+    """The sorted refs of the monomial with these refs once the rule's
+    lead, which must divide it, is replaced by the rule's trail."""
+    a, b = rule.lead.refs
+    rest = list(refs)
+    rest.remove(a)
+    rest.remove(b)
+    return tuple(sorted(rest + list(rule.trail.refs)))
+
+
+def _polynomial_step(f: TPolynomial, index
+                     ) -> tuple[TMonomial, MarkedBinomial, TPolynomial] | None:
+    """(rewritten monomial, rule, result) of one deterministic step on f,
+    or None at a normal form: the greatest reducible support monomial
+    (factor-lex order) rewrites along its ``_least_lead``."""
     for mono in f.support():
-        for key in _divisible_leads(mono.refs, index):
-            out.append((mono, index[key]))
-    return out
+        key = _least_lead(mono.refs, index)
+        if key is not None:
+            rule = index[key]
+            coeff = f.terms[mono]
+            out = TMonomial._of_sorted(_rewrite_step(mono.refs, rule))
+            return mono, rule, f + TPolynomial({mono: -coeff, out: coeff})
+    return None
 
 
 def reduce_step(f: TPolynomial, basis) -> TPolynomial | None:
-    """One deterministic reduction step, or None at a normal form.
-
-    Strategy: rewrite the greatest reducible support monomial (factor-lex
-    order); among the leads dividing it use the basis element with the
-    least lead ref pair, i.e. the first entry of ``reduction_options``.
-    """
-    options = reduction_options(f, basis)
-    return apply_reduction(f, *options[0]) if options else None
-
-
-def _rewrite_step(refs: tuple, index) -> tuple | None:
-    """The sorted ref tuple one rewrite from ``refs``, or None at a
-    normal form.
-
-    Same strategy as ``reduce_step`` on a one-term polynomial: rewrite
-    along the least dividing lead pair.
-    """
-    key = next(_divisible_leads(refs, index), None)
-    if key is None:
-        return None
-    rest = list(refs)
-    rest.remove(key[0])
-    rest.remove(key[1])
-    return tuple(sorted(rest + list(index[key].trail.refs)))
+    """One deterministic reduction step, or None at a normal form; see
+    ``_polynomial_step`` for the strategy."""
+    step = _polynomial_step(f, _lead_index(basis))
+    return None if step is None else step[2]
 
 
 def _step_cap_error(max_steps: int) -> InternalInvariantError:
@@ -349,9 +328,10 @@ def _rewrite_chain(refs: tuple, index,
     """
     chain = [refs]
     while True:
-        refs = _rewrite_step(refs, index)
-        if refs is None:
+        key = _least_lead(refs, index)
+        if key is None:
             return chain
+        refs = _rewrite_step(refs, index[key])
         chain.append(refs)
         if len(chain) > max_steps + 1:
             raise _step_cap_error(max_steps)
@@ -369,15 +349,15 @@ def _normal_form_memo(refs: tuple, index, memo: dict,
     """
     walked = []
     while True:
-        nxt = _rewrite_step(refs, index)
-        if nxt is None:
+        key = _least_lead(refs, index)
+        if key is None:
             nf, steps = refs, 0
             memo[nf] = (nf, 0)
             break
         walked.append(refs)
         if len(walked) > max_steps:
             raise _step_cap_error(max_steps)
-        refs = nxt
+        refs = _rewrite_step(refs, index[key])
         hit = memo.get(refs)
         if hit is not None:
             nf, steps = hit
@@ -395,7 +375,7 @@ def normal_form(f: TPolynomial, basis,
     """Deterministic normal form, the sum of c*nf(m) over the terms c*m.
 
     Every rule is a +-1 binomial, so a monomial rewrites to a monomial,
-    and the rule ``reduce_step`` applies to a support monomial depends on
+    and the rule ``_least_lead`` picks for a support monomial depends on
     that monomial alone.  Reducing term by term therefore gives the
     polynomial that repeated ``reduce_step`` reaches, for any basis,
     confluent or not.  A monomial whose chain is longer than
@@ -477,7 +457,7 @@ def confluence_check(basis, max_steps: int = DEFAULT_STEP_CAP
     before any is reduced.
 
     Each distinct monomial is reduced once, through a memo that lives
-    for this call.  That is exact: the rule ``_rewrite_step`` picks
+    for this call.  That is exact: the rule ``_least_lead`` picks
     depends on the monomial alone, so its normal form and its chain
     length are functions of the monomial, and memoizing them changes no
     verdict, failure or length.  The memo holds one entry per distinct
@@ -518,11 +498,6 @@ def confluence_check(basis, max_steps: int = DEFAULT_STEP_CAP
     longest = max((steps for _, steps in memo.values()), default=0)
     return ConfluenceReport(total, critical, tuple(sorted(failures)),
                             longest, len(memo))
-
-
-def kernel_membership(f: TPolynomial, basis) -> bool:
-    """Does f reduce to zero, i.e. lie in the ideal of the basis?"""
-    return normal_form(f, basis).is_zero()
 
 
 # ------------------------------------------------------------- text forms
@@ -692,16 +667,27 @@ def basis_to_json(basis) -> dict:
     }
 
 
+def _json_side(rel, side: str, k: int) -> TMonomial:
+    refs = rel.get(side) if isinstance(rel, dict) else None
+    if not isinstance(refs, list) or not all(
+            isinstance(r, list) and len(r) == 2
+            and all(type(x) is int for x in r) for r in refs):
+        raise ValueError(
+            f"relation {k}: {side!r} must be a list of [level, index] pairs")
+    return TMonomial(refs)
+
+
 def basis_from_json(data: dict, fam: LeveledFamily | None = None
                     ) -> tuple[MarkedBinomial, ...]:
-    try:
-        relations = data["relations"]
-    except (TypeError, KeyError):
+    """The rules of a ``basis_to_json`` object.  Malformed input raises
+    ``ValueError``, naming the relation's index when one is at fault."""
+    relations = data.get("relations") if isinstance(data, dict) else None
+    if not isinstance(relations, list):
         raise ValueError("expected an object with a 'relations' list")
     out = []
-    for rel in relations:
-        lead = TMonomial(tuple(map(tuple, rel["lead"])))
-        trail = TMonomial(tuple(map(tuple, rel["trail"])))
+    for k, rel in enumerate(relations):
+        lead = _json_side(rel, "lead", k)
+        trail = _json_side(rel, "trail", k)
         if fam is not None:
             for ref in lead.refs + trail.refs:
                 fam.generator(ref)

@@ -7,10 +7,10 @@ these slow and obvious.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import combinations_with_replacement, permutations
+from collections import Counter, defaultdict
+from itertools import combinations, combinations_with_replacement, permutations
 
-from reescert.errors import NotClosedError
+from reescert.errors import InternalInvariantError, NotClosedError
 from reescert.family import (
     GenRef,
     is_closed_under_comparability,
@@ -22,6 +22,7 @@ from reescert.presentation import (
     ConfluenceReport,
     MarkedBinomial,
     TMonomial,
+    TPolynomial,
     _lead_index,
     _rewrite_chain,
     normal_form,
@@ -279,3 +280,27 @@ def confluence_by_chains(basis, max_steps=DEFAULT_STEP_CAP):
     total = len(basis) * (len(basis) - 1) // 2
     return ConfluenceReport(total, reduced, tuple(sorted(failures)), longest,
                             len(seen))
+
+
+def normal_form_randomized(f, basis, rng, max_steps=DEFAULT_STEP_CAP):
+    """Reduce f with a uniformly random (support monomial, rule) choice
+    at every step instead of the package's deterministic strategy.  On a
+    confluent basis the result does not depend on ``rng``.
+
+    Options are listed greatest support monomial first, then by lead ref
+    pair; each lead is looked up by its ref pair, and the lead comes off
+    by multiset difference.
+    """
+    rules = {g.lead.refs: g for g in basis}
+    for _ in range(max_steps + 1):
+        options = [(m, rules[pair]) for m in f.support()
+                   for pair in combinations(sorted(set(m.refs)), 2)
+                   if pair in rules]
+        if not options:
+            return f
+        m, g = rng.choice(options)
+        rest = Counter(m.refs) - Counter(g.lead.refs)
+        out = TMonomial(list(rest.elements()) + list(g.trail.refs))
+        f = f + TPolynomial({m: -f.coeff(m), out: f.coeff(m)})
+    raise InternalInvariantError(
+        f"randomized reduction exceeded {max_steps} steps")

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from reescert.errors import ResourceCapError
+from reescert import measure
+from reescert.errors import InternalInvariantError, ResourceCapError
 from reescert.measure import (
     LevelMatrix,
     ReductionMeasure,
@@ -17,6 +18,7 @@ from reescert.measure import (
     traced_normal_form,
 )
 from reescert.presentation import (
+    MarkedBinomial,
     TMonomial,
     TPolynomial,
     _lead_index,
@@ -221,3 +223,17 @@ def test_polynomial_trace_decreases(tower4):
         seq = trace.measures()
         for before, after in zip(seq, seq[1:]):
             assert after < before
+
+
+def test_trace_step_cap_raises_invariant_error(tower4, monkeypatch):
+    # two rules with overlapping leads that undo each other never stop
+    cyclic = (
+        MarkedBinomial(TMonomial([(1, 3), (1, 4)]),
+                       TMonomial([(1, 3), (1, 5)])),
+        MarkedBinomial(TMonomial([(1, 3), (1, 5)]),
+                       TMonomial([(1, 3), (1, 4)])),
+    )
+    monkeypatch.setattr(measure, "DEFAULT_STEP_CAP", 10)
+    with pytest.raises(InternalInvariantError, match="exceeded 10 steps"):
+        traced_normal_form(
+            parse_tpolynomial("T[1,3]*T[1,4]", tower4), cyclic, tower4)

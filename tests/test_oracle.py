@@ -9,7 +9,6 @@ from reescert.family import build_family
 from reescert.oracle import (
     count_tmonomials,
     enumerate_fibers,
-    normal_form_randomized,
     verify_kernel_generation,
     verify_measure_decrease,
     verify_unique_normal_forms,
@@ -23,6 +22,8 @@ from reescert.presentation import (
     parse_tpolynomial,
     psi_eval,
 )
+
+from bruteforce import normal_form_randomized
 
 
 def test_count_matches_enumeration(tower4):

@@ -29,8 +29,8 @@ from reescert.presentation import (
     basis_to_json,
     build_basis,
     confluence_check,
+    _rewrite_step,
     is_completely_reduced,
-    kernel_membership,
     normal_form,
     parse_tpolynomial,
     psi_eval,
@@ -58,8 +58,10 @@ def test_tmonomial_sorts_refs_and_multiplies():
 
 
 def test_tmonomial_pair_division():
+    # a rewrite takes one copy of each lead ref off and keeps the rest
     m = T((0, 1), (0, 1), (1, 2))
-    assert m.without_pair(GenRef(0, 1), GenRef(1, 2)) == T((0, 1))
+    rule = MarkedBinomial(T((0, 1), (1, 2)), T((0, 2), (1, 1)))
+    assert _rewrite_step(m.refs, rule) == T((0, 1), (0, 2), (1, 1)).refs
 
 
 def test_tpolynomial_cancellation():
@@ -222,6 +224,20 @@ def test_basis_json_round_trip(tower4):
         basis_from_json({"nope": 1})
 
 
+@pytest.mark.parametrize("relations, message", [
+    ([{}], "relation 0: 'lead'"),
+    ([{"lead": [[1, 3], [1, 4]], "trail": [[1, 2], [1, 5]]},
+      {"lead": 5, "trail": [[1, 2], [1, 5]]}], "relation 1: 'lead'"),
+    ([{"lead": [[1, 3], [1, 4]], "trail": [[1, 2], [1]]}],
+     "relation 0: 'trail'"),
+    (5, "'relations' list"),
+], ids=["empty relation", "non-list lead", "one-entry ref",
+        "non-list relations"])
+def test_basis_from_json_rejects_malformed(relations, message):
+    with pytest.raises(ValueError, match=message):
+        basis_from_json({"relations": relations})
+
+
 def test_basis_matches_public_constructor(bench_families):
     """Rules built from the family's refs equal, as an ordered tuple,
     the rules built through the public ``TMonomial`` constructor."""
@@ -379,7 +395,7 @@ def test_s_polynomial_frozen(tower4):
     assert g2.trail == T((1, 2), (1, 8))
     spoly = s_polynomial(g1, g2)
     assert spoly == P("T[1,2]*T[1,4]*T[1,8] - T[1,2]*T[1,5]*T[1,7]")
-    assert kernel_membership(spoly, basis)
+    assert normal_form(spoly, basis).is_zero()
     assert s_polynomial(g1, g1).is_zero()
 
 
@@ -500,6 +516,7 @@ def test_critical_pair_cap(tower4, monkeypatch):
 
 def test_kernel_membership(tower4):
     basis = build_basis(tower4)
-    assert kernel_membership(P("T[1,3]*T[1,4] - T[1,2]*T[1,5]"), basis)
-    assert not kernel_membership(P("T[1,3]*T[1,4] - T[1,2]*T[1,2]"), basis)
-    assert kernel_membership(TPolynomial(), basis)
+    assert normal_form(P("T[1,3]*T[1,4] - T[1,2]*T[1,5]"), basis).is_zero()
+    assert not normal_form(
+        P("T[1,3]*T[1,4] - T[1,2]*T[1,2]"), basis).is_zero()
+    assert normal_form(TPolynomial(), basis).is_zero()
