@@ -24,12 +24,12 @@ from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
     TPolynomial,
+    _rewrite_step,
     basis_from_json,
     basis_shape,
     basis_to_json,
     build_basis,
     confluence_check,
-    _rewrite_step,
     is_completely_reduced,
     normal_form,
     parse_tpolynomial,
