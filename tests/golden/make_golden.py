@@ -6,7 +6,11 @@ and stores each command's stdout in ``<family>.<command>.<format>``
 next to this file, plus the exit codes and stderr in ``index.json``.
 It also runs ``normal-form`` on tower4 for each of ``NORMAL_FORMS``,
 in both formats, with and without ``--trace``, into
-``tower4.normal-form[-trace].<input>.<format>``.
+``tower4.normal-form[-trace].<input>.<format>``, and ``verify
+--max-degree 3`` on the three demo families and, with ``--drop-rule
+17``, on tower4, into ``<family>.verify[-drop17].<format>``.  The
+verify outputs hold timings, so ``mask`` replaces them before they are
+written or compared.
 
     PYTHONPATH=src python3 tests/golden/make_golden.py
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -38,6 +43,8 @@ NORMAL_FORMS = {
              " - T[0,3]*T[1,2]*T[2,5]",
     "unknown": "T[9,1]",
 }
+DEMOS = ("tower4", "maxpowers3", "fiber_pair")
+VERIFY = ["verify", "--max-degree", "3"]
 
 
 def family_files(tmp: Path) -> dict[str, Path]:
@@ -45,7 +52,7 @@ def family_files(tmp: Path) -> dict[str, Path]:
     from conftest import open_tower4
 
     files = {name: ROOT / "demos" / "families" / f"{name}.json"
-             for name in ("tower4", "maxpowers3", "fiber_pair")}
+             for name in DEMOS}
     files["open_tower4"] = tmp / "open_tower4.json"
     files["open_tower4"].write_text(json.dumps(open_tower4()))
     return files
@@ -60,6 +67,15 @@ def run_cli(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def mask(fname: str, out: str) -> str:
+    """``out`` with the timings of a verify case masked, else as it is:
+    ``(0.01s)`` in text, the ``"seconds"`` values in json."""
+    if ".verify" not in fname:
+        return out
+    out = re.sub(r"\(\d+\.\d+s\)", "(Xs)", out)
+    return re.sub(r'"seconds": [^,\n]+', '"seconds": "X"', out)
+
+
 def cases(tmp: Path):
     """(golden file name, argv) for every golden output."""
     files = family_files(tmp)
@@ -72,6 +88,13 @@ def cases(tmp: Path):
             argv = ["normal-form", str(files["tower4"]), expr, "--format", fmt]
             yield f"tower4.normal-form.{key}.{fmt}", argv
             yield f"tower4.normal-form-trace.{key}.{fmt}", argv + ["--trace"]
+    for fmt in FORMATS:
+        for name in DEMOS:
+            yield (f"{name}.verify.{fmt}",
+                   VERIFY + [str(files[name]), "--format", fmt])
+        yield ("tower4.verify-drop17." + fmt,
+               VERIFY + [str(files["tower4"]), "--drop-rule", "17",
+                         "--format", fmt])
 
 
 def main() -> None:
@@ -79,7 +102,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for fname, argv in cases(Path(tmp)):
             code, out, err = run_cli(argv)
-            (HERE / fname).write_bytes(out.encode("utf-8"))
+            (HERE / fname).write_bytes(mask(fname, out).encode("utf-8"))
             index[fname] = {"exit": code, "stderr": err}
     (HERE / "index.json").write_text(
         json.dumps(index, indent=2, sort_keys=True) + "\n")
