@@ -78,7 +78,7 @@ class LeveledFamily:
     """
 
     __slots__ = ("mode", "n", "embedding_degree", "levels", "_by_index",
-                 "_positions", "_level_refs", "_factors", "_refs", "_pairs")
+                 "_level_refs", "_factors", "_refs", "_pairs")
 
     def __init__(self, mode, n, levels, embedding_degree=None):
         self.mode = mode
@@ -87,7 +87,7 @@ class LeveledFamily:
         self.levels = tuple(levels)
         self._by_index = {lv.index: lv for lv in self.levels}
         # level index -> {standard factorization: 1-based position}
-        self._positions = {}
+        positions = {}
         # level index -> the level's refs, so a position maps to its ref
         self._level_refs = {}
         # ref -> standard factorization of its generator
@@ -96,7 +96,7 @@ class LeveledFamily:
             refs = tuple(GenRef(lv.index, j)
                          for j in range(1, len(lv.generators) + 1))
             self._level_refs[lv.index] = refs
-            here = self._positions[lv.index] = {}
+            here = positions[lv.index] = {}
             for ref, g in zip(refs, lv.generators):
                 f = self._factors[ref] = g.factors()
                 here[f] = ref.index
@@ -108,8 +108,7 @@ class LeveledFamily:
                 f" more than {PAIR_CAP}")
         # positions, not images: a Monomial pair per entry costs
         # megabytes on the larger families
-        blocks = [(self._positions[i], [(ref, self._factors[ref])
-                                        for ref in refs])
+        blocks = [(positions[i], [(ref, self._factors[ref]) for ref in refs])
                   for i, refs in self._level_refs.items()]
         pairs = {}
         for li, (here, row) in enumerate(blocks):
@@ -166,10 +165,6 @@ class LeveledFamily:
             return self._factors[ref]
         except (KeyError, TypeError):
             return self.generator(ref).factors()
-
-    def position(self, level_index: int, monomial: Monomial):
-        """1-based position of the monomial in the level, or None."""
-        return self._positions.get(level_index, {}).get(monomial.factors())
 
     def incomparable_pairs(self) -> dict:
         """The pair table: each incomparable ref pair (a, b), a < b, in

@@ -75,7 +75,8 @@ def inversion_count(matrix) -> int:
 
 
 def _pair_costs(rows):
-    """cross, w: the row-order-independent part and the same-column cost
+    """cross, w: the row-order-independent part, the inversions between
+    two columns (within-row pairs included), and the same-column cost
     w[a][b] paid when row a is placed before row b."""
     r = len(rows)
     width = len(rows[0]) if r else 0
@@ -83,10 +84,8 @@ def _pair_costs(rows):
     w = [[0] * r for _ in range(r)]
     for a in range(r):
         for b in range(r):
-            if a == b:
-                continue
             for j in range(width):
-                if rows[b][j] < rows[a][j]:
+                if a != b and rows[b][j] < rows[a][j]:
                     w[a][b] += 1
                 for jj in range(j + 1, width):
                     if rows[b][jj] < rows[a][j]:

@@ -4,7 +4,9 @@ These recompute, by exhaustive enumeration at bounded degree, the facts
 the basis is supposed to guarantee: every monomial-map fiber holds
 exactly one completely reduced monomial, every member reduces to it, and
 the fiber differences all lie in the ideal the basis generates.  Slow on
-purpose; the caps keep them at desk scale.
+purpose; the caps keep them at desk scale.  The fiber and kernel suites
+each reduce every distinct monomial once, through one ``_normal_form``
+memo per call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .presentation import (
     TMonomial,
     TPolynomial,
     _lead_index,
-    _rewrite_chain,
+    _normal_form,
     is_completely_reduced,
     psi_eval,
 )
@@ -90,6 +92,7 @@ def verify_unique_normal_forms(fam: LeveledFamily, basis,
     every member must reduce to exactly that one."""
     buckets = enumerate_fibers(fam, max_degree)
     index = _lead_index(basis)
+    memo = {}
     failures = []
     truncated = False
     reductions = 0
@@ -111,7 +114,7 @@ def verify_unique_normal_forms(fam: LeveledFamily, basis,
                    f" found {len(reduced)}", reduced or members)
         rep = reduced[0] if len(reduced) == 1 else None
         for m in members:
-            out = _rewrite_chain(m.refs, index)[-1]
+            out = _normal_form(m.refs, index, memo)[0]
             reductions += 1
             if rep is not None and out != rep.refs:
                 out = TMonomial(out)
@@ -147,6 +150,7 @@ def verify_kernel_generation(fam: LeveledFamily, basis,
     """
     buckets = enumerate_fibers(fam, max_degree)
     index = _lead_index(basis)
+    memo = {}
     failures = []
     truncated = False
     differences = 0
@@ -155,12 +159,12 @@ def verify_kernel_generation(fam: LeveledFamily, basis,
             continue
         reduced = [m for m in members if is_completely_reduced(m, fam)]
         rep = reduced[0] if len(reduced) == 1 else members[0]
-        rep_nf = _rewrite_chain(rep.refs, index)[-1]
+        rep_nf = _normal_form(rep.refs, index, memo)[0]
         for m in members:
             if m == rep:
                 continue
             differences += 1
-            m_nf = _rewrite_chain(m.refs, index)[-1]
+            m_nf = _normal_form(m.refs, index, memo)[0]
             if m_nf != rep_nf:
                 if len(failures) < FAILURE_CAP:
                     nf = TPolynomial([(TMonomial(m_nf), 1),
@@ -201,9 +205,11 @@ def verify_measure_decrease(fam: LeveledFamily, basis, samples: int = 200,
     failures = []
     for _ in range(samples):
         mono = TMonomial(rng.choices(refs, k=rng.randint(1, max_degree)))
-        chain = _rewrite_chain(mono.refs, index)
+        walk = {}
+        steps += _normal_form(mono.refs, index, walk)[1]
+        # one chain: its distances to the normal form are distinct
+        chain = sorted(walk, key=lambda r: walk[r][1], reverse=True)
         seq = [reduction_level(TMonomial._of_sorted(r), fam) for r in chain]
-        steps += len(chain) - 1
         ok = all(after < before for before, after in zip(seq, seq[1:]))
         if not ok or seq[-1] != (0, 0):
             if len(failures) < FAILURE_CAP:

@@ -127,9 +127,6 @@ class TPolynomial:
         """Support monomials, greatest first in factor-lex order."""
         return sorted(self.terms, reverse=True)
 
-    def coeff(self, mono: TMonomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
     def __add__(self, other: "TPolynomial") -> "TPolynomial":
         merged = dict(self.terms)
         for mono, c in other.terms.items():
@@ -319,51 +316,34 @@ def _step_cap_error(max_steps: int) -> InternalInvariantError:
         " measure should forbid this")
 
 
-def _rewrite_chain(refs: tuple, index,
-                   max_steps: int = DEFAULT_STEP_CAP) -> list[tuple]:
-    """Deterministic rewrite chain of one monomial, as the sorted ref
-    tuples from ``refs`` to its normal form, one ``_rewrite_step``
-    apart.  A chain of more than ``max_steps`` steps raises
-    ``InternalInvariantError``.
-    """
-    chain = [refs]
-    while True:
-        key = _least_lead(refs, index)
-        if key is None:
-            return chain
-        refs = _rewrite_step(refs, index[key])
-        chain.append(refs)
-        if len(chain) > max_steps + 1:
-            raise _step_cap_error(max_steps)
+def _normal_form(refs: tuple, index, memo: dict,
+                 max_steps: int = DEFAULT_STEP_CAP) -> tuple[tuple, int]:
+    """(normal form, steps to it) of the monomial with these sorted refs.
 
-
-def _normal_form_memo(refs: tuple, index, memo: dict,
-                      max_steps: int) -> tuple[tuple, int]:
-    """(normal form, steps to it) of a monomial not yet in ``memo``.
-
-    Takes ``_rewrite_step`` until an irreducible monomial or one already
-    in ``memo``, then records every monomial of the walk with its normal
-    form and its distance to it.  Raises ``InternalInvariantError`` when
-    ``_rewrite_chain`` would: the walked steps, plus the steps left from
-    a memo hit, exceed ``max_steps``.
+    The one walk of every reduction in the package.  A monomial in
+    ``memo`` answers at once.  Otherwise ``_rewrite_step`` follows
+    ``_least_lead`` to an irreducible monomial or one in ``memo``, and
+    every monomial of the walk goes into ``memo`` with its normal form
+    and its distance to it.  That is exact for any basis: the rule taken
+    depends on the monomial alone, so both are functions of it.  More
+    than ``max_steps`` steps in all, the walked ones plus those left
+    from a memo hit, raise ``InternalInvariantError``.
     """
     walked = []
-    while True:
+    hit = memo.get(refs)
+    while hit is None:
         key = _least_lead(refs, index)
         if key is None:
-            nf, steps = refs, 0
-            memo[nf] = (nf, 0)
+            hit = memo[refs] = (refs, 0)
             break
-        walked.append(refs)
-        if len(walked) > max_steps:
+        if len(walked) == max_steps:
             raise _step_cap_error(max_steps)
+        walked.append(refs)
         refs = _rewrite_step(refs, index[key])
         hit = memo.get(refs)
-        if hit is not None:
-            nf, steps = hit
-            if len(walked) + steps > max_steps:
-                raise _step_cap_error(max_steps)
-            break
+    nf, steps = hit
+    if len(walked) + steps > max_steps:
+        raise _step_cap_error(max_steps)
     for refs in reversed(walked):
         steps += 1
         memo[refs] = (nf, steps)
@@ -382,8 +362,9 @@ def normal_form(f: TPolynomial, basis,
     ``max_steps`` raises ``InternalInvariantError``.
     """
     index = _lead_index(basis)
+    memo = {}
     return TPolynomial(
-        (TMonomial(_rewrite_chain(m.refs, index, max_steps)[-1]), c)
+        (TMonomial(_normal_form(m.refs, index, memo, max_steps)[0]), c)
         for m, c in f.terms.items())
 
 
@@ -391,14 +372,12 @@ def is_completely_reduced(mono: TMonomial, fam: LeveledFamily) -> bool:
     """No incomparable pair among the factors, counting multiplicity.
 
     Repeated refs are fine: a pair of equal refs is trivially fixed by
-    the sorting rewrite.
+    the sorting rewrite.  The pair table is keyed like a lead index, so
+    ``_least_lead`` answers.
     """
-    distinct = sorted(set(mono.refs))
-    for ref in distinct:
+    for ref in sorted(set(mono.refs)):
         fam.generator(ref)
-    table = fam.incomparable_pairs()
-    return not any((a, b) in table
-                   for i, a in enumerate(distinct) for b in distinct[i + 1:])
+    return _least_lead(mono.refs, fam.incomparable_pairs()) is None
 
 
 def s_polynomial(g1: MarkedBinomial, g2: MarkedBinomial) -> TPolynomial:
@@ -456,12 +435,10 @@ def confluence_check(basis, max_steps: int = DEFAULT_STEP_CAP
     than ``CRITICAL_PAIR_CAP`` critical pairs raise ``ResourceCapError``
     before any is reduced.
 
-    Each distinct monomial is reduced once, through a memo that lives
-    for this call.  That is exact: the rule ``_least_lead`` picks
-    depends on the monomial alone, so its normal form and its chain
-    length are functions of the monomial, and memoizing them changes no
-    verdict, failure or length.  The memo holds one entry per distinct
-    cubic reached (``normal_forms``), so memory grows with that number:
+    Each distinct monomial is reduced once, through a ``_normal_form``
+    memo that lives for this call; memoizing changes no verdict,
+    failure or length.  The memo holds one entry per distinct cubic
+    reached (``normal_forms``), so memory grows with that number:
     the tracemalloc peak of one call is about 1 MB on max(4,3), 6 MB on
     max(4,4) and 27 MB on max(5,4).
     """
@@ -487,12 +464,8 @@ def confluence_check(basis, max_steps: int = DEFAULT_STEP_CAP
             for j, c, trail2 in rules[pos + 1:]:
                 one = tuple(sorted(trail1 + (c,)))
                 two = tuple(sorted(trail2 + (b,)))
-                # a memo entry is a non-empty (normal form, steps) tuple
-                nf1 = (memo.get(one)
-                       or _normal_form_memo(one, index, memo, max_steps))[0]
-                nf2 = (memo.get(two)
-                       or _normal_form_memo(two, index, memo, max_steps))[0]
-                if nf1 != nf2:
+                if (_normal_form(one, index, memo, max_steps)[0]
+                        != _normal_form(two, index, memo, max_steps)[0]):
                     failures.append((i, j))
     total = len(basis) * (len(basis) - 1) // 2
     longest = max((steps for _, steps in memo.values()), default=0)
@@ -690,6 +663,9 @@ def basis_from_json(data: dict, fam: LeveledFamily | None = None
         trail = _json_side(rel, "trail", k)
         if fam is not None:
             for ref in lead.refs + trail.refs:
-                fam.generator(ref)
+                try:
+                    fam.generator(ref)
+                except ValueError as err:
+                    raise ValueError(f"relation {k}: {err}") from None
         out.append(MarkedBinomial(lead, trail))
     return tuple(out)

@@ -24,7 +24,9 @@ from reescert.presentation import (
     TMonomial,
     TPolynomial,
     _lead_index,
-    _rewrite_chain,
+    _least_lead,
+    _rewrite_step,
+    _step_cap_error,
     normal_form,
     s_polynomial,
 )
@@ -246,9 +248,26 @@ def confluent_by_all_spairs(basis):
     return not failures, tuple(failures)
 
 
+def rewrite_chain(refs, index, max_steps=DEFAULT_STEP_CAP):
+    """Deterministic rewrite chain of one monomial, with no memo: the
+    sorted ref tuples from ``refs`` to its normal form, one
+    ``_rewrite_step`` apart.  A chain of more than ``max_steps`` steps
+    raises ``InternalInvariantError``.
+    """
+    chain = [refs]
+    while True:
+        key = _least_lead(refs, index)
+        if key is None:
+            return chain
+        refs = _rewrite_step(refs, index[key])
+        chain.append(refs)
+        if len(chain) > max_steps + 1:
+            raise _step_cap_error(max_steps)
+
+
 def confluence_by_chains(basis, max_steps=DEFAULT_STEP_CAP):
     """``confluence_check`` with no memo: both rewrites of every critical
-    pair are reduced from scratch along their whole ``_rewrite_chain``.
+    pair are reduced from scratch along their whole ``rewrite_chain``.
 
     ``normal_forms`` counts the distinct monomials on all those chains.
     """
@@ -269,9 +288,9 @@ def confluence_by_chains(basis, max_steps=DEFAULT_STEP_CAP):
                 g2 = basis[j]
                 (c,) = (r for r in g2.lead.refs if r != ref)
                 reduced += 1
-                chain1 = _rewrite_chain(
+                chain1 = rewrite_chain(
                     tuple(sorted(g1.trail.refs + (c,))), index, max_steps)
-                chain2 = _rewrite_chain(
+                chain2 = rewrite_chain(
                     tuple(sorted(g2.trail.refs + (b,))), index, max_steps)
                 longest = max(longest, len(chain1) - 1, len(chain2) - 1)
                 seen.update(chain1, chain2)
@@ -301,6 +320,6 @@ def normal_form_randomized(f, basis, rng, max_steps=DEFAULT_STEP_CAP):
         m, g = rng.choice(options)
         rest = Counter(m.refs) - Counter(g.lead.refs)
         out = TMonomial(list(rest.elements()) + list(g.trail.refs))
-        f = f + TPolynomial({m: -f.coeff(m), out: f.coeff(m)})
+        f = f + TPolynomial({m: -f.terms[m], out: f.terms[m]})
     raise InternalInvariantError(
         f"randomized reduction exceeded {max_steps} steps")

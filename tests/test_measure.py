@@ -22,7 +22,6 @@ from reescert.presentation import (
     TMonomial,
     TPolynomial,
     _lead_index,
-    _rewrite_chain,
     build_basis,
     is_completely_reduced,
     parse_tpolynomial,
@@ -31,6 +30,7 @@ from reescert.presentation import (
 from bruteforce import (
     column_major_inversions,
     min_inversions_by_permutation,
+    rewrite_chain,
 )
 
 
@@ -76,16 +76,21 @@ def test_inversion_minimal_frozen():
 
 
 def test_inversion_minimal_matches_permutation_search():
-    rng = random.Random(42)
-    for _ in range(200):
-        width = rng.randint(1, 4)
-        rows = [tuple(sorted(rng.randint(1, 5) for _ in range(width)))
-                for _ in range(rng.randint(1, 6))]
-        count, order = inversion_minimal(rows)
-        want_count, want_rows = min_inversions_by_permutation(rows)
-        assert count == want_count
-        assert list(order) == want_rows
-        assert inversion_count(order) == count
+    # non-decreasing rows, as standard factorizations are, then any rows
+    for arrange in (sorted, list):
+        rng = random.Random(42)
+        for _ in range(200):
+            width = rng.randint(1, 4)
+            rows = [tuple(arrange(rng.randint(1, 5) for _ in range(width)))
+                    for _ in range(rng.randint(1, 6))]
+            count, order = inversion_minimal(rows)
+            want_count, want_rows = min_inversions_by_permutation(rows)
+            assert count == want_count
+            assert list(order) == want_rows
+            assert inversion_count(order) == count
+    # within-row inversions count in every row order: 2,2,1,1 and 3,1,1,2
+    assert inversion_minimal([(2, 1), (2, 1)])[0] == 4
+    assert inversion_minimal([(3, 1), (1, 2)])[0] == 3
 
 
 def test_inversion_minimal_row_cap():
@@ -170,8 +175,9 @@ def test_measure_drops_lexicographically(tower4, maxpowers3):
 
 
 def test_rewrite_chain_is_the_one_term_trace(tower4, maxpowers3):
-    # the measure suite walks _rewrite_chain; the CLI's --trace steps
-    # polynomials: on one monomial both take the same steps
+    # the reference chain takes the rewrite steps of the measure suite's
+    # walk; the CLI's --trace steps polynomials: on one monomial both
+    # take the same steps
     rng = random.Random(49)
     for fam in (tower4, maxpowers3):
         basis = build_basis(fam)
@@ -179,7 +185,7 @@ def test_rewrite_chain_is_the_one_term_trace(tower4, maxpowers3):
         refs = fam.refs()
         for _ in range(200):
             m = TMonomial(rng.choices(refs, k=rng.randint(1, 6)))
-            chain = [TMonomial(r) for r in _rewrite_chain(m.refs, index)]
+            chain = [TMonomial(r) for r in rewrite_chain(m.refs, index)]
             f = TPolynomial.monomial(m)
             trace = traced_normal_form(f, basis, fam)
             assert [TPolynomial.monomial(c) for c in chain] == \

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -17,6 +18,7 @@ from bruteforce import (
     basis_by_public_constructor,
     confluence_by_chains,
     confluent_by_all_spairs,
+    rewrite_chain,
 )
 from conftest import reference_descs
 from reescert.presentation import (
@@ -24,6 +26,8 @@ from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
     TPolynomial,
+    _lead_index,
+    _normal_form,
     _rewrite_step,
     basis_from_json,
     basis_shape,
@@ -81,17 +85,15 @@ def test_tpolynomial_text_signs():
 
 def test_parse_round_trip_frozen():
     f = P("T[1,3]*T[1,4] - T[1,2]*T[1,5]")
-    assert f.coeff(T((1, 3), (1, 4))) == 1
-    assert f.coeff(T((1, 2), (1, 5))) == -1
+    assert f.terms == {T((1, 3), (1, 4)): 1, T((1, 2), (1, 5)): -1}
     assert P(f.text()) == f
 
 
 def test_parse_coefficients_and_powers():
     f = P("1/2*T[0,1]^2 + 3 - 2*T[1,1]*T[0,2]")
-    assert f.coeff(T((0, 1), (0, 1))) == Fraction(1, 2)
-    assert f.coeff(T()) == 3
-    assert f.coeff(T((0, 2), (1, 1))) == -2
-    assert P("-T[1,1]").coeff(T((1, 1))) == -1
+    assert f.terms == {T((0, 1), (0, 1)): Fraction(1, 2), T(): 3,
+                       T((0, 2), (1, 1)): -2}
+    assert P("-T[1,1]").terms == {T((1, 1)): -1}
 
 
 def test_parse_round_trip_random():
@@ -115,7 +117,7 @@ def test_parse_rejects_garbage(tower4):
     with pytest.raises(MonomialParseError, match="unknown T-variable"):
         P("T[9,9]", tower4)
     # in range with the family attached
-    assert P("T[4,1]", tower4).coeff(T((4, 1))) == 1
+    assert P("T[4,1]", tower4).terms == {T((4, 1)): 1}
 
 
 def test_parse_caps_term_degree():
@@ -224,18 +226,23 @@ def test_basis_json_round_trip(tower4):
         basis_from_json({"nope": 1})
 
 
-@pytest.mark.parametrize("relations, message", [
-    ([{}], "relation 0: 'lead'"),
+@pytest.mark.parametrize("relations, message, with_family", [
+    ([{}], "relation 0: 'lead'", False),
     ([{"lead": [[1, 3], [1, 4]], "trail": [[1, 2], [1, 5]]},
-      {"lead": 5, "trail": [[1, 2], [1, 5]]}], "relation 1: 'lead'"),
+      {"lead": 5, "trail": [[1, 2], [1, 5]]}], "relation 1: 'lead'", False),
     ([{"lead": [[1, 3], [1, 4]], "trail": [[1, 2], [1]]}],
-     "relation 0: 'trail'"),
-    (5, "'relations' list"),
+     "relation 0: 'trail'", False),
+    (5, "'relations' list", False),
+    ([{"lead": [[1, 3], [1, 4]], "trail": [[1, 2], [1, 5]]},
+      {"lead": [[1, 3], [1, 4]], "trail": [[9, 1], [1, 5]]}],
+     "relation 1: no level 9", True),
 ], ids=["empty relation", "non-list lead", "one-entry ref",
-        "non-list relations"])
-def test_basis_from_json_rejects_malformed(relations, message):
+        "non-list relations", "unknown ref"])
+def test_basis_from_json_rejects_malformed(tower4, relations, message,
+                                           with_family):
     with pytest.raises(ValueError, match=message):
-        basis_from_json({"relations": relations})
+        basis_from_json({"relations": relations},
+                        tower4 if with_family else None)
 
 
 def test_basis_matches_public_constructor(bench_families):
@@ -478,6 +485,45 @@ def test_step_cap_through_memo_hits(tower4, maxpowers3, max_steps):
         assert confluence_check(basis, max_steps) == want
     # both bases reach length 4, so caps 0..3 raise and 4, 5 do not
     assert raised == (2 if max_steps < 4 else 0)
+    # normal_form keeps one memo per call: the second term starts one
+    # step before the first, so it walks one step into a memo hit
+    basis = build_basis(tower4)
+    index = _lead_index(basis)
+    chain = next(c for c in (rewrite_chain(refs, index) for refs
+                             in combinations_with_replacement(
+                                 tower4.refs(), 3))
+                 if len(c) == 5)
+    f = TPolynomial([(TMonomial(chain[1]), 1), (TMonomial(chain[0]), 1)])
+    if max_steps < 4:
+        with pytest.raises(InternalInvariantError):
+            normal_form(f, basis, max_steps)
+    else:
+        assert normal_form(f, basis, max_steps) == \
+            TPolynomial.monomial(TMonomial(chain[-1]), 2)
+
+
+@pytest.mark.parametrize("case", ["tower4", "maxpowers3", "tower4-drop17"])
+def test_normal_form_walk_matches_reference_chain(tower4, maxpowers3, case):
+    """``_normal_form`` against the un-memoized chain, on two confluent
+    bases and on tower4 without rule 17, which is not confluent."""
+    fam = maxpowers3 if case == "maxpowers3" else tower4
+    basis = build_basis(fam)
+    if case == "tower4-drop17":
+        basis = basis[:17] + basis[18:]
+    assert confluence_check(basis).confluent == (case != "tower4-drop17")
+    index = _lead_index(basis)
+    rng = random.Random(59)
+    shared = {}
+    for _ in range(300):
+        refs = TMonomial(
+            rng.choices(fam.refs(), k=rng.randint(1, 6))).refs
+        chain = rewrite_chain(refs, index)
+        want = (chain[-1], len(chain) - 1)
+        fresh = {}
+        assert _normal_form(refs, index, fresh) == want
+        assert fresh == {r: (chain[-1], len(chain) - 1 - k)
+                         for k, r in enumerate(chain)}
+        assert _normal_form(refs, index, shared) == want
 
 
 def _overlapping_pairs(basis):
