@@ -329,8 +329,10 @@ def _normal_form(refs: tuple, index, memo: dict,
     than ``max_steps`` steps in all, the walked ones plus those left
     from a memo hit, raise ``InternalInvariantError``.
     """
-    walked = []
     hit = memo.get(refs)
+    if hit is not None:
+        return hit
+    walked = []
     while hit is None:
         key = _least_lead(refs, index)
         if key is None:
