@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FamilyError, ResourceCapError
@@ -50,11 +49,33 @@ class GenRef(NamedTuple):
         return f"T[{self.level},{self.index}]"
 
 
-@dataclass(frozen=True)
 class Level:
-    index: int
-    degree: int
-    generators: tuple[Monomial, ...]
+    """One level: its index, its degree and its generators, revlex
+    descending.  Immutable; ``len`` is the number of generators."""
+
+    __slots__ = ("index", "degree", "generators")
+
+    def __init__(self, index: int, degree: int,
+                 generators: tuple[Monomial, ...]):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "generators", generators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Level is immutable")
+
+    def _key(self):
+        return (self.index, self.degree, self.generators)
+
+    def __eq__(self, other):
+        return isinstance(other, Level) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Level(index={self.index!r}, degree={self.degree!r},"
+                f" generators={self.generators!r})")
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -281,6 +302,9 @@ def family_from_file(path) -> LeveledFamily:
             data = json.load(fh)
         except ValueError as exc:  # bad JSON, bad UTF-8, over-long ints
             raise FamilyError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise FamilyError(
+                f"{path}: not valid JSON (nested too deeply)") from exc
     return build_family(data)
 
 
@@ -308,8 +332,7 @@ def comparable(fam: LeveledFamily, a: GenRef, b: GenRef) -> bool:
     return (tuple(a), tuple(b)) not in fam.incomparable_pairs()
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """An incomparable pair whose rewrite leaves the family.
 
     ``images`` is the rewritten monomial pair; ``missing`` flags which of
@@ -320,8 +343,7 @@ class Witness:
     missing: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     closed: bool
     witnesses: tuple[Witness, ...]
     pairs_checked: int
@@ -354,8 +376,7 @@ def is_closed_under_comparability(
                          tuple(witnesses), pairs, truncated)
 
 
-@dataclass(frozen=True)
-class Characterization:
+class Characterization(NamedTuple):
     """Structural test of the levels: each level equal to (or inside) the
     Borel set of its least generator, plus the variable-support chain
     between consecutive least generators."""

@@ -16,7 +16,6 @@ exactly the monomials at measure (0, 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -42,8 +41,7 @@ class ReductionMeasure(NamedTuple):
     e: int
 
 
-@dataclass(frozen=True)
-class LevelMatrix:
+class LevelMatrix(NamedTuple):
     level: int
     rows: tuple[tuple[int, ...], ...]
 
@@ -189,16 +187,14 @@ def polynomial_reduction_level(f: TPolynomial,
     return ReductionMeasure(c, e)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     rewritten: TMonomial
     rule: object
     result: TPolynomial
     measure: ReductionMeasure
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     start: TPolynomial
     initial_measure: ReductionMeasure
     steps: tuple[TraceStep, ...]

@@ -11,9 +11,9 @@ memo per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
+from typing import NamedTuple
 
 from .errors import ResourceCapError
 from .family import LeveledFamily
@@ -64,15 +64,13 @@ def enumerate_fibers(fam: LeveledFamily, max_degree: int,
     return buckets
 
 
-@dataclass(frozen=True)
-class FiberFailure:
+class FiberFailure(NamedTuple):
     image: PsiImage
     reason: str
     monomials: tuple[TMonomial, ...]
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     max_degree: int
     monomials: int
     fibers: int
@@ -126,8 +124,7 @@ def verify_unique_normal_forms(fam: LeveledFamily, basis,
         largest, reductions, tuple(failures), truncated)
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     max_degree: int
     fibers: int
     differences: int
@@ -178,8 +175,7 @@ def verify_kernel_generation(fam: LeveledFamily, basis,
                         tuple(failures), truncated)
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     samples: int
     max_degree: int
     steps: int

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -174,8 +173,7 @@ class TPolynomial:
         return f"TPolynomial({self.text()!r})"
 
 
-@dataclass(frozen=True)
-class MarkedBinomial:
+class MarkedBinomial(NamedTuple):
     """lead - trail with the lead marked for reduction."""
     lead: TMonomial
     trail: TMonomial
@@ -392,8 +390,7 @@ def s_polynomial(g1: MarkedBinomial, g2: MarkedBinomial) -> TPolynomial:
             - TPolynomial.monomial(g1.trail * cof1))
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
+class ConfluenceReport(NamedTuple):
     """Outcome of ``confluence_check`` on a basis of B rules.
 
     ``pairs_total`` is B(B-1)/2.  ``pairs_reduced`` counts the critical

@@ -344,6 +344,14 @@ def test_missing_file(capsys):
     assert "error" in err
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = _write(tmp_path, "[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "certify", path)
+    assert code == 2
+    assert err == f"error: {path}: not valid JSON (nested too deeply)\n"
+    assert out == ""
+
+
 def test_invalid_family_file(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"mode": "rees", "variables": 0,

@@ -368,3 +368,36 @@ def test_deleting_inner_generator_breaks_closure():
         data["levels"][pos - 1] = {"degree": lv.degree, "generators": gens}
         broken = build_family(data)
         assert not is_closed_under_comparability(broken).closed
+
+
+# ---------------------------------------------------------------- records
+
+def test_level_record(tower4):
+    lv = tower4.level(1)
+    assert (lv.index, lv.degree) == (1, 2)
+    assert len(lv) == len(lv.generators) == 9
+    assert lv.last == lv.generators[-1] == parse_monomial("x3*x4", 4)
+    with pytest.raises(AttributeError):
+        lv.degree = 3
+    assert lv == family.Level(1, 2, lv.generators)
+    assert hash(lv) == hash(family.Level(1, 2, lv.generators))
+    assert lv != family.Level(1, 2, lv.generators[:-1])
+
+
+def test_closure_records_keep_their_fields():
+    fam = build_family(open_tower4())
+    report = is_closed_under_comparability(fam, max_witnesses=1)
+    assert type(report)._fields == (
+        "closed", "witnesses", "pairs_checked", "truncated")
+    w = report.witnesses[0]
+    assert type(w)._fields == ("pair", "images", "missing")
+    twin = Witness(w.pair, w.images, w.missing)
+    assert twin == w and hash(twin) == hash(w)
+    assert len({w, twin}) == 1
+    ch = characterize(fam)
+    assert type(ch)._fields == ("level_indices", "borel_equal",
+                                "borel_subset", "chain", "conjunction")
+    for record, name in ((report, "closed"), (w, "pair"),
+                         (ch, "conjunction")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)

@@ -243,3 +243,23 @@ def test_trace_step_cap_raises_invariant_error(tower4, monkeypatch):
     with pytest.raises(InternalInvariantError, match="exceeded 10 steps"):
         traced_normal_form(
             parse_tpolynomial("T[1,3]*T[1,4]", tower4), cyclic, tower4)
+
+
+# ---------------------------------------------------------------- records
+
+def test_measure_records_keep_their_fields(tower4):
+    assert LevelMatrix._fields == ("level", "rows")
+    trace = traced_normal_form(
+        parse_tpolynomial("T[1,3]*T[1,4]", tower4), build_basis(tower4),
+        tower4)
+    assert type(trace)._fields == ("start", "initial_measure", "steps")
+    step = trace.steps[0]
+    assert type(step)._fields == ("rewritten", "rule", "result", "measure")
+    assert trace.normal_form == step.result
+    assert trace.measures() == [(0, 1), (0, 0)]
+    empty = type(trace)(trace.start, trace.initial_measure, ())
+    assert empty.normal_form == trace.start
+    for record, name in ((trace, "steps"), (step, "rule"),
+                         (LevelMatrix(0, ()), "rows")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)

@@ -141,3 +141,29 @@ def test_measure_suite_reports_frozen(tower4, maxpowers3):
     report = verify_measure_decrease(tower4, basis[:17] + basis[18:])
     assert (report.steps, len(report.failures)) == (253, 1)
     assert not report.passed
+
+
+def test_report_records_keep_their_fields(tower4):
+    basis = build_basis(tower4)
+    unf = verify_unique_normal_forms(tower4, basis, 2)
+    ker = verify_kernel_generation(tower4, basis, 2)
+    meas = verify_measure_decrease(tower4, basis, samples=5)
+    assert type(unf)._fields == (
+        "max_degree", "monomials", "fibers", "largest_fiber", "reductions",
+        "failures", "truncated")
+    assert type(ker)._fields == (
+        "max_degree", "fibers", "differences", "failures", "truncated")
+    assert type(meas)._fields == ("samples", "max_degree", "steps",
+                                  "failures")
+    assert unf.passed and ker.passed and meas.passed
+    for record in (unf, ker, meas):
+        with pytest.raises(AttributeError):
+            record.failures = ()
+
+    failed = verify_unique_normal_forms(tower4, basis[:17] + basis[18:], 2)
+    fail = failed.failures[0]
+    assert type(fail)._fields == ("image", "reason", "monomials")
+    assert not failed.passed
+    assert not failed._replace(failures=(), truncated=True).passed
+    assert not type(ker)(2, 1, 1, (fail,), False).passed
+    assert not type(meas)(1, 2, 3, (fail.monomials[0],)).passed

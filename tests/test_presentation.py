@@ -392,6 +392,33 @@ def test_step_cap_raises_on_cyclic_rules(tower4):
         confluence_check(overlapping, max_steps=10)
 
 
+# --------------------------------------------------------------- records
+
+def test_marked_binomial_record(tower4):
+    g = build_basis(tower4)[0]
+    assert MarkedBinomial._fields == ("lead", "trail")
+    twin = MarkedBinomial(g.lead, g.trail)
+    assert twin == g and hash(twin) == hash(g)
+    assert len({g, twin}) == 1
+    assert str(g) == f"{g.lead.text()} - {g.trail.text()}"
+    assert str(g) == "T[0,1]*T[1,2] - T[0,2]*T[1,1]"
+    with pytest.raises(AttributeError):
+        g.lead = g.trail
+
+
+def test_confluence_report_record(tower4):
+    report = confluence_check(build_basis(tower4))
+    assert type(report)._fields == (
+        "pairs_total", "pairs_reduced", "failures",
+        "max_reduction_length", "normal_forms")
+    assert report.pairs_skipped == report.pairs_total - report.pairs_reduced
+    assert report.confluent
+    broken = type(report)(10, 4, ((0, 1),), 2, 5)
+    assert (broken.pairs_skipped, broken.confluent) == (6, False)
+    with pytest.raises(AttributeError):
+        report.failures = ()
+
+
 # --------------------------------------------------------- s-polynomials
 
 def test_s_polynomial_frozen(tower4):
