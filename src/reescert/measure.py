@@ -16,6 +16,7 @@ exactly the monomials at measure (0, 0).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -49,7 +50,9 @@ class LevelMatrix(NamedTuple):
 def level_matrix(mono: TMonomial, fam: LeveledFamily,
                  level: int) -> LevelMatrix:
     """Rows are the factorizations of the level's referenced generators,
-    in ref order with multiplicity."""
+    in ref order with multiplicity.  A level the family lacks raises
+    ``ValueError``, as ``fam.level`` does."""
+    fam.level(level)
     rows = tuple(fam.factors(ref)
                  for ref in mono.refs if ref.level == level)
     return LevelMatrix(level, rows)
@@ -72,108 +75,123 @@ def inversion_count(matrix) -> int:
     return total
 
 
-def _pair_costs(rows):
-    """cross, w: the row-order-independent part, the inversions between
-    two columns (within-row pairs included), and the same-column cost
-    w[a][b] paid when row a is placed before row b."""
-    r = len(rows)
-    width = len(rows[0]) if r else 0
-    cross = 0
-    w = [[0] * r for _ in range(r)]
-    for a in range(r):
-        for b in range(r):
-            for j in range(width):
-                if a != b and rows[b][j] < rows[a][j]:
-                    w[a][b] += 1
-                for jj in range(j + 1, width):
-                    if rows[b][jj] < rows[a][j]:
-                        cross += 1
-    return cross, w
-
-
 def inversion_minimal(rows):
     """Exact minimum inversion count over row orders, with the minimizing
     order itself (lexicographically least among minimizers).
 
-    Only the same-column part of the count depends on the row order, so
-    a subset dynamic program over rows finds the true minimum without
-    walking all permutations.  Results are memoized by row multiset, in
-    a bounded cache.
+    Only the same-column part of the count depends on the row order: the
+    sum, over rows a placed before b, of w[a][b], the columns where b
+    holds the smaller entry.  No order pays less than the sum over row
+    pairs of min(w[a][b], w[b][a]).  A sorted order that meets this bound
+    is optimal, and as the least row sequence it is the lexicographically
+    least minimizer, so it is returned at once.  Otherwise a subset
+    dynamic program over per-row subset sums of w finds the minimum in
+    O(2^r * r) for r rows.  Results are memoized by row multiset, in a
+    bounded cache.
     """
-    rows = tuple(tuple(r) for r in rows)
+    rows = tuple(sorted(map(tuple, rows)))
     if len(rows) > ROW_CAP:
         raise ResourceCapError(
             f"level matrix has {len(rows)} rows, cap is {ROW_CAP}")
-    if len(set(len(r) for r in rows)) > 1:
+    if len({len(r) for r in rows}) > 1:
         raise ValueError("rows must share one degree")
-    return _inversion_minimal(tuple(sorted(rows)))
+    return _inversion_minimal(rows)
+
+
+def _descents(groups) -> int:
+    """Pairs (u, v), u in a group and v in a later one, with u > v: each
+    entry is counted against the sorted entries of all earlier groups."""
+    total = 0
+    seen = []
+    for group in groups:
+        for v in group:
+            total += len(seen) - bisect_right(seen, v)
+        seen = sorted(seen + list(group))
+    return total
 
 
 @lru_cache(maxsize=MINIMAL_CACHE_SIZE)
 def _inversion_minimal(rows):
     """``inversion_minimal`` on sorted rows.  The answer depends on the
     row multiset only: ties between minimizers break on row content."""
-    if len(rows) <= 1:
-        return inversion_count(rows), rows
-
     r = len(rows)
-    cross, w = _pair_costs(rows)
-    full = (1 << r) - 1
+    # inversions between two columns, within-row pairs included, do not
+    # depend on the row order
+    cross = _descents(zip(*rows))
+    w = [[0] * r for _ in range(r)]
+    identity = bound = 0
+    for a in range(r):
+        for b in range(a + 1, r):
+            ab = ba = 0
+            for x, y in zip(rows[a], rows[b]):
+                if y < x:
+                    ab += 1
+                elif x < y:
+                    ba += 1
+            w[a][b], w[b][a] = ab, ba
+            identity += ab
+            bound += min(ab, ba)
+    if identity == bound:
+        return cross + identity, rows
 
     # h[S] = least same-column cost of arranging the row set S; first[S]
-    # the least index (rows are sorted: the least row) that can lead it
+    # the least index (rows are sorted: the least row) that can lead it;
+    # into[x][S] = cost of placing row x before the row set S
+    full = (1 << r) - 1
     h = [0] * (full + 1)
     first = [0] * (full + 1)
+    into = [[0] * (full + 1) for _ in range(r)]
     for subset in range(1, full + 1):
+        low = subset & -subset
+        y = low.bit_length() - 1
         best = None
         for x in range(r):
-            if not subset & (1 << x):
-                continue
-            rest = subset & ~(1 << x)
-            cost = h[rest]
-            for y in range(r):
-                if rest & (1 << y):
-                    cost += w[x][y]
-            if best is None or cost < best:
-                best, first[subset] = cost, x
+            into[x][subset] = into[x][subset ^ low] + w[x][y]
+            if subset >> x & 1:
+                rest = subset ^ (1 << x)
+                cost = h[rest] + into[x][rest]
+                if best is None or cost < best:
+                    best, first[subset] = cost, x
         h[subset] = best
 
     order = []
     subset = full
     while subset:
-        x = first[subset]
-        order.append(rows[x])
-        subset &= ~(1 << x)
-
+        order.append(rows[first[subset]])
+        subset ^= 1 << first[subset]
     return cross + h[full], tuple(order)
+
+
+def _rows_by_level(mono: TMonomial, fam: LeveledFamily) -> dict:
+    """Each referenced level's factor rows, in ref order, in one pass."""
+    by_level: dict[int, list[tuple[int, ...]]] = {}
+    for ref in mono.refs:
+        by_level.setdefault(ref.level, []).append(fam.factors(ref))
+    return by_level
+
+
+def _comparability(by_level: dict) -> int:
+    """c from the rows by level, taken from the top level down: a
+    descent is a higher occurrence with the larger index, that is the
+    smaller variable, over a lower one."""
+    return _descents([v for row in by_level[lv] for v in row]
+                     for lv in sorted(by_level, reverse=True))
 
 
 def comparability_number(mono: TMonomial, fam: LeveledFamily) -> int:
     """Pairs (occurrence at level i, strictly smaller variable occurrence
     at a level above i).  Zero iff every cross-level factor pair is
     fixed by the ordering rewrite."""
-    by_level: dict[int, list[int]] = {}
-    for ref in mono.refs:
-        by_level.setdefault(ref.level, []).extend(fam.factors(ref))
-    levels = sorted(by_level)
-    total = 0
-    for pos, i in enumerate(levels):
-        for j in levels[pos + 1:]:
-            for low in by_level[i]:
-                for high in by_level[j]:
-                    if high > low:  # larger index, smaller variable
-                        total += 1
-    return total
+    return _comparability(_rows_by_level(mono, fam))
 
 
 def reduction_level(mono: TMonomial, fam: LeveledFamily) -> ReductionMeasure:
     """The pair (c, minimal e summed over levels) for one T-monomial."""
-    c = comparability_number(mono, fam)
+    by_level = _rows_by_level(mono, fam)
     e = 0
-    for lv in {ref.level for ref in mono.refs}:
-        rows = level_matrix(mono, fam, lv).rows
+    for rows in by_level.values():
         e += inversion_minimal(rows)[0]
-    return ReductionMeasure(c, e)
+    return ReductionMeasure(_comparability(by_level), e)
 
 
 def polynomial_reduction_level(f: TPolynomial,

@@ -11,8 +11,8 @@ memo per call.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from math import comb
+from operator import add
 from typing import NamedTuple
 
 from .errors import ResourceCapError
@@ -23,8 +23,8 @@ from .presentation import (
     TMonomial,
     TPolynomial,
     _lead_index,
+    _least_lead,
     _normal_form,
-    is_completely_reduced,
     psi_eval,
 )
 # Not called here (the suites reduce monomials directly); imported because
@@ -47,6 +47,10 @@ def enumerate_fibers(fam: LeveledFamily, max_degree: int,
     """Bucket all T-monomials of degree 1..max_degree by their image.
 
     The degree-0 monomial is excluded; its fiber is trivially itself.
+    The map is a monoid homomorphism: each ref's image is computed once,
+    and each monomial of degree d extends one of degree d - 1 by a ref
+    no smaller than its last, with one vector add, so images and members
+    come in ``combinations_with_replacement`` order.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -56,12 +60,24 @@ def enumerate_fibers(fam: LeveledFamily, max_degree: int,
             f"{total} T-monomials up to degree {max_degree},"
             f" cap is {cap}")
     refs = fam.refs()
-    buckets: dict[PsiImage, list[TMonomial]] = {}
+    images = [psi_eval(TMonomial._of_sorted((ref,)), fam) for ref in refs]
+    split = len(images[0].x)
+    vectors = [img.x + img.t for img in images]
+    flat: dict[tuple, list[TMonomial]] = {}
+    # (refs, image, index of the last ref) of every monomial of degree d
+    frontier = [((), (0,) * len(vectors[0]), 0)]
     for d in range(1, max_degree + 1):
-        for combo in combinations_with_replacement(refs, d):
-            mono = TMonomial._of_sorted(combo)
-            buckets.setdefault(psi_eval(mono, fam), []).append(mono)
-    return buckets
+        grown = []
+        for combo, vec, last in frontier:
+            for k in range(last, len(refs)):
+                key = tuple(map(add, vec, vectors[k]))
+                mono = TMonomial._of_sorted(combo + (refs[k],))
+                flat.setdefault(key, []).append(mono)
+                if d < max_degree:
+                    grown.append((mono.refs, key, k))
+        frontier = grown
+    return {PsiImage(key[:split], key[split:]): members
+            for key, members in flat.items()}
 
 
 class FiberFailure(NamedTuple):
@@ -84,11 +100,14 @@ class FiberReport(NamedTuple):
         return not self.failures and not self.truncated
 
 
-def verify_unique_normal_forms(fam: LeveledFamily, basis,
-                               max_degree: int) -> FiberReport:
+def verify_unique_normal_forms(fam: LeveledFamily, basis, max_degree: int,
+                               *, buckets=None) -> FiberReport:
     """Every fiber must hold exactly one completely reduced monomial and
-    every member must reduce to exactly that one."""
-    buckets = enumerate_fibers(fam, max_degree)
+    every member must reduce to exactly that one.  ``buckets`` may hand
+    in ``enumerate_fibers(fam, max_degree)``, shared between suites."""
+    if buckets is None:
+        buckets = enumerate_fibers(fam, max_degree)
+    pairs = fam.incomparable_pairs()
     index = _lead_index(basis)
     memo = {}
     failures = []
@@ -105,7 +124,7 @@ def verify_unique_normal_forms(fam: LeveledFamily, basis,
 
     for image, members in buckets.items():
         largest = max(largest, len(members))
-        reduced = [m for m in members if is_completely_reduced(m, fam)]
+        reduced = [m for m in members if _least_lead(m.refs, pairs) is None]
         if len(reduced) != 1:
             record(image,
                    f"expected exactly one completely reduced member,"
@@ -136,16 +155,19 @@ class KernelReport(NamedTuple):
         return not self.failures and not self.truncated
 
 
-def verify_kernel_generation(fam: LeveledFamily, basis,
-                             max_degree: int) -> KernelReport:
+def verify_kernel_generation(fam: LeveledFamily, basis, max_degree: int,
+                             *, buckets=None) -> KernelReport:
     """The basis must reduce every fiber difference to zero.
 
     The differences member - representative span the degree-bounded part
     of the kernel of the monomial map, so this certifies generation up
     to the cap degree.  A difference m - rep of two monomials reduces to
     zero exactly when nf(m) == nf(rep), which is what is compared.
+    ``buckets`` is as in ``verify_unique_normal_forms``.
     """
-    buckets = enumerate_fibers(fam, max_degree)
+    if buckets is None:
+        buckets = enumerate_fibers(fam, max_degree)
+    pairs = fam.incomparable_pairs()
     index = _lead_index(basis)
     memo = {}
     failures = []
@@ -154,7 +176,7 @@ def verify_kernel_generation(fam: LeveledFamily, basis,
     for image, members in buckets.items():
         if len(members) < 2:
             continue
-        reduced = [m for m in members if is_completely_reduced(m, fam)]
+        reduced = [m for m in members if _least_lead(m.refs, pairs) is None]
         rep = reduced[0] if len(reduced) == 1 else members[0]
         rep_nf = _normal_form(rep.refs, index, memo)[0]
         for m in members:

@@ -28,6 +28,7 @@ from reescert.presentation import (
     _rewrite_step,
     _step_cap_error,
     normal_form,
+    psi_eval,
     s_polynomial,
 )
 
@@ -231,6 +232,32 @@ def min_inversions_by_permutation(rows):
             best = c
             best_rows = list(perm)
     return best, best_rows
+
+
+def comparability_by_occurrences(mono, fam) -> int:
+    """The comparability number c by its definition, one occurrence pair
+    at a time: each variable occurrence is read off the exponent vector
+    of its generator, and an ordered pair (low, high) counts when high
+    sits at a strictly higher level and is the smaller variable, i.e.
+    has the larger index."""
+    occurrences = [(ref.level, k)
+                   for ref in mono.refs
+                   for k, e in enumerate(fam.generator(ref).exps, start=1)
+                   for _ in range(e)]
+    return sum(1 for (low_level, low), (high_level, high)
+               in permutations(occurrences, 2)
+               if low_level < high_level and high > low)
+
+
+def fibers_by_psi(fam, max_degree: int) -> dict:
+    """T-monomials of degree 1..max_degree bucketed by image, each one
+    built with the public constructor and mapped by ``psi_eval``."""
+    buckets = {}
+    for d in range(1, max_degree + 1):
+        for combo in combinations_with_replacement(fam.refs(), d):
+            mono = TMonomial(combo)
+            buckets.setdefault(psi_eval(mono, fam), []).append(mono)
+    return buckets
 
 
 def confluent_by_all_spairs(basis):

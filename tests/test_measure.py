@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +30,7 @@ from reescert.presentation import (
 
 from bruteforce import (
     column_major_inversions,
+    comparability_by_occurrences,
     min_inversions_by_permutation,
     rewrite_chain,
 )
@@ -75,6 +77,16 @@ def test_inversion_minimal_frozen():
     assert order == ((1, 3), (2, 2))
 
 
+def sorted_order_misses_bound(rows) -> bool:
+    # same(a, b): the columns where row b, placed after row a, holds the
+    # smaller entry; no order pays less than the lesser of the two ways
+    # round for every row pair
+    same = lambda a, b: sum(y < x for x, y in zip(a, b))
+    pairs = list(combinations(sorted(rows), 2))
+    return (sum(same(a, b) for a, b in pairs)
+            > sum(min(same(a, b), same(b, a)) for a, b in pairs))
+
+
 def test_inversion_minimal_matches_permutation_search():
     # non-decreasing rows, as standard factorizations are, then any rows
     for arrange in (sorted, list):
@@ -91,6 +103,30 @@ def test_inversion_minimal_matches_permutation_search():
     # within-row inversions count in every row order: 2,2,1,1 and 3,1,1,2
     assert inversion_minimal([(2, 1), (2, 1)])[0] == 4
     assert inversion_minimal([(3, 1), (1, 2)])[0] == 3
+    # the sorted order pays 2 in its columns against a bound of 1, so the
+    # dynamic program decides: 2,1,2,3,2,3 has 2 inversions, 1,2,3,2,3,2 3
+    assert sorted_order_misses_bound([(1, 3, 3), (2, 2, 2)])
+    assert inversion_minimal([(1, 3, 3), (2, 2, 2)]) == \
+        (2, ((2, 2, 2), (1, 3, 3)))
+    # seeded multisets where the same holds, up to seven rows (at most
+    # three of seven: the permutation search walks 5,040 orders)
+    for arrange in (sorted, list):
+        rng = random.Random(43)
+        checked = {}
+        while sum(checked.values()) < 40:
+            r = rng.randint(3, 7)
+            width = rng.randint(2, 4)
+            rows = [tuple(arrange(rng.randint(1, 6) for _ in range(width)))
+                    for _ in range(r)]
+            if not sorted_order_misses_bound(rows) or \
+                    r == 7 and checked.get(7, 0) >= 3:
+                continue
+            checked[r] = checked.get(r, 0) + 1
+            count, order = inversion_minimal(rows)
+            want_count, want_rows = min_inversions_by_permutation(rows)
+            assert count == want_count
+            assert list(order) == want_rows
+        assert set(checked) == {3, 4, 5, 6, 7}
 
 
 def test_inversion_minimal_row_cap():
@@ -110,6 +146,8 @@ def test_level_matrix_rows(tower4):
     assert level_matrix(m, tower4, 2) == LevelMatrix(
         2, ((1, 1, 2), (2, 2, 3)))
     assert level_matrix(m, tower4, 3) == LevelMatrix(3, ())
+    with pytest.raises(ValueError, match="no level 9"):
+        level_matrix(m, tower4, 9)
 
 
 def test_reduction_level_frozen(tower4):
@@ -128,6 +166,24 @@ def test_reduction_level_small_frozen(tower4):
     assert reduction_level(P("T[0,1]*T[2,7]"), tower4) == (3, 0)
     assert reduction_level(P("T[0,3]*T[2,3]"), tower4) == (0, 0)
     assert reduction_level(TMonomial(), tower4) == (0, 0)
+
+
+def test_measure_matches_definition(tower4, maxpowers3):
+    # c one occurrence pair at a time; e level by level through
+    # level_matrix, by permutation search where a level has few rows
+    rng = random.Random(50)
+    for fam in (tower4, maxpowers3):
+        refs = fam.refs()
+        for _ in range(300):
+            m = TMonomial(rng.choices(refs, k=rng.randint(0, 8)))
+            c = comparability_by_occurrences(m, fam)
+            e = 0
+            for lv in fam.level_indices():
+                rows = level_matrix(m, fam, lv).rows
+                e += (min_inversions_by_permutation(rows)[0]
+                      if len(rows) <= 5 else inversion_minimal(rows)[0])
+            assert comparability_number(m, fam) == c
+            assert reduction_level(m, fam) == (c, e)
 
 
 def test_measure_zero_iff_completely_reduced(tower4, maxpowers3):

@@ -23,7 +23,7 @@ from reescert.presentation import (
     psi_eval,
 )
 
-from bruteforce import normal_form_randomized
+from bruteforce import fibers_by_psi, normal_form_randomized
 
 
 def test_count_matches_enumeration(tower4):
@@ -47,6 +47,36 @@ def test_known_pair_shares_a_fiber(tower4):
     image = psi_eval(f, tower4)
     assert psi_eval(g, tower4) == image
     assert f in buckets[image] and g in buckets[image]
+
+
+@pytest.mark.parametrize("name", ["tower4", "maxpowers3", "fiber_pair"])
+def test_enumerate_fibers_matches_naive_psi(name, request):
+    # the same images in the same order, each with the same members in
+    # the same order; fiber_pair pads with the auxiliary variables
+    fam = request.getfixturevalue(name)
+    got = enumerate_fibers(fam, 3)
+    want = fibers_by_psi(fam, 3)
+    assert list(got) == list(want)
+    assert list(got.values()) == list(want.values())
+    assert all(type(image) is type(key) for image, key in zip(got, want))
+
+
+def test_suites_take_one_enumeration(tower4, monkeypatch):
+    # a bucket map handed in is used as it is, and the reports equal
+    # those of a fresh enumeration
+    from reescert import oracle
+    basis = build_basis(tower4)
+    buckets = enumerate_fibers(tower4, 2)
+    want = (verify_unique_normal_forms(tower4, basis, 2),
+            verify_kernel_generation(tower4, basis, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated again")
+
+    monkeypatch.setattr(oracle, "enumerate_fibers", refuse)
+    assert (verify_unique_normal_forms(tower4, basis, 2, buckets=buckets),
+            verify_kernel_generation(tower4, basis, 2,
+                                     buckets=buckets)) == want
 
 
 def test_enumeration_cap():
