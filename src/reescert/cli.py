@@ -27,6 +27,7 @@ from .errors import (
 )
 from .family import (
     characterize,
+    check_variable_cap,
     family_from_file,
     is_closed_under_comparability,
 )
@@ -289,6 +290,7 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_bset(args) -> int:
+    check_variable_cap(args.variables)
     gen = parse_monomial(args.monomial, args.variables)
     members = borel_closure(gen)
     data = {

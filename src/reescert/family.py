@@ -24,9 +24,11 @@ from .monomials import (
     Monomial,
     borel_closure,
     borel_member,
+    borel_size,
+    monomial_of_terms,
     ord_factors,
     ord_pair,
-    parse_monomial,
+    parse_terms,
     revlex_key,
     sort_factors,
     sort_pair,
@@ -35,10 +37,50 @@ from .monomials import (
 MODES = ("rees", "fiber")
 
 # Most ref pairs a family classifies (C(v, 2), about 1,415 refs).
+# ``build_family`` counts the refs of a description before it builds
+# any level.
 PAIR_CAP = 10**6
+# Most variables a family (or ``reescert bset -n``) declares, refused
+# before any exponent vector of that length exists.  Level 0 of a rees
+# family alone is over PAIR_CAP from 1,416 variables on.
+MAX_VARIABLES = 2000
 # Highest declared level degree; the family keeps one factor tuple of
 # this length per generator.  Matches MAX_TERM_DEGREE in presentation.
 MAX_GENERATOR_DEGREE = 1000
+# Bits per variable of a packed exponent vector: a product of two
+# generators has exponents up to 2 * MAX_GENERATOR_DEGREE, so adding two
+# packed generators never carries from one variable into the next.
+PACK_BITS = (2 * MAX_GENERATOR_DEGREE).bit_length()
+# Widest packed product a family memoizes its rewrites by: a family near
+# PAIR_CAP can hold a million keys.  A family in more than
+# MEMO_KEY_BITS // PACK_BITS (23) variables rewrites every pair instead.
+MEMO_KEY_BITS = 256
+
+
+def _check_pair_cap(refs: int) -> None:
+    """Refuse a family of ``refs`` generators with more than
+    ``PAIR_CAP`` ref pairs."""
+    pairs = refs * (refs - 1) // 2
+    if pairs > PAIR_CAP:
+        raise ResourceCapError(
+            f"{refs} generators make {pairs} pairs, more than {PAIR_CAP}")
+
+
+def check_variable_cap(n: int) -> None:
+    """Refuse a variable count over ``MAX_VARIABLES``."""
+    if n > MAX_VARIABLES:
+        raise ResourceCapError(
+            f"{n} variables are more than {MAX_VARIABLES}")
+
+
+def _packed(exps) -> int:
+    """The exponent vector as one int, ``PACK_BITS`` bits per variable,
+    x1 lowest: the packed product of two generators is the sum of their
+    packed exponent vectors."""
+    key = 0
+    for e in reversed(exps):
+        key = (key << PACK_BITS) | e
+    return key
 
 
 class GenRef(NamedTuple):
@@ -90,16 +132,21 @@ class LeveledFamily:
     """Validated family with fast ref lookup.  Treat as immutable.
 
     Every generator is factored once, on construction, and its standard
-    factorization kept (``factors``).  Every ref pair is classified once,
-    on those factorizations: the incomparable ones, with the positions
-    of their rewrite images, make the pair table that closure, the
-    marked basis and complete reducedness read.  ``level_refs`` maps a
-    position back to its ref.  More than ``PAIR_CAP`` pairs raise
+    factorization kept (``factors``).  Every ref pair is classified on
+    construction into the pair table that closure, the marked basis and
+    complete reducedness read: the incomparable pairs, with the
+    positions of their rewrite images.  The rewrite of a pair is a
+    function of its product alone, so each distinct product of a level
+    block (the pairs of one level, or of two levels) is rewritten once,
+    keyed by its packed exponent vector; a pair is comparable exactly
+    when its product's image positions are its own.  ``level_refs`` maps
+    a position back to its ref, and ``open_pairs`` lists the entries
+    with a missing image.  More than ``PAIR_CAP`` pairs raise
     ``ResourceCapError`` before any is classified.
     """
 
     __slots__ = ("mode", "n", "embedding_degree", "levels", "_by_index",
-                 "_level_refs", "_factors", "_refs", "_pairs")
+                 "_level_refs", "_factors", "_refs", "_pairs", "_open")
 
     def __init__(self, mode, n, levels, embedding_degree=None):
         self.mode = mode
@@ -107,45 +154,59 @@ class LeveledFamily:
         self.embedding_degree = embedding_degree
         self.levels = tuple(levels)
         self._by_index = {lv.index: lv for lv in self.levels}
-        # level index -> {standard factorization: 1-based position}
-        positions = {}
         # level index -> the level's refs, so a position maps to its ref
         self._level_refs = {}
         # ref -> standard factorization of its generator
         self._factors = {}
+        _check_pair_cap(sum(len(lv) for lv in self.levels))
+        # a wide family keys every product 0 and memoizes none
+        memoize = n * PACK_BITS <= MEMO_KEY_BITS
+        # per level: ({standard factorization: 1-based position}, its
+        # generators as (ref, position, factorization, packed exponents))
+        blocks = []
         for lv in self.levels:
             refs = tuple(GenRef(lv.index, j)
                          for j in range(1, len(lv.generators) + 1))
             self._level_refs[lv.index] = refs
-            here = positions[lv.index] = {}
+            here = {}
+            row = []
             for ref, g in zip(refs, lv.generators):
                 f = self._factors[ref] = g.factors()
                 here[f] = ref.index
+                row.append((ref, ref.index, f,
+                            _packed(g.exps) if memoize else 0))
+            blocks.append((here, row))
         self._refs = tuple(self._factors)
-        v = len(self._refs)
-        if v * (v - 1) // 2 > PAIR_CAP:
-            raise ResourceCapError(
-                f"{v} generators make {v * (v - 1) // 2} pairs,"
-                f" more than {PAIR_CAP}")
         # positions, not images: a Monomial pair per entry costs
         # megabytes on the larger families
-        blocks = [(positions[i], [(ref, self._factors[ref]) for ref in refs])
-                  for i, refs in self._level_refs.items()]
         pairs = {}
+        open_pairs = []
         for li, (here, row) in enumerate(blocks):
-            for ai, (a, fa) in enumerate(row):
-                # same level sorts, a higher level orders; lexicographic
-                # ref order either way
-                targets = [(sort_factors, here, row[ai + 1:])]
-                targets += [(ord_factors, there, col)
-                            for there, col in blocks[li + 1:]]
-                for rewrite, there, col in targets:
-                    for b, fb in col:
-                        images = rewrite(fa, fb)
-                        if images != (fa, fb):
-                            pairs[(a, b)] = (here.get(images[0]),
-                                             there.get(images[1]))
+            # same level sorts, a higher level orders; lexicographic ref
+            # order either way.  Each target block keeps its own memo,
+            # packed product -> image positions, for as long as this
+            # level's rows are paired.
+            targets = [(sort_factors, here, None, {})]
+            targets += [(ord_factors, there, col, {})
+                        for there, col in blocks[li + 1:]]
+            for ai, (a, pa, fa, ka) in enumerate(row):
+                for rewrite, there, col, memo in targets:
+                    for b, pb, fb, kb in (row[ai + 1:] if col is None
+                                          else col):
+                        key = ka + kb
+                        pos = memo.get(key)
+                        if pos is None:
+                            first, second = rewrite(fa, fb)
+                            pos = (here.get(first), there.get(second))
+                            if memoize:
+                                memo[key] = pos
+                        if pos[0] != pa or pos[1] != pb:
+                            pair = (a, b)
+                            pairs[pair] = pos
+                            if None in pos:
+                                open_pairs.append(pair)
         self._pairs = pairs
+        self._open = tuple(open_pairs)
 
     @property
     def top_level(self) -> int:
@@ -191,8 +252,16 @@ class LeveledFamily:
         """The pair table: each incomparable ref pair (a, b), a < b, in
         lexicographic order, mapped to the 1-based positions of its two
         rewrite images in the levels of a and b.  A position is None
-        when that image is not in the family.  Do not mutate."""
+        when that image is not in the family.  Built on construction,
+        one rewrite per distinct product of a level block.  Do not
+        mutate."""
         return self._pairs
+
+    def open_pairs(self) -> tuple:
+        """The pair-table keys with a missing image (a None position),
+        in table order; empty exactly when the family is closed under
+        comparability."""
+        return self._open
 
     def __len__(self) -> int:
         return len(self._refs)
@@ -208,6 +277,9 @@ def _is_int(value) -> bool:
 
 
 def _parse_level(entry, pos: int, n: int):
+    """Validate one level of a description and count its generators,
+    building none of them: (degree, generator count, a function that
+    builds the generators, revlex descending)."""
     if not isinstance(entry, dict):
         raise FamilyError(f"level {pos}: expected an object")
     unknown = set(entry) - {"degree", "borel", "generators"}
@@ -225,33 +297,43 @@ def _parse_level(entry, pos: int, n: int):
         raise FamilyError(
             f"level {pos}: give exactly one of 'borel' or 'generators'")
     if has_borel:
-        gen = parse_monomial(entry["borel"], n)
+        terms = parse_terms(entry["borel"], n)
+        gen = monomial_of_terms(terms, n)
         if gen.degree != degree:
             raise FamilyError(
                 f"level {pos}: borel generator {gen} has degree {gen.degree},"
                 f" expected {degree}")
-        return degree, borel_closure(gen)
+        return (degree, borel_size(gen),
+                lambda: borel_closure(monomial_of_terms(terms, n)))
     raw = entry["generators"]
     if not isinstance(raw, list) or not raw:
         raise FamilyError(f"level {pos}: generators must be a non-empty list")
-    monos = []
+    seen = set()
+    listed = []
     for text in raw:
-        m = parse_monomial(text, n)
-        if m.degree != degree:
+        terms = parse_terms(text, n)
+        if sum(terms.values()) != degree:
+            m = monomial_of_terms(terms, n)
             raise FamilyError(
                 f"level {pos}: generator {m} has degree {m.degree},"
                 f" expected {degree}")
-        if m in monos:
-            warnings.warn(
-                f"level {pos}: duplicate generator {m} dropped")
+        key = frozenset(terms.items())
+        if key in seen:
+            warnings.warn(f"level {pos}: duplicate generator"
+                          f" {monomial_of_terms(terms, n)} dropped")
             continue
-        monos.append(m)
-    monos.sort(key=revlex_key, reverse=True)
-    return degree, tuple(monos)
+        seen.add(key)
+        listed.append(terms)
+    return degree, len(listed), lambda: tuple(sorted(
+        (monomial_of_terms(terms, n) for terms in listed),
+        key=revlex_key, reverse=True))
 
 
 def build_family(data: dict) -> LeveledFamily:
-    """Validate a family description (parsed JSON) and build the family."""
+    """Validate a family description (parsed JSON) and build the family.
+
+    The generators are counted from the description first, so that an
+    oversized family is refused before any of its levels is built."""
     if not isinstance(data, dict):
         raise FamilyError("family description must be an object")
     unknown = set(data) - {"mode", "variables", "embedding_degree",
@@ -264,13 +346,14 @@ def build_family(data: dict) -> LeveledFamily:
     n = data.get("variables")
     if not _is_int(n) or n < 1:
         raise FamilyError("variables must be a positive integer")
+    check_variable_cap(n)
     raw_levels = data.get("levels")
     if not isinstance(raw_levels, list):
         raise FamilyError("levels must be a list")
 
     parsed = [_parse_level(entry, pos, n)
               for pos, entry in enumerate(raw_levels, start=1)]
-    degrees = [d for d, _ in parsed]
+    degrees = [d for d, _, _ in parsed]
     for a, b in zip(degrees, degrees[1:]):
         if a > b:
             raise FamilyError(
@@ -280,19 +363,21 @@ def build_family(data: dict) -> LeveledFamily:
     if mode == "rees":
         if m is not None:
             raise FamilyError("embedding_degree only applies to fiber mode")
+    else:
+        if not parsed:
+            raise FamilyError("fiber mode needs at least one level")
+        if not _is_int(m) or m <= degrees[-1]:
+            raise FamilyError(
+                "embedding_degree must be an integer larger than every level"
+                f" degree (top degree is {degrees[-1]})")
+    _check_pair_cap((n if mode == "rees" else 0)
+                    + sum(size for _, size, _ in parsed))
+    levels = [Level(i, d, build())
+              for i, (d, _, build) in enumerate(parsed, start=1)]
+    if mode == "rees":
         level0 = Level(0, 1, tuple(
             Monomial.variable(i, n) for i in range(1, n + 1)))
-        levels = [level0] + [
-            Level(i, d, gens) for i, (d, gens) in enumerate(parsed, start=1)]
-        return LeveledFamily("rees", n, levels)
-
-    if not parsed:
-        raise FamilyError("fiber mode needs at least one level")
-    if not _is_int(m) or m <= degrees[-1]:
-        raise FamilyError(
-            "embedding_degree must be an integer larger than every level"
-            f" degree (top degree is {degrees[-1]})")
-    levels = [Level(i, d, gens) for i, (d, gens) in enumerate(parsed, start=1)]
+        return LeveledFamily("rees", n, [level0] + levels)
     return LeveledFamily("fiber", n, levels, embedding_degree=m)
 
 
@@ -355,25 +440,25 @@ def is_closed_under_comparability(
         max_witnesses: int = 32) -> ClosureReport:
     """Check that every incomparable pair rewrites back into the family.
 
-    Walks the family's pair table in lexicographic ref order, so the
-    witness list is deterministic.  Collection stops at ``max_witnesses``
+    Walks the entries of the family's pair table with a missing image
+    (``open_pairs``), in lexicographic ref order, so the witness list is
+    deterministic.  Collection stops at ``max_witnesses``
     unless ``all_witnesses`` is set; closure itself is always decided
     exactly.
     """
     witnesses = []
     truncated = False
-    for (a, b), positions in fam.incomparable_pairs().items():
-        if None not in positions:
-            continue
-        missing = tuple(k for k in (0, 1) if positions[k] is None)
-        if all_witnesses or len(witnesses) < max_witnesses:
-            witnesses.append(
-                Witness((a, b), rewrite_images(fam, a, b), missing))
-        else:
+    pairs = fam.incomparable_pairs()
+    for pair in fam.open_pairs():
+        if not all_witnesses and len(witnesses) >= max_witnesses:
             truncated = True
-    pairs = len(fam) * (len(fam) - 1) // 2
+            break
+        positions = pairs[pair]
+        missing = tuple(k for k in (0, 1) if positions[k] is None)
+        witnesses.append(Witness(pair, rewrite_images(fam, *pair), missing))
+    refs = len(fam)
     return ClosureReport(not witnesses and not truncated,
-                         tuple(witnesses), pairs, truncated)
+                         tuple(witnesses), refs * (refs - 1) // 2, truncated)
 
 
 class Characterization(NamedTuple):
@@ -388,13 +473,18 @@ class Characterization(NamedTuple):
 
 
 def characterize(fam: LeveledFamily) -> Characterization:
+    """A level equals the Borel set of its least generator exactly when
+    it lies inside it and has as many members: its generators are
+    distinct and revlex-sorted, like the set's.  The set is counted, not
+    built, though one over ``BOREL_CAP`` is still refused."""
     levels = [lv for lv in fam.levels if lv.index > 0]
     equal = []
     subset = []
     for lv in levels:
-        bset = borel_closure(lv.last)
-        equal.append(lv.generators == bset)
-        subset.append(all(borel_member(g, lv.last) for g in lv.generators))
+        size = borel_size(lv.last)
+        inside = all(borel_member(g, lv.last) for g in lv.generators)
+        subset.append(inside)
+        equal.append(inside and len(lv) == size)
     chain = []
     for prev, nxt in zip(levels, levels[1:]):
         # greatest variable of the lower last divides nothing above the

@@ -6,10 +6,10 @@ descending variable order; the first factor is the greatest variable
 occurring, the last factor the least.  The sorting and ordering rewrites
 work on standard factorizations (``sort_factors``, ``ord_factors``);
 ``sort_pair`` and ``ord_pair`` are their checked wrappers on
-``Monomial`` pairs.  The Borel suffix-dominance test and ``borel_closure``,
-which generates a Borel set directly and refuses one of more than
-``BOREL_CAP`` members, live here too; everything downstream is built on
-them.
+``Monomial`` pairs.  The Borel suffix-dominance test, ``borel_size``,
+which counts a Borel set without building it, and ``borel_closure``,
+which generates one directly, live here too; both refuse a set of more
+than ``BOREL_CAP`` members.  Everything downstream is built on them.
 """
 
 from __future__ import annotations
@@ -39,16 +39,23 @@ class Monomial:
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "degree", sum(exps))
 
+    @classmethod
+    def _of_exps(cls, exps: tuple, degree: int) -> "Monomial":
+        """The monomial of a tuple of non-negative ints summing to
+        ``degree``, taken as it is: no conversion, no check.  For callers
+        that build valid exponents themselves; user input goes through
+        the constructor."""
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "exps", exps)
+        object.__setattr__(mono, "degree", degree)
+        return mono
+
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
 
     @property
     def n(self) -> int:
         return len(self.exps)
-
-    @classmethod
-    def one(cls, n: int) -> "Monomial":
-        return cls((0,) * n)
 
     @classmethod
     def variable(cls, i: int, n: int) -> "Monomial":
@@ -64,7 +71,7 @@ class Monomial:
             if not 1 <= i <= n:
                 raise ValueError(f"variable index {i} out of range 1..{n}")
             exps[i - 1] += 1
-        return cls(exps)
+        return cls._of_exps(tuple(exps), sum(exps))
 
     def factors(self) -> tuple[int, ...]:
         """Standard factorization as variable indices, ascending.
@@ -132,16 +139,18 @@ class Monomial:
         return f"Monomial({self.text()!r}, n={self.n})"
 
 
-def parse_monomial(text: str, n: int) -> Monomial:
-    """Parse ``x3*x4``, ``x1^2*x3``, or ``1`` into a monomial in n variables."""
+def parse_terms(text: str, n: int) -> dict[int, int]:
+    """The exponents of ``x3*x4``, ``x1^2*x3`` or ``1`` in n variables,
+    by variable index, zero ones left out.  Allocates nothing of size n,
+    so a family can be counted before any of its monomials is built."""
     if n < 1:
         raise MonomialParseError("need at least one variable")
     s = text.strip()
     if not s:
         raise MonomialParseError("empty monomial text")
+    terms: dict[int, int] = {}
     if s == "1":
-        return Monomial.one(n)
-    exps = [0] * n
+        return terms
     for raw in s.split("*"):
         term = raw.strip()
         m = _TERM_RE.match(term)
@@ -158,8 +167,22 @@ def parse_monomial(text: str, n: int) -> Monomial:
                 f"variable x{idx} out of range x1..x{n} in {text!r}")
         if exp < 0:
             raise MonomialParseError(f"negative exponent in term {term!r}")
-        exps[idx - 1] += exp
-    return Monomial(exps)
+        if exp:
+            terms[idx] = terms.get(idx, 0) + exp
+    return terms
+
+
+def monomial_of_terms(terms: dict[int, int], n: int) -> Monomial:
+    """The monomial in n variables of a ``parse_terms`` result."""
+    exps = [0] * n
+    for idx, exp in terms.items():
+        exps[idx - 1] = exp
+    return Monomial._of_exps(tuple(exps), sum(terms.values()))
+
+
+def parse_monomial(text: str, n: int) -> Monomial:
+    """Parse ``x3*x4``, ``x1^2*x3``, or ``1`` into a monomial in n variables."""
+    return monomial_of_terms(parse_terms(text, n), n)
 
 
 def revlex_cmp(u: Monomial, v: Monomial) -> int:
@@ -249,23 +272,39 @@ def borel_member(candidate: Monomial, generator: Monomial) -> bool:
     return True
 
 
-def _borel_size(bound: list[int]) -> int:
-    """Size of the Borel set whose generator has suffix masses ``bound``
-    (``bound[k]`` on x_(k+1)..x_n, 0-based k), or a count over
-    ``BOREL_CAP`` as soon as one is reached.
+def _suffix_masses(exps) -> list[int]:
+    """``bound[k]``: the exponent mass on x_(k+1)..x_n, 0-based k, with
+    ``bound[n] = 0``."""
+    bound = [0] * (len(exps) + 1)
+    for k in range(len(exps) - 1, -1, -1):
+        bound[k] = bound[k + 1] + exps[k]
+    return bound
 
-    ``ways[s]`` counts the exponent choices on x_2..x_(k+1) once mass s
-    sits on x_(k+2)..x_n; ``ways[0]`` then counts the members on
-    x1..x_(k+1), a subset of the whole set.
+
+def borel_size(generator: Monomial) -> int:
+    """Number of members of the Borel set of ``generator``, counted
+    without building any.  Raises ``ResourceCapError`` when it is more
+    than ``BOREL_CAP``.
+
+    With ``bound`` the generator's suffix masses, ``ways[s]`` counts the
+    exponent choices on x_2..x_(k+1) once mass s sits on x_(k+2)..x_n;
+    ``ways[0]`` then counts the members on x1..x_(k+1), a subset of the
+    whole set, so the count stops once that is over the cap.
     """
+    bound = _suffix_masses(generator.exps)
     if bound[1] >= BOREL_CAP:  # x1^(d-t)*x2^t for t = 0..bound[1]
-        return bound[1] + 1
-    ways = [1] * (bound[1] + 1)
-    for k in range(1, len(bound) - 1):
-        ways = list(accumulate(reversed(ways)))[::-1][:bound[k + 1] + 1]
-        if ways[0] > BOREL_CAP:
-            break
-    return ways[0]
+        size = bound[1] + 1
+    else:
+        ways = [1] * (bound[1] + 1)
+        for k in range(1, len(bound) - 1):
+            ways = list(accumulate(reversed(ways)))[::-1][:bound[k + 1] + 1]
+            if ways[0] > BOREL_CAP:
+                break
+        size = ways[0]
+    if size > BOREL_CAP:
+        raise ResourceCapError(
+            f"Borel set of {generator} has more than {BOREL_CAP} members")
+    return size
 
 
 def borel_closure(generator: Monomial) -> tuple[Monomial, ...]:
@@ -278,15 +317,12 @@ def borel_closure(generator: Monomial) -> tuple[Monomial, ...]:
     what the later variables hold.  Raises ``ResourceCapError`` before
     building any member when the set has more than ``BOREL_CAP``.
     """
-    d, n, exps = generator.degree, generator.n, generator.exps
-    bound = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        bound[k] = bound[k + 1] + exps[k]
-    if _borel_size(bound) > BOREL_CAP:
-        raise ResourceCapError(
-            f"Borel set of {generator} has more than {BOREL_CAP} members")
+    borel_size(generator)
+    d, n = generator.degree, generator.n
+    bound = _suffix_masses(generator.exps)
+    of_exps = Monomial._of_exps
     current = [d] + [0] * (n - 1)
-    members = [Monomial(current)]
+    members = [of_exps(tuple(current), d)]
     while True:
         # lexicographic successor of (e_n, ..., e_2): raise the first
         # exponent from x_2 up that has room, clear the ones below it
@@ -301,4 +337,4 @@ def borel_closure(generator: Monomial) -> tuple[Monomial, ...]:
             below += current[k]
         else:
             return tuple(members)
-        members.append(Monomial(current))
+        members.append(of_exps(tuple(current), d))

@@ -51,7 +51,7 @@ class TMonomial:
         no conversion, no sort.  For callers that already hold one; text
         and other user input goes through the constructor."""
         mono = object.__new__(cls)
-        object.__setattr__(mono, "refs", refs)
+        _set_refs(mono, refs)
         return mono
 
     def __setattr__(self, name, value):
@@ -90,6 +90,11 @@ class TMonomial:
 
     def __repr__(self) -> str:
         return f"TMonomial({self.text()!r})"
+
+
+# The slot's own setter: ``_of_sorted`` fills a new monomial without a
+# pass through the refusing ``__setattr__``.
+_set_refs = TMonomial.refs.__set__
 
 
 class TPolynomial:
@@ -229,22 +234,27 @@ def build_basis(fam: LeveledFamily) -> tuple[MarkedBinomial, ...]:
     closure under comparability; otherwise some trail would reference
     monomials outside the family.
     """
+    if fam.open_pairs():
+        report = is_closed_under_comparability(fam)
+        raise NotClosedError(
+            "family is not closed under comparability"
+            f" ({len(report.witnesses)} witness pair(s))",
+            report.witnesses)
     level_refs = {i: fam.level_refs(i) for i in fam.level_indices()}
     of_sorted = TMonomial._of_sorted
+    # the NamedTuple's __new__ is a Python function; the tuple's builds
+    # the same rule in C
+    rule = tuple.__new__
     out = []
-    for (a, b), (first, second) in fam.incomparable_pairs().items():
-        if first is None or second is None:
-            report = is_closed_under_comparability(fam)
-            raise NotClosedError(
-                "family is not closed under comparability"
-                f" ({len(report.witnesses)} witness pair(s))",
-                report.witnesses)
-        c = level_refs[a.level][first - 1]
-        d = level_refs[b.level][second - 1]
+    for lead, (first, second) in fam.incomparable_pairs().items():
+        a, b = lead
+        c = level_refs[a[0]][first - 1]
+        d = level_refs[b[0]][second - 1]
         # rewrite images already come in ref order; the one comparison
-        # keeps the trail sorted without relying on that
-        out.append(MarkedBinomial(of_sorted((a, b)),
-                                  of_sorted((c, d) if c <= d else (d, c))))
+        # keeps the trail sorted without relying on that.  The table key
+        # is the lead's sorted ref tuple.
+        out.append(rule(MarkedBinomial, (
+            of_sorted(lead), of_sorted((c, d) if c <= d else (d, c)))))
     return tuple(out)
 
 
@@ -618,14 +628,18 @@ def parse_tpolynomial(text: str, fam: LeveledFamily | None = None
 
 
 def basis_shape(basis) -> dict:
-    """The rule count and the two shape flags, read off the rules."""
-    return {
-        "count": len(basis),
-        "quadratic": all(g.lead.degree == 2 and g.trail.degree == 2
-                         for g in basis),
-        "squarefree_leads": all(len(set(g.lead.refs)) == g.lead.degree
-                                for g in basis),
-    }
+    """The rule count and the two shape flags, read off the rules in one
+    pass."""
+    quadratic = squarefree = True
+    for lead, trail in basis:
+        refs = lead.refs
+        if len(refs) != 2 or len(trail.refs) != 2:
+            quadratic = False
+            squarefree = squarefree and len(set(refs)) == len(refs)
+        elif refs[0] == refs[1]:
+            squarefree = False
+    return {"count": len(basis), "quadratic": quadratic,
+            "squarefree_leads": squarefree}
 
 
 def basis_to_json(basis) -> dict:

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
 from reescert.cli import main
+from reescert.family import MAX_VARIABLES
 from conftest import family_dict
 
 
@@ -336,6 +342,67 @@ def test_resource_caps_exit_3(capsys, tmp_path, case):
     assert err.startswith("resource cap: ")
     assert message in err
     assert out == ""
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Each oversized input below is refused in well under a second; built
+# before it is counted, each would take tens of seconds or more.
+OVERSIZED_TIMEOUT_S = 10
+
+
+def _cubics(n: int) -> list[str]:
+    return ["*".join(f"x{i}" for i in fact)
+            for fact in combinations_with_replacement(range(1, n + 1), 3)]
+
+
+OVERSIZED = {  # case: (stderr text, argv)
+    "fiber variables": ("10000000 variables are more than 2000", lambda tmp: [
+        "certify", _write(tmp, '{"mode": "fiber", "variables": 10000000,'
+                               ' "embedding_degree": 2, "levels":'
+                               ' [{"degree": 1, "generators": ["x1"]}]}')]),
+    "bset variables": ("10000000 variables are more than 2000",
+                       lambda tmp: ["bset", "-n", "10000000", "x1"]),
+    # level 0 alone: C(2000, 2) pairs
+    "rees variables": ("2000 generators make 1999000 pairs", lambda tmp: [
+        "check", _write(tmp, '{"mode": "rees", "variables": 2000,'
+                             ' "levels": []}')]),
+    # the 22,100 cubics in 50 variables, listed; a quadratic duplicate
+    # check alone would take minutes
+    "listed level": ("22100 generators make 244193950 pairs", lambda tmp: [
+        "check", _write(tmp, json.dumps({
+            "mode": "fiber", "variables": 50, "embedding_degree": 4,
+            "levels": [{"degree": 3, "generators": _cubics(50)}]}))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_input_refused_before_building(tmp_path, case):
+    """Run as a child with a hard timeout, so that a family built before
+    it is counted fails here in seconds rather than hanging the suite."""
+    message, argv = OVERSIZED[case]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "reescert.cli", *argv(tmp_path)], env=env,
+        capture_output=True, text=True, timeout=OVERSIZED_TIMEOUT_S)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource cap: ")
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_variable_cap_is_inclusive(capsys, tmp_path):
+    cap = MAX_VARIABLES
+    path = _write(tmp_path, json.dumps({
+        "mode": "fiber", "variables": cap, "embedding_degree": 2,
+        "levels": [{"degree": 1, "generators": [f"x{cap}", "x1"]}]}))
+    code, out, _ = run(capsys, "check", path)
+    assert code == 0 and "closed under comparability: yes" in out
+    code, out, _ = run(capsys, "bset", "-n", str(cap), "x1")
+    assert code == 0 and f"in {cap} variables: 1 member(s)" in out
+    code, _, err = run(capsys, "bset", "-n", str(cap + 1), "x1")
+    assert code == 3 and f"{cap + 1} variables" in err
 
 
 def test_missing_file(capsys):

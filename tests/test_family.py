@@ -23,12 +23,13 @@ from reescert.family import (
 from reescert.monomials import parse_monomial
 
 from bruteforce import (
+    borel_closure_by_filter,
     order_by_exponents,
     pair_table_by_rewrite_images,
     rand_rees_family,
     sort_closed_form,
 )
-from conftest import family_dict, open_tower4
+from conftest import family_dict, open_tower4, reference_descs
 
 
 # ----------------------------------------------------------- construction
@@ -191,6 +192,44 @@ def test_pair_table_matches_definitions(name):
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# Families whose pair tables stress the product keys.
+KEYED_FAMILIES = {
+    # Two levels at MAX_GENERATOR_DEGREE: the product x1^1000 * x1^1000
+    # puts 2000 on one variable, the packing's worst case.  With a width
+    # of 10 bits x2^1025*x3^975 and x1^1024*x3^976 would share a key.
+    "max degree": {"mode": "rees", "variables": 3, "levels": [
+        {"degree": 1000, "generators": [
+            "x1^1000", "x1^24*x3^976", "x2^1000", "x2^25*x3^975"]},
+        {"degree": 1000, "generators": [
+            "x1^1000", "x1^24*x3^976", "x2^1000", "x2^25*x3^975",
+            "x1^500*x2^500"]},
+    ]},
+    # a cross-level pair of equal degrees orders, never sorts
+    "equal degrees": {"mode": "rees", "variables": 4, "levels": [
+        {"degree": 2, "borel": "x2*x4"},
+        {"degree": 2, "generators": ["x1^2", "x1*x3", "x2*x3", "x3^2"]},
+    ]},
+    "fiber": {"mode": "fiber", "variables": 5, "embedding_degree": 4,
+              "levels": [
+                  {"degree": 2, "borel": "x2*x5"},
+                  {"degree": 3, "generators": [
+                      "x1^3", "x1^2*x3", "x1*x2*x4", "x2*x3*x5"]},
+              ]},
+    # too wide for packed keys: every pair is rewritten
+    "wide": {"mode": "rees", "variables": 30, "levels": [
+        {"degree": 2, "borel": "x2*x30"},
+        {"degree": 3, "generators": ["x1^3", "x1*x2*x29", "x2*x30^2"]},
+    ]},
+}
+
+
+def test_pack_width_follows_the_degree_cap():
+    width = family.PACK_BITS
+    assert 2 * family.MAX_GENERATOR_DEGREE < 1 << width
+    assert width == (2 * family.MAX_GENERATOR_DEGREE).bit_length()
+    assert 30 * width > family.MEMO_KEY_BITS  # "wide" takes the plain path
+
+
 def test_pair_table_matches_monomial_route(monkeypatch):
     """The table built on factorizations equals, in content and order,
     the one built by ``rewrite_images`` and lookup by ``Monomial``."""
@@ -206,10 +245,14 @@ def test_pair_table_matches_monomial_route(monkeypatch):
     for kind in KINDS:
         for stratum in STRATA[::4]:
             families.append(build_family(draw_family(rng, stratum, kind)))
-    assert len(families) == 7 + 5 * 5
+    families.extend(build_family(KEYED_FAMILIES[name])
+                    for name in sorted(KEYED_FAMILIES))
+    assert len(families) == 7 + 5 * 5 + len(KEYED_FAMILIES)
     for fam in families:
-        assert (list(fam.incomparable_pairs().items())
-                == list(pair_table_by_rewrite_images(fam).items()))
+        table = pair_table_by_rewrite_images(fam)
+        assert list(fam.incomparable_pairs().items()) == list(table.items())
+        assert fam.open_pairs() == tuple(
+            key for key, positions in table.items() if None in positions)
 
 
 def _generated_family(n: int, degree: int) -> dict:
@@ -316,7 +359,44 @@ def test_missing_generator_yields_witnesses():
     assert capped.witnesses[0] == report.witnesses[0]
 
 
+def test_all_witnesses_are_the_open_table_entries(bench_families):
+    """Every table entry with a missing image is a witness, in table
+    order, and no other pair is; the images are the rewrites."""
+    descs = reference_descs(bench_families)
+    open_families = 0
+    for name, desc in descs.items():
+        fam = build_family(desc)
+        table = pair_table_by_rewrite_images(fam)
+        report = is_closed_under_comparability(fam, all_witnesses=True)
+        want = [(key, tuple(k for k in (0, 1) if positions[k] is None))
+                for key, positions in table.items() if None in positions]
+        assert [(w.pair, w.missing) for w in report.witnesses] == want, name
+        assert all(w.images == rewrite_images(fam, *w.pair)
+                   for w in report.witnesses)
+        assert report.closed == (not want) and not report.truncated
+        open_families += bool(want)
+    assert open_families >= 5
+
+
 # ----------------------------------------------------- characterization
+
+def test_borel_equal_counts_what_the_filter_builds(bench_families):
+    """Equality by membership and count agrees with building the Borel
+    set by brute force and comparing the tuples."""
+    descs = reference_descs(bench_families)
+    for name in ("max4_3", "max5_3"):
+        descs[name] = bench_families.LADDER[name]
+    for path in sorted((ROOT / "demos" / "families").glob("*.json")):
+        descs[path.stem] = json.loads(path.read_text())
+    unequal = 0
+    for name, desc in descs.items():
+        fam = build_family(desc)
+        levels = [lv for lv in fam.levels if lv.index > 0]
+        want = tuple(lv.generators == borel_closure_by_filter(lv.last)
+                     for lv in levels)
+        assert characterize(fam).borel_equal == want, name
+        unequal += want.count(False)
+    assert unequal >= 5
 
 def test_characterize_tower4(tower4):
     ch = characterize(tower4)

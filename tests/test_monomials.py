@@ -9,9 +9,11 @@ from reescert.monomials import (
     Monomial,
     borel_closure,
     borel_member,
+    borel_size,
     ord_factors,
     ord_pair,
     parse_monomial,
+    parse_terms,
     revlex_cmp,
     revlex_key,
     sort_factors,
@@ -231,25 +233,44 @@ def test_borel_closure_matches_filter():
         d = rng.randint(0, 6)
         gen = rand_monomial(rng, n, d)
         assert borel_closure(gen) == borel_closure_by_filter(gen)
+        assert borel_size(gen) == len(borel_closure_by_filter(gen))
 
 
 def test_borel_closure_cap(monkeypatch):
     # C(29, 10) = 20,030,010 members: refused before any is built
     with pytest.raises(ResourceCapError, match="more than 100000"):
         borel_closure(parse_monomial("x20^10", 20))
+    with pytest.raises(ResourceCapError, match="more than 100000"):
+        borel_size(parse_monomial("x20^10", 20))
     with pytest.raises(ResourceCapError):
         borel_closure(parse_monomial(f"x2^{10**5}", 2))
     # the cap is inclusive: x3*x4 in four variables has 9 members
     monkeypatch.setattr(monomials, "BOREL_CAP", 9)
-    assert len(borel_closure(M("x3*x4"))) == 9
+    assert len(borel_closure(M("x3*x4"))) == borel_size(M("x3*x4")) == 9
     monkeypatch.setattr(monomials, "BOREL_CAP", 8)
     with pytest.raises(ResourceCapError):
         borel_closure(M("x3*x4"))
+    with pytest.raises(ResourceCapError):
+        borel_size(M("x3*x4"))
     # x1^(d-t)*x2^t, t = 0..d, in two variables
     monkeypatch.setattr(monomials, "BOREL_CAP", 3)
     assert len(borel_closure(parse_monomial("x2^2", 2))) == 3
     with pytest.raises(ResourceCapError):
         borel_closure(parse_monomial("x2^3", 2))
+
+
+def test_parse_terms_is_the_sparse_parse():
+    assert parse_terms("x2*x1*x2", 3) == {2: 2, 1: 1}
+    assert parse_terms("x1^0*x3", 3) == {3: 1}
+    assert parse_terms(" 1 ", 3) == {}
+    for text in ("x2*x1*x2", "x1^0*x3", "1", "x3^4*x1"):
+        terms = parse_terms(text, 3)
+        exps = parse_monomial(text, 3).exps
+        assert terms == {i: e for i, e in enumerate(exps, start=1) if e}
+    with pytest.raises(MonomialParseError):
+        parse_terms("x4", 3)
+    with pytest.raises(MonomialParseError):
+        parse_terms("x1", 0)
 
 
 def test_borel_nesting():

@@ -280,8 +280,11 @@ def test_basis_shape_matches_json(tower4):
         {"lead": [[0, 1], [1, 2]], "trail": [[0, 2], [1, 1], [1, 3]]}]})
     repeated = basis_from_json({"relations": [
         {"lead": [[0, 1], [0, 1]], "trail": [[0, 2], [0, 3]]}]})
+    cubic_square = basis_from_json({"relations": [
+        {"lead": [[0, 1], [1, 2], [0, 1]],
+         "trail": [[0, 2], [1, 1], [1, 3]]}]})
     basis = build_basis(tower4)
-    for b in (basis, (), cubic, cubic_trail, repeated,
+    for b in (basis, (), cubic, cubic_trail, repeated, cubic_square,
               basis + cubic + repeated):
         data = basis_to_json(b)
         assert basis_shape(b) == {key: data[key] for key in
@@ -296,6 +299,10 @@ def test_basis_shape_matches_json(tower4):
                                      "squarefree_leads": False}
     assert basis_shape(cubic_trail) == {"count": 1, "quadratic": False,
                                         "squarefree_leads": True}
+    assert basis_shape(cubic_square) == {"count": 1, "quadratic": False,
+                                         "squarefree_leads": False}
+    assert basis_shape(cubic + basis) == {"count": 105, "quadratic": False,
+                                          "squarefree_leads": True}
 
 
 # ------------------------------------------------------------- reduction

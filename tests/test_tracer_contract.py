@@ -32,3 +32,22 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert cert["conclusions"]
     assert tracer.counts["monomials.sort_pair"] > 0
     assert reescert.certify.build_certificate is before
+
+
+def test_one_closure_scan_per_certificate(monkeypatch):
+    """A closed family's certificate scans closure once: ``build_basis``
+    reads the table's open entries and does not scan again."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    fam = build_family(family_dict("tower4"))
+    tracer = Tracer()
+    tracer.install(reescert)
+    try:
+        cert = reescert.certify.build_certificate(fam)
+    finally:
+        tracer.uninstall()
+    assert cert["conclusions"]
+    names = [s.name for s in tracer.spans]
+    assert names.count("family.closure") == 1
+    assert names.count("presentation.build_basis") == 1
