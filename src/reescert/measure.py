@@ -12,6 +12,17 @@ inverts when the later one is the greater variable, i.e. carries the
 smaller index.  Every deterministic or random reduction step strictly
 lowers (c, e), which is what makes reduction terminate; normal forms are
 exactly the monomials at measure (0, 0).
+
+Both numbers are sums over pairs of ref occurrences.  c adds, over each
+cross-level pair, the descents between its two factor rows.  e adds,
+over each same-level pair, the inversions between entries in different
+columns, which no row order changes, plus the lesser of what the pair
+pays in its shared columns one way round or the other; a standard
+factorization is sorted, so a row has no inversions of its own.  That
+sum is exact whenever the level's strict pairwise preferences have no
+cycle (see ``inversion_minimal``), and ``_measure`` uses it unless the
+sorted row order misses it for some pair.  The measure suite keeps each
+pair's part in one memo for all the monomials it checks.
 """
 
 from __future__ import annotations
@@ -32,8 +43,9 @@ from .presentation import (
 )
 
 ROW_CAP = 10
-# row multisets kept by inversion_minimal; one oracle-ladder benchmark
-# run meets about 6,900 distinct ones
+# row multisets kept by inversion_minimal; the measure asks it only for
+# levels with a loose pair, about 1,200 distinct ones in one
+# oracle-ladder benchmark run
 MINIMAL_CACHE_SIZE = 2**16
 
 
@@ -82,12 +94,20 @@ def inversion_minimal(rows):
     Only the same-column part of the count depends on the row order: the
     sum, over rows a placed before b, of w[a][b], the columns where b
     holds the smaller entry.  No order pays less than the sum over row
-    pairs of min(w[a][b], w[b][a]).  A sorted order that meets this bound
-    is optimal, and as the least row sequence it is the lexicographically
-    least minimizer, so it is returned at once.  Otherwise a subset
-    dynamic program over per-row subset sums of w finds the minimum in
-    O(2^r * r) for r rows.  Results are memoized by row multiset, in a
-    bounded cache.
+    pairs of min(w[a][b], w[b][a]), and an order meets this bound
+    exactly when it honours every strict preference, a before b where
+    w[a][b] < w[b][a].  Finding the least-cost order is a small linear
+    ordering problem (Groetschel, Juenger and Reinelt, Operations
+    Research 1984).  If the strict preferences have no cycle, some order
+    honours them all, so the bound is the minimum, and the minimizers
+    are exactly the orders that honour every strict preference.
+    Placing, step by step, the least row that no remaining row must
+    precede gives the lexicographically least of them; when the sorted
+    order meets the bound, that is the sorted order.  Only a cycle of
+    strict preferences, which forces some pair to pay more than its
+    minimum, leaves the answer to a subset dynamic program over per-row
+    subset sums of w, in O(2^r * r) for r rows.  Results are memoized by
+    row multiset, in a bounded cache.
     """
     rows = tuple(sorted(map(tuple, rows)))
     if len(rows) > ROW_CAP:
@@ -119,7 +139,7 @@ def _inversion_minimal(rows):
     # depend on the row order
     cross = _descents(zip(*rows))
     w = [[0] * r for _ in range(r)]
-    identity = bound = 0
+    bound = 0
     for a in range(r):
         for b in range(a + 1, r):
             ab = ba = 0
@@ -129,11 +149,23 @@ def _inversion_minimal(rows):
                 elif x < y:
                     ba += 1
             w[a][b], w[b][a] = ab, ba
-            identity += ab
             bound += min(ab, ba)
-    if identity == bound:
-        return cross + identity, rows
+    # place the least row that no remaining row strictly precedes; when
+    # the sorted order meets the bound, that is the sorted order itself
+    order = []
+    left = list(range(r))
+    while left:
+        for a in left:
+            if all(w[b][a] >= w[a][b] for b in left):
+                break
+        else:
+            break
+        left.remove(a)
+        order.append(rows[a])
+    if not left:
+        return cross + bound, tuple(order)
 
+    # a cycle of strict preferences: no order meets the bound
     # h[S] = least same-column cost of arranging the row set S; first[S]
     # the least index (rows are sorted: the least row) that can lead it;
     # into[x][S] = cost of placing row x before the row set S
@@ -162,36 +194,89 @@ def _inversion_minimal(rows):
     return cross + h[full], tuple(order)
 
 
-def _rows_by_level(mono: TMonomial, fam: LeveledFamily) -> dict:
-    """Each referenced level's factor rows, in ref order, in one pass."""
-    by_level: dict[int, list[tuple[int, ...]]] = {}
-    for ref in mono.refs:
-        by_level.setdefault(ref.level, []).append(fam.factors(ref))
-    return by_level
+def _pair_part(fam: LeveledFamily, r, s) -> tuple[int, int, bool]:
+    """(c, e, loose) of one occurrence pair r <= s in ref order.
+
+    Across levels, c counts the occurrences of s, the higher ref, with
+    the larger index (the smaller variable) over one of r.  Within a
+    level, e is the pair's order-free part, the entries of one row over
+    an entry of the other in a later column, plus min(w_rs, w_sr), where
+    w_rs counts the columns in which s holds the smaller entry: what the
+    pair pays in its shared columns with r placed first.  The pair is
+    loose when the sorted row order pays more than that minimum.
+    """
+    a, b = fam.factors(r), fam.factors(s)
+    if r.level != s.level:
+        return sum(u > v for u in b for v in a), 0, False
+    cross = rs = sr = 0
+    for j, (x, y) in enumerate(zip(a, b)):
+        if y < x:
+            rs += 1
+        elif x < y:
+            sr += 1
+        for k in range(j + 1, len(a)):
+            cross += (x > b[k]) + (y > a[k])
+    paid = rs if a <= b else sr
+    return 0, cross + min(rs, sr), paid > min(rs, sr)
 
 
-def _comparability(by_level: dict) -> int:
-    """c from the rows by level, taken from the top level down: a
-    descent is a higher occurrence with the larger index, that is the
-    smaller variable, over a lower one."""
-    return _descents([v for row in by_level[lv] for v in row]
-                     for lv in sorted(by_level, reverse=True))
+def _pair_sums(refs: tuple, fam: LeveledFamily,
+               memo: dict) -> tuple[int, int, bool]:
+    """(c, e, loose) of the monomial with these sorted refs, summed over
+    its occurrence pairs.  ``memo`` maps each ref, on first use, to a
+    dict of its pair parts with the refs after it."""
+    c = e = 0
+    loose = False
+    for i, r in enumerate(refs):
+        parts = memo.get(r)
+        if parts is None:
+            parts = memo[r] = {}
+        for s in refs[i + 1:]:
+            part = parts.get(s)
+            if part is None:
+                part = parts[s] = _pair_part(fam, r, s)
+            pc, pe, pl = part
+            c += pc
+            e += pe
+            if pl:
+                loose = True
+    return c, e, loose
+
+
+def _measure(refs: tuple, fam: LeveledFamily,
+             memo: dict) -> ReductionMeasure:
+    """(c, e) of the monomial with these sorted refs, from its pair
+    parts.
+
+    c is the sum of the cross-level pair parts.  e is the sum of the
+    same-level pair parts; the rows are standard factorizations, sorted,
+    so no row has inversions of its own.  That sum is the cost of the
+    sorted row order, which is minimal when it meets the pairwise bound
+    of ``inversion_minimal``, that is unless some pair is loose.  A
+    monomial with a loose pair, or with more refs than ``ROW_CAP``,
+    takes e from ``inversion_minimal`` level by level, which also
+    refuses a level of more than ``ROW_CAP`` rows.  A memo kept over
+    many monomials of one family computes each part once.
+    """
+    c, e, loose = _pair_sums(refs, fam, memo)
+    if loose or len(refs) > ROW_CAP:
+        by_level: dict[int, list[tuple[int, ...]]] = {}
+        for r in refs:
+            by_level.setdefault(r.level, []).append(fam.factors(r))
+        e = sum(inversion_minimal(rows)[0] for rows in by_level.values())
+    return ReductionMeasure(c, e)
 
 
 def comparability_number(mono: TMonomial, fam: LeveledFamily) -> int:
     """Pairs (occurrence at level i, strictly smaller variable occurrence
     at a level above i).  Zero iff every cross-level factor pair is
     fixed by the ordering rewrite."""
-    return _comparability(_rows_by_level(mono, fam))
+    return _pair_sums(mono.refs, fam, {})[0]
 
 
 def reduction_level(mono: TMonomial, fam: LeveledFamily) -> ReductionMeasure:
     """The pair (c, minimal e summed over levels) for one T-monomial."""
-    by_level = _rows_by_level(mono, fam)
-    e = 0
-    for rows in by_level.values():
-        e += inversion_minimal(rows)[0]
-    return ReductionMeasure(_comparability(by_level), e)
+    return _measure(mono.refs, fam, {})
 
 
 def polynomial_reduction_level(f: TPolynomial,

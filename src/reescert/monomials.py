@@ -9,7 +9,9 @@ work on standard factorizations (``sort_factors``, ``ord_factors``);
 ``Monomial`` pairs.  The Borel suffix-dominance test, ``borel_size``,
 which counts a Borel set without building it, and ``borel_closure``,
 which generates one directly, live here too; both refuse a set of more
-than ``BOREL_CAP`` members.  Everything downstream is built on them.
+than ``BOREL_CAP`` members, and ``borel_closure`` also one whose members
+hold more than ``BOREL_ENTRY_CAP`` exponents in all.  Everything
+downstream is built on them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ _TERM_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z")
 
 # Largest Borel set ``borel_closure`` builds (bset, family levels).
 BOREL_CAP = 10**5
+# Most exponents, members times variables, that ``borel_closure`` keeps:
+# each member holds an n-entry tuple, about 8 bytes an entry, so this is
+# near 80 MB (x20*x400 in 400 variables: 7,810 members, 3.1 million).
+BOREL_ENTRY_CAP = 10**7
 
 
 class Monomial:
@@ -315,10 +321,15 @@ def borel_closure(generator: Monomial) -> tuple[Monomial, ...]:
     order of the exponents read from x_n down to x_2, and each exponent
     is bounded by the generator's suffix mass from its variable on, less
     what the later variables hold.  Raises ``ResourceCapError`` before
-    building any member when the set has more than ``BOREL_CAP``.
+    building any member when the set has more than ``BOREL_CAP``
+    members, or members times variables over ``BOREL_ENTRY_CAP``.
     """
-    borel_size(generator)
+    size = borel_size(generator)
     d, n = generator.degree, generator.n
+    if size * n > BOREL_ENTRY_CAP:
+        raise ResourceCapError(
+            f"Borel set of {generator} has {size} members in {n} variables,"
+            f" {size * n} exponents, more than {BOREL_ENTRY_CAP}")
     bound = _suffix_masses(generator.exps)
     of_exps = Monomial._of_exps
     current = [d] + [0] * (n - 1)

@@ -12,12 +12,11 @@ memo per call.
 from __future__ import annotations
 
 from math import comb
-from operator import add
 from typing import NamedTuple
 
 from .errors import ResourceCapError
 from .family import LeveledFamily
-from .measure import reduction_level
+from .measure import _measure
 from .presentation import (
     PsiImage,
     TMonomial,
@@ -47,10 +46,14 @@ def enumerate_fibers(fam: LeveledFamily, max_degree: int,
     """Bucket all T-monomials of degree 1..max_degree by their image.
 
     The degree-0 monomial is excluded; its fiber is trivially itself.
-    The map is a monoid homomorphism: each ref's image is computed once,
-    and each monomial of degree d extends one of degree d - 1 by a ref
-    no smaller than its last, with one vector add, so images and members
-    come in ``combinations_with_replacement`` order.
+    The map is a monoid homomorphism: each ref's image is computed once
+    and packed into one int, with ``(max_degree * largest entry)
+    .bit_length()`` bits per exponent, so that no sum of at most
+    ``max_degree`` images carries from one exponent into the next.  Each
+    monomial of degree d extends one of degree d - 1 by a ref no smaller
+    than its last, with one int add, so images and members come in
+    ``combinations_with_replacement`` order.  Each fiber's key is
+    unpacked once, at the end.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -63,21 +66,35 @@ def enumerate_fibers(fam: LeveledFamily, max_degree: int,
     images = [psi_eval(TMonomial._of_sorted((ref,)), fam) for ref in refs]
     split = len(images[0].x)
     vectors = [img.x + img.t for img in images]
-    flat: dict[tuple, list[TMonomial]] = {}
-    # (refs, image, index of the last ref) of every monomial of degree d
-    frontier = [((), (0,) * len(vectors[0]), 0)]
+    width = len(vectors[0])
+    bits = (max_degree * max(map(max, vectors))).bit_length()
+    packed = [sum(e << (bits * k) for k, e in enumerate(vec))
+              for vec in vectors]
+    of_sorted = TMonomial._of_sorted
+    flat: dict[int, list[TMonomial]] = {}
+    # (refs, packed image, index of the last ref) of every monomial of
+    # degree d
+    frontier = [((), 0, 0)]
     for d in range(1, max_degree + 1):
         grown = []
-        for combo, vec, last in frontier:
+        for combo, key, last in frontier:
             for k in range(last, len(refs)):
-                key = tuple(map(add, vec, vectors[k]))
-                mono = TMonomial._of_sorted(combo + (refs[k],))
-                flat.setdefault(key, []).append(mono)
+                image = key + packed[k]
+                grew = combo + (refs[k],)
+                members = flat.get(image)
+                if members is None:
+                    flat[image] = [of_sorted(grew)]
+                else:
+                    members.append(of_sorted(grew))
                 if d < max_degree:
-                    grown.append((mono.refs, key, k))
+                    grown.append((grew, image, k))
         frontier = grown
-    return {PsiImage(key[:split], key[split:]): members
-            for key, members in flat.items()}
+    mask = (1 << bits) - 1
+    out = {}
+    for image, members in flat.items():
+        vec = tuple(image >> (bits * k) & mask for k in range(width))
+        out[PsiImage(vec[:split], vec[split:])] = members
+    return out
 
 
 class FiberFailure(NamedTuple):
@@ -213,21 +230,28 @@ def verify_measure_decrease(fam: LeveledFamily, basis, samples: int = 200,
                             seed: int = 20260822) -> MeasureReport:
     """Walk random T-monomials along the rewrite chain whose critical
     pairs ``confluence_check`` joins, and insist the (c, e) measure drops
-    strictly in lexicographic order at every single step."""
+    strictly in lexicographic order at every single step.  One memo of
+    ref and pair parts serves every measure of the suite."""
     import random
 
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if max_degree < 1:
+        raise ValueError("max_degree must be at least 1")
     rng = random.Random(seed)
     refs = fam.refs()
     index = _lead_index(basis)
+    parts = {}
     steps = 0
     failures = []
     for _ in range(samples):
-        mono = TMonomial(rng.choices(refs, k=rng.randint(1, max_degree)))
+        mono = TMonomial._of_sorted(tuple(sorted(
+            rng.choices(refs, k=rng.randint(1, max_degree)))))
         walk = {}
         steps += _normal_form(mono.refs, index, walk)[1]
         # one chain: its distances to the normal form are distinct
         chain = sorted(walk, key=lambda r: walk[r][1], reverse=True)
-        seq = [reduction_level(TMonomial._of_sorted(r), fam) for r in chain]
+        seq = [_measure(r, fam, parts) for r in chain]
         ok = all(after < before for before, after in zip(seq, seq[1:]))
         if not ok or seq[-1] != (0, 0):
             if len(failures) < FAILURE_CAP:

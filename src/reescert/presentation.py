@@ -335,20 +335,26 @@ def _normal_form(refs: tuple, index, memo: dict,
     and its distance to it.  That is exact for any basis: the rule taken
     depends on the monomial alone, so both are functions of it.  More
     than ``max_steps`` steps in all, the walked ones plus those left
-    from a memo hit, raise ``InternalInvariantError``.
+    from a memo hit, raise ``InternalInvariantError``, and so does a walk
+    that comes back to a monomial it has walked: it would cycle forever.
     """
     hit = memo.get(refs)
     if hit is not None:
         return hit
-    walked = []
+    # each walked monomial with its place in the walk
+    walked = {}
     while hit is None:
         key = _least_lead(refs, index)
         if key is None:
             hit = memo[refs] = (refs, 0)
             break
-        if len(walked) == max_steps:
+        n = len(walked)
+        if n == max_steps:
             raise _step_cap_error(max_steps)
-        walked.append(refs)
+        if walked.setdefault(refs, n) != n:
+            raise InternalInvariantError(
+                f"reduction cycles through {n - walked[refs]} monomials;"
+                " the termination measure should forbid this")
         refs = _rewrite_step(refs, index[key])
         hit = memo.get(refs)
     nf, steps = hit

@@ -305,6 +305,9 @@ RESOURCE_CAPS = {  # case: (stderr text, argv)
     # C(29, 10) = 20,030,010 members, over BOREL_CAP
     "bset": ("more than 100000 members",
              lambda tmp: ["bset", "-n", "20", "x20^10"]),
+    # 39,810 members of 2,000 exponents each: ~640 MB if built
+    "bset exponents": ("39810 members in 2000 variables", lambda tmp: [
+        "bset", "-n", "2000", "x20*x2000"]),
     "borel level": ("more than 100000 members", lambda tmp: [
         "check", _write(tmp, '{"mode": "rees", "variables": 20, "levels":'
                              ' [{"degree": 10, "borel": "x20^10"}]}')]),

@@ -7,9 +7,12 @@ import pytest
 
 from reescert import measure
 from reescert.errors import InternalInvariantError, ResourceCapError
+from reescert.family import build_family
 from reescert.measure import (
+    ROW_CAP,
     LevelMatrix,
     ReductionMeasure,
+    _measure,
     comparability_number,
     inversion_count,
     inversion_minimal,
@@ -129,6 +132,59 @@ def test_inversion_minimal_matches_permutation_search():
         assert set(checked) == {3, 4, 5, 6, 7}
 
 
+def has_preference_cycle(rows) -> bool:
+    # a before b is strictly preferred when b holds the smaller entry in
+    # fewer shared columns than a does; a cycle shows in the transitive
+    # closure as a row that must precede itself
+    same = lambda a, b: sum(y < x for x, y in zip(a, b))
+    n = len(rows)
+    reach = [[same(rows[a], rows[b]) < same(rows[b], rows[a])
+              for b in range(n)] for a in range(n)]
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                reach[a][b] = reach[a][b] or (reach[a][k] and reach[k][b])
+    return any(reach[a][a] for a in range(n))
+
+
+def pairwise_bound(rows) -> int:
+    # the order-free inversions plus, per row pair, the cheaper way round
+    same = lambda a, b: sum(y < x for x, y in zip(a, b))
+    return (column_major_inversions(sorted(rows))
+            - sum(same(a, b) for a, b in combinations(sorted(rows), 2))
+            + sum(min(same(a, b), same(b, a))
+                  for a, b in combinations(rows, 2)))
+
+
+def test_inversion_minimal_cyclic_frozen():
+    # a -> b -> c -> a: each row prefers to precede the next, so every
+    # order breaks one preference and pays more than the bound
+    rows = [(1, 5, 6), (2, 3, 7), (4, 4, 4)]
+    assert has_preference_cycle(rows)
+    assert pairwise_bound(rows) == 5
+    want_count, want_rows = min_inversions_by_permutation(rows)
+    assert want_count == 6 > pairwise_bound(rows)
+    assert inversion_minimal(rows) == (want_count, tuple(want_rows))
+    assert inversion_minimal(rows) == (6, ((1, 5, 6), (2, 3, 7), (4, 4, 4)))
+
+
+def test_inversion_minimal_acyclic_meets_bound():
+    # loose multisets (the sorted order misses the bound) without a
+    # preference cycle: the bound is the minimum, and the least order
+    # honouring every preference is the least minimizer
+    rng = random.Random(51)
+    seen = 0
+    while seen < 60:
+        rows = [tuple(sorted(rng.randint(1, 6) for _ in range(3)))
+                for _ in range(rng.randint(3, 6))]
+        if not sorted_order_misses_bound(rows) or has_preference_cycle(rows):
+            continue
+        seen += 1
+        want_count, want_rows = min_inversions_by_permutation(rows)
+        assert want_count == pairwise_bound(rows)
+        assert inversion_minimal(rows) == (want_count, tuple(want_rows))
+
+
 def test_inversion_minimal_row_cap():
     rows = [(1,)] * 11
     with pytest.raises(ResourceCapError):
@@ -168,22 +224,75 @@ def test_reduction_level_small_frozen(tower4):
     assert reduction_level(TMonomial(), tower4) == (0, 0)
 
 
-def test_measure_matches_definition(tower4, maxpowers3):
+def reference_measure(m, fam, max_permuted=5):
+    """(c, e) by definition: c one occurrence pair at a time, e level by
+    level by permutation search where a level has few rows."""
+    e = 0
+    for lv in fam.level_indices():
+        rows = level_matrix(m, fam, lv).rows
+        e += (min_inversions_by_permutation(rows)[0]
+              if len(rows) <= max_permuted else inversion_minimal(rows)[0])
+    return comparability_by_occurrences(m, fam), e
+
+
+def test_measure_matches_definition(bench_families):
     # c one occurrence pair at a time; e level by level through
-    # level_matrix, by permutation search where a level has few rows
-    rng = random.Random(50)
-    for fam in (tower4, maxpowers3):
+    # level_matrix, by permutation search where a level has few rows.
+    # Every ladder rung, the demos among them, through reduction_level
+    # and comparability_number, and through _measure with one memo of
+    # parts per family, as the measure suite keeps it
+    for rung, desc in bench_families.LADDER.items():
+        fam = build_family(desc)
         refs = fam.refs()
+        rng = random.Random(f"measure parts/{rung}")
+        memo = {}
         for _ in range(300):
-            m = TMonomial(rng.choices(refs, k=rng.randint(0, 8)))
-            c = comparability_by_occurrences(m, fam)
-            e = 0
-            for lv in fam.level_indices():
-                rows = level_matrix(m, fam, lv).rows
-                e += (min_inversions_by_permutation(rows)[0]
-                      if len(rows) <= 5 else inversion_minimal(rows)[0])
-            assert comparability_number(m, fam) == c
-            assert reduction_level(m, fam) == (c, e)
+            m = TMonomial(rng.choices(refs, k=rng.randint(0, 10)))
+            want = reference_measure(m, fam)
+            assert _measure(m.refs, fam, memo) == want
+            assert reduction_level(m, fam) == want
+            assert comparability_number(m, fam) == want[0]
+
+
+def test_measure_on_cyclic_levels(bench_families):
+    # max(5,3) is the smallest ladder rung with levels whose strict
+    # preferences cycle; there e exceeds the pairwise bound.  Levels of
+    # up to seven rows are checked by permutation search (5,040 orders)
+    fam = build_family(bench_families.LADDER["max5_3"])
+    refs = fam.refs()
+    rng = random.Random(52)
+    memo = {}
+    cyclic = 0
+    for _ in range(5000):
+        m = TMonomial(rng.choices(refs, k=rng.randint(1, 10)))
+        levels = [level_matrix(m, fam, lv).rows
+                  for lv in fam.level_indices()]
+        hit = [rows for rows in levels if has_preference_cycle(rows)]
+        if not hit:
+            continue
+        cyclic += 1
+        for rows in hit:
+            assert inversion_minimal(rows)[0] > pairwise_bound(rows)
+            if len(rows) <= 7:
+                count, order = min_inversions_by_permutation(rows)
+                assert inversion_minimal(rows) == (count, tuple(order))
+        want = reference_measure(m, fam, max_permuted=7)
+        assert _measure(m.refs, fam, memo) == want
+        assert reduction_level(m, fam) == want
+    assert cyclic == 4
+
+
+def test_reduction_level_row_cap(tower4):
+    m = parse_tpolynomial("T[1,1]^11", tower4).support()[0]
+    with pytest.raises(ResourceCapError, match="11 rows, cap is 10"):
+        reduction_level(m, tower4)
+    with pytest.raises(ResourceCapError, match="11 rows"):
+        _measure(m.refs, tower4, {})
+    # c has no cap; ten rows are fine
+    assert comparability_number(m, tower4) == 0
+    assert ROW_CAP == 10
+    ten = parse_tpolynomial("T[1,1]^10", tower4).support()[0]
+    assert reduction_level(ten, tower4) == (0, 0)
 
 
 def test_measure_zero_iff_completely_reduced(tower4, maxpowers3):

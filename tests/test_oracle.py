@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from reescert.oracle import (
     verify_unique_normal_forms,
 )
 from reescert.presentation import (
+    MarkedBinomial,
     TMonomial,
     TPolynomial,
     build_basis,
@@ -49,11 +54,26 @@ def test_known_pair_shares_a_fiber(tower4):
     assert f in buckets[image] and g in buckets[image]
 
 
-@pytest.mark.parametrize("name", ["tower4", "maxpowers3", "fiber_pair"])
+# Wide exponents for the packed image keys: a generator of degree 1000,
+# and fiber mode padding a degree-2 level up to degree 1000.
+WIDE = {
+    "degree1000": {"mode": "rees", "variables": 3, "levels": [
+        {"degree": 1000, "generators": [
+            "x1^1000", "x1^999*x3", "x2^500*x3^500", "x3^1000"]}]},
+    "embedding1000": {"mode": "fiber", "variables": 3,
+                      "embedding_degree": 1000, "levels": [
+                          {"degree": 2, "borel": "x2*x3"},
+                          {"degree": 3, "generators": ["x1^3", "x2^3"]}]},
+}
+
+
+@pytest.mark.parametrize("name", ["tower4", "maxpowers3", "fiber_pair",
+                                  *WIDE])
 def test_enumerate_fibers_matches_naive_psi(name, request):
     # the same images in the same order, each with the same members in
     # the same order; fiber_pair pads with the auxiliary variables
-    fam = request.getfixturevalue(name)
+    fam = (build_family(WIDE[name]) if name in WIDE
+           else request.getfixturevalue(name))
     got = enumerate_fibers(fam, 3)
     want = fibers_by_psi(fam, 3)
     assert list(got) == list(want)
@@ -171,6 +191,67 @@ def test_measure_suite_reports_frozen(tower4, maxpowers3):
     report = verify_measure_decrease(tower4, basis[:17] + basis[18:])
     assert (report.steps, len(report.failures)) == (253, 1)
     assert not report.passed
+
+
+def test_measure_suite_refuses_vacuous_input(tower4):
+    # no sample, or no degree to draw one from, would pass vacuously
+    basis = build_basis(tower4)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify_measure_decrease(tower4, basis, samples, 3)
+    with pytest.raises(ValueError, match="max_degree must be at least 1"):
+        verify_measure_decrease(tower4, basis, 5, 0)
+    assert verify_measure_decrease(tower4, basis, 1, 1).passed
+
+
+def flipped(basis, k):
+    """The basis with rule k's lead and trail swapped."""
+    g = basis[k]
+    return basis[:k] + (MarkedBinomial(g.trail, g.lead),) + basis[k + 1:]
+
+
+def test_measure_suite_flags_a_flipped_rule(tower4):
+    # rule 0's trail is squarefree, so the flipped basis is a valid one
+    # whose rule climbs the measure: the suite at its defaults says so
+    basis = build_basis(tower4)
+    assert str(basis[0]) == "T[0,1]*T[1,2] - T[0,2]*T[1,1]"
+    report = verify_measure_decrease(tower4, flipped(basis, 0))
+    assert (report.steps, len(report.failures)) == (252, 5)
+    assert not report.passed
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CYCLE_TIMEOUT_S = 10
+CYCLE_SCRIPT = """
+from conftest import family_dict
+from reescert.errors import InternalInvariantError
+from reescert.family import build_family
+from reescert.oracle import verify_measure_decrease
+from reescert.presentation import build_basis
+from test_oracle import flipped
+
+fam = build_family(family_dict("tower4"))
+try:
+    verify_measure_decrease(fam, flipped(build_basis(fam), 1))
+except InternalInvariantError as exc:
+    print(exc)
+"""
+
+
+def test_measure_suite_stops_at_a_rewrite_cycle():
+    """Flipping rule 1 makes two rewrites undo each other.  The walk must
+    name the cycle at once rather than spin to the step cap (10^6 steps,
+    seconds); a child with a hard timeout keeps a spin from hanging the
+    suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), str(Path(__file__).parent),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", CYCLE_SCRIPT], env=env,
+                          capture_output=True, text=True,
+                          timeout=CYCLE_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("reduction cycles through 3 monomials")
 
 
 def test_report_records_keep_their_fields(tower4):

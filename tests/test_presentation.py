@@ -397,6 +397,14 @@ def test_step_cap_raises_on_cyclic_rules(tower4):
     )
     with pytest.raises(InternalInvariantError):
         confluence_check(overlapping, max_steps=10)
+    # under the default cap the walk names the cycle when it closes,
+    # rather than walking a million steps first
+    for basis in (cyclic, overlapping):
+        with pytest.raises(InternalInvariantError,
+                           match="cycles through 2 monomials"):
+            normal_form(P("T[1,3]*T[1,4]"), basis)
+    with pytest.raises(InternalInvariantError, match="cycles through 2"):
+        confluence_check(overlapping)
 
 
 # --------------------------------------------------------------- records

@@ -51,3 +51,24 @@ def test_one_closure_scan_per_certificate(monkeypatch):
     names = [s.name for s in tracer.spans]
     assert names.count("family.closure") == 1
     assert names.count("presentation.build_basis") == 1
+
+
+def test_tracer_counts_inversion_minimal_on_a_loose_level(monkeypatch):
+    """The measure reads e from pair parts unless a same-level pair is
+    loose; then it calls ``inversion_minimal`` by its module name, where
+    the tracer counts it.  A local alias would read 0 here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    fam = build_family(family_dict("maxpowers3"))
+    # rows (2, 2, 2) and (1, 3, 3): the sorted order pays 2 in the
+    # shared columns, the other order 1
+    mono = reescert.parse_tpolynomial("T[3,4]*T[3,8]", fam).support()[0]
+    tracer = Tracer()
+    tracer.install(reescert)
+    try:
+        measure = reescert.measure.reduction_level(mono, fam)
+    finally:
+        tracer.uninstall()
+    assert measure == (0, 2)
+    assert tracer.counts["measure.inversion_minimal"] == 1
