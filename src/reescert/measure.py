@@ -27,8 +27,9 @@ pair's part in one memo for all the monomials it checks.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from functools import lru_cache
+from operator import gt, lt
 from typing import NamedTuple
 
 from .errors import ResourceCapError
@@ -47,6 +48,9 @@ ROW_CAP = 10
 # levels with a loose pair, about 1,200 distinct ones in one
 # oracle-ladder benchmark run
 MINIMAL_CACHE_SIZE = 2**16
+# a group of fewer entries joins _descents' sorted entries one insort at a
+# time; a longer one is merged in by one sort
+INSORT_GROUP = 64
 
 
 class ReductionMeasure(NamedTuple):
@@ -120,14 +124,29 @@ def inversion_minimal(rows):
 
 def _descents(groups) -> int:
     """Pairs (u, v), u in a group and v in a later one, with u > v: each
-    entry is counted against the sorted entries of all earlier groups."""
+    entry is counted against the sorted entries of all earlier groups.
+    A short group joins them entry by entry, so that many short groups,
+    such as the columns of a high-degree matrix, cost no full re-sort
+    each; a long one joins them in one sort.  Groups must be sequences.
+    """
     total = 0
     seen = []
     for group in groups:
         for v in group:
             total += len(seen) - bisect_right(seen, v)
-        seen = sorted(seen + list(group))
+        if len(group) < INSORT_GROUP:
+            for v in group:
+                insort(seen, v)
+        else:
+            seen = sorted(seen + list(group))
     return total
+
+
+def _column_wins(a, b) -> tuple[int, int]:
+    """(w_ab, w_ba) of two rows of one degree: the columns in which b
+    holds the smaller entry, then those in which a does.  With a placed
+    before b the pair's shared columns invert w_ab times."""
+    return sum(map(gt, a, b)), sum(map(lt, a, b))
 
 
 @lru_cache(maxsize=MINIMAL_CACHE_SIZE)
@@ -142,14 +161,8 @@ def _inversion_minimal(rows):
     bound = 0
     for a in range(r):
         for b in range(a + 1, r):
-            ab = ba = 0
-            for x, y in zip(rows[a], rows[b]):
-                if y < x:
-                    ab += 1
-                elif x < y:
-                    ba += 1
-            w[a][b], w[b][a] = ab, ba
-            bound += min(ab, ba)
+            w[a][b], w[b][a] = _column_wins(rows[a], rows[b])
+            bound += min(w[a][b], w[b][a])
     # place the least row that no remaining row strictly precedes; when
     # the sorted order meets the bound, that is the sorted order itself
     order = []
@@ -197,27 +210,22 @@ def _inversion_minimal(rows):
 def _pair_part(fam: LeveledFamily, r, s) -> tuple[int, int, bool]:
     """(c, e, loose) of one occurrence pair r <= s in ref order.
 
-    Across levels, c counts the occurrences of s, the higher ref, with
-    the larger index (the smaller variable) over one of r.  Within a
-    level, e is the pair's order-free part, the entries of one row over
-    an entry of the other in a later column, plus min(w_rs, w_sr), where
-    w_rs counts the columns in which s holds the smaller entry: what the
-    pair pays in its shared columns with r placed first.  The pair is
-    loose when the sorted row order pays more than that minimum.
+    Across levels, c counts the descents from the row of s, the higher
+    ref, to that of r: an entry of s with the larger index (the smaller
+    variable) over one of r.  Within a level, e is the pair's order-free
+    part, the descents from one column to a later one (the rows are
+    sorted, so all between the two rows), plus min(w_rs, w_sr) of
+    ``_column_wins``: what the pair pays in its shared columns with the
+    cheaper row first.  The pair is loose when the sorted row order pays
+    more than that minimum.
     """
     a, b = fam.factors(r), fam.factors(s)
     if r.level != s.level:
-        return sum(u > v for u in b for v in a), 0, False
-    cross = rs = sr = 0
-    for j, (x, y) in enumerate(zip(a, b)):
-        if y < x:
-            rs += 1
-        elif x < y:
-            sr += 1
-        for k in range(j + 1, len(a)):
-            cross += (x > b[k]) + (y > a[k])
+        return _descents((b, a)), 0, False
+    rs, sr = _column_wins(a, b)
+    least = min(rs, sr)
     paid = rs if a <= b else sr
-    return 0, cross + min(rs, sr), paid > min(rs, sr)
+    return 0, _descents(zip(a, b)) + least, paid > least
 
 
 def _pair_sums(refs: tuple, fam: LeveledFamily,
@@ -243,6 +251,28 @@ def _pair_sums(refs: tuple, fam: LeveledFamily,
     return c, e, loose
 
 
+def _rows_by_level(refs: tuple, fam: LeveledFamily) -> dict:
+    """Each referenced level's factor rows, in ref order, in one pass."""
+    by_level: dict[int, list[tuple[int, ...]]] = {}
+    for ref in refs:
+        by_level.setdefault(ref.level, []).append(fam.factors(ref))
+    return by_level
+
+
+def _comparability(by_level: dict) -> int:
+    """c from the rows by level, taken from the top level down: a
+    descent is a higher occurrence with the larger index, that is the
+    smaller variable, over a lower one."""
+    return _descents([v for row in by_level[lv] for v in row]
+                     for lv in sorted(by_level, reverse=True))
+
+
+def _minimal_e(by_level: dict) -> int:
+    """e level by level from ``inversion_minimal``, which refuses a level
+    of more than ``ROW_CAP`` rows."""
+    return sum(inversion_minimal(rows)[0] for rows in by_level.values())
+
+
 def _measure(refs: tuple, fam: LeveledFamily,
              memo: dict) -> ReductionMeasure:
     """(c, e) of the monomial with these sorted refs, from its pair
@@ -252,18 +282,19 @@ def _measure(refs: tuple, fam: LeveledFamily,
     same-level pair parts; the rows are standard factorizations, sorted,
     so no row has inversions of its own.  That sum is the cost of the
     sorted row order, which is minimal when it meets the pairwise bound
-    of ``inversion_minimal``, that is unless some pair is loose.  A
-    monomial with a loose pair, or with more refs than ``ROW_CAP``,
-    takes e from ``inversion_minimal`` level by level, which also
-    refuses a level of more than ``ROW_CAP`` rows.  A memo kept over
-    many monomials of one family computes each part once.
+    of ``inversion_minimal``, that is unless some pair is loose; then e
+    comes from ``inversion_minimal`` level by level.  A monomial with
+    more refs than ``ROW_CAP`` is measured level by level before any
+    pair is, so that a level over the cap is refused at once.  A memo
+    kept over many monomials of one family computes each part once.
     """
+    if len(refs) > ROW_CAP:
+        by_level = _rows_by_level(refs, fam)
+        e = _minimal_e(by_level)
+        return ReductionMeasure(_comparability(by_level), e)
     c, e, loose = _pair_sums(refs, fam, memo)
-    if loose or len(refs) > ROW_CAP:
-        by_level: dict[int, list[tuple[int, ...]]] = {}
-        for r in refs:
-            by_level.setdefault(r.level, []).append(fam.factors(r))
-        e = sum(inversion_minimal(rows)[0] for rows in by_level.values())
+    if loose:
+        e = _minimal_e(_rows_by_level(refs, fam))
     return ReductionMeasure(c, e)
 
 
@@ -271,7 +302,7 @@ def comparability_number(mono: TMonomial, fam: LeveledFamily) -> int:
     """Pairs (occurrence at level i, strictly smaller variable occurrence
     at a level above i).  Zero iff every cross-level factor pair is
     fixed by the ordering rewrite."""
-    return _pair_sums(mono.refs, fam, {})[0]
+    return _comparability(_rows_by_level(mono.refs, fam))
 
 
 def reduction_level(mono: TMonomial, fam: LeveledFamily) -> ReductionMeasure:
@@ -282,9 +313,16 @@ def reduction_level(mono: TMonomial, fam: LeveledFamily) -> ReductionMeasure:
 def polynomial_reduction_level(f: TPolynomial,
                                fam: LeveledFamily) -> ReductionMeasure:
     """Support-wise sum; strictly lex-decreasing along any reduction."""
+    return _polynomial_measure(f, fam, {})
+
+
+def _polynomial_measure(f: TPolynomial, fam: LeveledFamily,
+                        memo: dict) -> ReductionMeasure:
+    """``polynomial_reduction_level`` with a memo of pair parts that the
+    caller may keep over many polynomials of one family."""
     c = e = 0
     for mono in f.terms:
-        mc, me = reduction_level(mono, fam)
+        mc, me = _measure(mono.refs, fam, memo)
         c += mc
         e += me
     return ReductionMeasure(c, e)
@@ -316,18 +354,20 @@ def traced_normal_form(f: TPolynomial, basis,
 
     Takes the steps ``reduce_step`` takes.  More than
     ``DEFAULT_STEP_CAP`` of them raise ``InternalInvariantError``, as in
-    every other reduction: the measure should forbid that many.
+    every other reduction: the measure should forbid that many.  One
+    memo of pair parts serves every step.
     """
     index = _lead_index(basis)
+    memo = {}
     steps = []
     current = f
-    initial = polynomial_reduction_level(f, fam)
+    initial = _polynomial_measure(f, fam, memo)
     while True:
         step = _polynomial_step(current, index)
         if step is None:
             return ReductionTrace(f, initial, tuple(steps))
         mono, rule, current = step
         steps.append(TraceStep(
-            mono, rule, current, polynomial_reduction_level(current, fam)))
+            mono, rule, current, _polynomial_measure(current, fam, memo)))
         if len(steps) > DEFAULT_STEP_CAP:
             raise _step_cap_error(DEFAULT_STEP_CAP)

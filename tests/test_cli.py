@@ -395,6 +395,28 @@ def test_oversized_input_refused_before_building(tmp_path, case):
     assert proc.stdout == ""
 
 
+def test_trace_refuses_a_wide_high_degree_level_at_once(tmp_path):
+    """Fifty listed generators of degree 1000 in one term: the measure
+    refuses the 50-row level before it compares any pair of rows, which
+    would take 1,225 comparisons of two 1000-entry rows.  A child with a
+    hard timeout keeps a slow refusal from hanging the suite."""
+    gens = ["x1^1000"] + [f"x1^{1000 - k}*x2^{k}" for k in range(1, 50)]
+    path = _write(tmp_path, json.dumps({
+        "mode": "rees", "variables": 2,
+        "levels": [{"degree": 1000, "generators": gens}]}))
+    term = "*".join(f"T[1,{i}]" for i in range(1, 51))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "reescert.cli", "normal-form", "--trace",
+         path, term], env=env,
+        capture_output=True, text=True, timeout=OVERSIZED_TIMEOUT_S)
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "resource cap: level matrix has 50 rows, cap is 10\n")
+
+
 def test_variable_cap_is_inclusive(capsys, tmp_path):
     cap = MAX_VARIABLES
     path = _write(tmp_path, json.dumps({

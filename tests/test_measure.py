@@ -192,6 +192,19 @@ def test_inversion_minimal_row_cap():
     assert inversion_minimal([(1,)] * 10)[0] == 0
 
 
+def test_descents_matches_pair_count():
+    # groups shorter and longer than INSORT_GROUP take the two ways of
+    # joining the sorted entries seen so far
+    rng = random.Random(61)
+    for _ in range(300):
+        groups = [[rng.randint(1, 9) for _ in range(rng.choice(
+            (0, 1, 2, 5, measure.INSORT_GROUP - 1, measure.INSORT_GROUP,
+             150)))] for _ in range(rng.randint(0, 5))]
+        want = sum(u > v for i, g in enumerate(groups)
+                   for h in groups[i + 1:] for u in g for v in h)
+        assert measure._descents(groups) == want
+
+
 # ----------------------------------------------------------- the measure
 
 def test_level_matrix_rows(tower4):
@@ -280,6 +293,24 @@ def test_measure_on_cyclic_levels(bench_families):
         assert _measure(m.refs, fam, memo) == want
         assert reduction_level(m, fam) == want
     assert cyclic == 4
+
+
+def test_measure_on_high_degree_rows():
+    # two listed levels of degree 120 and 121: a cross-level pair joins
+    # two long groups, a same-level pair 120 short columns
+    fam = build_family({"mode": "rees", "variables": 3, "levels": [
+        {"degree": 120, "generators": [
+            "x1^120", "x1^119*x2", "x1^119*x3", "x1^118*x2^2"]},
+        {"degree": 121, "generators": [
+            "x1^121", "x1^120*x2", "x1^120*x3", "x1^119*x2^2"]}]})
+    refs = fam.refs()
+    rng = random.Random(62)
+    memo = {}
+    for _ in range(20):
+        m = TMonomial(rng.choices(refs, k=rng.randint(1, 6)))
+        want = reference_measure(m, fam, max_permuted=4)
+        assert _measure(m.refs, fam, memo) == want
+        assert reduction_level(m, fam) == want
 
 
 def test_reduction_level_row_cap(tower4):
