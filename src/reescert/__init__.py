@@ -33,30 +33,27 @@ from .family import (
 )
 from .presentation import (
     MarkedBinomial,
-    PsiImage,
     TMonomial,
-    TPolynomial,
     basis_from_json,
     basis_shape,
     basis_to_json,
     build_basis,
-    confluence_check,
-    is_completely_reduced,
-    normal_form,
-    parse_tpolynomial,
-    psi_eval,
-    reduce_step,
-    s_polynomial,
 )
 from .certify import build_certificate, certificate_text
 
-# The brute-force suites and the (c, e) measure are not on the certify
-# path; they load on first access, as names or as submodules (PEP 562).
+# Reduction, the brute-force suites and the (c, e) measure are not on the
+# certify path; they load on first access, as names or as submodules
+# (PEP 562).
 _LAZY = dict.fromkeys(
+    ("reduction", "PsiImage", "TPolynomial", "confluence_check",
+     "is_completely_reduced", "normal_form", "parse_tpolynomial", "psi_eval",
+     "reduce_step", "s_polynomial"),
+    "reduction")
+_LAZY.update(dict.fromkeys(
     ("measure", "LevelMatrix", "ReductionMeasure", "comparability_number",
      "inversion_count", "inversion_minimal", "level_matrix",
      "polynomial_reduction_level", "reduction_level", "traced_normal_form"),
-    "measure")
+    "measure"))
 _LAZY.update(dict.fromkeys(
     ("oracle", "enumerate_fibers", "verify_kernel_generation",
      "verify_measure_decrease", "verify_unique_normal_forms"), "oracle"))

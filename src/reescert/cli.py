@@ -32,11 +32,7 @@ from .family import (
     is_closed_under_comparability,
 )
 from .monomials import borel_closure, parse_monomial
-from .presentation import (
-    basis_to_json,
-    build_basis,
-    parse_tpolynomial,
-)
+from .presentation import basis_to_json, build_basis
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,7 +149,7 @@ def cmd_verify(args) -> int:
         verify_measure_decrease,
         verify_unique_normal_forms,
     )
-    from .presentation import confluence_check
+    from .reduction import confluence_check
 
     fam = family_from_file(args.family)
     if args.max_degree < 1:
@@ -187,11 +183,13 @@ def cmd_verify(args) -> int:
         f" {confl.pairs_skipped} skipped (coprime leads), max reduction"
         f" length {confl.max_reduction_length} ({dt:.2f}s)")
 
-    # one fiber enumeration for both fiber suites, timed with the first
+    # one fiber enumeration and one normal-form memo for both fiber
+    # suites, timed with the first
     t0 = time.perf_counter()
     buckets = enumerate_fibers(fam, args.max_degree)
+    memo = {}
     unf = verify_unique_normal_forms(fam, basis, args.max_degree,
-                                     buckets=buckets)
+                                     buckets=buckets, memo=memo)
     dt = time.perf_counter() - t0
     results["normal_forms"] = {
         "monomials": unf.monomials,
@@ -211,7 +209,7 @@ def cmd_verify(args) -> int:
 
     t0 = time.perf_counter()
     ker = verify_kernel_generation(fam, basis, args.max_degree,
-                                   buckets=buckets)
+                                   buckets=buckets, memo=memo)
     dt = time.perf_counter() - t0
     results["kernel"] = {
         "differences": ker.differences,
@@ -246,12 +244,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_normal_form(args) -> int:
+    from .reduction import normal_form, parse_tpolynomial
+
     fam = family_from_file(args.family)
     f = parse_tpolynomial(args.expression, fam)
     basis = build_basis(fam)
 
     if not args.trace:
-        from .presentation import normal_form
         nf = normal_form(f, basis)
         _emit({"input": f.text(), "normal_form": nf.text()},
               args.format == "json", lambda d: d["normal_form"])

@@ -15,7 +15,6 @@ variables T[level, index] used downstream.
 
 from __future__ import annotations
 
-import json
 import warnings
 from typing import NamedTuple
 
@@ -45,7 +44,7 @@ PAIR_CAP = 10**6
 # family alone is over PAIR_CAP from 1,416 variables on.
 MAX_VARIABLES = 2000
 # Highest declared level degree; the family keeps one factor tuple of
-# this length per generator.  Matches MAX_TERM_DEGREE in presentation.
+# this length per generator.  Matches MAX_TERM_DEGREE in reduction.
 MAX_GENERATOR_DEGREE = 1000
 # Bits per variable of a packed exponent vector: a product of two
 # generators has exponents up to 2 * MAX_GENERATOR_DEGREE, so adding two
@@ -382,6 +381,8 @@ def build_family(data: dict) -> LeveledFamily:
 
 
 def family_from_file(path) -> LeveledFamily:
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

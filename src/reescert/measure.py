@@ -34,9 +34,9 @@ from typing import NamedTuple
 
 from .errors import ResourceCapError
 from .family import LeveledFamily
-from .presentation import (
+from .presentation import TMonomial
+from .reduction import (
     DEFAULT_STEP_CAP,
-    TMonomial,
     TPolynomial,
     _lead_index,
     _polynomial_step,

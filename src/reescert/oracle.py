@@ -6,7 +6,7 @@ exactly one completely reduced monomial, every member reduces to it, and
 the fiber differences all lie in the ideal the basis generates.  Slow on
 purpose; the caps keep them at desk scale.  The fiber and kernel suites
 each reduce every distinct monomial once, through one ``_normal_form``
-memo per call.
+memo per call, or one memo both share.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from typing import NamedTuple
 from .errors import ResourceCapError
 from .family import LeveledFamily
 from .measure import _measure
-from .presentation import (
+from .presentation import TMonomial
+from .reduction import (
     PsiImage,
-    TMonomial,
     TPolynomial,
     _lead_index,
     _least_lead,
@@ -28,7 +28,7 @@ from .presentation import (
 )
 # Not called here (the suites reduce monomials directly); imported because
 # perfbench/tracer.py times calls by patching this name in this module.
-from .presentation import normal_form  # noqa: F401
+from .reduction import normal_form  # noqa: F401
 
 ENUMERATION_CAP = 10**7
 FAILURE_CAP = 32
@@ -118,15 +118,18 @@ class FiberReport(NamedTuple):
 
 
 def verify_unique_normal_forms(fam: LeveledFamily, basis, max_degree: int,
-                               *, buckets=None) -> FiberReport:
+                               *, buckets=None, memo=None) -> FiberReport:
     """Every fiber must hold exactly one completely reduced monomial and
     every member must reduce to exactly that one.  ``buckets`` may hand
-    in ``enumerate_fibers(fam, max_degree)``, shared between suites."""
+    in ``enumerate_fibers(fam, max_degree)``, and ``memo`` a
+    ``_normal_form`` memo of the same basis, each shared between
+    suites."""
     if buckets is None:
         buckets = enumerate_fibers(fam, max_degree)
+    if memo is None:
+        memo = {}
     pairs = fam.incomparable_pairs()
     index = _lead_index(basis)
-    memo = {}
     failures = []
     truncated = False
     reductions = 0
@@ -173,20 +176,21 @@ class KernelReport(NamedTuple):
 
 
 def verify_kernel_generation(fam: LeveledFamily, basis, max_degree: int,
-                             *, buckets=None) -> KernelReport:
+                             *, buckets=None, memo=None) -> KernelReport:
     """The basis must reduce every fiber difference to zero.
 
     The differences member - representative span the degree-bounded part
     of the kernel of the monomial map, so this certifies generation up
     to the cap degree.  A difference m - rep of two monomials reduces to
     zero exactly when nf(m) == nf(rep), which is what is compared.
-    ``buckets`` is as in ``verify_unique_normal_forms``.
+    ``buckets`` and ``memo`` are as in ``verify_unique_normal_forms``.
     """
     if buckets is None:
         buckets = enumerate_fibers(fam, max_degree)
+    if memo is None:
+        memo = {}
     pairs = fam.incomparable_pairs()
     index = _lead_index(basis)
-    memo = {}
     failures = []
     truncated = False
     differences = 0

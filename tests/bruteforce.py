@@ -18,10 +18,12 @@ from reescert.family import (
 )
 from reescert.monomials import Monomial, borel_member, revlex_key
 from reescert.presentation import (
-    DEFAULT_STEP_CAP,
-    ConfluenceReport,
     MarkedBinomial,
     TMonomial,
+)
+from reescert.reduction import (
+    DEFAULT_STEP_CAP,
+    ConfluenceReport,
     TPolynomial,
     _lead_index,
     _least_lead,

@@ -29,8 +29,10 @@ from reescert.oracle import (
 )
 from reescert.presentation import (
     TMonomial,
-    TPolynomial,
     build_basis,
+)
+from reescert.reduction import (
+    TPolynomial,
     confluence_check,
     psi_eval,
 )

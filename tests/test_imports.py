@@ -1,4 +1,5 @@
-"""What ``import reescert`` loads: the certify path only.
+"""What ``import reescert`` loads: the certify path only, without
+reduction and the ``fractions``/``decimal`` its polynomials need.
 
 Each check runs in a fresh interpreter, since the suite itself has long
 since loaded every module.
@@ -17,7 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CERTIFY_PATH = ["reescert", "reescert.certify", "reescert.errors",
                 "reescert.family", "reescert.monomials",
                 "reescert.presentation"]
-NOT_LOADED = ["dataclasses", "reescert.measure", "reescert.oracle"]
+NOT_LOADED = ["dataclasses", "decimal", "fractions", "reescert.measure",
+              "reescert.oracle", "reescert.reduction"]
 
 
 def run_python(code: str):
@@ -33,13 +35,15 @@ def run_python(code: str):
 
 
 # The interpreter's own start-up may load any module; what counts is
-# what the package adds to it.
+# what the package adds to it.  ``json`` is imported only once that is
+# known, so that the package's own use of it shows.
 FOOTPRINT = """
-import json, sys
+import sys
 before = set(sys.modules)
 import reescert
 {after}
 added = set(sys.modules) - before
+import json
 print(json.dumps({{
     "reescert": sorted(m for m in sys.modules if m.startswith("reescert")),
     "unwanted": sorted(m for m in added if m in {unwanted}),
@@ -48,7 +52,9 @@ print(json.dumps({{
 
 
 def test_import_loads_only_the_certify_path():
-    got = run_python(FOOTPRINT.format(after="", unwanted=NOT_LOADED))
+    # the CLI needs json for its output; the package alone does not
+    got = run_python(FOOTPRINT.format(after="",
+                                      unwanted=NOT_LOADED + ["json"]))
     assert got == {"reescert": CERTIFY_PATH, "unwanted": []}
 
 
@@ -93,6 +99,36 @@ import json, sys
 import reescert
 fn = reescert.oracle.enumerate_fibers
 print(json.dumps([fn.__module__, reescert.measure.__name__,
-                  "reescert.oracle" in sys.modules]))
+                  "reescert.oracle" in sys.modules,
+                  reescert.reduction.__name__,
+                  reescert.normal_form.__module__]))
 """)
-    assert got == ["reescert.oracle", "reescert.measure", True]
+    assert got == ["reescert.oracle", "reescert.measure", True,
+                   "reescert.reduction", "reescert.reduction"]
+
+
+def test_moved_names_still_resolve_through_presentation():
+    # reduction's public functions and records are still read from
+    # presentation (the benchmark patches some of them there); its caps
+    # and private helpers are not
+    got = run_python("""
+import json, sys
+from reescert import presentation
+loaded = "reescert.reduction" in sys.modules
+from reescert import reduction
+names = sorted(presentation._MOVED)
+print(json.dumps({
+    "loaded": loaded,
+    "same": [getattr(presentation, n) is getattr(reduction, n)
+             for n in names],
+    "names": names,
+    "hidden": [hasattr(presentation, n) for n in (
+        "CRITICAL_PAIR_CAP", "MAX_TERM_DEGREE", "_normal_form")]}))
+""")
+    assert got == {
+        "loaded": False, "same": [True] * 10,
+        "names": ["ConfluenceReport", "PsiImage", "TPolynomial",
+                  "confluence_check", "is_completely_reduced", "normal_form",
+                  "parse_tpolynomial", "psi_eval", "reduce_step",
+                  "s_polynomial"],
+        "hidden": [False, False, False]}

@@ -24,9 +24,11 @@ from reescert.measure import (
 from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
+    build_basis,
+)
+from reescert.reduction import (
     TPolynomial,
     _lead_index,
-    build_basis,
     is_completely_reduced,
     parse_tpolynomial,
 )

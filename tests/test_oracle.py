@@ -20,8 +20,10 @@ from reescert.oracle import (
 from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
-    TPolynomial,
     build_basis,
+)
+from reescert.reduction import (
+    TPolynomial,
     is_completely_reduced,
     normal_form,
     parse_tpolynomial,
@@ -97,6 +99,30 @@ def test_suites_take_one_enumeration(tower4, monkeypatch):
     assert (verify_unique_normal_forms(tower4, basis, 2, buckets=buckets),
             verify_kernel_generation(tower4, basis, 2,
                                      buckets=buckets)) == want
+
+
+@pytest.mark.parametrize("name,drop", [("tower4", None),
+                                       ("maxpowers3", None),
+                                       ("tower4", 17)])
+def test_suites_share_one_normal_form_memo(name, drop, request):
+    # one memo handed to both suites changes neither report, and the
+    # kernel suite then finds every monomial it reduces already there
+    fam = request.getfixturevalue(name)
+    basis = build_basis(fam)
+    if drop is not None:
+        basis = basis[:drop] + basis[drop + 1:]
+    buckets = enumerate_fibers(fam, 3)
+    want = (verify_unique_normal_forms(fam, basis, 3, buckets=buckets),
+            verify_kernel_generation(fam, basis, 3, buckets=buckets))
+    memo = {}
+    unf = verify_unique_normal_forms(fam, basis, 3, buckets=buckets,
+                                     memo=memo)
+    walked = len(memo)
+    ker = verify_kernel_generation(fam, basis, 3, buckets=buckets,
+                                   memo=memo)
+    assert (unf, ker) == want
+    assert len(memo) == walked >= unf.monomials
+    assert want[0].passed == want[1].passed == (drop is None)
 
 
 def test_enumeration_cap():

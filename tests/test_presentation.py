@@ -12,7 +12,7 @@ from reescert.errors import (
     NotClosedError,
     ResourceCapError,
 )
-from reescert import presentation
+from reescert import reduction
 from reescert.family import GenRef, build_family, comparable
 from bruteforce import (
     basis_by_public_constructor,
@@ -22,17 +22,19 @@ from bruteforce import (
 )
 from conftest import reference_descs
 from reescert.presentation import (
-    MAX_TERM_DEGREE,
     MarkedBinomial,
     TMonomial,
-    TPolynomial,
-    _lead_index,
-    _normal_form,
-    _rewrite_step,
     basis_from_json,
     basis_shape,
     basis_to_json,
     build_basis,
+)
+from reescert.reduction import (
+    MAX_TERM_DEGREE,
+    TPolynomial,
+    _lead_index,
+    _normal_form,
+    _rewrite_step,
     confluence_check,
     is_completely_reduced,
     normal_form,
@@ -595,9 +597,9 @@ def test_confluence_reaches_max_powers(top, total, overlapping):
 def test_critical_pair_cap(tower4, monkeypatch):
     basis = build_basis(tower4)
     # the cap is inclusive: tower4 has 1,017 critical pairs
-    monkeypatch.setattr(presentation, "CRITICAL_PAIR_CAP", 1017)
+    monkeypatch.setattr(reduction, "CRITICAL_PAIR_CAP", 1017)
     assert confluence_check(basis).pairs_reduced == 1017
-    monkeypatch.setattr(presentation, "CRITICAL_PAIR_CAP", 1016)
+    monkeypatch.setattr(reduction, "CRITICAL_PAIR_CAP", 1016)
     with pytest.raises(ResourceCapError, match="1017 critical pairs"):
         confluence_check(basis)
 

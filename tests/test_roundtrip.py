@@ -11,10 +11,12 @@ from reescert.errors import NotClosedError
 from reescert.family import build_family
 from reescert.presentation import (
     TMonomial,
-    TPolynomial,
     basis_from_json,
     basis_to_json,
     build_basis,
+)
+from reescert.reduction import (
+    TPolynomial,
     parse_tpolynomial,
 )
 
