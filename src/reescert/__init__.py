@@ -51,8 +51,8 @@ _LAZY = dict.fromkeys(
     "reduction")
 _LAZY.update(dict.fromkeys(
     ("measure", "LevelMatrix", "ReductionMeasure", "comparability_number",
-     "inversion_count", "inversion_minimal", "level_matrix",
-     "polynomial_reduction_level", "reduction_level", "traced_normal_form"),
+     "inversion_minimal", "level_matrix", "reduction_level",
+     "traced_normal_form"),
     "measure"))
 _LAZY.update(dict.fromkeys(
     ("oracle", "enumerate_fibers", "verify_kernel_generation",
@@ -116,10 +116,8 @@ __all__ = [
     "LevelMatrix",
     "ReductionMeasure",
     "comparability_number",
-    "inversion_count",
     "inversion_minimal",
     "level_matrix",
-    "polynomial_reduction_level",
     "reduction_level",
     "traced_normal_form",
     "enumerate_fibers",

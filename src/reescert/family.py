@@ -296,6 +296,8 @@ def _parse_level(entry, pos: int, n: int):
         raise FamilyError(
             f"level {pos}: give exactly one of 'borel' or 'generators'")
     if has_borel:
+        if not isinstance(entry["borel"], str):
+            raise FamilyError(f"level {pos}: borel must be a string")
         terms = parse_terms(entry["borel"], n)
         gen = monomial_of_terms(terms, n)
         if gen.degree != degree:
@@ -310,6 +312,8 @@ def _parse_level(entry, pos: int, n: int):
     seen = set()
     listed = []
     for text in raw:
+        if not isinstance(text, str):
+            raise FamilyError(f"level {pos}: generators must be strings")
         terms = parse_terms(text, n)
         if sum(terms.values()) != degree:
             m = monomial_of_terms(terms, n)

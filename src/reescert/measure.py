@@ -74,23 +74,6 @@ def level_matrix(mono: TMonomial, fam: LeveledFamily,
     return LevelMatrix(level, rows)
 
 
-def inversion_count(matrix) -> int:
-    """Inversions of a level matrix in column-major reading order."""
-    rows = matrix.rows if isinstance(matrix, LevelMatrix) else tuple(matrix)
-    if not rows:
-        return 0
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("rows must share one degree")
-    seq = [rows[i][j] for j in range(width) for i in range(len(rows))]
-    total = 0
-    for p in range(len(seq)):
-        for q in range(p + 1, len(seq)):
-            if seq[q] < seq[p]:
-                total += 1
-    return total
-
-
 def inversion_minimal(rows):
     """Exact minimum inversion count over row orders, with the minimizing
     order itself (lexicographically least among minimizers).
@@ -310,16 +293,11 @@ def reduction_level(mono: TMonomial, fam: LeveledFamily) -> ReductionMeasure:
     return _measure(mono.refs, fam, {})
 
 
-def polynomial_reduction_level(f: TPolynomial,
-                               fam: LeveledFamily) -> ReductionMeasure:
-    """Support-wise sum; strictly lex-decreasing along any reduction."""
-    return _polynomial_measure(f, fam, {})
-
-
 def _polynomial_measure(f: TPolynomial, fam: LeveledFamily,
                         memo: dict) -> ReductionMeasure:
-    """``polynomial_reduction_level`` with a memo of pair parts that the
-    caller may keep over many polynomials of one family."""
+    """Support-wise sum of the measure, strictly lex-decreasing along any
+    reduction, with a memo of pair parts that the caller may keep over
+    many polynomials of one family."""
     c = e = 0
     for mono in f.terms:
         mc, me = _measure(mono.refs, fam, memo)

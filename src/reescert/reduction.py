@@ -55,9 +55,6 @@ class TPolynomial:
     def monomial(cls, mono: TMonomial, coeff=1) -> "TPolynomial":
         return cls([(mono, Fraction(coeff))])
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -66,14 +63,7 @@ class TPolynomial:
         return sorted(self.terms, reverse=True)
 
     def __add__(self, other: "TPolynomial") -> "TPolynomial":
-        merged = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = merged.get(mono, Fraction(0)) + c
-            if s:
-                merged[mono] = s
-            else:
-                merged.pop(mono, None)
-        return TPolynomial(merged)
+        return TPolynomial([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "TPolynomial":
         return TPolynomial({m: -c for m, c in self.terms.items()})
@@ -385,142 +375,96 @@ def confluence_check(basis, max_steps: int = DEFAULT_STEP_CAP
 
 _TOKEN_RE = re.compile(r"""
     \s*(?:
-      (?P<tref>T\[\s*(?P<lvl>\d+)\s*,\s*(?P<idx>\d+)\s*\])
+      T\[\s*(?P<lvl>\d+)\s*,\s*(?P<idx>\d+)\s*\]
     | (?P<num>\d+)
     | (?P<op>[-+*/^()])
+    | (?P<bad>\S)
     )""", re.VERBOSE)
 
 
-def _tokenize(text: str):
-    pos = 0
+def _tokens(text: str) -> list:
+    """The tokens of the text, then None: a ``GenRef`` per ``T[i,j]``, an
+    int per number and a one-character str per operator.  Every lexical
+    error is raised here, before any term is read."""
     out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+    for m in _TOKEN_RE.finditer(text):
+        lvl, idx, num, op, bad = m.groups()
+        pos = m.start()
+        if bad:
             rest = text[pos:].strip()
-            if not rest:
-                break
             raise MonomialParseError(
                 f"unexpected input {rest[:12]!r} at position {pos}")
         try:
-            if m.group("tref"):
-                out.append(("ref", GenRef(int(m.group("lvl")),
-                                          int(m.group("idx")))))
-            elif m.group("num"):
-                out.append(("num", int(m.group("num"))))
+            if op:
+                out.append(op)
+            elif num:
+                out.append(int(num))
             else:
-                out.append(("op", m.group("op")))
+                out.append(GenRef(int(lvl), int(idx)))
         except ValueError:  # over Python's digit limit for int()
             raise MonomialParseError(
                 f"number too long at position {pos}") from None
-        pos = m.end()
-    out.append(("end", None))
+    out.append(None)
     return out
-
-
-class _TermParser:
-    """Recursive descent for  term (('+'|'-') term)*  where a term is an
-    optional rational coefficient and '*'-joined T factors with optional
-    integer powers."""
-
-    def __init__(self, text: str, fam: LeveledFamily | None):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.fam = fam
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_num(self) -> int:
-        kind, value = self.take()
-        if kind != "num":
-            raise MonomialParseError("expected a number")
-        return value
-
-    def parse(self) -> TPolynomial:
-        terms = []
-        sign = 1
-        kind, value = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            sign = -1 if value == "-" else 1
-        while True:
-            mono, coeff = self.term()
-            terms.append((mono, sign * coeff))
-            kind, value = self.peek()
-            if kind == "end":
-                break
-            if kind == "op" and value in "+-":
-                self.take()
-                sign = -1 if value == "-" else 1
-                continue
-            raise MonomialParseError(
-                f"expected '+' or '-' between terms, got {value!r}")
-        return TPolynomial(terms)
-
-    def term(self):
-        coeff = Fraction(1)
-        refs = []
-        saw_factor = False
-        while True:
-            kind, value = self.peek()
-            if kind == "num":
-                self.take()
-                num = value
-                kind, value = self.peek()
-                if kind == "op" and value == "/":
-                    self.take()
-                    den = self.expect_num()
-                    if den == 0:
-                        raise MonomialParseError("division by zero")
-                    coeff *= Fraction(num, den)
-                else:
-                    coeff *= num
-                saw_factor = True
-            elif kind == "ref":
-                self.take()
-                ref = value
-                power = 1
-                kind2, value2 = self.peek()
-                if kind2 == "op" and value2 == "^":
-                    self.take()
-                    power = self.expect_num()
-                if len(refs) + power > MAX_TERM_DEGREE:
-                    raise ResourceCapError(
-                        f"a term of degree over {MAX_TERM_DEGREE}")
-                if self.fam is not None:
-                    try:
-                        self.fam.generator(ref)
-                    except ValueError:
-                        raise MonomialParseError(
-                            f"unknown T-variable {ref}") from None
-                refs.extend([ref] * power)
-                saw_factor = True
-            else:
-                raise MonomialParseError(
-                    "expected a coefficient or T[i,j] factor")
-            kind, value = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                continue
-            break
-        if not saw_factor:
-            raise MonomialParseError("empty term")
-        return TMonomial(refs), coeff
 
 
 def parse_tpolynomial(text: str, fam: LeveledFamily | None = None
                       ) -> TPolynomial:
     """Parse e.g. ``T[1,3]*T[1,4] - T[1,2]*T[1,5]`` or ``1/2*T[0,1]^2``.
 
-    With a family given, refs are checked against it.  A term of total
-    degree over ``MAX_TERM_DEGREE`` raises ``ResourceCapError``.
+    The grammar is  ['+'|'-'] term (('+'|'-') term)*, where a term is
+    '*'-joined factors: an integer, optionally '/' and a denominator, or
+    a T[i,j], optionally '^' and an integer power.  With a family given,
+    refs are checked against it.  A term of total degree over
+    ``MAX_TERM_DEGREE`` raises ``ResourceCapError``, before its ref is
+    checked.
     """
     if not text.strip():
         raise MonomialParseError("empty expression")
-    return _TermParser(text, fam).parse()
+    tokens = _tokens(text)
+    terms = []
+    sign, i = 1, 0
+    if tokens[0] in ("+", "-"):
+        sign, i = (-1 if tokens[0] == "-" else 1), 1
+    while True:
+        coeff, refs = Fraction(1), []
+        while True:
+            tok = tokens[i]
+            if not isinstance(tok, (int, GenRef)):
+                raise MonomialParseError(
+                    "expected a coefficient or T[i,j] factor")
+            i += 1
+            # a number's denominator or a ref's power
+            arg = 1
+            if tokens[i] == ("/" if isinstance(tok, int) else "^"):
+                arg = tokens[i + 1]
+                if not isinstance(arg, int):
+                    raise MonomialParseError("expected a number")
+                i += 2
+            if isinstance(tok, int):
+                if not arg:
+                    raise MonomialParseError("division by zero")
+                coeff *= Fraction(tok, arg)
+            else:
+                if len(refs) + arg > MAX_TERM_DEGREE:
+                    raise ResourceCapError(
+                        f"a term of degree over {MAX_TERM_DEGREE}")
+                if fam is not None:
+                    try:
+                        fam.generator(tok)
+                    except ValueError:
+                        raise MonomialParseError(
+                            f"unknown T-variable {tok}") from None
+                refs += [tok] * arg
+            if tokens[i] != "*":
+                break
+            i += 1
+        terms.append((TMonomial(refs), sign * coeff))
+        tok = tokens[i]
+        if tok is None:
+            return TPolynomial(terms)
+        if tok not in ("+", "-"):
+            raise MonomialParseError(
+                f"expected '+' or '-' between terms, got {tok!r}")
+        sign = -1 if tok == "-" else 1
+        i += 1

@@ -271,8 +271,7 @@ def confluent_by_all_spairs(basis):
     failures = []
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not normal_form(s_polynomial(basis[i], basis[j]),
-                               basis).is_zero():
+            if normal_form(s_polynomial(basis[i], basis[j]), basis):
                 failures.append((i, j))
     return not failures, tuple(failures)
 

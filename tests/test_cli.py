@@ -286,6 +286,12 @@ INPUT_ERRORS = {
     "long generator index": lambda tmp, _: [
         "check", _write(tmp, '{"mode": "rees", "variables": 2, "levels":'
                              f' [{{"degree": 2, "generators": ["x{BIG}"]}}]}}')],
+    "generator not a string": lambda tmp, _: [
+        "check", _write(tmp, '{"mode": "rees", "variables": 2, "levels":'
+                             ' [{"degree": 2, "generators": [3]}]}')],
+    "borel not a string": lambda tmp, _: [
+        "check", _write(tmp, '{"mode": "rees", "variables": 2, "levels":'
+                             ' [{"degree": 2, "borel": null}]}')],
     "not utf-8": lambda tmp, _: [
         "check", _write(tmp, b'{"mode": "rees", \xff\xfe}')],
     "directory": lambda tmp, _: ["check", str(tmp)],
