@@ -17,7 +17,6 @@ from .monomials import (
     borel_member,
     ord_pair,
     parse_monomial,
-    revlex_cmp,
     revlex_key,
     sort_pair,
 )
@@ -34,7 +33,6 @@ from .family import (
 from .presentation import (
     MarkedBinomial,
     TMonomial,
-    basis_from_json,
     basis_shape,
     basis_to_json,
     build_basis,
@@ -46,12 +44,11 @@ from .certify import build_certificate, certificate_text
 # (PEP 562).
 _LAZY = dict.fromkeys(
     ("reduction", "PsiImage", "TPolynomial", "confluence_check",
-     "is_completely_reduced", "normal_form", "parse_tpolynomial", "psi_eval",
-     "reduce_step", "s_polynomial"),
+     "normal_form", "parse_tpolynomial", "psi_eval", "reduce_step",
+     "s_polynomial"),
     "reduction")
 _LAZY.update(dict.fromkeys(
-    ("measure", "LevelMatrix", "ReductionMeasure", "comparability_number",
-     "inversion_minimal", "level_matrix", "reduction_level",
+    ("measure", "ReductionMeasure", "inversion_minimal", "reduction_level",
      "traced_normal_form"),
     "measure"))
 _LAZY.update(dict.fromkeys(
@@ -87,7 +84,6 @@ __all__ = [
     "borel_member",
     "ord_pair",
     "parse_monomial",
-    "revlex_cmp",
     "revlex_key",
     "sort_pair",
     "GenRef",
@@ -102,22 +98,17 @@ __all__ = [
     "PsiImage",
     "TMonomial",
     "TPolynomial",
-    "basis_from_json",
     "basis_shape",
     "basis_to_json",
     "build_basis",
     "confluence_check",
-    "is_completely_reduced",
     "normal_form",
     "parse_tpolynomial",
     "psi_eval",
     "reduce_step",
     "s_polynomial",
-    "LevelMatrix",
     "ReductionMeasure",
-    "comparability_number",
     "inversion_minimal",
-    "level_matrix",
     "reduction_level",
     "traced_normal_form",
     "enumerate_fibers",

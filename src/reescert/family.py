@@ -54,6 +54,9 @@ PACK_BITS = (2 * MAX_GENERATOR_DEGREE).bit_length()
 # PAIR_CAP can hold a million keys.  A family in more than
 # MEMO_KEY_BITS // PACK_BITS (23) variables rewrites every pair instead.
 MEMO_KEY_BITS = 256
+# Witness pairs ``is_closed_under_comparability`` collects unless asked
+# for all of them.
+WITNESS_CAP = 32
 
 
 def _check_pair_cap(refs: int) -> None:
@@ -441,21 +444,19 @@ class ClosureReport(NamedTuple):
 
 
 def is_closed_under_comparability(
-        fam: LeveledFamily, all_witnesses: bool = False,
-        max_witnesses: int = 32) -> ClosureReport:
+        fam: LeveledFamily, all_witnesses: bool = False) -> ClosureReport:
     """Check that every incomparable pair rewrites back into the family.
 
     Walks the entries of the family's pair table with a missing image
     (``open_pairs``), in lexicographic ref order, so the witness list is
-    deterministic.  Collection stops at ``max_witnesses``
-    unless ``all_witnesses`` is set; closure itself is always decided
-    exactly.
+    deterministic.  Collection stops at ``WITNESS_CAP`` unless
+    ``all_witnesses`` is set; closure itself is always decided exactly.
     """
     witnesses = []
     truncated = False
     pairs = fam.incomparable_pairs()
     for pair in fam.open_pairs():
-        if not all_witnesses and len(witnesses) >= max_witnesses:
+        if not all_witnesses and len(witnesses) >= WITNESS_CAP:
             truncated = True
             break
         positions = pairs[pair]

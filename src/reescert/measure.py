@@ -58,22 +58,6 @@ class ReductionMeasure(NamedTuple):
     e: int
 
 
-class LevelMatrix(NamedTuple):
-    level: int
-    rows: tuple[tuple[int, ...], ...]
-
-
-def level_matrix(mono: TMonomial, fam: LeveledFamily,
-                 level: int) -> LevelMatrix:
-    """Rows are the factorizations of the level's referenced generators,
-    in ref order with multiplicity.  A level the family lacks raises
-    ``ValueError``, as ``fam.level`` does."""
-    fam.level(level)
-    rows = tuple(fam.factors(ref)
-                 for ref in mono.refs if ref.level == level)
-    return LevelMatrix(level, rows)
-
-
 def inversion_minimal(rows):
     """Exact minimum inversion count over row orders, with the minimizing
     order itself (lexicographically least among minimizers).
@@ -279,13 +263,6 @@ def _measure(refs: tuple, fam: LeveledFamily,
     if loose:
         e = _minimal_e(_rows_by_level(refs, fam))
     return ReductionMeasure(c, e)
-
-
-def comparability_number(mono: TMonomial, fam: LeveledFamily) -> int:
-    """Pairs (occurrence at level i, strictly smaller variable occurrence
-    at a level above i).  Zero iff every cross-level factor pair is
-    fixed by the ordering rewrite."""
-    return _comparability(_rows_by_level(mono.refs, fam))
 
 
 def reduction_level(mono: TMonomial, fam: LeveledFamily) -> ReductionMeasure:

@@ -115,18 +115,6 @@ class Monomial:
     def __hash__(self) -> int:
         return hash(self.exps)
 
-    def __lt__(self, other: "Monomial") -> bool:
-        return revlex_cmp(self, other) < 0
-
-    def __le__(self, other: "Monomial") -> bool:
-        return revlex_cmp(self, other) <= 0
-
-    def __gt__(self, other: "Monomial") -> bool:
-        return revlex_cmp(self, other) > 0
-
-    def __ge__(self, other: "Monomial") -> bool:
-        return revlex_cmp(self, other) >= 0
-
     def text(self) -> str:
         if self.degree == 0:
             return "1"
@@ -191,24 +179,10 @@ def parse_monomial(text: str, n: int) -> Monomial:
     return monomial_of_terms(parse_terms(text, n), n)
 
 
-def revlex_cmp(u: Monomial, v: Monomial) -> int:
-    """Graded reverse lexicographic comparison; positive when u > v.
-
-    Degree decides first.  On equal degrees u > v exactly when the last
-    nonzero entry of the exponent difference u - v is negative.
-    """
-    if u.n != v.n:
-        raise ValueError("variable counts differ")
-    if u.degree != v.degree:
-        return -1 if u.degree < v.degree else 1
-    for a, b in zip(reversed(u.exps), reversed(v.exps)):
-        if a != b:
-            return 1 if a < b else -1
-    return 0
-
-
 def revlex_key(u: Monomial):
-    """Sort key: ascending by this key is ascending revlex order."""
+    """Graded reverse lexicographic sort key: ascending by this key is
+    ascending revlex order.  Degree decides first.  On equal degrees
+    u > v exactly when the last nonzero entry of u - v is negative."""
     return (u.degree, tuple(-e for e in reversed(u.exps)))
 
 

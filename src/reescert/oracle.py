@@ -40,28 +40,28 @@ def count_tmonomials(fam: LeveledFamily, max_degree: int) -> int:
     return sum(comb(v + d - 1, d) for d in range(1, max_degree + 1))
 
 
-def enumerate_fibers(fam: LeveledFamily, max_degree: int,
-                     cap: int = ENUMERATION_CAP
+def enumerate_fibers(fam: LeveledFamily, max_degree: int
                      ) -> dict[PsiImage, list[TMonomial]]:
     """Bucket all T-monomials of degree 1..max_degree by their image.
 
     The degree-0 monomial is excluded; its fiber is trivially itself.
-    The map is a monoid homomorphism: each ref's image is computed once
-    and packed into one int, with ``(max_degree * largest entry)
-    .bit_length()`` bits per exponent, so that no sum of at most
-    ``max_degree`` images carries from one exponent into the next.  Each
-    monomial of degree d extends one of degree d - 1 by a ref no smaller
-    than its last, with one int add, so images and members come in
-    ``combinations_with_replacement`` order.  Each fiber's key is
+    More than ``ENUMERATION_CAP`` monomials raise ``ResourceCapError``
+    before any is built.  The map is a monoid homomorphism: each ref's
+    image is computed once and packed into one int, with ``(max_degree *
+    largest entry).bit_length()`` bits per exponent, so that no sum of at
+    most ``max_degree`` images carries from one exponent into the next.
+    Each monomial of degree d extends one of degree d - 1 by a ref no
+    smaller than its last, with one int add, so images and members come
+    in ``combinations_with_replacement`` order.  Each fiber's key is
     unpacked once, at the end.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     total = count_tmonomials(fam, max_degree)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise ResourceCapError(
             f"{total} T-monomials up to degree {max_degree},"
-            f" cap is {cap}")
+            f" cap is {ENUMERATION_CAP}")
     refs = fam.refs()
     images = [psi_eval(TMonomial._of_sorted((ref,)), fam) for ref in refs]
     split = len(images[0].x)

@@ -149,44 +149,10 @@ def basis_to_json(basis) -> dict:
     }
 
 
-def _json_side(rel, side: str, k: int) -> TMonomial:
-    refs = rel.get(side) if isinstance(rel, dict) else None
-    if not isinstance(refs, list) or not all(
-            isinstance(r, list) and len(r) == 2
-            and all(type(x) is int for x in r) for r in refs):
-        raise ValueError(
-            f"relation {k}: {side!r} must be a list of [level, index] pairs")
-    return TMonomial(refs)
-
-
-def basis_from_json(data: dict, fam: LeveledFamily | None = None
-                    ) -> tuple[MarkedBinomial, ...]:
-    """The rules of a ``basis_to_json`` object.  Malformed input raises
-    ``ValueError``, naming the relation's index when one is at fault."""
-    relations = data.get("relations") if isinstance(data, dict) else None
-    if not isinstance(relations, list):
-        raise ValueError("expected an object with a 'relations' list")
-    out = []
-    for k, rel in enumerate(relations):
-        lead = _json_side(rel, "lead", k)
-        trail = _json_side(rel, "trail", k)
-        if fam is not None:
-            for ref in lead.refs + trail.refs:
-                try:
-                    fam.generator(ref)
-                except ValueError as err:
-                    raise ValueError(f"relation {k}: {err}") from None
-        out.append(MarkedBinomial(lead, trail))
-    return tuple(out)
-
-
-# Moved to ``reduction``, which loads on first use; these names still
-# resolve here (PEP 562).  The caps are not forwarded: a copy patched here
-# would be read by nothing.
-_MOVED = frozenset((
-    "ConfluenceReport", "PsiImage", "TPolynomial", "confluence_check",
-    "is_completely_reduced", "normal_form", "parse_tpolynomial", "psi_eval",
-    "reduce_step", "s_polynomial"))
+# Moved to ``reduction``, which loads on first use.  Only the names that
+# perfbench/tracer.py and perfbench/run.py read here still resolve
+# (PEP 562); everything else is imported from ``reduction`` itself.
+_MOVED = frozenset(("confluence_check", "reduce_step", "s_polynomial"))
 
 
 def __getattr__(name):

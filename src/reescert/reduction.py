@@ -267,18 +267,6 @@ def normal_form(f: TPolynomial, basis,
         for m, c in f.terms.items())
 
 
-def is_completely_reduced(mono: TMonomial, fam: LeveledFamily) -> bool:
-    """No incomparable pair among the factors, counting multiplicity.
-
-    Repeated refs are fine: a pair of equal refs is trivially fixed by
-    the sorting rewrite.  The pair table is keyed like a lead index, so
-    ``_least_lead`` answers.
-    """
-    for ref in sorted(set(mono.refs)):
-        fam.generator(ref)
-    return _least_lead(mono.refs, fam.incomparable_pairs()) is None
-
-
 def s_polynomial(g1: MarkedBinomial, g2: MarkedBinomial) -> TPolynomial:
     """S-polynomial on the multiset lcm of the two leads."""
     lead1, lead2 = Counter(g1.lead.refs), Counter(g2.lead.refs)
@@ -374,7 +362,7 @@ def confluence_check(basis, max_steps: int = DEFAULT_STEP_CAP
 # ------------------------------------------------------------- text forms
 
 _TOKEN_RE = re.compile(r"""
-    \s*(?:
+    \s*(?P<tok>
       T\[\s*(?P<lvl>\d+)\s*,\s*(?P<idx>\d+)\s*\]
     | (?P<num>\d+)
     | (?P<op>[-+*/^()])
@@ -382,16 +370,17 @@ _TOKEN_RE = re.compile(r"""
     )""", re.VERBOSE)
 
 
-def _tokens(text: str) -> list:
+def _tokens(text: str) -> tuple[list, list]:
     """The tokens of the text, then None: a ``GenRef`` per ``T[i,j]``, an
-    int per number and a one-character str per operator.  Every lexical
+    int per number and a one-character str per operator; and where each
+    stands, as its offset and its text (None at the end).  Every lexical
     error is raised here, before any term is read."""
-    out = []
+    out, where = [], []
     for m in _TOKEN_RE.finditer(text):
-        lvl, idx, num, op, bad = m.groups()
-        pos = m.start()
+        raw, lvl, idx, num, op, bad = m.groups()
+        pos = m.start("tok")
         if bad:
-            rest = text[pos:].strip()
+            rest = text[pos:].rstrip()
             raise MonomialParseError(
                 f"unexpected input {rest[:12]!r} at position {pos}")
         try:
@@ -404,8 +393,17 @@ def _tokens(text: str) -> list:
         except ValueError:  # over Python's digit limit for int()
             raise MonomialParseError(
                 f"number too long at position {pos}") from None
+        where.append((pos, raw))
     out.append(None)
-    return out
+    where.append((len(text), None))
+    return out, where
+
+
+def _expected(what: str, where: list, i: int) -> MonomialParseError:
+    """The error for token i, which is not the ``what`` expected."""
+    pos, raw = where[i]
+    got = "end of input" if raw is None else repr(raw)
+    return MonomialParseError(f"expected {what}, got {got} at position {pos}")
 
 
 def parse_tpolynomial(text: str, fam: LeveledFamily | None = None
@@ -421,7 +419,7 @@ def parse_tpolynomial(text: str, fam: LeveledFamily | None = None
     """
     if not text.strip():
         raise MonomialParseError("empty expression")
-    tokens = _tokens(text)
+    tokens, where = _tokens(text)
     terms = []
     sign, i = 1, 0
     if tokens[0] in ("+", "-"):
@@ -431,19 +429,20 @@ def parse_tpolynomial(text: str, fam: LeveledFamily | None = None
         while True:
             tok = tokens[i]
             if not isinstance(tok, (int, GenRef)):
-                raise MonomialParseError(
-                    "expected a coefficient or T[i,j] factor")
+                raise _expected("a coefficient or T[i,j] factor", where, i)
             i += 1
             # a number's denominator or a ref's power
             arg = 1
             if tokens[i] == ("/" if isinstance(tok, int) else "^"):
                 arg = tokens[i + 1]
                 if not isinstance(arg, int):
-                    raise MonomialParseError("expected a number")
+                    raise _expected(f"a number after {tokens[i]!r}",
+                                    where, i + 1)
                 i += 2
             if isinstance(tok, int):
                 if not arg:
-                    raise MonomialParseError("division by zero")
+                    raise MonomialParseError(
+                        f"division by zero at position {where[i - 1][0]}")
                 coeff *= Fraction(tok, arg)
             else:
                 if len(refs) + arg > MAX_TERM_DEGREE:
@@ -464,7 +463,6 @@ def parse_tpolynomial(text: str, fam: LeveledFamily | None = None
         if tok is None:
             return TPolynomial(terms)
         if tok not in ("+", "-"):
-            raise MonomialParseError(
-                f"expected '+' or '-' between terms, got {tok!r}")
+            raise _expected("'+' or '-' between terms", where, i)
         sign = -1 if tok == "-" else 1
         i += 1

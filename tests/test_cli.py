@@ -11,6 +11,7 @@ import pytest
 
 from reescert.cli import main
 from reescert.family import MAX_VARIABLES
+from bruteforce import basis_by_public_constructor
 from conftest import family_dict
 
 
@@ -85,13 +86,15 @@ def test_basis_text(capsys, tower4_file):
 
 def test_basis_json_round_trip(capsys, tower4_file):
     from reescert.family import family_from_file
-    from reescert.presentation import basis_from_json, build_basis
+    from reescert.presentation import MarkedBinomial, TMonomial
 
     code, out, _ = run(capsys, "basis", tower4_file, "--format", "json")
     assert code == 0
     data = json.loads(out)
     fam = family_from_file(tower4_file)
-    assert basis_from_json(data, fam) == build_basis(fam)
+    assert tuple(
+        MarkedBinomial(TMonomial(rel["lead"]), TMonomial(rel["trail"]))
+        for rel in data["relations"]) == basis_by_public_constructor(fam)
     assert data["count"] == 104
     assert data["quadratic"] is True
     assert data["squarefree_leads"] is True

@@ -341,7 +341,7 @@ def test_fiber_pair_closed(fiber_pair):
     assert is_closed_under_comparability(fiber_pair).closed
 
 
-def test_missing_generator_yields_witnesses():
+def test_missing_generator_yields_witnesses(monkeypatch):
     fam = build_family(open_tower4())
     report = is_closed_under_comparability(fam, all_witnesses=True)
     assert not report.closed
@@ -352,7 +352,8 @@ def test_missing_generator_yields_witnesses():
     both = [w for w in report.witnesses if w.missing == (0, 1)]
     assert any(w.images[0].text() == "x1*x2" for w in both)
 
-    capped = is_closed_under_comparability(fam, max_witnesses=1)
+    monkeypatch.setattr(family, "WITNESS_CAP", 1)
+    capped = is_closed_under_comparability(fam)
     assert not capped.closed
     assert len(capped.witnesses) == 1
     assert capped.truncated
@@ -464,9 +465,10 @@ def test_level_record(tower4):
     assert lv != family.Level(1, 2, lv.generators[:-1])
 
 
-def test_closure_records_keep_their_fields():
+def test_closure_records_keep_their_fields(monkeypatch):
     fam = build_family(open_tower4())
-    report = is_closed_under_comparability(fam, max_witnesses=1)
+    monkeypatch.setattr(family, "WITNESS_CAP", 1)
+    report = is_closed_under_comparability(fam)
     assert type(report)._fields == (
         "closed", "witnesses", "pairs_checked", "truncated")
     w = report.witnesses[0]

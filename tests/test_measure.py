@@ -10,13 +10,11 @@ from reescert.errors import InternalInvariantError, ResourceCapError
 from reescert.family import build_family
 from reescert.measure import (
     ROW_CAP,
-    LevelMatrix,
     ReductionMeasure,
     _measure,
     _polynomial_measure,
-    comparability_number,
+    _rows_by_level,
     inversion_minimal,
-    level_matrix,
     reduction_level,
     traced_normal_form,
 )
@@ -28,7 +26,6 @@ from reescert.presentation import (
 from reescert.reduction import (
     TPolynomial,
     _lead_index,
-    is_completely_reduced,
     parse_tpolynomial,
 )
 
@@ -36,6 +33,7 @@ from bruteforce import (
     column_major_inversions,
     comparability_by_occurrences,
     min_inversions_by_permutation,
+    pair_table_by_rewrite_images,
     rewrite_chain,
 )
 
@@ -198,23 +196,21 @@ def test_descents_matches_pair_count():
 # ----------------------------------------------------------- the measure
 
 def test_level_matrix_rows(tower4):
-    m = demo_monomial(tower4)
-    assert level_matrix(m, tower4, 0) == LevelMatrix(0, ((1,), (1,), (4,)))
-    assert level_matrix(m, tower4, 1) == LevelMatrix(
-        1, ((1, 1), (3, 3), (2, 4)))
-    assert level_matrix(m, tower4, 2) == LevelMatrix(
-        2, ((1, 1, 2), (2, 2, 3)))
-    assert level_matrix(m, tower4, 3) == LevelMatrix(3, ())
-    with pytest.raises(ValueError, match="no level 9"):
-        level_matrix(m, tower4, 9)
+    # one level matrix per referenced level: the factorizations of its
+    # generators, in ref order with multiplicity
+    rows = _rows_by_level(demo_monomial(tower4).refs, tower4)
+    assert rows == {0: [(1,), (1,), (4,)],
+                    1: [(1, 1), (3, 3), (2, 4)],
+                    2: [(1, 1, 2), (2, 2, 3)]}
 
 
 def test_reduction_level_frozen(tower4):
     m = demo_monomial(tower4)
-    assert comparability_number(m, tower4) == 25
-    assert inversion_minimal(level_matrix(m, tower4, 0).rows)[0] == 0
-    assert inversion_minimal(level_matrix(m, tower4, 1).rows)[0] == 3
-    assert inversion_minimal(level_matrix(m, tower4, 2).rows)[0] == 1
+    rows = _rows_by_level(m.refs, tower4)
+    assert comparability_by_occurrences(m, tower4) == 25
+    assert inversion_minimal(rows[0])[0] == 0
+    assert inversion_minimal(rows[1])[0] == 3
+    assert inversion_minimal(rows[2])[0] == 1
     assert reduction_level(m, tower4) == ReductionMeasure(25, 4)
 
 
@@ -231,8 +227,7 @@ def reference_measure(m, fam, max_permuted=5):
     """(c, e) by definition: c one occurrence pair at a time, e level by
     level by permutation search where a level has few rows."""
     e = 0
-    for lv in fam.level_indices():
-        rows = level_matrix(m, fam, lv).rows
+    for rows in _rows_by_level(m.refs, fam).values():
         e += (min_inversions_by_permutation(rows)[0]
               if len(rows) <= max_permuted else inversion_minimal(rows)[0])
     return comparability_by_occurrences(m, fam), e
@@ -240,10 +235,10 @@ def reference_measure(m, fam, max_permuted=5):
 
 def test_measure_matches_definition(bench_families):
     # c one occurrence pair at a time; e level by level through
-    # level_matrix, by permutation search where a level has few rows.
+    # _rows_by_level, by permutation search where a level has few rows.
     # Every ladder rung, the demos among them, through reduction_level
-    # and comparability_number, and through _measure with one memo of
-    # parts per family, as the measure suite keeps it
+    # and through _measure with one memo of parts per family, as the
+    # measure suite keeps it
     for rung, desc in bench_families.LADDER.items():
         fam = build_family(desc)
         refs = fam.refs()
@@ -254,7 +249,6 @@ def test_measure_matches_definition(bench_families):
             want = reference_measure(m, fam)
             assert _measure(m.refs, fam, memo) == want
             assert reduction_level(m, fam) == want
-            assert comparability_number(m, fam) == want[0]
 
 
 def test_measure_on_cyclic_levels(bench_families):
@@ -268,8 +262,7 @@ def test_measure_on_cyclic_levels(bench_families):
     cyclic = 0
     for _ in range(5000):
         m = TMonomial(rng.choices(refs, k=rng.randint(1, 10)))
-        levels = [level_matrix(m, fam, lv).rows
-                  for lv in fam.level_indices()]
+        levels = _rows_by_level(m.refs, fam).values()
         hit = [rows for rows in levels if has_preference_cycle(rows)]
         if not hit:
             continue
@@ -309,21 +302,23 @@ def test_reduction_level_row_cap(tower4):
         reduction_level(m, tower4)
     with pytest.raises(ResourceCapError, match="11 rows"):
         _measure(m.refs, tower4, {})
-    # c has no cap; ten rows are fine
-    assert comparability_number(m, tower4) == 0
+    # ten rows are fine
     assert ROW_CAP == 10
     ten = parse_tpolynomial("T[1,1]^10", tower4).support()[0]
     assert reduction_level(ten, tower4) == (0, 0)
 
 
 def test_measure_zero_iff_completely_reduced(tower4, maxpowers3):
+    # completely reduced: no pair of the refs is in the pair table
     rng = random.Random(44)
     for fam in (tower4, maxpowers3):
+        table = pair_table_by_rewrite_images(fam)
         refs = fam.refs()
         for _ in range(400):
             m = TMonomial(rng.choices(refs, k=rng.randint(0, 5)))
-            assert (reduction_level(m, fam) == (0, 0)) == \
-                is_completely_reduced(m, fam)
+            reduced = not any(pair in table
+                              for pair in combinations(m.refs, 2))
+            assert (reduction_level(m, fam) == (0, 0)) == reduced
 
 
 def test_polynomial_measure_sums(tower4):
@@ -434,7 +429,7 @@ def test_trace_step_cap_raises_invariant_error(tower4, monkeypatch):
 # ---------------------------------------------------------------- records
 
 def test_measure_records_keep_their_fields(tower4):
-    assert LevelMatrix._fields == ("level", "rows")
+    assert ReductionMeasure._fields == ("c", "e")
     trace = traced_normal_form(
         parse_tpolynomial("T[1,3]*T[1,4]", tower4), build_basis(tower4),
         tower4)
@@ -446,6 +441,6 @@ def test_measure_records_keep_their_fields(tower4):
     empty = type(trace)(trace.start, trace.initial_measure, ())
     assert empty.normal_form == trace.start
     for record, name in ((trace, "steps"), (step, "rule"),
-                         (LevelMatrix(0, ()), "rows")):
+                         (ReductionMeasure(0, 0), "c")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)

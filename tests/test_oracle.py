@@ -4,10 +4,12 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from reescert import oracle
 from reescert.errors import ResourceCapError
 from reescert.family import build_family
 from reescert.oracle import (
@@ -24,13 +26,16 @@ from reescert.presentation import (
 )
 from reescert.reduction import (
     TPolynomial,
-    is_completely_reduced,
     normal_form,
     parse_tpolynomial,
     psi_eval,
 )
 
-from bruteforce import fibers_by_psi, normal_form_randomized
+from bruteforce import (
+    fibers_by_psi,
+    normal_form_randomized,
+    pair_table_by_rewrite_images,
+)
 
 
 def test_count_matches_enumeration(tower4):
@@ -125,11 +130,12 @@ def test_suites_share_one_normal_form_memo(name, drop, request):
     assert want[0].passed == want[1].passed == (drop is None)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     fam = build_family({"mode": "rees", "variables": 4,
                         "levels": [{"degree": 2, "borel": "x3*x4"}]})
-    with pytest.raises(ResourceCapError):
-        enumerate_fibers(fam, 3, cap=100)
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", 100)
+    with pytest.raises(ResourceCapError, match="cap is 100"):
+        enumerate_fibers(fam, 3)
     with pytest.raises(ValueError):
         enumerate_fibers(fam, 0)
 
@@ -180,16 +186,19 @@ def test_wrong_trail_is_caught(tower4):
 def test_representative_ignores_enumeration_order(tower4):
     # the completely reduced member is a property of the fiber set, so
     # shuffling changes nothing
-    basis = build_basis(tower4)
+    table = pair_table_by_rewrite_images(tower4)
+
+    def reduced(m):
+        return not any(pair in table for pair in combinations(m.refs, 2))
+
     buckets = enumerate_fibers(tower4, 2)
     rng = random.Random(3)
     for image, members in list(buckets.items())[:40]:
-        reduced = {m for m in members if is_completely_reduced(m, tower4)}
+        kept = set(filter(reduced, members))
         shuffled = members[:]
         rng.shuffle(shuffled)
-        assert reduced == {
-            m for m in shuffled if is_completely_reduced(m, tower4)}
-        assert len(reduced) == 1
+        assert kept == set(filter(reduced, shuffled))
+        assert len(kept) == 1
 
 
 def test_randomized_strategy_agrees(tower4):

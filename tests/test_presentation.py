@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import random
+import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -18,13 +20,13 @@ from bruteforce import (
     basis_by_public_constructor,
     confluence_by_chains,
     confluent_by_all_spairs,
+    pair_table_by_rewrite_images,
     rewrite_chain,
 )
 from conftest import reference_descs
 from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
-    basis_from_json,
     basis_shape,
     basis_to_json,
     build_basis,
@@ -36,7 +38,6 @@ from reescert.reduction import (
     _normal_form,
     _rewrite_step,
     confluence_check,
-    is_completely_reduced,
     normal_form,
     parse_tpolynomial,
     psi_eval,
@@ -122,6 +123,22 @@ def test_parse_rejects_garbage(tower4):
         P("T[9,9]", tower4)
     # in range with the family attached
     assert P("T[4,1]", tower4).terms == {T((4, 1)): 1}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("T[1,2] T[1,3]",
+     "expected '+' or '-' between terms, got 'T[1,3]' at position 7"),
+    ("T[1,2]^", "expected a number after '^', got end of input at position 7"),
+    ("T[1,2]*", "expected a coefficient or T[i,j] factor,"
+                " got end of input at position 7"),
+    ("1/ +T[1,2]", "expected a number after '/', got '+' at position 3"),
+    ("T[1,2] + 3/ 0", "division by zero at position 12"),
+    ("T[1,2] $", "unexpected input '$' at position 7"),
+], ids=["term after term", "power without number", "factor missing",
+        "denominator not a number", "zero denominator", "lexical"])
+def test_parse_errors_name_the_token_and_its_position(text, message):
+    with pytest.raises(MonomialParseError, match=f"^{re.escape(message)}$"):
+        P(text)
 
 
 def test_parse_caps_term_degree(tower4):
@@ -231,28 +248,10 @@ def test_basis_json_round_trip(tower4):
     data = basis_to_json(basis)
     assert data["count"] == len(basis)
     assert data["quadratic"] and data["squarefree_leads"]
-    assert basis_from_json(data, tower4) == basis
-    with pytest.raises(ValueError):
-        basis_from_json({"nope": 1})
-
-
-@pytest.mark.parametrize("relations, message, with_family", [
-    ([{}], "relation 0: 'lead'", False),
-    ([{"lead": [[1, 3], [1, 4]], "trail": [[1, 2], [1, 5]]},
-      {"lead": 5, "trail": [[1, 2], [1, 5]]}], "relation 1: 'lead'", False),
-    ([{"lead": [[1, 3], [1, 4]], "trail": [[1, 2], [1]]}],
-     "relation 0: 'trail'", False),
-    (5, "'relations' list", False),
-    ([{"lead": [[1, 3], [1, 4]], "trail": [[1, 2], [1, 5]]},
-      {"lead": [[1, 3], [1, 4]], "trail": [[9, 1], [1, 5]]}],
-     "relation 1: no level 9", True),
-], ids=["empty relation", "non-list lead", "one-entry ref",
-        "non-list relations", "unknown ref"])
-def test_basis_from_json_rejects_malformed(tower4, relations, message,
-                                           with_family):
-    with pytest.raises(ValueError, match=message):
-        basis_from_json({"relations": relations},
-                        tower4 if with_family else None)
+    again = tuple(
+        MarkedBinomial(TMonomial(rel["lead"]), TMonomial(rel["trail"]))
+        for rel in json.loads(json.dumps(data))["relations"])
+    assert again == basis == basis_by_public_constructor(tower4)
 
 
 def test_basis_matches_public_constructor(bench_families):
@@ -283,16 +282,13 @@ def test_basis_matches_public_constructor(bench_families):
 
 
 def test_basis_shape_matches_json(tower4):
-    cubic = basis_from_json({"relations": [
-        {"lead": [[0, 1], [1, 2], [1, 3]],
-         "trail": [[0, 2], [1, 1], [1, 3]]}]})
-    cubic_trail = basis_from_json({"relations": [
-        {"lead": [[0, 1], [1, 2]], "trail": [[0, 2], [1, 1], [1, 3]]}]})
-    repeated = basis_from_json({"relations": [
-        {"lead": [[0, 1], [0, 1]], "trail": [[0, 2], [0, 3]]}]})
-    cubic_square = basis_from_json({"relations": [
-        {"lead": [[0, 1], [1, 2], [0, 1]],
-         "trail": [[0, 2], [1, 1], [1, 3]]}]})
+    cubic = (MarkedBinomial(T((0, 1), (1, 2), (1, 3)),
+                            T((0, 2), (1, 1), (1, 3))),)
+    cubic_trail = (MarkedBinomial(T((0, 1), (1, 2)),
+                                  T((0, 2), (1, 1), (1, 3))),)
+    repeated = (MarkedBinomial(T((0, 1), (0, 1)), T((0, 2), (0, 3))),)
+    cubic_square = (MarkedBinomial(T((0, 1), (1, 2), (0, 1)),
+                                   T((0, 2), (1, 1), (1, 3))),)
     basis = build_basis(tower4)
     for b in (basis, (), cubic, cubic_trail, repeated, cubic_square,
               basis + cubic + repeated):
@@ -333,6 +329,7 @@ def test_reduce_cross_level_frozen(tower4):
 
 def test_reduction_preserves_psi_and_terminates(tower4):
     basis = build_basis(tower4)
+    table = pair_table_by_rewrite_images(tower4)
     rng = random.Random(6)
     refs = tower4.refs()
     for _ in range(150):
@@ -343,7 +340,7 @@ def test_reduction_preserves_psi_and_terminates(tower4):
         (out, coeff), = nf.terms.items()
         assert coeff == 1
         assert psi_eval(out, tower4) == psi_eval(m, tower4)
-        assert is_completely_reduced(out, tower4)
+        assert not any(pair in table for pair in combinations(out.refs, 2))
         assert normal_form(nf, basis) == nf
 
 
@@ -384,10 +381,14 @@ def test_normal_form_is_the_reduce_step_limit(tower4, drop):
 
 
 def test_is_completely_reduced_frozen(tower4):
-    assert not is_completely_reduced(T((1, 3), (1, 4)), tower4)
-    assert is_completely_reduced(T((1, 2), (1, 5)), tower4)
-    assert is_completely_reduced(T((1, 1), (1, 1)), tower4)
-    assert is_completely_reduced(T(), tower4)
+    # completely reduced: no pair of the refs is in the pair table, and
+    # so no lead divides the monomial
+    table = pair_table_by_rewrite_images(tower4)
+    index = _lead_index(build_basis(tower4))
+    for m, reduced in ((T((1, 3), (1, 4)), False), (T((1, 2), (1, 5)), True),
+                       (T((1, 1), (1, 1)), True), (T(), True)):
+        assert all(p not in table for p in combinations(m.refs, 2)) == reduced
+        assert (reduction._least_lead(m.refs, index) is None) == reduced
 
 
 def test_step_cap_raises_on_cyclic_rules(tower4):
