@@ -134,21 +134,25 @@ class LeveledFamily:
     """Validated family with fast ref lookup.  Treat as immutable.
 
     Every generator is factored once, on construction, and its standard
-    factorization kept (``factors``).  Every ref pair is classified on
-    construction into the pair table that closure, the marked basis and
-    complete reducedness read: the incomparable pairs, with the
-    positions of their rewrite images.  The rewrite of a pair is a
-    function of its product alone, so each distinct product of a level
-    block (the pairs of one level, or of two levels) is rewritten once,
-    keyed by its packed exponent vector; a pair is comparable exactly
-    when its product's image positions are its own.  ``level_refs`` maps
-    a position back to its ref, and ``open_pairs`` lists the entries
-    with a missing image.  More than ``PAIR_CAP`` pairs raise
-    ``ResourceCapError`` before any is classified.
+    factorization kept (``factors``).  The ref pairs are classified on
+    demand, in lexicographic order, into the pair table that closure,
+    the marked basis and complete reducedness read: the incomparable
+    pairs, with the positions of their rewrite images.  The rewrite of a
+    pair is a function of its product alone, so each distinct product of
+    a level block (the pairs of one level, or of two levels) is
+    rewritten once, keyed by its packed exponent vector; a pair is
+    comparable exactly when its product's image positions are its own.
+    ``level_refs`` maps a position back to its ref, and ``open_pairs``
+    lists the entries with a missing image.  ``incomparable_pairs`` and
+    ``open_pairs`` classify every pair left on their first call; the
+    closure scan stops at the first open pair past its witness cap.
+    More than ``PAIR_CAP`` pairs raise ``ResourceCapError`` on
+    construction, before any is classified.
     """
 
     __slots__ = ("mode", "n", "embedding_degree", "levels", "_by_index",
-                 "_level_refs", "_factors", "_refs", "_pairs", "_open")
+                 "_level_refs", "_factors", "_refs", "_pairs", "_open",
+                 "_scan")
 
     def __init__(self, mode, n, levels, embedding_degree=None):
         self.mode = mode
@@ -181,34 +185,26 @@ class LeveledFamily:
         self._refs = tuple(self._factors)
         # positions, not images: a Monomial pair per entry costs
         # megabytes on the larger families
-        pairs = {}
-        open_pairs = []
-        for li, (here, row) in enumerate(blocks):
-            # same level sorts, a higher level orders; lexicographic ref
-            # order either way.  Each target block keeps its own memo,
-            # packed product -> image positions, for as long as this
-            # level's rows are paired.
-            targets = [(sort_factors, here, None, {})]
-            targets += [(ord_factors, there, col, {})
-                        for there, col in blocks[li + 1:]]
-            for ai, (a, pa, fa, ka) in enumerate(row):
-                for rewrite, there, col, memo in targets:
-                    for b, pb, fb, kb in (row[ai + 1:] if col is None
-                                          else col):
-                        key = ka + kb
-                        pos = memo.get(key)
-                        if pos is None:
-                            first, second = rewrite(fa, fb)
-                            pos = (here.get(first), there.get(second))
-                            if memoize:
-                                memo[key] = pos
-                        if pos[0] != pa or pos[1] != pb:
-                            pair = (a, b)
-                            pairs[pair] = pos
-                            if None in pos:
-                                open_pairs.append(pair)
-        self._pairs = pairs
-        self._open = tuple(open_pairs)
+        self._pairs = {}
+        self._open = []
+        # None once every pair is classified; then _open is a tuple
+        self._scan = _classify(blocks, memoize, self._pairs, self._open)
+
+    def _open_upto(self, count: int) -> list:
+        """The first ``count`` open pairs in table order, or all of them
+        when there are fewer: pairs are classified only that far."""
+        while self._scan is not None and len(self._open) < count:
+            if next(self._scan, None) is None:
+                self._finish()
+        return self._open[:count]
+
+    def _finish(self) -> None:
+        """Classify every pair not yet classified."""
+        if self._scan is not None:
+            for _ in self._scan:
+                pass
+            self._scan = None
+            self._open = tuple(self._open)
 
     @property
     def top_level(self) -> int:
@@ -254,15 +250,17 @@ class LeveledFamily:
         """The pair table: each incomparable ref pair (a, b), a < b, in
         lexicographic order, mapped to the 1-based positions of its two
         rewrite images in the levels of a and b.  A position is None
-        when that image is not in the family.  Built on construction,
-        one rewrite per distinct product of a level block.  Do not
-        mutate."""
+        when that image is not in the family.  Completed on the first
+        call, one rewrite per distinct product of a level block.  Do
+        not mutate."""
+        self._finish()
         return self._pairs
 
     def open_pairs(self) -> tuple:
         """The pair-table keys with a missing image (a None position),
         in table order; empty exactly when the family is closed under
         comparability."""
+        self._finish()
         return self._open
 
     def __len__(self) -> int:
@@ -271,6 +269,39 @@ class LeveledFamily:
     def __repr__(self) -> str:
         sizes = ",".join(str(len(lv)) for lv in self.levels)
         return f"LeveledFamily(mode={self.mode!r}, n={self.n}, sizes=[{sizes}])"
+
+
+def _classify(blocks, memoize: bool, pairs: dict, open_pairs: list):
+    """Classify the ref pairs of ``blocks`` in lexicographic order:
+    enter each incomparable pair in ``pairs`` with its image positions,
+    append each one with a missing image to ``open_pairs``, and yield
+    it.  A module-level generator, so that a family it fills is not held
+    by its own pending scan."""
+    for li, (here, row) in enumerate(blocks):
+        # same level sorts, a higher level orders; lexicographic ref
+        # order either way.  Each target block keeps its own memo,
+        # packed product -> image positions, for as long as this
+        # level's rows are paired.
+        targets = [(sort_factors, here, None, {})]
+        targets += [(ord_factors, there, col, {})
+                    for there, col in blocks[li + 1:]]
+        for ai, (a, pa, fa, ka) in enumerate(row):
+            for rewrite, there, col, memo in targets:
+                for b, pb, fb, kb in (row[ai + 1:] if col is None
+                                      else col):
+                    key = ka + kb
+                    pos = memo.get(key)
+                    if pos is None:
+                        first, second = rewrite(fa, fb)
+                        pos = (here.get(first), there.get(second))
+                        if memoize:
+                            memo[key] = pos
+                    if pos[0] != pa or pos[1] != pb:
+                        pair = (a, b)
+                        pairs[pair] = pos
+                        if None in pos:
+                            open_pairs.append(pair)
+                            yield pair
 
 
 def _is_int(value) -> bool:
@@ -437,6 +468,12 @@ class Witness(NamedTuple):
 
 
 class ClosureReport(NamedTuple):
+    """The closure verdict and its witnesses, at most ``WITNESS_CAP``
+    unless all were asked for (``truncated`` when more exist).
+    ``pairs_checked`` counts the ref pairs, in lexicographic order,
+    that the verdict rests on: C(v, 2) for v refs, or, when the scan
+    stopped at the first open pair past ``WITNESS_CAP``, the pairs up to
+    and including that one."""
     closed: bool
     witnesses: tuple[Witness, ...]
     pairs_checked: int
@@ -449,22 +486,28 @@ def is_closed_under_comparability(
 
     Walks the entries of the family's pair table with a missing image
     (``open_pairs``), in lexicographic ref order, so the witness list is
-    deterministic.  Collection stops at ``WITNESS_CAP`` unless
-    ``all_witnesses`` is set; closure itself is always decided exactly.
+    deterministic.  Unless ``all_witnesses`` is set, witnesses stop at
+    ``WITNESS_CAP`` and pairs are classified only as far as the next
+    open pair, which marks the report truncated; closure itself is
+    always decided exactly.
     """
-    witnesses = []
-    truncated = False
-    pairs = fam.incomparable_pairs()
-    for pair in fam.open_pairs():
-        if not all_witnesses and len(witnesses) >= WITNESS_CAP:
-            truncated = True
-            break
-        positions = pairs[pair]
-        missing = tuple(k for k in (0, 1) if positions[k] is None)
-        witnesses.append(Witness(pair, rewrite_images(fam, *pair), missing))
     refs = len(fam)
-    return ClosureReport(not witnesses and not truncated,
-                         tuple(witnesses), refs * (refs - 1) // 2, truncated)
+    checked = refs * (refs - 1) // 2
+    found = (fam.open_pairs() if all_witnesses
+             else fam._open_upto(WITNESS_CAP + 1))
+    truncated = not all_witnesses and len(found) > WITNESS_CAP
+    if truncated:
+        # ordinal of the stop pair (i, j) among the pairs of refs i < j
+        i, j = (fam.refs().index(ref) for ref in found[WITNESS_CAP])
+        checked = i * (2 * refs - i - 1) // 2 + (j - i - 1) + 1
+        found = found[:WITNESS_CAP]
+    positions = fam._pairs
+    witnesses = tuple(
+        Witness(pair, rewrite_images(fam, *pair),
+                tuple(k for k in (0, 1) if positions[pair][k] is None))
+        for pair in found)
+    return ClosureReport(not witnesses and not truncated, witnesses,
+                         checked, truncated)
 
 
 class Characterization(NamedTuple):

@@ -97,10 +97,12 @@ def build_basis(fam: LeveledFamily) -> tuple[MarkedBinomial, ...]:
     The rules come straight from the family's pair table: the lead is
     the pair, the trail the two refs at its image positions.  Requires
     closure under comparability; otherwise some trail would reference
-    monomials outside the family.
+    monomials outside the family.  A family that is not closed is
+    refused from the closure scan, which stops past its witness cap;
+    only a closed family's table is classified in full.
     """
-    if fam.open_pairs():
-        report = is_closed_under_comparability(fam)
+    report = is_closed_under_comparability(fam)
+    if not report.closed:
         raise NotClosedError(
             "family is not closed under comparability"
             f" ({len(report.witnesses)} witness pair(s))",

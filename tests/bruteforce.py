@@ -13,6 +13,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from reescert.errors import InternalInvariantError, NotClosedError
 from reescert.family import (
     GenRef,
+    characterize,
     is_closed_under_comparability,
     rewrite_images,
 )
@@ -20,6 +21,8 @@ from reescert.monomials import Monomial, borel_member, revlex_key
 from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
+    basis_shape,
+    build_basis,
 )
 from reescert.reduction import (
     DEFAULT_STEP_CAP,
@@ -162,6 +165,38 @@ def basis_by_public_constructor(fam) -> tuple[MarkedBinomial, ...]:
         trail = TMonomial([GenRef(a.level, first), GenRef(b.level, second)])
         out.append(MarkedBinomial(TMonomial([a, b]), trail))
     return tuple(out)
+
+
+def certificate_from_basis(fam) -> dict:
+    """The certificate of a closed family, its rule count and shape
+    flags read off the built basis by ``basis_shape`` rather than off the
+    pair table."""
+    from reescert.certify import CITATIONS, SUBJECTS, closure_json
+
+    report = is_closed_under_comparability(fam)
+    assert report.closed
+    closure = closure_json(report, characterize(fam))
+    del closure["witnesses"]
+    shape = basis_shape(build_basis(fam))
+    full = shape["quadratic"] and shape["squarefree_leads"]
+    out = {
+        "mode": fam.mode,
+        "subject": SUBJECTS[fam.mode],
+        "variables": fam.n,
+        "levels": [{"index": lv.index, "degree": lv.degree, "size": len(lv)}
+                   for lv in fam.levels],
+        "closed_under_comparability": True,
+        **closure,
+        "basis_size": shape["count"],
+        "quadratic": shape["quadratic"],
+        "squarefree_leads": shape["squarefree_leads"],
+        "conclusions": (["koszul", "normal_domain", "cohen_macaulay"]
+                        if full else []),
+        "citations": dict(CITATIONS) if full else {},
+    }
+    if fam.mode == "fiber":
+        out["embedding_degree"] = fam.embedding_degree
+    return out
 
 
 def column_major_inversions(rows: list[tuple[int, ...]]) -> int:

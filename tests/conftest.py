@@ -64,6 +64,16 @@ def open_tower4() -> dict:
     return data
 
 
+def open_nochain() -> dict:
+    """A rees family without the support chain: 34 refs, 93 open pairs.
+    The certify-mix draw ``draw_family(random.Random(4), (34, 36),
+    "rees-nochain")`` of ``perfbench/families.py``, frozen here."""
+    return {"mode": "rees", "variables": 5, "levels": [
+        {"degree": 2, "borel": "x1*x4"},
+        {"degree": 3, "borel": "x2*x5^2"},
+    ]}
+
+
 @pytest.fixture
 def tower4():
     return build_family(family_dict("tower4"))

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import gc
+import inspect
 import json
 import random
 import re
+import types
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from bruteforce import (
     rand_rees_family,
     sort_closed_form,
 )
-from conftest import family_dict, open_tower4, reference_descs
+from conftest import family_dict, open_nochain, open_tower4, reference_descs
 
 
 # ----------------------------------------------------------- construction
@@ -377,6 +380,99 @@ def test_all_witnesses_are_the_open_table_entries(bench_families):
         assert report.closed == (not want) and not report.truncated
         open_families += bool(want)
     assert open_families >= 5
+
+
+# ------------------------------------------------- on-demand pair table
+
+def _scan_families(bench_families) -> dict:
+    """The reference families, max(5,3) and ``open_nochain``, whose
+    closure scan stops at its 33rd open pair."""
+    descs = reference_descs(bench_families)
+    descs["max5_3"] = bench_families.LADDER["max5_3"]
+    descs["open_nochain"] = open_nochain()
+    return descs
+
+
+def test_stopped_scan_leaves_the_same_table(bench_families):
+    """After a closure scan, stopped or not, the table and its open
+    entries equal the reference in content and order, and the report is
+    the one a scan of a fully classified table gives."""
+    stopped = 0
+    for name, desc in _scan_families(bench_families).items():
+        fam = build_family(desc)
+        report = is_closed_under_comparability(fam)
+        stopped += report.truncated
+        table = pair_table_by_rewrite_images(fam)
+        assert list(fam.incomparable_pairs().items()) == list(table.items())
+        assert fam.open_pairs() == tuple(
+            key for key, positions in table.items() if None in positions)
+        drained = build_family(desc)
+        drained.open_pairs()
+        assert is_closed_under_comparability(drained) == report, name
+        assert is_closed_under_comparability(fam) == report, name
+    assert stopped >= 5
+
+
+def _pairs_through(fam, count: int) -> int:
+    """Ref pairs in lexicographic order up to and including the
+    ``count``-th one whose rewrite leaves the family, by brute force."""
+    refs = fam.refs()
+    seen = 0
+    for checked, (a, b) in enumerate(
+            ((a, b) for i, a in enumerate(refs) for b in refs[i + 1:]),
+            start=1):
+        images = rewrite_images(fam, a, b)
+        seen += any(img not in fam.level(ref.level).generators
+                    for img, ref in zip(images, (a, b)))
+        if seen == count:
+            return checked
+    raise AssertionError(f"fewer than {count} open pairs")
+
+
+def test_pairs_checked_counts_through_the_stop_pair(monkeypatch):
+    fam = build_family(open_nochain())
+    v = len(fam)
+    report = is_closed_under_comparability(fam)
+    # nothing past the stop pair is classified yet
+    stop = fam._open[family.WITNESS_CAP]
+    assert next(reversed(fam._pairs)) == stop
+    assert len(fam.open_pairs()) == 93
+    assert fam.open_pairs()[family.WITNESS_CAP] == stop
+    assert report.truncated and len(report.witnesses) == family.WITNESS_CAP
+    assert report.pairs_checked == _pairs_through(
+        fam, family.WITNESS_CAP + 1) == 198
+    full = is_closed_under_comparability(fam, all_witnesses=True)
+    assert full.pairs_checked == v * (v - 1) // 2 == 561
+    assert not full.truncated and len(full.witnesses) == 93
+
+    monkeypatch.setattr(family, "WITNESS_CAP", 1)
+    for fam in (build_family(open_nochain()), build_family(open_tower4())):
+        report = is_closed_under_comparability(fam)
+        refs = fam.refs()
+        pairs = [(a, b) for i, a in enumerate(refs) for b in refs[i + 1:]]
+        assert report.truncated and len(report.witnesses) == 1
+        assert report.pairs_checked == pairs.index(fam.open_pairs()[1]) + 1
+        assert report.pairs_checked == _pairs_through(fam, 2)
+
+
+def _held_by_a_generator(obj) -> bool:
+    """True when a generator, or a generator's frame, refers to obj."""
+    for ref in gc.get_referrers(obj):
+        if isinstance(ref, types.GeneratorType):
+            return True
+        if (isinstance(ref, types.FrameType)
+                and ref.f_code.co_flags & inspect.CO_GENERATOR):
+            return True
+    return False
+
+
+def test_pending_scan_does_not_hold_its_family():
+    """A half-classified family is freed by reference counting alone: its
+    pending scan holds the table, not the family."""
+    fam = build_family(open_nochain())
+    assert is_closed_under_comparability(fam).truncated
+    assert fam._scan is not None
+    assert not _held_by_a_generator(fam)
 
 
 # ----------------------------------------------------- characterization

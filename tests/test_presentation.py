@@ -23,7 +23,7 @@ from bruteforce import (
     pair_table_by_rewrite_images,
     rewrite_chain,
 )
-from conftest import reference_descs
+from conftest import open_nochain, reference_descs
 from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
@@ -234,6 +234,19 @@ def test_basis_requires_closure():
     with pytest.raises(NotClosedError) as err:
         build_basis(fam)
     assert err.value.witnesses
+
+
+def test_basis_refuses_from_the_stopped_scan():
+    """A family with more open pairs than the witness cap is refused
+    with the capped witness list, before its table is classified in
+    full."""
+    fam = build_family(open_nochain())
+    with pytest.raises(NotClosedError) as err:
+        build_basis(fam)
+    assert "(32 witness pair(s))" in str(err.value)
+    assert len(err.value.witnesses) == 32
+    assert fam._scan is not None
+    assert len(fam.open_pairs()) == 93
 
 
 def test_single_generator_family_has_empty_basis():

@@ -7,6 +7,7 @@ import json
 import random
 from fractions import Fraction
 
+from reescert.certify import build_certificate
 from reescert.errors import NotClosedError
 from reescert.family import build_family
 from reescert.presentation import (
@@ -20,7 +21,7 @@ from reescert.reduction import (
     parse_tpolynomial,
 )
 
-from bruteforce import basis_by_public_constructor
+from bruteforce import basis_by_public_constructor, certificate_from_basis
 from conftest import reference_descs
 
 
@@ -53,6 +54,30 @@ def test_basis_json_round_trip_on_sample(bench_families):
         assert again == basis == basis_by_public_constructor(fam), name
         closed += 1
     assert closed == 15
+
+
+def test_certificate_matches_the_basis_reference(bench_families):
+    """The rule count and shape flags read off the pair table give the
+    same certificate, key for key, as the built basis does, on every
+    closed family: the demos, the ladders and seeded closed certify-mix
+    families of both modes."""
+    descs = reference_descs(bench_families)
+    descs.update(bench_families.LADDER)
+    rng = random.Random(20261019)
+    for kind in ("rees-chain", "fiber-chain"):
+        for stratum in bench_families.STRATA:
+            descs[f"{kind}-{stratum[0]}*"] = bench_families.draw_family(
+                rng, stratum, kind)
+    closed = 0
+    for name, desc in descs.items():
+        fam = build_family(desc)
+        cert = build_certificate(fam)
+        if not cert["closed_under_comparability"]:
+            continue
+        assert cert == certificate_from_basis(build_family(desc)), name
+        closed += 1
+    # 15 closed reference families, max(5,3) and 40 chain draws
+    assert closed == 56
 
 
 def test_text_round_trip_with_family(tower4, maxpowers3, fiber_pair):

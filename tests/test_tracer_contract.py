@@ -3,6 +3,8 @@ still find every one of them."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 from pathlib import Path
 
 import reescert
@@ -12,6 +14,7 @@ from reescert.family import build_family
 from conftest import family_dict, open_tower4
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DEMOS = PERFBENCH.parent / "demos" / "families"
 
 
 def test_tracer_installs_and_uninstalls(monkeypatch):
@@ -35,8 +38,9 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 
 def test_one_closure_scan_per_certificate(monkeypatch):
-    """A closed family's certificate scans closure once: ``build_basis``
-    reads the table's open entries and does not scan again."""
+    """A closed family's certificate scans closure once and builds no
+    basis: the rule count and shape are read off the pair table.  The
+    ``basis`` subcommand still builds the basis, once."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
@@ -45,12 +49,19 @@ def test_one_closure_scan_per_certificate(monkeypatch):
     tracer.install(reescert)
     try:
         cert = reescert.certify.build_certificate(fam)
+        names = [s.name for s in tracer.spans]
+        del tracer.spans[:]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = reescert.cli.main(
+                ["basis", str(DEMOS / "tower4.json")])
     finally:
         tracer.uninstall()
     assert cert["conclusions"]
-    names = [s.name for s in tracer.spans]
     assert names.count("family.closure") == 1
-    assert names.count("presentation.build_basis") == 1
+    assert names.count("presentation.build_basis") == 0
+    assert code == 0
+    basis = [s for s in tracer.spans if s.name == "presentation.build_basis"]
+    assert len(basis) == 1 and basis[0].info == {"rules": 104}
 
 
 def test_tracer_counts_inversion_minimal_on_a_loose_level(monkeypatch):
