@@ -14,6 +14,7 @@ Cohen-Macaulay (Hochster).
 from __future__ import annotations
 
 from .family import LeveledFamily, characterize, is_closed_under_comparability
+from .presentation import basis_shape
 # Not called here (the rule count and shape are read off the pair
 # table); imported because perfbench/tracer.py patches this name in this
 # module.
@@ -103,20 +104,13 @@ def build_certificate(fam: LeveledFamily) -> dict:
         out["citations"] = {}
         return out
 
-    # The basis holds one rule per pair-table entry: the key is its lead
-    # and the refs at the two image positions its trail.  Its size and
-    # shape are read off the table, without building a rule.
-    table = fam.incomparable_pairs()
-    quadratic = squarefree = True
-    for (a, b), positions in table.items():
-        if len(positions) != 2 or None in positions:
-            quadratic = False
-        if a == b:
-            squarefree = False
-    out["basis_size"] = len(table)
-    out["quadratic"] = quadratic
-    out["squarefree_leads"] = squarefree
-    if quadratic and squarefree:
+    # The pair table is the basis, one rule per entry, lead to trail:
+    # its size and shape are read off it without building a rule.
+    shape = basis_shape(fam.incomparable_pairs().items())
+    out["basis_size"] = shape["count"]
+    out["quadratic"] = shape["quadratic"]
+    out["squarefree_leads"] = shape["squarefree_leads"]
+    if shape["quadratic"] and shape["squarefree_leads"]:
         out["conclusions"] = ["koszul", "normal_domain", "cohen_macaulay"]
         out["citations"] = dict(CITATIONS)
     else:

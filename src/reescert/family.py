@@ -136,23 +136,22 @@ class LeveledFamily:
     Every generator is factored once, on construction, and its standard
     factorization kept (``factors``).  The ref pairs are classified on
     demand, in lexicographic order, into the pair table that closure,
-    the marked basis and complete reducedness read: the incomparable
-    pairs, with the positions of their rewrite images.  The rewrite of a
-    pair is a function of its product alone, so each distinct product of
-    a level block (the pairs of one level, or of two levels) is
-    rewritten once, keyed by its packed exponent vector; a pair is
-    comparable exactly when its product's image positions are its own.
-    ``level_refs`` maps a position back to its ref, and ``open_pairs``
-    lists the entries with a missing image.  ``incomparable_pairs`` and
-    ``open_pairs`` classify every pair left on their first call; the
-    closure scan stops at the first open pair past its witness cap.
+    the marked basis and complete reducedness read: each incomparable
+    pair mapped to the refs of its rewrite images, lead to trail.  The
+    rewrite of a pair is a function of its product alone, so each
+    distinct product of a level block (the pairs of one level, or of two
+    levels) is rewritten once, keyed by its packed exponent vector; a
+    pair is comparable exactly when its product's image refs are its
+    own.  ``open_pairs`` lists the entries with a missing image.
+    ``incomparable_pairs`` and ``open_pairs`` classify every pair left
+    on their first call; the closure scan stops at the first open pair
+    past its witness cap.
     More than ``PAIR_CAP`` pairs raise ``ResourceCapError`` on
     construction, before any is classified.
     """
 
     __slots__ = ("mode", "n", "embedding_degree", "levels", "_by_index",
-                 "_level_refs", "_factors", "_refs", "_pairs", "_open",
-                 "_scan")
+                 "_factors", "_refs", "_pairs", "_open", "_scan")
 
     def __init__(self, mode, n, levels, embedding_degree=None):
         self.mode = mode
@@ -160,31 +159,26 @@ class LeveledFamily:
         self.embedding_degree = embedding_degree
         self.levels = tuple(levels)
         self._by_index = {lv.index: lv for lv in self.levels}
-        # level index -> the level's refs, so a position maps to its ref
-        self._level_refs = {}
         # ref -> standard factorization of its generator
         self._factors = {}
         _check_pair_cap(sum(len(lv) for lv in self.levels))
         # a wide family keys every product 0 and memoizes none
         memoize = n * PACK_BITS <= MEMO_KEY_BITS
-        # per level: ({standard factorization: 1-based position}, its
-        # generators as (ref, position, factorization, packed exponents))
+        # per level: ({standard factorization: ref}, its generators as
+        # (ref, factorization, packed exponents))
         blocks = []
         for lv in self.levels:
-            refs = tuple(GenRef(lv.index, j)
-                         for j in range(1, len(lv.generators) + 1))
-            self._level_refs[lv.index] = refs
             here = {}
             row = []
-            for ref, g in zip(refs, lv.generators):
+            for j, g in enumerate(lv.generators, start=1):
+                ref = GenRef(lv.index, j)
                 f = self._factors[ref] = g.factors()
-                here[f] = ref.index
-                row.append((ref, ref.index, f,
-                            _packed(g.exps) if memoize else 0))
+                here[f] = ref
+                row.append((ref, f, _packed(g.exps) if memoize else 0))
             blocks.append((here, row))
         self._refs = tuple(self._factors)
-        # positions, not images: a Monomial pair per entry costs
-        # megabytes on the larger families
+        # the refs already held in ``blocks``, not images: a Monomial
+        # pair per entry costs megabytes on the larger families
         self._pairs = {}
         self._open = []
         # None once every pair is classified; then _open is a tuple
@@ -217,9 +211,6 @@ class LeveledFamily:
         except KeyError:
             raise ValueError(f"no level {i} in this family") from None
 
-    def level_indices(self) -> tuple[int, ...]:
-        return tuple(lv.index for lv in self.levels)
-
     def refs(self) -> tuple[GenRef, ...]:
         """All generator refs in lexicographic order."""
         return self._refs
@@ -232,12 +223,6 @@ class LeveledFamily:
                 f" at level {ref[0]}")
         return lv.generators[ref[1] - 1]
 
-    def level_refs(self, level_index: int) -> tuple[GenRef, ...]:
-        """The level's refs in position order: entry j - 1 is the ref at
-        1-based position j."""
-        self.level(level_index)
-        return self._level_refs[level_index]
-
     def factors(self, ref: GenRef) -> tuple[int, ...]:
         """Standard factorization of the referenced generator, as kept
         since construction.  An unknown ref raises like ``generator``."""
@@ -248,16 +233,16 @@ class LeveledFamily:
 
     def incomparable_pairs(self) -> dict:
         """The pair table: each incomparable ref pair (a, b), a < b, in
-        lexicographic order, mapped to the 1-based positions of its two
-        rewrite images in the levels of a and b.  A position is None
-        when that image is not in the family.  Completed on the first
-        call, one rewrite per distinct product of a level block.  Do
-        not mutate."""
+        lexicographic order, mapped to the refs (c, d) of its two
+        rewrite images in the levels of a and b, so that each entry is
+        the rule ``T_a*T_b -> T_c*T_d``.  A ref is None when that image
+        is not in the family.  Completed on the first call, one rewrite
+        per distinct product of a level block.  Do not mutate."""
         self._finish()
         return self._pairs
 
     def open_pairs(self) -> tuple:
-        """The pair-table keys with a missing image (a None position),
+        """The pair-table keys with a missing image (a None ref),
         in table order; empty exactly when the family is closed under
         comparability."""
         self._finish()
@@ -273,33 +258,34 @@ class LeveledFamily:
 
 def _classify(blocks, memoize: bool, pairs: dict, open_pairs: list):
     """Classify the ref pairs of ``blocks`` in lexicographic order:
-    enter each incomparable pair in ``pairs`` with its image positions,
+    enter each incomparable pair in ``pairs`` with its image refs,
     append each one with a missing image to ``open_pairs``, and yield
     it.  A module-level generator, so that a family it fills is not held
     by its own pending scan."""
     for li, (here, row) in enumerate(blocks):
         # same level sorts, a higher level orders; lexicographic ref
         # order either way.  Each target block keeps its own memo,
-        # packed product -> image positions, for as long as this
-        # level's rows are paired.
+        # packed product -> image refs, for as long as this level's
+        # rows are paired.
         targets = [(sort_factors, here, None, {})]
         targets += [(ord_factors, there, col, {})
                     for there, col in blocks[li + 1:]]
-        for ai, (a, pa, fa, ka) in enumerate(row):
+        for ai, (a, fa, ka) in enumerate(row):
             for rewrite, there, col, memo in targets:
-                for b, pb, fb, kb in (row[ai + 1:] if col is None
-                                      else col):
+                for b, fb, kb in (row[ai + 1:] if col is None else col):
                     key = ka + kb
-                    pos = memo.get(key)
-                    if pos is None:
+                    trail = memo.get(key)
+                    if trail is None:
                         first, second = rewrite(fa, fb)
-                        pos = (here.get(first), there.get(second))
+                        trail = (here.get(first), there.get(second))
                         if memoize:
-                            memo[key] = pos
-                    if pos[0] != pa or pos[1] != pb:
+                            memo[key] = trail
+                    # the image refs come from the same blocks as a and
+                    # b, so identity is equality
+                    if trail[0] is not a or trail[1] is not b:
                         pair = (a, b)
-                        pairs[pair] = pos
-                        if None in pos:
+                        pairs[pair] = trail
+                        if None in trail:
                             open_pairs.append(pair)
                             yield pair
 
@@ -501,10 +487,10 @@ def is_closed_under_comparability(
         i, j = (fam.refs().index(ref) for ref in found[WITNESS_CAP])
         checked = i * (2 * refs - i - 1) // 2 + (j - i - 1) + 1
         found = found[:WITNESS_CAP]
-    positions = fam._pairs
+    trails = fam._pairs
     witnesses = tuple(
         Witness(pair, rewrite_images(fam, *pair),
-                tuple(k for k in (0, 1) if positions[pair][k] is None))
+                tuple(k for k in (0, 1) if trails[pair][k] is None))
         for pair in found)
     return ClosureReport(not witnesses and not truncated, witnesses,
                          checked, truncated)

@@ -35,8 +35,8 @@ from typing import NamedTuple
 from .errors import ResourceCapError
 from .family import LeveledFamily
 from .presentation import TMonomial
+from . import reduction
 from .reduction import (
-    DEFAULT_STEP_CAP,
     TPolynomial,
     _lead_index,
     _polynomial_step,
@@ -308,9 +308,9 @@ def traced_normal_form(f: TPolynomial, basis,
     """Deterministic reduction with the (c, e) measure after every step.
 
     Takes the steps ``reduce_step`` takes.  More than
-    ``DEFAULT_STEP_CAP`` of them raise ``InternalInvariantError``, as in
-    every other reduction: the measure should forbid that many.  One
-    memo of pair parts serves every step.
+    ``reduction.DEFAULT_STEP_CAP`` of them, read at call time, raise
+    ``InternalInvariantError``, as in every other reduction: the measure
+    should forbid that many.  One memo of pair parts serves every step.
     """
     index = _lead_index(basis)
     memo = {}
@@ -324,5 +324,5 @@ def traced_normal_form(f: TPolynomial, basis,
         mono, rule, current = step
         steps.append(TraceStep(
             mono, rule, current, _polynomial_measure(current, fam, memo)))
-        if len(steps) > DEFAULT_STEP_CAP:
-            raise _step_cap_error(DEFAULT_STEP_CAP)
+        if len(steps) > reduction.DEFAULT_STEP_CAP:
+            raise _step_cap_error(reduction.DEFAULT_STEP_CAP)

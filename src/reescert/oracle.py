@@ -35,9 +35,10 @@ FAILURE_CAP = 32
 
 
 def count_tmonomials(fam: LeveledFamily, max_degree: int) -> int:
-    """Number of T-monomials of degree 1..max_degree."""
-    v = len(fam)
-    return sum(comb(v + d - 1, d) for d in range(1, max_degree + 1))
+    """Number of T-monomials of degree 1..max_degree: the sum over d of
+    C(v + d - 1, d) for v refs, in closed form by the hockey-stick
+    identity, so that a huge degree costs no more than a small one."""
+    return comb(len(fam) + max_degree, max_degree) - 1
 
 
 def enumerate_fibers(fam: LeveledFamily, max_degree: int
@@ -59,8 +60,11 @@ def enumerate_fibers(fam: LeveledFamily, max_degree: int
         raise ValueError("max_degree must be at least 1")
     total = count_tmonomials(fam, max_degree)
     if total > ENUMERATION_CAP:
+        # a count past int's decimal-string limit is told by its size
+        shown = (total if total.bit_length() < 4096
+                 else f"over 2^{total.bit_length() - 1}")
         raise ResourceCapError(
-            f"{total} T-monomials up to degree {max_degree},"
+            f"{shown} T-monomials up to degree {max_degree},"
             f" cap is {ENUMERATION_CAP}")
     refs = fam.refs()
     images = [psi_eval(TMonomial._of_sorted((ref,)), fam) for ref in refs]

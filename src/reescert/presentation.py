@@ -94,12 +94,12 @@ class MarkedBinomial(NamedTuple):
 def build_basis(fam: LeveledFamily) -> tuple[MarkedBinomial, ...]:
     """One marked binomial per incomparable ref pair, sorted by lead.
 
-    The rules come straight from the family's pair table: the lead is
-    the pair, the trail the two refs at its image positions.  Requires
-    closure under comparability; otherwise some trail would reference
-    monomials outside the family.  A family that is not closed is
-    refused from the closure scan, which stops past its witness cap;
-    only a closed family's table is classified in full.
+    The rules are the family's pair table, entry by entry: the key is
+    the lead and the value, the refs of the two rewrite images, the
+    trail.  Requires closure under comparability; otherwise some trail
+    would reference monomials outside the family.  A family that is not
+    closed is refused from the closure scan, which stops past its
+    witness cap; only a closed family's table is classified in full.
     """
     report = is_closed_under_comparability(fam)
     if not report.closed:
@@ -107,46 +107,40 @@ def build_basis(fam: LeveledFamily) -> tuple[MarkedBinomial, ...]:
             "family is not closed under comparability"
             f" ({len(report.witnesses)} witness pair(s))",
             report.witnesses)
-    level_refs = {i: fam.level_refs(i) for i in fam.level_indices()}
     of_sorted = TMonomial._of_sorted
     # the NamedTuple's __new__ is a Python function; the tuple's builds
-    # the same rule in C
+    # the same rule in C.  Rewrite images already come in ref order; the
+    # one comparison keeps the trail sorted without relying on that.
     rule = tuple.__new__
-    out = []
-    for lead, (first, second) in fam.incomparable_pairs().items():
-        a, b = lead
-        c = level_refs[a[0]][first - 1]
-        d = level_refs[b[0]][second - 1]
-        # rewrite images already come in ref order; the one comparison
-        # keeps the trail sorted without relying on that.  The table key
-        # is the lead's sorted ref tuple.
-        out.append(rule(MarkedBinomial, (
-            of_sorted(lead), of_sorted((c, d) if c <= d else (d, c)))))
-    return tuple(out)
+    return tuple(
+        rule(MarkedBinomial, (of_sorted(lead), of_sorted(
+            trail if trail[0] <= trail[1] else trail[::-1])))
+        for lead, trail in fam.incomparable_pairs().items())
 
 
-def basis_shape(basis) -> dict:
-    """The rule count and the two shape flags, read off the rules in one
-    pass."""
+def basis_shape(rules) -> dict:
+    """The rule count and the two shape flags of ``(lead refs, trail
+    refs)`` pairs, in one pass: a closed family's pair-table items, or
+    a basis's rules as ref tuples."""
     quadratic = squarefree = True
-    for lead, trail in basis:
-        refs = lead.refs
-        if len(refs) != 2 or len(trail.refs) != 2:
+    for lead, trail in rules:
+        if len(lead) != 2 or len(trail) != 2:
             quadratic = False
-            squarefree = squarefree and len(set(refs)) == len(refs)
-        elif refs[0] == refs[1]:
+            squarefree = squarefree and len(set(lead)) == len(lead)
+        elif lead[0] == lead[1]:
             squarefree = False
-    return {"count": len(basis), "quadratic": quadratic,
+    return {"count": len(rules), "quadratic": quadratic,
             "squarefree_leads": squarefree}
 
 
 def basis_to_json(basis) -> dict:
+    rules = [(g.lead.refs, g.trail.refs) for g in basis]
     return {
-        **basis_shape(basis),
+        **basis_shape(rules),
         "relations": [
-            {"lead": [list(r) for r in g.lead.refs],
-             "trail": [list(r) for r in g.trail.refs]}
-            for g in basis
+            {"lead": [list(r) for r in lead],
+             "trail": [list(r) for r in trail]}
+            for lead, trail in rules
         ],
     }
 

@@ -207,8 +207,7 @@ def _step_cap_error(max_steps: int) -> InternalInvariantError:
         " measure should forbid this")
 
 
-def _normal_form(refs: tuple, index, memo: dict,
-                 max_steps: int = DEFAULT_STEP_CAP) -> tuple[tuple, int]:
+def _normal_form(refs: tuple, index, memo: dict) -> tuple[tuple, int]:
     """(normal form, steps to it) of the monomial with these sorted refs.
 
     The one walk of every reduction in the package.  A monomial in
@@ -217,13 +216,16 @@ def _normal_form(refs: tuple, index, memo: dict,
     every monomial of the walk goes into ``memo`` with its normal form
     and its distance to it.  That is exact for any basis: the rule taken
     depends on the monomial alone, so both are functions of it.  More
-    than ``max_steps`` steps in all, the walked ones plus those left
-    from a memo hit, raise ``InternalInvariantError``, and so does a walk
-    that comes back to a monomial it has walked: it would cycle forever.
+    than ``DEFAULT_STEP_CAP`` steps in all, the walked ones plus those
+    left from a memo hit, raise ``InternalInvariantError``, and so does
+    a walk that comes back to a monomial it has walked: it would cycle
+    forever.
     """
     hit = memo.get(refs)
     if hit is not None:
         return hit
+    # read at call time, so that the module's one cap rules every walk
+    max_steps = DEFAULT_STEP_CAP
     # each walked monomial with its place in the walk
     walked = {}
     while hit is None:
@@ -249,8 +251,7 @@ def _normal_form(refs: tuple, index, memo: dict,
     return nf, steps
 
 
-def normal_form(f: TPolynomial, basis,
-                max_steps: int = DEFAULT_STEP_CAP) -> TPolynomial:
+def normal_form(f: TPolynomial, basis) -> TPolynomial:
     """Deterministic normal form, the sum of c*nf(m) over the terms c*m.
 
     Every rule is a +-1 binomial, so a monomial rewrites to a monomial,
@@ -258,12 +259,12 @@ def normal_form(f: TPolynomial, basis,
     that monomial alone.  Reducing term by term therefore gives the
     polynomial that repeated ``reduce_step`` reaches, for any basis,
     confluent or not.  A monomial whose chain is longer than
-    ``max_steps`` raises ``InternalInvariantError``.
+    ``DEFAULT_STEP_CAP`` raises ``InternalInvariantError``.
     """
     index = _lead_index(basis)
     memo = {}
     return TPolynomial(
-        (TMonomial(_normal_form(m.refs, index, memo, max_steps)[0]), c)
+        (TMonomial(_normal_form(m.refs, index, memo)[0]), c)
         for m, c in f.terms.items())
 
 
@@ -305,8 +306,7 @@ class ConfluenceReport(NamedTuple):
         return not self.failures
 
 
-def confluence_check(basis, max_steps: int = DEFAULT_STEP_CAP
-                     ) -> ConfluenceReport:
+def confluence_check(basis) -> ConfluenceReport:
     """Join every critical pair of the basis on monomials.
 
     Every lead is a squarefree product a*b.  A pair of rules with coprime
@@ -317,9 +317,9 @@ def confluence_check(basis, max_steps: int = DEFAULT_STEP_CAP
     by the (c, e) measure; given it, Newman's lemma makes joinable
     critical pairs equivalent to confluence, and two distinct normal
     forms are two irreducible reducts of one monomial.  A rewrite chain
-    longer than ``max_steps`` raises ``InternalInvariantError``.  More
-    than ``CRITICAL_PAIR_CAP`` critical pairs raise ``ResourceCapError``
-    before any is reduced.
+    longer than ``DEFAULT_STEP_CAP`` raises ``InternalInvariantError``.
+    More than ``CRITICAL_PAIR_CAP`` critical pairs raise
+    ``ResourceCapError`` before any is reduced.
 
     Each distinct monomial is reduced once, through a ``_normal_form``
     memo that lives for this call; memoizing changes no verdict,
@@ -350,8 +350,8 @@ def confluence_check(basis, max_steps: int = DEFAULT_STEP_CAP
             for j, c, trail2 in rules[pos + 1:]:
                 one = tuple(sorted(trail1 + (c,)))
                 two = tuple(sorted(trail2 + (b,)))
-                if (_normal_form(one, index, memo, max_steps)[0]
-                        != _normal_form(two, index, memo, max_steps)[0]):
+                if (_normal_form(one, index, memo)[0]
+                        != _normal_form(two, index, memo)[0]):
                     failures.append((i, j))
     total = len(basis) * (len(basis) - 1) // 2
     longest = max((steps for _, steps in memo.values()), default=0)

@@ -134,9 +134,10 @@ def borel_closure_by_filter(generator: Monomial) -> tuple[Monomial, ...]:
 
 def pair_table_by_rewrite_images(fam) -> dict:
     """The pair table from ``rewrite_images`` on generator monomials,
-    with image positions looked up by ``Monomial`` in each level."""
-    positions = {
-        lv.index: {g: j for j, g in enumerate(lv.generators, start=1)}
+    with image refs looked up by ``Monomial`` in each level."""
+    refs_of = {
+        lv.index: {g: GenRef(lv.index, j)
+                   for j, g in enumerate(lv.generators, start=1)}
         for lv in fam.levels
     }
     refs = fam.refs()
@@ -145,39 +146,39 @@ def pair_table_by_rewrite_images(fam) -> dict:
         for b in refs[i + 1:]:
             images = rewrite_images(fam, a, b)
             if images != (fam.generator(a), fam.generator(b)):
-                table[(a, b)] = (positions[a.level].get(images[0]),
-                                 positions[b.level].get(images[1]))
+                table[(a, b)] = (refs_of[a.level].get(images[0]),
+                                 refs_of[b.level].get(images[1]))
     return table
 
 
 def basis_by_public_constructor(fam) -> tuple[MarkedBinomial, ...]:
     """The marked basis with every rule built through the public
     ``TMonomial`` constructor: one rule per pair-table entry, the trail
-    made of the refs at the two image positions."""
+    made of its two image refs."""
     out = []
-    for (a, b), (first, second) in fam.incomparable_pairs().items():
-        if first is None or second is None:
+    for (a, b), (c, d) in fam.incomparable_pairs().items():
+        if c is None or d is None:
             report = is_closed_under_comparability(fam)
             raise NotClosedError(
                 "family is not closed under comparability"
                 f" ({len(report.witnesses)} witness pair(s))",
                 report.witnesses)
-        trail = TMonomial([GenRef(a.level, first), GenRef(b.level, second)])
-        out.append(MarkedBinomial(TMonomial([a, b]), trail))
+        out.append(MarkedBinomial(TMonomial([a, b]), TMonomial([c, d])))
     return tuple(out)
 
 
 def certificate_from_basis(fam) -> dict:
     """The certificate of a closed family, its rule count and shape
-    flags read off the built basis by ``basis_shape`` rather than off the
-    pair table."""
+    flags read off the built basis's rules by ``basis_shape`` rather
+    than off the pair table."""
     from reescert.certify import CITATIONS, SUBJECTS, closure_json
 
     report = is_closed_under_comparability(fam)
     assert report.closed
     closure = closure_json(report, characterize(fam))
     del closure["witnesses"]
-    shape = basis_shape(build_basis(fam))
+    shape = basis_shape([(g.lead.refs, g.trail.refs)
+                         for g in build_basis(fam)])
     full = shape["quadratic"] and shape["squarefree_leads"]
     out = {
         "mode": fam.mode,

@@ -3,7 +3,9 @@
 Runs ``check``, ``basis`` and ``certify`` with ``--format text`` and
 ``--format json`` on the three demo families and on ``open_tower4()``,
 and ``check`` and ``certify`` on ``open_nochain()``, whose closure scan
-stops at its 33rd open pair, and stores each command's stdout in
+stops at its 33rd open pair, and ``check --all-witnesses`` on
+``open_nochain()``, which classifies its whole pair table, into
+``open_nochain.check-all.<format>``.  It stores each command's stdout in
 ``<family>.<command>.<format>`` next to this file, plus the exit codes
 and stderr in ``index.json``.
 It also runs ``normal-form`` on tower4 for each of ``NORMAL_FORMS``,
@@ -89,6 +91,10 @@ def cases(tmp: Path):
         for cmd in COMMANDS_OF.get(name, COMMANDS):
             for fmt in FORMATS:
                 yield f"{name}.{cmd}.{fmt}", [cmd, str(path), "--format", fmt]
+    for fmt in FORMATS:
+        yield (f"open_nochain.check-all.{fmt}",
+               ["check", str(files["open_nochain"]), "--all-witnesses",
+                "--format", fmt])
     for key, expr in NORMAL_FORMS.items():
         for fmt in FORMATS:
             argv = ["normal-form", str(files["tower4"]), expr, "--format", fmt]

@@ -356,7 +356,8 @@ def test_resource_caps_exit_3(capsys, tmp_path, case):
     assert out == ""
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 # Each oversized input below is refused in well under a second; built
 # before it is counted, each would take tens of seconds or more.
 OVERSIZED_TIMEOUT_S = 10
@@ -384,6 +385,19 @@ OVERSIZED = {  # case: (stderr text, argv)
         "check", _write(tmp, json.dumps({
             "mode": "fiber", "variables": 50, "embedding_degree": 4,
             "levels": [{"degree": 3, "generators": _cubics(50)}]}))]),
+    # the fiber suites count the T-monomials in closed form before they
+    # enumerate any; a sum of one binomial per degree would run for
+    # minutes
+    "verify degree": ("T-monomials up to degree 100000000", lambda tmp: [
+        "verify", str(ROOT / "demos" / "families" / "fiber_pair.json"),
+        "--max-degree", "100000000"]),
+    # a count with more digits than int's decimal-string limit is told
+    # by its size
+    "verify count": ("over 2^5454 T-monomials up to degree"
+                     f" {10**18}", lambda tmp: [
+        "verify", _write(tmp, '{"mode": "rees", "variables": 100,'
+                              ' "levels": []}'),
+        "--max-degree", str(10**18)]),
 }
 
 

@@ -40,15 +40,14 @@ from conftest import family_dict, open_nochain, open_tower4, reference_descs
 def test_tower4_shape(tower4):
     assert tower4.mode == "rees"
     assert tower4.n == 4
-    assert tower4.level_indices() == (0, 1, 2, 3, 4)
+    assert [lv.index for lv in tower4.levels] == [0, 1, 2, 3, 4]
     assert [len(lv) for lv in tower4.levels] == [4, 9, 7, 3, 1]
     assert len(tower4) == 24
     assert tower4.top_level == 4
     assert [lv.degree for lv in tower4.levels] == [1, 2, 3, 3, 5]
     assert tower4.generator(GenRef(0, 2)) == parse_monomial("x2", 4)
     assert tower4.generator(GenRef(1, 3)) == parse_monomial("x2^2", 4)
-    assert tower4.generator(tower4.level_refs(1)[1]) == \
-        parse_monomial("x1*x2", 4)
+    assert tower4.generator(GenRef(1, 2)) == parse_monomial("x1*x2", 4)
     assert parse_monomial("x4^2", 4) not in tower4.level(1).generators
 
 
@@ -61,7 +60,7 @@ def test_level_zero_always_injected(maxpowers3):
 
 def test_fiber_shape(fiber_pair):
     assert fiber_pair.mode == "fiber"
-    assert fiber_pair.level_indices() == (1, 2)
+    assert [lv.index for lv in fiber_pair.levels] == [1, 2]
     assert fiber_pair.embedding_degree == 4
     assert [g.text() for g in fiber_pair.level(1).generators] == [
         "x3^2", "x3*x4", "x3*x5", "x4*x5"]
@@ -86,7 +85,7 @@ def test_duplicate_generators_warn_and_dedupe():
 
 def test_empty_levels_ok_in_rees():
     fam = build_family({"mode": "rees", "variables": 3, "levels": []})
-    assert fam.level_indices() == (0,)
+    assert [lv.index for lv in fam.levels] == [0]
     assert len(fam) == 3
 
 
@@ -298,21 +297,28 @@ def test_generator_degree_cap():
 
 def test_factors_and_level_refs(tower4, fiber_pair):
     for fam in (tower4, fiber_pair):
-        for i in fam.level_indices():
-            refs = fam.level_refs(i)
-            assert refs == tuple(r for r in fam.refs() if r.level == i)
+        for lv in fam.levels:
+            refs = tuple(r for r in fam.refs() if r.level == lv.index)
+            assert len(refs) == len(lv)
             for j, ref in enumerate(refs, start=1):
                 assert type(ref) is GenRef
-                assert ref == GenRef(i, j)
+                assert ref == GenRef(lv.index, j)
         for ref in fam.refs():
             assert fam.factors(ref) == fam.generator(ref).factors()
+        # each table value is a pair of the family's own refs, one from
+        # the level of each lead ref
+        own = set(fam.refs())
+        for (a, b), (c, d) in fam.incomparable_pairs().items():
+            assert (type(c), type(d)) == (GenRef, GenRef)
+            assert (c.level, d.level) == (a.level, b.level)
+            assert {c, d} <= own
     for bad in (GenRef(1, 10), GenRef(7, 1), GenRef(1, 0), GenRef(1, -1)):
         with pytest.raises(ValueError) as expected:
             tower4.generator(bad)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             tower4.factors(bad)
     with pytest.raises(ValueError):
-        tower4.level_refs(7)
+        tower4.level(7)
 
 
 def test_comparable_argument_checks(tower4):

@@ -25,7 +25,7 @@ INDEX = json.loads((GOLDEN / "index.json").read_text())
 
 def test_golden_index_covers_every_case(tmp_path):
     names = [fname for fname, _ in make_golden.cases(tmp_path)]
-    assert len(names) == 56
+    assert len(names) == 58
     assert sorted(names) == sorted(INDEX)
 
 

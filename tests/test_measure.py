@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from reescert import measure
+from reescert import measure, reduction
 from reescert.errors import InternalInvariantError, ResourceCapError
 from reescert.family import build_family
 from reescert.measure import (
@@ -420,7 +420,7 @@ def test_trace_step_cap_raises_invariant_error(tower4, monkeypatch):
         MarkedBinomial(TMonomial([(1, 3), (1, 5)]),
                        TMonomial([(1, 3), (1, 4)])),
     )
-    monkeypatch.setattr(measure, "DEFAULT_STEP_CAP", 10)
+    monkeypatch.setattr(reduction, "DEFAULT_STEP_CAP", 10)
     with pytest.raises(InternalInvariantError, match="exceeded 10 steps"):
         traced_normal_form(
             parse_tpolynomial("T[1,3]*T[1,4]", tower4), cyclic, tower4)

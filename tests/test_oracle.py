@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,13 @@ def test_count_matches_enumeration(tower4):
     assert count_tmonomials(tower4, 3) == 24 + 300 + 2600
     buckets = enumerate_fibers(tower4, 2)
     assert sum(len(v) for v in buckets.values()) == 324
+    # the closed form against the sum by degree; level 0 alone has v
+    # refs for v variables
+    for v in range(1, 30):
+        fam = build_family({"mode": "rees", "variables": v, "levels": []})
+        for top in range(1, 12):
+            assert count_tmonomials(fam, top) == sum(
+                comb(v + d - 1, d) for d in range(1, top + 1))
 
 
 def test_degree_one_fibers_are_singletons(tower4):

@@ -303,25 +303,31 @@ def test_basis_shape_matches_json(tower4):
     cubic_square = (MarkedBinomial(T((0, 1), (1, 2), (0, 1)),
                                    T((0, 2), (1, 1), (1, 3))),)
     basis = build_basis(tower4)
+
+    def shape(b):
+        return basis_shape([(g.lead.refs, g.trail.refs) for g in b])
+
     for b in (basis, (), cubic, cubic_trail, repeated, cubic_square,
               basis + cubic + repeated):
         data = basis_to_json(b)
-        assert basis_shape(b) == {key: data[key] for key in
-                                  ("count", "quadratic", "squarefree_leads")}
+        assert shape(b) == {key: data[key] for key in
+                            ("count", "quadratic", "squarefree_leads")}
         assert set(data) == {"count", "quadratic", "squarefree_leads",
                              "relations"}
-    assert basis_shape(basis) == {"count": 104, "quadratic": True,
+    assert shape(basis) == {"count": 104, "quadratic": True,
+                            "squarefree_leads": True}
+    # the pair table reads the same shape as the rules built from it
+    assert basis_shape(tower4.incomparable_pairs().items()) == shape(basis)
+    assert shape(cubic) == {"count": 1, "quadratic": False,
+                            "squarefree_leads": True}
+    assert shape(repeated) == {"count": 1, "quadratic": True,
+                               "squarefree_leads": False}
+    assert shape(cubic_trail) == {"count": 1, "quadratic": False,
                                   "squarefree_leads": True}
-    assert basis_shape(cubic) == {"count": 1, "quadratic": False,
-                                  "squarefree_leads": True}
-    assert basis_shape(repeated) == {"count": 1, "quadratic": True,
-                                     "squarefree_leads": False}
-    assert basis_shape(cubic_trail) == {"count": 1, "quadratic": False,
-                                        "squarefree_leads": True}
-    assert basis_shape(cubic_square) == {"count": 1, "quadratic": False,
-                                         "squarefree_leads": False}
-    assert basis_shape(cubic + basis) == {"count": 105, "quadratic": False,
-                                          "squarefree_leads": True}
+    assert shape(cubic_square) == {"count": 1, "quadratic": False,
+                                   "squarefree_leads": False}
+    assert shape(cubic + basis) == {"count": 105, "quadratic": False,
+                                    "squarefree_leads": True}
 
 
 # ------------------------------------------------------------- reduction
@@ -404,23 +410,26 @@ def test_is_completely_reduced_frozen(tower4):
         assert (reduction._least_lead(m.refs, index) is None) == reduced
 
 
-def test_step_cap_raises_on_cyclic_rules(tower4):
+def test_step_cap_raises_on_cyclic_rules(tower4, monkeypatch):
     cyclic = (
         MarkedBinomial(T((1, 3), (1, 4)), T((1, 2), (1, 5))),
         MarkedBinomial(T((1, 2), (1, 5)), T((1, 3), (1, 4))),
     )
-    with pytest.raises(InternalInvariantError):
-        normal_form(P("T[1,3]*T[1,4]"), cyclic, max_steps=10)
-    # these leads are coprime, so the product criterion skips the only
-    # pair; termination is the measure's premise, not this check's
-    report = confluence_check(cyclic, max_steps=10)
-    assert (report.pairs_reduced, report.pairs_skipped) == (0, 1)
     overlapping = (
         MarkedBinomial(T((1, 3), (1, 4)), T((1, 3), (1, 5))),
         MarkedBinomial(T((1, 3), (1, 5)), T((1, 3), (1, 4))),
     )
-    with pytest.raises(InternalInvariantError):
-        confluence_check(overlapping, max_steps=10)
+    with monkeypatch.context() as patch:
+        patch.setattr(reduction, "DEFAULT_STEP_CAP", 10)
+        with pytest.raises(InternalInvariantError):
+            normal_form(P("T[1,3]*T[1,4]"), cyclic)
+        # these leads are coprime, so the product criterion skips the
+        # only pair; termination is the measure's premise, not this
+        # check's
+        report = confluence_check(cyclic)
+        assert (report.pairs_reduced, report.pairs_skipped) == (0, 1)
+        with pytest.raises(InternalInvariantError):
+            confluence_check(overlapping)
     # under the default cap the walk names the cycle when it closes,
     # rather than walking a million steps first
     for basis in (cyclic, overlapping):
@@ -535,9 +544,11 @@ def test_confluence_matches_reference(tower4, maxpowers3, fiber_pair,
 
 
 @pytest.mark.parametrize("max_steps", range(6))
-def test_step_cap_through_memo_hits(tower4, maxpowers3, max_steps):
+def test_step_cap_through_memo_hits(tower4, maxpowers3, max_steps,
+                                    monkeypatch):
     # a chain that ends on a memoized monomial still counts the steps
     # left from there against the cap
+    monkeypatch.setattr(reduction, "DEFAULT_STEP_CAP", max_steps)
     raised = 0
     for fam in (tower4, maxpowers3):
         basis = build_basis(fam)
@@ -545,10 +556,10 @@ def test_step_cap_through_memo_hits(tower4, maxpowers3, max_steps):
             want = confluence_by_chains(basis, max_steps)
         except InternalInvariantError:
             with pytest.raises(InternalInvariantError):
-                confluence_check(basis, max_steps)
+                confluence_check(basis)
             raised += 1
             continue
-        assert confluence_check(basis, max_steps) == want
+        assert confluence_check(basis) == want
     # both bases reach length 4, so caps 0..3 raise and 4, 5 do not
     assert raised == (2 if max_steps < 4 else 0)
     # normal_form keeps one memo per call: the second term starts one
@@ -562,9 +573,9 @@ def test_step_cap_through_memo_hits(tower4, maxpowers3, max_steps):
     f = TPolynomial([(TMonomial(chain[1]), 1), (TMonomial(chain[0]), 1)])
     if max_steps < 4:
         with pytest.raises(InternalInvariantError):
-            normal_form(f, basis, max_steps)
+            normal_form(f, basis)
     else:
-        assert normal_form(f, basis, max_steps) == \
+        assert normal_form(f, basis) == \
             TPolynomial.monomial(TMonomial(chain[-1]), 2)
 
 
