@@ -5,8 +5,7 @@ the basis is supposed to guarantee: every monomial-map fiber holds
 exactly one completely reduced monomial, every member reduces to it, and
 the fiber differences all lie in the ideal the basis generates.  Slow on
 purpose; the caps keep them at desk scale.  The fiber and kernel suites
-each reduce every distinct monomial once, through one ``_normal_form``
-memo per call, or one memo both share.
+are one pass, which reduces every monomial once.
 """
 
 from __future__ import annotations
@@ -121,52 +120,6 @@ class FiberReport(NamedTuple):
         return not self.failures and not self.truncated
 
 
-def verify_unique_normal_forms(fam: LeveledFamily, basis, max_degree: int,
-                               *, buckets=None, memo=None) -> FiberReport:
-    """Every fiber must hold exactly one completely reduced monomial and
-    every member must reduce to exactly that one.  ``buckets`` may hand
-    in ``enumerate_fibers(fam, max_degree)``, and ``memo`` a
-    ``_normal_form`` memo of the same basis, each shared between
-    suites."""
-    if buckets is None:
-        buckets = enumerate_fibers(fam, max_degree)
-    if memo is None:
-        memo = {}
-    pairs = fam.incomparable_pairs()
-    index = _lead_index(basis)
-    failures = []
-    truncated = False
-    reductions = 0
-    largest = 0
-
-    def record(image, reason, monos):
-        nonlocal truncated
-        if len(failures) < FAILURE_CAP:
-            failures.append(FiberFailure(image, reason, tuple(monos)))
-        else:
-            truncated = True
-
-    for image, members in buckets.items():
-        largest = max(largest, len(members))
-        reduced = [m for m in members if _least_lead(m.refs, pairs) is None]
-        if len(reduced) != 1:
-            record(image,
-                   f"expected exactly one completely reduced member,"
-                   f" found {len(reduced)}", reduced or members)
-        rep = reduced[0] if len(reduced) == 1 else None
-        for m in members:
-            out = _normal_form(m.refs, index, memo)[0]
-            reductions += 1
-            if rep is not None and out != rep.refs:
-                out = TMonomial(out)
-                record(image,
-                       f"normal form of {m} is {out}, not the reduced"
-                       f" representative {rep}", (m, out, rep))
-    return FiberReport(
-        max_degree, sum(len(v) for v in buckets.values()), len(buckets),
-        largest, reductions, tuple(failures), truncated)
-
-
 class KernelReport(NamedTuple):
     max_degree: int
     fibers: int
@@ -179,47 +132,74 @@ class KernelReport(NamedTuple):
         return not self.failures and not self.truncated
 
 
-def verify_kernel_generation(fam: LeveledFamily, basis, max_degree: int,
-                             *, buckets=None, memo=None) -> KernelReport:
-    """The basis must reduce every fiber difference to zero.
+def _check_fibers(fam: LeveledFamily, basis, max_degree: int
+                  ) -> tuple[FiberReport, KernelReport]:
+    """Both fiber suites in one pass over one enumeration.
 
-    The differences member - representative span the degree-bounded part
-    of the kernel of the monomial map, so this certifies generation up
-    to the cap degree.  A difference m - rep of two monomials reduces to
-    zero exactly when nf(m) == nf(rep), which is what is compared.
-    ``buckets`` and ``memo`` are as in ``verify_unique_normal_forms``.
+    Each fiber's completely reduced members are found on the pair table,
+    and each member is reduced once, through one ``_normal_form`` memo.
+    Its normal form is then compared twice.  The unique suite wants it
+    to be the fiber's one reduced member.  The kernel suite wants it to
+    equal the representative's own normal form: member - representative
+    reduces to zero exactly then, and these differences span the
+    degree-bounded kernel of the monomial map.  The kernel
+    representative is the reduced member, or the first member when
+    there is not exactly one.  Both comparisons are needed: under a
+    flipped rule a reduced member need not be its own normal form.
+    Each suite keeps ``FAILURE_CAP`` failures and is truncated past
+    that.
     """
-    if buckets is None:
-        buckets = enumerate_fibers(fam, max_degree)
-    if memo is None:
-        memo = {}
+    buckets = enumerate_fibers(fam, max_degree)
     pairs = fam.incomparable_pairs()
     index = _lead_index(basis)
-    failures = []
-    truncated = False
-    differences = 0
+    memo = {}
+    # up to FAILURE_CAP + 1 each: one more marks the report truncated
+    unique, kernel = [], []
+    largest = 0
     for image, members in buckets.items():
-        if len(members) < 2:
-            continue
+        largest = max(largest, len(members))
         reduced = [m for m in members if _least_lead(m.refs, pairs) is None]
+        outs = [_normal_form(m.refs, index, memo)[0] for m in members]
+        if len(reduced) != 1 and len(unique) <= FAILURE_CAP:
+            unique.append(FiberFailure(
+                image, f"expected exactly one completely reduced member,"
+                f" found {len(reduced)}", tuple(reduced or members)))
         rep = reduced[0] if len(reduced) == 1 else members[0]
-        rep_nf = _normal_form(rep.refs, index, memo)[0]
-        for m in members:
-            if m == rep:
-                continue
-            differences += 1
-            m_nf = _normal_form(m.refs, index, memo)[0]
-            if m_nf != rep_nf:
-                if len(failures) < FAILURE_CAP:
-                    nf = TPolynomial([(TMonomial(m_nf), 1),
-                                      (TMonomial(rep_nf), -1)])
-                    failures.append(FiberFailure(
-                        image, f"{m} - {rep} does not reduce to zero"
-                        f" (normal form {nf})", (m, rep)))
-                else:
-                    truncated = True
-    return KernelReport(max_degree, len(buckets), differences,
-                        tuple(failures), truncated)
+        rep_nf = outs[members.index(rep)]
+        for m, out in zip(members, outs):
+            if (len(reduced) == 1 and out != rep.refs
+                    and len(unique) <= FAILURE_CAP):
+                out_mono = TMonomial(out)
+                unique.append(FiberFailure(
+                    image, f"normal form of {m} is {out_mono}, not the"
+                    f" reduced representative {rep}", (m, out_mono, rep)))
+            if out != rep_nf and len(kernel) <= FAILURE_CAP:
+                nf = TPolynomial([(TMonomial(out), 1),
+                                  (TMonomial(rep_nf), -1)])
+                kernel.append(FiberFailure(
+                    image, f"{m} - {rep} does not reduce to zero"
+                    f" (normal form {nf})", (m, rep)))
+    monomials = sum(len(v) for v in buckets.values())
+    return (FiberReport(max_degree, monomials, len(buckets), largest,
+                        monomials, tuple(unique[:FAILURE_CAP]),
+                        len(unique) > FAILURE_CAP),
+            KernelReport(max_degree, len(buckets), monomials - len(buckets),
+                         tuple(kernel[:FAILURE_CAP]),
+                         len(kernel) > FAILURE_CAP))
+
+
+def verify_unique_normal_forms(fam: LeveledFamily, basis,
+                               max_degree: int) -> FiberReport:
+    """Every fiber must hold exactly one completely reduced monomial and
+    every member must reduce to exactly that one."""
+    return _check_fibers(fam, basis, max_degree)[0]
+
+
+def verify_kernel_generation(fam: LeveledFamily, basis,
+                             max_degree: int) -> KernelReport:
+    """The basis must reduce every fiber difference to zero, which
+    certifies that it generates the kernel up to the cap degree."""
+    return _check_fibers(fam, basis, max_degree)[1]
 
 
 class MeasureReport(NamedTuple):

@@ -27,6 +27,17 @@ from .presentation import MarkedBinomial, TMonomial
 
 DEFAULT_STEP_CAP = 10**6
 MAX_TERM_DEGREE = 1000
+# Most digits the coefficient numbers of one expression (numerators and
+# denominators, not powers) may hold in all, so that every coefficient
+# prints within str(int)'s 4,300-digit limit.  Merging and rewriting
+# only ever add signed term coefficients, so each printed coefficient is
+# a sum of m of them, each a product of its term's numbers and their
+# reciprocals.  Over the product of the m terms' denominators, that
+# sum's numerator is a sum of m products of distinct numbers of the
+# expression, and its denominator is one such product.  Each product is
+# below 10^4000, so both stay within 4,000 + len(str(m)) digits: under
+# the limit for any m < 10^300 terms.
+MAX_COEFFICIENT_DIGITS = 4000
 # Most critical pairs confluence_check reduces (max(4,4) has 103,047)
 CRITICAL_PAIR_CAP = 10**6
 
@@ -413,13 +424,24 @@ def parse_tpolynomial(text: str, fam: LeveledFamily | None = None
     The grammar is  ['+'|'-'] term (('+'|'-') term)*, where a term is
     '*'-joined factors: an integer, optionally '/' and a denominator, or
     a T[i,j], optionally '^' and an integer power.  With a family given,
-    refs are checked against it.  A term of total degree over
-    ``MAX_TERM_DEGREE`` raises ``ResourceCapError``, before its ref is
-    checked.
+    refs are checked against it.  Coefficient numbers of over
+    ``MAX_COEFFICIENT_DIGITS`` digits in all raise
+    ``MonomialParseError``, before any term is read.  A term of total
+    degree over ``MAX_TERM_DEGREE`` raises ``ResourceCapError``, before
+    its ref is checked.
     """
     if not text.strip():
         raise MonomialParseError("empty expression")
     tokens, where = _tokens(text)
+    digits = 0
+    for k, tok in enumerate(tokens):
+        # a number is a coefficient's unless it is a power
+        if isinstance(tok, int) and tokens[k - 1] != "^":
+            digits += len(where[k][1])
+            if digits > MAX_COEFFICIENT_DIGITS:
+                raise MonomialParseError(
+                    f"coefficients over {MAX_COEFFICIENT_DIGITS} digits in"
+                    f" all at position {where[k][0]}")
     terms = []
     sign, i = 1, 0
     if tokens[0] in ("+", "-"):

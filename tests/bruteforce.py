@@ -298,6 +298,41 @@ def fibers_by_psi(fam, max_degree: int) -> dict:
     return buckets
 
 
+def fiber_suites_by_chains(fam, basis, max_degree: int):
+    """Both fiber suites from their definitions, on ``fibers_by_psi``.
+
+    Each member's normal form is the end of its memo-free
+    ``rewrite_chain``, and a member is reduced when no two of its refs
+    form a key of ``pair_table_by_rewrite_images``.  The unique suite
+    fails a fiber without exactly one reduced member, and each member
+    whose normal form is not that one.  The kernel suite fails each
+    member whose normal form differs from the representative's: the
+    reduced member, else the first.  Returns the counts of both reports
+    by field name, then the image of every failure of each suite in
+    fiber order, with no cap.
+    """
+    table = pair_table_by_rewrite_images(fam)
+    index = _lead_index(basis)
+    buckets = fibers_by_psi(fam, max_degree)
+    unique, kernel = [], []
+    for image, members in buckets.items():
+        nf = {m: rewrite_chain(m.refs, index)[-1] for m in members}
+        reduced = [m for m in members
+                   if not any(pair in table
+                              for pair in combinations(m.refs, 2))]
+        if len(reduced) != 1:
+            unique.append(image)
+        else:
+            unique += [image for m in members if nf[m] != reduced[0].refs]
+        rep = reduced[0] if len(reduced) == 1 else members[0]
+        kernel += [image for m in members if nf[m] != nf[rep]]
+    sizes = [len(members) for members in buckets.values()]
+    counts = {"monomials": sum(sizes), "fibers": len(sizes),
+              "largest_fiber": max(sizes),
+              "differences": sum(sizes) - len(sizes)}
+    return counts, unique, kernel
+
+
 def confluent_by_all_spairs(basis):
     """Reduce the S-polynomial of every rule pair, coprime leads included.
 

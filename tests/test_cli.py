@@ -185,6 +185,17 @@ def test_verify_drop_rule_out_of_range(capsys, tower4_file):
     assert "drop-rule" in err
 
 
+def test_verify_drop_rule_on_a_basis_with_no_rule(capsys, tmp_path):
+    path = tmp_path / "x1.json"
+    path.write_text(json.dumps({
+        "mode": "fiber", "variables": 1, "embedding_degree": 2,
+        "levels": [{"degree": 1, "generators": ["x1"]}]}))
+    code, out, err = run(capsys, "verify", str(path), "--drop-rule", "0")
+    assert code == 2
+    assert err == "error: --drop-rule: the basis has no rule to drop\n"
+    assert out == ""
+
+
 # ------------------------------------------------------------ normal-form
 
 def test_normal_form_plain(capsys, tower4_file):
@@ -483,3 +494,33 @@ def test_boolean_counts_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "variables" in err
+
+
+LONG_COEFFICIENTS = {  # case: (position named, expression)
+    # the product alone has 8,000 digits
+    "product": (4001, f"{'9' * 4000}*{'9' * 4000}*T[0,1]"),
+    # each denominator prints, but the two terms merge in the normal
+    # form over a 6,000-digit one
+    "merged sum": (3021, f"1/{'7' * 3000}*T[1,3]*T[1,4]"
+                         f" + 1/{'3' * 2999}1*T[1,2]*T[1,5]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_COEFFICIENTS))
+def test_long_coefficients_exit_2(case):
+    """Coefficients past int's 4,300-digit string limit would end in a
+    traceback when printed; run as a child, so that the interpreter's
+    default limit holds."""
+    position, expression = LONG_COEFFICIENTS[case]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "reescert.cli", "normal-form",
+         str(ROOT / "demos" / "families" / "tower4.json"), expression],
+        env=env, capture_output=True, text=True,
+        timeout=OVERSIZED_TIMEOUT_S)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: coefficients over 4000 digits in all"
+                           f" at position {position}\n")
+    assert proc.stdout == ""

@@ -33,6 +33,7 @@ from reescert.reduction import (
 )
 
 from bruteforce import (
+    fiber_suites_by_chains,
     fibers_by_psi,
     normal_form_randomized,
     pair_table_by_rewrite_images,
@@ -96,46 +97,61 @@ def test_enumerate_fibers_matches_naive_psi(name, request):
     assert all(type(image) is type(key) for image, key in zip(got, want))
 
 
-def test_suites_take_one_enumeration(tower4, monkeypatch):
-    # a bucket map handed in is used as it is, and the reports equal
-    # those of a fresh enumeration
-    from reescert import oracle
-    basis = build_basis(tower4)
-    buckets = enumerate_fibers(tower4, 2)
-    want = (verify_unique_normal_forms(tower4, basis, 2),
-            verify_kernel_generation(tower4, basis, 2))
+def test_verify_enumerates_the_fibers_once(monkeypatch, capsys):
+    # both fiber suites of `reescert verify` are one pass over one
+    # enumeration
+    from reescert.cli import main
+    tower4_file = str(Path(__file__).resolve().parent.parent / "demos"
+                      / "families" / "tower4.json")
+    calls = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerated again")
+    def counted(*args):
+        calls.append(args[1:])
+        return enumerate_fibers(*args)
 
-    monkeypatch.setattr(oracle, "enumerate_fibers", refuse)
-    assert (verify_unique_normal_forms(tower4, basis, 2, buckets=buckets),
-            verify_kernel_generation(tower4, basis, 2,
-                                     buckets=buckets)) == want
+    monkeypatch.setattr(oracle, "enumerate_fibers", counted)
+    assert main(["verify", tower4_file, "--max-degree", "2"]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+    assert calls == [(2,)]
 
 
-@pytest.mark.parametrize("name,drop", [("tower4", None),
-                                       ("maxpowers3", None),
-                                       ("tower4", 17)])
-def test_suites_share_one_normal_form_memo(name, drop, request):
-    # one memo handed to both suites changes neither report, and the
-    # kernel suite then finds every monomial it reduces already there
+def summary(unf, ker):
+    """What the chain reference also computes: passed, counts, truncated
+    and the failing images of both reports."""
+    return ((unf.passed, unf.monomials, unf.fibers, unf.largest_fiber,
+             unf.reductions, unf.truncated,
+             [f.image for f in unf.failures]),
+            (ker.passed, ker.fibers, ker.differences, ker.truncated,
+             [f.image for f in ker.failures]))
+
+
+def reference_summary(fam, basis, max_degree):
+    counts, unique, kernel = fiber_suites_by_chains(fam, basis, max_degree)
+    cap = oracle.FAILURE_CAP
+    return ((not unique, counts["monomials"], counts["fibers"],
+             counts["largest_fiber"], counts["monomials"],
+             len(unique) > cap, unique[:cap]),
+            (not kernel, counts["fibers"], counts["differences"],
+             len(kernel) > cap, kernel[:cap]))
+
+
+@pytest.mark.parametrize("name", ["tower4", "maxpowers3"])
+def test_fiber_suites_match_chain_reference(name, request):
+    # the full basis, every single-rule drop and one flipped rule, at
+    # degree 2
     fam = request.getfixturevalue(name)
     basis = build_basis(fam)
-    if drop is not None:
-        basis = basis[:drop] + basis[drop + 1:]
-    buckets = enumerate_fibers(fam, 3)
-    want = (verify_unique_normal_forms(fam, basis, 3, buckets=buckets),
-            verify_kernel_generation(fam, basis, 3, buckets=buckets))
-    memo = {}
-    unf = verify_unique_normal_forms(fam, basis, 3, buckets=buckets,
-                                     memo=memo)
-    walked = len(memo)
-    ker = verify_kernel_generation(fam, basis, 3, buckets=buckets,
-                                   memo=memo)
-    assert (unf, ker) == want
-    assert len(memo) == walked >= unf.monomials
-    assert want[0].passed == want[1].passed == (drop is None)
+    cases = [basis, flipped(basis, 0)]
+    cases += [basis[:k] + basis[k + 1:] for k in range(len(basis))]
+    for case in cases:
+        got = summary(verify_unique_normal_forms(fam, case, 2),
+                      verify_kernel_generation(fam, case, 2))
+        assert got == reference_summary(fam, case, 2)
+    # under the flipped rule a reduced member is not its own normal
+    # form, yet every fiber difference reduces to zero: a pass that took
+    # the representative for its normal form would fail the kernel here
+    unique, kernel = reference_summary(fam, cases[1], 2)
+    assert not unique[0] and kernel[0]
 
 
 def test_enumeration_cap(monkeypatch):

@@ -32,6 +32,7 @@ from reescert.presentation import (
     build_basis,
 )
 from reescert.reduction import (
+    MAX_COEFFICIENT_DIGITS,
     MAX_TERM_DEGREE,
     TPolynomial,
     _lead_index,
@@ -134,8 +135,13 @@ def test_parse_rejects_garbage(tower4):
     ("1/ +T[1,2]", "expected a number after '/', got '+' at position 3"),
     ("T[1,2] + 3/ 0", "division by zero at position 12"),
     ("T[1,2] $", "unexpected input '$' at position 7"),
+    # numerators and denominators count, and the number that takes them
+    # over the cap is named
+    (f"{'9' * 2000}/{'9' * 2000}*2*T[0,1]",
+     "coefficients over 4000 digits in all at position 4002"),
 ], ids=["term after term", "power without number", "factor missing",
-        "denominator not a number", "zero denominator", "lexical"])
+        "denominator not a number", "zero denominator", "lexical",
+        "coefficient digits"])
 def test_parse_errors_name_the_token_and_its_position(text, message):
     with pytest.raises(MonomialParseError, match=f"^{re.escape(message)}$"):
         P(text)
@@ -155,6 +161,19 @@ def test_parse_caps_term_degree(tower4):
     with pytest.raises(ResourceCapError):
         P(f"T[9,9]^{MAX_TERM_DEGREE + 1}", tower4)
     assert P("T[1,1]^0") == TPolynomial.monomial(TMonomial(()))
+
+
+
+def test_parse_prints_coefficients_at_the_digit_cap():
+    # powers do not count; at the cap the largest product and a merged
+    # sum still print
+    half = "9" * (MAX_COEFFICIENT_DIGITS // 2)
+    at_cap = P(f"{half}*{half}*T[0,1]^{'0' * 4000}7")
+    assert at_cap.text() == f"{int(half) ** 2}*T[0,1]^7"
+    den = "7" * (MAX_COEFFICIENT_DIGITS // 2 - 1)
+    merged = P(f"1/{den} + 1/{den[1:]}1")
+    assert merged.text() == str(1 / Fraction(int(den))
+                                + 1 / Fraction(int(den[1:] + "1")))
 
 
 # ---------------------------------------------------------------- psi
