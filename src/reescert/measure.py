@@ -38,8 +38,10 @@ from .presentation import TMonomial
 from . import reduction
 from .reduction import (
     TPolynomial,
-    _lead_index,
+    _RuleIndex,
     _polynomial_step,
+    _positions,
+    _refs_of,
     _step_cap_error,
 )
 
@@ -195,21 +197,22 @@ def _pair_part(fam: LeveledFamily, r, s) -> tuple[int, int, bool]:
     return 0, _descents(zip(a, b)) + least, paid > least
 
 
-def _pair_sums(refs: tuple, fam: LeveledFamily,
+def _pair_sums(ps: tuple, refs: tuple, fam: LeveledFamily,
                memo: dict) -> tuple[int, int, bool]:
-    """(c, e, loose) of the monomial with these sorted refs, summed over
-    its occurrence pairs.  ``memo`` maps each ref, on first use, to a
-    dict of its pair parts with the refs after it."""
+    """(c, e, loose) of the monomial at these sorted positions of
+    ``refs``, summed over its occurrence pairs.  ``memo`` maps each
+    position, on first use, to a dict of its pair parts with the
+    positions after it."""
     c = e = 0
     loose = False
-    for i, r in enumerate(refs):
+    for i, r in enumerate(ps):
         parts = memo.get(r)
         if parts is None:
             parts = memo[r] = {}
-        for s in refs[i + 1:]:
+        for s in ps[i + 1:]:
             part = parts.get(s)
             if part is None:
-                part = parts[s] = _pair_part(fam, r, s)
+                part = parts[s] = _pair_part(fam, refs[r], refs[s])
             pc, pe, pl = part
             c += pc
             e += pe
@@ -240,10 +243,10 @@ def _minimal_e(by_level: dict) -> int:
     return sum(inversion_minimal(rows)[0] for rows in by_level.values())
 
 
-def _measure(refs: tuple, fam: LeveledFamily,
+def _measure(ps: tuple, refs: tuple, fam: LeveledFamily,
              memo: dict) -> ReductionMeasure:
-    """(c, e) of the monomial with these sorted refs, from its pair
-    parts.
+    """(c, e) of the monomial at these sorted positions of ``refs``,
+    from its pair parts.
 
     c is the sum of the cross-level pair parts.  e is the sum of the
     same-level pair parts; the rows are standard factorizations, sorted,
@@ -253,31 +256,32 @@ def _measure(refs: tuple, fam: LeveledFamily,
     comes from ``inversion_minimal`` level by level.  A monomial with
     more refs than ``ROW_CAP`` is measured level by level before any
     pair is, so that a level over the cap is refused at once.  A memo
-    kept over many monomials of one family computes each part once.
+    kept over many monomials of one numbering computes each part once.
     """
-    if len(refs) > ROW_CAP:
-        by_level = _rows_by_level(refs, fam)
+    if len(ps) > ROW_CAP:
+        by_level = _rows_by_level(tuple(map(refs.__getitem__, ps)), fam)
         e = _minimal_e(by_level)
         return ReductionMeasure(_comparability(by_level), e)
-    c, e, loose = _pair_sums(refs, fam, memo)
+    c, e, loose = _pair_sums(ps, refs, fam, memo)
     if loose:
-        e = _minimal_e(_rows_by_level(refs, fam))
+        e = _minimal_e(_rows_by_level(tuple(map(refs.__getitem__, ps)), fam))
     return ReductionMeasure(c, e)
 
 
 def reduction_level(mono: TMonomial, fam: LeveledFamily) -> ReductionMeasure:
     """The pair (c, minimal e summed over levels) for one T-monomial."""
-    return _measure(mono.refs, fam, {})
+    refs, pos = _positions(mono.refs)
+    return _measure(tuple(map(pos.__getitem__, mono.refs)), refs, fam, {})
 
 
-def _polynomial_measure(f: TPolynomial, fam: LeveledFamily,
-                        memo: dict) -> ReductionMeasure:
+def _polynomial_measure(f: TPolynomial, index: _RuleIndex,
+                        fam: LeveledFamily, memo: dict) -> ReductionMeasure:
     """Support-wise sum of the measure, strictly lex-decreasing along any
-    reduction, with a memo of pair parts that the caller may keep over
-    many polynomials of one family."""
+    reduction, with a memo of pair parts on the index's positions that
+    the caller may keep over many polynomials."""
     c = e = 0
     for mono in f.terms:
-        mc, me = _measure(mono.refs, fam, memo)
+        mc, me = _measure(index.positions(mono.refs), index.refs, fam, memo)
         c += mc
         e += me
     return ReductionMeasure(c, e)
@@ -312,17 +316,18 @@ def traced_normal_form(f: TPolynomial, basis,
     ``InternalInvariantError``, as in every other reduction: the measure
     should forbid that many.  One memo of pair parts serves every step.
     """
-    index = _lead_index(basis)
+    index = _RuleIndex(basis, _refs_of(f))
     memo = {}
     steps = []
     current = f
-    initial = _polynomial_measure(f, fam, memo)
+    initial = _polynomial_measure(f, index, fam, memo)
     while True:
         step = _polynomial_step(current, index)
         if step is None:
             return ReductionTrace(f, initial, tuple(steps))
         mono, rule, current = step
         steps.append(TraceStep(
-            mono, rule, current, _polynomial_measure(current, fam, memo)))
+            mono, rule, current,
+            _polynomial_measure(current, index, fam, memo)))
         if len(steps) > reduction.DEFAULT_STEP_CAP:
             raise _step_cap_error(reduction.DEFAULT_STEP_CAP)

@@ -11,7 +11,7 @@ are one pass, which reduces every monomial once.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ResourceCapError
 from .family import LeveledFamily
@@ -20,9 +20,10 @@ from .presentation import TMonomial
 from .reduction import (
     PsiImage,
     TPolynomial,
-    _lead_index,
+    _RuleIndex,
     _least_lead,
     _normal_form,
+    _partners,
     psi_eval,
 )
 # Not called here (the suites reduce monomials directly); imported because
@@ -40,21 +41,9 @@ def count_tmonomials(fam: LeveledFamily, max_degree: int) -> int:
     return comb(len(fam) + max_degree, max_degree) - 1
 
 
-def enumerate_fibers(fam: LeveledFamily, max_degree: int
-                     ) -> dict[PsiImage, list[TMonomial]]:
-    """Bucket all T-monomials of degree 1..max_degree by their image.
-
-    The degree-0 monomial is excluded; its fiber is trivially itself.
-    More than ``ENUMERATION_CAP`` monomials raise ``ResourceCapError``
-    before any is built.  The map is a monoid homomorphism: each ref's
-    image is computed once and packed into one int, with ``(max_degree *
-    largest entry).bit_length()`` bits per exponent, so that no sum of at
-    most ``max_degree`` images carries from one exponent into the next.
-    Each monomial of degree d extends one of degree d - 1 by a ref no
-    smaller than its last, with one int add, so images and members come
-    in ``combinations_with_replacement`` order.  Each fiber's key is
-    unpacked once, at the end.
-    """
+def _check_enumeration(fam: LeveledFamily, max_degree: int) -> None:
+    """Refuse a degree below 1, and more than ``ENUMERATION_CAP``
+    T-monomials, before any is built."""
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     total = count_tmonomials(fam, max_degree)
@@ -65,6 +54,25 @@ def enumerate_fibers(fam: LeveledFamily, max_degree: int
         raise ResourceCapError(
             f"{shown} T-monomials up to degree {max_degree},"
             f" cap is {ENUMERATION_CAP}")
+
+
+def _fiber_members(fam: LeveledFamily, max_degree: int, code
+                   ) -> tuple[dict[int, list[tuple]], Callable]:
+    """The T-monomials of degree 1..max_degree, bucketed by packed image,
+    and the function that unpacks an image.  A monomial is the sorted
+    tuple of the ``code[k]`` of its refs ``fam.refs()[k]``, for ``code``
+    increasing in k: the refs themselves, or their positions in a
+    ``_RuleIndex``.  The caller checks the degree and the count first
+    (``_check_enumeration``).
+
+    The map is a monoid homomorphism: each ref's image is computed once
+    and packed into one int, with ``(max_degree * largest
+    entry).bit_length()`` bits per exponent, so that no sum of at most
+    ``max_degree`` images carries from one exponent into the next.  Each
+    monomial of degree d extends one of degree d - 1 by a ref no smaller
+    than its last, with one int add, so images and members come in
+    ``combinations_with_replacement`` order.
+    """
     refs = fam.refs()
     images = [psi_eval(TMonomial._of_sorted((ref,)), fam) for ref in refs]
     split = len(images[0].x)
@@ -73,30 +81,48 @@ def enumerate_fibers(fam: LeveledFamily, max_degree: int
     bits = (max_degree * max(map(max, vectors))).bit_length()
     packed = [sum(e << (bits * k) for k, e in enumerate(vec))
               for vec in vectors]
-    of_sorted = TMonomial._of_sorted
-    flat: dict[int, list[TMonomial]] = {}
-    # (refs, packed image, index of the last ref) of every monomial of
-    # degree d
+    flat: dict[int, list[tuple]] = {}
+    # (monomial, packed image, index of the last ref) of every monomial
+    # of degree d
     frontier = [((), 0, 0)]
     for d in range(1, max_degree + 1):
         grown = []
         for combo, key, last in frontier:
             for k in range(last, len(refs)):
                 image = key + packed[k]
-                grew = combo + (refs[k],)
+                grew = combo + (code[k],)
                 members = flat.get(image)
                 if members is None:
-                    flat[image] = [of_sorted(grew)]
+                    flat[image] = [grew]
                 else:
-                    members.append(of_sorted(grew))
+                    members.append(grew)
                 if d < max_degree:
                     grown.append((grew, image, k))
         frontier = grown
     mask = (1 << bits) - 1
+
+    def unpack(image: int) -> PsiImage:
+        vec = tuple(image >> (bits * k) & mask for k in range(width))
+        return PsiImage(vec[:split], vec[split:])
+    return flat, unpack
+
+
+def enumerate_fibers(fam: LeveledFamily, max_degree: int
+                     ) -> dict[PsiImage, list[TMonomial]]:
+    """Bucket all T-monomials of degree 1..max_degree by their image.
+
+    The degree-0 monomial is excluded; its fiber is trivially itself.
+    More than ``ENUMERATION_CAP`` monomials raise ``ResourceCapError``
+    before any is built.  Images and members come in
+    ``combinations_with_replacement`` order (see ``_fiber_members``).
+    """
+    _check_enumeration(fam, max_degree)
+    flat, unpack = _fiber_members(fam, max_degree, fam.refs())
     out = {}
     for image, members in flat.items():
-        vec = tuple(image >> (bits * k) & mask for k in range(width))
-        out[PsiImage(vec[:split], vec[split:])] = members
+        # in place, so that no second list per fiber is held
+        members[:] = map(TMonomial._of_sorted, members)
+        out[unpack(image)] = members
     return out
 
 
@@ -147,38 +173,51 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
     there is not exactly one.  Both comparisons are needed: under a
     flipped rule a reduced member need not be its own normal form.
     Each suite keeps ``FAILURE_CAP`` failures and is truncated past
-    that.
+    that.  Members stay position tuples of the basis's ``_RuleIndex``
+    throughout; T-monomials and images are built for failures only.
     """
-    buckets = enumerate_fibers(fam, max_degree)
-    pairs = fam.incomparable_pairs()
-    index = _lead_index(basis)
+    _check_enumeration(fam, max_degree)
+    refs = fam.refs()
+    index = _RuleIndex(basis, refs)
+    buckets, unpack = _fiber_members(
+        fam, max_degree, [index.pos[ref] for ref in refs])
+    table = _partners(fam.incomparable_pairs(), index.pos, len(index.refs))
+    # when the basis's leads are the table's keys, as on a built basis,
+    # a member is reduced exactly when its walk takes no step
+    walk_is_table = table == index.partners
+    mono = index.monomial
     memo = {}
     # up to FAILURE_CAP + 1 each: one more marks the report truncated
     unique, kernel = [], []
     largest = 0
     for image, members in buckets.items():
         largest = max(largest, len(members))
-        reduced = [m for m in members if _least_lead(m.refs, pairs) is None]
-        outs = [_normal_form(m.refs, index, memo)[0] for m in members]
+        walks = [_normal_form(m, index, memo) for m in members]
+        outs = [out for out, _ in walks]
+        reduced = ([m for m, (_, steps) in zip(members, walks) if not steps]
+                   if walk_is_table else
+                   [m for m in members if _least_lead(m, table) is None])
         if len(reduced) != 1 and len(unique) <= FAILURE_CAP:
             unique.append(FiberFailure(
-                image, f"expected exactly one completely reduced member,"
-                f" found {len(reduced)}", tuple(reduced or members)))
+                unpack(image), f"expected exactly one completely reduced"
+                f" member, found {len(reduced)}",
+                tuple(map(mono, reduced or members))))
         rep = reduced[0] if len(reduced) == 1 else members[0]
         rep_nf = outs[members.index(rep)]
         for m, out in zip(members, outs):
-            if (len(reduced) == 1 and out != rep.refs
+            if (len(reduced) == 1 and out != rep
                     and len(unique) <= FAILURE_CAP):
-                out_mono = TMonomial(out)
+                out_mono = mono(out)
                 unique.append(FiberFailure(
-                    image, f"normal form of {m} is {out_mono}, not the"
-                    f" reduced representative {rep}", (m, out_mono, rep)))
+                    unpack(image), f"normal form of {mono(m)} is"
+                    f" {out_mono}, not the reduced representative"
+                    f" {mono(rep)}", (mono(m), out_mono, mono(rep))))
             if out != rep_nf and len(kernel) <= FAILURE_CAP:
-                nf = TPolynomial([(TMonomial(out), 1),
-                                  (TMonomial(rep_nf), -1)])
+                nf = TPolynomial([(mono(out), 1), (mono(rep_nf), -1)])
                 kernel.append(FiberFailure(
-                    image, f"{m} - {rep} does not reduce to zero"
-                    f" (normal form {nf})", (m, rep)))
+                    unpack(image), f"{mono(m)} - {mono(rep)} does not"
+                    f" reduce to zero (normal form {nf})",
+                    (mono(m), mono(rep))))
     monomials = sum(len(v) for v in buckets.values())
     return (FiberReport(max_degree, monomials, len(buckets), largest,
                         monomials, tuple(unique[:FAILURE_CAP]),
@@ -228,20 +267,21 @@ def verify_measure_decrease(fam: LeveledFamily, basis, samples: int = 200,
         raise ValueError("max_degree must be at least 1")
     rng = random.Random(seed)
     refs = fam.refs()
-    index = _lead_index(basis)
+    index = _RuleIndex(basis, refs)
+    pos = index.pos
     parts = {}
     steps = 0
     failures = []
     for _ in range(samples):
-        mono = TMonomial._of_sorted(tuple(sorted(
-            rng.choices(refs, k=rng.randint(1, max_degree)))))
+        ps = tuple(sorted(map(pos.__getitem__, rng.choices(
+            refs, k=rng.randint(1, max_degree)))))
         walk = {}
-        steps += _normal_form(mono.refs, index, walk)[1]
+        steps += _normal_form(ps, index, walk)[1]
         # one chain: its distances to the normal form are distinct
         chain = sorted(walk, key=lambda r: walk[r][1], reverse=True)
-        seq = [_measure(r, fam, parts) for r in chain]
+        seq = [_measure(r, index.refs, fam, parts) for r in chain]
         ok = all(after < before for before, after in zip(seq, seq[1:]))
         if not ok or seq[-1] != (0, 0):
             if len(failures) < FAILURE_CAP:
-                failures.append(mono)
+                failures.append(index.monomial(ps))
     return MeasureReport(samples, max_degree, steps, tuple(failures))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -152,63 +153,121 @@ def psi_eval(mono: TMonomial, fam: LeveledFamily) -> PsiImage:
     return PsiImage(tuple(xs), ())
 
 
-def _lead_index(basis) -> dict[tuple[GenRef, GenRef], MarkedBinomial]:
-    index = {}
-    for g in basis:
-        key = g.lead.refs
-        if len(key) != 2 or key[0] == key[1]:
-            raise ValueError(f"lead {g.lead} is not squarefree quadratic")
-        if key in index:
-            raise ValueError(f"duplicate lead {g.lead}")
-        index[key] = g
-    return index
+def _positions(refs) -> tuple[tuple[GenRef, ...], dict]:
+    """The distinct refs in lexicographic order, and each one's position
+    in that order: int order is ref order, so a sorted ref tuple maps to
+    a sorted position tuple and back."""
+    ordered = tuple(sorted(set(refs)))
+    return ordered, {ref: i for i, ref in enumerate(ordered)}
 
 
-def _least_lead(refs: tuple, index) -> tuple[GenRef, GenRef] | None:
-    """The least lead ref pair dividing the monomial with these sorted
-    refs, or None at a normal form.
+def _partners(pairs, pos: dict, size: int) -> list[set]:
+    """Per position a, the set of positions b > a with (a, b) among the
+    sorted ref pairs: the lead partners ``_least_lead`` reads."""
+    rows = [set() for _ in range(size)]
+    for a, b in pairs:
+        rows[pos[a]].add(pos[b])
+    return rows
+
+
+class _RuleIndex:
+    """The basis on ref positions, the one form every reduction reads.
+
+    ``refs`` lists the refs of the basis and the extra refs passed in,
+    in lexicographic order (see ``_positions``); a ref's position is
+    its place there, and ``pos`` maps each ref to it.  ``partners``
+    holds the lead partners of each position, ``trails`` maps each lead
+    (a, b) to its trail's sorted positions, and ``rules`` to its
+    ``MarkedBinomial``, for reports.  A lead that is not squarefree
+    quadratic, or a duplicate one, raises ``ValueError``, the first in
+    basis order.
+    """
+
+    __slots__ = ("refs", "pos", "partners", "trails", "rules")
+
+    def __init__(self, basis, refs=()):
+        self.refs, pos = _positions(chain(
+            refs, *(g.lead.refs + g.trail.refs for g in basis)))
+        self.pos = pos
+        self.trails = trails = {}
+        self.rules = rules = {}
+        for g in basis:
+            lead = g.lead.refs
+            if len(lead) != 2 or lead[0] == lead[1]:
+                raise ValueError(f"lead {g.lead} is not squarefree quadratic")
+            key = pos[lead[0]], pos[lead[1]]
+            if key in rules:
+                raise ValueError(f"duplicate lead {g.lead}")
+            trails[key] = tuple(map(pos.__getitem__, g.trail.refs))
+            rules[key] = g
+        self.partners = _partners(
+            (g.lead.refs for g in basis), pos, len(self.refs))
+
+    def positions(self, refs: tuple) -> tuple[int, ...]:
+        """The sorted positions of these sorted refs."""
+        return tuple(map(self.pos.__getitem__, refs))
+
+    def monomial(self, ps: tuple) -> TMonomial:
+        """The T-monomial at these sorted positions."""
+        return TMonomial._of_sorted(tuple(map(self.refs.__getitem__, ps)))
+
+
+def _least_lead(ps: tuple, partners) -> tuple[int, int] | None:
+    """The least lead (a, b) dividing the monomial at these sorted
+    positions, in lexicographic order, or None at a normal form.
 
     This is the one rule choice of every reduction in the package: a
-    monomial rewrites along the rule with this lead.
+    monomial rewrites along the rule with this lead.  ``partners`` is a
+    ``_RuleIndex``'s, or the pair table's from ``_partners``.
     """
-    for i, a in enumerate(refs):
-        if i and refs[i - 1] == a:
-            continue
-        for b in refs[i + 1:]:
-            if (a, b) in index:
-                return a, b
+    for i, a in enumerate(ps):
+        row = partners[a]
+        if row:
+            for b in ps[i + 1:]:
+                if b in row:
+                    return a, b
     return None
 
 
-def _rewrite_step(refs: tuple, rule: MarkedBinomial) -> tuple:
-    """The sorted refs of the monomial with these refs once the rule's
-    lead, which must divide it, is replaced by the rule's trail."""
-    a, b = rule.lead.refs
-    rest = list(refs)
+def _rewrite_step(ps: tuple, lead: tuple, trail: tuple) -> tuple:
+    """The sorted positions of the monomial at ``ps`` once ``lead``,
+    which must divide it, is replaced by ``trail``."""
+    a, b = lead
+    rest = list(ps)
     rest.remove(a)
     rest.remove(b)
-    return tuple(sorted(rest + list(rule.trail.refs)))
+    rest += trail
+    rest.sort()
+    return tuple(rest)
 
 
-def _polynomial_step(f: TPolynomial, index
+def _polynomial_step(f: TPolynomial, index: _RuleIndex
                      ) -> tuple[TMonomial, MarkedBinomial, TPolynomial] | None:
     """(rewritten monomial, rule, result) of one deterministic step on f,
     or None at a normal form: the greatest reducible support monomial
-    (factor-lex order) rewrites along its ``_least_lead``."""
+    (factor-lex order) rewrites along its ``_least_lead``.  Every ref of
+    f must have a position in the index."""
     for mono in f.support():
-        key = _least_lead(mono.refs, index)
-        if key is not None:
-            rule = index[key]
+        ps = index.positions(mono.refs)
+        lead = _least_lead(ps, index.partners)
+        if lead is not None:
             coeff = f.terms[mono]
-            out = TMonomial._of_sorted(_rewrite_step(mono.refs, rule))
-            return mono, rule, f + TPolynomial({mono: -coeff, out: coeff})
+            out = index.monomial(
+                _rewrite_step(ps, lead, index.trails[lead]))
+            return (mono, index.rules[lead],
+                    f + TPolynomial({mono: -coeff, out: coeff}))
     return None
+
+
+def _refs_of(f: TPolynomial):
+    """Every ref of every support monomial of f."""
+    return chain.from_iterable(mono.refs for mono in f.terms)
 
 
 def reduce_step(f: TPolynomial, basis) -> TPolynomial | None:
     """One deterministic reduction step, or None at a normal form; see
     ``_polynomial_step`` for the strategy."""
-    step = _polynomial_step(f, _lead_index(basis))
+    step = _polynomial_step(f, _RuleIndex(basis, _refs_of(f)))
     return None if step is None else step[2]
 
 
@@ -218,8 +277,10 @@ def _step_cap_error(max_steps: int) -> InternalInvariantError:
         " measure should forbid this")
 
 
-def _normal_form(refs: tuple, index, memo: dict) -> tuple[tuple, int]:
-    """(normal form, steps to it) of the monomial with these sorted refs.
+def _normal_form(ps: tuple, index: _RuleIndex,
+                 memo: dict) -> tuple[tuple, int]:
+    """(normal form, steps to it) of the monomial at these sorted
+    positions of the index, the normal form as positions too.
 
     The one walk of every reduction in the package.  A monomial in
     ``memo`` answers at once.  Otherwise ``_rewrite_step`` follows
@@ -232,33 +293,34 @@ def _normal_form(refs: tuple, index, memo: dict) -> tuple[tuple, int]:
     a walk that comes back to a monomial it has walked: it would cycle
     forever.
     """
-    hit = memo.get(refs)
+    hit = memo.get(ps)
     if hit is not None:
         return hit
     # read at call time, so that the module's one cap rules every walk
     max_steps = DEFAULT_STEP_CAP
+    partners, trails = index.partners, index.trails
     # each walked monomial with its place in the walk
     walked = {}
     while hit is None:
-        key = _least_lead(refs, index)
-        if key is None:
-            hit = memo[refs] = (refs, 0)
+        lead = _least_lead(ps, partners)
+        if lead is None:
+            hit = memo[ps] = (ps, 0)
             break
         n = len(walked)
         if n == max_steps:
             raise _step_cap_error(max_steps)
-        if walked.setdefault(refs, n) != n:
+        if walked.setdefault(ps, n) != n:
             raise InternalInvariantError(
-                f"reduction cycles through {n - walked[refs]} monomials;"
+                f"reduction cycles through {n - walked[ps]} monomials;"
                 " the termination measure should forbid this")
-        refs = _rewrite_step(refs, index[key])
-        hit = memo.get(refs)
+        ps = _rewrite_step(ps, lead, trails[lead])
+        hit = memo.get(ps)
     nf, steps = hit
     if len(walked) + steps > max_steps:
         raise _step_cap_error(max_steps)
-    for refs in reversed(walked):
+    for ps in reversed(walked):
         steps += 1
-        memo[refs] = (nf, steps)
+        memo[ps] = (nf, steps)
     return nf, steps
 
 
@@ -272,10 +334,11 @@ def normal_form(f: TPolynomial, basis) -> TPolynomial:
     confluent or not.  A monomial whose chain is longer than
     ``DEFAULT_STEP_CAP`` raises ``InternalInvariantError``.
     """
-    index = _lead_index(basis)
+    index = _RuleIndex(basis, _refs_of(f))
     memo = {}
     return TPolynomial(
-        (TMonomial(_normal_form(m.refs, index, memo)[0]), c)
+        (index.monomial(
+            _normal_form(index.positions(m.refs), index, memo)[0]), c)
         for m, c in f.terms.items())
 
 
@@ -336,15 +399,16 @@ def confluence_check(basis) -> ConfluenceReport:
     memo that lives for this call; memoizing changes no verdict,
     failure or length.  The memo holds one entry per distinct cubic
     reached (``normal_forms``), so memory grows with that number:
-    the tracemalloc peak of one call is about 1 MB on max(4,3), 6 MB on
-    max(4,4) and 27 MB on max(5,4).
+    the tracemalloc peak of one call, rule index included, is about
+    1.0 MiB on max(4,3), 6.2 MiB on max(4,4) and 27.6 MiB on max(5,4).
     """
-    index = _lead_index(basis)
-    # per lead ref: (rule index, the lead's other ref, trail refs)
+    index = _RuleIndex(basis)
+    # per lead position, in basis order: (the rule's place in the basis,
+    # the lead's other position, the trail's positions)
     by_ref = defaultdict(list)
     for i, g in enumerate(basis):
-        a, b = g.lead.refs
-        trail = g.trail.refs
+        a, b = lead = index.positions(g.lead.refs)
+        trail = index.trails[lead]
         by_ref[a].append((i, b, trail))
         by_ref[b].append((i, a, trail))
     critical = sum(len(rules) * (len(rules) - 1) // 2

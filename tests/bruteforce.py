@@ -28,10 +28,6 @@ from reescert.reduction import (
     DEFAULT_STEP_CAP,
     ConfluenceReport,
     TPolynomial,
-    _lead_index,
-    _least_lead,
-    _rewrite_step,
-    _step_cap_error,
     normal_form,
     psi_eval,
     s_polynomial,
@@ -312,11 +308,11 @@ def fiber_suites_by_chains(fam, basis, max_degree: int):
     fiber order, with no cap.
     """
     table = pair_table_by_rewrite_images(fam)
-    index = _lead_index(basis)
+    rules = rules_by_lead(basis)
     buckets = fibers_by_psi(fam, max_degree)
     unique, kernel = [], []
     for image, members in buckets.items():
-        nf = {m: rewrite_chain(m.refs, index)[-1] for m in members}
+        nf = {m: rewrite_chain(m.refs, rules)[-1] for m in members}
         reduced = [m for m in members
                    if not any(pair in table
                               for pair in combinations(m.refs, 2))]
@@ -347,21 +343,55 @@ def confluent_by_all_spairs(basis):
     return not failures, tuple(failures)
 
 
-def rewrite_chain(refs, index, max_steps=DEFAULT_STEP_CAP):
+def rules_by_lead(basis) -> dict:
+    """Each rule of the basis by its lead's sorted ref pair.  A lead
+    that is not a product of two distinct refs, or one that leads two
+    rules, raises ``ValueError``: the first in basis order."""
+    rules = {}
+    for g in basis:
+        lead = g.lead.refs
+        if len(lead) != 2 or len(set(lead)) != 2:
+            raise ValueError(f"lead {g.lead} is not squarefree quadratic")
+        if lead in rules:
+            raise ValueError(f"duplicate lead {g.lead}")
+        rules[lead] = g
+    return rules
+
+
+def rewrite_chain(refs, rules, max_steps=DEFAULT_STEP_CAP):
     """Deterministic rewrite chain of one monomial, with no memo: the
-    sorted ref tuples from ``refs`` to its normal form, one
-    ``_rewrite_step`` apart.  A chain of more than ``max_steps`` steps
-    raises ``InternalInvariantError``.
+    sorted ref tuples from ``refs`` to its normal form.
+
+    Each step takes the lexicographically least ref pair a < b of the
+    monomial that is a lead of ``rules`` (``rules_by_lead``), takes the
+    lead off by multiset difference (one copy of each of its refs) and
+    adds the trail, re-sorted.  A monomial that needs a step past
+    ``max_steps`` raises ``InternalInvariantError``, and so does one
+    that needs a step from a monomial already on the chain, naming the
+    cycle's length.
     """
-    chain = [refs]
+    chain = [tuple(refs)]
     while True:
-        key = _least_lead(refs, index)
-        if key is None:
+        leads = [pair for pair in combinations(refs, 2)
+                 if pair[0] < pair[1] and pair in rules]
+        if not leads:
             return chain
-        refs = _rewrite_step(refs, index[key])
+        steps = len(chain) - 1
+        if steps == max_steps:
+            raise InternalInvariantError(
+                f"reduction exceeded {max_steps} steps; the termination"
+                " measure should forbid this")
+        first = chain.index(refs)
+        if first < steps:
+            raise InternalInvariantError(
+                f"reduction cycles through {steps - first} monomials;"
+                " the termination measure should forbid this")
+        g = rules[min(leads)]
+        rest = list(refs)
+        for ref in g.lead.refs:
+            rest.remove(ref)
+        refs = tuple(sorted(rest + list(g.trail.refs)))
         chain.append(refs)
-        if len(chain) > max_steps + 1:
-            raise _step_cap_error(max_steps)
 
 
 def confluence_by_chains(basis, max_steps=DEFAULT_STEP_CAP):
@@ -370,7 +400,7 @@ def confluence_by_chains(basis, max_steps=DEFAULT_STEP_CAP):
 
     ``normal_forms`` counts the distinct monomials on all those chains.
     """
-    index = _lead_index(basis)
+    by_lead = rules_by_lead(basis)
     by_ref = defaultdict(list)
     for i, g in enumerate(basis):
         for ref in g.lead.refs:
@@ -388,9 +418,9 @@ def confluence_by_chains(basis, max_steps=DEFAULT_STEP_CAP):
                 (c,) = (r for r in g2.lead.refs if r != ref)
                 reduced += 1
                 chain1 = rewrite_chain(
-                    tuple(sorted(g1.trail.refs + (c,))), index, max_steps)
+                    tuple(sorted(g1.trail.refs + (c,))), by_lead, max_steps)
                 chain2 = rewrite_chain(
-                    tuple(sorted(g2.trail.refs + (b,))), index, max_steps)
+                    tuple(sorted(g2.trail.refs + (b,))), by_lead, max_steps)
                 longest = max(longest, len(chain1) - 1, len(chain2) - 1)
                 seen.update(chain1, chain2)
                 if chain1[-1] != chain2[-1]:

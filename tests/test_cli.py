@@ -234,6 +234,24 @@ def test_normal_form_trace_json(capsys, tower4_file):
     assert data["normal_form"] == "T[0,3]*T[2,3]"
 
 
+@pytest.mark.parametrize("expr, text", [
+    ("T[2,1]*T[2,2]", "T[2,1]*T[2,2]"),
+    ("T[1,1]^0", "1"),
+])
+def test_normal_form_of_refs_outside_every_rule(capsys, expr, text):
+    # fiber_pair's one rule is on level-1 refs: a monomial of level-2
+    # refs and the empty monomial (fiber_pair has no level 0) come back
+    # as they went in, traced or not
+    path = str(Path(__file__).resolve().parent.parent / "demos" / "families"
+               / "fiber_pair.json")
+    code, out, err = run(capsys, "normal-form", path, expr)
+    assert (code, out, err) == (0, text + "\n", "")
+    code, out, err = run(capsys, "normal-form", path, expr, "--trace")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"input: {text}", "(c,e): 0 0",
+                                f"normal form: {text}"]
+
+
 def test_normal_form_power_over_cap_exits_3(capsys, tower4_file):
     code, out, err = run(capsys, "normal-form", tower4_file,
                          "T[0,1]^100000000")

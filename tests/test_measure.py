@@ -25,7 +25,7 @@ from reescert.presentation import (
 )
 from reescert.reduction import (
     TPolynomial,
-    _lead_index,
+    _RuleIndex,
     parse_tpolynomial,
 )
 
@@ -35,6 +35,7 @@ from bruteforce import (
     min_inversions_by_permutation,
     pair_table_by_rewrite_images,
     rewrite_chain,
+    rules_by_lead,
 )
 
 
@@ -223,6 +224,12 @@ def test_reduction_level_small_frozen(tower4):
     assert reduction_level(TMonomial(), tower4) == (0, 0)
 
 
+def at(refs, m):
+    """The positions of the monomial's refs in ``refs``, the numbering
+    ``_measure`` reads."""
+    return tuple(map(refs.index, m.refs))
+
+
 def reference_measure(m, fam, max_permuted=5):
     """(c, e) by definition: c one occurrence pair at a time, e level by
     level by permutation search where a level has few rows."""
@@ -247,7 +254,7 @@ def test_measure_matches_definition(bench_families):
         for _ in range(300):
             m = TMonomial(rng.choices(refs, k=rng.randint(0, 10)))
             want = reference_measure(m, fam)
-            assert _measure(m.refs, fam, memo) == want
+            assert _measure(at(refs, m), refs, fam, memo) == want
             assert reduction_level(m, fam) == want
 
 
@@ -273,7 +280,7 @@ def test_measure_on_cyclic_levels(bench_families):
                 count, order = min_inversions_by_permutation(rows)
                 assert inversion_minimal(rows) == (count, tuple(order))
         want = reference_measure(m, fam, max_permuted=7)
-        assert _measure(m.refs, fam, memo) == want
+        assert _measure(at(refs, m), refs, fam, memo) == want
         assert reduction_level(m, fam) == want
     assert cyclic == 4
 
@@ -292,7 +299,7 @@ def test_measure_on_high_degree_rows():
     for _ in range(20):
         m = TMonomial(rng.choices(refs, k=rng.randint(1, 6)))
         want = reference_measure(m, fam, max_permuted=4)
-        assert _measure(m.refs, fam, memo) == want
+        assert _measure(at(refs, m), refs, fam, memo) == want
         assert reduction_level(m, fam) == want
 
 
@@ -301,7 +308,7 @@ def test_reduction_level_row_cap(tower4):
     with pytest.raises(ResourceCapError, match="11 rows, cap is 10"):
         reduction_level(m, tower4)
     with pytest.raises(ResourceCapError, match="11 rows"):
-        _measure(m.refs, tower4, {})
+        _measure(at(tower4.refs(), m), tower4.refs(), tower4, {})
     # ten rows are fine
     assert ROW_CAP == 10
     ten = parse_tpolynomial("T[1,1]^10", tower4).support()[0]
@@ -323,8 +330,9 @@ def test_measure_zero_iff_completely_reduced(tower4, maxpowers3):
 
 def test_polynomial_measure_sums(tower4):
     f = parse_tpolynomial("T[1,3]*T[1,4] + T[0,1]*T[2,7]", tower4)
-    assert _polynomial_measure(f, tower4, {}) == (3, 1)
-    assert _polynomial_measure(TPolynomial(), tower4, {}) == (0, 0)
+    index = _RuleIndex((), tower4.refs())
+    assert _polynomial_measure(f, index, tower4, {}) == (3, 1)
+    assert _polynomial_measure(TPolynomial(), index, tower4, {}) == (0, 0)
 
 
 # ------------------------------------------------------------- reduction
@@ -362,11 +370,11 @@ def test_rewrite_chain_is_the_one_term_trace(tower4, maxpowers3):
     rng = random.Random(49)
     for fam in (tower4, maxpowers3):
         basis = build_basis(fam)
-        index = _lead_index(basis)
+        rules = rules_by_lead(basis)
         refs = fam.refs()
         for _ in range(200):
             m = TMonomial(rng.choices(refs, k=rng.randint(1, 6)))
-            chain = [TMonomial(r) for r in rewrite_chain(m.refs, index)]
+            chain = [TMonomial(r) for r in rewrite_chain(m.refs, rules)]
             f = TPolynomial.monomial(m)
             trace = traced_normal_form(f, basis, fam)
             assert [TPolynomial.monomial(c) for c in chain] == \

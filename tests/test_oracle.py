@@ -104,15 +104,16 @@ def test_verify_enumerates_the_fibers_once(monkeypatch, capsys):
     tower4_file = str(Path(__file__).resolve().parent.parent / "demos"
                       / "families" / "tower4.json")
     calls = []
+    enumerate_members = oracle._fiber_members
 
     def counted(*args):
-        calls.append(args[1:])
-        return enumerate_fibers(*args)
+        calls.append(args[1])
+        return enumerate_members(*args)
 
-    monkeypatch.setattr(oracle, "enumerate_fibers", counted)
+    monkeypatch.setattr(oracle, "_fiber_members", counted)
     assert main(["verify", tower4_file, "--max-degree", "2"]) == 0
     assert "result: PASS" in capsys.readouterr().out
-    assert calls == [(2,)]
+    assert calls == [2]
 
 
 def summary(unf, ker):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -22,8 +23,10 @@ from bruteforce import (
     confluent_by_all_spairs,
     pair_table_by_rewrite_images,
     rewrite_chain,
+    rules_by_lead,
 )
 from conftest import open_nochain, reference_descs
+from reescert.measure import traced_normal_form
 from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
@@ -35,7 +38,8 @@ from reescert.reduction import (
     MAX_COEFFICIENT_DIGITS,
     MAX_TERM_DEGREE,
     TPolynomial,
-    _lead_index,
+    _RuleIndex,
+    _least_lead,
     _normal_form,
     _rewrite_step,
     confluence_check,
@@ -69,7 +73,10 @@ def test_tmonomial_pair_division():
     # a rewrite takes one copy of each lead ref off and keeps the rest
     m = T((0, 1), (0, 1), (1, 2))
     rule = MarkedBinomial(T((0, 1), (1, 2)), T((0, 2), (1, 1)))
-    assert _rewrite_step(m.refs, rule) == T((0, 1), (0, 2), (1, 1)).refs
+    index = _RuleIndex((rule,))
+    lead = index.positions(rule.lead.refs)
+    out = _rewrite_step(index.positions(m.refs), lead, index.trails[lead])
+    assert index.monomial(out) == T((0, 1), (0, 2), (1, 1))
 
 
 def test_tpolynomial_cancellation():
@@ -422,11 +429,12 @@ def test_is_completely_reduced_frozen(tower4):
     # completely reduced: no pair of the refs is in the pair table, and
     # so no lead divides the monomial
     table = pair_table_by_rewrite_images(tower4)
-    index = _lead_index(build_basis(tower4))
+    index = _RuleIndex(build_basis(tower4), tower4.refs())
     for m, reduced in ((T((1, 3), (1, 4)), False), (T((1, 2), (1, 5)), True),
                        (T((1, 1), (1, 1)), True), (T(), True)):
         assert all(p not in table for p in combinations(m.refs, 2)) == reduced
-        assert (reduction._least_lead(m.refs, index) is None) == reduced
+        assert (_least_lead(index.positions(m.refs), index.partners)
+                is None) == reduced
 
 
 def test_step_cap_raises_on_cyclic_rules(tower4, monkeypatch):
@@ -584,8 +592,8 @@ def test_step_cap_through_memo_hits(tower4, maxpowers3, max_steps,
     # normal_form keeps one memo per call: the second term starts one
     # step before the first, so it walks one step into a memo hit
     basis = build_basis(tower4)
-    index = _lead_index(basis)
-    chain = next(c for c in (rewrite_chain(refs, index) for refs
+    rules = rules_by_lead(basis)
+    chain = next(c for c in (rewrite_chain(refs, rules) for refs
                              in combinations_with_replacement(
                                  tower4.refs(), 3))
                  if len(c) == 5)
@@ -607,19 +615,127 @@ def test_normal_form_walk_matches_reference_chain(tower4, maxpowers3, case):
     if case == "tower4-drop17":
         basis = basis[:17] + basis[18:]
     assert confluence_check(basis).confluent == (case != "tower4-drop17")
-    index = _lead_index(basis)
+    index = _RuleIndex(basis, fam.refs())
+    rules = rules_by_lead(basis)
     rng = random.Random(59)
     shared = {}
     for _ in range(300):
         refs = TMonomial(
             rng.choices(fam.refs(), k=rng.randint(1, 6))).refs
-        chain = rewrite_chain(refs, index)
+        chain = [index.positions(r) for r in rewrite_chain(refs, rules)]
         want = (chain[-1], len(chain) - 1)
         fresh = {}
-        assert _normal_form(refs, index, fresh) == want
+        assert _normal_form(chain[0], index, fresh) == want
         assert fresh == {r: (chain[-1], len(chain) - 1 - k)
                          for k, r in enumerate(chain)}
-        assert _normal_form(refs, index, shared) == want
+        assert _normal_form(chain[0], index, shared) == want
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, InternalInvariantError) as exc:
+        return type(exc), str(exc)
+
+
+def _kernel_walk(index, ps):
+    """(normal form, steps, walk memo) of one monomial from a fresh
+    memo."""
+    memo = {}
+    return (*_normal_form(ps, index, memo), memo)
+
+
+def _reference_walk(rules, refs, positions):
+    """The same from ``rewrite_chain``, in the index's positions."""
+    chain = [positions(r) for r in rewrite_chain(refs, rules)]
+    return (chain[-1], len(chain) - 1,
+            {r: (chain[-1], len(chain) - 1 - k) for k, r in enumerate(chain)})
+
+
+def _walks_outcome(basis, fam, monomials):
+    """Each monomial's walk by the kernel next to its reference chain,
+    or the message both raise when the basis has no index."""
+    try:
+        index = _RuleIndex(basis, fam.refs())
+    except ValueError as exc:
+        # every walk raises this, as the reference does
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            rules_by_lead(basis)
+        return "no index"
+    rules = rules_by_lead(basis)
+    raised = 0
+    for refs in monomials:
+        got = _outcome(_kernel_walk, index, index.positions(refs))
+        assert got == _outcome(_reference_walk, rules, refs, index.positions)
+        raised += isinstance(got[0], type)
+    return raised
+
+
+def _up_to_degree_3(fam):
+    return [refs for d in (1, 2, 3)
+            for refs in combinations_with_replacement(fam.refs(), d)]
+
+
+@pytest.mark.parametrize("name", ["tower4", "maxpowers3", "fiber_pair"])
+def test_kernel_matches_reference_chains(name, request):
+    """The position kernel against ``rewrite_chain``, which rewrites ref
+    tuples from the definition, on every T-monomial up to degree 3:
+    normal form, steps and the walk's memo agree."""
+    fam = request.getfixturevalue(name)
+    assert _walks_outcome(build_basis(fam), fam, _up_to_degree_3(fam)) == 0
+
+
+def test_kernel_matches_reference_on_changed_rules(tower4):
+    """The same on every single-rule drop and every flipped rule of
+    tower4, on each T-monomial up to degree 3 that the rule's lead or
+    trail divides: a walk from any other monomial differs from the
+    basis's only once it reaches one of these.  On the flipped rules
+    ``confluence_check`` also returns the whole report of
+    ``confluence_by_chains``, or raises the same message.  (The drops'
+    reports are compared in ``test_confluence_matches_reference``.)"""
+    basis = build_basis(tower4)
+    monomials = _up_to_degree_3(tower4)
+    outcomes = Counter()
+    for k, g in enumerate(basis):
+        touched = [refs for refs in monomials
+                   if any(all(refs.count(r) >= part.count(r) for r in part)
+                          for part in (g.lead.refs, g.trail.refs))]
+        assert len(touched) >= 2
+        dropped = basis[:k] + basis[k + 1:]
+        flipped = (basis[:k] + (MarkedBinomial(g.trail, g.lead),)
+                   + basis[k + 1:])
+        assert _walks_outcome(dropped, tower4, touched) == 0
+        walks = _walks_outcome(flipped, tower4, touched)
+        report = _outcome(confluence_check, flipped)
+        assert report == _outcome(confluence_by_chains, flipped)
+        outcomes[walks if walks == "no index" else walks > 0,
+                 report[0] if isinstance(report[0], type)
+                 else report.confluent] += 1
+    # (some walk raised, the report): 7 flipped leads are squares, 80
+    # flips make a critical pair's rewrite cycle, 2 more a walk's, and
+    # 15 leave a confluent basis
+    assert outcomes == {("no index", ValueError): 7,
+                        (True, InternalInvariantError): 80,
+                        (True, False): 2, (False, True): 15}
+
+
+def test_refs_outside_every_rule(fiber_pair):
+    """fiber_pair has one rule, on level-1 refs: a monomial of level-2
+    refs, and the empty monomial, are their own normal forms."""
+    basis = build_basis(fiber_pair)
+    for text in ("T[2,1]*T[2,2]", "T[2,2]^3", "T[0,1]^0",
+                 "T[2,1] - 2*T[1,2]*T[2,2]"):
+        f = P(text)
+        assert normal_form(f, basis) == f
+        assert reduce_step(f, basis) is None
+        trace = traced_normal_form(f, basis, fiber_pair)
+        assert (trace.steps, trace.normal_form) == ((), f)
+    # refs outside the rules on a rewritten monomial stay put
+    f = P("T[1,1]*T[1,4]*T[2,2]")
+    assert normal_form(f, basis) == P("T[1,2]*T[1,3]*T[2,2]")
+    assert traced_normal_form(f, basis, fiber_pair).normal_form == \
+        normal_form(f, basis)
 
 
 def _overlapping_pairs(basis):
