@@ -39,9 +39,10 @@ from . import reduction
 from .reduction import (
     TPolynomial,
     _RuleIndex,
+    _index_for,
+    _normal_form,
     _polynomial_step,
     _positions,
-    _refs_of,
     _step_cap_error,
 )
 
@@ -311,12 +312,18 @@ def traced_normal_form(f: TPolynomial, basis,
                        fam: LeveledFamily) -> ReductionTrace:
     """Deterministic reduction with the (c, e) measure after every step.
 
-    Takes the steps ``reduce_step`` takes.  More than
-    ``reduction.DEFAULT_STEP_CAP`` of them, read at call time, raise
-    ``InternalInvariantError``, as in every other reduction: the measure
-    should forbid that many.  One memo of pair parts serves every step.
+    Takes the steps ``reduce_step`` takes.  Each term is first walked
+    on positions by ``_normal_form``, so that a basis whose rewriting
+    cycles raises ``InternalInvariantError`` at once, naming the cycle
+    as ``normal_form`` does.  More than ``reduction.DEFAULT_STEP_CAP``
+    steps, read at call time, raise it too, as in every other
+    reduction: the measure should forbid that many.  One memo of pair
+    parts serves every step.
     """
-    index = _RuleIndex(basis, _refs_of(f))
+    index = _index_for(basis, f)
+    walks = {}
+    for mono in f.terms:
+        _normal_form(index.positions(mono.refs), index, walks)
     memo = {}
     steps = []
     current = f

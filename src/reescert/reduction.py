@@ -264,10 +264,30 @@ def _refs_of(f: TPolynomial):
     return chain.from_iterable(mono.refs for mono in f.terms)
 
 
+# (rules, index) of the last basis a polynomial was reduced on
+_last_index = None
+
+
+def _index_for(basis, f: TPolynomial) -> _RuleIndex:
+    """A ``_RuleIndex`` of the basis with a position for every ref of f:
+    the last one built, while its rules equal the basis's and it has all
+    those refs, else a new one, kept in its place.  Positions only stand
+    in for refs, in ref order, so any such index reduces alike."""
+    global _last_index
+    rules = tuple(basis)
+    if _last_index is not None:
+        held, index = _last_index
+        if held == rules and all(map(index.pos.__contains__, _refs_of(f))):
+            return index
+    index = _RuleIndex(rules, _refs_of(f))
+    _last_index = rules, index
+    return index
+
+
 def reduce_step(f: TPolynomial, basis) -> TPolynomial | None:
     """One deterministic reduction step, or None at a normal form; see
     ``_polynomial_step`` for the strategy."""
-    step = _polynomial_step(f, _RuleIndex(basis, _refs_of(f)))
+    step = _polynomial_step(f, _index_for(basis, f))
     return None if step is None else step[2]
 
 
@@ -334,7 +354,7 @@ def normal_form(f: TPolynomial, basis) -> TPolynomial:
     confluent or not.  A monomial whose chain is longer than
     ``DEFAULT_STEP_CAP`` raises ``InternalInvariantError``.
     """
-    index = _RuleIndex(basis, _refs_of(f))
+    index = _index_for(basis, f)
     memo = {}
     return TPolynomial(
         (index.monomial(

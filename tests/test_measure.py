@@ -26,6 +26,7 @@ from reescert.presentation import (
 from reescert.reduction import (
     TPolynomial,
     _RuleIndex,
+    normal_form,
     parse_tpolynomial,
 )
 
@@ -421,17 +422,40 @@ def test_polynomial_trace_decreases(tower4):
 
 
 def test_trace_step_cap_raises_invariant_error(tower4, monkeypatch):
-    # two rules with overlapping leads that undo each other never stop
-    cyclic = (
-        MarkedBinomial(TMonomial([(1, 3), (1, 4)]),
-                       TMonomial([(1, 3), (1, 5)])),
-        MarkedBinomial(TMonomial([(1, 3), (1, 5)]),
-                       TMonomial([(1, 3), (1, 4)])),
-    )
-    monkeypatch.setattr(reduction, "DEFAULT_STEP_CAP", 10)
-    with pytest.raises(InternalInvariantError, match="exceeded 10 steps"):
-        traced_normal_form(
-            parse_tpolynomial("T[1,3]*T[1,4]", tower4), cyclic, tower4)
+    # a terminating chain of four steps, under a cap of three read at
+    # call time
+    basis = build_basis(tower4)
+    f = parse_tpolynomial("T[1,1]^2*T[2,7]", tower4)
+    assert len(traced_normal_form(f, basis, tower4).steps) == 4
+    monkeypatch.setattr(reduction, "DEFAULT_STEP_CAP", 3)
+    with pytest.raises(InternalInvariantError, match="exceeded 3 steps"):
+        traced_normal_form(f, basis, tower4)
+
+
+def _cycle_message(call) -> str:
+    with pytest.raises(InternalInvariantError) as caught:
+        call()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("other", ["T[1,3]*T[1,5]", "T[1,2]*T[1,5]"])
+def test_trace_names_a_rewrite_cycle(tower4, monkeypatch, other):
+    """Two rules that undo each other, with overlapping leads or with
+    tower4's coprime ones, T[1,3]*T[1,4] <-> T[1,2]*T[1,5].  The trace
+    raises what ``normal_form`` raises, naming the cycle, before its
+    first step.  Under a cap of 10^4 a trace that stepped until the cap
+    would raise "exceeded" instead, in about half a second; under the
+    default cap it would take most of a minute."""
+    a = parse_tpolynomial("T[1,3]*T[1,4]", tower4).support()[0]
+    b = parse_tpolynomial(other, tower4).support()[0]
+    cyclic = (MarkedBinomial(a, b), MarkedBinomial(b, a))
+    monkeypatch.setattr(reduction, "DEFAULT_STEP_CAP", 10**4)
+    for text in ("T[1,3]*T[1,4]", "2*T[0,1] - T[1,3]*T[1,4]*T[2,1]"):
+        f = parse_tpolynomial(text, tower4)
+        want = _cycle_message(lambda: normal_form(f, cyclic))
+        assert want.startswith("reduction cycles through 2 monomials")
+        assert _cycle_message(
+            lambda: traced_normal_form(f, cyclic, tower4)) == want
 
 
 # ---------------------------------------------------------------- records

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from reescert import oracle
-from reescert.errors import ResourceCapError
+from reescert import oracle, reduction
+from reescert.errors import InternalInvariantError, ResourceCapError
 from reescert.family import build_family
 from reescert.oracle import (
     count_tmonomials,
@@ -32,6 +32,7 @@ from reescert.reduction import (
     psi_eval,
 )
 
+from conftest import family_dict
 from bruteforce import (
     fiber_suites_by_chains,
     fibers_by_psi,
@@ -97,12 +98,14 @@ def test_enumerate_fibers_matches_naive_psi(name, request):
     assert all(type(image) is type(key) for image, key in zip(got, want))
 
 
-def test_verify_enumerates_the_fibers_once(monkeypatch, capsys):
-    # both fiber suites of `reescert verify` are one pass over one
-    # enumeration
-    from reescert.cli import main
-    tower4_file = str(Path(__file__).resolve().parent.parent / "demos"
-                      / "families" / "tower4.json")
+@pytest.fixture(autouse=True)
+def no_held_pass(monkeypatch):
+    """Each test starts with no fiber pass held, whatever ran before."""
+    monkeypatch.setattr(oracle, "_last_pass", None)
+
+
+def count_passes(monkeypatch) -> list:
+    """The degree of each fiber enumeration from here on, one per pass."""
     calls = []
     enumerate_members = oracle._fiber_members
 
@@ -111,9 +114,107 @@ def test_verify_enumerates_the_fibers_once(monkeypatch, capsys):
         return enumerate_members(*args)
 
     monkeypatch.setattr(oracle, "_fiber_members", counted)
+    return calls
+
+
+def outcome(suite, *args) -> str:
+    """The repr of what the call returns, or of what it raises."""
+    try:
+        return repr(suite(*args))
+    except Exception as exc:  # noqa: BLE001
+        return repr(exc)
+
+
+def test_verify_enumerates_the_fibers_once(monkeypatch, capsys):
+    # both fiber suites of `reescert verify` are one pass over one
+    # enumeration
+    from reescert.cli import main
+    tower4_file = str(Path(__file__).resolve().parent.parent / "demos"
+                      / "families" / "tower4.json")
+    calls = count_passes(monkeypatch)
     assert main(["verify", tower4_file, "--max-degree", "2"]) == 0
     assert "result: PASS" in capsys.readouterr().out
     assert calls == [2]
+
+
+def tower4_case():
+    """A tower4 family and its basis, built afresh."""
+    fam = build_family(family_dict("tower4"))
+    return fam, build_basis(fam)
+
+
+def test_suites_on_rebuilt_inputs_share_one_pass(monkeypatch):
+    # the benchmark rebuilds every family and basis between the two
+    # suites: equal content is enough (three held at once, so that no
+    # two share an id)
+    first, second, third = [tower4_case() for _ in range(3)]
+    want = oracle._check_fibers(*first, 2)
+    calls = count_passes(monkeypatch)
+    assert verify_unique_normal_forms(*second, 2) == want[0]
+    assert verify_kernel_generation(*third, 2) == want[1]
+    assert verify_unique_normal_forms(*first, 2) == want[0]
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("change", ["dropped rule", "flipped rule",
+                                    "degree"])
+def test_changed_inputs_run_the_pass_again(tower4, monkeypatch, change):
+    basis = build_basis(tower4)
+    case, degree = {"dropped rule": (basis[1:], 2),
+                    "flipped rule": (flipped(basis, 0), 2),
+                    "degree": (basis, 3)}[change]
+    want = oracle._check_fibers(tower4, case, degree)[1]
+    calls = count_passes(monkeypatch)
+    verify_unique_normal_forms(tower4, basis, 2)
+    assert verify_kernel_generation(tower4, case, degree) == want
+    assert calls == [2, degree]
+
+
+@pytest.mark.parametrize("module, cap, value", [
+    (oracle, "ENUMERATION_CAP", 100),
+    (oracle, "FAILURE_CAP", 0),
+    (reduction, "DEFAULT_STEP_CAP", 0),
+])
+def test_each_cap_is_in_the_key(tower4, monkeypatch, module, cap, value):
+    # each cap, lowered once a pass is held, changes what the suites
+    # return or raise: they must not read the held pass
+    basis = build_basis(tower4)
+    dropped = basis[:10] + basis[11:]
+    held = outcome(oracle._check_fibers, tower4, dropped, 2)
+    assert verify_unique_normal_forms(tower4, dropped, 2).failures
+    monkeypatch.setattr(module, cap, value)
+    want = outcome(oracle._check_fibers, tower4, dropped, 2)
+    assert want != held
+    assert outcome(lambda *args: (verify_unique_normal_forms(*args),
+                                  verify_kernel_generation(*args)),
+                   tower4, dropped, 2) == want
+
+
+def test_a_list_basis_mutated_in_place_is_read_again(tower4):
+    basis = list(build_basis(tower4))
+    assert verify_unique_normal_forms(tower4, basis, 2).passed
+    rule = basis.pop(10)
+    assert verify_kernel_generation(tower4, basis, 2) == \
+        oracle._check_fibers(tower4, tuple(basis), 2)[1]
+    assert not verify_kernel_generation(tower4, basis, 2).passed
+    basis.insert(10, rule)
+    assert verify_kernel_generation(tower4, basis, 2).passed
+
+
+def test_a_pass_that_raises_stores_nothing(tower4, monkeypatch):
+    # flipping rule 1 makes two rewrites undo each other at degree 3
+    basis = build_basis(tower4)
+    cyclic = flipped(basis, 1)
+    assert verify_unique_normal_forms(tower4, basis, 3).passed
+    calls = count_passes(monkeypatch)
+    for suite in (verify_unique_normal_forms, verify_kernel_generation):
+        with pytest.raises(InternalInvariantError,
+                           match="cycles through 3 monomials"):
+            suite(tower4, cyclic, 3)
+    assert calls == [3, 3]
+    # the pass held before the two that raised is still the one held
+    assert verify_kernel_generation(tower4, basis, 3).passed
+    assert calls == [3, 3]
 
 
 def summary(unf, ker):

@@ -738,6 +738,41 @@ def test_refs_outside_every_rule(fiber_pair):
         normal_form(f, basis)
 
 
+def test_reductions_on_one_basis_share_one_index(tower4, fiber_pair,
+                                                 monkeypatch):
+    """The last basis's rule index serves every call on equal rules that
+    it has a position for; other rules, or a ref it lacks, build one."""
+    built = []
+
+    class Counted(reduction._RuleIndex):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(len(args[0]))
+            super().__init__(*args)
+
+    monkeypatch.setattr(reduction, "_RuleIndex", Counted)
+    monkeypatch.setattr(reduction, "_last_index", None)
+    basis = list(build_basis(tower4))
+    f = P("T[1,3]*T[1,4] - T[0,1]*T[1,2]*T[2,7]")
+    want = normal_form(f, basis)
+    assert normal_form(f, build_basis(tower4)) == want
+    assert reduce_step(f, basis) is not None
+    assert traced_normal_form(f, tuple(basis), tower4).normal_form == want
+    assert built == [104]
+    # a list mutated in place is read again: T[1,3]*T[1,4] now stays
+    lead = P("T[1,3]*T[1,4]").support()[0]
+    basis[:] = [g for g in basis if g.lead != lead]
+    assert lead in normal_form(f, basis).terms
+    assert built == [104, 103]
+    # fiber_pair's one rule has no position for T[2,1] until a
+    # polynomial brings it
+    one = build_basis(fiber_pair)
+    for text in ("T[1,1]*T[1,4]", "T[1,1]*T[2,1]", "T[1,4]*T[2,1]^2"):
+        normal_form(P(text), one)
+    assert built == [104, 103, 1, 1]
+
+
 def _overlapping_pairs(basis):
     leads = [frozenset(g.lead.refs) for g in basis]
     return sum(1 for i, a in enumerate(leads) for b in leads[i + 1:]
