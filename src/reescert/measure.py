@@ -271,8 +271,8 @@ def _measure(ps: tuple, refs: tuple, fam: LeveledFamily,
 
 def reduction_level(mono: TMonomial, fam: LeveledFamily) -> ReductionMeasure:
     """The pair (c, minimal e summed over levels) for one T-monomial."""
-    refs, pos = _positions(mono.refs)
-    return _measure(tuple(map(pos.__getitem__, mono.refs)), refs, fam, {})
+    refs, pos = _positions(mono)
+    return _measure(tuple(map(pos.__getitem__, mono)), refs, fam, {})
 
 
 def _polynomial_measure(f: TPolynomial, index: _RuleIndex,
@@ -282,7 +282,7 @@ def _polynomial_measure(f: TPolynomial, index: _RuleIndex,
     the caller may keep over many polynomials."""
     c = e = 0
     for mono in f.terms:
-        mc, me = _measure(index.positions(mono.refs), index.refs, fam, memo)
+        mc, me = _measure(index.positions(mono), index.refs, fam, memo)
         c += mc
         e += me
     return ReductionMeasure(c, e)
@@ -323,7 +323,7 @@ def traced_normal_form(f: TPolynomial, basis,
     index = _index_for(basis, f)
     walks = {}
     for mono in f.terms:
-        _normal_form(index.positions(mono.refs), index, walks)
+        _normal_form(index.positions(mono), index, walks)
     memo = {}
     steps = []
     current = f

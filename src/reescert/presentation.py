@@ -20,52 +20,40 @@ from .family import GenRef, LeveledFamily, is_closed_under_comparability
 from .family import comparable, rewrite_images  # noqa: F401
 
 
-class TMonomial:
-    """Multiset of presentation variables, kept as a sorted ref tuple."""
+class TMonomial(tuple):
+    """Multiset of presentation variables: the tuple of its sorted refs,
+    with the tuple's equality, hash, order and immutability."""
 
-    __slots__ = ("refs",)
+    __slots__ = ()
 
-    def __init__(self, refs=()):
-        object.__setattr__(
-            self, "refs",
-            tuple(sorted(GenRef(int(i), int(j)) for i, j in refs)))
+    def __new__(cls, refs=()):
+        return tuple.__new__(
+            cls, sorted(GenRef(int(i), int(j)) for i, j in refs))
 
     @classmethod
-    def _of_sorted(cls, refs: tuple) -> "TMonomial":
-        """The monomial of a sorted tuple of ``GenRef``s, taken as it is:
-        no conversion, no sort.  For callers that already hold one; text
+    def _of_sorted(cls, refs) -> "TMonomial":
+        """The monomial of sorted ``GenRef``s, taken as they are: no
+        conversion, no sort.  For callers that already hold them; text
         and other user input goes through the constructor."""
-        mono = object.__new__(cls)
-        _set_refs(mono, refs)
-        return mono
+        return tuple.__new__(cls, refs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TMonomial is immutable")
+    @property
+    def refs(self) -> "TMonomial":
+        """The sorted refs: the monomial itself."""
+        return self
 
     @property
     def degree(self) -> int:
-        return len(self.refs)
+        return len(self)
 
     def __mul__(self, other: "TMonomial") -> "TMonomial":
-        return TMonomial(self.refs + other.refs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TMonomial) and self.refs == other.refs
-
-    def __hash__(self) -> int:
-        return hash(self.refs)
-
-    def __lt__(self, other: "TMonomial") -> bool:
-        return self.refs < other.refs
-
-    def __le__(self, other: "TMonomial") -> bool:
-        return self.refs <= other.refs
+        return TMonomial(self + other)
 
     def text(self) -> str:
-        if not self.refs:
+        if not self:
             return "1"
         parts = []
-        for ref, mult in sorted(Counter(self.refs).items()):
+        for ref, mult in sorted(Counter(self).items()):
             base = f"T[{ref.level},{ref.index}]"
             parts.append(base if mult == 1 else f"{base}^{mult}")
         return "*".join(parts)
@@ -75,11 +63,6 @@ class TMonomial:
 
     def __repr__(self) -> str:
         return f"TMonomial({self.text()!r})"
-
-
-# The slot's own setter: ``_of_sorted`` fills a new monomial without a
-# pass through the refusing ``__setattr__``.
-_set_refs = TMonomial.refs.__set__
 
 
 class MarkedBinomial(NamedTuple):
@@ -134,7 +117,7 @@ def basis_shape(rules) -> dict:
 
 
 def basis_to_json(basis) -> dict:
-    rules = [(g.lead.refs, g.trail.refs) for g in basis]
+    rules = list(basis)
     return {
         **basis_shape(rules),
         "relations": [

@@ -137,7 +137,7 @@ def psi_eval(mono: TMonomial, fam: LeveledFamily) -> PsiImage:
     if fam.mode == "rees":
         xs = [0] * fam.n
         ts = [0] * fam.top_level
-        for ref in mono.refs:
+        for ref in mono:
             for k, e in enumerate(fam.generator(ref).exps):
                 xs[k] += e
             if ref.level >= 1:
@@ -145,7 +145,7 @@ def psi_eval(mono: TMonomial, fam: LeveledFamily) -> PsiImage:
         return PsiImage(tuple(xs), tuple(ts))
     s = fam.top_level
     xs = [0] * (fam.n + s)
-    for ref in mono.refs:
+    for ref in mono:
         lv = fam.level(ref.level)
         for k, e in enumerate(fam.generator(ref).exps):
             xs[k] += e
@@ -187,21 +187,21 @@ class _RuleIndex:
 
     def __init__(self, basis, refs=()):
         self.refs, pos = _positions(chain(
-            refs, *(g.lead.refs + g.trail.refs for g in basis)))
+            refs, *(g.lead + g.trail for g in basis)))
         self.pos = pos
         self.trails = trails = {}
         self.rules = rules = {}
         for g in basis:
-            lead = g.lead.refs
+            lead = g.lead
             if len(lead) != 2 or lead[0] == lead[1]:
-                raise ValueError(f"lead {g.lead} is not squarefree quadratic")
+                raise ValueError(f"lead {lead} is not squarefree quadratic")
             key = pos[lead[0]], pos[lead[1]]
             if key in rules:
-                raise ValueError(f"duplicate lead {g.lead}")
-            trails[key] = tuple(map(pos.__getitem__, g.trail.refs))
+                raise ValueError(f"duplicate lead {lead}")
+            trails[key] = tuple(map(pos.__getitem__, g.trail))
             rules[key] = g
         self.partners = _partners(
-            (g.lead.refs for g in basis), pos, len(self.refs))
+            (g.lead for g in basis), pos, len(self.refs))
 
     def positions(self, refs: tuple) -> tuple[int, ...]:
         """The sorted positions of these sorted refs."""
@@ -209,7 +209,7 @@ class _RuleIndex:
 
     def monomial(self, ps: tuple) -> TMonomial:
         """The T-monomial at these sorted positions."""
-        return TMonomial._of_sorted(tuple(map(self.refs.__getitem__, ps)))
+        return TMonomial._of_sorted(map(self.refs.__getitem__, ps))
 
 
 def _least_lead(ps: tuple, partners) -> tuple[int, int] | None:
@@ -248,7 +248,7 @@ def _polynomial_step(f: TPolynomial, index: _RuleIndex
     (factor-lex order) rewrites along its ``_least_lead``.  Every ref of
     f must have a position in the index."""
     for mono in f.support():
-        ps = index.positions(mono.refs)
+        ps = index.positions(mono)
         lead = _least_lead(ps, index.partners)
         if lead is not None:
             coeff = f.terms[mono]
@@ -261,7 +261,7 @@ def _polynomial_step(f: TPolynomial, index: _RuleIndex
 
 def _refs_of(f: TPolynomial):
     """Every ref of every support monomial of f."""
-    return chain.from_iterable(mono.refs for mono in f.terms)
+    return chain.from_iterable(f.terms)
 
 
 # (rules, index) of the last basis a polynomial was reduced on
@@ -358,13 +358,13 @@ def normal_form(f: TPolynomial, basis) -> TPolynomial:
     memo = {}
     return TPolynomial(
         (index.monomial(
-            _normal_form(index.positions(m.refs), index, memo)[0]), c)
+            _normal_form(index.positions(m), index, memo)[0]), c)
         for m, c in f.terms.items())
 
 
 def s_polynomial(g1: MarkedBinomial, g2: MarkedBinomial) -> TPolynomial:
     """S-polynomial on the multiset lcm of the two leads."""
-    lead1, lead2 = Counter(g1.lead.refs), Counter(g2.lead.refs)
+    lead1, lead2 = Counter(g1.lead), Counter(g2.lead)
     lcm = lead1 | lead2
     cof1 = TMonomial((lcm - lead1).elements())
     cof2 = TMonomial((lcm - lead2).elements())
@@ -427,7 +427,7 @@ def confluence_check(basis) -> ConfluenceReport:
     # the lead's other position, the trail's positions)
     by_ref = defaultdict(list)
     for i, g in enumerate(basis):
-        a, b = lead = index.positions(g.lead.refs)
+        a, b = lead = index.positions(g.lead)
         trail = index.trails[lead]
         by_ref[a].append((i, b, trail))
         by_ref[b].append((i, a, trail))

@@ -514,6 +514,36 @@ def test_boolean_counts_exit_2(capsys, tmp_path):
     assert "variables" in err
 
 
+MALFORMED_FAMILIES = {  # case: (stderr text, description)
+    "level not an object": ("level 1: expected an object",
+                            {"mode": "rees", "variables": 2, "levels": [3]}),
+    "unknown level keys": ("level 1: unknown keys ['color']", {
+        "mode": "rees", "variables": 2,
+        "levels": [{"degree": 2, "borel": "x1^2", "color": 1}]}),
+    "generator of the wrong degree": (
+        "level 1: generator x1^3 has degree 3, expected 2", {
+            "mode": "rees", "variables": 2,
+            "levels": [{"degree": 2, "generators": ["x1^3"]}]}),
+    "description not an object": ("family description must be an object",
+                                  []),
+    "levels not a list": ("levels must be a list",
+                          {"mode": "rees", "variables": 2, "levels": {}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FAMILIES))
+def test_malformed_family_exits_2(capsys, tmp_path, case):
+    message, desc = MALFORMED_FAMILIES[case]
+    code, out, err = run(capsys, "check", _write(tmp_path, json.dumps(desc)))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_max_degree_below_one_exits_2(capsys, tower4_file):
+    code, out, err = run(capsys, "verify", "--max-degree", "0", tower4_file)
+    assert (code, out) == (2, "")
+    assert err == "error: --max-degree must be at least 1\n"
+
+
 LONG_COEFFICIENTS = {  # case: (position named, expression)
     # the product alone has 8,000 digits
     "product": (4001, f"{'9' * 4000}*{'9' * 4000}*T[0,1]"),

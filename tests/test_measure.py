@@ -316,6 +316,29 @@ def test_reduction_level_row_cap(tower4):
     assert reduction_level(ten, tower4) == (0, 0)
 
 
+def test_long_monomial_is_measured_level_by_level(tower4, monkeypatch):
+    # more refs than ROW_CAP, no level over it: c comes from the rows
+    # by level (_comparability), not from the pair parts
+    m = parse_tpolynomial(
+        "T[0,1]*T[0,2]*T[0,3]*T[1,1]*T[1,2]*T[1,3]*T[1,4]"
+        "*T[2,1]*T[2,2]*T[2,3]*T[2,4]", tower4).support()[0]
+    assert m.degree == 11 > ROW_CAP
+    rows = _rows_by_level(m.refs, tower4)
+    assert max(map(len, rows.values())) <= ROW_CAP
+    calls = []
+    comparability = measure._comparability
+
+    def counted(by_level):
+        calls.append(by_level)
+        return comparability(by_level)
+
+    monkeypatch.setattr(measure, "_comparability", counted)
+    e = sum(min_inversions_by_permutation(r)[0] for r in rows.values())
+    assert (comparability_by_occurrences(m, tower4), e) == (35, 7)
+    assert reduction_level(m, tower4) == (35, 7)
+    assert len(calls) == 1
+
+
 def test_measure_zero_iff_completely_reduced(tower4, maxpowers3):
     # completely reduced: no pair of the refs is in the pair table
     rng = random.Random(44)
@@ -429,6 +452,20 @@ def test_trace_step_cap_raises_invariant_error(tower4, monkeypatch):
     assert len(traced_normal_form(f, basis, tower4).steps) == 4
     monkeypatch.setattr(reduction, "DEFAULT_STEP_CAP", 3)
     with pytest.raises(InternalInvariantError, match="exceeded 3 steps"):
+        traced_normal_form(f, basis, tower4)
+
+
+def test_trace_loop_keeps_its_own_step_cap(tower4, monkeypatch):
+    # term chains of four steps and one: each walk stays within a cap of
+    # four, the trace of five steps does not
+    basis = build_basis(tower4)
+    f = parse_tpolynomial("T[1,1]^2*T[2,7] + T[0,1]*T[2,7]", tower4)
+    monkeypatch.setattr(reduction, "DEFAULT_STEP_CAP", 5)
+    assert len(traced_normal_form(f, basis, tower4).steps) == 5
+    monkeypatch.setattr(reduction, "DEFAULT_STEP_CAP", 4)
+    # the walks pass, so the trace loop's check is the one that raises
+    assert str(normal_form(f, basis)) == "T[1,2]*T[1,5]*T[2,1] + T[0,3]*T[2,3]"
+    with pytest.raises(InternalInvariantError, match="exceeded 4 steps"):
         traced_normal_form(f, basis, tower4)
 
 

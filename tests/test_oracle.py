@@ -32,7 +32,7 @@ from reescert.reduction import (
     psi_eval,
 )
 
-from conftest import family_dict
+from conftest import family_dict, open_tower4
 from bruteforce import (
     fiber_suites_by_chains,
     fibers_by_psi,
@@ -287,6 +287,20 @@ def test_fiber_counterexample_suites(fiber_pair):
     basis = build_basis(fiber_pair)
     assert verify_unique_normal_forms(fiber_pair, basis, 2).passed
     assert verify_kernel_generation(fiber_pair, basis, 2).passed
+
+
+def test_fibers_with_no_reduced_member_fail():
+    # with no rule, a member is completely reduced when no pair-table
+    # lead divides it; on the open family some fibers have no such
+    # member, and each failure carries the whole fiber
+    fam = build_family(open_tower4())
+    report = verify_unique_normal_forms(fam, (), 2)
+    assert (report.passed, report.truncated) == (False, True)
+    assert len(report.failures) == 32
+    first = report.failures[0]
+    assert first.reason == ("expected exactly one completely reduced"
+                            " member, found 0")
+    assert first.monomials == tuple(enumerate_fibers(fam, 2)[first.image])
 
 
 def test_dropped_rule_is_caught(tower4):

@@ -69,6 +69,20 @@ def test_tmonomial_sorts_refs_and_multiplies():
     assert T().text() == "1"
 
 
+def test_tmonomial_is_its_sorted_ref_tuple():
+    # equality, hash, order and immutability are the tuple's own
+    m = T((1, 6), (0, 1), (1, 1))
+    refs = (GenRef(0, 1), GenRef(1, 1), GenRef(1, 6))
+    assert isinstance(m, tuple) and m.refs is m
+    assert m == refs and hash(m) == hash(refs)
+    assert (len(m), m[0], type(m + m)) == (3, GenRef(0, 1), tuple)
+    assert T((0, 1)) < m <= m and not T()
+    assert not any(name in vars(TMonomial) for name in (
+        "__eq__", "__hash__", "__lt__", "__le__", "__setattr__"))
+    with pytest.raises(AttributeError):
+        m.refs = refs
+
+
 def test_tmonomial_pair_division():
     # a rewrite takes one copy of each lead ref off and keeps the rest
     m = T((0, 1), (0, 1), (1, 2))
@@ -465,6 +479,13 @@ def test_step_cap_raises_on_cyclic_rules(tower4, monkeypatch):
             normal_form(P("T[1,3]*T[1,4]"), basis)
     with pytest.raises(InternalInvariantError, match="cycles through 2"):
         confluence_check(overlapping)
+
+
+def test_rule_index_refuses_a_duplicate_lead(tower4):
+    basis = build_basis(tower4)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"duplicate lead {basis[0].lead}")):
+        normal_form(P("T[1,3]*T[1,4]"), basis + basis[:1])
 
 
 # --------------------------------------------------------------- records
