@@ -459,7 +459,9 @@ class ClosureReport(NamedTuple):
     ``pairs_checked`` counts the ref pairs, in lexicographic order,
     that the verdict rests on: C(v, 2) for v refs, or, when the scan
     stopped at the first open pair past ``WITNESS_CAP``, the pairs up to
-    and including that one."""
+    and including that one.  A certificate of a family with the
+    structural conjunction reports the C(v, 2) pairs the paper's theorem
+    settles without classifying one; ``reescert check`` rescans them."""
     closed: bool
     witnesses: tuple[Witness, ...]
     pairs_checked: int

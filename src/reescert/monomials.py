@@ -261,26 +261,34 @@ def _suffix_masses(exps) -> list[int]:
     return bound
 
 
+def _borel_count(exps, cap=None) -> int:
+    """Number of members of the Borel set of the exponent vector
+    ``exps``, counted without building any: exact when ``cap`` is None,
+    else exact up to ``cap`` and some number over it past that.
+
+    With ``bound`` the suffix masses, ``ways[s]`` counts the exponent
+    choices on x_2..x_(k+1) once mass s sits on x_(k+2)..x_n.  No mass
+    sits past the least variable occurring, x_tail (``bound[tail]`` is
+    the first 0), so ``ways[0]`` after k = tail - 1 is the whole count.  Before that it counts the members
+    on x1..x_(k+1), a subset of the whole set, so a capped count stops
+    once it is over the cap.
+    """
+    bound = _suffix_masses(exps)
+    if cap is not None and bound[1] >= cap:  # x1^(d-t)*x2^t, t <= bound[1]
+        return bound[1] + 1
+    ways = [1] * (bound[1] + 1)
+    for k in range(1, bound.index(0)):  # up to tail - 1
+        ways = list(accumulate(reversed(ways)))[::-1][:bound[k + 1] + 1]
+        if cap is not None and ways[0] > cap:
+            break
+    return ways[0]
+
+
 def borel_size(generator: Monomial) -> int:
     """Number of members of the Borel set of ``generator``, counted
     without building any.  Raises ``ResourceCapError`` when it is more
-    than ``BOREL_CAP``.
-
-    With ``bound`` the generator's suffix masses, ``ways[s]`` counts the
-    exponent choices on x_2..x_(k+1) once mass s sits on x_(k+2)..x_n;
-    ``ways[0]`` then counts the members on x1..x_(k+1), a subset of the
-    whole set, so the count stops once that is over the cap.
-    """
-    bound = _suffix_masses(generator.exps)
-    if bound[1] >= BOREL_CAP:  # x1^(d-t)*x2^t for t = 0..bound[1]
-        size = bound[1] + 1
-    else:
-        ways = [1] * (bound[1] + 1)
-        for k in range(1, len(bound) - 1):
-            ways = list(accumulate(reversed(ways)))[::-1][:bound[k + 1] + 1]
-            if ways[0] > BOREL_CAP:
-                break
-        size = ways[0]
+    than ``BOREL_CAP``."""
+    size = _borel_count(generator.exps, BOREL_CAP)
     if size > BOREL_CAP:
         raise ResourceCapError(
             f"Borel set of {generator} has more than {BOREL_CAP} members")

@@ -7,6 +7,7 @@ import pytest
 from reescert import monomials
 from reescert.monomials import (
     Monomial,
+    _borel_count,
     borel_closure,
     borel_member,
     borel_size,
@@ -231,7 +232,8 @@ def test_borel_closure_matches_filter():
         d = rng.randint(0, 6)
         gen = rand_monomial(rng, n, d)
         assert borel_closure(gen) == borel_closure_by_filter(gen)
-        assert borel_size(gen) == len(borel_closure_by_filter(gen))
+        assert (borel_size(gen) == _borel_count(gen.exps)
+                == len(borel_closure_by_filter(gen)))
 
 
 def test_borel_closure_cap(monkeypatch):
@@ -240,6 +242,8 @@ def test_borel_closure_cap(monkeypatch):
         borel_closure(parse_monomial("x20^10", 20))
     with pytest.raises(ResourceCapError, match="more than 100000"):
         borel_size(parse_monomial("x20^10", 20))
+    # the count alone is uncapped
+    assert _borel_count(parse_monomial("x20^10", 20).exps) == 20030010
     with pytest.raises(ResourceCapError):
         borel_closure(parse_monomial(f"x2^{10**5}", 2))
     # the cap is inclusive: x3*x4 in four variables has 9 members

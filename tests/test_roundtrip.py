@@ -57,8 +57,9 @@ def test_basis_json_round_trip_on_sample(bench_families):
 
 
 def test_certificate_matches_the_basis_reference(bench_families):
-    """The rule count and shape flags read off the pair table give the
-    same certificate, key for key, as the built basis does, on every
+    """The rule count and shape flags, read off the pair table or, for a
+    family with the structural conjunction, from the closed form, give
+    the same certificate, key for key, as the built basis does, on every
     closed family: the demos, the ladders and seeded closed certify-mix
     families of both modes."""
     descs = reference_descs(bench_families)

@@ -38,27 +38,34 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 
 def test_one_closure_scan_per_certificate(monkeypatch):
-    """A closed family's certificate scans closure once and builds no
-    basis: the rule count and shape are read off the pair table.  The
+    """A certificate builds no basis.  tower4 has the structural
+    conjunction, so its certificate is read off the paper's theorem and
+    scans no pair; fiber_pair is closed without it and is scanned
+    once, its rule count and shape read off the pair table.  The
     ``basis`` subcommand still builds the basis, once."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
-    fam = build_family(family_dict("tower4"))
     tracer = Tracer()
     tracer.install(reescert)
+    names = {}
     try:
-        cert = reescert.certify.build_certificate(fam)
-        names = [s.name for s in tracer.spans]
-        del tracer.spans[:]
+        for name in ("tower4", "fiber_pair"):
+            cert = reescert.certify.build_certificate(
+                build_family(family_dict(name)))
+            assert cert["conclusions"], name
+            names[name] = [s.name for s in tracer.spans]
+            del tracer.spans[:]
         with contextlib.redirect_stdout(io.StringIO()):
             code = reescert.cli.main(
                 ["basis", str(DEMOS / "tower4.json")])
     finally:
         tracer.uninstall()
-    assert cert["conclusions"]
-    assert names.count("family.closure") == 1
-    assert names.count("presentation.build_basis") == 0
+    assert names["tower4"].count("family.closure") == 0
+    assert names["fiber_pair"].count("family.closure") == 1
+    for spans in names.values():
+        assert spans.count("family.characterize") == 1
+        assert spans.count("presentation.build_basis") == 0
     assert code == 0
     basis = [s for s in tracer.spans if s.name == "presentation.build_basis"]
     assert len(basis) == 1 and basis[0].info == {"rules": 104}
