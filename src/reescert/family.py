@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .errors import FamilyError, ResourceCapError
 from .monomials import (
     Monomial,
+    _borel_count,
     borel_closure,
     borel_member,
     borel_size,
@@ -181,24 +182,15 @@ class LeveledFamily:
         # pair per entry costs megabytes on the larger families
         self._pairs = {}
         self._open = []
-        # None once every pair is classified; then _open is a tuple
+        # exhausted once every pair is classified
         self._scan = _classify(blocks, memoize, self._pairs, self._open)
 
     def _open_upto(self, count: int) -> list:
         """The first ``count`` open pairs in table order, or all of them
         when there are fewer: pairs are classified only that far."""
-        while self._scan is not None and len(self._open) < count:
-            if next(self._scan, None) is None:
-                self._finish()
+        while len(self._open) < count and next(self._scan, None):
+            pass
         return self._open[:count]
-
-    def _finish(self) -> None:
-        """Classify every pair not yet classified."""
-        if self._scan is not None:
-            for _ in self._scan:
-                pass
-            self._scan = None
-            self._open = tuple(self._open)
 
     @property
     def top_level(self) -> int:
@@ -238,15 +230,17 @@ class LeveledFamily:
         the rule ``T_a*T_b -> T_c*T_d``.  A ref is None when that image
         is not in the family.  Completed on the first call, one rewrite
         per distinct product of a level block.  Do not mutate."""
-        self._finish()
+        for _ in self._scan:
+            pass
         return self._pairs
 
     def open_pairs(self) -> tuple:
         """The pair-table keys with a missing image (a None ref),
         in table order; empty exactly when the family is closed under
         comparability."""
-        self._finish()
-        return self._open
+        for _ in self._scan:
+            pass
+        return tuple(self._open)
 
     def __len__(self) -> int:
         return len(self._refs)
@@ -513,15 +507,14 @@ def characterize(fam: LeveledFamily) -> Characterization:
     """A level equals the Borel set of its least generator exactly when
     it lies inside it and has as many members: its generators are
     distinct and revlex-sorted, like the set's.  The set is counted, not
-    built, though one over ``BOREL_CAP`` is still refused."""
+    built, and only as far as the level's size, so no size is refused."""
     levels = [lv for lv in fam.levels if lv.index > 0]
     equal = []
     subset = []
     for lv in levels:
-        size = borel_size(lv.last)
         inside = all(borel_member(g, lv.last) for g in lv.generators)
         subset.append(inside)
-        equal.append(inside and len(lv) == size)
+        equal.append(inside and len(lv) == _borel_count(lv.last.exps, len(lv)))
     chain = []
     for prev, nxt in zip(levels, levels[1:]):
         # greatest variable of the lower last divides nothing above the

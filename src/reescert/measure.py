@@ -21,8 +21,10 @@ pays in its shared columns one way round or the other; a standard
 factorization is sorted, so a row has no inversions of its own.  That
 sum is exact whenever the level's strict pairwise preferences have no
 cycle (see ``inversion_minimal``), and ``_measure`` uses it unless the
-sorted row order misses it for some pair.  The measure suite keeps each
-pair's part in one memo for all the monomials it checks.
+sorted row order misses it for some pair or the monomial has more than
+``ROW_CAP`` refs; then e comes from ``inversion_minimal`` level by
+level.  c is always the pair sum.  The measure suite keeps each pair's
+part in one memo for all the monomials it checks.
 """
 
 from __future__ import annotations
@@ -230,14 +232,6 @@ def _rows_by_level(refs: tuple, fam: LeveledFamily) -> dict:
     return by_level
 
 
-def _comparability(by_level: dict) -> int:
-    """c from the rows by level, taken from the top level down: a
-    descent is a higher occurrence with the larger index, that is the
-    smaller variable, over a lower one."""
-    return _descents([v for row in by_level[lv] for v in row]
-                     for lv in sorted(by_level, reverse=True))
-
-
 def _minimal_e(by_level: dict) -> int:
     """e level by level from ``inversion_minimal``, which refuses a level
     of more than ``ROW_CAP`` rows."""
@@ -255,14 +249,14 @@ def _measure(ps: tuple, refs: tuple, fam: LeveledFamily,
     sorted row order, which is minimal when it meets the pairwise bound
     of ``inversion_minimal``, that is unless some pair is loose; then e
     comes from ``inversion_minimal`` level by level.  A monomial with
-    more refs than ``ROW_CAP`` is measured level by level before any
-    pair is, so that a level over the cap is refused at once.  A memo
+    more refs than ``ROW_CAP`` takes e level by level before any pair
+    is summed, so that a level over the cap is refused at once; only its
+    c comes from the pair parts.  A memo
     kept over many monomials of one numbering computes each part once.
     """
     if len(ps) > ROW_CAP:
-        by_level = _rows_by_level(tuple(map(refs.__getitem__, ps)), fam)
-        e = _minimal_e(by_level)
-        return ReductionMeasure(_comparability(by_level), e)
+        e = _minimal_e(_rows_by_level(tuple(map(refs.__getitem__, ps)), fam))
+        return ReductionMeasure(_pair_sums(ps, refs, fam, memo)[0], e)
     c, e, loose = _pair_sums(ps, refs, fam, memo)
     if loose:
         e = _minimal_e(_rows_by_level(tuple(map(refs.__getitem__, ps)), fam))

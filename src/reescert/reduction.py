@@ -501,14 +501,13 @@ def _expected(what: str, where: list, i: int) -> MonomialParseError:
     return MonomialParseError(f"expected {what}, got {got} at position {pos}")
 
 
-def parse_tpolynomial(text: str, fam: LeveledFamily | None = None
-                      ) -> TPolynomial:
+def parse_tpolynomial(text: str, fam: LeveledFamily) -> TPolynomial:
     """Parse e.g. ``T[1,3]*T[1,4] - T[1,2]*T[1,5]`` or ``1/2*T[0,1]^2``.
 
     The grammar is  ['+'|'-'] term (('+'|'-') term)*, where a term is
     '*'-joined factors: an integer, optionally '/' and a denominator, or
-    a T[i,j], optionally '^' and an integer power.  With a family given,
-    refs are checked against it.  Coefficient numbers of over
+    a T[i,j], optionally '^' and an integer power.  Every ref must name
+    a generator of ``fam``.  Coefficient numbers of over
     ``MAX_COEFFICIENT_DIGITS`` digits in all raise
     ``MonomialParseError``, before any term is read.  A term of total
     degree over ``MAX_TERM_DEGREE`` raises ``ResourceCapError``, before
@@ -554,12 +553,11 @@ def parse_tpolynomial(text: str, fam: LeveledFamily | None = None
                 if len(refs) + arg > MAX_TERM_DEGREE:
                     raise ResourceCapError(
                         f"a term of degree over {MAX_TERM_DEGREE}")
-                if fam is not None:
-                    try:
-                        fam.generator(tok)
-                    except ValueError:
-                        raise MonomialParseError(
-                            f"unknown T-variable {tok}") from None
+                try:
+                    fam.generator(tok)
+                except ValueError:
+                    raise MonomialParseError(
+                        f"unknown T-variable {tok}") from None
                 refs += [tok] * arg
             if tokens[i] != "*":
                 break

@@ -252,15 +252,27 @@ def rand_rees_family(rng, n_max=5, d_max=4, s_max=3) -> dict:
     return {"mode": "rees", "variables": n, "levels": levels}
 
 
+def distinct_orders(rows):
+    """Every arrangement of the row multiset, each one once."""
+    if not rows:
+        yield ()
+    for first in sorted(set(rows)):
+        rest = list(rows)
+        rest.remove(first)
+        for tail in distinct_orders(rest):
+            yield (first,) + tail
+
+
 def min_inversions_by_permutation(rows):
     """Exhaustive minimum over row orders; returns (count, lex-least rows).
 
-    Only usable for small row counts; the package must agree with this.
+    Walks every distinct arrangement of the rows, so it is only usable
+    for few rows or few distinct ones; the package must agree with this.
     """
     rows = [tuple(r) for r in rows]
     best = None
     best_rows = None
-    for perm in permutations(rows):
+    for perm in distinct_orders(rows):
         c = column_major_inversions(list(perm))
         if best is None or c < best or (c == best and list(perm) < best_rows):
             best = c

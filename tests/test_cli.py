@@ -349,11 +349,6 @@ RESOURCE_CAPS = {  # case: (stderr text, argv)
     "borel level": ("more than 100000 members", lambda tmp: [
         "check", _write(tmp, '{"mode": "rees", "variables": 20, "levels":'
                              ' [{"degree": 10, "borel": "x20^10"}]}')]),
-    # characterize compares a listed level with the Borel set of its
-    # least generator
-    "listed level": ("more than 100000 members", lambda tmp: [
-        "check", _write(tmp, '{"mode": "rees", "variables": 20, "levels":'
-                             ' [{"degree": 10, "generators": ["x20^10"]}]}')]),
     # the 1,820 quartics in 13 variables make 1,655,290 pairs, over
     # PAIR_CAP
     "pair table": ("1655290 pairs", lambda tmp: [
@@ -383,6 +378,38 @@ def test_resource_caps_exit_3(capsys, tmp_path, case):
     assert err.startswith("resource cap: ")
     assert message in err
     assert out == ""
+
+
+# characterize compares a listed level with the Borel set of its least
+# generator, counting that set only as far as the level's size: a set
+# over BOREL_CAP (C(34, 5) = 278,256 members of x30^5, C(29, 10) of
+# x20^10) gets an answer, not a refusal
+@pytest.mark.parametrize("command", ["check", "certify"])
+def test_listed_level_of_a_huge_borel_set_fiber(capsys, tmp_path, command):
+    path = _write(tmp_path, '{"mode": "fiber", "variables": 30,'
+                            ' "embedding_degree": 6, "levels":'
+                            ' [{"degree": 5, "generators": ["x30^5"]}]}')
+    code, out, err = run(capsys, command, path, "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["characterization"]["borel_equal"] == [False]
+    if command == "check":
+        assert data["closed"] is True
+    else:
+        assert data["conclusions"] == ["koszul", "normal_domain",
+                                       "cohen_macaulay"]
+
+
+@pytest.mark.parametrize("command", ["check", "certify"])
+def test_listed_level_of_a_huge_borel_set_rees(capsys, tmp_path, command):
+    path = _write(tmp_path, '{"mode": "rees", "variables": 20, "levels":'
+                            ' [{"degree": 10, "generators": ["x20^10"]}]}')
+    code, out, err = run(capsys, command, path, "--format", "json")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["characterization"]["borel_equal"] == [False]
+    assert data["characterization"]["borel_subset"] == [True]
+    assert data["witnesses"]
 
 
 ROOT = Path(__file__).resolve().parent.parent

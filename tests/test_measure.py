@@ -316,27 +316,39 @@ def test_reduction_level_row_cap(tower4):
     assert reduction_level(ten, tower4) == (0, 0)
 
 
-def test_long_monomial_is_measured_level_by_level(tower4, monkeypatch):
-    # more refs than ROW_CAP, no level over it: c comes from the rows
-    # by level (_comparability), not from the pair parts
+def test_long_monomial_is_measured_level_by_level(tower4, maxpowers3):
+    # more refs than ROW_CAP, no level over it: e comes level by level
+    # from inversion_minimal, c from the pair parts
     m = parse_tpolynomial(
         "T[0,1]*T[0,2]*T[0,3]*T[1,1]*T[1,2]*T[1,3]*T[1,4]"
         "*T[2,1]*T[2,2]*T[2,3]*T[2,4]", tower4).support()[0]
     assert m.degree == 11 > ROW_CAP
     rows = _rows_by_level(m.refs, tower4)
     assert max(map(len, rows.values())) <= ROW_CAP
-    calls = []
-    comparability = measure._comparability
-
-    def counted(by_level):
-        calls.append(by_level)
-        return comparability(by_level)
-
-    monkeypatch.setattr(measure, "_comparability", counted)
     e = sum(min_inversions_by_permutation(r)[0] for r in rows.values())
     assert (comparability_by_occurrences(m, tower4), e) == (35, 7)
     assert reduction_level(m, tower4) == (35, 7)
-    assert len(calls) == 1
+    # 11 to 30 refs, at most ROW_CAP rows of at most three distinct refs
+    # per level, so that the permutation search stays small
+    for fam in (tower4, maxpowers3):
+        rng = random.Random(f"long monomials/{fam!r}")
+        by_level = {}
+        for ref in fam.refs():
+            by_level.setdefault(ref.level, []).append(ref)
+        for _ in range(30):
+            pools = {lv: rng.sample(refs, min(3, len(refs)))
+                     for lv, refs in by_level.items()}
+            rows_at = dict.fromkeys(pools, 0)
+            picks = []
+            for _ in range(rng.randint(11, 30)):
+                lv = rng.choice([lv for lv in pools if rows_at[lv] < ROW_CAP])
+                rows_at[lv] += 1
+                picks.append(rng.choice(pools[lv]))
+            m = TMonomial(picks)
+            e = sum(min_inversions_by_permutation(r)[0]
+                    for r in _rows_by_level(m.refs, fam).values())
+            assert reduction_level(m, fam) == (
+                comparability_by_occurrences(m, fam), e), m
 
 
 def test_measure_zero_iff_completely_reduced(tower4, maxpowers3):

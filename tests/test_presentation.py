@@ -55,7 +55,7 @@ def T(*pairs):
     return TMonomial(pairs)
 
 
-def P(text, fam=None):
+def P(text, fam):
     return parse_tpolynomial(text, fam)
 
 
@@ -108,20 +108,23 @@ def test_tpolynomial_text_signs():
 
 # --------------------------------------------------------------- parsing
 
-def test_parse_round_trip_frozen():
-    f = P("T[1,3]*T[1,4] - T[1,2]*T[1,5]")
+def test_parse_round_trip_frozen(tower4):
+    f = P("T[1,3]*T[1,4] - T[1,2]*T[1,5]", tower4)
     assert f.terms == {T((1, 3), (1, 4)): 1, T((1, 2), (1, 5)): -1}
-    assert P(f.text()) == f
+    assert P(f.text(), tower4) == f
 
 
-def test_parse_coefficients_and_powers():
-    f = P("1/2*T[0,1]^2 + 3 - 2*T[1,1]*T[0,2]")
+def test_parse_coefficients_and_powers(tower4):
+    f = P("1/2*T[0,1]^2 + 3 - 2*T[1,1]*T[0,2]", tower4)
     assert f.terms == {T((0, 1), (0, 1)): Fraction(1, 2), T(): 3,
                        T((0, 2), (1, 1)): -2}
-    assert P("-T[1,1]").terms == {T((1, 1)): -1}
+    assert P("-T[1,1]", tower4).terms == {T((1, 1)): -1}
 
 
 def test_parse_round_trip_random():
+    # levels 0..3 of nine refs each hold every ref drawn below
+    rand_fam = build_family({"mode": "rees", "variables": 9, "levels": [
+        {"degree": 1, "borel": "x9"}] * 3})
     rng = random.Random(99)
     for _ in range(200):
         terms = []
@@ -131,7 +134,7 @@ def test_parse_round_trip_random():
             coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
             terms.append((TMonomial(refs), coeff))
         f = TPolynomial(terms)
-        assert P(f.text()) == f
+        assert P(f.text(), rand_fam) == f
 
 
 def test_parse_rejects_garbage(tower4):
@@ -140,7 +143,7 @@ def test_parse_rejects_garbage(tower4):
                 # a lexical error anywhere wins over the term cap
                 f"T[0,1]^{MAX_TERM_DEGREE + 1} x1"]:
         with pytest.raises(MonomialParseError):
-            P(bad)
+            P(bad, tower4)
     with pytest.raises(MonomialParseError, match="unknown T-variable"):
         P("T[9,9]", tower4)
     # in range with the family attached
@@ -163,13 +166,14 @@ def test_parse_rejects_garbage(tower4):
 ], ids=["term after term", "power without number", "factor missing",
         "denominator not a number", "zero denominator", "lexical",
         "coefficient digits"])
-def test_parse_errors_name_the_token_and_its_position(text, message):
+def test_parse_errors_name_the_token_and_its_position(tower4, text,
+                                                     message):
     with pytest.raises(MonomialParseError, match=f"^{re.escape(message)}$"):
-        P(text)
+        P(text, tower4)
 
 
 def test_parse_caps_term_degree(tower4):
-    at_cap = P(f"T[0,1]^{MAX_TERM_DEGREE - 2}*T[0,2]*T[1,1]")
+    at_cap = P(f"T[0,1]^{MAX_TERM_DEGREE - 2}*T[0,2]*T[1,1]", tower4)
     assert at_cap.support()[0].degree == MAX_TERM_DEGREE
     for over in (f"T[0,1]^{MAX_TERM_DEGREE + 1}",
                  f"T[0,1]^{MAX_TERM_DEGREE - 1}*T[0,2]*T[1,1]",
@@ -177,22 +181,22 @@ def test_parse_caps_term_degree(tower4):
                  # the cap is met before the term's syntax error
                  f"T[0,1]^{MAX_TERM_DEGREE + 1} ("):
         with pytest.raises(ResourceCapError):
-            P(over)
+            P(over, tower4)
     # and before the unknown ref
     with pytest.raises(ResourceCapError):
         P(f"T[9,9]^{MAX_TERM_DEGREE + 1}", tower4)
-    assert P("T[1,1]^0") == TPolynomial.monomial(TMonomial(()))
+    assert P("T[1,1]^0", tower4) == TPolynomial.monomial(TMonomial(()))
 
 
 
-def test_parse_prints_coefficients_at_the_digit_cap():
+def test_parse_prints_coefficients_at_the_digit_cap(tower4):
     # powers do not count; at the cap the largest product and a merged
     # sum still print
     half = "9" * (MAX_COEFFICIENT_DIGITS // 2)
-    at_cap = P(f"{half}*{half}*T[0,1]^{'0' * 4000}7")
+    at_cap = P(f"{half}*{half}*T[0,1]^{'0' * 4000}7", tower4)
     assert at_cap.text() == f"{int(half) ** 2}*T[0,1]^7"
     den = "7" * (MAX_COEFFICIENT_DIGITS // 2 - 1)
-    merged = P(f"1/{den} + 1/{den[1:]}1")
+    merged = P(f"1/{den} + 1/{den[1:]}1", tower4)
     assert merged.text() == str(1 / Fraction(int(den))
                                 + 1 / Fraction(int(den[1:] + "1")))
 
@@ -374,16 +378,17 @@ def test_basis_shape_matches_json(tower4):
 
 def test_reduce_step_frozen(tower4):
     basis = build_basis(tower4)
-    f = P("T[1,3]*T[1,4]")
+    f = P("T[1,3]*T[1,4]", tower4)
     f1 = reduce_step(f, basis)
-    assert f1 == P("T[1,2]*T[1,5]")
+    assert f1 == P("T[1,2]*T[1,5]", tower4)
     assert reduce_step(f1, basis) is None
     assert normal_form(f, basis) == f1
 
 
 def test_reduce_cross_level_frozen(tower4):
     basis = build_basis(tower4)
-    assert normal_form(P("T[0,1]*T[2,7]"), basis) == P("T[0,3]*T[2,3]")
+    assert (normal_form(P("T[0,1]*T[2,7]", tower4), basis)
+            == P("T[0,3]*T[2,3]", tower4))
 
 
 def test_reduction_preserves_psi_and_terminates(tower4):
@@ -463,7 +468,7 @@ def test_step_cap_raises_on_cyclic_rules(tower4, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(reduction, "DEFAULT_STEP_CAP", 10)
         with pytest.raises(InternalInvariantError):
-            normal_form(P("T[1,3]*T[1,4]"), cyclic)
+            normal_form(P("T[1,3]*T[1,4]", tower4), cyclic)
         # these leads are coprime, so the product criterion skips the
         # only pair; termination is the measure's premise, not this
         # check's
@@ -476,7 +481,7 @@ def test_step_cap_raises_on_cyclic_rules(tower4, monkeypatch):
     for basis in (cyclic, overlapping):
         with pytest.raises(InternalInvariantError,
                            match="cycles through 2 monomials"):
-            normal_form(P("T[1,3]*T[1,4]"), basis)
+            normal_form(P("T[1,3]*T[1,4]", tower4), basis)
     with pytest.raises(InternalInvariantError, match="cycles through 2"):
         confluence_check(overlapping)
 
@@ -485,7 +490,7 @@ def test_rule_index_refuses_a_duplicate_lead(tower4):
     basis = build_basis(tower4)
     with pytest.raises(ValueError,
                        match=re.escape(f"duplicate lead {basis[0].lead}")):
-        normal_form(P("T[1,3]*T[1,4]"), basis + basis[:1])
+        normal_form(P("T[1,3]*T[1,4]", tower4), basis + basis[:1])
 
 
 # --------------------------------------------------------------- records
@@ -524,7 +529,8 @@ def test_s_polynomial_frozen(tower4):
     g2 = by_lead[T((1, 3), (1, 7))]
     assert g2.trail == T((1, 2), (1, 8))
     spoly = s_polynomial(g1, g2)
-    assert spoly == P("T[1,2]*T[1,4]*T[1,8] - T[1,2]*T[1,5]*T[1,7]")
+    assert spoly == P("T[1,2]*T[1,4]*T[1,8] - T[1,2]*T[1,5]*T[1,7]",
+                      tower4)
     assert not normal_form(spoly, basis)
     assert not s_polynomial(g1, g1)
 
@@ -745,16 +751,16 @@ def test_refs_outside_every_rule(fiber_pair):
     """fiber_pair has one rule, on level-1 refs: a monomial of level-2
     refs, and the empty monomial, are their own normal forms."""
     basis = build_basis(fiber_pair)
-    for text in ("T[2,1]*T[2,2]", "T[2,2]^3", "T[0,1]^0",
+    for text in ("T[2,1]*T[2,2]", "T[2,2]^3", "T[2,1]^0",
                  "T[2,1] - 2*T[1,2]*T[2,2]"):
-        f = P(text)
+        f = P(text, fiber_pair)
         assert normal_form(f, basis) == f
         assert reduce_step(f, basis) is None
         trace = traced_normal_form(f, basis, fiber_pair)
         assert (trace.steps, trace.normal_form) == ((), f)
     # refs outside the rules on a rewritten monomial stay put
-    f = P("T[1,1]*T[1,4]*T[2,2]")
-    assert normal_form(f, basis) == P("T[1,2]*T[1,3]*T[2,2]")
+    f = P("T[1,1]*T[1,4]*T[2,2]", fiber_pair)
+    assert normal_form(f, basis) == P("T[1,2]*T[1,3]*T[2,2]", fiber_pair)
     assert traced_normal_form(f, basis, fiber_pair).normal_form == \
         normal_form(f, basis)
 
@@ -775,14 +781,14 @@ def test_reductions_on_one_basis_share_one_index(tower4, fiber_pair,
     monkeypatch.setattr(reduction, "_RuleIndex", Counted)
     monkeypatch.setattr(reduction, "_last_index", None)
     basis = list(build_basis(tower4))
-    f = P("T[1,3]*T[1,4] - T[0,1]*T[1,2]*T[2,7]")
+    f = P("T[1,3]*T[1,4] - T[0,1]*T[1,2]*T[2,7]", tower4)
     want = normal_form(f, basis)
     assert normal_form(f, build_basis(tower4)) == want
     assert reduce_step(f, basis) is not None
     assert traced_normal_form(f, tuple(basis), tower4).normal_form == want
     assert built == [104]
     # a list mutated in place is read again: T[1,3]*T[1,4] now stays
-    lead = P("T[1,3]*T[1,4]").support()[0]
+    lead = P("T[1,3]*T[1,4]", tower4).support()[0]
     basis[:] = [g for g in basis if g.lead != lead]
     assert lead in normal_form(f, basis).terms
     assert built == [104, 103]
@@ -790,7 +796,7 @@ def test_reductions_on_one_basis_share_one_index(tower4, fiber_pair,
     # polynomial brings it
     one = build_basis(fiber_pair)
     for text in ("T[1,1]*T[1,4]", "T[1,1]*T[2,1]", "T[1,4]*T[2,1]^2"):
-        normal_form(P(text), one)
+        normal_form(P(text, fiber_pair), one)
     assert built == [104, 103, 1, 1]
 
 
@@ -830,6 +836,6 @@ def test_critical_pair_cap(tower4, monkeypatch):
 
 def test_kernel_membership(tower4):
     basis = build_basis(tower4)
-    assert not normal_form(P("T[1,3]*T[1,4] - T[1,2]*T[1,5]"), basis)
-    assert normal_form(P("T[1,3]*T[1,4] - T[1,2]*T[1,2]"), basis)
+    assert not normal_form(P("T[1,3]*T[1,4] - T[1,2]*T[1,5]", tower4), basis)
+    assert normal_form(P("T[1,3]*T[1,4] - T[1,2]*T[1,2]", tower4), basis)
     assert not normal_form(TPolynomial(), basis)
