@@ -16,6 +16,7 @@ variables T[level, index] used downstream.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import FamilyError, ResourceCapError
@@ -134,11 +135,14 @@ class Level:
 class LeveledFamily:
     """Validated family with fast ref lookup.  Treat as immutable.
 
-    Every generator is factored once, on construction, and its standard
-    factorization kept (``factors``).  The ref pairs are classified on
-    demand, in lexicographic order, into the pair table that closure,
-    the marked basis and complete reducedness read: each incomparable
-    pair mapped to the refs of its rewrite images, lead to trail.  The
+    Construction keeps the levels and one ``GenRef`` per generator and
+    computes nothing else: a certificate read off the paper's theorem
+    factors no generator.  ``factors`` keeps a standard factorization
+    from its first use on.  The ref pairs are classified on demand, in
+    lexicographic order, into the pair table that closure, the marked
+    basis and complete reducedness read: each incomparable pair mapped
+    to the refs of its rewrite images, lead to trail.  The scan's first
+    step factors and packs every generator into level blocks.  The
     rewrite of a pair is a function of its product alone, so each
     distinct product of a level block (the pairs of one level, or of two
     levels) is rewritten once, keyed by its packed exponent vector; a
@@ -152,7 +156,8 @@ class LeveledFamily:
     """
 
     __slots__ = ("mode", "n", "embedding_degree", "levels", "_by_index",
-                 "_factors", "_refs", "_pairs", "_open", "_scan")
+                 "_borel_levels", "_factors", "_refs", "_pairs", "_open",
+                 "_scan")
 
     def __init__(self, mode, n, levels, embedding_degree=None):
         self.mode = mode
@@ -160,30 +165,23 @@ class LeveledFamily:
         self.embedding_degree = embedding_degree
         self.levels = tuple(levels)
         self._by_index = {lv.index: lv for lv in self.levels}
-        # ref -> standard factorization of its generator
-        self._factors = {}
+        # indices of the levels ``build_family`` built as the Borel set
+        # of their least generator; ``characterize`` tests the others
+        self._borel_levels = frozenset()
         _check_pair_cap(sum(len(lv) for lv in self.levels))
-        # a wide family keys every product 0 and memoizes none
-        memoize = n * PACK_BITS <= MEMO_KEY_BITS
-        # per level: ({standard factorization: ref}, its generators as
-        # (ref, factorization, packed exponents))
-        blocks = []
-        for lv in self.levels:
-            here = {}
-            row = []
-            for j, g in enumerate(lv.generators, start=1):
-                ref = GenRef(lv.index, j)
-                f = self._factors[ref] = g.factors()
-                here[f] = ref
-                row.append((ref, f, _packed(g.exps) if memoize else 0))
-            blocks.append((here, row))
-        self._refs = tuple(self._factors)
-        # the refs already held in ``blocks``, not images: a Monomial
-        # pair per entry costs megabytes on the larger families
+        self._refs = tuple(GenRef(lv.index, j) for lv in self.levels
+                           for j in range(1, len(lv) + 1))
+        # ref -> standard factorization of its generator, filled on use
+        self._factors = {}
+        # the refs of ``_refs``, not images: a Monomial pair per entry
+        # costs megabytes on the larger families
         self._pairs = {}
         self._open = []
-        # exhausted once every pair is classified
-        self._scan = _classify(blocks, memoize, self._pairs, self._open)
+        # exhausted once every pair is classified; a wide family keys
+        # every product 0 and memoizes none
+        self._scan = _classify(self.levels, self._refs, self._factors,
+                               n * PACK_BITS <= MEMO_KEY_BITS, self._pairs,
+                               self._open)
 
     def _open_upto(self, count: int) -> list:
         """The first ``count`` open pairs in table order, or all of them
@@ -216,11 +214,15 @@ class LeveledFamily:
         return lv.generators[ref[1] - 1]
 
     def factors(self, ref: GenRef) -> tuple[int, ...]:
-        """Standard factorization of the referenced generator, as kept
-        since construction.  An unknown ref raises like ``generator``."""
+        """Standard factorization of the referenced generator, kept from
+        its first use, here or in the pair scan.  An unknown ref raises
+        like ``generator``."""
         try:
             return self._factors[ref]
-        except (KeyError, TypeError):
+        except KeyError:
+            f = self._factors[ref] = self.generator(ref).factors()
+            return f
+        except TypeError:
             return self.generator(ref).factors()
 
     def incomparable_pairs(self) -> dict:
@@ -250,23 +252,54 @@ class LeveledFamily:
         return f"LeveledFamily(mode={self.mode!r}, n={self.n}, sizes=[{sizes}])"
 
 
-def _classify(blocks, memoize: bool, pairs: dict, open_pairs: list):
-    """Classify the ref pairs of ``blocks`` in lexicographic order:
+def _classify(levels, refs, factors: dict, memoize: bool, pairs: dict,
+              open_pairs: list):
+    """Classify the ref pairs of ``levels`` in lexicographic order:
     enter each incomparable pair in ``pairs`` with its image refs,
     append each one with a missing image to ``open_pairs``, and yield
-    it.  A module-level generator, so that a family it fills is not held
-    by its own pending scan."""
-    for li, (here, row) in enumerate(blocks):
+    it.  ``refs`` are the family's refs, in level order; ``factors``
+    is its factorization cache, which the first step completes.  A
+    module-level generator, so that a family it fills is not held by
+    its own pending scan.
+
+    A cross-level pair (a, b) is fixed by ``ord_factors`` exactly when
+    tail(b) <= head(a), head and tail the first and last standard
+    factors: the merge puts b's factors first, as the rewrite's second
+    output, exactly when none of them exceeds a factor of a.  A level's
+    generators are revlex descending, so their tails never decrease (a
+    generator with a later tail than the next would be revlex-smaller);
+    the comparable b of each a in a higher level are therefore a prefix
+    of its block, found by bisection on the tails and skipped."""
+    # per level: ({standard factorization: ref}, its generators as
+    # (ref, factorization, packed exponents), their tails)
+    blocks = []
+    start = 0
+    for lv in levels:
+        here = {}
+        row = []
+        for ref, g in zip(refs[start:start + len(lv)], lv.generators):
+            f = factors.get(ref)
+            if f is None:
+                f = factors[ref] = g.factors()
+            here[f] = ref
+            row.append((ref, f, _packed(g.exps) if memoize else 0))
+        start += len(lv)
+        blocks.append((here, row, [f[-1] for _, f, _ in row]))
+    for li, (here, row, _) in enumerate(blocks):
         # same level sorts, a higher level orders; lexicographic ref
         # order either way.  Each target block keeps its own memo,
         # packed product -> image refs, for as long as this level's
         # rows are paired.
-        targets = [(sort_factors, here, None, {})]
-        targets += [(ord_factors, there, col, {})
-                    for there, col in blocks[li + 1:]]
+        targets = [(sort_factors, here, None, None, {})]
+        targets += [(ord_factors, there, col, tails, {})
+                    for there, col, tails in blocks[li + 1:]]
         for ai, (a, fa, ka) in enumerate(row):
-            for rewrite, there, col, memo in targets:
-                for b, fb, kb in (row[ai + 1:] if col is None else col):
+            for rewrite, there, col, tails, memo in targets:
+                if col is None:
+                    others = row[ai + 1:]
+                else:
+                    others = col[bisect_right(tails, fa[0]):]
+                for b, fb, kb in others:
                     key = ka + kb
                     trail = memo.get(key)
                     if trail is None:
@@ -394,8 +427,12 @@ def build_family(data: dict) -> LeveledFamily:
     if mode == "rees":
         level0 = Level(0, 1, tuple(
             Monomial.variable(i, n) for i in range(1, n + 1)))
-        return LeveledFamily("rees", n, [level0] + levels)
-    return LeveledFamily("fiber", n, levels, embedding_degree=m)
+        fam = LeveledFamily("rees", n, [level0] + levels)
+    else:
+        fam = LeveledFamily("fiber", n, levels, embedding_degree=m)
+    fam._borel_levels = frozenset(
+        i for i, entry in enumerate(raw_levels, start=1) if "borel" in entry)
+    return fam
 
 
 def family_from_file(path) -> LeveledFamily:
@@ -507,14 +544,23 @@ def characterize(fam: LeveledFamily) -> Characterization:
     """A level equals the Borel set of its least generator exactly when
     it lies inside it and has as many members: its generators are
     distinct and revlex-sorted, like the set's.  The set is counted, not
-    built, and only as far as the level's size, so no size is refused."""
+    built, and only as far as the level's size, so no size is refused.
+
+    Only listed levels are tested, each generator but the least, which
+    lies in its own Borel set.  A ``"borel"`` level that ``build_family``
+    built with ``borel_closure`` is that set by construction."""
     levels = [lv for lv in fam.levels if lv.index > 0]
     equal = []
     subset = []
     for lv in levels:
-        inside = all(borel_member(g, lv.last) for g in lv.generators)
+        if lv.index in fam._borel_levels:
+            subset.append(True)
+            equal.append(True)
+            continue
+        least = lv.last
+        inside = all(borel_member(g, least) for g in lv.generators[:-1])
         subset.append(inside)
-        equal.append(inside and len(lv) == _borel_count(lv.last.exps, len(lv)))
+        equal.append(inside and len(lv) == _borel_count(least.exps, len(lv)))
     chain = []
     for prev, nxt in zip(levels, levels[1:]):
         # greatest variable of the lower last divides nothing above the

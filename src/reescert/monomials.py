@@ -5,13 +5,14 @@ lists the variables with multiplicity in ascending index order, which is
 descending variable order; the first factor is the greatest variable
 occurring, the last factor the least.  The sorting and ordering rewrites
 work on standard factorizations (``sort_factors``, ``ord_factors``);
-``sort_pair`` and ``ord_pair`` are their checked wrappers on
-``Monomial`` pairs.  The Borel suffix-dominance test, ``borel_size``,
-which counts a Borel set without building it, and ``borel_closure``,
-which generates one directly, live here too; both refuse a set of more
-than ``BOREL_CAP`` members, and ``borel_closure`` also one whose members
-hold more than ``BOREL_ENTRY_CAP`` exponents in all.  Everything
-downstream is built on them.
+``sort_pair`` and ``ord_pair`` are their checked counterparts on
+``Monomial`` pairs, dealt on exponent vectors.  The Borel
+suffix-dominance test, ``borel_size``, which counts a Borel set without
+building it, and ``borel_closure``, which generates one directly, live
+here too; both refuse a set of more than ``BOREL_CAP`` members, and
+``borel_closure`` also one whose members hold more than
+``BOREL_ENTRY_CAP`` exponents in all.  Everything downstream is built
+on them.
 """
 
 from __future__ import annotations
@@ -209,28 +210,50 @@ def ord_pair(u: Monomial, v: Monomial) -> tuple[Monomial, Monomial]:
     Factor u*v in standard form and split: the last deg(u) factors make
     the first output, the first deg(v) factors the second.  The result
     multiplies back to u*v, keeps both degrees, and every variable of the
-    first output is <= every variable of the second.
+    first output is <= every variable of the second.  Dealt on exponent
+    vectors: the second output takes each variable's exponent in u*v,
+    greatest variable first, until it holds deg(v).
     """
     if u.n != v.n:
         raise ValueError("variable counts differ")
     p, q = u.degree, v.degree
     if p > q:
         raise ValueError(f"ord_pair needs deg(u) <= deg(v), got {p} > {q}")
-    low, high = ord_factors(u.factors(), v.factors())
-    return Monomial.from_factors(low, u.n), Monomial.from_factors(high, u.n)
+    low = []
+    high = []
+    room = q
+    for a, b in zip(u.exps, v.exps):
+        e = a + b
+        h = e if e < room else room
+        room -= h
+        low.append(e - h)
+        high.append(h)
+    return Monomial._of_exps(tuple(low), p), Monomial._of_exps(tuple(high), q)
 
 
 def sort_pair(u: Monomial, v: Monomial) -> tuple[Monomial, Monomial]:
     """Sorting rewrite for equal degrees: deal the factors of u*v
-    alternately, odd positions to the first output, even to the second."""
+    alternately, odd positions to the first output, even to the second.
+    Dealt on exponent vectors: with c factors of u*v before variable i
+    and e of it, the first output takes its copies at the odd positions
+    c+1..c+e, (c+e+1)//2 - (c+1)//2 of them."""
     if u.n != v.n:
         raise ValueError("variable counts differ")
-    if u.degree != v.degree:
+    d = u.degree
+    if d != v.degree:
         raise ValueError(
-            f"sort_pair needs equal degrees, got {u.degree} != {v.degree}")
-    first, second = sort_factors(u.factors(), v.factors())
-    return (Monomial.from_factors(first, u.n),
-            Monomial.from_factors(second, u.n))
+            f"sort_pair needs equal degrees, got {d} != {v.degree}")
+    first = []
+    second = []
+    c = 0
+    for a, b in zip(u.exps, v.exps):
+        e = a + b
+        f = (c + e + 1) // 2 - (c + 1) // 2
+        c += e
+        first.append(f)
+        second.append(e - f)
+    return (Monomial._of_exps(tuple(first), d),
+            Monomial._of_exps(tuple(second), d))
 
 
 def borel_member(candidate: Monomial, generator: Monomial) -> bool:

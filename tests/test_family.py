@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from reescert import family
+from reescert.certify import build_certificate
 from reescert.errors import FamilyError, ResourceCapError
 from reescert.family import (
     GenRef,
@@ -23,7 +24,7 @@ from reescert.family import (
     is_closed_under_comparability,
     rewrite_images,
 )
-from reescert.monomials import parse_monomial
+from reescert.monomials import Monomial, parse_monomial
 
 from bruteforce import (
     borel_closure_by_filter,
@@ -33,6 +34,7 @@ from bruteforce import (
     sort_closed_form,
 )
 from conftest import family_dict, open_nochain, open_tower4, reference_descs
+from test_census import census
 
 
 # ----------------------------------------------------------- construction
@@ -479,6 +481,128 @@ def test_pending_scan_does_not_hold_its_family():
     assert is_closed_under_comparability(fam).truncated
     assert fam._scan is not None
     assert not _held_by_a_generator(fam)
+
+
+# ---------------------------------------- prefix skip and lazy factoring
+
+def _skip_inputs() -> list[dict]:
+    """A seeded sample of the (3, 3, 3) census in both modes, seeded
+    random families with at least one listed level, and the 30-variable
+    family whose rewrites are not memoized."""
+    rng = random.Random(20261019)
+    descs = rng.sample(census("rees"), 80) + rng.sample(census("fiber"), 80)
+    listed = 0
+    while listed < 60:
+        desc = rand_rees_family(rng, n_max=6)
+        if any("generators" in lv for lv in desc["levels"]):
+            descs.append(desc)
+            listed += 1
+    descs.append(KEYED_FAMILIES["wide"])
+    return descs
+
+
+def test_prefix_skip_matches_brute_force(monkeypatch):
+    """Every level's tails are non-decreasing, and the table with the
+    comparable cross-level pairs skipped by bisection equals the one
+    from ``rewrite_images`` on every pair.  No fixed pair reaches
+    ``ord_factors``, memoized or not."""
+    fixed = []
+    original = family.ord_factors
+
+    def ordering(fu, fv):
+        images = original(fu, fv)
+        fixed.append(images == (fu, fv))
+        return images
+
+    monkeypatch.setattr(family, "ord_factors", ordering)
+    assert 30 * family.PACK_BITS > family.MEMO_KEY_BITS
+    for desc in _skip_inputs():
+        fam = build_family(desc)
+        for lv in fam.levels:
+            tails = [g.tail_index() for g in lv.generators]
+            assert tails == sorted(tails), desc
+        table = pair_table_by_rewrite_images(fam)
+        assert list(fam.incomparable_pairs().items()) == list(
+            table.items()), desc
+    assert fixed and not any(fixed)
+
+
+def _counting(monkeypatch, calls: list, owner, name: str):
+    """Replace ``owner.name`` with a wrapper that appends its arguments
+    to ``calls``."""
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_conjunction_certificate_factors_nothing(monkeypatch):
+    """The certificate of tower4 and of a census family with the
+    structural conjunction factors no generator and tests no Borel
+    membership: its levels are built Borel sets, or tower4's one
+    generator x1^5, the least of its level."""
+    conjunction = next(
+        desc for desc in census("rees")
+        if len(desc["levels"]) == 3
+        and characterize(build_family(desc)).conjunction)
+    factored, tested = [], []
+    _counting(monkeypatch, factored, Monomial, "factors")
+    _counting(monkeypatch, tested, family, "borel_member")
+    for desc in (family_dict("tower4"), conjunction):
+        cert = build_certificate(build_family(desc))
+        assert cert["conclusions"], desc
+    assert factored == [] and tested == []
+
+
+def _as_listed(desc: dict):
+    """The family of ``desc`` with every level given as a list."""
+    fam = build_family(desc)
+    listed = dict(desc, levels=[
+        {"degree": lv.degree, "generators": [g.text() for g in lv.generators]}
+        for lv in fam.levels if lv.index > 0])
+    return build_family(listed)
+
+
+def test_listed_levels_are_still_tested(monkeypatch, bench_families):
+    """``characterize`` tests each generator of a listed level against
+    the least one, the least itself excepted, and no generator of a
+    built level."""
+    drop = bench_families.draw_family(
+        random.Random(3), (20, 30), "rees-drop")
+    tested = []
+    _counting(monkeypatch, tested, family, "borel_member")
+    for desc in (family_dict("fiber_pair"), drop):
+        fam = build_family(desc)
+        del tested[:]
+        ch = characterize(fam)
+        listed = [fam.level(pos) for pos, lv in enumerate(
+            desc["levels"], start=1) if "generators" in lv]
+        assert listed
+        assert tested == [(g, lv.last) for lv in listed
+                          for g in lv.generators[:-1]]
+        assert ch == characterize(_as_listed(desc)), desc
+    assert not characterize(build_family(drop)).conjunction
+
+
+def test_factors_are_kept_and_the_scan_reuses_refs():
+    """A factorization read before the scan is the one the scan uses
+    and returns after it, and every ref in the table is one of the
+    family's own ``refs()`` objects."""
+    fam = build_family(open_tower4())
+    before = {ref: fam.factors(ref) for ref in fam.refs()[::3]}
+    assert fam.factors(GenRef(1, 1)) is fam.factors(GenRef(1, 1))
+    assert not is_closed_under_comparability(fam).closed
+    table = fam.incomparable_pairs()
+    for ref, f in before.items():
+        assert fam.factors(ref) is f
+    for ref in fam.refs():
+        assert fam.factors(ref) == fam.generator(ref).factors()
+    own = {id(ref) for ref in fam.refs()}
+    for pair, trail in table.items():
+        assert {id(ref) for ref in pair + trail if ref is not None} <= own
 
 
 # ----------------------------------------------------- characterization
