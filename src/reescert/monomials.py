@@ -70,16 +70,6 @@ class Monomial:
             raise ValueError(f"variable index {i} out of range 1..{n}")
         return cls(tuple(1 if k == i else 0 for k in range(1, n + 1)))
 
-    @classmethod
-    def from_factors(cls, indices, n: int) -> "Monomial":
-        """Build from a list of variable indices with multiplicity."""
-        exps = [0] * n
-        for i in indices:
-            if not 1 <= i <= n:
-                raise ValueError(f"variable index {i} out of range 1..{n}")
-            exps[i - 1] += 1
-        return cls._of_exps(tuple(exps), sum(exps))
-
     def factors(self) -> tuple[int, ...]:
         """Standard factorization as variable indices, ascending.
 
@@ -104,11 +94,6 @@ class Monomial:
             if self.exps[i - 1]:
                 return i
         raise ValueError("the empty monomial has no factors")
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.n != other.n:
-            raise ValueError("variable counts differ")
-        return Monomial(a + b for a, b in zip(self.exps, other.exps))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.exps == other.exps

@@ -46,9 +46,6 @@ class TMonomial(tuple):
     def degree(self) -> int:
         return len(self)
 
-    def __mul__(self, other: "TMonomial") -> "TMonomial":
-        return TMonomial(self + other)
-
     def text(self) -> str:
         if not self:
             return "1"

@@ -77,12 +77,6 @@ class TPolynomial:
     def __add__(self, other: "TPolynomial") -> "TPolynomial":
         return TPolynomial([*self.terms.items(), *other.terms.items()])
 
-    def __neg__(self) -> "TPolynomial":
-        return TPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "TPolynomial") -> "TPolynomial":
-        return self + (-other)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TPolynomial) and self.terms == other.terms
 
@@ -259,29 +253,10 @@ def _polynomial_step(f: TPolynomial, index: _RuleIndex
     return None
 
 
-def _refs_of(f: TPolynomial):
-    """Every ref of every support monomial of f."""
-    return chain.from_iterable(f.terms)
-
-
-# (rules, index) of the last basis a polynomial was reduced on
-_last_index = None
-
-
 def _index_for(basis, f: TPolynomial) -> _RuleIndex:
-    """A ``_RuleIndex`` of the basis with a position for every ref of f:
-    the last one built, while its rules equal the basis's and it has all
-    those refs, else a new one, kept in its place.  Positions only stand
-    in for refs, in ref order, so any such index reduces alike."""
-    global _last_index
-    rules = tuple(basis)
-    if _last_index is not None:
-        held, index = _last_index
-        if held == rules and all(map(index.pos.__contains__, _refs_of(f))):
-            return index
-    index = _RuleIndex(rules, _refs_of(f))
-    _last_index = rules, index
-    return index
+    """A new ``_RuleIndex`` of the basis with a position for every ref
+    of every support monomial of f."""
+    return _RuleIndex(tuple(basis), chain.from_iterable(f.terms))
 
 
 def reduce_step(f: TPolynomial, basis) -> TPolynomial | None:
@@ -368,8 +343,8 @@ def s_polynomial(g1: MarkedBinomial, g2: MarkedBinomial) -> TPolynomial:
     lcm = lead1 | lead2
     cof1 = TMonomial((lcm - lead1).elements())
     cof2 = TMonomial((lcm - lead2).elements())
-    return (TPolynomial.monomial(g2.trail * cof2)
-            - TPolynomial.monomial(g1.trail * cof1))
+    return (TPolynomial.monomial(TMonomial(g2.trail + cof2))
+            + TPolynomial.monomial(TMonomial(g1.trail + cof1), -1))
 
 
 class ConfluenceReport(NamedTuple):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import combinations, combinations_with_replacement, permutations
+from operator import add
 
 from reescert.errors import InternalInvariantError, NotClosedError
 from reescert.family import (
@@ -32,6 +33,23 @@ from reescert.reduction import (
     psi_eval,
     s_polynomial,
 )
+
+
+def from_factors(indices, n: int) -> Monomial:
+    """The monomial in n variables whose standard factorization is these
+    variable indices, taken with multiplicity in any order."""
+    exps = [0] * n
+    for i in indices:
+        if not 1 <= i <= n:
+            raise ValueError(f"variable index {i} out of range 1..{n}")
+        exps[i - 1] += 1
+    return Monomial._of_exps(tuple(exps), sum(exps))
+
+
+def product(u: Monomial, v: Monomial) -> Monomial:
+    """uv, for two monomials in the same variables."""
+    assert u.n == v.n
+    return Monomial(map(add, u.exps, v.exps))
 
 
 def revlex_gt_by_factors(u: Monomial, v: Monomial) -> bool:
@@ -121,7 +139,7 @@ def borel_closure_by_filter(generator: Monomial) -> tuple[Monomial, ...]:
     members = [
         m
         for fact in combinations_with_replacement(range(1, n + 1), d)
-        for m in (Monomial.from_factors(fact, n),)
+        for m in (from_factors(fact, n),)
         if borel_member(m, generator)
     ]
     members.sort(key=revlex_key, reverse=True)
@@ -211,7 +229,7 @@ def column_major_inversions(rows: list[tuple[int, ...]]) -> int:
 
 
 def rand_monomial(rng, n: int, degree: int) -> Monomial:
-    return Monomial.from_factors(rng.choices(range(1, n + 1), k=degree), n)
+    return from_factors(rng.choices(range(1, n + 1), k=degree), n)
 
 
 def rand_rees_family(rng, n_max=5, d_max=4, s_max=3) -> dict:
@@ -236,7 +254,7 @@ def rand_rees_family(rng, n_max=5, d_max=4, s_max=3) -> dict:
     tops = []
     for d in degrees:
         hi = bound if enforce_chain else n
-        top = Monomial.from_factors(
+        top = from_factors(
             [rng.randint(1, hi) for _ in range(d)], n)
         bound = top.head_index()
         tops.append(top)

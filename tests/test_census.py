@@ -23,9 +23,8 @@ from reescert.family import (
     characterize,
     is_closed_under_comparability,
 )
-from reescert.monomials import Monomial
 
-from bruteforce import borel_closure_by_filter
+from bruteforce import borel_closure_by_filter, from_factors, product
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "families"
 
@@ -90,7 +89,7 @@ def test_product_identity_by_enumeration():
     degree."""
     pairs = 0
     for n in range(1, 6):
-        monos = [Monomial.from_factors(factors, n)
+        monos = [from_factors(factors, n)
                  for d in range(1, 4)
                  for factors in combinations_with_replacement(
                      range(1, n + 1), d)]
@@ -100,8 +99,9 @@ def test_product_identity_by_enumeration():
             for v in monos[i:]:
                 products = {tuple(a + b for a, b in zip(x, y))
                             for x in members[u] for y in members[v]}
+                uv = product(u, v)
                 assert products == {m.exps for m in
-                                    borel_closure_by_filter(u * v)}, (u, v)
+                                    borel_closure_by_filter(uv)}, (u, v)
                 pairs += 1
     assert pairs == 2376
 

@@ -260,6 +260,16 @@ def test_normal_form_power_over_cap_exits_3(capsys, tower4_file):
     assert out == ""
 
 
+def test_broken_invariant_exits_3(capsys, tower4_file, monkeypatch):
+    # a step cap of 0 stands in for a reduction that would not end
+    from reescert import reduction
+    monkeypatch.setattr(reduction, "DEFAULT_STEP_CAP", 0)
+    code, out, err = run(capsys, "normal-form", tower4_file, "T[1,3]*T[1,4]")
+    assert (code, out) == (3, "")
+    assert err == ("internal invariant violated: reduction exceeded 0 steps;"
+                   " the termination measure should forbid this\n")
+
+
 def test_normal_form_bad_expression(capsys, tower4_file):
     code, _, err = run(capsys, "normal-form", tower4_file, "T[9,9]")
     assert code == 2

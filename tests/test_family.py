@@ -323,6 +323,16 @@ def test_factors_and_level_refs(tower4, fiber_pair):
         tower4.level(7)
 
 
+def test_level_repr_and_unhashable_refs(tower4):
+    fam = build_family({"mode": "rees", "variables": 2, "levels": [
+        {"degree": 1, "generators": ["x1", "x2"]}]})
+    assert repr(fam.level(1)) == (
+        "Level(index=1, degree=1, generators=(Monomial('x1', n=2),"
+        " Monomial('x2', n=2)))")
+    # a list ref cannot key the kept factorizations, but still resolves
+    assert tower4.factors([1, 2]) == tower4.factors(GenRef(1, 2))
+
+
 def test_comparable_argument_checks(tower4):
     with pytest.raises(ValueError):
         comparable(tower4, GenRef(1, 4), GenRef(1, 3))

@@ -24,6 +24,8 @@ from reescert.errors import MonomialParseError, ResourceCapError
 from bruteforce import (
     borel_closure_by_filter,
     borel_closure_by_moves,
+    from_factors,
+    product,
     rand_monomial,
     revlex_gt_by_factors,
     sort_closed_form,
@@ -63,6 +65,25 @@ def test_factors_and_ends():
     assert M("1").factors() == ()
 
 
+def test_monomial_checks_and_repr():
+    for bad in ((), (1, -1)):
+        with pytest.raises(ValueError):
+            Monomial(bad)
+    m = Monomial([2, 0, 1])
+    with pytest.raises(AttributeError):
+        m.exps = (1, 1, 1)
+    with pytest.raises(ValueError, match="out of range 1..3"):
+        Monomial.variable(0, 3)
+    for end in (M("1").head_index, M("1").tail_index):
+        with pytest.raises(ValueError, match="no factors"):
+            end()
+    with pytest.raises(ValueError, match="variable counts differ"):
+        borel_member(M("x1", 3), M("x1", 4))
+    # error messages format monomials with str, and sets hold them
+    assert (str(m), repr(m)) == ("x1^2*x3", "Monomial('x1^2*x3', n=3)")
+    assert {m, Monomial((2, 0, 1))} == {m}
+
+
 # ----------------------------------------------------------------- revlex
 
 def test_revlex_degree_dominates():
@@ -82,7 +103,7 @@ def test_revlex_frozen_chain_degree_two():
 
 def test_revlex_total_order_on_fixed_degree():
     from itertools import combinations_with_replacement
-    monos = [Monomial.from_factors(f, 4)
+    monos = [from_factors(f, 4)
              for f in combinations_with_replacement(range(1, 5), 3)]
     ranked = sorted(monos, key=revlex_key)
     for a, b in zip(ranked, ranked[1:]):
@@ -130,7 +151,7 @@ def test_ord_postconditions_random():
         u = rand_monomial(rng, n, p)
         v = rand_monomial(rng, n, q)
         a, b = ord_pair(u, v)
-        assert a * b == u * v
+        assert product(a, b) == product(u, v)
         assert (a.degree, b.degree) == (p, q)
         # every variable of a sits at or below every variable of b
         assert a.head_index() >= b.tail_index()
@@ -145,7 +166,7 @@ def test_sort_postconditions_random():
         u = rand_monomial(rng, n, d)
         v = rand_monomial(rng, n, d)
         a, b = sort_pair(u, v)
-        assert a * b == u * v
+        assert product(a, b) == product(u, v)
         assert revlex_key(a) >= revlex_key(b)
         assert sort_pair(a, b) == (a, b)
 
@@ -191,7 +212,7 @@ def test_exponent_dealing_matches_factor_rewrites():
         for got, want in (
                 (ord_pair(u, v), ord_factors(u.factors(), v.factors())),
                 (sort_pair(u, w), sort_factors(u.factors(), w.factors()))):
-            assert got == tuple(Monomial.from_factors(f, n) for f in want)
+            assert got == tuple(from_factors(f, n) for f in want)
             for m in got:
                 assert type(m.exps) is tuple and m.degree == sum(m.exps)
 
