@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from operator import add
 
+from .errors import InternalInvariantError
 from .family import (
     ClosureReport,
     LeveledFamily,
@@ -115,7 +116,8 @@ def _conjunction_rule_count(fam: LeveledFamily) -> int:
     the product identity (level 0's x_n included in rees mode).  The
     count is uncapped, as a product's Borel set may pass ``BOREL_CAP``
     where no level does: B(x450^2) in 450 variables has 101,475
-    members."""
+    members.  The number of counts is bounded by the family's
+    construction, which caps its pairs of levels at ``PAIR_CAP``."""
     lasts = [lv.last.exps for lv in fam.levels]
     hf2 = sum(_borel_count(tuple(map(add, u, w)))
               for i, u in enumerate(lasts) for w in lasts[i:])
@@ -165,15 +167,17 @@ def build_certificate(fam: LeveledFamily) -> dict:
         # trail: its size and shape are read off it without building a
         # rule.
         shape = basis_shape(fam.incomparable_pairs().items())
+    if not (shape["quadratic"] and shape["squarefree_leads"]):
+        # each table entry is a product of two distinct refs rewritten
+        # to two refs, so a closed family always has this shape
+        raise InternalInvariantError(
+            "the marked basis of a closed family is not quadratic with"
+            " squarefree leads")
     out["basis_size"] = shape["count"]
     out["quadratic"] = shape["quadratic"]
     out["squarefree_leads"] = shape["squarefree_leads"]
-    if shape["quadratic"] and shape["squarefree_leads"]:
-        out["conclusions"] = ["koszul", "normal_domain", "cohen_macaulay"]
-        out["citations"] = dict(CITATIONS)
-    else:
-        out["conclusions"] = []
-        out["citations"] = {}
+    out["conclusions"] = ["koszul", "normal_domain", "cohen_macaulay"]
+    out["citations"] = dict(CITATIONS)
     return out
 
 

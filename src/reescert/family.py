@@ -38,8 +38,11 @@ from .monomials import (
 MODES = ("rees", "fiber")
 
 # Most ref pairs a family classifies (C(v, 2), about 1,415 refs).
-# ``build_family`` counts the refs of a description before it builds
-# any level.
+# ``refs()``, and so the pair scan, checks it before building a ref; a
+# certificate from the paper's theorem builds neither.  Construction
+# caps the pairs of levels at it too, since that certificate counts one
+# Borel set per pair of levels; each level holds a ref, so no family
+# within the ref cap is refused by it.
 PAIR_CAP = 10**6
 # Most variables a family (or ``reescert bset -n``) declares, refused
 # before any exponent vector of that length exists.  Level 0 of a rees
@@ -61,13 +64,13 @@ MEMO_KEY_BITS = 256
 WITNESS_CAP = 32
 
 
-def _check_pair_cap(refs: int) -> None:
-    """Refuse a family of ``refs`` generators with more than
-    ``PAIR_CAP`` ref pairs."""
-    pairs = refs * (refs - 1) // 2
+def _check_pair_cap(count: int, what: str = "generators") -> None:
+    """Refuse a family of ``count`` generators, or levels, with more
+    than ``PAIR_CAP`` pairs of them."""
+    pairs = count * (count - 1) // 2
     if pairs > PAIR_CAP:
         raise ResourceCapError(
-            f"{refs} generators make {pairs} pairs, more than {PAIR_CAP}")
+            f"{count} {what} make {pairs} pairs, more than {PAIR_CAP}")
 
 
 def check_variable_cap(n: int) -> None:
@@ -97,18 +100,47 @@ class GenRef(NamedTuple):
 
 class Level:
     """One level: its index, its degree and its generators, revlex
-    descending.  Immutable; ``len`` is the number of generators."""
+    descending, the last of them ``last``.  Immutable and non-empty;
+    ``len`` is the number of generators.
 
-    __slots__ = ("index", "degree", "generators")
+    A level built from a count (``build_family``'s Borel levels and
+    level 0) keeps its size and its least generator, and builds its
+    generators on their first read.  ``borel`` is true for a level built
+    as the Borel set of its least generator."""
+
+    __slots__ = ("index", "degree", "borel", "last", "_size", "_build",
+                 "_generators")
 
     def __init__(self, index: int, degree: int,
                  generators: tuple[Monomial, ...]):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "generators", generators)
+        self._set(index=index, degree=degree, borel=False,
+                  last=generators[-1], _size=len(generators), _build=None,
+                  _generators=generators)
+
+    @classmethod
+    def _counted(cls, index: int, degree: int, least: Monomial, size: int,
+                 build) -> "Level":
+        """The Borel set of ``least``, of ``size`` members, which
+        ``build()`` returns revlex descending on first use."""
+        lv = object.__new__(cls)
+        lv._set(index=index, degree=degree, borel=True, last=least,
+                _size=size, _build=build, _generators=None)
+        return lv
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Level is immutable")
+
+    @property
+    def generators(self) -> tuple[Monomial, ...]:
+        gens = self._generators
+        if gens is None:
+            gens = self._build()
+            object.__setattr__(self, "_generators", gens)
+        return gens
 
     def _key(self):
         return (self.index, self.degree, self.generators)
@@ -124,25 +156,22 @@ class Level:
                 f" generators={self.generators!r})")
 
     def __len__(self) -> int:
-        return len(self.generators)
-
-    @property
-    def last(self) -> Monomial:
-        """The revlex-least generator of the level."""
-        return self.generators[-1]
+        return self._size
 
 
 class LeveledFamily:
     """Validated family with fast ref lookup.  Treat as immutable.
 
-    Construction keeps the levels and one ``GenRef`` per generator and
-    computes nothing else: a certificate read off the paper's theorem
-    factors no generator.  ``factors`` keeps a standard factorization
-    from its first use on.  The ref pairs are classified on demand, in
-    lexicographic order, into the pair table that closure, the marked
-    basis and complete reducedness read: each incomparable pair mapped
-    to the refs of its rewrite images, lead to trail.  The scan's first
-    step factors and packs every generator into level blocks.  The
+    Construction keeps the levels and their sizes and computes nothing
+    else: a certificate read off the paper's theorem builds no member of
+    a counted level, no ref and no pair.  ``refs()`` builds one
+    ``GenRef`` per generator on first use, and ``factors`` keeps a
+    standard factorization from its first use on.  The ref pairs are
+    classified on demand, in lexicographic order, into the pair table
+    that closure, the marked basis and complete reducedness read: each
+    incomparable pair mapped to the refs of its rewrite images, lead to
+    trail.  The scan's first step factors and packs every generator into
+    level blocks.  The
     rewrite of a pair is a function of its product alone, so each
     distinct product of a level block (the pairs of one level, or of two
     levels) is rewritten once, keyed by its packed exponent vector; a
@@ -151,42 +180,46 @@ class LeveledFamily:
     ``incomparable_pairs`` and ``open_pairs`` classify every pair left
     on their first call; the closure scan stops at the first open pair
     past its witness cap.
-    More than ``PAIR_CAP`` pairs raise ``ResourceCapError`` on
-    construction, before any is classified.
+    More than ``PAIR_CAP`` pairs raise ``ResourceCapError`` from
+    ``refs()``, before any ref is built or pair classified, and more
+    than ``PAIR_CAP`` pairs of levels on construction.
     """
 
     __slots__ = ("mode", "n", "embedding_degree", "levels", "_by_index",
-                 "_borel_levels", "_factors", "_refs", "_pairs", "_open",
-                 "_scan")
+                 "_size", "_factors", "_refs", "_pairs", "_open", "_scan")
 
     def __init__(self, mode, n, levels, embedding_degree=None):
         self.mode = mode
         self.n = n
         self.embedding_degree = embedding_degree
         self.levels = tuple(levels)
+        _check_pair_cap(len(self.levels), "levels")
         self._by_index = {lv.index: lv for lv in self.levels}
-        # indices of the levels ``build_family`` built as the Borel set
-        # of their least generator; ``characterize`` tests the others
-        self._borel_levels = frozenset()
-        _check_pair_cap(sum(len(lv) for lv in self.levels))
-        self._refs = tuple(GenRef(lv.index, j) for lv in self.levels
-                           for j in range(1, len(lv) + 1))
+        self._size = sum(len(lv) for lv in self.levels)
+        self._refs = None
         # ref -> standard factorization of its generator, filled on use
         self._factors = {}
         # the refs of ``_refs``, not images: a Monomial pair per entry
         # costs megabytes on the larger families
         self._pairs = {}
         self._open = []
-        # exhausted once every pair is classified; a wide family keys
-        # every product 0 and memoizes none
-        self._scan = _classify(self.levels, self._refs, self._factors,
-                               n * PACK_BITS <= MEMO_KEY_BITS, self._pairs,
-                               self._open)
+        # started on first use; exhausted once every pair is classified
+        self._scan = None
+
+    def _scanner(self):
+        """The pending pair scan, started on first use.  A wide family
+        keys every product 0 and memoizes none."""
+        if self._scan is None:
+            self._scan = _classify(
+                self.levels, self.refs(), self._factors,
+                self.n * PACK_BITS <= MEMO_KEY_BITS, self._pairs, self._open)
+        return self._scan
 
     def _open_upto(self, count: int) -> list:
         """The first ``count`` open pairs in table order, or all of them
         when there are fewer: pairs are classified only that far."""
-        while len(self._open) < count and next(self._scan, None):
+        scan = self._scanner()
+        while len(self._open) < count and next(scan, None):
             pass
         return self._open[:count]
 
@@ -202,14 +235,19 @@ class LeveledFamily:
             raise ValueError(f"no level {i} in this family") from None
 
     def refs(self) -> tuple[GenRef, ...]:
-        """All generator refs in lexicographic order."""
+        """All generator refs in lexicographic order, built on first use
+        once ``PAIR_CAP`` admits their pairs."""
+        if self._refs is None:
+            _check_pair_cap(self._size)
+            self._refs = tuple(GenRef(lv.index, j) for lv in self.levels
+                               for j in range(1, len(lv) + 1))
         return self._refs
 
     def generator(self, ref: GenRef) -> Monomial:
         lv = self.level(ref[0])
-        if not 1 <= ref[1] <= len(lv.generators):
+        if not 1 <= ref[1] <= len(lv):
             raise ValueError(
-                f"index {ref[1]} out of range 1..{len(lv.generators)}"
+                f"index {ref[1]} out of range 1..{len(lv)}"
                 f" at level {ref[0]}")
         return lv.generators[ref[1] - 1]
 
@@ -232,7 +270,7 @@ class LeveledFamily:
         the rule ``T_a*T_b -> T_c*T_d``.  A ref is None when that image
         is not in the family.  Completed on the first call, one rewrite
         per distinct product of a level block.  Do not mutate."""
-        for _ in self._scan:
+        for _ in self._scanner():
             pass
         return self._pairs
 
@@ -240,12 +278,12 @@ class LeveledFamily:
         """The pair-table keys with a missing image (a None ref),
         in table order; empty exactly when the family is closed under
         comparability."""
-        for _ in self._scan:
+        for _ in self._scanner():
             pass
         return tuple(self._open)
 
     def __len__(self) -> int:
-        return len(self._refs)
+        return self._size
 
     def __repr__(self) -> str:
         sizes = ",".join(str(len(lv)) for lv in self.levels)
@@ -324,8 +362,10 @@ def _is_int(value) -> bool:
 
 def _parse_level(entry, pos: int, n: int):
     """Validate one level of a description and count its generators,
-    building none of them: (degree, generator count, a function that
-    builds the generators, revlex descending)."""
+    building none of them: (degree, a function of the level index that
+    makes the ``Level``).  A ``"borel"`` level is made from its count and
+    its generator; a listed one builds its generators, revlex
+    descending."""
     if not isinstance(entry, dict):
         raise FamilyError(f"level {pos}: expected an object")
     unknown = set(entry) - {"degree", "borel", "generators"}
@@ -351,8 +391,11 @@ def _parse_level(entry, pos: int, n: int):
             raise FamilyError(
                 f"level {pos}: borel generator {gen} has degree {gen.degree},"
                 f" expected {degree}")
-        return (degree, borel_size(gen),
-                lambda: borel_closure(monomial_of_terms(terms, n)))
+        size = borel_size(gen)
+        # ``borel_closure`` is read from this module when the members
+        # are built, so a patch of ``family.borel_closure`` sees it
+        return degree, lambda index: Level._counted(
+            index, degree, gen, size, lambda: borel_closure(gen))
     raw = entry["generators"]
     if not isinstance(raw, list) or not raw:
         raise FamilyError(f"level {pos}: generators must be a non-empty list")
@@ -374,16 +417,16 @@ def _parse_level(entry, pos: int, n: int):
             continue
         seen.add(key)
         listed.append(terms)
-    return degree, len(listed), lambda: tuple(sorted(
+    return degree, lambda index: Level(index, degree, tuple(sorted(
         (monomial_of_terms(terms, n) for terms in listed),
-        key=revlex_key, reverse=True))
+        key=revlex_key, reverse=True)))
 
 
 def build_family(data: dict) -> LeveledFamily:
     """Validate a family description (parsed JSON) and build the family.
 
-    The generators are counted from the description first, so that an
-    oversized family is refused before any of its levels is built."""
+    A ``"borel"`` level and level 0 are kept as counts, their members
+    built on first read; a listed level is built here."""
     if not isinstance(data, dict):
         raise FamilyError("family description must be an object")
     unknown = set(data) - {"mode", "variables", "embedding_degree",
@@ -403,7 +446,7 @@ def build_family(data: dict) -> LeveledFamily:
 
     parsed = [_parse_level(entry, pos, n)
               for pos, entry in enumerate(raw_levels, start=1)]
-    degrees = [d for d, _, _ in parsed]
+    degrees = [d for d, _ in parsed]
     for a, b in zip(degrees, degrees[1:]):
         if a > b:
             raise FamilyError(
@@ -420,19 +463,12 @@ def build_family(data: dict) -> LeveledFamily:
             raise FamilyError(
                 "embedding_degree must be an integer larger than every level"
                 f" degree (top degree is {degrees[-1]})")
-    _check_pair_cap((n if mode == "rees" else 0)
-                    + sum(size for _, size, _ in parsed))
-    levels = [Level(i, d, build())
-              for i, (d, _, build) in enumerate(parsed, start=1)]
-    if mode == "rees":
-        level0 = Level(0, 1, tuple(
-            Monomial.variable(i, n) for i in range(1, n + 1)))
-        fam = LeveledFamily("rees", n, [level0] + levels)
-    else:
-        fam = LeveledFamily("fiber", n, levels, embedding_degree=m)
-    fam._borel_levels = frozenset(
-        i for i, entry in enumerate(raw_levels, start=1) if "borel" in entry)
-    return fam
+    levels = [make(i) for i, (_, make) in enumerate(parsed, start=1)]
+    if mode == "fiber":
+        return LeveledFamily("fiber", n, levels, embedding_degree=m)
+    level0 = Level._counted(0, 1, Monomial.variable(n, n), n, lambda: tuple(
+        Monomial.variable(i, n) for i in range(1, n + 1)))
+    return LeveledFamily("rees", n, [level0] + levels)
 
 
 def family_from_file(path) -> LeveledFamily:
@@ -547,13 +583,14 @@ def characterize(fam: LeveledFamily) -> Characterization:
     built, and only as far as the level's size, so no size is refused.
 
     Only listed levels are tested, each generator but the least, which
-    lies in its own Borel set.  A ``"borel"`` level that ``build_family``
-    built with ``borel_closure`` is that set by construction."""
+    lies in its own Borel set.  A level built as the Borel set of its
+    least generator (``Level.borel``) is that set by construction, and
+    none of its members is built."""
     levels = [lv for lv in fam.levels if lv.index > 0]
     equal = []
     subset = []
     for lv in levels:
-        if lv.index in fam._borel_levels:
+        if lv.borel:
             subset.append(True)
             equal.append(True)
             continue

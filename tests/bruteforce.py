@@ -29,9 +29,7 @@ from reescert.reduction import (
     DEFAULT_STEP_CAP,
     ConfluenceReport,
     TPolynomial,
-    normal_form,
     psi_eval,
-    s_polynomial,
 )
 
 
@@ -363,12 +361,22 @@ def confluent_by_all_spairs(basis):
     """Reduce the S-polynomial of every rule pair, coprime leads included.
 
     Returns (confluent, failing (i, j) pairs): the exhaustive Groebner
-    test, with no criterion applied.
+    test, with no criterion applied.  Each rule is a +-1 binomial, so the
+    S-polynomial of g_i and g_j is the difference of two monomials, each
+    lcm/lead times that rule's trail (multisets of refs), and it reduces
+    to zero exactly when both end their ``rewrite_chain`` on one monomial.
     """
+    rules = rules_by_lead(basis)
+    leads = [Counter(g.lead.refs) for g in basis]
     failures = []
-    for i in range(len(basis)):
+    for i, (g1, lead1) in enumerate(zip(basis, leads)):
         for j in range(i + 1, len(basis)):
-            if normal_form(s_polynomial(basis[i], basis[j]), basis):
+            g2, lead2 = basis[j], leads[j]
+            lcm = lead1 | lead2
+            ends = [rewrite_chain(tuple(sorted(
+                g.trail.refs + tuple((lcm - lead).elements()))), rules)[-1]
+                for g, lead in ((g1, lead1), (g2, lead2))]
+            if ends[0] != ends[1]:
                 failures.append((i, j))
     return not failures, tuple(failures)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations_with_replacement
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -138,3 +139,42 @@ def test_conjunction_route_counts_past_the_borel_cap(capsys, tmp_path):
     assert main(["certify", str(path), "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == cert
+
+
+def max_powers(n: int, k: int) -> dict:
+    """The rees family of m, m^2, ..., m^k in n variables, max(n, k)."""
+    return {"mode": "rees", "variables": n,
+            "levels": [{"degree": d, "borel": f"x{n}^{d}"}
+                       for d in range(1, k + 1)]}
+
+
+def max_powers_rule_count(n: int, k: int) -> int:
+    """The rule count of max(n, k) from binomials alone: C(v+1, 2) less
+    the monomials of degree d_i + d_j over the levels i <= j, level 0
+    (degree 1) included, as every level holds all monomials of its
+    degree."""
+    degrees = [1] + list(range(1, k + 1))
+    v = sum(comb(n - 1 + d, d) for d in degrees)
+    return comb(v + 1, 2) - sum(
+        comb(n - 1 + d + e, d + e)
+        for i, d in enumerate(degrees) for e in degrees[i:])
+
+
+MAX_N_4_RULES = {4: 1905, 5: 6567, 6: 18908, 7: 47781, 8: 109240}
+
+
+def test_routes_agree_on_max_n_4():
+    """On max(n, 4) for n = 4..8 the theorem route and the closure scan
+    agree on closure and rule count, and both equal the binomial form."""
+    for n, rules in MAX_N_4_RULES.items():
+        cert = assert_routes_agree(max_powers(n, 4), n)
+        assert cert["closed_under_comparability"]
+        assert cert["basis_size"] == rules == max_powers_rule_count(n, 4)
+
+
+# max(12,4), max(20,3) and max(60,2) are pinned through the CLI in
+# tests/test_cli.py
+@pytest.mark.parametrize("n, k", [(4, 3), (5, 3), (4, 4), (450, 1)])
+def test_max_powers_rule_count_is_the_binomial_form(n, k):
+    cert = build_certificate(build_family(max_powers(n, k)))
+    assert cert["basis_size"] == max_powers_rule_count(n, k)

@@ -13,6 +13,7 @@ from reescert.cli import main
 from reescert.family import MAX_VARIABLES
 from bruteforce import basis_by_public_constructor
 from conftest import family_dict
+from test_census import max_powers, max_powers_rule_count
 
 
 @pytest.fixture
@@ -270,6 +271,21 @@ def test_broken_invariant_exits_3(capsys, tower4_file, monkeypatch):
                    " the termination measure should forbid this\n")
 
 
+def test_closed_family_of_the_wrong_shape_exits_3(capsys, tmp_path,
+                                                  monkeypatch):
+    # fiber_pair is closed and scanned; a pair table of another shape
+    # than quadratic with squarefree leads would be a bug
+    from reescert import certify
+    monkeypatch.setattr(certify, "basis_shape", lambda rules: {
+        "count": len(rules), "quadratic": True, "squarefree_leads": False})
+    path = _write(tmp_path, json.dumps(family_dict("fiber_pair")))
+    code, out, err = run(capsys, "certify", path)
+    assert (code, out) == (3, "")
+    assert err == ("internal invariant violated: the marked basis of a"
+                   " closed family is not quadratic with squarefree"
+                   " leads\n")
+
+
 def test_normal_form_bad_expression(capsys, tower4_file):
     code, _, err = run(capsys, "normal-form", tower4_file, "T[9,9]")
     assert code == 2
@@ -365,6 +381,13 @@ RESOURCE_CAPS = {  # case: (stderr text, argv)
         "check", _write(tmp, '{"mode": "fiber", "variables": 13,'
                              ' "embedding_degree": 5, "levels":'
                              ' [{"degree": 4, "borel": "x13^4"}]}')]),
+    # level 0 and 1,414 one-member levels make 1,000,405 pairs of
+    # levels, over PAIR_CAP: a certificate by the paper's theorem counts
+    # one Borel set per pair, so it is refused too
+    "level pairs": ("1415 levels make 1000405 pairs", lambda tmp: [
+        "certify", _write(tmp, json.dumps({
+            "mode": "rees", "variables": 1,
+            "levels": [{"degree": 1, "borel": "x1"}] * 1414}))]),
     # over MAX_GENERATOR_DEGREE, refused before the level is parsed
     "generator degree": ("degree 3000000 is over 1000", lambda tmp: [
         "check", _write(tmp, '{"mode": "rees", "variables": 1, "levels":'
@@ -388,6 +411,31 @@ def test_resource_caps_exit_3(capsys, tmp_path, case):
     assert err.startswith("resource cap: ")
     assert message in err
     assert out == ""
+
+
+# Past PAIR_CAP, yet certified by the paper's theorem, which builds no
+# ref or pair: (refs, pairs) of max(n, k)
+CERTIFIED_PAST_PAIR_CAP = {(12, 4): (1831, 1675365), (20, 3): (1790, 1601155),
+                           (60, 2): (1950, 1900275)}
+
+
+@pytest.mark.parametrize("n, k", sorted(CERTIFIED_PAST_PAIR_CAP))
+def test_certify_past_the_pair_cap(capsys, tmp_path, n, k):
+    refs, pairs = CERTIFIED_PAST_PAIR_CAP[n, k]
+    path = _write(tmp_path, json.dumps(max_powers(n, k)))
+    code, out, err = run(capsys, "certify", path, "--format", "json")
+    assert (code, err) == (0, "")
+    cert = json.loads(out)
+    assert cert["pairs_checked"] == pairs
+    assert cert["basis_size"] == max_powers_rule_count(n, k)
+    assert cert["conclusions"] == ["koszul", "normal_domain",
+                                   "cohen_macaulay"]
+    # a scan is still refused
+    for command in ("check", "basis"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (3, "")
+        assert err == (f"resource cap: {refs} generators make {pairs} pairs,"
+                       " more than 1000000\n")
 
 
 # characterize compares a listed level with the Borel set of its least

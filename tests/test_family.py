@@ -16,6 +16,7 @@ from reescert.certify import build_certificate
 from reescert.errors import FamilyError, ResourceCapError
 from reescert.family import (
     GenRef,
+    Level,
     Witness,
     build_family,
     characterize,
@@ -34,7 +35,7 @@ from bruteforce import (
     sort_closed_form,
 )
 from conftest import family_dict, open_nochain, open_tower4, reference_descs
-from test_census import census
+from test_census import census, max_powers
 
 
 # ----------------------------------------------------------- construction
@@ -267,15 +268,36 @@ def _generated_family(n: int, degree: int) -> dict:
 
 
 def test_pair_cap(monkeypatch):
+    """The cap is checked where refs and pairs are built, before either
+    is: the family is built, and counted, past it."""
     # 13 variables plus the 1,820 quartics in them: 1,833 refs, 1,679,028
     # pairs
-    with pytest.raises(ResourceCapError, match="1833 generators"):
-        build_family(_generated_family(13, 4))
+    fam = build_family(_generated_family(13, 4))
+    assert len(fam) == 1833
+    for scan in (fam.refs, fam.open_pairs, fam.incomparable_pairs):
+        with pytest.raises(ResourceCapError, match="1833 generators"):
+            scan()
+    assert (fam._refs, fam._scan, fam._pairs) == (None, None, {})
     # the cap is inclusive: tower4 has 24 refs, 276 pairs
     monkeypatch.setattr(family, "PAIR_CAP", 276)
-    assert len(build_family(family_dict("tower4"))) == 24
+    assert len(build_family(family_dict("tower4")).refs()) == 24
     monkeypatch.setattr(family, "PAIR_CAP", 275)
+    fam = build_family(family_dict("tower4"))
+    assert len(fam) == 24
     with pytest.raises(ResourceCapError):
+        fam.open_pairs()
+    with pytest.raises(ResourceCapError):
+        fam.refs()
+
+
+def test_level_pair_cap(monkeypatch):
+    """Construction caps the pairs of levels, which bound the Borel
+    counts of a certificate by the paper's theorem; the cap is
+    inclusive: tower4 has 5 levels, 10 pairs of them."""
+    monkeypatch.setattr(family, "PAIR_CAP", 10)
+    assert len(build_family(family_dict("tower4")).levels) == 5
+    monkeypatch.setattr(family, "PAIR_CAP", 9)
+    with pytest.raises(ResourceCapError, match="5 levels make 10 pairs"):
         build_family(family_dict("tower4"))
 
 
@@ -331,6 +353,31 @@ def test_level_repr_and_unhashable_refs(tower4):
         " Monomial('x2', n=2)))")
     # a list ref cannot key the kept factorizations, but still resolves
     assert tower4.factors([1, 2]) == tower4.factors(GenRef(1, 2))
+
+
+def test_counted_level_builds_on_first_read():
+    """A Borel level and level 0 keep their size and least generator;
+    their members come on the first read of ``generators``, and then
+    equal, hash and print like the listed level of the same members."""
+    fam = build_family({"mode": "rees", "variables": 3, "levels": [
+        {"degree": 2, "borel": "x2*x3"}]})
+    listed = build_family({"mode": "rees", "variables": 3, "levels": [
+        {"degree": 2, "generators": ["x1^2", "x1*x2", "x2^2", "x1*x3",
+                                     "x2*x3"]}]})
+    for lv, want in zip(fam.levels, listed.levels):
+        # level 0 is counted in every rees family
+        assert lv.borel and want.borel == (want.index == 0)
+        assert (len(lv), lv.last) == (len(want), want.last)
+        assert lv._generators is None
+        assert lv == want and hash(lv) == hash(want)
+        assert repr(lv) == repr(want)
+        assert lv.generators is lv.generators
+        assert lv.generators == borel_closure_by_filter(lv.last)
+    assert fam.level(1).last == Monomial((0, 1, 1))
+    plain = Level(1, 2, listed.level(1).generators)
+    assert plain == fam.level(1) and len(plain) == 5 and not plain.borel
+    with pytest.raises(AttributeError):
+        fam.level(1).degree = 3
 
 
 def test_comparable_argument_checks(tower4):
@@ -549,22 +596,38 @@ def _counting(monkeypatch, calls: list, owner, name: str):
     monkeypatch.setattr(owner, name, counted)
 
 
+def _refuse(*args):
+    raise AssertionError("built a Borel set")
+
+
 def test_a_conjunction_certificate_factors_nothing(monkeypatch):
-    """The certificate of tower4 and of a census family with the
-    structural conjunction factors no generator and tests no Borel
-    membership: its levels are built Borel sets, or tower4's one
-    generator x1^5, the least of its level."""
+    """The certificate of a family with the structural conjunction
+    builds no member of a Borel level, no ref and no pair, factors no
+    generator and tests no Borel membership: its levels are counted
+    Borel sets, or tower4's one generator x1^5, the least of its level.
+    So max(12,4), past ``PAIR_CAP``, is certified too."""
     conjunction = next(
         desc for desc in census("rees")
         if len(desc["levels"]) == 3
         and characterize(build_family(desc)).conjunction)
+    fiber = {"mode": "fiber", "variables": 4, "embedding_degree": 4,
+             "levels": [{"degree": 2, "borel": "x3*x4"},
+                        {"degree": 3, "borel": "x2^3"}]}
     factored, tested = [], []
     _counting(monkeypatch, factored, Monomial, "factors")
     _counting(monkeypatch, tested, family, "borel_member")
-    for desc in (family_dict("tower4"), conjunction):
-        cert = build_certificate(build_family(desc))
+    monkeypatch.setattr(family, "borel_closure", _refuse)
+    for desc in (family_dict("tower4"), conjunction, fiber,
+                 max_powers(4, 3), max_powers(12, 4)):
+        fam = build_family(desc)
+        cert = build_certificate(fam)
         assert cert["conclusions"], desc
+        assert (fam._refs, fam._scan, fam._pairs) == (None, None, {})
+        assert all(lv._generators is None for lv in fam.levels if lv.borel)
     assert factored == [] and tested == []
+    # a scan needs the members, and builds them by the patched name
+    with pytest.raises(AssertionError, match="built a Borel set"):
+        build_family(family_dict("tower4")).open_pairs()
 
 
 def _as_listed(desc: dict):
