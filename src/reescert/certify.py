@@ -2,24 +2,26 @@
 
 The verified facts are closure under comparability and the shape of the
 marked basis (its rule count, quadratic, squarefree leads).  They come
-by one of two routes, chosen by ``characterize``:
-
-- A family with the structural conjunction (every level the Borel set
-  of its least generator, consecutive least generators under the
-  support chain) meets the hypothesis of "On the Koszulness of
-  multi-Rees algebras of certain strongly stable ideals" (arXiv
-  1406.2188), so it is closed with a quadratic basis of squarefree
-  leads by that paper's theorem, and no pair is classified.  Its rule
-  count is C(v+1, 2) less the comparable pairs, which by the product
-  identity B(u)*B(v) = B(uv) of principal Borel sets number the sum of
-  |B(u_i*u_j)| over the levels' least generators, counted without
-  building a set.  ``tests/test_census.py``
-  underwrites both: the conjunction equals closure on every family of
-  the (3, 3, 3) census in both modes, the product identity holds by
-  enumeration for n <= 5 and degrees <= 3, and this route agrees with
-  the scan on the census, the ladders and the demos.
-- Any other family is scanned: closure, the rule count and the shape
-  are read off the family's pair table, without building a rule.
+by one route, block by block of levels.  The rewrite of a pair reads
+only its two generators, so the theorem of "On the Koszulness of
+multi-Rees algebras of certain strongly stable ideals" (arXiv
+1406.2188) settles every block of two levels (L_i, L_j) whose own
+two-level family (level 0 added in rees mode) has the structural
+conjunction: both levels the Borel set of their least generator, and
+i = j, or i = 0, or the least generators under the support chain.  Such
+a block holds no open pair, and its rule count is its pairs less the
+comparable ones, which by the product identity B(u)*B(v) = B(uv) of
+principal Borel sets number |B(u_i*u_j)|, counted without building a
+set.  The closure scan classifies only the pairs of the other blocks,
+in lexicographic order, and their rules are read off its table, without
+building a rule.  A family with the conjunction has no other block: it
+is certified with no ref, no member and no pair built.
+``tests/test_census.py`` underwrites the route: the conjunction equals
+closure on every family of the (3, 3, 3) census in both modes, no open
+pair of a full scan of that census, or of the listed-level censuses,
+lies in a settled block, the product identity holds by enumeration for
+n <= 5 and degrees <= 3, and the certificate agrees with a full scan,
+witnesses included, on those censuses, the ladders and the demos.
 
 ``reescert check``, ``basis`` and ``verify`` always scan.  The
 ring-theoretic conclusions are not recomputed homologically; they follow
@@ -109,34 +111,67 @@ def closure_lines(data: dict, closed: bool) -> list[str]:
     return lines
 
 
-def _conjunction_rule_count(fam: LeveledFamily) -> int:
-    """Rule count of a family with the structural conjunction: its
-    C(v+1, 2) ref pairs a <= b less the comparable ones, one per
-    distinct product of each block of levels i <= j, so |B(u_i*u_j)| by
-    the product identity (level 0's x_n included in rees mode).  The
-    count is uncapped, as a product's Borel set may pass ``BOREL_CAP``
-    where no level does: B(x450^2) in 450 variables has 101,475
-    members.  The number of counts is bounded by the family's
-    construction, which caps its pairs of levels at ``PAIR_CAP``."""
-    lasts = [lv.last.exps for lv in fam.levels]
-    hf2 = sum(_borel_count(tuple(map(add, u, w)))
-              for i, u in enumerate(lasts) for w in lasts[i:])
-    v = len(fam)
-    return v * (v + 1) // 2 - hf2
+def _settled_blocks(fam: LeveledFamily, ch) -> frozenset:
+    """The blocks of levels (i, j), i <= j by level index, that the
+    paper's theorem closes: those whose own two-level family (level 0
+    added in rees mode) has the structural conjunction.  Both levels
+    equal the Borel set of their least generator (level 0 always does),
+    and i = j, or i = 0, or the support chain head(u_i) >= tail(u_j)
+    holds.  A rewrite of a pair reads only its two generators, so such
+    a block holds no open pair in any family.  The chain is transitive
+    (head <= tail on every monomial), so every block is settled exactly
+    when the family has the conjunction, and no chain is tested then."""
+    if ch.conjunction:
+        indices = [lv.index for lv in fam.levels]
+        return frozenset((i, j) for k, i in enumerate(indices)
+                         for j in indices[k:])
+    # level 0 is not characterized, and always equal
+    equal = dict(zip(ch.level_indices, ch.borel_equal))
+    lasts = [(lv.index, lv.last.head_index(), lv.last.tail_index())
+             for lv in fam.levels if equal.get(lv.index, True)]
+    return frozenset(
+        (i, j) for k, (i, head, _) in enumerate(lasts)
+        for j, _, tail in lasts[k:]
+        if i == j or i == 0 or head >= tail)
+
+
+def _settled_rule_count(fam: LeveledFamily, settled) -> int:
+    """Rules of the settled blocks: the ref pairs a <= b of each block
+    less its comparable pairs, one per distinct product, so
+    |B(u_i*u_j)| of them by the product identity B(u)*B(v) = B(uv) of
+    principal Borel sets.  That is |L_i|*|L_j| - |B(u_i*u_j)| for
+    i < j and C(|L_i|+1, 2) - |B(u_i^2)| for i = j.  The counts are
+    uncapped, as a product's Borel set may pass ``BOREL_CAP`` where no
+    level does: B(x450^2) in 450 variables has 101,475 members.  Their
+    number is bounded by the family's construction, which caps its
+    pairs of levels at ``PAIR_CAP``."""
+    count = 0
+    levels = [(lv.index, len(lv), lv.last.exps) for lv in fam.levels]
+    for k, (i, a, u) in enumerate(levels):
+        for j, b, w in levels[k:]:
+            if (i, j) in settled:
+                pairs = a * (a + 1) // 2 if i == j else a * b
+                count += pairs - _borel_count(tuple(map(add, u, w)))
+    return count
 
 
 def build_certificate(fam: LeveledFamily) -> dict:
     """Certificate dict; JSON-ready.  Conclusions only when closed.
 
-    A family with the structural conjunction is closed by the paper's
-    theorem and its rule count is ``_conjunction_rule_count``: no pair
-    is classified.  Any other family is scanned."""
+    The blocks of levels the paper's theorem settles
+    (``_settled_blocks``) are counted; the closure scan classifies only
+    the pairs of the others, and reads the rule count of those off their
+    table.  A family with the structural conjunction has no other
+    block: no ref, no member and no pair is built for it."""
     ch = characterize(fam)
-    if ch.conjunction:
+    settled = _settled_blocks(fam, ch)
+    size = len(fam.levels)
+    scanned = len(settled) < size * (size + 1) // 2
+    if scanned:
+        report = is_closed_under_comparability(fam, settled=settled)
+    else:
         refs = len(fam)
         report = ClosureReport(True, (), refs * (refs - 1) // 2, False)
-    else:
-        report = is_closed_under_comparability(fam)
     closure = closure_json(report, ch)
     witnesses = closure.pop("witnesses")
     out = {
@@ -158,22 +193,18 @@ def build_certificate(fam: LeveledFamily) -> dict:
         out["citations"] = {}
         return out
 
-    if ch.conjunction:
-        # the theorem's basis is quadratic with squarefree leads
-        shape = {"count": _conjunction_rule_count(fam), "quadratic": True,
-                 "squarefree_leads": True}
-    else:
-        # The pair table is the basis, one rule per entry, lead to
-        # trail: its size and shape are read off it without building a
-        # rule.
-        shape = basis_shape(fam.incomparable_pairs().items())
+    # The scanned table is the basis of the open blocks, one rule per
+    # entry, lead to trail: its size and shape are read off it without
+    # building a rule.  The theorem's blocks are quadratic with
+    # squarefree leads.
+    shape = basis_shape(fam._table(settled)[0].items() if scanned else ())
     if not (shape["quadratic"] and shape["squarefree_leads"]):
         # each table entry is a product of two distinct refs rewritten
         # to two refs, so a closed family always has this shape
         raise InternalInvariantError(
             "the marked basis of a closed family is not quadratic with"
             " squarefree leads")
-    out["basis_size"] = shape["count"]
+    out["basis_size"] = shape["count"] + _settled_rule_count(fam, settled)
     out["quadratic"] = shape["quadratic"]
     out["squarefree_leads"] = shape["squarefree_leads"]
     out["conclusions"] = ["koszul", "normal_domain", "cohen_macaulay"]

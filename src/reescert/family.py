@@ -170,8 +170,8 @@ class LeveledFamily:
     classified on demand, in lexicographic order, into the pair table
     that closure, the marked basis and complete reducedness read: each
     incomparable pair mapped to the refs of its rewrite images, lead to
-    trail.  The scan's first step factors and packs every generator into
-    level blocks.  The
+    trail.  The scan's first step factors and packs the generators of
+    every level it classifies into level blocks.  The
     rewrite of a pair is a function of its product alone, so each
     distinct product of a level block (the pairs of one level, or of two
     levels) is rewritten once, keyed by its packed exponent vector; a
@@ -179,14 +179,17 @@ class LeveledFamily:
     own.  ``open_pairs`` lists the entries with a missing image.
     ``incomparable_pairs`` and ``open_pairs`` classify every pair left
     on their first call; the closure scan stops at the first open pair
-    past its witness cap.
+    past its witness cap.  A scan that leaves out settled blocks of
+    levels (``certify``'s) fills a table of its own, so the family's
+    table stays whole and in order.
     More than ``PAIR_CAP`` pairs raise ``ResourceCapError`` from
     ``refs()``, before any ref is built or pair classified, and more
     than ``PAIR_CAP`` pairs of levels on construction.
     """
 
     __slots__ = ("mode", "n", "embedding_degree", "levels", "_by_index",
-                 "_size", "_factors", "_refs", "_pairs", "_open", "_scan")
+                 "_size", "_factors", "_refs", "_pairs", "_open", "_scan",
+                 "_part")
 
     def __init__(self, mode, n, levels, embedding_degree=None):
         self.mode = mode
@@ -205,23 +208,36 @@ class LeveledFamily:
         self._open = []
         # started on first use; exhausted once every pair is classified
         self._scan = None
+        # (settled blocks, table, open pairs, scan): the last table asked
+        # for with some blocks of levels left out
+        self._part = None
 
-    def _scanner(self):
-        """The pending pair scan, started on first use.  A wide family
-        keys every product 0 and memoizes none."""
-        if self._scan is None:
-            self._scan = _classify(
-                self.levels, self.refs(), self._factors,
-                self.n * PACK_BITS <= MEMO_KEY_BITS, self._pairs, self._open)
-        return self._scan
-
-    def _open_upto(self, count: int) -> list:
-        """The first ``count`` open pairs in table order, or all of them
-        when there are fewer: pairs are classified only that far."""
-        scan = self._scanner()
-        while len(self._open) < count and next(scan, None):
+    def _table(self, settled: frozenset = frozenset(), count=None):
+        """The pair table of the blocks of levels not in ``settled``, and
+        its first ``count`` open pairs (all of them when None) in table
+        order: pairs are classified only that far.  With no block
+        settled this is the family's own table; the family also keeps
+        the last one asked for with settled blocks.  A wide family keys
+        every product 0 and memoizes none."""
+        if not settled:
+            if self._scan is None:
+                self._scan = self._start(self._pairs, self._open, settled)
+            pairs, found, scan = self._pairs, self._open, self._scan
+        else:
+            if self._part is None or self._part[0] != settled:
+                pairs, found = {}, []
+                self._part = (settled, pairs, found,
+                              self._start(pairs, found, settled))
+            _, pairs, found, scan = self._part
+        while (count is None or len(found) < count) and next(scan, None):
             pass
-        return self._open[:count]
+        return pairs, found[:count]
+
+    def _start(self, pairs: dict, found: list, settled: frozenset):
+        """A pending scan that fills ``pairs`` and ``found``."""
+        return _classify(self.levels, self.refs(), self._factors,
+                         self.n * PACK_BITS <= MEMO_KEY_BITS, pairs, found,
+                         settled)
 
     @property
     def top_level(self) -> int:
@@ -270,17 +286,13 @@ class LeveledFamily:
         the rule ``T_a*T_b -> T_c*T_d``.  A ref is None when that image
         is not in the family.  Completed on the first call, one rewrite
         per distinct product of a level block.  Do not mutate."""
-        for _ in self._scanner():
-            pass
-        return self._pairs
+        return self._table()[0]
 
     def open_pairs(self) -> tuple:
         """The pair-table keys with a missing image (a None ref),
         in table order; empty exactly when the family is closed under
         comparability."""
-        for _ in self._scanner():
-            pass
-        return tuple(self._open)
+        return tuple(self._table()[1])
 
     def __len__(self) -> int:
         return self._size
@@ -291,13 +303,15 @@ class LeveledFamily:
 
 
 def _classify(levels, refs, factors: dict, memoize: bool, pairs: dict,
-              open_pairs: list):
-    """Classify the ref pairs of ``levels`` in lexicographic order:
-    enter each incomparable pair in ``pairs`` with its image refs,
-    append each one with a missing image to ``open_pairs``, and yield
-    it.  ``refs`` are the family's refs, in level order; ``factors``
-    is its factorization cache, which the first step completes.  A
-    module-level generator, so that a family it fills is not held by
+              open_pairs: list, settled: frozenset = frozenset()):
+    """Classify the ref pairs of ``levels`` in lexicographic order,
+    leaving out those of each block of levels (i, j), i <= j by level
+    index, in ``settled``: enter each incomparable pair in ``pairs``
+    with its image refs, append each one with a missing image to
+    ``open_pairs``, and yield it.  ``refs`` are the family's refs, in
+    level order; ``factors`` is its factorization cache, which the
+    first step completes for every level of a block left to classify.
+    A module-level generator, so that a family it fills is not held by
     its own pending scan.
 
     A cross-level pair (a, b) is fixed by ``ord_factors`` exactly when
@@ -308,19 +322,27 @@ def _classify(levels, refs, factors: dict, memoize: bool, pairs: dict,
     generator with a later tail than the next would be revlex-smaller);
     the comparable b of each a in a higher level are therefore a prefix
     of its block, found by bisection on the tails and skipped."""
-    # per level: ({standard factorization: ref}, its generators as
+    # per level, the positions of the levels it is classified against,
+    # its own first
+    partners = [[lj for lj in range(li, len(levels))
+                 if (lv.index, levels[lj].index) not in settled]
+                for li, lv in enumerate(levels)]
+    used = {lj for row in partners for lj in row}
+    used.update(li for li, row in enumerate(partners) if row)
+    # per level used: ({standard factorization: ref}, its generators as
     # (ref, factorization, packed exponents), their tails)
     blocks = []
     start = 0
-    for lv in levels:
+    for li, lv in enumerate(levels):
         here = {}
         row = []
-        for ref, g in zip(refs[start:start + len(lv)], lv.generators):
-            f = factors.get(ref)
-            if f is None:
-                f = factors[ref] = g.factors()
-            here[f] = ref
-            row.append((ref, f, _packed(g.exps) if memoize else 0))
+        if li in used:
+            for ref, g in zip(refs[start:start + len(lv)], lv.generators):
+                f = factors.get(ref)
+                if f is None:
+                    f = factors[ref] = g.factors()
+                here[f] = ref
+                row.append((ref, f, _packed(g.exps) if memoize else 0))
         start += len(lv)
         blocks.append((here, row, [f[-1] for _, f, _ in row]))
     for li, (here, row, _) in enumerate(blocks):
@@ -328,9 +350,9 @@ def _classify(levels, refs, factors: dict, memoize: bool, pairs: dict,
         # order either way.  Each target block keeps its own memo,
         # packed product -> image refs, for as long as this level's
         # rows are paired.
-        targets = [(sort_factors, here, None, None, {})]
-        targets += [(ord_factors, there, col, tails, {})
-                    for there, col, tails in blocks[li + 1:]]
+        targets = [(sort_factors, here, None, None, {}) if lj == li
+                   else (ord_factors, *blocks[lj], {})
+                   for lj in partners[li]]
         for ai, (a, fa, ka) in enumerate(row):
             for rewrite, there, col, tails, memo in targets:
                 if col is None:
@@ -526,9 +548,11 @@ class ClosureReport(NamedTuple):
     ``pairs_checked`` counts the ref pairs, in lexicographic order,
     that the verdict rests on: C(v, 2) for v refs, or, when the scan
     stopped at the first open pair past ``WITNESS_CAP``, the pairs up to
-    and including that one.  A certificate of a family with the
-    structural conjunction reports the C(v, 2) pairs the paper's theorem
-    settles without classifying one; ``reescert check`` rescans them."""
+    and including that one.  The pairs of a block of levels settled by
+    the paper's theorem count as checked without being classified, so a
+    certificate reports the same figure as a full scan, C(v, 2) for a
+    family whose blocks are all settled; ``reescert check`` rescans
+    them."""
     closed: bool
     witnesses: tuple[Witness, ...]
     pairs_checked: int
@@ -536,7 +560,8 @@ class ClosureReport(NamedTuple):
 
 
 def is_closed_under_comparability(
-        fam: LeveledFamily, all_witnesses: bool = False) -> ClosureReport:
+        fam: LeveledFamily, all_witnesses: bool = False, *,
+        settled=frozenset()) -> ClosureReport:
     """Check that every incomparable pair rewrites back into the family.
 
     Walks the entries of the family's pair table with a missing image
@@ -545,18 +570,24 @@ def is_closed_under_comparability(
     ``WITNESS_CAP`` and pairs are classified only as far as the next
     open pair, which marks the report truncated; closure itself is
     always decided exactly.
+
+    ``settled`` names blocks of levels (i, j), i <= j by level index,
+    that the caller knows to hold no open pair, as those the paper's
+    theorem settles (``certify``) do.  Their pairs are not classified;
+    the others fill a table of their own, in the same order, so the
+    family's pair table is not touched and the report is that of a full
+    scan.
     """
     refs = len(fam)
     checked = refs * (refs - 1) // 2
-    found = (fam.open_pairs() if all_witnesses
-             else fam._open_upto(WITNESS_CAP + 1))
+    trails, found = fam._table(frozenset(settled),
+                               None if all_witnesses else WITNESS_CAP + 1)
     truncated = not all_witnesses and len(found) > WITNESS_CAP
     if truncated:
         # ordinal of the stop pair (i, j) among the pairs of refs i < j
         i, j = (fam.refs().index(ref) for ref in found[WITNESS_CAP])
         checked = i * (2 * refs - i - 1) // 2 + (j - i - 1) + 1
         found = found[:WITNESS_CAP]
-    trails = fam._pairs
     witnesses = tuple(
         Witness(pair, rewrite_images(fam, *pair),
                 tuple(k for k in (0, 1) if trails[pair][k] is None))

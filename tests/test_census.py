@@ -1,23 +1,25 @@
 """The paper's theorem and the product identity as census tests.
 
-``certify`` reads a family with the structural conjunction (every level
-the Borel set of its least generator, consecutive least generators under
-the support chain) as closed by the paper's theorem, and its rule count
-from C(v+1, 2) - sum of |B(u_i*u_j)|, which rests on the product identity
-B(u)*B(v) = B(uv) for principal Borel sets.  These tests check both
-premises by enumeration and compare that route with the closure scan.
+``certify`` reads each block of two levels whose own two-level family
+has the structural conjunction (both levels the Borel set of their least
+generator, the two least generators under the support chain; level 0
+added in rees mode) as closed by the paper's theorem, and counts its
+rules as its pairs less |B(u_i*u_j)|, which rests on the product
+identity B(u)*B(v) = B(uv) for principal Borel sets.  It scans only the
+other blocks.  These tests check both premises by enumeration and
+compare that route with a full closure scan, witnesses included.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product as cartesian
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from reescert.certify import build_certificate
+from reescert.certify import _settled_blocks, build_certificate, closure_json
 from reescert.cli import main
 from reescert.family import (
     build_family,
@@ -26,6 +28,7 @@ from reescert.family import (
 )
 
 from bruteforce import borel_closure_by_filter, from_factors, product
+from conftest import open_nochain, open_tower4
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "families"
 
@@ -56,17 +59,49 @@ def census(mode: str, n: int = 3, max_degree: int = 3,
     return out
 
 
+def listed_census(mode: str, n: int, degrees) -> list[dict]:
+    """Every family of listed levels of the given degrees in n variables,
+    each level a non-empty subset of the monomials of its degree; in
+    fiber mode the embedding degree is the top degree + 1."""
+    choices = []
+    for d in degrees:
+        monos = [text for degree, text in census_tops(n, d) if degree == d]
+        choices.append([[m for k, m in enumerate(monos) if mask >> k & 1]
+                        for mask in range(1, 1 << len(monos))])
+    out = []
+    for gens in cartesian(*choices):
+        desc = {"mode": mode, "variables": n,
+                "levels": [{"degree": d, "generators": g}
+                           for d, g in zip(degrees, gens)]}
+        if mode == "fiber":
+            desc["embedding_degree"] = degrees[-1] + 1
+        out.append(desc)
+    return out
+
+
 def assert_routes_agree(desc: dict, label) -> dict:
-    """The certificate against the closure scan of a freshly built
-    family: verdict, pairs checked and rule count."""
+    """The certificate against a full closure scan of a freshly built
+    family: verdict, witnesses (pair, images, missing), pairs checked
+    and rule count."""
     cert = build_certificate(build_family(desc))
     fam = build_family(desc)
     report = is_closed_under_comparability(fam)
     assert cert["closed_under_comparability"] == report.closed, label
     assert cert["pairs_checked"] == report.pairs_checked, label
+    scanned = closure_json(report, characterize(fam))["witnesses"]
+    assert cert.get("witnesses", []) == scanned, label
     if report.closed:
         assert cert["basis_size"] == len(fam.incomparable_pairs()), label
     return cert
+
+
+def open_pairs_in_settled_blocks(fam) -> list:
+    """The open pairs of a full scan of ``fam`` that lie in a block of
+    levels the paper's theorem settles: none, if the settled rule is
+    sound."""
+    settled = _settled_blocks(fam, characterize(fam))
+    return [(a, b) for a, b in fam.open_pairs()
+            if (a.level, b.level) in settled]
 
 
 @pytest.mark.parametrize("mode", ["rees", "fiber"])
@@ -107,21 +142,63 @@ def test_product_identity_by_enumeration():
     assert pairs == 2376
 
 
-def test_conjunction_route_agrees_with_the_scan(bench_families):
-    """On every conjunction family of the census, the six ladder families
-    and the demo families, the certificate's closure verdict, pairs
-    checked and rule count equal those of a closure scan."""
+def test_routes_agree_on_every_census_family(bench_families):
+    """On every family of the (3, 3, 3) census in both modes, the six
+    ladder families, the demo families, ``open_tower4`` and
+    ``open_nochain``, the certificate's verdict, witnesses, pairs
+    checked and rule count equal those of a full closure scan."""
     conjunction = 0
     descs = [desc for mode in ("rees", "fiber") for desc in census(mode)]
     for desc in descs:
-        if characterize(build_family(desc)).conjunction:
-            assert_routes_agree(desc, desc)
-            conjunction += 1
-    assert conjunction == 346
+        cert = assert_routes_agree(desc, desc)
+        conjunction += cert["characterization"]["conjunction"]
+    assert (len(descs), conjunction) == (3078, 346)
     for name, desc in bench_families.LADDER.items():
         assert_routes_agree(desc, name)
     for path in sorted(DEMOS.glob("*.json")):
         assert_routes_agree(json.loads(path.read_text()), path.name)
+    for desc in (open_tower4(), open_nochain()):
+        assert not assert_routes_agree(desc, desc)["closed_under_comparability"]
+
+
+def test_no_open_pair_in_a_settled_block_on_the_census():
+    """The settled rule, checked pair by pair: no open pair of a full
+    scan of a (3, 3, 3) census family, in either mode, lies in a block
+    of levels whose two-level family has the conjunction.  Every census
+    level is a Borel set, so at least its own block is settled."""
+    open_families = 0
+    for mode in ("rees", "fiber"):
+        for desc in census(mode):
+            fam = build_family(desc)
+            settled = _settled_blocks(fam, characterize(fam))
+            assert {(lv.index, lv.index) for lv in fam.levels} <= settled
+            assert open_pairs_in_settled_blocks(fam) == [], desc
+            open_families += bool(fam.open_pairs())
+    assert open_families == 2 * 1366
+
+
+# Tier-1 runs the two smallest listed-level shapes; CI runs the census
+# step over all of LISTED_SHAPES.
+LISTED_SHAPES = ((3, (2,)), (3, (1, 2)), (3, (3,)), (3, (2, 2)), (4, (2,)))
+
+
+@pytest.mark.parametrize("mode", ["rees", "fiber"])
+@pytest.mark.parametrize("n, degrees", LISTED_SHAPES[:2],
+                         ids=["n3-2", "n3-1,2"])
+def test_routes_agree_on_listed_levels(mode, n, degrees):
+    """Every level an arbitrary non-empty subset of the monomials of its
+    degree: listed levels equal to their Borel set are settled, thinned
+    ones are scanned, and the certificate agrees with a full scan."""
+    descs = listed_census(mode, n, degrees)
+    equal = 0
+    for desc in descs:
+        cert = assert_routes_agree(desc, desc)
+        assert open_pairs_in_settled_blocks(build_family(desc)) == [], desc
+        equal += sum(cert["characterization"]["borel_equal"])
+    # one subset per Borel set equals it: six principal ones of degree
+    # 2, three of degree 1 (x1, x1..x2, x1..x3)
+    assert (len(descs), equal) == {
+        (2,): (63, 6), (1, 2): (441, 3 * 63 + 7 * 6)}[degrees]
 
 
 WIDE = {"mode": "rees", "variables": 450,

@@ -630,6 +630,33 @@ def test_a_conjunction_certificate_factors_nothing(monkeypatch):
         build_family(family_dict("tower4")).open_pairs()
 
 
+def test_a_certificate_rewrites_only_the_open_blocks(monkeypatch):
+    """``certify`` rewrites no product of a block the paper's theorem
+    settles.  ``open_nochain``'s three levels (degrees 1, 2, 3) are Borel
+    sets without the support chain between levels 1 and 2: only pairs
+    of levels 1 x 2 are rewritten, none sorted.  tower4 has the
+    conjunction: nothing is rewritten.  No block of ``fiber_pair`` is
+    settled: it rewrites no more products than one full scan."""
+    sorted_, ordered = [], []
+    _counting(monkeypatch, sorted_, family, "sort_factors")
+    _counting(monkeypatch, ordered, family, "ord_factors")
+    assert not build_certificate(build_family(open_nochain()))[
+        "closed_under_comparability"]
+    assert sorted_ == []
+    assert ordered and {(len(a), len(b)) for a, b in ordered} == {(2, 3)}
+    ordered.clear()
+    assert build_certificate(build_family(family_dict("tower4")))[
+        "conclusions"]
+    assert sorted_ == ordered == []
+    assert build_certificate(build_family(family_dict("fiber_pair")))[
+        "conclusions"]
+    certified = len(sorted_) + len(ordered)
+    sorted_.clear()
+    ordered.clear()
+    build_family(family_dict("fiber_pair")).open_pairs()
+    assert 0 < certified <= len(sorted_) + len(ordered)
+
+
 def _as_listed(desc: dict):
     """The family of ``desc`` with every level given as a list."""
     fam = build_family(desc)
