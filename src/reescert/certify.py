@@ -120,11 +120,7 @@ def _settled_blocks(fam: LeveledFamily, ch) -> frozenset:
     holds.  A rewrite of a pair reads only its two generators, so such
     a block holds no open pair in any family.  The chain is transitive
     (head <= tail on every monomial), so every block is settled exactly
-    when the family has the conjunction, and no chain is tested then."""
-    if ch.conjunction:
-        indices = [lv.index for lv in fam.levels]
-        return frozenset((i, j) for k, i in enumerate(indices)
-                         for j in indices[k:])
+    when the family has the conjunction."""
     # level 0 is not characterized, and always equal
     equal = dict(zip(ch.level_indices, ch.borel_equal))
     lasts = [(lv.index, lv.last.head_index(), lv.last.tail_index())

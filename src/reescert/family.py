@@ -103,28 +103,27 @@ class Level:
     descending, the last of them ``last``.  Immutable and non-empty;
     ``len`` is the number of generators.
 
-    A level built from a count (``build_family``'s Borel levels and
-    level 0) keeps its size and its least generator, and builds its
-    generators on their first read.  ``borel`` is true for a level built
-    as the Borel set of its least generator."""
+    A counted level (``build_family``'s Borel levels and level 0, the
+    Borel set of x_n) keeps its size and its least generator, and builds
+    its generators on their first read as ``borel_closure(last)``.
+    ``borel`` is true for a level built as the Borel set of its least
+    generator."""
 
-    __slots__ = ("index", "degree", "borel", "last", "_size", "_build",
-                 "_generators")
+    __slots__ = ("index", "degree", "borel", "last", "_size", "_generators")
 
     def __init__(self, index: int, degree: int,
                  generators: tuple[Monomial, ...]):
         self._set(index=index, degree=degree, borel=False,
-                  last=generators[-1], _size=len(generators), _build=None,
+                  last=generators[-1], _size=len(generators),
                   _generators=generators)
 
     @classmethod
-    def _counted(cls, index: int, degree: int, least: Monomial, size: int,
-                 build) -> "Level":
-        """The Borel set of ``least``, of ``size`` members, which
-        ``build()`` returns revlex descending on first use."""
+    def _counted(cls, index: int, least: Monomial, size: int) -> "Level":
+        """The Borel set of ``least``, of ``size`` members, built on
+        first read."""
         lv = object.__new__(cls)
-        lv._set(index=index, degree=degree, borel=True, last=least,
-                _size=size, _build=build, _generators=None)
+        lv._set(index=index, degree=least.degree, borel=True, last=least,
+                _size=size, _generators=None)
         return lv
 
     def _set(self, **values) -> None:
@@ -138,7 +137,9 @@ class Level:
     def generators(self) -> tuple[Monomial, ...]:
         gens = self._generators
         if gens is None:
-            gens = self._build()
+            # read from this module's globals, so a patch of
+            # ``family.borel_closure`` sees the build
+            gens = borel_closure(self.last)
             object.__setattr__(self, "_generators", gens)
         return gens
 
@@ -179,17 +180,17 @@ class LeveledFamily:
     own.  ``open_pairs`` lists the entries with a missing image.
     ``incomparable_pairs`` and ``open_pairs`` classify every pair left
     on their first call; the closure scan stops at the first open pair
-    past its witness cap.  A scan that leaves out settled blocks of
-    levels (``certify``'s) fills a table of its own, so the family's
-    table stays whole and in order.
+    past its witness cap.  The family holds one scan, that of the last
+    set of settled blocks of levels asked for (``certify`` leaves out
+    those the paper's theorem settles), and replaces it when other
+    blocks are settled, so each table is whole and in order.
     More than ``PAIR_CAP`` pairs raise ``ResourceCapError`` from
     ``refs()``, before any ref is built or pair classified, and more
     than ``PAIR_CAP`` pairs of levels on construction.
     """
 
     __slots__ = ("mode", "n", "embedding_degree", "levels", "_by_index",
-                 "_size", "_factors", "_refs", "_pairs", "_open", "_scan",
-                 "_part")
+                 "_size", "_factors", "_refs", "_scan")
 
     def __init__(self, mode, n, levels, embedding_degree=None):
         self.mode = mode
@@ -202,42 +203,28 @@ class LeveledFamily:
         self._refs = None
         # ref -> standard factorization of its generator, filled on use
         self._factors = {}
-        # the refs of ``_refs``, not images: a Monomial pair per entry
-        # costs megabytes on the larger families
-        self._pairs = {}
-        self._open = []
-        # started on first use; exhausted once every pair is classified
+        # (settled blocks, pair table, open pairs, pending scan), started
+        # on first use; the table holds the refs of ``_refs``, not
+        # images: a Monomial pair per entry costs megabytes on the larger
+        # families
         self._scan = None
-        # (settled blocks, table, open pairs, scan): the last table asked
-        # for with some blocks of levels left out
-        self._part = None
 
-    def _table(self, settled: frozenset = frozenset(), count=None):
+    def _table(self, settled: frozenset, count=None):
         """The pair table of the blocks of levels not in ``settled``, and
         its first ``count`` open pairs (all of them when None) in table
-        order: pairs are classified only that far.  With no block
-        settled this is the family's own table; the family also keeps
-        the last one asked for with settled blocks.  A wide family keys
-        every product 0 and memoizes none."""
-        if not settled:
-            if self._scan is None:
-                self._scan = self._start(self._pairs, self._open, settled)
-            pairs, found, scan = self._pairs, self._open, self._scan
-        else:
-            if self._part is None or self._part[0] != settled:
-                pairs, found = {}, []
-                self._part = (settled, pairs, found,
-                              self._start(pairs, found, settled))
-            _, pairs, found, scan = self._part
+        order: pairs are classified only that far.  The held scan goes
+        on when it was started for these settled blocks; otherwise a
+        fresh one replaces it.  A wide family keys every product 0 and
+        memoizes none."""
+        if self._scan is None or self._scan[0] != settled:
+            pairs, found = {}, []
+            self._scan = (settled, pairs, found, _classify(
+                self.levels, self.refs(), self._factors,
+                self.n * PACK_BITS <= MEMO_KEY_BITS, pairs, found, settled))
+        _, pairs, found, scan = self._scan
         while (count is None or len(found) < count) and next(scan, None):
             pass
         return pairs, found[:count]
-
-    def _start(self, pairs: dict, found: list, settled: frozenset):
-        """A pending scan that fills ``pairs`` and ``found``."""
-        return _classify(self.levels, self.refs(), self._factors,
-                         self.n * PACK_BITS <= MEMO_KEY_BITS, pairs, found,
-                         settled)
 
     @property
     def top_level(self) -> int:
@@ -286,13 +273,13 @@ class LeveledFamily:
         the rule ``T_a*T_b -> T_c*T_d``.  A ref is None when that image
         is not in the family.  Completed on the first call, one rewrite
         per distinct product of a level block.  Do not mutate."""
-        return self._table()[0]
+        return self._table(frozenset())[0]
 
     def open_pairs(self) -> tuple:
         """The pair-table keys with a missing image (a None ref),
         in table order; empty exactly when the family is closed under
         comparability."""
-        return tuple(self._table()[1])
+        return tuple(self._table(frozenset())[1])
 
     def __len__(self) -> int:
         return self._size
@@ -303,7 +290,7 @@ class LeveledFamily:
 
 
 def _classify(levels, refs, factors: dict, memoize: bool, pairs: dict,
-              open_pairs: list, settled: frozenset = frozenset()):
+              open_pairs: list, settled: frozenset):
     """Classify the ref pairs of ``levels`` in lexicographic order,
     leaving out those of each block of levels (i, j), i <= j by level
     index, in ``settled``: enter each incomparable pair in ``pairs``
@@ -382,11 +369,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_level(entry, pos: int, n: int):
-    """Validate one level of a description and count its generators,
-    building none of them: (degree, a function of the level index that
-    makes the ``Level``).  A ``"borel"`` level is made from its count and
-    its generator; a listed one builds its generators, revlex
+def _parse_level(entry, pos: int, n: int) -> Level:
+    """Validate one level of a description and make it the ``Level`` of
+    index ``pos``.  A ``"borel"`` level is counted from its generator and
+    builds no member; a listed one builds its generators, revlex
     descending."""
     if not isinstance(entry, dict):
         raise FamilyError(f"level {pos}: expected an object")
@@ -413,11 +399,7 @@ def _parse_level(entry, pos: int, n: int):
             raise FamilyError(
                 f"level {pos}: borel generator {gen} has degree {gen.degree},"
                 f" expected {degree}")
-        size = borel_size(gen)
-        # ``borel_closure`` is read from this module when the members
-        # are built, so a patch of ``family.borel_closure`` sees it
-        return degree, lambda index: Level._counted(
-            index, degree, gen, size, lambda: borel_closure(gen))
+        return Level._counted(pos, gen, borel_size(gen))
     raw = entry["generators"]
     if not isinstance(raw, list) or not raw:
         raise FamilyError(f"level {pos}: generators must be a non-empty list")
@@ -439,7 +421,7 @@ def _parse_level(entry, pos: int, n: int):
             continue
         seen.add(key)
         listed.append(terms)
-    return degree, lambda index: Level(index, degree, tuple(sorted(
+    return Level(pos, degree, tuple(sorted(
         (monomial_of_terms(terms, n) for terms in listed),
         key=revlex_key, reverse=True)))
 
@@ -466,9 +448,9 @@ def build_family(data: dict) -> LeveledFamily:
     if not isinstance(raw_levels, list):
         raise FamilyError("levels must be a list")
 
-    parsed = [_parse_level(entry, pos, n)
+    levels = [_parse_level(entry, pos, n)
               for pos, entry in enumerate(raw_levels, start=1)]
-    degrees = [d for d, _ in parsed]
+    degrees = [lv.degree for lv in levels]
     for a, b in zip(degrees, degrees[1:]):
         if a > b:
             raise FamilyError(
@@ -479,17 +461,16 @@ def build_family(data: dict) -> LeveledFamily:
         if m is not None:
             raise FamilyError("embedding_degree only applies to fiber mode")
     else:
-        if not parsed:
+        if not levels:
             raise FamilyError("fiber mode needs at least one level")
         if not _is_int(m) or m <= degrees[-1]:
             raise FamilyError(
                 "embedding_degree must be an integer larger than every level"
                 f" degree (top degree is {degrees[-1]})")
-    levels = [make(i) for i, (_, make) in enumerate(parsed, start=1)]
     if mode == "fiber":
         return LeveledFamily("fiber", n, levels, embedding_degree=m)
-    level0 = Level._counted(0, 1, Monomial.variable(n, n), n, lambda: tuple(
-        Monomial.variable(i, n) for i in range(1, n + 1)))
+    # the variables are the Borel set of x_n
+    level0 = Level._counted(0, Monomial.variable(n, n), n)
     return LeveledFamily("rees", n, [level0] + levels)
 
 
@@ -574,9 +555,9 @@ def is_closed_under_comparability(
     ``settled`` names blocks of levels (i, j), i <= j by level index,
     that the caller knows to hold no open pair, as those the paper's
     theorem settles (``certify``) do.  Their pairs are not classified;
-    the others fill a table of their own, in the same order, so the
-    family's pair table is not touched and the report is that of a full
-    scan.
+    the others fill the family's one held scan, in the same order, which
+    replaces a scan held for other blocks, and the report is that of a
+    full scan.
     """
     refs = len(fam)
     checked = refs * (refs - 1) // 2

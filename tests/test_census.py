@@ -21,14 +21,16 @@ import pytest
 
 from reescert.certify import _settled_blocks, build_certificate, closure_json
 from reescert.cli import main
+from reescert.errors import NotClosedError
 from reescert.family import (
     build_family,
     characterize,
     is_closed_under_comparability,
 )
+from reescert.presentation import build_basis
 
 from bruteforce import borel_closure_by_filter, from_factors, product
-from conftest import open_nochain, open_tower4
+from conftest import family_dict, open_nochain, open_tower4
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "families"
 
@@ -159,6 +161,65 @@ def test_routes_agree_on_every_census_family(bench_families):
         assert_routes_agree(json.loads(path.read_text()), path.name)
     for desc in (open_tower4(), open_nochain()):
         assert not assert_routes_agree(desc, desc)["closed_under_comparability"]
+
+
+def test_every_block_is_settled_exactly_with_the_conjunction(bench_families):
+    """The support chain is transitive, so the paper's theorem settles
+    every block of levels exactly when the family has the structural
+    conjunction: on the (3, 3, 3) census in both modes, the ladder and
+    the demo families."""
+    descs = [desc for mode in ("rees", "fiber") for desc in census(mode)]
+    descs += bench_families.LADDER.values()
+    descs += [json.loads(path.read_text())
+              for path in sorted(DEMOS.glob("*.json"))]
+    every = 0
+    for desc in descs:
+        fam = build_family(desc)
+        ch = characterize(fam)
+        indices = [lv.index for lv in fam.levels]
+        blocks = {(i, j) for k, i in enumerate(indices) for j in indices[k:]}
+        settled = _settled_blocks(fam, ch)
+        assert settled <= blocks, desc
+        assert (settled == blocks) == ch.conjunction, desc
+        every += ch.conjunction
+    # the census has 346 conjunction families; the six ladder families
+    # and the three demos, seven
+    assert (len(descs), every) == (3078 + 9, 346 + 7)
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the type, message and witnesses
+    of the ``NotClosedError`` it raises."""
+    try:
+        return call(*args)
+    except NotClosedError as exc:
+        return NotClosedError, str(exc), exc.witnesses
+
+
+def _family_reads(fam) -> tuple:
+    """Every table read of ``fam``, in this order: pair table, open
+    pairs, all witnesses and the marked basis."""
+    return (list(fam.incomparable_pairs().items()), fam.open_pairs(),
+            is_closed_under_comparability(fam, all_witnesses=True),
+            _outcome(build_basis, fam))
+
+
+@pytest.mark.parametrize("desc", [
+    family_dict("tower4"), family_dict("fiber_pair"), open_tower4(),
+    open_nochain()], ids=["tower4", "fiber_pair", "open_tower4",
+                          "open_nochain"])
+def test_the_held_scan_answers_like_a_fresh_family(desc):
+    """A family holds one pair scan, replaced when other blocks of
+    levels are settled.  After a certificate, the family's table reads,
+    witnesses and basis equal a fresh family's; after a basis, its
+    certificate equals a fresh family's."""
+    fam = build_family(desc)
+    cert = build_certificate(fam)
+    assert _family_reads(fam) == _family_reads(build_family(desc))
+    fam = build_family(desc)
+    assert _outcome(build_basis, fam) == _outcome(
+        build_basis, build_family(desc))
+    assert build_certificate(fam) == cert
 
 
 def test_no_open_pair_in_a_settled_block_on_the_census():

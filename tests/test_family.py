@@ -277,7 +277,7 @@ def test_pair_cap(monkeypatch):
     for scan in (fam.refs, fam.open_pairs, fam.incomparable_pairs):
         with pytest.raises(ResourceCapError, match="1833 generators"):
             scan()
-    assert (fam._refs, fam._scan, fam._pairs) == (None, None, {})
+    assert (fam._refs, fam._scan) == (None, None)
     # the cap is inclusive: tower4 has 24 refs, 276 pairs
     monkeypatch.setattr(family, "PAIR_CAP", 276)
     assert len(build_family(family_dict("tower4")).refs()) == 24
@@ -378,6 +378,24 @@ def test_counted_level_builds_on_first_read():
     assert plain == fam.level(1) and len(plain) == 5 and not plain.borel
     with pytest.raises(AttributeError):
         fam.level(1).degree = 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_level_zero_alone_is_the_borel_set_of_x_n(n):
+    """A rees family with no listed level: level 0 builds no member
+    until read, then holds x1..xn in order, the Borel set of x_n, and
+    its certificate has no rule and all three conclusions."""
+    desc = {"mode": "rees", "variables": n, "levels": []}
+    fam = build_family(desc)
+    (level0,) = fam.levels
+    assert (level0.index, level0.degree, len(level0)) == (0, 1, n)
+    assert level0.borel and level0._generators is None
+    assert level0.last == Monomial.variable(n, n)
+    assert level0.generators == borel_closure_by_filter(level0.last) == tuple(
+        Monomial.variable(i, n) for i in range(1, n + 1))
+    cert = build_certificate(build_family(desc))
+    assert cert["basis_size"] == 0
+    assert cert["conclusions"] == ["koszul", "normal_domain", "cohen_macaulay"]
 
 
 def test_comparable_argument_checks(tower4):
@@ -499,8 +517,9 @@ def test_pairs_checked_counts_through_the_stop_pair(monkeypatch):
     v = len(fam)
     report = is_closed_under_comparability(fam)
     # nothing past the stop pair is classified yet
-    stop = fam._open[family.WITNESS_CAP]
-    assert next(reversed(fam._pairs)) == stop
+    _, pairs, found, _ = fam._scan
+    stop = found[family.WITNESS_CAP]
+    assert next(reversed(pairs)) == stop
     assert len(fam.open_pairs()) == 93
     assert fam.open_pairs()[family.WITNESS_CAP] == stop
     assert report.truncated and len(report.witnesses) == family.WITNESS_CAP
@@ -622,7 +641,7 @@ def test_a_conjunction_certificate_factors_nothing(monkeypatch):
         fam = build_family(desc)
         cert = build_certificate(fam)
         assert cert["conclusions"], desc
-        assert (fam._refs, fam._scan, fam._pairs) == (None, None, {})
+        assert (fam._refs, fam._scan) == (None, None)
         assert all(lv._generators is None for lv in fam.levels if lv.borel)
     assert factored == [] and tested == []
     # a scan needs the members, and builds them by the patched name
