@@ -72,12 +72,19 @@ SUBJECTS = {
 
 def closure_json(report, ch) -> dict:
     """Closure scan and characterization as the JSON keys shared by
-    ``reescert check`` and the certificate."""
+    ``reescert check`` and the certificate.  The witnesses of a report
+    share one ``Monomial`` per distinct image, and each is texted once,
+    keyed by identity."""
+    text = {}
+    for w in report.witnesses:
+        for img in w.images:
+            if id(img) not in text:
+                text[id(img)] = img.text()
     return {
         "pairs_checked": report.pairs_checked,
         "witnesses": [
             {"pair": [list(w.pair[0]), list(w.pair[1])],
-             "images": [img.text() for img in w.images],
+             "images": [text[id(img)] for img in w.images],
              "missing": list(w.missing)}
             for w in report.witnesses
         ],

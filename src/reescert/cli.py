@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 from .certify import (
     build_certificate,
@@ -314,11 +315,20 @@ _COMMANDS = {
 }
 
 
+def _warning_line(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    """Show a warning as one ``warning: ...`` line on stderr, with no
+    source path or line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return _COMMANDS[args.command](args)
     except (FamilyError, MonomialParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ from .errors import FamilyError, ResourceCapError
 from .monomials import (
     Monomial,
     _borel_count,
+    _borel_factors,
     borel_closure,
     borel_member,
     borel_size,
@@ -80,14 +81,15 @@ def check_variable_cap(n: int) -> None:
             f"{n} variables are more than {MAX_VARIABLES}")
 
 
-def _packed(exps) -> int:
-    """The exponent vector as one int, ``PACK_BITS`` bits per variable,
-    x1 lowest: the packed product of two generators is the sum of their
-    packed exponent vectors."""
-    key = 0
-    for e in reversed(exps):
-        key = (key << PACK_BITS) | e
-    return key
+def _weights(n: int):
+    """Per variable index i, x_i's exponent vector packed into one int,
+    ``PACK_BITS`` bits per variable, x1 lowest, or None when n variables
+    are wider than ``MEMO_KEY_BITS``.  A generator packs as the sum of
+    its factors' weights, and the packed product of two generators is
+    the sum of theirs."""
+    if n * PACK_BITS > MEMO_KEY_BITS:
+        return None
+    return [0] + [1 << (PACK_BITS * i) for i in range(n)]
 
 
 class GenRef(NamedTuple):
@@ -105,9 +107,10 @@ class Level:
 
     A counted level (``build_family``'s Borel levels and level 0, the
     Borel set of x_n) keeps its size and its least generator, and builds
-    its generators on their first read as ``borel_closure(last)``.
-    ``borel`` is true for a level built as the Borel set of its least
-    generator."""
+    its generators on their first read as ``borel_closure(last)``; the
+    pair scan reads it as factorizations (``_borel_factors``) and builds
+    none of them.  ``borel`` is true for a level built as the Borel set
+    of its least generator."""
 
     __slots__ = ("index", "degree", "borel", "last", "_size", "_generators")
 
@@ -172,7 +175,8 @@ class LeveledFamily:
     that closure, the marked basis and complete reducedness read: each
     incomparable pair mapped to the refs of its rewrite images, lead to
     trail.  The scan's first step factors and packs the generators of
-    every level it classifies into level blocks.  The
+    every level it classifies into level blocks, a counted level's
+    straight from its factorizations, with no member built.  The
     rewrite of a pair is a function of its product alone, so each
     distinct product of a level block (the pairs of one level, or of two
     levels) is rewritten once, keyed by its packed exponent vector; a
@@ -219,8 +223,8 @@ class LeveledFamily:
         if self._scan is None or self._scan[0] != settled:
             pairs, found = {}, []
             self._scan = (settled, pairs, found, _classify(
-                self.levels, self.refs(), self._factors,
-                self.n * PACK_BITS <= MEMO_KEY_BITS, pairs, found, settled))
+                self.levels, self.refs(), self._factors, _weights(self.n),
+                pairs, found, settled))
         _, pairs, found, scan = self._scan
         while (count is None or len(found) < count) and next(scan, None):
             pass
@@ -289,7 +293,7 @@ class LeveledFamily:
         return f"LeveledFamily(mode={self.mode!r}, n={self.n}, sizes=[{sizes}])"
 
 
-def _classify(levels, refs, factors: dict, memoize: bool, pairs: dict,
+def _classify(levels, refs, factors: dict, weight, pairs: dict,
               open_pairs: list, settled: frozenset):
     """Classify the ref pairs of ``levels`` in lexicographic order,
     leaving out those of each block of levels (i, j), i <= j by level
@@ -297,7 +301,10 @@ def _classify(levels, refs, factors: dict, memoize: bool, pairs: dict,
     with its image refs, append each one with a missing image to
     ``open_pairs``, and yield it.  ``refs`` are the family's refs, in
     level order; ``factors`` is its factorization cache, which the
-    first step completes for every level of a block left to classify.
+    first step fills for every level of a block left to classify: a
+    counted level's from ``_borel_factors``, with none of its members
+    built.  Each product is memoized by its packed exponent vector, the
+    sum of its factors' ``weight``, unless ``weight`` is None.
     A module-level generator, so that a family it fills is not held by
     its own pending scan.
 
@@ -324,12 +331,14 @@ def _classify(levels, refs, factors: dict, memoize: bool, pairs: dict,
         here = {}
         row = []
         if li in used:
-            for ref, g in zip(refs[start:start + len(lv)], lv.generators):
-                f = factors.get(ref)
-                if f is None:
-                    f = factors[ref] = g.factors()
+            level_refs = refs[start:start + len(lv)]
+            level_factors = (_borel_factors(lv.last) if lv.borel
+                             else [g.factors() for g in lv.generators])
+            for ref, f in zip(level_refs, level_factors):
+                f = factors.setdefault(ref, f)  # one read earlier is kept
                 here[f] = ref
-                row.append((ref, f, _packed(g.exps) if memoize else 0))
+                key = sum(map(weight.__getitem__, f)) if weight else 0
+                row.append((ref, f, key))
         start += len(lv)
         blocks.append((here, row, [f[-1] for _, f, _ in row]))
     for li, (here, row, _) in enumerate(blocks):
@@ -352,7 +361,7 @@ def _classify(levels, refs, factors: dict, memoize: bool, pairs: dict,
                     if trail is None:
                         first, second = rewrite(fa, fb)
                         trail = (here.get(first), there.get(second))
-                        if memoize:
+                        if weight:
                             memo[key] = trail
                     # the image refs come from the same blocks as a and
                     # b, so identity is equality
@@ -515,8 +524,10 @@ def comparable(fam: LeveledFamily, a: GenRef, b: GenRef) -> bool:
 class Witness(NamedTuple):
     """An incomparable pair whose rewrite leaves the family.
 
-    ``images`` is the rewritten monomial pair; ``missing`` flags which of
-    the two images (positions 0 and 1) is absent from its target level.
+    ``images`` is the rewritten monomial pair, ``rewrite_images`` of the
+    pair; the witnesses of one report share one ``Monomial`` per
+    distinct image.  ``missing`` flags which of the two images
+    (positions 0 and 1) is absent from its target level.
     """
     pair: tuple[GenRef, GenRef]
     images: tuple[Monomial, Monomial]
@@ -550,7 +561,11 @@ def is_closed_under_comparability(
     deterministic.  Unless ``all_witnesses`` is set, witnesses stop at
     ``WITNESS_CAP`` and pairs are classified only as far as the next
     open pair, which marks the report truncated; closure itself is
-    always decided exactly.
+    always decided exactly.  A witness's images are rewritten again
+    from the factorizations the scan kept, by ``sort_factors`` or
+    ``ord_factors`` as in the scan, one ``Monomial`` per distinct image,
+    and ``missing`` is read off its table entry, so no generator is
+    built for them.
 
     ``settled`` names blocks of levels (i, j), i <= j by level index,
     that the caller knows to hold no open pair, as those the paper's
@@ -569,11 +584,20 @@ def is_closed_under_comparability(
         i, j = (fam.refs().index(ref) for ref in found[WITNESS_CAP])
         checked = i * (2 * refs - i - 1) // 2 + (j - i - 1) + 1
         found = found[:WITNESS_CAP]
-    witnesses = tuple(
-        Witness(pair, rewrite_images(fam, *pair),
-                tuple(k for k in (0, 1) if trails[pair][k] is None))
-        for pair in found)
-    return ClosureReport(not witnesses and not truncated, witnesses,
+    monomials = {}  # factorization -> its image, shared by witnesses
+    witnesses = []
+    for pair in found:
+        a, b = pair
+        rewrite = sort_factors if a[0] == b[0] else ord_factors
+        images = []
+        for f in rewrite(fam.factors(a), fam.factors(b)):
+            image = monomials.get(f)
+            if image is None:
+                image = monomials[f] = Monomial._of_factors(f, fam.n)
+            images.append(image)
+        witnesses.append(Witness(pair, tuple(images), tuple(
+            k for k in (0, 1) if trails[pair][k] is None)))
+    return ClosureReport(not witnesses and not truncated, tuple(witnesses),
                          checked, truncated)
 
 

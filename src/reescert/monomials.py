@@ -11,13 +11,16 @@ suffix-dominance test, ``borel_size``, which counts a Borel set without
 building it, and ``borel_closure``, which generates one directly, live
 here too; both refuse a set of more than ``BOREL_CAP`` members, and
 ``borel_closure`` also one whose members hold more than
-``BOREL_ENTRY_CAP`` exponents in all.  Everything downstream is built
-on them.
+``BOREL_ENTRY_CAP`` exponents in all.  ``_borel_factors`` lists the
+standard factorizations of a Borel set in ``borel_closure``'s order,
+without building a monomial, for the pair scan.  Everything downstream
+is built on them.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from itertools import accumulate
 
 from .errors import MonomialParseError, ResourceCapError
@@ -56,6 +59,15 @@ class Monomial:
         object.__setattr__(mono, "exps", exps)
         object.__setattr__(mono, "degree", degree)
         return mono
+
+    @classmethod
+    def _of_factors(cls, factors: tuple, n: int) -> "Monomial":
+        """The monomial in n variables of a standard factorization, taken
+        as it is, like ``_of_exps``."""
+        exps = [0] * n
+        for i in factors:
+            exps[i - 1] += 1
+        return cls._of_exps(tuple(exps), len(factors))
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -339,3 +351,34 @@ def borel_closure(generator: Monomial) -> tuple[Monomial, ...]:
         else:
             return tuple(members)
         members.append(of_exps(tuple(current), d))
+
+
+def _borel_factors(generator: Monomial) -> tuple[tuple[int, ...], ...]:
+    """The standard factorizations of the members of the Borel set of
+    ``generator``, in ``borel_closure``'s order, with no monomial built
+    and no cap checked: the caller bounds the set.
+
+    A monomial of the generator's degree is a member exactly when its
+    factors are componentwise at most the generator's, f_i <= u_i (the
+    suffix masses, read on sorted factors).  Revlex descending is
+    ascending lexicographic order of the factors read last to first, so
+    the successor of f raises the first factor that can grow, which
+    ends a run of equal factors and is below the generator's, and sets
+    every factor before it to 1: O(degree) per member.
+    """
+    u = generator.factors()
+    d = len(u)
+    ones = (1,) * d
+    f = ones
+    members = [f]
+    while True:
+        i = 0
+        while i < d:
+            end = bisect_right(f, f[i], i)  # the run f[i:end]
+            if f[end - 1] < u[end - 1]:
+                break
+            i = end
+        else:
+            return tuple(members)
+        f = ones[:end - 1] + (f[end - 1] + 1,) + f[end:]
+        members.append(f)

@@ -13,19 +13,23 @@ compare that route with a full closure scan, witnesses included.
 from __future__ import annotations
 
 import json
+import random
 from itertools import combinations_with_replacement, product as cartesian
 from math import comb
 from pathlib import Path
 
 import pytest
 
+from reescert import family
 from reescert.certify import _settled_blocks, build_certificate, closure_json
 from reescert.cli import main
 from reescert.errors import NotClosedError
 from reescert.family import (
+    Witness,
     build_family,
     characterize,
     is_closed_under_comparability,
+    rewrite_images,
 )
 from reescert.presentation import build_basis
 
@@ -236,6 +240,65 @@ def test_no_open_pair_in_a_settled_block_on_the_census():
             assert open_pairs_in_settled_blocks(fam) == [], desc
             open_families += bool(fam.open_pairs())
     assert open_families == 2 * 1366
+
+
+def open_descs() -> list[dict]:
+    """``open_tower4``, ``open_nochain`` and every family of the
+    (3, 3, 3) census, in both modes, that is not closed."""
+    return [open_tower4(), open_nochain()] + [
+        desc for mode in ("rees", "fiber") for desc in census(mode)
+        if not characterize(build_family(desc)).conjunction]
+
+
+def test_witnesses_match_the_checked_rewrite():
+    """A witness's images are dealt on the factorizations the scan kept;
+    on every open pair they equal the checked public path,
+    ``rewrite_images`` on the generators, and an image is missing
+    exactly when its target level does not list it.  A report holds one
+    ``Monomial`` per distinct image."""
+    descs = open_descs()
+    witnesses = 0
+    for desc in descs:
+        fam = build_family(desc)
+        report = is_closed_under_comparability(fam, all_witnesses=True)
+        want = []
+        for pair in fam.open_pairs():
+            images = rewrite_images(fam, *pair)
+            want.append(Witness(pair, images, tuple(
+                k for k in (0, 1)
+                if images[k] not in fam.level(pair[k].level).generators)))
+        assert report.witnesses == tuple(want), desc
+        assert not report.closed and not report.truncated, desc
+        images = [img for w in report.witnesses for img in w.images]
+        assert len(set(map(id, images))) == len(set(images)), desc
+        witnesses += len(want)
+    assert len(descs) == 2 + 2 * 1366 and witnesses > len(descs)
+
+
+def _refuse(*args):
+    raise AssertionError("built a Borel set")
+
+
+def test_certificates_build_no_borel_member(monkeypatch, bench_families):
+    """With ``family.borel_closure`` refusing, the certificates of the
+    open families above and of 60 seeded certify-mix draws equal those
+    of an unpatched run: a scan reads a counted level's factorizations
+    and builds none of its members, not even for a witness."""
+    rng = random.Random(30)
+    strata = bench_families.STRATA
+    kinds = ("rees-nochain", "fiber-nochain", "rees-drop")
+    descs = open_descs() + [
+        bench_families.draw_family(rng, strata[k % len(strata)], kinds[k % 3])
+        for k in range(60)]
+    want = [build_certificate(build_family(desc)) for desc in descs]
+    monkeypatch.setattr(family, "borel_closure", _refuse)
+    scanned = 0
+    for desc, cert in zip(descs, want):
+        fam = build_family(desc)
+        assert build_certificate(fam) == cert, desc
+        assert all(lv._generators is None for lv in fam.levels if lv.borel)
+        scanned += fam._scan is not None
+    assert scanned == len(descs)
 
 
 # Tier-1 runs the two smallest listed-level shapes; CI runs the census

@@ -12,7 +12,7 @@ import pytest
 from reescert.cli import main
 from reescert.family import MAX_VARIABLES
 from bruteforce import basis_by_public_constructor
-from conftest import family_dict
+from conftest import family_dict, open_tower4
 from test_census import max_powers, max_powers_rule_count
 
 
@@ -552,6 +552,31 @@ def test_trace_refuses_a_wide_high_degree_level_at_once(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr == (
         "resource cap: level matrix has 50 rows, cap is 10\n")
+
+
+@pytest.mark.parametrize("command", ["check", "certify"])
+def test_a_dropped_duplicate_warns_in_one_line(tmp_path, command):
+    """A duplicate generator is dropped with one ``warning:`` line on
+    stderr, not Python's warning format with a source path and line,
+    and the exit code is the family's verdict.  Run as a child, under
+    the interpreter's default warning filters."""
+    closed = family_dict("tower4")
+    closed["levels"][3]["generators"] *= 2
+    opened = open_tower4()
+    opened["levels"][0]["generators"].append("x2*x4")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    for desc, code, line in (
+            (closed, 0, "warning: level 4: duplicate generator x1^5 dropped"),
+            (opened, 1, "warning: level 1: duplicate generator x2*x4"
+                        " dropped")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "reescert.cli", command,
+             _write(tmp_path, json.dumps(desc))], env=env,
+            capture_output=True, text=True, timeout=OVERSIZED_TIMEOUT_S)
+        assert (proc.returncode, proc.stderr) == (code, line + "\n")
+        assert proc.stdout
 
 
 def test_variable_cap_is_inclusive(capsys, tmp_path):

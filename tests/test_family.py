@@ -644,9 +644,13 @@ def test_a_conjunction_certificate_factors_nothing(monkeypatch):
         assert (fam._refs, fam._scan) == (None, None)
         assert all(lv._generators is None for lv in fam.levels if lv.borel)
     assert factored == [] and tested == []
-    # a scan needs the members, and builds them by the patched name
+    # a scan reads a counted level's factorizations and builds no member;
+    # a later read of a member builds them by the patched name
+    fam = build_family(family_dict("tower4"))
+    assert fam.open_pairs() == ()
+    assert all(lv._generators is None for lv in fam.levels if lv.borel)
     with pytest.raises(AssertionError, match="built a Borel set"):
-        build_family(family_dict("tower4")).open_pairs()
+        fam.generator(GenRef(1, 1))
 
 
 def test_a_certificate_rewrites_only_the_open_blocks(monkeypatch):

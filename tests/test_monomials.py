@@ -8,6 +8,7 @@ from reescert import monomials
 from reescert.monomials import (
     Monomial,
     _borel_count,
+    _borel_factors,
     borel_closure,
     borel_member,
     borel_size,
@@ -288,6 +289,30 @@ def test_borel_closure_matches_filter():
         assert borel_closure(gen) == borel_closure_by_filter(gen)
         assert (borel_size(gen) == _borel_count(gen.exps)
                 == len(borel_closure_by_filter(gen)))
+
+
+def test_borel_factors_match_the_closure():
+    """The pair scan's enumerator lists ``borel_closure``'s members as
+    factorizations, in the same order."""
+    def closure_factors(gen):
+        return tuple(m.factors() for m in borel_closure(gen))
+
+    rng = random.Random(30)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        gen = rand_monomial(rng, n, rng.randint(0, 7))
+        assert _borel_factors(gen) == closure_factors(gen), gen
+    # level 0 of a rees family, a one-variable level, and long factors
+    # in two variables
+    for text, n in (("x7", 7), ("x1^5", 1), ("x2^1000", 2),
+                    ("x1*x2^999", 2)):
+        gen = parse_monomial(text, n)
+        assert _borel_factors(gen) == closure_factors(gen), text
+    assert _borel_factors(parse_monomial("x7", 7)) == tuple(
+        (i,) for i in range(1, 8))
+    assert len(_borel_factors(parse_monomial("x2^1000", 2))) == 1001
+    assert _borel_factors(parse_monomial("x1*x2^999", 2))[-1] == (
+        (1,) + (2,) * 999)
 
 
 def test_borel_closure_cap(monkeypatch):

@@ -27,9 +27,12 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     try:
         cert = reescert.certify.build_certificate(
             build_family(family_dict("tower4")))
-        # a closed family rewrites no monomial pair; the witness images
-        # of a non-closed one still go through sort_pair and ord_pair
-        reescert.certify.build_certificate(build_family(open_tower4()))
+        # a closed family rewrites no monomial pair, and witness images
+        # are dealt on factorizations; the checked public rewrite of a
+        # same-level open pair still goes through sort_pair
+        fam = build_family(open_tower4())
+        pair = next(p for p in fam.open_pairs() if p[0].level == p[1].level)
+        reescert.family.rewrite_images(fam, *pair)
     finally:
         tracer.uninstall()
     assert cert["conclusions"]
