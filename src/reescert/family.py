@@ -21,11 +21,12 @@ from typing import NamedTuple
 
 from .errors import FamilyError, ResourceCapError
 from .monomials import (
+    BOREL_ENTRY_CAP,
     Monomial,
     _borel_count,
     _borel_factors,
+    _factors_below,
     borel_closure,
-    borel_member,
     borel_size,
     monomial_of_terms,
     ord_factors,
@@ -49,8 +50,8 @@ PAIR_CAP = 10**6
 # before any exponent vector of that length exists.  Level 0 of a rees
 # family alone is over PAIR_CAP from 1,416 variables on.
 MAX_VARIABLES = 2000
-# Highest declared level degree; the family keeps one factor tuple of
-# this length per generator.  Matches MAX_TERM_DEGREE in reduction.
+# Highest declared level degree; a level keeps one factor tuple of this
+# length per generator.  Matches MAX_TERM_DEGREE in reduction.
 MAX_GENERATOR_DEGREE = 1000
 # Bits per variable of a packed exponent vector: a product of two
 # generators has exponents up to 2 * MAX_GENERATOR_DEGREE, so adding two
@@ -107,18 +108,18 @@ class Level:
 
     A counted level (``build_family``'s Borel levels and level 0, the
     Borel set of x_n) keeps its size and its least generator, and builds
-    its generators on their first read as ``borel_closure(last)``; the
-    pair scan reads it as factorizations (``_borel_factors``) and builds
-    none of them.  ``borel`` is true for a level built as the Borel set
-    of its least generator."""
+    its generators on their first read as ``borel_closure(last)``, and
+    its ``factors`` with none of them built.  ``borel`` is true for a
+    level built as the Borel set of its least generator."""
 
-    __slots__ = ("index", "degree", "borel", "last", "_size", "_generators")
+    __slots__ = ("index", "degree", "borel", "last", "_size", "_generators",
+                 "_factors")
 
     def __init__(self, index: int, degree: int,
                  generators: tuple[Monomial, ...]):
         self._set(index=index, degree=degree, borel=False,
                   last=generators[-1], _size=len(generators),
-                  _generators=generators)
+                  _generators=generators, _factors=None)
 
     @classmethod
     def _counted(cls, index: int, least: Monomial, size: int) -> "Level":
@@ -126,7 +127,7 @@ class Level:
         first read."""
         lv = object.__new__(cls)
         lv._set(index=index, degree=least.degree, borel=True, last=least,
-                _size=size, _generators=None)
+                _size=size, _generators=None, _factors=None)
         return lv
 
     def _set(self, **values) -> None:
@@ -145,6 +146,27 @@ class Level:
             gens = borel_closure(self.last)
             object.__setattr__(self, "_generators", gens)
         return gens
+
+    @property
+    def factors(self) -> tuple[tuple[int, ...], ...]:
+        """The standard factorizations of the generators, in their order,
+        made on first read and kept; the one place that decides how.  A
+        counted level's come from ``_borel_factors``, refused before any
+        is made when they hold more than ``BOREL_ENTRY_CAP`` factors in
+        all; a listed level's from its generators."""
+        fs = self._factors
+        if fs is None:
+            if not self.borel:
+                fs = tuple(g.factors() for g in self.generators)
+            elif self._size * self.degree > BOREL_ENTRY_CAP:
+                raise ResourceCapError(
+                    f"Borel set of {self.last} has {self._size} members of"
+                    f" degree {self.degree}, more than {BOREL_ENTRY_CAP}"
+                    " factors")
+            else:
+                fs = _borel_factors(self.last)
+            object.__setattr__(self, "_factors", fs)
+        return fs
 
     def _key(self):
         return (self.index, self.degree, self.generators)
@@ -169,14 +191,14 @@ class LeveledFamily:
     Construction keeps the levels and their sizes and computes nothing
     else: a certificate read off the paper's theorem builds no member of
     a counted level, no ref and no pair.  ``refs()`` builds one
-    ``GenRef`` per generator on first use, and ``factors`` keeps a
-    standard factorization from its first use on.  The ref pairs are
+    ``GenRef`` per generator on first use, and ``factors`` reads a
+    generator's standard factorization off its level.  The ref pairs are
     classified on demand, in lexicographic order, into the pair table
     that closure, the marked basis and complete reducedness read: each
     incomparable pair mapped to the refs of its rewrite images, lead to
-    trail.  The scan's first step factors and packs the generators of
-    every level it classifies into level blocks, a counted level's
-    straight from its factorizations, with no member built.  The
+    trail.  The scan's first step packs the factorizations of every
+    level it classifies (``Level.factors``) into level blocks, with no
+    member of a counted level built.  The
     rewrite of a pair is a function of its product alone, so each
     distinct product of a level block (the pairs of one level, or of two
     levels) is rewritten once, keyed by its packed exponent vector; a
@@ -194,7 +216,7 @@ class LeveledFamily:
     """
 
     __slots__ = ("mode", "n", "embedding_degree", "levels", "_by_index",
-                 "_size", "_factors", "_refs", "_scan")
+                 "_size", "_refs", "_scan")
 
     def __init__(self, mode, n, levels, embedding_degree=None):
         self.mode = mode
@@ -205,8 +227,6 @@ class LeveledFamily:
         self._by_index = {lv.index: lv for lv in self.levels}
         self._size = sum(len(lv) for lv in self.levels)
         self._refs = None
-        # ref -> standard factorization of its generator, filled on use
-        self._factors = {}
         # (settled blocks, pair table, open pairs, pending scan), started
         # on first use; the table holds the refs of ``_refs``, not
         # images: a Monomial pair per entry costs megabytes on the larger
@@ -223,7 +243,7 @@ class LeveledFamily:
         if self._scan is None or self._scan[0] != settled:
             pairs, found = {}, []
             self._scan = (settled, pairs, found, _classify(
-                self.levels, self.refs(), self._factors, _weights(self.n),
+                self.levels, self.refs(), _weights(self.n),
                 pairs, found, settled))
         _, pairs, found, scan = self._scan
         while (count is None or len(found) < count) and next(scan, None):
@@ -250,25 +270,22 @@ class LeveledFamily:
                                for j in range(1, len(lv) + 1))
         return self._refs
 
-    def generator(self, ref: GenRef) -> Monomial:
+    def _level_of(self, ref) -> Level:
+        """The level of ``ref``, once its index is in range there."""
         lv = self.level(ref[0])
         if not 1 <= ref[1] <= len(lv):
             raise ValueError(
                 f"index {ref[1]} out of range 1..{len(lv)}"
                 f" at level {ref[0]}")
-        return lv.generators[ref[1] - 1]
+        return lv
+
+    def generator(self, ref: GenRef) -> Monomial:
+        return self._level_of(ref).generators[ref[1] - 1]
 
     def factors(self, ref: GenRef) -> tuple[int, ...]:
-        """Standard factorization of the referenced generator, kept from
-        its first use, here or in the pair scan.  An unknown ref raises
-        like ``generator``."""
-        try:
-            return self._factors[ref]
-        except KeyError:
-            f = self._factors[ref] = self.generator(ref).factors()
-            return f
-        except TypeError:
-            return self.generator(ref).factors()
+        """Standard factorization of the referenced generator, as its
+        level keeps it (``Level.factors``)."""
+        return self._level_of(ref).factors[ref[1] - 1]
 
     def incomparable_pairs(self) -> dict:
         """The pair table: each incomparable ref pair (a, b), a < b, in
@@ -293,18 +310,17 @@ class LeveledFamily:
         return f"LeveledFamily(mode={self.mode!r}, n={self.n}, sizes=[{sizes}])"
 
 
-def _classify(levels, refs, factors: dict, weight, pairs: dict,
-              open_pairs: list, settled: frozenset):
+def _classify(levels, refs, weight, pairs: dict, open_pairs: list,
+              settled: frozenset):
     """Classify the ref pairs of ``levels`` in lexicographic order,
     leaving out those of each block of levels (i, j), i <= j by level
     index, in ``settled``: enter each incomparable pair in ``pairs``
     with its image refs, append each one with a missing image to
     ``open_pairs``, and yield it.  ``refs`` are the family's refs, in
-    level order; ``factors`` is its factorization cache, which the
-    first step fills for every level of a block left to classify: a
-    counted level's from ``_borel_factors``, with none of its members
-    built.  Each product is memoized by its packed exponent vector, the
-    sum of its factors' ``weight``, unless ``weight`` is None.
+    level order.  The first step reads ``Level.factors`` of every level
+    of a block left to classify, so a counted level builds none of its
+    members.  Each product is memoized by its packed exponent vector,
+    the sum of its factors' ``weight``, unless ``weight`` is None.
     A module-level generator, so that a family it fills is not held by
     its own pending scan.
 
@@ -331,11 +347,7 @@ def _classify(levels, refs, factors: dict, weight, pairs: dict,
         here = {}
         row = []
         if li in used:
-            level_refs = refs[start:start + len(lv)]
-            level_factors = (_borel_factors(lv.last) if lv.borel
-                             else [g.factors() for g in lv.generators])
-            for ref, f in zip(level_refs, level_factors):
-                f = factors.setdefault(ref, f)  # one read earlier is kept
+            for ref, f in zip(refs[start:start + len(lv)], lv.factors):
                 here[f] = ref
                 key = sum(map(weight.__getitem__, f)) if weight else 0
                 row.append((ref, f, key))
@@ -618,10 +630,11 @@ def characterize(fam: LeveledFamily) -> Characterization:
     distinct and revlex-sorted, like the set's.  The set is counted, not
     built, and only as far as the level's size, so no size is refused.
 
-    Only listed levels are tested, each generator but the least, which
-    lies in its own Borel set.  A level built as the Borel set of its
-    least generator (``Level.borel``) is that set by construction, and
-    none of its members is built."""
+    Only listed levels are tested, each generator's kept factorization
+    but the least against the least one (``_factors_below``); a level of
+    one generator, its own least, is not factored.  A level built as the
+    Borel set of its least generator (``Level.borel``) is that set by
+    construction, and none of its members is built."""
     levels = [lv for lv in fam.levels if lv.index > 0]
     equal = []
     subset = []
@@ -630,10 +643,12 @@ def characterize(fam: LeveledFamily) -> Characterization:
             subset.append(True)
             equal.append(True)
             continue
-        least = lv.last
-        inside = all(borel_member(g, least) for g in lv.generators[:-1])
+        inside = True
+        if len(lv) > 1:
+            *others, least = lv.factors
+            inside = all(_factors_below(f, least) for f in others)
         subset.append(inside)
-        equal.append(inside and len(lv) == _borel_count(least.exps, len(lv)))
+        equal.append(inside and len(lv) == _borel_count(lv.last.exps, len(lv)))
     chain = []
     for prev, nxt in zip(levels, levels[1:]):
         # greatest variable of the lower last divides nothing above the

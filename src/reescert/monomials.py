@@ -3,18 +3,19 @@
 A monomial is stored as its exponent vector.  Its standard factorization
 lists the variables with multiplicity in ascending index order, which is
 descending variable order; the first factor is the greatest variable
-occurring, the last factor the least.  The sorting and ordering rewrites
-work on standard factorizations (``sort_factors``, ``ord_factors``);
-``sort_pair`` and ``ord_pair`` are their checked counterparts on
-``Monomial`` pairs, dealt on exponent vectors.  The Borel
-suffix-dominance test, ``borel_size``, which counts a Borel set without
-building it, and ``borel_closure``, which generates one directly, live
-here too; both refuse a set of more than ``BOREL_CAP`` members, and
+occurring, the last factor the least.  Rewriting and the Borel test work
+on standard factorizations only: the sorting and ordering rewrites
+(``sort_factors``, ``ord_factors``) and the componentwise Borel test
+(``_factors_below``), with ``sort_pair``, ``ord_pair`` and
+``borel_member`` their checked counterparts on ``Monomial`` arguments.
+``borel_size``, which counts a Borel set without building it, and
+``borel_closure``, which generates one directly on exponent vectors,
+live here too; both refuse a set of more than ``BOREL_CAP`` members, and
 ``borel_closure`` also one whose members hold more than
 ``BOREL_ENTRY_CAP`` exponents in all.  ``_borel_factors`` lists the
 standard factorizations of a Borel set in ``borel_closure``'s order,
-without building a monomial, for the pair scan.  Everything downstream
-is built on them.
+without building a monomial, for the levels of a family.  Everything
+downstream is built on them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from itertools import accumulate
+from operator import le
 
 from .errors import MonomialParseError, ResourceCapError
 
@@ -32,6 +34,8 @@ BOREL_CAP = 10**5
 # Most exponents, members times variables, that ``borel_closure`` keeps:
 # each member holds an n-entry tuple, about 8 bytes an entry, so this is
 # near 80 MB (x20*x400 in 400 variables: 7,810 members, 3.1 million).
+# A counted level of a family keeps at most as many factors, members
+# times degree, the same way.
 BOREL_ENTRY_CAP = 10**7
 
 
@@ -202,74 +206,51 @@ def ord_factors(fu: tuple[int, ...], fv: tuple[int, ...]):
 
 
 def ord_pair(u: Monomial, v: Monomial) -> tuple[Monomial, Monomial]:
-    """Ordering rewrite for deg(u) <= deg(v).
+    """Ordering rewrite for deg(u) <= deg(v), ``ord_factors`` on the
+    standard factorizations.
 
-    Factor u*v in standard form and split: the last deg(u) factors make
-    the first output, the first deg(v) factors the second.  The result
-    multiplies back to u*v, keeps both degrees, and every variable of the
-    first output is <= every variable of the second.  Dealt on exponent
-    vectors: the second output takes each variable's exponent in u*v,
-    greatest variable first, until it holds deg(v).
+    The last deg(u) factors of u*v make the first output, the first
+    deg(v) factors the second.  The result multiplies back to u*v, keeps
+    both degrees, and every variable of the first output is <= every
+    variable of the second.
     """
     if u.n != v.n:
         raise ValueError("variable counts differ")
     p, q = u.degree, v.degree
     if p > q:
         raise ValueError(f"ord_pair needs deg(u) <= deg(v), got {p} > {q}")
-    low = []
-    high = []
-    room = q
-    for a, b in zip(u.exps, v.exps):
-        e = a + b
-        h = e if e < room else room
-        room -= h
-        low.append(e - h)
-        high.append(h)
-    return Monomial._of_exps(tuple(low), p), Monomial._of_exps(tuple(high), q)
+    low, high = ord_factors(u.factors(), v.factors())
+    return Monomial._of_factors(low, u.n), Monomial._of_factors(high, u.n)
 
 
 def sort_pair(u: Monomial, v: Monomial) -> tuple[Monomial, Monomial]:
-    """Sorting rewrite for equal degrees: deal the factors of u*v
-    alternately, odd positions to the first output, even to the second.
-    Dealt on exponent vectors: with c factors of u*v before variable i
-    and e of it, the first output takes its copies at the odd positions
-    c+1..c+e, (c+e+1)//2 - (c+1)//2 of them."""
+    """Sorting rewrite for equal degrees, ``sort_factors`` on the standard
+    factorizations: deal the factors of u*v alternately, odd positions to
+    the first output, even to the second."""
     if u.n != v.n:
         raise ValueError("variable counts differ")
-    d = u.degree
-    if d != v.degree:
+    if u.degree != v.degree:
         raise ValueError(
-            f"sort_pair needs equal degrees, got {d} != {v.degree}")
-    first = []
-    second = []
-    c = 0
-    for a, b in zip(u.exps, v.exps):
-        e = a + b
-        f = (c + e + 1) // 2 - (c + 1) // 2
-        c += e
-        first.append(f)
-        second.append(e - f)
-    return (Monomial._of_exps(tuple(first), d),
-            Monomial._of_exps(tuple(second), d))
+            f"sort_pair needs equal degrees, got {u.degree} != {v.degree}")
+    first, second = sort_factors(u.factors(), v.factors())
+    return Monomial._of_factors(first, u.n), Monomial._of_factors(second, u.n)
+
+
+def _factors_below(f: tuple[int, ...], u: tuple[int, ...]) -> bool:
+    """Borel test on two standard factorizations of one length: the
+    monomial of f lies in the Borel set of u's exactly when f_i <= u_i
+    for every i, each factor of f a variable at least as great as the
+    matching one of u."""
+    return all(map(le, f, u))
 
 
 def borel_member(candidate: Monomial, generator: Monomial) -> bool:
-    """Suffix-dominance test for membership in the Borel set of ``generator``.
-
-    True iff the degrees agree and for every k >= 2 the exponent mass of
-    the candidate on x_k..x_n is at most that of the generator.
-    """
+    """Membership in the Borel set of ``generator``: the degrees agree
+    and the standard factorizations pass ``_factors_below``."""
     if candidate.n != generator.n:
         raise ValueError("variable counts differ")
-    if candidate.degree != generator.degree:
-        return False
-    cs = vs = 0
-    for k in range(candidate.n - 1, 0, -1):
-        cs += candidate.exps[k]
-        vs += generator.exps[k]
-        if cs > vs:
-            return False
-    return True
+    return (candidate.degree == generator.degree
+            and _factors_below(candidate.factors(), generator.factors()))
 
 
 def _suffix_masses(exps) -> list[int]:
@@ -359,8 +340,8 @@ def _borel_factors(generator: Monomial) -> tuple[tuple[int, ...], ...]:
     and no cap checked: the caller bounds the set.
 
     A monomial of the generator's degree is a member exactly when its
-    factors are componentwise at most the generator's, f_i <= u_i (the
-    suffix masses, read on sorted factors).  Revlex descending is
+    factors are componentwise at most the generator's, f_i <= u_i
+    (``_factors_below``).  Revlex descending is
     ascending lexicographic order of the factors read last to first, so
     the successor of f raises the first factor that can grow, which
     ends a run of equal factors and is below the generator's, and sets

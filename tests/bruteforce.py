@@ -18,7 +18,7 @@ from reescert.family import (
     is_closed_under_comparability,
     rewrite_images,
 )
-from reescert.monomials import Monomial, borel_member, revlex_key
+from reescert.monomials import Monomial, revlex_key
 from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
@@ -130,6 +130,23 @@ def borel_closure_by_moves(generator: Monomial) -> set[Monomial]:
     return seen
 
 
+def borel_member_by_suffix_masses(candidate: Monomial,
+                                  generator: Monomial) -> bool:
+    """Suffix-dominance test for membership in the Borel set of
+    ``generator``: the degrees agree and for every k >= 2 the exponent
+    mass of the candidate on x_k..x_n is at most that of the generator."""
+    assert candidate.n == generator.n
+    if candidate.degree != generator.degree:
+        return False
+    cs = vs = 0
+    for k in range(candidate.n - 1, 0, -1):
+        cs += candidate.exps[k]
+        vs += generator.exps[k]
+        if cs > vs:
+            return False
+    return True
+
+
 def borel_closure_by_filter(generator: Monomial) -> tuple[Monomial, ...]:
     """Borel set by filtering every monomial of the generator's degree
     through the suffix-dominance test, sorted revlex descending."""
@@ -138,7 +155,7 @@ def borel_closure_by_filter(generator: Monomial) -> tuple[Monomial, ...]:
         m
         for fact in combinations_with_replacement(range(1, n + 1), d)
         for m in (from_factors(fact, n),)
-        if borel_member(m, generator)
+        if borel_member_by_suffix_masses(m, generator)
     ]
     members.sort(key=revlex_key, reverse=True)
     return tuple(members)

@@ -29,6 +29,7 @@ from reescert.monomials import Monomial, parse_monomial
 
 from bruteforce import (
     borel_closure_by_filter,
+    borel_closure_by_moves,
     order_by_exponents,
     pair_table_by_rewrite_images,
     rand_rees_family,
@@ -319,6 +320,25 @@ def test_generator_degree_cap():
                                  "generators": ["not a monomial"]}))
 
 
+def test_counted_level_factor_cap(monkeypatch):
+    """A counted level refuses to make more than ``BOREL_ENTRY_CAP``
+    factors, members times degree, before making any; the cap is
+    inclusive.  B(x3^440) has 97,461 members, 42.9 million factors."""
+    fam = build_family(_one_level({"degree": 440, "borel": "x3^440"}) | {
+        "variables": 3})
+    with pytest.raises(ResourceCapError,
+                       match="97461 members of degree 440, more than"):
+        fam.factors(GenRef(1, 1))
+    assert fam.level(1)._factors is None
+    monkeypatch.setattr(family, "BOREL_ENTRY_CAP", 18)
+    desc = {"mode": "fiber", "variables": 4, "embedding_degree": 3,
+            "levels": [{"degree": 2, "borel": "x3*x4"}]}
+    assert len(build_family(desc).level(1).factors) == 9
+    monkeypatch.setattr(family, "BOREL_ENTRY_CAP", 17)
+    with pytest.raises(ResourceCapError):
+        build_family(desc).level(1).factors
+
+
 def test_factors_and_level_refs(tower4, fiber_pair):
     for fam in (tower4, fiber_pair):
         for lv in fam.levels:
@@ -351,7 +371,7 @@ def test_level_repr_and_unhashable_refs(tower4):
     assert repr(fam.level(1)) == (
         "Level(index=1, degree=1, generators=(Monomial('x1', n=2),"
         " Monomial('x2', n=2)))")
-    # a list ref cannot key the kept factorizations, but still resolves
+    # a list ref resolves like a GenRef
     assert tower4.factors([1, 2]) == tower4.factors(GenRef(1, 2))
 
 
@@ -622,9 +642,10 @@ def _refuse(*args):
 def test_a_conjunction_certificate_factors_nothing(monkeypatch):
     """The certificate of a family with the structural conjunction
     builds no member of a Borel level, no ref and no pair, factors no
-    generator and tests no Borel membership: its levels are counted
-    Borel sets, or tower4's one generator x1^5, the least of its level.
-    So max(12,4), past ``PAIR_CAP``, is certified too."""
+    generator, reads no level's factorizations and runs no Borel test:
+    its levels are counted Borel sets, or tower4's one generator x1^5,
+    the least of its level.  So max(12,4), past ``PAIR_CAP``, is
+    certified too."""
     conjunction = next(
         desc for desc in census("rees")
         if len(desc["levels"]) == 3
@@ -634,7 +655,7 @@ def test_a_conjunction_certificate_factors_nothing(monkeypatch):
                         {"degree": 3, "borel": "x2^3"}]}
     factored, tested = [], []
     _counting(monkeypatch, factored, Monomial, "factors")
-    _counting(monkeypatch, tested, family, "borel_member")
+    _counting(monkeypatch, tested, family, "_factors_below")
     monkeypatch.setattr(family, "borel_closure", _refuse)
     for desc in (family_dict("tower4"), conjunction, fiber,
                  max_powers(4, 3), max_powers(12, 4)):
@@ -643,6 +664,7 @@ def test_a_conjunction_certificate_factors_nothing(monkeypatch):
         assert cert["conclusions"], desc
         assert (fam._refs, fam._scan) == (None, None)
         assert all(lv._generators is None for lv in fam.levels if lv.borel)
+        assert all(lv._factors is None for lv in fam.levels)
     assert factored == [] and tested == []
     # a scan reads a counted level's factorizations and builds no member;
     # a later read of a member builds them by the patched name
@@ -690,13 +712,13 @@ def _as_listed(desc: dict):
 
 
 def test_listed_levels_are_still_tested(monkeypatch, bench_families):
-    """``characterize`` tests each generator of a listed level against
-    the least one, the least itself excepted, and no generator of a
-    built level."""
+    """``characterize`` tests the kept factorization of each generator
+    of a listed level against the least one, the least itself excepted,
+    and no generator of a built level."""
     drop = bench_families.draw_family(
         random.Random(3), (20, 30), "rees-drop")
     tested = []
-    _counting(monkeypatch, tested, family, "borel_member")
+    _counting(monkeypatch, tested, family, "_factors_below")
     for desc in (family_dict("fiber_pair"), drop):
         fam = build_family(desc)
         del tested[:]
@@ -704,8 +726,8 @@ def test_listed_levels_are_still_tested(monkeypatch, bench_families):
         listed = [fam.level(pos) for pos, lv in enumerate(
             desc["levels"], start=1) if "generators" in lv]
         assert listed
-        assert tested == [(g, lv.last) for lv in listed
-                          for g in lv.generators[:-1]]
+        assert tested == [(f, lv.factors[-1]) for lv in listed
+                          for f in lv.factors[:-1]]
         assert ch == characterize(_as_listed(desc)), desc
     assert not characterize(build_family(drop)).conjunction
 
@@ -732,21 +754,30 @@ def test_factors_are_kept_and_the_scan_reuses_refs():
 
 def test_borel_equal_counts_what_the_filter_builds(bench_families):
     """Equality by membership and count agrees with building the Borel
-    set by brute force and comparing the tuples."""
+    set by brute force and comparing the tuples, and ``borel_subset``
+    with inclusion in the closure under single moves."""
     descs = reference_descs(bench_families)
     for name in ("max4_3", "max5_3"):
         descs[name] = bench_families.LADDER[name]
     for path in sorted((ROOT / "demos" / "families").glob("*.json")):
         descs[path.stem] = json.loads(path.read_text())
-    unequal = 0
+    # x2^2 lies outside B(x1*x3), the Borel set of its least generator
+    descs["outside"] = {"mode": "rees", "variables": 3, "levels": [
+        {"degree": 2, "generators": ["x2^2", "x1*x3"]}]}
+    unequal = outside = 0
     for name, desc in descs.items():
         fam = build_family(desc)
         levels = [lv for lv in fam.levels if lv.index > 0]
         want = tuple(lv.generators == borel_closure_by_filter(lv.last)
                      for lv in levels)
-        assert characterize(fam).borel_equal == want, name
+        ch = characterize(fam)
+        assert ch.borel_equal == want, name
+        assert ch.borel_subset == tuple(
+            set(lv.generators) <= borel_closure_by_moves(lv.last)
+            for lv in levels), name
         unequal += want.count(False)
-    assert unequal >= 5
+        outside += ch.borel_subset.count(False)
+    assert unequal >= 5 and outside >= 1
 
 def test_characterize_tower4(tower4):
     ch = characterize(tower4)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -26,6 +27,7 @@ from bruteforce import (
     borel_closure_by_filter,
     borel_closure_by_moves,
     from_factors,
+    order_by_exponents,
     product,
     rand_monomial,
     revlex_gt_by_factors,
@@ -183,6 +185,9 @@ def test_sort_matches_closed_form():
 
 
 def test_factor_rewrites_match_monomial_rewrites():
+    """``sort_factors`` and ``ord_factors`` equal the per-variable
+    references ``sort_closed_form`` and ``order_by_exponents``, read as
+    factorizations."""
     rng = random.Random(13)
     for _ in range(5000):
         n = rng.randint(1, 6)
@@ -192,16 +197,17 @@ def test_factor_rewrites_match_monomial_rewrites():
         v = rand_monomial(rng, n, q)
         w = rand_monomial(rng, n, p)
         assert ord_factors(u.factors(), v.factors()) == tuple(
-            m.factors() for m in ord_pair(u, v))
+            m.factors() for m in order_by_exponents(u, v))
         assert sort_factors(u.factors(), w.factors()) == tuple(
-            m.factors() for m in sort_pair(u, w))
+            m.factors() for m in sort_closed_form(u, w))
 
 
 def test_exponent_dealing_matches_factor_rewrites():
-    """``sort_pair`` and ``ord_pair`` deal exponent vectors; on 12,000
-    seeded pairs in 1..8 variables, a third of them of equal degrees,
-    they equal the factor rewrites rebuilt by ``from_factors``, each
-    image a tuple of ints with its true degree."""
+    """``sort_pair`` and ``ord_pair`` rewrite on factorizations; on
+    12,000 seeded pairs in 1..8 variables, a third of them of equal
+    degrees, they equal the references that deal exponent vectors,
+    ``sort_closed_form`` and ``order_by_exponents``, each image a tuple
+    of ints with its true degree."""
     rng = random.Random(20261019)
     for k in range(12_000):
         n = rng.randint(1, 8)
@@ -210,12 +216,12 @@ def test_exponent_dealing_matches_factor_rewrites():
         u = rand_monomial(rng, n, p)
         v = rand_monomial(rng, n, q)
         w = rand_monomial(rng, n, p)
-        for got, want in (
-                (ord_pair(u, v), ord_factors(u.factors(), v.factors())),
-                (sort_pair(u, w), sort_factors(u.factors(), w.factors()))):
-            assert got == tuple(from_factors(f, n) for f in want)
+        for got, want in ((ord_pair(u, v), order_by_exponents(u, v)),
+                          (sort_pair(u, w), sort_closed_form(u, w))):
+            assert got == want
             for m in got:
                 assert type(m.exps) is tuple and m.degree == sum(m.exps)
+                assert all(type(e) is int for e in m.exps)
 
 
 def test_pair_rewrite_messages():
@@ -263,6 +269,21 @@ def test_borel_member_frozen():
     assert borel_member(M("x2*x3^2"), M("x2*x3*x4"))
     assert not borel_member(M("x1^2*x4"), M("x2*x3^2"))
     assert not borel_member(M("x1*x2"), M("x1*x2^2"))  # degree mismatch
+
+
+def test_borel_member_matches_move_closure():
+    """On 200 seeded generators in up to 5 variables, of degree up to 4,
+    ``borel_member`` accepts exactly the members of the closure under
+    single moves, among every monomial of the generator's degree."""
+    rng = random.Random(32)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        gen = rand_monomial(rng, n, rng.randint(0, 4))
+        closure = borel_closure_by_moves(gen)
+        for fact in combinations_with_replacement(range(1, n + 1),
+                                                  gen.degree):
+            m = from_factors(fact, n)
+            assert borel_member(m, gen) == (m in closure), (m, gen)
 
 
 def test_borel_closure_matches_move_closure():
@@ -338,6 +359,20 @@ def test_borel_closure_cap(monkeypatch):
     assert len(borel_closure(parse_monomial("x2^2", 2))) == 3
     with pytest.raises(ResourceCapError):
         borel_closure(parse_monomial("x2^3", 2))
+
+
+def test_borel_closure_walks_a_long_two_variable_set():
+    """B(x2^99999) in two variables, a set at the cap, is its 100,000
+    members x1^(d-t)*x2^t in order.  ``borel_closure`` walks exponent
+    vectors, two entries a member; built from factorizations, the set
+    would hold about 5 * 10^9 factors."""
+    d = 99_999
+    gen = parse_monomial(f"x2^{d}", 2)
+    members = borel_closure(gen)
+    assert len(members) == 100_000
+    assert members[0] == parse_monomial(f"x1^{d}", 2)
+    assert members[-1] == gen
+    assert all(m.exps == (d - t, t) for t, m in enumerate(members))
 
 
 def test_parse_terms_is_the_sparse_parse():
