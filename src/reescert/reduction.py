@@ -192,7 +192,7 @@ class _RuleIndex:
             key = pos[lead[0]], pos[lead[1]]
             if key in rules:
                 raise ValueError(f"duplicate lead {lead}")
-            trails[key] = tuple(map(pos.__getitem__, g.trail))
+            trails[key] = tuple(sorted(map(pos.__getitem__, g.trail)))
             rules[key] = g
         self.partners = _partners(
             (g.lead for g in basis), pos, len(self.refs))
@@ -372,6 +372,14 @@ class ConfluenceReport(NamedTuple):
 
     @property
     def confluent(self) -> bool:
+        """No critical pair failed to join.
+
+        That alone does not prove a Groebner basis.  Rules that cycle
+        only through coprime leads have no critical pair to reduce, so
+        they read confluent with 0 pairs reduced (the two-rule basis of
+        ``test_step_cap_raises_on_cyclic_rules``).  The conclusion also
+        needs termination, which the (c, e) measure suite checks.
+        """
         return not self.failures
 
 
@@ -390,12 +398,18 @@ def confluence_check(basis) -> ConfluenceReport:
     More than ``CRITICAL_PAIR_CAP`` critical pairs raise
     ``ResourceCapError`` before any is reduced.
 
-    Each distinct monomial is reduced once, through a ``_normal_form``
-    memo that lives for this call; memoizing changes no verdict,
-    failure or length.  The memo holds one entry per distinct cubic
-    reached (``normal_forms``), so memory grows with that number:
-    the tracemalloc peak of one call, rule index included, is about
-    1.0 MiB on max(4,3), 6.2 MiB on max(4,4) and 27.6 MiB on max(5,4).
+    The pairs are joined bucket by bucket, one bucket per shared lead
+    ref.  A rewrite puts the partner into the trail's two sorted
+    positions with two comparisons; a trail that is not quadratic is
+    sorted with it whole.  Each rewrite then reads the walk memo of this
+    call, and only a miss calls ``_normal_form``, so each distinct
+    monomial is reduced once and a pair costs two dict reads and one
+    comparison.  On max(4,3) that is 4,412 walks for 9,932 pairs.
+    Memoizing changes no verdict, failure or length.  The memo holds one
+    entry per monomial the walks pass (``normal_forms``), so memory
+    grows with that number: the tracemalloc peak of one call, rule index
+    included, is about 1.0 MiB on max(4,3), 6.0 MiB on max(4,4) and
+    27.6 MiB on max(5,4).
     """
     index = _RuleIndex(basis)
     # per lead position, in basis order: (the rule's place in the basis,
@@ -412,16 +426,32 @@ def confluence_check(basis) -> ConfluenceReport:
         raise ResourceCapError(
             f"{critical} critical pairs, more than {CRITICAL_PAIR_CAP}")
     memo = {}
+    # a memo hit is the walk's whole answer, and an entry is a non-empty
+    # tuple: ``hit(m) or _normal_form(m, ...)`` walks only on a miss
+    hit = memo.get
     failures = []
     # two distinct squarefree leads share at most one ref, so each
     # critical pair sits in exactly one bucket
     for rules in by_ref.values():
-        for pos, (i, b, trail1) in enumerate(rules):
-            for j, c, trail2 in rules[pos + 1:]:
-                one = tuple(sorted(trail1 + (c,)))
-                two = tuple(sorted(trail2 + (b,)))
-                if (_normal_form(one, index, memo)[0]
-                        != _normal_form(two, index, memo)[0]):
+        if any(len(trail) != 2 for _, _, trail in rules):
+            # _RuleIndex checks only the leads; sort such trails whole
+            for pos, (i, b, trail1) in enumerate(rules):
+                for j, c, trail2 in rules[pos + 1:]:
+                    one = tuple(sorted(trail1 + (c,)))
+                    two = tuple(sorted(trail2 + (b,)))
+                    if (_normal_form(one, index, memo)[0]
+                            != _normal_form(two, index, memo)[0]):
+                        failures.append((i, j))
+            continue
+        # a sorted quadratic trail (p, q) takes the partner c in place
+        for pos, (i, b, (p, q)) in enumerate(rules):
+            for j, c, (r, s) in rules[pos + 1:]:
+                one = ((c, p, q) if c <= p else (p, c, q) if c <= q
+                       else (p, q, c))
+                two = ((b, r, s) if b <= r else (r, b, s) if b <= s
+                       else (r, s, b))
+                if ((hit(one) or _normal_form(one, index, memo))[0]
+                        != (hit(two) or _normal_form(two, index, memo))[0]):
                     failures.append((i, j))
     total = len(basis) * (len(basis) - 1) // 2
     longest = max((steps for _, steps in memo.values()), default=0)

@@ -612,6 +612,92 @@ def test_confluence_matches_reference(tower4, maxpowers3, fiber_pair,
     assert broken == 2 + (104 - 6) + (121 - 2)
 
 
+def _with_trail(basis, k, trail):
+    g = basis[k]
+    return (basis[:k] + (MarkedBinomial(g.lead, TMonomial(trail)),)
+            + basis[k + 1:])
+
+
+def _partner_ties(basis):
+    """(low, high): how many rewrites of the critical pairs put a
+    partner into a quadratic trail that holds it, as its low ref or as
+    its high ref."""
+    by_ref = {}
+    for g in basis:
+        a, b = g.lead
+        by_ref.setdefault(a, []).append((b, g.trail))
+        by_ref.setdefault(b, []).append((a, g.trail))
+    low = high = 0
+    for rules in by_ref.values():
+        for pos, (b, trail1) in enumerate(rules):
+            for c, trail2 in rules[pos + 1:]:
+                for partner, trail in ((c, trail1), (b, trail2)):
+                    if len(trail) == 2:
+                        low += partner == trail[0]
+                        high += partner == trail[1]
+    return low, high
+
+
+def test_confluence_matches_reference_on_odd_trails(tower4, monkeypatch):
+    """The join puts a critical pair's partner into a quadratic trail by
+    two comparisons, and sorts any other trail with it whole, since
+    ``_RuleIndex`` checks only the leads.  Both return the whole report
+    of ``confluence_by_chains``, or raise the same message: on a trail
+    that repeats a ref, on partners equal to a trail ref, and on a basis
+    with a cubic and a linear trail among quadratic ones.  A trail
+    passed unsorted joins as its sorted form."""
+    basis = build_basis(tower4)
+    # the basis itself meets ties at both comparisons
+    assert all(_partner_ties(basis))
+    sabotaged = _sabotaged(basis)
+    assert sabotaged[0].trail == T((4, 1), (4, 1))
+    # a rule sharing a lead ref with rule 0, so that both odd trails
+    # sit in one bucket with quadratic ones
+    k = next(k for k, g in enumerate(basis)
+             if k and set(g.lead) & set(basis[0].lead))
+    odd = _with_trail(_with_trail(basis, 0, basis[0].trail + ((0, 1),)),
+                      k, basis[k].trail[:1])
+    assert [len(g.trail) for g in odd[:k + 1]] == [3] + [2] * (k - 1) + [1]
+    for case in (basis, sabotaged, odd):
+        report = confluence_check(case)
+        assert report == confluence_by_chains(case)
+        assert report.confluent == (case is basis)
+    # a trail passed as an unsorted ref tuple joins as its sorted form
+    g = basis[0]
+    assert g.trail[0] < g.trail[1]
+    unsorted = (MarkedBinomial(g.lead, g.trail[::-1]),) + basis[1:]
+    assert confluence_check(unsorted) == confluence_check(basis)
+    # a cubic trail holding its own lead grows the monomial at every
+    # step, so the cap stops the walk; both name the same cap
+    growing = _with_trail(basis, 0, basis[0].lead + ((0, 1),))
+    monkeypatch.setattr(reduction, "DEFAULT_STEP_CAP", 50)
+    want = _outcome(lambda b: confluence_by_chains(b, 50), growing)
+    assert want[0] is InternalInvariantError
+    assert _outcome(confluence_check, growing) == want
+
+
+def test_confluence_walks_only_on_memo_misses(bench_families,
+                                              monkeypatch):
+    """The join reads the walk memo itself and calls ``_normal_form``
+    only on a miss.  Each such call puts at least the monomial it starts
+    from into the memo, so on max(4,3) the calls are at most the report's
+    ``normal_forms``, where one call per rewrite would make
+    2 * ``pairs_reduced``."""
+    basis = build_basis(build_family(bench_families.LADDER["max4_3"]))
+    walk = reduction._normal_form
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    monkeypatch.setattr(reduction, "_normal_form", counted)
+    report = confluence_check(basis)
+    assert (report.pairs_reduced, report.normal_forms) == (9932, 5984)
+    assert 0 < calls <= report.normal_forms
+
+
 @pytest.mark.parametrize("max_steps", range(6))
 def test_step_cap_through_memo_hits(tower4, maxpowers3, max_steps,
                                     monkeypatch):
