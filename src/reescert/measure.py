@@ -53,9 +53,6 @@ ROW_CAP = 10
 # levels with a loose pair, about 1,200 distinct ones in one
 # oracle-ladder benchmark run
 MINIMAL_CACHE_SIZE = 2**16
-# a group of fewer entries joins _descents' sorted entries one insort at a
-# time; a longer one is merged in by one sort
-INSORT_GROUP = 64
 
 
 class ReductionMeasure(NamedTuple):
@@ -96,21 +93,18 @@ def inversion_minimal(rows):
 
 def _descents(groups) -> int:
     """Pairs (u, v), u in a group and v in a later one, with u > v: each
-    entry is counted against the sorted entries of all earlier groups.
-    A short group joins them entry by entry, so that many short groups,
-    such as the columns of a high-degree matrix, cost no full re-sort
-    each; a long one joins them in one sort.  Groups must be sequences.
+    entry is counted against the sorted entries of all earlier groups,
+    then insorted among them.  The groups are columns of at most
+    ``ROW_CAP`` entries or a pair's two sorted factor rows.  Groups must
+    be sequences.
     """
     total = 0
     seen = []
     for group in groups:
         for v in group:
             total += len(seen) - bisect_right(seen, v)
-        if len(group) < INSORT_GROUP:
-            for v in group:
-                insort(seen, v)
-        else:
-            seen = sorted(seen + list(group))
+        for v in group:
+            insort(seen, v)
     return total
 
 

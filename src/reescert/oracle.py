@@ -184,7 +184,8 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
     index = _RuleIndex(basis, refs)
     buckets, unpack = _fiber_members(
         fam, max_degree, [index.pos[ref] for ref in refs])
-    table = _partners(fam.incomparable_pairs(), index.pos, len(index.refs))
+    table = _partners(map(index.positions, fam.incomparable_pairs()),
+                      len(index.refs))
     # when the basis's leads are the table's keys, as on a built basis,
     # a member is reduced exactly when its walk takes no step
     walk_is_table = table == index.partners

@@ -155,26 +155,29 @@ def _positions(refs) -> tuple[tuple[GenRef, ...], dict]:
     return ordered, {ref: i for i, ref in enumerate(ordered)}
 
 
-def _partners(pairs, pos: dict, size: int) -> list[set]:
+def _partners(pairs, size: int) -> list[set]:
     """Per position a, the set of positions b > a with (a, b) among the
-    sorted ref pairs: the lead partners ``_least_lead`` reads."""
+    sorted position pairs: the lead partners ``_least_lead`` reads."""
     rows = [set() for _ in range(size)]
     for a, b in pairs:
-        rows[pos[a]].add(pos[b])
+        rows[a].add(b)
     return rows
 
 
 class _RuleIndex:
-    """The basis on ref positions, the one form every reduction reads.
+    """The basis on ref positions, the one form every reduction reads,
+    and the one place that checks a basis's shape.
 
     ``refs`` lists the refs of the basis and the extra refs passed in,
     in lexicographic order (see ``_positions``); a ref's position is
-    its place there, and ``pos`` maps each ref to it.  ``partners``
-    holds the lead partners of each position, ``trails`` maps each lead
-    (a, b) to its trail's sorted positions, and ``rules`` to its
-    ``MarkedBinomial``, for reports.  A lead that is not squarefree
-    quadratic, or a duplicate one, raises ``ValueError``, the first in
-    basis order.
+    its place there, and ``pos`` maps each ref to it.  ``trails`` maps
+    each lead, as its sorted position pair (a, b), to its trail's sorted
+    position pair, and ``rules`` to its ``MarkedBinomial``, for reports;
+    both are in basis order.  ``partners`` holds the lead partners of
+    each position.  A lead that is not squarefree quadratic, a duplicate
+    one, or a trail that is not quadratic raises ``ValueError``, the
+    first in basis order, so every rule is a quadratic binomial.  Leads
+    and trails may come as unsorted ref tuples.
     """
 
     __slots__ = ("refs", "pos", "partners", "trails", "rules")
@@ -186,16 +189,20 @@ class _RuleIndex:
         self.trails = trails = {}
         self.rules = rules = {}
         for g in basis:
-            lead = g.lead
+            lead, trail = g.lead, g.trail
             if len(lead) != 2 or lead[0] == lead[1]:
                 raise ValueError(f"lead {lead} is not squarefree quadratic")
-            key = pos[lead[0]], pos[lead[1]]
+            a, b = pos[lead[0]], pos[lead[1]]
+            key = (a, b) if a < b else (b, a)
             if key in rules:
                 raise ValueError(f"duplicate lead {lead}")
-            trails[key] = tuple(sorted(map(pos.__getitem__, g.trail)))
+            if len(trail) != 2:
+                raise ValueError(
+                    f"trail {trail} of lead {lead} is not quadratic")
+            p, q = pos[trail[0]], pos[trail[1]]
+            trails[key] = (p, q) if p <= q else (q, p)
             rules[key] = g
-        self.partners = _partners(
-            (g.lead for g in basis), pos, len(self.refs))
+        self.partners = _partners(trails, len(self.refs))
 
     def positions(self, refs: tuple) -> tuple[int, ...]:
         """The sorted positions of these sorted refs."""
@@ -399,9 +406,9 @@ def confluence_check(basis) -> ConfluenceReport:
     ``ResourceCapError`` before any is reduced.
 
     The pairs are joined bucket by bucket, one bucket per shared lead
-    ref.  A rewrite puts the partner into the trail's two sorted
-    positions with two comparisons; a trail that is not quadratic is
-    sorted with it whole.  Each rewrite then reads the walk memo of this
+    ref, from the ``_RuleIndex``, which refuses any rule that is not
+    quadratic.  A rewrite puts the partner into the trail's two sorted
+    positions with two comparisons, then reads the walk memo of this
     call, and only a miss calls ``_normal_form``, so each distinct
     monomial is reduced once and a pair costs two dict reads and one
     comparison.  On max(4,3) that is 4,412 walks for 9,932 pairs.
@@ -415,9 +422,7 @@ def confluence_check(basis) -> ConfluenceReport:
     # per lead position, in basis order: (the rule's place in the basis,
     # the lead's other position, the trail's positions)
     by_ref = defaultdict(list)
-    for i, g in enumerate(basis):
-        a, b = lead = index.positions(g.lead)
-        trail = index.trails[lead]
+    for i, ((a, b), trail) in enumerate(index.trails.items()):
         by_ref[a].append((i, b, trail))
         by_ref[b].append((i, a, trail))
     critical = sum(len(rules) * (len(rules) - 1) // 2
@@ -431,19 +436,9 @@ def confluence_check(basis) -> ConfluenceReport:
     hit = memo.get
     failures = []
     # two distinct squarefree leads share at most one ref, so each
-    # critical pair sits in exactly one bucket
+    # critical pair sits in exactly one bucket; a sorted trail (p, q)
+    # takes the partner c in place
     for rules in by_ref.values():
-        if any(len(trail) != 2 for _, _, trail in rules):
-            # _RuleIndex checks only the leads; sort such trails whole
-            for pos, (i, b, trail1) in enumerate(rules):
-                for j, c, trail2 in rules[pos + 1:]:
-                    one = tuple(sorted(trail1 + (c,)))
-                    two = tuple(sorted(trail2 + (b,)))
-                    if (_normal_form(one, index, memo)[0]
-                            != _normal_form(two, index, memo)[0]):
-                        failures.append((i, j))
-            continue
-        # a sorted quadratic trail (p, q) takes the partner c in place
         for pos, (i, b, (p, q)) in enumerate(rules):
             for j, c, (r, s) in rules[pos + 1:]:
                 one = ((c, p, q) if c <= p else (p, c, q) if c <= q

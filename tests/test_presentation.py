@@ -27,6 +27,11 @@ from bruteforce import (
 )
 from conftest import open_nochain, reference_descs
 from reescert.measure import traced_normal_form
+from reescert.oracle import (
+    verify_kernel_generation,
+    verify_measure_decrease,
+    verify_unique_normal_forms,
+)
 from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
@@ -508,6 +513,52 @@ def test_rule_index_refuses_a_duplicate_lead(tower4):
         normal_form(P("T[1,3]*T[1,4]", tower4), basis + basis[:1])
 
 
+@pytest.mark.parametrize("shape", ["cubic", "linear"])
+def test_rule_index_refuses_a_non_quadratic_trail(tower4, shape):
+    """Every public reduction builds a ``_RuleIndex`` first, and the
+    index refuses the first rule, in basis order, whose trail is not
+    two refs: the same ``ValueError`` from each, raised by the index
+    before anything is reduced."""
+    basis = build_basis(tower4)
+    trails = {"cubic": basis[5].trail + ((0, 1),),
+              "linear": basis[5].trail[:1]}
+    (other,) = set(trails) - {shape}
+    odd = _with_trail(_with_trail(basis, 5, trails[shape]), 17, trails[other])
+    want = (f"trail {odd[5].trail} of lead {odd[5].lead} is not"
+            " quadratic")
+    f = P("T[1,3]*T[1,4]", tower4)
+    calls = (lambda: normal_form(f, odd),
+             lambda: reduce_step(f, odd),
+             lambda: traced_normal_form(f, odd, tower4),
+             lambda: confluence_check(odd),
+             lambda: verify_unique_normal_forms(tower4, odd, 2),
+             lambda: verify_kernel_generation(tower4, odd, 2),
+             lambda: verify_measure_decrease(tower4, odd, 5, 3))
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == want
+        assert type(info.traceback[-1].frame.f_locals["self"]) is _RuleIndex
+
+
+def test_reversed_lead_reduces_as_sorted(tower4):
+    """A lead given as an unsorted ref tuple is keyed by its sorted
+    positions, so it rewrites exactly as the sorted lead does."""
+    basis = build_basis(tower4)
+    g = basis[0]
+    flipped = (MarkedBinomial(g.lead[::-1], g.trail),) + basis[1:]
+    assert flipped[0].lead != g.lead
+    f = (TPolynomial.monomial(g.lead)
+         + TPolynomial.monomial(TMonomial(g.lead + T((1, 3)))))
+    assert normal_form(f, flipped) == normal_form(f, basis)
+    assert normal_form(TPolynomial.monomial(g.lead), flipped) == \
+        TPolynomial.monomial(g.trail)
+    assert confluence_check(flipped) == confluence_check(basis)
+    report = verify_unique_normal_forms(tower4, flipped, 3)
+    assert report.passed
+    assert report == verify_unique_normal_forms(tower4, basis, 3)
+
+
 # --------------------------------------------------------------- records
 
 def test_marked_binomial_record(tower4):
@@ -620,8 +671,8 @@ def _with_trail(basis, k, trail):
 
 def _partner_ties(basis):
     """(low, high): how many rewrites of the critical pairs put a
-    partner into a quadratic trail that holds it, as its low ref or as
-    its high ref."""
+    partner into a trail that holds it, as its low ref or as its high
+    ref."""
     by_ref = {}
     for g in basis:
         a, b = g.lead
@@ -632,33 +683,23 @@ def _partner_ties(basis):
         for pos, (b, trail1) in enumerate(rules):
             for c, trail2 in rules[pos + 1:]:
                 for partner, trail in ((c, trail1), (b, trail2)):
-                    if len(trail) == 2:
-                        low += partner == trail[0]
-                        high += partner == trail[1]
+                    low += partner == trail[0]
+                    high += partner == trail[1]
     return low, high
 
 
 def test_confluence_matches_reference_on_odd_trails(tower4, monkeypatch):
     """The join puts a critical pair's partner into a quadratic trail by
-    two comparisons, and sorts any other trail with it whole, since
-    ``_RuleIndex`` checks only the leads.  Both return the whole report
-    of ``confluence_by_chains``, or raise the same message: on a trail
-    that repeats a ref, on partners equal to a trail ref, and on a basis
-    with a cubic and a linear trail among quadratic ones.  A trail
-    passed unsorted joins as its sorted form."""
+    two comparisons.  It returns the whole report of
+    ``confluence_by_chains``, or raises the same message: on partners
+    equal to a trail ref, on a trail that repeats a ref, and past the
+    step cap.  A trail passed unsorted joins as its sorted form."""
     basis = build_basis(tower4)
     # the basis itself meets ties at both comparisons
     assert all(_partner_ties(basis))
     sabotaged = _sabotaged(basis)
     assert sabotaged[0].trail == T((4, 1), (4, 1))
-    # a rule sharing a lead ref with rule 0, so that both odd trails
-    # sit in one bucket with quadratic ones
-    k = next(k for k, g in enumerate(basis)
-             if k and set(g.lead) & set(basis[0].lead))
-    odd = _with_trail(_with_trail(basis, 0, basis[0].trail + ((0, 1),)),
-                      k, basis[k].trail[:1])
-    assert [len(g.trail) for g in odd[:k + 1]] == [3] + [2] * (k - 1) + [1]
-    for case in (basis, sabotaged, odd):
+    for case in (basis, sabotaged):
         report = confluence_check(case)
         assert report == confluence_by_chains(case)
         assert report.confluent == (case is basis)
@@ -667,13 +708,14 @@ def test_confluence_matches_reference_on_odd_trails(tower4, monkeypatch):
     assert g.trail[0] < g.trail[1]
     unsorted = (MarkedBinomial(g.lead, g.trail[::-1]),) + basis[1:]
     assert confluence_check(unsorted) == confluence_check(basis)
-    # a cubic trail holding its own lead grows the monomial at every
-    # step, so the cap stops the walk; both name the same cap
-    growing = _with_trail(basis, 0, basis[0].lead + ((0, 1),))
-    monkeypatch.setattr(reduction, "DEFAULT_STEP_CAP", 50)
-    want = _outcome(lambda b: confluence_by_chains(b, 50), growing)
-    assert want[0] is InternalInvariantError
-    assert _outcome(confluence_check, growing) == want
+    # tower4's chains reach length 4, so a cap of 3 stops a walk; both
+    # name the same cap
+    monkeypatch.setattr(reduction, "DEFAULT_STEP_CAP", 3)
+    want = _outcome(lambda b: confluence_by_chains(b, 3), basis)
+    assert want == (InternalInvariantError,
+                    "reduction exceeded 3 steps; the termination measure"
+                    " should forbid this")
+    assert _outcome(confluence_check, basis) == want
 
 
 def test_confluence_walks_only_on_memo_misses(bench_families,
