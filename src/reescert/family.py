@@ -203,13 +203,12 @@ class LeveledFamily:
     distinct product of a level block (the pairs of one level, or of two
     levels) is rewritten once, keyed by its packed exponent vector; a
     pair is comparable exactly when its product's image refs are its
-    own.  ``open_pairs`` lists the entries with a missing image.
-    ``incomparable_pairs`` and ``open_pairs`` classify every pair left
-    on their first call; the closure scan stops at the first open pair
-    past its witness cap.  The family holds one scan, that of the last
-    set of settled blocks of levels asked for (``certify`` leaves out
-    those the paper's theorem settles), and replaces it when other
-    blocks are settled, so each table is whole and in order.
+    own.  ``incomparable_pairs`` classifies every pair on its first
+    call; the closure scan stops at the first open pair past its
+    witness cap.  The family holds one whole table, that of the last
+    finished scan (``certify`` leaves out the blocks of levels the
+    paper's theorem settles), and replaces it when a scan of other
+    settled blocks finishes; a stopped scan is not held.
     More than ``PAIR_CAP`` pairs raise ``ResourceCapError`` from
     ``refs()``, before any ref is built or pair classified, and more
     than ``PAIR_CAP`` pairs of levels on construction.
@@ -227,28 +226,27 @@ class LeveledFamily:
         self._by_index = {lv.index: lv for lv in self.levels}
         self._size = sum(len(lv) for lv in self.levels)
         self._refs = None
-        # (settled blocks, pair table, open pairs, pending scan), started
-        # on first use; the table holds the refs of ``_refs``, not
-        # images: a Monomial pair per entry costs megabytes on the larger
-        # families
+        # (settled blocks, pair table, open pairs) of the last finished
+        # scan; the table holds the refs of ``_refs``, not images: a
+        # Monomial pair per entry costs megabytes on the larger families
         self._scan = None
 
     def _table(self, settled: frozenset, count=None):
         """The pair table of the blocks of levels not in ``settled``, and
         its first ``count`` open pairs (all of them when None) in table
-        order: pairs are classified only that far.  The held scan goes
-        on when it was started for these settled blocks; otherwise a
-        fresh one replaces it.  A wide family keys every product 0 and
-        memoizes none."""
-        if self._scan is None or self._scan[0] != settled:
+        order.  The held table answers when it was made for these
+        settled blocks.  Otherwise pairs are classified only as far as
+        the ``count``-th open pair, and the table is held, in place of
+        the one before, only when the scan finished.  A wide family
+        keys every product 0 and memoizes none."""
+        scan = self._scan
+        if scan is None or scan[0] != settled:
             pairs, found = {}, []
-            self._scan = (settled, pairs, found, _classify(
-                self.levels, self.refs(), _weights(self.n),
-                pairs, found, settled))
-        _, pairs, found, scan = self._scan
-        while (count is None or len(found) < count) and next(scan, None):
-            pass
-        return pairs, found[:count]
+            if not _classify(self.levels, self.refs(), _weights(self.n),
+                             pairs, found, settled, count):
+                return pairs, found
+            self._scan = scan = (settled, pairs, found)
+        return scan[1], scan[2][:count]
 
     @property
     def top_level(self) -> int:
@@ -296,12 +294,6 @@ class LeveledFamily:
         per distinct product of a level block.  Do not mutate."""
         return self._table(frozenset())[0]
 
-    def open_pairs(self) -> tuple:
-        """The pair-table keys with a missing image (a None ref),
-        in table order; empty exactly when the family is closed under
-        comparability."""
-        return tuple(self._table(frozenset())[1])
-
     def __len__(self) -> int:
         return self._size
 
@@ -311,18 +303,18 @@ class LeveledFamily:
 
 
 def _classify(levels, refs, weight, pairs: dict, open_pairs: list,
-              settled: frozenset):
+              settled: frozenset, stop=None) -> bool:
     """Classify the ref pairs of ``levels`` in lexicographic order,
     leaving out those of each block of levels (i, j), i <= j by level
     index, in ``settled``: enter each incomparable pair in ``pairs``
-    with its image refs, append each one with a missing image to
-    ``open_pairs``, and yield it.  ``refs`` are the family's refs, in
-    level order.  The first step reads ``Level.factors`` of every level
-    of a block left to classify, so a counted level builds none of its
-    members.  Each product is memoized by its packed exponent vector,
-    the sum of its factors' ``weight``, unless ``weight`` is None.
-    A module-level generator, so that a family it fills is not held by
-    its own pending scan.
+    with its image refs, and append each one with a missing image to
+    ``open_pairs``.  Return False as soon as ``open_pairs`` holds
+    ``stop`` entries, True once every pair is classified.  ``refs``
+    are the family's refs, in level order.  The first step reads
+    ``Level.factors`` of every level of a block left to classify, so a
+    counted level builds none of its members.  Each product is memoized
+    by its packed exponent vector, the sum of its factors' ``weight``,
+    unless ``weight`` is None.
 
     A cross-level pair (a, b) is fixed by ``ord_factors`` exactly when
     tail(b) <= head(a), head and tail the first and last standard
@@ -382,7 +374,9 @@ def _classify(levels, refs, weight, pairs: dict, open_pairs: list,
                         pairs[pair] = trail
                         if None in trail:
                             open_pairs.append(pair)
-                            yield pair
+                            if len(open_pairs) == stop:
+                                return False
+    return True
 
 
 def _is_int(value) -> bool:
@@ -568,23 +562,23 @@ def is_closed_under_comparability(
         settled=frozenset()) -> ClosureReport:
     """Check that every incomparable pair rewrites back into the family.
 
-    Walks the entries of the family's pair table with a missing image
-    (``open_pairs``), in lexicographic ref order, so the witness list is
-    deterministic.  Unless ``all_witnesses`` is set, witnesses stop at
-    ``WITNESS_CAP`` and pairs are classified only as far as the next
-    open pair, which marks the report truncated; closure itself is
-    always decided exactly.  A witness's images are rewritten again
-    from the factorizations the scan kept, by ``sort_factors`` or
-    ``ord_factors`` as in the scan, one ``Monomial`` per distinct image,
-    and ``missing`` is read off its table entry, so no generator is
-    built for them.
+    Walks the entries of the family's pair table with a missing image,
+    in lexicographic ref order, so the witness list is deterministic.
+    Unless ``all_witnesses`` is set, witnesses stop at ``WITNESS_CAP``
+    and pairs are classified only as far as the next open pair, which
+    marks the report truncated, and the family holds no table of that
+    stopped scan; closure itself is always decided exactly.  A
+    witness's images are rewritten again from the factorizations the
+    scan kept, by ``sort_factors`` or ``ord_factors`` as in the scan,
+    one ``Monomial`` per distinct image, and ``missing`` is read off its
+    table entry, so no generator is built for them.
 
     ``settled`` names blocks of levels (i, j), i <= j by level index,
     that the caller knows to hold no open pair, as those the paper's
     theorem settles (``certify``) do.  Their pairs are not classified;
-    the others fill the family's one held scan, in the same order, which
-    replaces a scan held for other blocks, and the report is that of a
-    full scan.
+    the others are, in the same order, and a finished scan's table
+    replaces the one the family held for other blocks.  The report is
+    that of a full scan.
     """
     refs = len(fam)
     checked = refs * (refs - 1) // 2

@@ -292,9 +292,6 @@ class ReductionTrace(NamedTuple):
     def normal_form(self) -> TPolynomial:
         return self.steps[-1].result if self.steps else self.start
 
-    def measures(self) -> list[ReductionMeasure]:
-        return [self.initial_measure] + [s.measure for s in self.steps]
-
 
 def traced_normal_form(f: TPolynomial, basis,
                        fam: LeveledFamily) -> ReductionTrace:

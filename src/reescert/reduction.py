@@ -177,7 +177,8 @@ class _RuleIndex:
     each position.  A lead that is not squarefree quadratic, a duplicate
     one, or a trail that is not quadratic raises ``ValueError``, the
     first in basis order, so every rule is a quadratic binomial.  Leads
-    and trails may come as unsorted ref tuples.
+    and trails may come as unsorted ref tuples; the message names them
+    as T-monomials.
     """
 
     __slots__ = ("refs", "pos", "partners", "trails", "rules")
@@ -191,14 +192,16 @@ class _RuleIndex:
         for g in basis:
             lead, trail = g.lead, g.trail
             if len(lead) != 2 or lead[0] == lead[1]:
-                raise ValueError(f"lead {lead} is not squarefree quadratic")
+                raise ValueError(
+                    f"lead {TMonomial(lead)} is not squarefree quadratic")
             a, b = pos[lead[0]], pos[lead[1]]
             key = (a, b) if a < b else (b, a)
             if key in rules:
-                raise ValueError(f"duplicate lead {lead}")
+                raise ValueError(f"duplicate lead {TMonomial(lead)}")
             if len(trail) != 2:
                 raise ValueError(
-                    f"trail {trail} of lead {lead} is not quadratic")
+                    f"trail {TMonomial(trail)} of lead {TMonomial(lead)}"
+                    " is not quadratic")
             p, q = pos[trail[0]], pos[trail[1]]
             trails[key] = (p, q) if p <= q else (q, p)
             rules[key] = g
@@ -554,7 +557,7 @@ def parse_tpolynomial(text: str, fam: LeveledFamily) -> TPolynomial:
                     raise ResourceCapError(
                         f"a term of degree over {MAX_TERM_DEGREE}")
                 try:
-                    fam.generator(tok)
+                    fam._level_of(tok)
                 except ValueError:
                     raise MonomialParseError(
                         f"unknown T-variable {tok}") from None

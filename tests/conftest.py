@@ -74,6 +74,20 @@ def open_nochain() -> dict:
     ]}
 
 
+def open_pairs(fam) -> tuple:
+    """The pair-table keys of ``fam`` with a missing image (a None ref),
+    in table order; empty exactly when the family is closed under
+    comparability."""
+    return tuple(pair for pair, trail in fam.incomparable_pairs().items()
+                 if None in trail)
+
+
+def trace_measures(trace) -> list:
+    """The (c, e) measure of a ``ReductionTrace`` before its first step
+    and after each step."""
+    return [trace.initial_measure] + [s.measure for s in trace.steps]
+
+
 @pytest.fixture
 def tower4():
     return build_family(family_dict("tower4"))

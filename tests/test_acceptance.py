@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import family_dict
+from conftest import family_dict, trace_measures
 from bruteforce import rand_rees_family
 
 from reescert.certify import build_certificate
@@ -148,7 +148,7 @@ def test_criterion_07_termination_instrumentation(tower):
     for _ in range(1000):
         mono = TMonomial(rng.choices(refs, k=rng.randint(2, 6)))
         trace = traced_normal_form(TPolynomial.monomial(mono), basis, fam)
-        measures = trace.measures()
+        measures = trace_measures(trace)
         for before, after in zip(measures, measures[1:]):
             if not after < before:
                 violations += 1

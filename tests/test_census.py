@@ -34,7 +34,7 @@ from reescert.family import (
 from reescert.presentation import build_basis
 
 from bruteforce import borel_closure_by_filter, from_factors, product
-from conftest import family_dict, open_nochain, open_tower4
+from conftest import family_dict, open_nochain, open_pairs, open_tower4
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "families"
 
@@ -106,7 +106,7 @@ def open_pairs_in_settled_blocks(fam) -> list:
     levels the paper's theorem settles: none, if the settled rule is
     sound."""
     settled = _settled_blocks(fam, characterize(fam))
-    return [(a, b) for a, b in fam.open_pairs()
+    return [(a, b) for a, b in open_pairs(fam)
             if (a.level, b.level) in settled]
 
 
@@ -203,7 +203,7 @@ def _outcome(call, *args):
 def _family_reads(fam) -> tuple:
     """Every table read of ``fam``, in this order: pair table, open
     pairs, all witnesses and the marked basis."""
-    return (list(fam.incomparable_pairs().items()), fam.open_pairs(),
+    return (list(fam.incomparable_pairs().items()), open_pairs(fam),
             is_closed_under_comparability(fam, all_witnesses=True),
             _outcome(build_basis, fam))
 
@@ -213,8 +213,8 @@ def _family_reads(fam) -> tuple:
     open_nochain()], ids=["tower4", "fiber_pair", "open_tower4",
                           "open_nochain"])
 def test_the_held_scan_answers_like_a_fresh_family(desc):
-    """A family holds one pair scan, replaced when other blocks of
-    levels are settled.  After a certificate, the family's table reads,
+    """A family holds one whole pair table, replaced when a scan of other
+    settled blocks of levels finishes.  After a certificate, the family's table reads,
     witnesses and basis equal a fresh family's; after a basis, its
     certificate equals a fresh family's."""
     fam = build_family(desc)
@@ -238,7 +238,7 @@ def test_no_open_pair_in_a_settled_block_on_the_census():
             settled = _settled_blocks(fam, characterize(fam))
             assert {(lv.index, lv.index) for lv in fam.levels} <= settled
             assert open_pairs_in_settled_blocks(fam) == [], desc
-            open_families += bool(fam.open_pairs())
+            open_families += bool(open_pairs(fam))
     assert open_families == 2 * 1366
 
 
@@ -262,7 +262,7 @@ def test_witnesses_match_the_checked_rewrite():
         fam = build_family(desc)
         report = is_closed_under_comparability(fam, all_witnesses=True)
         want = []
-        for pair in fam.open_pairs():
+        for pair in open_pairs(fam):
             images = rewrite_images(fam, *pair)
             want.append(Witness(pair, images, tuple(
                 k for k in (0, 1)
@@ -297,7 +297,7 @@ def test_certificates_build_no_borel_member(monkeypatch, bench_families):
         fam = build_family(desc)
         assert build_certificate(fam) == cert, desc
         assert all(lv._generators is None for lv in fam.levels if lv.borel)
-        scanned += fam._scan is not None
+        scanned += fam._refs is not None
     assert scanned == len(descs)
 
 

@@ -1,11 +1,8 @@
 from __future__ import annotations
 
-import gc
-import inspect
 import json
 import random
 import re
-import types
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -35,7 +32,13 @@ from bruteforce import (
     rand_rees_family,
     sort_closed_form,
 )
-from conftest import family_dict, open_nochain, open_tower4, reference_descs
+from conftest import (
+    family_dict,
+    open_nochain,
+    open_pairs,
+    open_tower4,
+    reference_descs,
+)
 from test_census import census, max_powers
 
 
@@ -257,7 +260,7 @@ def test_pair_table_matches_monomial_route(monkeypatch):
     for fam in families:
         table = pair_table_by_rewrite_images(fam)
         assert list(fam.incomparable_pairs().items()) == list(table.items())
-        assert fam.open_pairs() == tuple(
+        assert open_pairs(fam) == tuple(
             key for key, positions in table.items() if None in positions)
 
 
@@ -275,7 +278,7 @@ def test_pair_cap(monkeypatch):
     # pairs
     fam = build_family(_generated_family(13, 4))
     assert len(fam) == 1833
-    for scan in (fam.refs, fam.open_pairs, fam.incomparable_pairs):
+    for scan in (fam.refs, fam.incomparable_pairs):
         with pytest.raises(ResourceCapError, match="1833 generators"):
             scan()
     assert (fam._refs, fam._scan) == (None, None)
@@ -286,7 +289,7 @@ def test_pair_cap(monkeypatch):
     fam = build_family(family_dict("tower4"))
     assert len(fam) == 24
     with pytest.raises(ResourceCapError):
-        fam.open_pairs()
+        open_pairs(fam)
     with pytest.raises(ResourceCapError):
         fam.refs()
 
@@ -505,12 +508,14 @@ def test_stopped_scan_leaves_the_same_table(bench_families):
         fam = build_family(desc)
         report = is_closed_under_comparability(fam)
         stopped += report.truncated
+        # a stopped scan is not held: the next read classifies afresh
+        assert (fam._scan is None) == report.truncated, name
         table = pair_table_by_rewrite_images(fam)
         assert list(fam.incomparable_pairs().items()) == list(table.items())
-        assert fam.open_pairs() == tuple(
+        assert open_pairs(fam) == tuple(
             key for key, positions in table.items() if None in positions)
         drained = build_family(desc)
-        drained.open_pairs()
+        open_pairs(drained)
         assert is_closed_under_comparability(drained) == report, name
         assert is_closed_under_comparability(fam) == report, name
     assert stopped >= 5
@@ -533,15 +538,22 @@ def _pairs_through(fam, count: int) -> int:
 
 
 def test_pairs_checked_counts_through_the_stop_pair(monkeypatch):
+    scans = []
+    original = family._classify
+
+    def classify(levels, refs, weight, pairs, *rest):
+        scans.append(pairs)
+        return original(levels, refs, weight, pairs, *rest)
+
+    monkeypatch.setattr(family, "_classify", classify)
     fam = build_family(open_nochain())
     v = len(fam)
     report = is_closed_under_comparability(fam)
-    # nothing past the stop pair is classified yet
-    _, pairs, found, _ = fam._scan
-    stop = found[family.WITNESS_CAP]
+    # nothing past the stop pair is classified
+    (pairs,) = scans
+    stop = open_pairs(fam)[family.WITNESS_CAP]
     assert next(reversed(pairs)) == stop
-    assert len(fam.open_pairs()) == 93
-    assert fam.open_pairs()[family.WITNESS_CAP] == stop
+    assert len(open_pairs(fam)) == 93
     assert report.truncated and len(report.witnesses) == family.WITNESS_CAP
     assert report.pairs_checked == _pairs_through(
         fam, family.WITNESS_CAP + 1) == 198
@@ -555,28 +567,8 @@ def test_pairs_checked_counts_through_the_stop_pair(monkeypatch):
         refs = fam.refs()
         pairs = [(a, b) for i, a in enumerate(refs) for b in refs[i + 1:]]
         assert report.truncated and len(report.witnesses) == 1
-        assert report.pairs_checked == pairs.index(fam.open_pairs()[1]) + 1
+        assert report.pairs_checked == pairs.index(open_pairs(fam)[1]) + 1
         assert report.pairs_checked == _pairs_through(fam, 2)
-
-
-def _held_by_a_generator(obj) -> bool:
-    """True when a generator, or a generator's frame, refers to obj."""
-    for ref in gc.get_referrers(obj):
-        if isinstance(ref, types.GeneratorType):
-            return True
-        if (isinstance(ref, types.FrameType)
-                and ref.f_code.co_flags & inspect.CO_GENERATOR):
-            return True
-    return False
-
-
-def test_pending_scan_does_not_hold_its_family():
-    """A half-classified family is freed by reference counting alone: its
-    pending scan holds the table, not the family."""
-    fam = build_family(open_nochain())
-    assert is_closed_under_comparability(fam).truncated
-    assert fam._scan is not None
-    assert not _held_by_a_generator(fam)
 
 
 # ---------------------------------------- prefix skip and lazy factoring
@@ -669,7 +661,7 @@ def test_a_conjunction_certificate_factors_nothing(monkeypatch):
     # a scan reads a counted level's factorizations and builds no member;
     # a later read of a member builds them by the patched name
     fam = build_family(family_dict("tower4"))
-    assert fam.open_pairs() == ()
+    assert open_pairs(fam) == ()
     assert all(lv._generators is None for lv in fam.levels if lv.borel)
     with pytest.raises(AssertionError, match="built a Borel set"):
         fam.generator(GenRef(1, 1))
@@ -698,7 +690,7 @@ def test_a_certificate_rewrites_only_the_open_blocks(monkeypatch):
     certified = len(sorted_) + len(ordered)
     sorted_.clear()
     ordered.clear()
-    build_family(family_dict("fiber_pair")).open_pairs()
+    open_pairs(build_family(family_dict("fiber_pair")))
     assert 0 < certified <= len(sorted_) + len(ordered)
 
 

@@ -25,7 +25,7 @@ from bruteforce import (
     rewrite_chain,
     rules_by_lead,
 )
-from conftest import open_nochain, reference_descs
+from conftest import open_nochain, open_pairs, reference_descs
 from reescert.measure import traced_normal_form
 from reescert.oracle import (
     verify_kernel_generation,
@@ -169,6 +169,19 @@ def test_parse_rejects_garbage(tower4):
     assert P("T[4,1]", tower4).terms == {T((4, 1)): 1}
 
 
+def test_parse_and_normal_form_build_no_borel_member(tower4):
+    """Parsing checks each ref's index against its level's size, and a
+    normal form reduces on the pair table: on tower4 neither builds a
+    member of a counted level."""
+    f = P("T[3,2]*T[1,4]", tower4)
+    with pytest.raises(MonomialParseError, match="unknown T-variable"):
+        P("T[3,8]", tower4)
+    assert normal_form(f, build_basis(tower4)) == P("T[1,5]*T[3,1]", tower4)
+    counted = [lv for lv in tower4.levels if lv.borel]
+    assert len(counted) == 4
+    assert all(lv._generators is None for lv in counted)
+
+
 @pytest.mark.parametrize("text, message", [
     ("T[1,2] T[1,3]",
      "expected '+' or '-' between terms, got 'T[1,3]' at position 7"),
@@ -309,8 +322,8 @@ def test_basis_refuses_from_the_stopped_scan():
         build_basis(fam)
     assert "(32 witness pair(s))" in str(err.value)
     assert len(err.value.witnesses) == 32
-    assert fam._scan is not None
-    assert len(fam.open_pairs()) == 93
+    assert fam._scan is None
+    assert len(open_pairs(fam)) == 93
 
 
 def test_single_generator_family_has_empty_basis():
@@ -511,6 +524,22 @@ def test_rule_index_refuses_a_duplicate_lead(tower4):
     with pytest.raises(ValueError,
                        match=re.escape(f"duplicate lead {basis[0].lead}")):
         normal_form(P("T[1,3]*T[1,4]", tower4), basis + basis[:1])
+
+
+def test_rule_index_names_refused_ref_tuples_as_text(tower4):
+    """A lead or trail given through the Python API as a plain ref tuple
+    is named in the refusal as T-monomial text, as a ``TMonomial``
+    prints."""
+    basis = build_basis(tower4)
+    g = basis[0]
+    f = P("T[1,3]*T[1,4]", tower4)
+    with pytest.raises(ValueError) as info:
+        normal_form(f, basis + (MarkedBinomial(g.lead[::-1], g.trail),))
+    assert str(info.value) == "duplicate lead T[0,1]*T[1,2]"
+    with pytest.raises(ValueError) as info:
+        normal_form(f, (MarkedBinomial(g.lead, g.trail[:1]),) + basis[1:])
+    assert str(info.value) == (
+        "trail T[0,2] of lead T[0,1]*T[1,2] is not quadratic")
 
 
 @pytest.mark.parametrize("shape", ["cubic", "linear"])

@@ -11,7 +11,7 @@ import reescert
 import reescert.cli  # noqa: F401  (the tracer patches the cli module too)
 from reescert.family import build_family
 
-from conftest import family_dict, open_tower4
+from conftest import family_dict, open_pairs, open_tower4
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DEMOS = PERFBENCH.parent / "demos" / "families"
@@ -31,7 +31,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         # are dealt on factorizations; the checked public rewrite of a
         # same-level open pair still goes through sort_pair
         fam = build_family(open_tower4())
-        pair = next(p for p in fam.open_pairs() if p[0].level == p[1].level)
+        pair = next(p for p in open_pairs(fam) if p[0].level == p[1].level)
         reescert.family.rewrite_images(fam, *pair)
     finally:
         tracer.uninstall()
