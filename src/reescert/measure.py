@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from functools import lru_cache
+from itertools import chain
 from operator import gt, lt
 from typing import NamedTuple
 
@@ -41,10 +42,8 @@ from . import reduction
 from .reduction import (
     TPolynomial,
     _RuleIndex,
-    _index_for,
     _normal_form,
     _polynomial_step,
-    _positions,
     _step_cap_error,
 )
 
@@ -258,9 +257,10 @@ def _measure(ps: tuple, refs: tuple, fam: LeveledFamily,
 
 
 def reduction_level(mono: TMonomial, fam: LeveledFamily) -> ReductionMeasure:
-    """The pair (c, minimal e summed over levels) for one T-monomial."""
-    refs, pos = _positions(mono)
-    return _measure(tuple(map(pos.__getitem__, mono)), refs, fam, {})
+    """The pair (c, minimal e summed over levels) for one T-monomial,
+    or for its refs given as a tuple in any order."""
+    index = _RuleIndex((), mono)
+    return _measure(index.positions(mono), index.refs, fam, {})
 
 
 def _polynomial_measure(f: TPolynomial, index: _RuleIndex,
@@ -305,7 +305,7 @@ def traced_normal_form(f: TPolynomial, basis,
     reduction: the measure should forbid that many.  One memo of pair
     parts serves every step.
     """
-    index = _index_for(basis, f)
+    index = _RuleIndex(basis, chain.from_iterable(f.terms))
     walks = {}
     for mono in f.terms:
         _normal_form(index.positions(mono), index, walks)

@@ -39,13 +39,20 @@ BOREL_CAP = 10**5
 BOREL_ENTRY_CAP = 10**7
 
 
+def _integral(v) -> int:
+    """v as an int, refusing a value that ``int`` would truncate."""
+    if int(v) != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 class Monomial:
     """Immutable monomial over a fixed variable count ``n``."""
 
     __slots__ = ("exps", "degree")
 
     def __init__(self, exps):
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(_integral, exps))
         if not exps:
             raise ValueError("monomial needs at least one variable slot")
         if any(e < 0 for e in exps):

@@ -182,8 +182,7 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
     _check_enumeration(fam, max_degree)
     refs = fam.refs()
     index = _RuleIndex(basis, refs)
-    buckets, unpack = _fiber_members(
-        fam, max_degree, [index.pos[ref] for ref in refs])
+    buckets, unpack = _fiber_members(fam, max_degree, index.positions(refs))
     table = _partners(map(index.positions, fam.incomparable_pairs()),
                       len(index.refs))
     # when the basis's leads are the table's keys, as on a built basis,
@@ -298,13 +297,12 @@ def verify_measure_decrease(fam: LeveledFamily, basis, samples: int = 200,
     rng = random.Random(seed)
     refs = fam.refs()
     index = _RuleIndex(basis, refs)
-    pos = index.pos
     parts = {}
     steps = 0
     failures = []
     for _ in range(samples):
-        ps = tuple(sorted(map(pos.__getitem__, rng.choices(
-            refs, k=rng.randint(1, max_degree)))))
+        ps = index.positions(rng.choices(
+            refs, k=rng.randint(1, max_degree)))
         walk = {}
         steps += _normal_form(ps, index, walk)[1]
         # one chain: its distances to the normal form are distinct

@@ -18,6 +18,7 @@ from .family import GenRef, LeveledFamily, is_closed_under_comparability
 # Not called here (the family's pair table answers both); imported because
 # perfbench/tracer.py counts calls by patching these names in this module.
 from .family import comparable, rewrite_images  # noqa: F401
+from .monomials import _integral
 
 
 class TMonomial(tuple):
@@ -27,8 +28,8 @@ class TMonomial(tuple):
     __slots__ = ()
 
     def __new__(cls, refs=()):
-        return tuple.__new__(
-            cls, sorted(GenRef(int(i), int(j)) for i, j in refs))
+        return tuple.__new__(cls, sorted(
+            GenRef(_integral(i), _integral(j)) for i, j in refs))
 
     @classmethod
     def _of_sorted(cls, refs) -> "TMonomial":
@@ -103,13 +104,14 @@ def basis_shape(rules) -> dict:
     refs)`` pairs, in one pass: a closed family's pair-table items, or
     a basis's rules as ref tuples."""
     quadratic = squarefree = True
-    for lead, trail in rules:
+    count = 0
+    for count, (lead, trail) in enumerate(rules, 1):
         if len(lead) != 2 or len(trail) != 2:
             quadratic = False
             squarefree = squarefree and len(set(lead)) == len(lead)
         elif lead[0] == lead[1]:
             squarefree = False
-    return {"count": len(rules), "quadratic": quadratic,
+    return {"count": count, "quadratic": quadratic,
             "squarefree_leads": squarefree}
 
 

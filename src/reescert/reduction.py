@@ -147,14 +147,6 @@ def psi_eval(mono: TMonomial, fam: LeveledFamily) -> PsiImage:
     return PsiImage(tuple(xs), ())
 
 
-def _positions(refs) -> tuple[tuple[GenRef, ...], dict]:
-    """The distinct refs in lexicographic order, and each one's position
-    in that order: int order is ref order, so a sorted ref tuple maps to
-    a sorted position tuple and back."""
-    ordered = tuple(sorted(set(refs)))
-    return ordered, {ref: i for i, ref in enumerate(ordered)}
-
-
 def _partners(pairs, size: int) -> list[set]:
     """Per position a, the set of positions b > a with (a, b) among the
     sorted position pairs: the lead partners ``_least_lead`` reads."""
@@ -166,11 +158,14 @@ def _partners(pairs, size: int) -> list[set]:
 
 class _RuleIndex:
     """The basis on ref positions, the one form every reduction reads,
-    and the one place that checks a basis's shape.
+    and the one place that checks a basis's shape and turns refs into
+    positions.
 
-    ``refs`` lists the refs of the basis and the extra refs passed in,
-    in lexicographic order (see ``_positions``); a ref's position is
-    its place there, and ``pos`` maps each ref to it.  ``trails`` maps
+    ``basis`` is read once, so any iterable of rules will do.  ``refs``
+    lists the distinct refs of the basis and the extra refs passed in,
+    in lexicographic order; a ref's position is its place there, and
+    ``pos`` maps each ref to it, so int order is ref order and a sorted
+    ref tuple maps to a sorted position tuple and back.  ``trails`` maps
     each lead, as its sorted position pair (a, b), to its trail's sorted
     position pair, and ``rules`` to its ``MarkedBinomial``, for reports;
     both are in basis order.  ``partners`` holds the lead partners of
@@ -184,9 +179,10 @@ class _RuleIndex:
     __slots__ = ("refs", "pos", "partners", "trails", "rules")
 
     def __init__(self, basis, refs=()):
-        self.refs, pos = _positions(chain(
-            refs, *(g.lead + g.trail for g in basis)))
-        self.pos = pos
+        basis = tuple(basis)
+        self.refs = tuple(sorted(set(chain(
+            refs, *(g.lead + g.trail for g in basis)))))
+        self.pos = pos = {ref: i for i, ref in enumerate(self.refs)}
         self.trails = trails = {}
         self.rules = rules = {}
         for g in basis:
@@ -207,9 +203,9 @@ class _RuleIndex:
             rules[key] = g
         self.partners = _partners(trails, len(self.refs))
 
-    def positions(self, refs: tuple) -> tuple[int, ...]:
-        """The sorted positions of these sorted refs."""
-        return tuple(map(self.pos.__getitem__, refs))
+    def positions(self, refs) -> tuple[int, ...]:
+        """The sorted positions of these refs, given in any order."""
+        return tuple(sorted(map(self.pos.__getitem__, refs)))
 
     def monomial(self, ps: tuple) -> TMonomial:
         """The T-monomial at these sorted positions."""
@@ -263,16 +259,11 @@ def _polynomial_step(f: TPolynomial, index: _RuleIndex
     return None
 
 
-def _index_for(basis, f: TPolynomial) -> _RuleIndex:
-    """A new ``_RuleIndex`` of the basis with a position for every ref
-    of every support monomial of f."""
-    return _RuleIndex(tuple(basis), chain.from_iterable(f.terms))
-
-
 def reduce_step(f: TPolynomial, basis) -> TPolynomial | None:
     """One deterministic reduction step, or None at a normal form; see
     ``_polynomial_step`` for the strategy."""
-    step = _polynomial_step(f, _index_for(basis, f))
+    step = _polynomial_step(
+        f, _RuleIndex(basis, chain.from_iterable(f.terms)))
     return None if step is None else step[2]
 
 
@@ -339,7 +330,7 @@ def normal_form(f: TPolynomial, basis) -> TPolynomial:
     confluent or not.  A monomial whose chain is longer than
     ``DEFAULT_STEP_CAP`` raises ``InternalInvariantError``.
     """
-    index = _index_for(basis, f)
+    index = _RuleIndex(basis, chain.from_iterable(f.terms))
     memo = {}
     return TPolynomial(
         (index.monomial(
@@ -408,11 +399,12 @@ def confluence_check(basis) -> ConfluenceReport:
     More than ``CRITICAL_PAIR_CAP`` critical pairs raise
     ``ResourceCapError`` before any is reduced.
 
-    The pairs are joined bucket by bucket, one bucket per shared lead
-    ref, from the ``_RuleIndex``, which refuses any rule that is not
-    quadratic.  A rewrite puts the partner into the trail's two sorted
-    positions with two comparisons, then reads the walk memo of this
-    call, and only a miss calls ``_normal_form``, so each distinct
+    The basis is read once, into the ``_RuleIndex``, which refuses any
+    rule that is not quadratic, so any iterable of rules will do; B is
+    its rule count.  The pairs are joined bucket by bucket, one bucket
+    per shared lead ref.  A rewrite puts the partner into the trail's
+    two sorted positions with two comparisons, then reads the walk memo
+    of this call, and only a miss calls ``_normal_form``, so each distinct
     monomial is reduced once and a pair costs two dict reads and one
     comparison.  On max(4,3) that is 4,412 walks for 9,932 pairs.
     Memoizing changes no verdict, failure or length.  The memo holds one
@@ -451,7 +443,7 @@ def confluence_check(basis) -> ConfluenceReport:
                 if ((hit(one) or _normal_form(one, index, memo))[0]
                         != (hit(two) or _normal_form(two, index, memo))[0]):
                     failures.append((i, j))
-    total = len(basis) * (len(basis) - 1) // 2
+    total = len(index.rules) * (len(index.rules) - 1) // 2
     longest = max((steps for _, steps in memo.values()), default=0)
     return ConfluenceReport(total, critical, tuple(sorted(failures)),
                             longest, len(memo))

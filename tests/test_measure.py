@@ -7,7 +7,7 @@ import pytest
 
 from reescert import measure, reduction
 from reescert.errors import InternalInvariantError, ResourceCapError
-from reescert.family import build_family
+from reescert.family import GenRef, build_family
 from reescert.measure import (
     ROW_CAP,
     ReductionMeasure,
@@ -219,6 +219,8 @@ def test_reduction_level_small_frozen(tower4):
     assert reduction_level(P("T[1,3]*T[1,4]"), tower4) == (0, 1)
     assert reduction_level(P("T[1,2]*T[1,5]"), tower4) == (0, 0)
     assert reduction_level(P("T[0,1]*T[2,7]"), tower4) == (3, 0)
+    # refs in any order read as their sorted T-monomial
+    assert reduction_level((GenRef(2, 7), GenRef(0, 1)), tower4) == (3, 0)
     assert reduction_level(P("T[0,3]*T[2,3]"), tower4) == (0, 0)
     assert reduction_level(TMonomial(), tower4) == (0, 0)
 

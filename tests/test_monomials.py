@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -72,6 +73,13 @@ def test_monomial_checks_and_repr():
     for bad in ((), (1, -1)):
         with pytest.raises(ValueError):
             Monomial(bad)
+    # a number int() would truncate is refused, named; an integral one
+    # is taken as an int
+    for exps, bad in (((1.5, 0), "1.5"), ((0, 2, 0.25), "0.25")):
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)} is not"):
+            Monomial(exps)
+    exps = Monomial((2.0, True, 0)).exps
+    assert exps == (2, 1, 0) and set(map(type, exps)) == {int}
     m = Monomial([2, 0, 1])
     with pytest.raises(AttributeError):
         m.exps = (1, 1, 1)

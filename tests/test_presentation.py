@@ -92,6 +92,16 @@ def test_tmonomial_is_its_sorted_ref_tuple():
         m.refs = refs
 
 
+def test_tmonomial_refuses_non_integral_numbers():
+    """A number ``int`` would truncate is refused, naming it; ints,
+    bools and integral floats are taken as ints."""
+    for refs, bad in (([(1.9, 2)], "1.9"), ([(0, 1), (1, 2.5)], "2.5")):
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)} is not"):
+            TMonomial(refs)
+    assert TMonomial([(1.0, 2), (True, 1)]) == T((1, 1), (1, 2))
+    assert type(TMonomial([(1.0, 2)])[0].level) is int
+
+
 def test_tmonomial_pair_division():
     # a rewrite takes one copy of each lead ref off and keeps the rest
     m = T((0, 1), (0, 1), (1, 2))
@@ -395,6 +405,8 @@ def test_basis_shape_matches_json(tower4):
                             "squarefree_leads": True}
     # the pair table reads the same shape as the rules built from it
     assert basis_shape(tower4.incomparable_pairs().items()) == shape(basis)
+    # the rules are read in one pass, so a generator of them will do
+    assert basis_shape((g.lead, g.trail) for g in basis) == shape(basis)
     assert shape(cubic) == {"count": 1, "quadratic": False,
                             "squarefree_leads": True}
     assert shape(repeated) == {"count": 1, "quadratic": True,
@@ -542,6 +554,21 @@ def test_rule_index_names_refused_ref_tuples_as_text(tower4):
         "trail T[0,2] of lead T[0,1]*T[1,2] is not quadratic")
 
 
+# The seven public reductions, each called as (family, polynomial, basis)
+PUBLIC_REDUCTIONS = {
+    "normal_form": lambda fam, f, b: normal_form(f, b),
+    "reduce_step": lambda fam, f, b: reduce_step(f, b),
+    "traced_normal_form": lambda fam, f, b: traced_normal_form(f, b, fam),
+    "confluence_check": lambda fam, f, b: confluence_check(b),
+    "verify_unique_normal_forms":
+        lambda fam, f, b: verify_unique_normal_forms(fam, b, 3),
+    "verify_kernel_generation":
+        lambda fam, f, b: verify_kernel_generation(fam, b, 3),
+    "verify_measure_decrease":
+        lambda fam, f, b: verify_measure_decrease(fam, b),
+}
+
+
 @pytest.mark.parametrize("shape", ["cubic", "linear"])
 def test_rule_index_refuses_a_non_quadratic_trail(tower4, shape):
     """Every public reduction builds a ``_RuleIndex`` first, and the
@@ -556,18 +583,22 @@ def test_rule_index_refuses_a_non_quadratic_trail(tower4, shape):
     want = (f"trail {odd[5].trail} of lead {odd[5].lead} is not"
             " quadratic")
     f = P("T[1,3]*T[1,4]", tower4)
-    calls = (lambda: normal_form(f, odd),
-             lambda: reduce_step(f, odd),
-             lambda: traced_normal_form(f, odd, tower4),
-             lambda: confluence_check(odd),
-             lambda: verify_unique_normal_forms(tower4, odd, 2),
-             lambda: verify_kernel_generation(tower4, odd, 2),
-             lambda: verify_measure_decrease(tower4, odd, 5, 3))
-    for call in calls:
+    for call in PUBLIC_REDUCTIONS.values():
         with pytest.raises(ValueError) as info:
-            call()
+            call(tower4, f, odd)
         assert str(info.value) == want
         assert type(info.traceback[-1].frame.f_locals["self"]) is _RuleIndex
+
+
+@pytest.mark.parametrize("entry", PUBLIC_REDUCTIONS)
+def test_public_reductions_read_a_one_shot_basis(tower4, entry):
+    """Every public reduction reads its basis once, through the
+    ``_RuleIndex``, so a one-shot iterator of the rules gives the report
+    the tuple gives."""
+    basis = build_basis(tower4)
+    f = P("T[1,3]*T[1,4] + 2*T[0,1]*T[2,7]", tower4)
+    call = PUBLIC_REDUCTIONS[entry]
+    assert call(tower4, f, iter(basis)) == call(tower4, f, basis)
 
 
 def test_reversed_lead_reduces_as_sorted(tower4):
