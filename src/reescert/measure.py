@@ -20,18 +20,18 @@ columns, which no row order changes, plus the lesser of what the pair
 pays in its shared columns one way round or the other; a standard
 factorization is sorted, so a row has no inversions of its own.  That
 sum is exact whenever the level's strict pairwise preferences have no
-cycle (see ``inversion_minimal``), and ``_measure`` uses it unless the
-sorted row order misses it for some pair or the monomial has more than
-``ROW_CAP`` refs; then e comes from ``inversion_minimal`` level by
-level.  c is always the pair sum.  The measure suite keeps each pair's
-part in one memo for all the monomials it checks.
+cycle (see ``inversion_minimal``); ``_measure`` adds, for a level whose
+preferences cycle, what ``inversion_minimal`` finds beyond it.  The
+measure suite keeps each pair's part, with its preference, in one memo
+for all the monomials it checks, and tests each level slice for a cycle
+once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
 from operator import gt, lt
 from typing import NamedTuple
 
@@ -49,8 +49,8 @@ from .reduction import (
 
 ROW_CAP = 10
 # row multisets kept by inversion_minimal; the measure asks it only for
-# levels with a loose pair, about 1,200 distinct ones in one
-# oracle-ladder benchmark run
+# levels whose strict preferences cycle, none in an oracle-ladder
+# benchmark run and a few in a measure suite on max(5,3)
 MINIMAL_CACHE_SIZE = 2**16
 
 
@@ -172,8 +172,8 @@ def _inversion_minimal(rows):
     return cross + h[full], tuple(order)
 
 
-def _pair_part(fam: LeveledFamily, r, s) -> tuple[int, int, bool]:
-    """(c, e, loose) of one occurrence pair r <= s in ref order.
+def _pair_part(fam: LeveledFamily, r, s) -> tuple[int, int, int]:
+    """(c, e, prefer) of one occurrence pair r <= s in ref order.
 
     Across levels, c counts the descents from the row of s, the higher
     ref, to that of r: an entry of s with the larger index (the smaller
@@ -181,54 +181,56 @@ def _pair_part(fam: LeveledFamily, r, s) -> tuple[int, int, bool]:
     part, the descents from one column to a later one (the rows are
     sorted, so all between the two rows), plus min(w_rs, w_sr) of
     ``_column_wins``: what the pair pays in its shared columns with the
-    cheaper row first.  The pair is loose when the sorted row order pays
-    more than that minimum.
+    cheaper row first.  prefer is the sign of w_rs - w_sr: -1 when r is
+    strictly preferred before s, 1 when s is before r, else 0.
     """
     a, b = fam.factors(r), fam.factors(s)
     if r.level != s.level:
-        return _descents((b, a)), 0, False
+        return _descents((b, a)), 0, 0
     rs, sr = _column_wins(a, b)
-    least = min(rs, sr)
-    paid = rs if a <= b else sr
-    return 0, _descents(zip(a, b)) + least, paid > least
+    return 0, _descents(zip(a, b)) + min(rs, sr), (rs > sr) - (rs < sr)
 
 
-def _pair_sums(ps: tuple, refs: tuple, fam: LeveledFamily,
-               memo: dict) -> tuple[int, int, bool]:
-    """(c, e, loose) of the monomial at these sorted positions of
-    ``refs``, summed over its occurrence pairs.  ``memo`` maps each
-    position, on first use, to a dict of its pair parts with the
-    positions after it."""
-    c = e = 0
-    loose = False
-    for i, r in enumerate(ps):
-        parts = memo.get(r)
-        if parts is None:
-            parts = memo[r] = {}
-        for s in ps[i + 1:]:
-            part = parts.get(s)
-            if part is None:
-                part = parts[s] = _pair_part(fam, refs[r], refs[s])
-            pc, pe, pl = part
-            c += pc
-            e += pe
-            if pl:
-                loose = True
-    return c, e, loose
+def _level_runs(ps: tuple, refs: tuple) -> list[tuple]:
+    """The slices of these sorted positions that share a level of three
+    rows or more.  Position order is ref order, so a level's positions
+    are contiguous.  A level of more than ``ROW_CAP`` rows is refused."""
+    runs = [tuple(run) for _, run in groupby(ps, lambda p: refs[p].level)]
+    for run in runs:
+        if len(run) > ROW_CAP:
+            raise ResourceCapError(
+                f"level matrix has {len(run)} rows, cap is {ROW_CAP}")
+    return [run for run in runs if len(run) > 2]
 
 
-def _rows_by_level(refs: tuple, fam: LeveledFamily) -> dict:
-    """Each referenced level's factor rows, in ref order, in one pass."""
-    by_level: dict[int, list[tuple[int, ...]]] = {}
-    for ref in refs:
-        by_level.setdefault(ref.level, []).append(fam.factors(ref))
-    return by_level
-
-
-def _minimal_e(by_level: dict) -> int:
-    """e level by level from ``inversion_minimal``, which refuses a level
-    of more than ``ROW_CAP`` rows."""
-    return sum(inversion_minimal(rows)[0] for rows in by_level.values())
+def _cycle_excess(run: tuple, refs: tuple, fam: LeveledFamily,
+                  memo: dict) -> int:
+    """What the level at these sorted positions pays beyond its pair
+    sum: 0 unless its strict preferences, read from the pair parts in
+    ``memo``, cycle, which Kahn's algorithm finds when it cannot place
+    every row; then ``inversion_minimal`` less the pair sum."""
+    after = [[] for _ in run]
+    preds = [0] * len(run)
+    pair_e = 0
+    for i, r in enumerate(run):
+        parts = memo[r]
+        for j in range(i + 1, len(run)):
+            _, pe, prefer = parts[run[j]]
+            pair_e += pe
+            if prefer:
+                a, b = (i, j) if prefer < 0 else (j, i)
+                after[a].append(b)
+                preds[b] += 1
+    placed = [i for i, n in enumerate(preds) if not n]
+    for a in placed:  # grows as rows are freed
+        for b in after[a]:
+            preds[b] -= 1
+            if not preds[b]:
+                placed.append(b)
+    if len(placed) == len(run):
+        return 0
+    rows = [fam.factors(refs[p]) for p in run]
+    return inversion_minimal(rows)[0] - pair_e
 
 
 def _measure(ps: tuple, refs: tuple, fam: LeveledFamily,
@@ -237,22 +239,39 @@ def _measure(ps: tuple, refs: tuple, fam: LeveledFamily,
     from its pair parts.
 
     c is the sum of the cross-level pair parts.  e is the sum of the
-    same-level pair parts; the rows are standard factorizations, sorted,
-    so no row has inversions of its own.  That sum is the cost of the
-    sorted row order, which is minimal when it meets the pairwise bound
-    of ``inversion_minimal``, that is unless some pair is loose; then e
-    comes from ``inversion_minimal`` level by level.  A monomial with
-    more refs than ``ROW_CAP`` takes e level by level before any pair
-    is summed, so that a level over the cap is refused at once; only its
-    c comes from the pair parts.  A memo
-    kept over many monomials of one numbering computes each part once.
+    same-level pair parts, the pairwise bound of ``inversion_minimal``
+    (the rows are standard factorizations, sorted, so no row has
+    inversions of its own), plus each level's cycle excess, which is 0
+    unless the level's strict preferences cycle.  Ref order is a row
+    order, so no level cycles unless ref order breaks some pair's
+    preference, and a cycle takes three rows.  A level of more than
+    ``ROW_CAP`` rows is refused before any pair part is computed.
+    ``memo``, kept over many monomials of one numbering, maps each
+    position, on first use, to a dict of its pair parts with the
+    positions after it, and each tested level slice to its excess.
     """
-    if len(ps) > ROW_CAP:
-        e = _minimal_e(_rows_by_level(tuple(map(refs.__getitem__, ps)), fam))
-        return ReductionMeasure(_pair_sums(ps, refs, fam, memo)[0], e)
-    c, e, loose = _pair_sums(ps, refs, fam, memo)
-    if loose:
-        e = _minimal_e(_rows_by_level(tuple(map(refs.__getitem__, ps)), fam))
+    runs = _level_runs(ps, refs) if len(ps) > ROW_CAP else ()
+    c = e = 0
+    missed = False
+    for i, r in enumerate(ps):
+        parts = memo.get(r)
+        if parts is None:
+            parts = memo[r] = {}
+        for s in ps[i + 1:]:
+            try:
+                pc, pe, prefer = parts[s]
+            except KeyError:
+                pc, pe, prefer = parts[s] = _pair_part(fam, refs[r], refs[s])
+            c += pc
+            e += pe
+            if prefer > 0:
+                missed = True
+    if missed:
+        for run in runs or _level_runs(ps, refs):
+            excess = memo.get(run)
+            if excess is None:
+                excess = memo[run] = _cycle_excess(run, refs, fam, memo)
+            e += excess
     return ReductionMeasure(c, e)
 
 

@@ -313,6 +313,15 @@ def min_inversions_by_permutation(rows):
     return best, best_rows
 
 
+def rows_by_level(refs, fam) -> dict:
+    """Each referenced level's matrix: the factor rows of its refs, in
+    ref order with multiplicity, keyed by level."""
+    by_level: dict[int, list[tuple[int, ...]]] = {}
+    for ref in refs:
+        by_level.setdefault(ref.level, []).append(fam.factors(ref))
+    return by_level
+
+
 def comparability_by_occurrences(mono, fam) -> int:
     """The comparability number c by its definition, one occurrence pair
     at a time: each variable occurrence is read off the exponent vector

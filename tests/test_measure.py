@@ -13,11 +13,11 @@ from reescert.measure import (
     ReductionMeasure,
     _measure,
     _polynomial_measure,
-    _rows_by_level,
     inversion_minimal,
     reduction_level,
     traced_normal_form,
 )
+from reescert.oracle import verify_measure_decrease
 from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
@@ -36,6 +36,7 @@ from bruteforce import (
     min_inversions_by_permutation,
     pair_table_by_rewrite_images,
     rewrite_chain,
+    rows_by_level,
     rules_by_lead,
 )
 from conftest import trace_measures
@@ -198,7 +199,7 @@ def test_descents_matches_pair_count():
 def test_level_matrix_rows(tower4):
     # one level matrix per referenced level: the factorizations of its
     # generators, in ref order with multiplicity
-    rows = _rows_by_level(demo_monomial(tower4).refs, tower4)
+    rows = rows_by_level(demo_monomial(tower4).refs, tower4)
     assert rows == {0: [(1,), (1,), (4,)],
                     1: [(1, 1), (3, 3), (2, 4)],
                     2: [(1, 1, 2), (2, 2, 3)]}
@@ -206,7 +207,7 @@ def test_level_matrix_rows(tower4):
 
 def test_reduction_level_frozen(tower4):
     m = demo_monomial(tower4)
-    rows = _rows_by_level(m.refs, tower4)
+    rows = rows_by_level(m.refs, tower4)
     assert comparability_by_occurrences(m, tower4) == 25
     assert inversion_minimal(rows[0])[0] == 0
     assert inversion_minimal(rows[1])[0] == 3
@@ -235,7 +236,7 @@ def reference_measure(m, fam, max_permuted=5):
     """(c, e) by definition: c one occurrence pair at a time, e level by
     level by permutation search where a level has few rows."""
     e = 0
-    for rows in _rows_by_level(m.refs, fam).values():
+    for rows in rows_by_level(m.refs, fam).values():
         e += (min_inversions_by_permutation(rows)[0]
               if len(rows) <= max_permuted else inversion_minimal(rows)[0])
     return comparability_by_occurrences(m, fam), e
@@ -243,7 +244,7 @@ def reference_measure(m, fam, max_permuted=5):
 
 def test_measure_matches_definition(bench_families):
     # c one occurrence pair at a time; e level by level through
-    # _rows_by_level, by permutation search where a level has few rows.
+    # rows_by_level, by permutation search where a level has few rows.
     # Every ladder rung, the demos among them, through reduction_level
     # and through _measure with one memo of parts per family, as the
     # measure suite keeps it
@@ -270,7 +271,7 @@ def test_measure_on_cyclic_levels(bench_families):
     cyclic = 0
     for _ in range(5000):
         m = TMonomial(rng.choices(refs, k=rng.randint(1, 10)))
-        levels = _rows_by_level(m.refs, fam).values()
+        levels = rows_by_level(m.refs, fam).values()
         hit = [rows for rows in levels if has_preference_cycle(rows)]
         if not hit:
             continue
@@ -284,6 +285,59 @@ def test_measure_on_cyclic_levels(bench_families):
         assert _measure(at(refs, m), refs, fam, memo) == want
         assert reduction_level(m, fam) == want
     assert cyclic == 4
+
+
+def test_cycle_excess_decides_acyclicity():
+    # one level holding every monomial of its degree, so that any row
+    # multiset is some monomial's level matrix.  The excess read from
+    # the pair parts is 0 exactly when the strict preferences have no
+    # cycle; e is the pairwise bound plus the excess either way.  Every
+    # other multiset is drawn from rows of one entry sum, which compete
+    # most closely: the cycles in this file's examples are of that kind
+    rng = random.Random(53)
+    cyclic = checked = 0
+    for n in range(3, 7):
+        for degree in (3, 4):
+            fam = build_family({"mode": "rees", "variables": n, "levels": [
+                {"degree": degree, "borel": f"x{n}^{degree}"}]})
+            refs = fam.refs()
+            at_row = {fam.factors(ref): i for i, ref in enumerate(refs)
+                      if ref.level == 1}
+            memo = {}
+            for draw in range(250):
+                pool = list(at_row)
+                if draw % 2:
+                    weight = sum(rng.choice(pool))
+                    pool = [row for row in pool if sum(row) == weight]
+                rows = rng.choices(pool, k=rng.randint(3, 8))
+                ps = tuple(sorted(map(at_row.__getitem__, rows)))
+                e = _measure(ps, refs, fam, memo).e
+                excess = measure._cycle_excess(ps, refs, fam, memo)
+                assert (excess > 0) == has_preference_cycle(rows), rows
+                assert e == inversion_minimal(rows)[0] == \
+                    pairwise_bound(rows) + excess
+                cyclic += excess > 0
+                checked += 1
+    assert (checked, cyclic) == (2000, 37)
+
+
+@pytest.mark.parametrize("seed, steps, calls",
+                         [(1, 1782, 2), (15, 1854, 2), (16, 1812, 3)])
+def test_measure_suite_frozen_on_cyclic_levels(bench_families, monkeypatch,
+                                               seed, steps, calls):
+    # max(5,3) walks that meet levels whose preferences cycle: frozen
+    # reports, and one inversion_minimal call per distinct cyclic level
+    # slice, none on an acyclic level
+    fam = build_family(bench_families.LADDER["max5_3"])
+    counted = []
+    real = measure.inversion_minimal
+    monkeypatch.setattr(measure, "inversion_minimal",
+                        lambda rows: counted.append(rows) or real(rows))
+    report = verify_measure_decrease(fam, build_basis(fam), 400, 8, seed)
+    assert (report.samples, report.max_degree, report.steps,
+            report.failures) == (400, 8, steps, ())
+    assert len(counted) == calls
+    assert all(has_preference_cycle(rows) for rows in counted)
 
 
 def test_measure_on_high_degree_rows():
@@ -308,8 +362,11 @@ def test_reduction_level_row_cap(tower4):
     m = parse_tpolynomial("T[1,1]^11", tower4).support()[0]
     with pytest.raises(ResourceCapError, match="11 rows, cap is 10"):
         reduction_level(m, tower4)
+    # refused before any pair part is computed
+    memo = {}
     with pytest.raises(ResourceCapError, match="11 rows"):
-        _measure(at(tower4.refs(), m), tower4.refs(), tower4, {})
+        _measure(at(tower4.refs(), m), tower4.refs(), tower4, memo)
+    assert memo == {}
     # ten rows are fine
     assert ROW_CAP == 10
     ten = parse_tpolynomial("T[1,1]^10", tower4).support()[0]
@@ -317,13 +374,13 @@ def test_reduction_level_row_cap(tower4):
 
 
 def test_long_monomial_is_measured_level_by_level(tower4, maxpowers3):
-    # more refs than ROW_CAP, no level over it: e comes level by level
-    # from inversion_minimal, c from the pair parts
+    # more refs than ROW_CAP, no level over it: c and e come from the
+    # pair parts, each level's e matching its permutation search
     m = parse_tpolynomial(
         "T[0,1]*T[0,2]*T[0,3]*T[1,1]*T[1,2]*T[1,3]*T[1,4]"
         "*T[2,1]*T[2,2]*T[2,3]*T[2,4]", tower4).support()[0]
     assert m.degree == 11 > ROW_CAP
-    rows = _rows_by_level(m.refs, tower4)
+    rows = rows_by_level(m.refs, tower4)
     assert max(map(len, rows.values())) <= ROW_CAP
     e = sum(min_inversions_by_permutation(r)[0] for r in rows.values())
     assert (comparability_by_occurrences(m, tower4), e) == (35, 7)
@@ -346,7 +403,7 @@ def test_long_monomial_is_measured_level_by_level(tower4, maxpowers3):
                 picks.append(rng.choice(pools[lv]))
             m = TMonomial(picks)
             e = sum(min_inversions_by_permutation(r)[0]
-                    for r in _rows_by_level(m.refs, fam).values())
+                    for r in rows_by_level(m.refs, fam).values())
             assert reduction_level(m, fam) == (
                 comparability_by_occurrences(m, fam), e), m
 

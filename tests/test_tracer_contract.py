@@ -75,21 +75,33 @@ def test_one_closure_scan_per_certificate(monkeypatch):
 
 
 def test_tracer_counts_inversion_minimal_on_a_loose_level(monkeypatch):
-    """The measure reads e from pair parts unless a same-level pair is
-    loose; then it calls ``inversion_minimal`` by its module name, where
-    the tracer counts it.  A local alias would read 0 here."""
+    """The measure reads e from pair parts unless a level's strict
+    preferences cycle; then it calls ``inversion_minimal`` by its module
+    name, where the tracer counts it.  A local alias would read 0 on the
+    cyclic level here."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    from families import LADDER
     from tracer import Tracer
 
-    fam = build_family(family_dict("maxpowers3"))
+    small = build_family(family_dict("maxpowers3"))
     # rows (2, 2, 2) and (1, 3, 3): the sorted order pays 2 in the
-    # shared columns, the other order 1
-    mono = reescert.parse_tpolynomial("T[3,4]*T[3,8]", fam).support()[0]
+    # shared columns, the other order 1; two rows cannot cycle
+    loose = reescert.parse_tpolynomial("T[3,4]*T[3,8]", small).support()[0]
+    # max(5,3)'s top level: rows (3, 3, 3), (1, 4, 4) and (2, 2, 5),
+    # each preferring to precede the next, so every order pays more than
+    # the pairwise bound of 5
+    big = build_family(LADDER["max5_3"])
+    cyclic = reescert.parse_tpolynomial(
+        "T[3,10]*T[3,17]*T[3,23]", big).support()[0]
+    assert [big.factors(ref) for ref in cyclic] == [
+        (3, 3, 3), (1, 4, 4), (2, 2, 5)]
+    calls = []
     tracer = Tracer()
     tracer.install(reescert)
     try:
-        measure = reescert.measure.reduction_level(mono, fam)
+        for mono, fam in ((loose, small), (cyclic, big)):
+            measure = reescert.measure.reduction_level(mono, fam)
+            calls.append((measure, tracer.counts["measure.inversion_minimal"]))
     finally:
         tracer.uninstall()
-    assert measure == (0, 2)
-    assert tracer.counts["measure.inversion_minimal"] == 1
+    assert calls == [((0, 2), 0), ((0, 6), 1)]
