@@ -71,15 +71,12 @@ def inversion_minimal(rows):
     w[a][b] < w[b][a].  Finding the least-cost order is a small linear
     ordering problem (Groetschel, Juenger and Reinelt, Operations
     Research 1984).  If the strict preferences have no cycle, some order
-    honours them all, so the bound is the minimum, and the minimizers
-    are exactly the orders that honour every strict preference.
-    Placing, step by step, the least row that no remaining row must
-    precede gives the lexicographically least of them; when the sorted
-    order meets the bound, that is the sorted order.  Only a cycle of
-    strict preferences, which forces some pair to pay more than its
-    minimum, leaves the answer to a subset dynamic program over per-row
-    subset sums of w, in O(2^r * r) for r rows.  Results are memoized by
-    row multiset, in a bounded cache.
+    honours them all, so the bound is the minimum; only a cycle, which
+    forces some pair to pay more than its minimum, lifts the answer
+    above it.  The answer comes from a subset dynamic program over
+    per-row subset sums of w, in O(2^r * r) for r rows, which keeps the
+    lexicographically least minimizer.  Results are memoized by row
+    multiset, in a bounded cache.
     """
     rows = tuple(sorted(map(tuple, rows)))
     if len(rows) > ROW_CAP:
@@ -123,27 +120,9 @@ def _inversion_minimal(rows):
     # depend on the row order
     cross = _descents(zip(*rows))
     w = [[0] * r for _ in range(r)]
-    bound = 0
     for a in range(r):
         for b in range(a + 1, r):
             w[a][b], w[b][a] = _column_wins(rows[a], rows[b])
-            bound += min(w[a][b], w[b][a])
-    # place the least row that no remaining row strictly precedes; when
-    # the sorted order meets the bound, that is the sorted order itself
-    order = []
-    left = list(range(r))
-    while left:
-        for a in left:
-            if all(w[b][a] >= w[a][b] for b in left):
-                break
-        else:
-            break
-        left.remove(a)
-        order.append(rows[a])
-    if not left:
-        return cross + bound, tuple(order)
-
-    # a cycle of strict preferences: no order meets the bound
     # h[S] = least same-column cost of arranging the row set S; first[S]
     # the least index (rows are sorted: the least row) that can lead it;
     # into[x][S] = cost of placing row x before the row set S

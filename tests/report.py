@@ -1,0 +1,260 @@
+"""Informational reports that CI prints beside the tests.
+
+Run a section of ``SECTIONS`` as ``PYTHONPATH=src python tests/report.py
+SECTION [PART]``.  Each imports the package itself, so that the coverage
+tracer, set first, sees the package's import."""
+
+import ast
+import contextlib
+import cProfile
+import importlib.util
+import inspect
+import io
+import json
+import pstats
+import runpy
+import subprocess
+import sys
+import tempfile
+from math import comb
+from pathlib import Path
+from unittest import mock
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+sys.path += [str(HERE / "golden"), str(ROOT / "perfbench")]
+
+
+def sizes():
+    """Public names, optional parameters of public functions, slots."""
+    import reescert
+    from reescert.family import Level, LeveledFamily
+    print(len(reescert.__all__), "public names")
+    functions = [f for f in (getattr(reescert, n) for n in reescert.__all__)
+                 if inspect.isfunction(f)]
+    print(sum(p.default is not p.empty for f in functions
+              for p in inspect.signature(f).parameters.values()),
+          "optional parameters of public functions")
+    for cls in (Level, LeveledFamily):
+        print(len(cls.__slots__), "slots of", cls.__name__)
+
+
+def profile(part):
+    """cProfile of certify on a certify-mix batch and of the ladder's bases
+    (``certify``), or of the oracle suites and of confluence (``oracle``)."""
+    from families import LADDER, batch
+    from run import (MEASURE_DEGREE, MEASURE_RUNGS, MEASURE_SAMPLES,
+                     ORACLE_RUNGS)
+    from reescert import (build_basis, build_certificate, build_family,
+                          confluence_check, verify_kernel_generation,
+                          verify_measure_decrease, verify_unique_normal_forms)
+
+    def ladder():
+        fams = {r: build_family(desc) for r, desc in LADDER.items()}
+        return fams, {r: build_basis(fam) for r, fam in fams.items()}
+
+    def profiled(sort, calls):
+        prof = cProfile.Profile()
+        prof.enable()
+        for fn, *args in calls:
+            fn(*args)
+        prof.disable()
+        return pstats.Stats(prof).sort_stats(sort).print_stats(15)
+
+    if part == "certify":
+        profiled("cumulative", [(lambda d: build_certificate(
+            build_family(d)), desc) for desc, _ in batch(1, 0)])
+        return profiled("cumulative", [(ladder,)])
+    assert part == "oracle", f"profile takes certify or oracle, not {part}"
+    fams, bases = ladder()
+    # each rung rebuilt for the kernel suite, as the benchmark does:
+    # the log should show one _check_fibers per rung, not two
+    rebuilt = {r: (fam, build_basis(fam))
+               for r, fam in ((r, build_family(d)) for r, d in LADDER.items())}
+    for label, calls in (
+            ("fiber pass, both suites", [
+                call for r, d in ORACLE_RUNGS for call in (
+                    (verify_unique_normal_forms, fams[r], bases[r], d),
+                    (verify_kernel_generation, *rebuilt[r], d))]),
+            # max(5,3) is the one ladder rung whose levels cycle: at seed
+            # 16 its walks meet three cyclic level slices, so the log
+            # shows the inversion DP the benchmark never times
+            ("measure suite", [
+                (verify_measure_decrease, fams[r], bases[r], MEASURE_SAMPLES,
+                 MEASURE_DEGREE, *seed)
+                for r, *seed in [*zip(MEASURE_RUNGS), ("max5_3", 16)]]),
+            ("confluence on max(4,3)", [(confluence_check, bases["max4_3"])])):
+        print("==", label)
+        stats = profiled("tottime", calls)
+        if label == "measure suite":
+            # the path of cyclic levels, too rare for the top 15
+            stats.print_stats("_cycle_excess|inversion_minimal")
+
+
+def settled():
+    """What the paper's theorem certifies, and the blocks it settles."""
+    from families import LADDER, batch
+    from run import CERTIFY_RUNGS
+    from reescert import build_certificate, build_family, characterize, family
+    from reescert.certify import _settled_blocks
+    built = []
+    closure = family.borel_closure
+
+    def counted(*args):
+        members = closure(*args)
+        built.append(len(members))
+        return members
+
+    mix = [desc for b in range(30) for desc, _ in batch(1, b)]
+    with mock.patch.object(family, "borel_closure", counted):
+        for label, descs in (
+                ("certify-mix batch(1, 0..29)", mix),
+                ("ladder CERTIFY_RUNGS", [LADDER[r] for r in CERTIFY_RUNGS])):
+            built.clear()
+            route = [fam for fam in map(build_family, descs)
+                     if characterize(fam).conjunction]
+            for fam in route:
+                build_certificate(fam)
+            print(f"{label}: {len(route)} of {len(descs)} families have the"
+                  f" conjunction, building {sum(built)} Borel members")
+        # blocks of levels (i, j), i <= j, the theorem settles; what the
+        # scanning certificates build (no Borel member: a scan reads
+        # counted levels as factorizations) and the witnesses they hold
+        built.clear()
+        scanning = witnesses = images = open_pairs = all_pairs = 0
+        kinds = {"all": 0, "some": 0, "none": 0}
+        for desc in mix:
+            fam = build_family(desc)
+            ch = characterize(fam)
+            closed = _settled_blocks(fam, ch)
+            size = {lv.index: len(lv) for lv in fam.levels}
+            blocks = [(i, j) for i in size for j in size if i <= j]
+            kinds["all" if len(closed) == len(blocks)
+                  else "some" if closed else "none"] += 1
+            open_pairs += sum(comb(size[i], 2) if i == j else size[i] * size[j]
+                              for i, j in blocks if (i, j) not in closed)
+            all_pairs += comb(len(fam), 2)
+            if not ch.conjunction:
+                build_certificate(fam)
+                scanning += 1
+                report = family.is_closed_under_comparability(
+                    fam, settled=closed)
+                witnesses += len(report.witnesses)
+                images += len({id(img) for w in report.witnesses
+                               for img in w.images})
+    print(f"certify-mix batch(1, 0..29): {scanning} scanning"
+          f" certificates build {sum(built)} Borel members; their"
+          f" {witnesses} witnesses hold {images} distinct images")
+    print("certify-mix batch(1, 0..29): families with all, some or no"
+          f" blocks of levels settled: {kinds}")
+    print(f"certify-mix batch(1, 0..29): {open_pairs} pairs in unsettled"
+          f" blocks of {all_pairs} pairs, sum of C(v, 2)")
+
+
+def traffic():
+    """What runs the package outside the tests: the golden CLI cases, bset,
+    the demos, a pass of each workload, certify-mix seed 1 batches 0..29."""
+    import make_golden
+    import run as bench
+    from families import batch
+    from reescert import build_certificate, build_family, certificate_text
+    with tempfile.TemporaryDirectory() as tmp:
+        for _, argv in make_golden.cases(Path(tmp)):
+            make_golden.run_cli(argv)
+    make_golden.run_cli(["bset", "-n", "4", "x3*x4"])
+    for demo in sorted((ROOT / "demos").glob("0*.py")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(demo), run_name="__main__")
+    pkg = bench.load_program()
+    for name in bench.WORKLOADS:
+        work, tally = bench.Workload(name, 1, 1, pkg), bench.Tally()
+        work.setup_once()
+        if work.rungs:
+            work.check_setup(tally)
+        for spec in work.verdicts() if work.rungs else ():
+            work.verdict_one(tally, spec, [])
+        for item in work.certify_items:
+            work.certify_one(tally, item, [])
+        work.cli_one(tally, 0, [], in_process=True)
+        print(f"{name}: {len(tally.failures)} of {tally.attempted}"
+              " items failed")
+    for desc in (desc for b in range(30) for desc, _ in batch(1, b)):
+        certificate_text(build_certificate(build_family(desc)))
+
+
+def missed(tree, lines):
+    """Statements under tree, but docstrings and global statements, no line
+    of which ran, counting their decorators and the statements in them."""
+    out = set()
+    for node in ast.walk(tree):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            # the body of a lambda or an if-expression is an expression
+            for k, stmt in enumerate(block if isinstance(block, list) else ()):
+                start = min([stmt.lineno] + [d.lineno for d in getattr(
+                    stmt, "decorator_list", ())])
+                skip = isinstance(stmt, (ast.Global, ast.Nonlocal)) or (
+                    field == "body" and k == 0 and isinstance(stmt, ast.Expr)
+                    and isinstance(stmt.value, ast.Constant)
+                    and isinstance(stmt.value.value, str))
+                ran = lines.intersection(range(start, stmt.end_lineno + 1))
+                if not (skip or ran):
+                    out.add(stmt.lineno)
+    return out
+
+
+def coverage(which=None, out=None):
+    """Statements of the package tier-1 never executes, and those only
+    tier-1 reaches; ``coverage tests|traffic OUT`` collects one run."""
+    # spelt as the package's co_filename: PYTHONPATH made absolute, no import
+    pkg = importlib.util.find_spec("reescert").submodule_search_locations[0]
+    if which:
+        hits, root = {}, f"{pkg}/"
+
+        def local(frame, event, arg):
+            if event == "line":
+                hits[frame.f_code.co_filename].add(frame.f_lineno)
+            return local
+
+        def hook(frame, event, arg):
+            # line events only in the package's frames, resumed ones too
+            if (name := frame.f_code.co_filename).startswith(root):
+                hits.setdefault(name, set()).add(frame.f_lineno)
+                return local
+
+        import pytest
+        sys.settrace(hook)
+        if which == "tests":
+            pytest.main(["-q", str(HERE), "-k", "not fresh_interpreter"])
+        else:
+            traffic()
+        sys.settrace(None)
+        return Path(out).write_text(json.dumps(hits, default=sorted))
+    hits = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for side in ("tests", "traffic"):
+            dump = Path(tmp, side)
+            subprocess.run([sys.executable, __file__, "coverage", side, dump],
+                           check=True)
+            hits[side] = json.loads(dump.read_text())
+    totals = [0, 0]
+    for path in sorted(Path(pkg).glob("*.py")):
+        text = path.read_text()
+        tree, source = ast.parse(text), text.splitlines()
+        never = missed(tree, set(hits["tests"].get(str(path), ())))
+        only = missed(tree, set(hits["traffic"].get(str(path), ()))) - never
+        for k, (label, found) in enumerate((("never executed", never), (
+                "reached only by tier-1", only))):
+            print(f"== {path.name}: {len(found)} statement(s) {label}")
+            for n in sorted(found):
+                print(f"{n:5d}  {source[n - 1].strip()}")
+            totals[k] += len(found)
+    print(totals[0], "statement(s) of src/reescert never executed by tier-1")
+    print(totals[1], "statement(s) of src/reescert reached only by tier-1")
+
+
+SECTIONS = {"sizes": sizes, "profile": profile, "settled": settled,
+            "coverage": coverage}
+
+if __name__ == "__main__":
+    SECTIONS[sys.argv[1]](*sys.argv[2:])

@@ -301,8 +301,8 @@ def test_certificates_build_no_borel_member(monkeypatch, bench_families):
     assert scanned == len(descs)
 
 
-# Tier-1 runs the two smallest listed-level shapes; CI runs the census
-# step over all of LISTED_SHAPES.
+# Tier-1 runs the two smallest listed-level shapes;
+# `python tests/gates.py census` runs the rest of LISTED_SHAPES.
 LISTED_SHAPES = ((3, (2,)), (3, (1, 2)), (3, (3,)), (3, (2, 2)), (4, (2,)))
 
 
