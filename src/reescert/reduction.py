@@ -217,8 +217,10 @@ def _least_lead(ps: tuple, partners) -> tuple[int, int] | None:
     positions, in lexicographic order, or None at a normal form.
 
     This is the one rule choice of every reduction in the package: a
-    monomial rewrites along the rule with this lead.  ``partners`` is a
-    ``_RuleIndex``'s, or the pair table's from ``_partners``.
+    monomial rewrites along the rule with this lead.  ``_normal_form``
+    probes quadratic and cubic monomials for it directly, in this order.
+    ``partners`` is a ``_RuleIndex``'s, or the pair table's from
+    ``_partners``.
     """
     for i, a in enumerate(ps):
         row = partners[a]
@@ -279,15 +281,21 @@ def _normal_form(ps: tuple, index: _RuleIndex,
     positions of the index, the normal form as positions too.
 
     The one walk of every reduction in the package.  A monomial in
-    ``memo`` answers at once.  Otherwise ``_rewrite_step`` follows
-    ``_least_lead`` to an irreducible monomial or one in ``memo``, and
-    every monomial of the walk goes into ``memo`` with its normal form
-    and its distance to it.  That is exact for any basis: the rule taken
-    depends on the monomial alone, so both are functions of it.  More
-    than ``DEFAULT_STEP_CAP`` steps in all, the walked ones plus those
-    left from a memo hit, raise ``InternalInvariantError``, and so does
-    a walk that comes back to a monomial it has walked: it would cycle
-    forever.
+    ``memo`` answers at once.  Otherwise the walk follows ``_least_lead``
+    to an irreducible monomial or one in ``memo``, and every monomial of
+    the walk goes into ``memo`` with its normal form and its distance to
+    it.  That is exact for any basis: the rule taken depends on the
+    monomial alone, so both are functions of it.  More than
+    ``DEFAULT_STEP_CAP`` steps in all, the walked ones plus those left
+    from a memo hit, raise ``InternalInvariantError``, and so does a walk
+    that comes back to a monomial it has walked: it would cycle forever.
+
+    Every rule is quadratic, so a walk keeps its degree.  A quadratic
+    monomial steps when it is a lead, to its trail.  A cubic (x, y, z)
+    probes the lead partners for (x, y), (x, z), then (y, z), which is
+    ``_least_lead``'s order, and puts the position the lead leaves into
+    the sorted trail with two comparisons.  Any other degree steps by
+    ``_least_lead`` and ``_rewrite_step``.
     """
     hit = memo.get(ps)
     if hit is not None:
@@ -295,10 +303,26 @@ def _normal_form(ps: tuple, index: _RuleIndex,
     # read at call time, so that the module's one cap rules every walk
     max_steps = DEFAULT_STEP_CAP
     partners, trails = index.partners, index.trails
+    degree = len(ps)
     # each walked monomial with its place in the walk
     walked = {}
     while hit is None:
-        lead = _least_lead(ps, partners)
+        if degree == 3:
+            x, y, z = ps
+            row = partners[x]
+            # lead and the position it leaves
+            if y in row:
+                lead, c = (x, y), z
+            elif z in row:
+                lead, c = (x, z), y
+            elif z in partners[y]:
+                lead, c = (y, z), x
+            else:
+                lead = None
+        elif degree == 2:
+            lead = ps if ps in trails else None
+        else:
+            lead = _least_lead(ps, partners)
         if lead is None:
             hit = memo[ps] = (ps, 0)
             break
@@ -309,7 +333,13 @@ def _normal_form(ps: tuple, index: _RuleIndex,
             raise InternalInvariantError(
                 f"reduction cycles through {n - walked[ps]} monomials;"
                 " the termination measure should forbid this")
-        ps = _rewrite_step(ps, lead, trails[lead])
+        if degree == 3:
+            p, q = trails[lead]
+            ps = (c, p, q) if c <= p else (p, c, q) if c <= q else (p, q, c)
+        elif degree == 2:
+            ps = trails[lead]
+        else:
+            ps = _rewrite_step(ps, lead, trails[lead])
         hit = memo.get(ps)
     nf, steps = hit
     if len(walked) + steps > max_steps:
@@ -406,7 +436,10 @@ def confluence_check(basis) -> ConfluenceReport:
     two sorted positions with two comparisons, then reads the walk memo
     of this call, and only a miss calls ``_normal_form``, so each distinct
     monomial is reduced once and a pair costs two dict reads and one
-    comparison.  On max(4,3) that is 4,412 walks for 9,932 pairs.
+    comparison.  On max(4,3) that is 4,412 walks for 9,932 pairs.  Every
+    walk is cubic, so each of its steps probes the rule index in
+    ``_least_lead``'s order and puts the kept position into the trail
+    the same way.
     Memoizing changes no verdict, failure or length.  The memo holds one
     entry per monomial the walks pass (``normal_forms``), so memory
     grows with that number: the tracemalloc peak of one call, rule index

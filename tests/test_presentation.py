@@ -907,36 +907,77 @@ def _up_to_degree_3(fam):
             for refs in combinations_with_replacement(fam.refs(), d)]
 
 
-@pytest.mark.parametrize("name", ["tower4", "maxpowers3", "fiber_pair"])
+@pytest.mark.parametrize("name",
+                         ["tower4", "maxpowers3", "fiber_pair", "max4_3"])
 def test_kernel_matches_reference_chains(name, request):
     """The position kernel against ``rewrite_chain``, which rewrites ref
     tuples from the definition, on every T-monomial up to degree 3:
-    normal form, steps and the walk's memo agree."""
-    fam = request.getfixturevalue(name)
+    normal form, steps and the walk's memo agree.  Degrees 2 and 3 are
+    the walks that step by direct probes of the rule index."""
+    if name == "max4_3":
+        fam = build_family(
+            request.getfixturevalue("bench_families").LADDER[name])
+    else:
+        fam = request.getfixturevalue(name)
     assert _walks_outcome(build_basis(fam), fam, _up_to_degree_3(fam)) == 0
+
+
+def test_other_degrees_step_by_least_lead(tower4, monkeypatch):
+    """Degrees 2 and 3 step without ``_least_lead`` and
+    ``_rewrite_step``; every other degree steps by them: a constant and
+    a linear term read ``_least_lead`` once each, and a degree-4
+    monomial one step from its normal form reads it twice and
+    ``_rewrite_step`` once."""
+    basis = build_basis(tower4)
+    rules = rules_by_lead(basis)
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(reduction, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in ("_least_lead", "_rewrite_step"):
+        monkeypatch.setattr(reduction, name, counted(name))
+    index, memo = _RuleIndex(basis, tower4.refs()), {}
+    for refs in _up_to_degree_3(tower4):
+        if len(refs) > 1:
+            _normal_form(index.positions(refs), index, memo)
+    assert max(steps for _, steps in memo.values()) == 4
+    assert not calls
+    for text in ("3", "-1/2*T[1,2]"):
+        f = P(text, tower4)
+        assert normal_form(f, basis) == f
+    assert calls == {"_least_lead": 2}
+    chain = next(c for c in (rewrite_chain(refs, rules) for refs
+                             in combinations_with_replacement(
+                                 tower4.refs(), 4))
+                 if len(c) == 2)
+    calls.clear()
+    assert normal_form(TPolynomial.monomial(TMonomial(chain[0])), basis) \
+        == TPolynomial.monomial(TMonomial(chain[1]))
+    assert calls == {"_least_lead": 2, "_rewrite_step": 1}
 
 
 def test_kernel_matches_reference_on_changed_rules(tower4):
     """The same on every single-rule drop and every flipped rule of
-    tower4, on each T-monomial up to degree 3 that the rule's lead or
-    trail divides: a walk from any other monomial differs from the
-    basis's only once it reaches one of these.  On the flipped rules
-    ``confluence_check`` also returns the whole report of
+    tower4, on every T-monomial up to degree 3, so that a probe taken
+    out of ``_least_lead``'s order shows on some basis.  On the flipped
+    rules ``confluence_check`` also returns the whole report of
     ``confluence_by_chains``, or raises the same message.  (The drops'
     reports are compared in ``test_confluence_matches_reference``.)"""
     basis = build_basis(tower4)
     monomials = _up_to_degree_3(tower4)
     outcomes = Counter()
     for k, g in enumerate(basis):
-        touched = [refs for refs in monomials
-                   if any(all(refs.count(r) >= part.count(r) for r in part)
-                          for part in (g.lead.refs, g.trail.refs))]
-        assert len(touched) >= 2
         dropped = basis[:k] + basis[k + 1:]
         flipped = (basis[:k] + (MarkedBinomial(g.trail, g.lead),)
                    + basis[k + 1:])
-        assert _walks_outcome(dropped, tower4, touched) == 0
-        walks = _walks_outcome(flipped, tower4, touched)
+        assert _walks_outcome(dropped, tower4, monomials) == 0
+        walks = _walks_outcome(flipped, tower4, monomials)
         report = _outcome(confluence_check, flipped)
         assert report == _outcome(confluence_by_chains, flipped)
         outcomes[walks if walks == "no index" else walks > 0,
