@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, ResourceCapError
 from .family import (
     ClosureReport,
     LeveledFamily,
@@ -50,6 +50,14 @@ from .presentation import basis_shape
 # the pair table); imported because perfbench/tracer.py patches this
 # name in this module.
 from .presentation import build_basis  # noqa: F401
+
+# Most steps ``_settled_rule_count`` spends counting the Borel sets of
+# the settled blocks' products, about 3 s: one product costs up to its
+# least variable's index times its degree, and the blocks grow as the
+# square of the levels.  max(12,4), max(20,3) and max(60,2) take at most
+# 1,320; 240 levels B(x2000) of degree 1 in 2,000 variables take
+# 1.75 * 10^8.
+COUNT_STEP_CAP = 10**7
 
 CITATIONS = {
     "koszul": (
@@ -98,23 +106,27 @@ def closure_json(report, ch) -> dict:
     }
 
 
+def _yn(flag) -> str:
+    """``yes`` or ``no``, as the text outputs print a flag."""
+    return "yes" if flag else "no"
+
+
 def closure_lines(data: dict, closed: bool) -> list[str]:
     """Text lines for the closure verdict and the characterization of a
     dict holding the ``closure_json`` keys."""
-    yn = lambda b: "yes" if b else "no"
-    lines = [f"closed under comparability: {yn(closed)}"
+    lines = [f"closed under comparability: {_yn(closed)}"
              f"  ({data['pairs_checked']} pairs checked)"]
     ch = data["characterization"]
     if ch["level_indices"]:
         lines.append("borel equality by level: " + " ".join(
-            f"{i}:{yn(ok)}"
+            f"{i}:{_yn(ok)}"
             for i, ok in zip(ch["level_indices"], ch["borel_equal"])))
         if ch["chain"]:
             lines.append("support chain: " + " ".join(
-                f"{i}-{j}:{yn(ok)}"
+                f"{i}-{j}:{_yn(ok)}"
                 for i, j, ok in zip(ch["level_indices"],
                                     ch["level_indices"][1:], ch["chain"])))
-        lines.append(f"structural conjunction: {yn(ch['conjunction'])}")
+        lines.append(f"structural conjunction: {_yn(ch['conjunction'])}")
     return lines
 
 
@@ -144,17 +156,28 @@ def _settled_rule_count(fam: LeveledFamily, settled) -> int:
     |B(u_i*u_j)| of them by the product identity B(u)*B(v) = B(uv) of
     principal Borel sets.  That is |L_i|*|L_j| - |B(u_i*u_j)| for
     i < j and C(|L_i|+1, 2) - |B(u_i^2)| for i = j.  The counts are
-    uncapped, as a product's Borel set may pass ``BOREL_CAP`` where no
-    level does: B(x450^2) in 450 variables has 101,475 members.  Their
-    number is bounded by the family's construction, which caps its
-    pairs of levels at ``PAIR_CAP``."""
+    not capped by size, as a product's Borel set may pass ``BOREL_CAP``
+    where no level does: B(x450^2) in 450 variables has 101,475
+    members.  Counting B(u_i*u_j) takes at most
+    max(tail_i, tail_j) * (deg_i + deg_j + 1) steps, and their sum over
+    the blocks is refused past ``COUNT_STEP_CAP`` before any count."""
+    levels = {lv.index: (lv.last.tail_index(), lv.degree, len(lv),
+                         lv.last.exps) for lv in fam.levels}
+    steps = 0
+    for i, j in settled:
+        s, d, _, _ = levels[i]
+        t, e, _, _ = levels[j]
+        steps += max(s, t) * (d + e + 1)
+    if steps > COUNT_STEP_CAP:
+        raise ResourceCapError(
+            f"counting the settled blocks takes {steps} steps,"
+            f" more than {COUNT_STEP_CAP}")
     count = 0
-    levels = [(lv.index, len(lv), lv.last.exps) for lv in fam.levels]
-    for k, (i, a, u) in enumerate(levels):
-        for j, b, w in levels[k:]:
-            if (i, j) in settled:
-                pairs = a * (a + 1) // 2 if i == j else a * b
-                count += pairs - _borel_count(tuple(map(add, u, w)))
+    for i, j in settled:
+        _, _, a, u = levels[i]
+        _, _, b, w = levels[j]
+        pairs = a * (a + 1) // 2 if i == j else a * b
+        count += pairs - _borel_count(tuple(map(add, u, w)))
     return count
 
 
@@ -238,8 +261,8 @@ def certificate_text(cert: dict) -> str:
         return "\n".join(lines)
     lines.append(
         f"marked basis: {cert['basis_size']} binomials, quadratic:"
-        f" {'yes' if cert['quadratic'] else 'no'}, squarefree leads:"
-        f" {'yes' if cert['squarefree_leads'] else 'no'}")
+        f" {_yn(cert['quadratic'])}, squarefree leads:"
+        f" {_yn(cert['squarefree_leads'])}")
     lines.append(f"certified for the {cert['subject']}:")
     for key in cert["conclusions"]:
         lines.append(f"  {key}: {cert['citations'][key]}")

@@ -14,6 +14,7 @@ import time
 import warnings
 
 from .certify import (
+    _yn,
     build_certificate,
     certificate_text,
     closure_json,
@@ -98,12 +99,11 @@ def cmd_check(args) -> int:
     }
 
     def text(d):
-        yn = lambda b: "yes" if b else "no"
         lines = closure_lines(d, d["closed"])
         if fam.mode == "rees":
             lines.append(
                 f"conjunction agrees with closure: "
-                f"{yn(d['characterization']['conjunction'] == d['closed'])}")
+                f"{_yn(d['characterization']['conjunction'] == d['closed'])}")
         for w in d["witnesses"]:
             a, b = w["pair"]
             lines.append(
@@ -125,9 +125,8 @@ def cmd_basis(args) -> int:
 
     def text(d):
         lines = [f"relations: {d['count']}"
-                 f"  quadratic: {'yes' if d['quadratic'] else 'no'}"
-                 f"  squarefree leads:"
-                 f" {'yes' if d['squarefree_leads'] else 'no'}"]
+                 f"  quadratic: {_yn(d['quadratic'])}"
+                 f"  squarefree leads: {_yn(d['squarefree_leads'])}"]
         for g in basis:
             lines.append(f"{g.lead.text()} -> {g.trail.text()}")
         return "\n".join(lines)

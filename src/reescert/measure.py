@@ -30,7 +30,6 @@ once.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from functools import lru_cache
 from itertools import chain, groupby
 from operator import gt, lt
 from typing import NamedTuple
@@ -48,10 +47,6 @@ from .reduction import (
 )
 
 ROW_CAP = 10
-# row multisets kept by inversion_minimal; the measure asks it only for
-# levels whose strict preferences cycle, none in an oracle-ladder
-# benchmark run and a few in a measure suite on max(5,3)
-MINIMAL_CACHE_SIZE = 2**16
 
 
 class ReductionMeasure(NamedTuple):
@@ -75,47 +70,14 @@ def inversion_minimal(rows):
     forces some pair to pay more than its minimum, lifts the answer
     above it.  The answer comes from a subset dynamic program over
     per-row subset sums of w, in O(2^r * r) for r rows, which keeps the
-    lexicographically least minimizer.  Results are memoized by row
-    multiset, in a bounded cache.
+    lexicographically least minimizer: ties break on row content, so
+    the answer depends on the row multiset only.
     """
-    rows = tuple(sorted(map(tuple, rows)))
-    if len(rows) > ROW_CAP:
-        raise ResourceCapError(
-            f"level matrix has {len(rows)} rows, cap is {ROW_CAP}")
-    if len({len(r) for r in rows}) > 1:
-        raise ValueError("rows must share one degree")
-    return _inversion_minimal(rows)
-
-
-def _descents(groups) -> int:
-    """Pairs (u, v), u in a group and v in a later one, with u > v: each
-    entry is counted against the sorted entries of all earlier groups,
-    then insorted among them.  The groups are columns of at most
-    ``ROW_CAP`` entries or a pair's two sorted factor rows.  Groups must
-    be sequences.
-    """
-    total = 0
-    seen = []
-    for group in groups:
-        for v in group:
-            total += len(seen) - bisect_right(seen, v)
-        for v in group:
-            insort(seen, v)
-    return total
-
-
-def _column_wins(a, b) -> tuple[int, int]:
-    """(w_ab, w_ba) of two rows of one degree: the columns in which b
-    holds the smaller entry, then those in which a does.  With a placed
-    before b the pair's shared columns invert w_ab times."""
-    return sum(map(gt, a, b)), sum(map(lt, a, b))
-
-
-@lru_cache(maxsize=MINIMAL_CACHE_SIZE)
-def _inversion_minimal(rows):
-    """``inversion_minimal`` on sorted rows.  The answer depends on the
-    row multiset only: ties between minimizers break on row content."""
+    rows = sorted(map(tuple, rows))
     r = len(rows)
+    _check_row_cap(r)
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows must share one degree")
     # inversions between two columns, within-row pairs included, do not
     # depend on the row order
     cross = _descents(zip(*rows))
@@ -151,6 +113,36 @@ def _inversion_minimal(rows):
     return cross + h[full], tuple(order)
 
 
+def _check_row_cap(n: int) -> None:
+    """Refuse a level matrix of more than ``ROW_CAP`` rows."""
+    if n > ROW_CAP:
+        raise ResourceCapError(f"level matrix has {n} rows, cap is {ROW_CAP}")
+
+
+def _descents(groups) -> int:
+    """Pairs (u, v), u in a group and v in a later one, with u > v: each
+    entry is counted against the sorted entries of all earlier groups,
+    then insorted among them.  The groups are columns of at most
+    ``ROW_CAP`` entries or a pair's two sorted factor rows.  Groups must
+    be sequences.
+    """
+    total = 0
+    seen = []
+    for group in groups:
+        for v in group:
+            total += len(seen) - bisect_right(seen, v)
+        for v in group:
+            insort(seen, v)
+    return total
+
+
+def _column_wins(a, b) -> tuple[int, int]:
+    """(w_ab, w_ba) of two rows of one degree: the columns in which b
+    holds the smaller entry, then those in which a does.  With a placed
+    before b the pair's shared columns invert w_ab times."""
+    return sum(map(gt, a, b)), sum(map(lt, a, b))
+
+
 def _pair_part(fam: LeveledFamily, r, s) -> tuple[int, int, int]:
     """(c, e, prefer) of one occurrence pair r <= s in ref order.
 
@@ -176,9 +168,7 @@ def _level_runs(ps: tuple, refs: tuple) -> list[tuple]:
     are contiguous.  A level of more than ``ROW_CAP`` rows is refused."""
     runs = [tuple(run) for _, run in groupby(ps, lambda p: refs[p].level)]
     for run in runs:
-        if len(run) > ROW_CAP:
-            raise ResourceCapError(
-                f"level matrix has {len(run)} rows, cap is {ROW_CAP}")
+        _check_row_cap(len(run))
     return [run for run in runs if len(run) > 2]
 
 

@@ -125,21 +125,20 @@ class Monomial:
         return hash(self.exps)
 
     def text(self) -> str:
-        if self.degree == 0:
-            return "1"
-        parts = []
-        for i, e in enumerate(self.exps, start=1):
-            if e == 1:
-                parts.append(f"x{i}")
-            elif e > 1:
-                parts.append(f"x{i}^{e}")
-        return "*".join(parts)
+        return "*".join(_power_parts(self.exps)) or "1"
 
     def __str__(self) -> str:
         return self.text()
 
     def __repr__(self) -> str:
         return f"Monomial({self.text()!r}, n={self.n})"
+
+
+def _power_parts(exps, var: str = "x") -> list[str]:
+    """``x1^2``, ``x3``, ... for the non-zero entries of an exponent
+    vector in index order: joined by ``*`` they spell its monomial."""
+    return [f"{var}{i}" if e == 1 else f"{var}{i}^{e}"
+            for i, e in enumerate(exps, start=1) if e]
 
 
 def parse_terms(text: str, n: int) -> dict[int, int]:

@@ -24,6 +24,7 @@ from .errors import (
     ResourceCapError,
 )
 from .family import GenRef, LeveledFamily
+from .monomials import _power_parts
 from .presentation import MarkedBinomial, TMonomial
 
 DEFAULT_STEP_CAP = 10**6
@@ -114,11 +115,8 @@ class PsiImage(NamedTuple):
     t: tuple[int, ...]
 
     def text(self) -> str:
-        parts = [f"x{i}" if e == 1 else f"x{i}^{e}"
-                 for i, e in enumerate(self.x, start=1) if e]
-        parts += [f"t{i}" if e == 1 else f"t{i}^{e}"
-                  for i, e in enumerate(self.t, start=1) if e]
-        return "*".join(parts) if parts else "1"
+        parts = _power_parts(self.x) + _power_parts(self.t, "t")
+        return "*".join(parts) or "1"
 
 
 def psi_eval(mono: TMonomial, fam: LeveledFamily) -> PsiImage:

@@ -71,7 +71,9 @@ def confluence():
 
 def past_cap():
     """The theorem certifies past ``PAIR_CAP`` while ``check`` refuses to
-    scan (exit 3), and ``bset`` expands 100,000 members; 10 s a run."""
+    scan (exit 3), ``certify`` refuses to count the settled blocks of
+    240 levels past ``COUNT_STEP_CAP`` (exit 3), and ``bset`` expands
+    100,000 members; 10 s a run."""
     def cli(*args, **kwargs):
         return subprocess.run([sys.executable, "-m", "reescert.cli", *args],
                               timeout=10, **kwargs).returncode
@@ -83,6 +85,13 @@ def past_cap():
             cli("certify", path, "--format", "json",
                 stdout=subprocess.DEVNULL, check=True)
         code = cli("check", Path(tmp, "max12_4.json"))
+        assert code == 3, code
+        path = Path(tmp, "levels240.json")
+        path.write_text(json.dumps({
+            "mode": "rees", "variables": 2000,
+            "levels": [{"degree": 1, "borel": "x2000"}] * 240}))
+        code = cli("certify", path, stderr=subprocess.DEVNULL)
+        print(f"certify on 240 levels B(x2000): exit {code}")
         assert code == 3, code
         bset = Path(tmp, "bset.txt")
         with open(bset, "wb") as out:

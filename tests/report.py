@@ -26,7 +26,8 @@ sys.path += [str(HERE / "golden"), str(ROOT / "perfbench")]
 
 
 def sizes():
-    """Public names, optional parameters of public functions, slots."""
+    """Public names, optional parameters of public functions, slots, and
+    each module's upper-case int constants."""
     import reescert
     from reescert.family import Level, LeveledFamily
     print(len(reescert.__all__), "public names")
@@ -37,6 +38,18 @@ def sizes():
           "optional parameters of public functions")
     for cls in (Level, LeveledFamily):
         print(len(cls.__slots__), "slots of", cls.__name__)
+    total = 0
+    for path in sorted((ROOT / "src" / "reescert").glob("*.py")):
+        module = importlib.import_module(
+            "reescert" if path.stem == "__init__" else f"reescert.{path.stem}")
+        names = [t.id for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign) for t in node.targets
+                 if isinstance(t, ast.Name) and t.id.isupper()
+                 and type(getattr(module, t.id)) is int]
+        total += len(names)
+        print(f"{path.stem}:", ", ".join(
+            f"{n} = {getattr(module, n)}" for n in names) or "-")
+    print(total, "upper-case int constants")
 
 
 def profile(part):

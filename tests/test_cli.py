@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from reescert import certify
 from reescert.cli import main
 from reescert.family import MAX_VARIABLES
 from bruteforce import basis_by_public_constructor
@@ -145,6 +146,19 @@ def test_certify_open_family(capsys, open_family_file):
     cert = json.loads(out)
     assert cert["conclusions"] == []
     assert cert["witnesses"]
+
+
+def test_counting_cap_leaves_an_open_verdict(capsys, monkeypatch,
+                                             tower4_file, open_family_file):
+    """The counting bound refuses a closed family's settled-block
+    counts; an open family gets its verdict, which needs no count."""
+    monkeypatch.setattr(certify, "COUNT_STEP_CAP", 0)
+    code, out, err = run(capsys, "certify", tower4_file)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap: counting the settled blocks")
+    code, out, err = run(capsys, "certify", open_family_file)
+    assert (code, err) == (1, "")
+    assert "verdict: no certificate" in out
 
 
 # ----------------------------------------------------------------- verify
@@ -477,6 +491,10 @@ SRC = ROOT / "src"
 OVERSIZED_TIMEOUT_S = 10
 
 
+LEVELS_240 = json.dumps({"mode": "rees", "variables": 2000, "levels":
+                         [{"degree": 1, "borel": "x2000"}] * 240})
+
+
 def _cubics(n: int) -> list[str]:
     return ["*".join(f"x{i}" for i in fact)
             for fact in combinations_with_replacement(range(1, n + 1), 3)]
@@ -499,6 +517,15 @@ OVERSIZED = {  # case: (stderr text, argv)
         "check", _write(tmp, json.dumps({
             "mode": "fiber", "variables": 50, "embedding_degree": 4,
             "levels": [{"degree": 3, "generators": _cubics(50)}]}))]),
+    # level 0 and 240 levels B(x2000) of degree 1: the theorem settles
+    # all 29,161 blocks, and counting B(x2000^2) for each would take
+    # about a minute
+    "settled counts": ("takes 174966000 steps, more than 10000000",
+                       lambda tmp: ["certify", _write(tmp, LEVELS_240)]),
+    # while a scan of its 482,000 refs is refused at PAIR_CAP
+    "settled counts, scanned": (
+        "482000 generators make 116161759000 pairs",
+        lambda tmp: ["check", _write(tmp, LEVELS_240)]),
     # the fiber suites count the T-monomials in closed form before they
     # enumerate any; a sum of one binomial per degree would run for
     # minutes
