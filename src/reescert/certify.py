@@ -12,10 +12,13 @@ i = j, or i = 0, or the least generators under the support chain.  Such
 a block holds no open pair, and its rule count is its pairs less the
 comparable ones, which by the product identity B(u)*B(v) = B(uv) of
 principal Borel sets number |B(u_i*u_j)|, counted without building a
-set.  The closure scan classifies only the pairs of the other blocks,
-in lexicographic order, and their rules are read off its table, without
-building a rule.  A family with the conjunction has no other block: it
-is certified with no ref, no member and no pair built.
+set, once per distinct product; a product equal to a counted level's
+least generator takes that level's size.  The closure scan classifies
+only the pairs of the other blocks, in lexicographic order, and their
+rules are read off its table, without building a rule; a witness's
+images are the factorizations the scan dealt, so no pair is rewritten
+twice.  A family with the conjunction has no other block: it is
+certified with no ref, no member and no pair built.
 ``tests/test_census.py`` underwrites the route: the conjunction equals
 closure on every family of the (3, 3, 3) census in both modes, no open
 pair of a full scan of that census, or of the listed-level censuses,
@@ -51,12 +54,13 @@ from .presentation import basis_shape
 # name in this module.
 from .presentation import build_basis  # noqa: F401
 
-# Most steps ``_settled_rule_count`` spends counting the Borel sets of
-# the settled blocks' products, about 3 s: one product costs up to its
-# least variable's index times its degree, and the blocks grow as the
-# square of the levels.  max(12,4), max(20,3) and max(60,2) take at most
-# 1,320; 240 levels B(x2000) of degree 1 in 2,000 variables take
-# 1.75 * 10^8.
+# Most steps ``_settled_rule_count`` may spend counting the Borel sets
+# of the settled blocks' products, about 3 s: one product costs up to
+# its least variable's index times its degree, and the blocks grow as
+# the square of the levels.  The sum runs over every block, an upper
+# bound once repeated products are counted once.  max(12,4), max(20,3)
+# and max(60,2) take at most 1,320; 240 levels B(x2000) of degree 1 in
+# 2,000 variables take 1.75 * 10^8.
 COUNT_STEP_CAP = 10**7
 
 CITATIONS = {
@@ -91,10 +95,10 @@ def closure_json(report, ch) -> dict:
     return {
         "pairs_checked": report.pairs_checked,
         "witnesses": [
-            {"pair": [list(w.pair[0]), list(w.pair[1])],
-             "images": [text[id(img)] for img in w.images],
-             "missing": list(w.missing)}
-            for w in report.witnesses
+            {"pair": [list(a), list(b)],
+             "images": [text[id(u)], text[id(v)]],
+             "missing": list(missing)}
+            for (a, b), (u, v), missing in report.witnesses
         ],
         "characterization": {
             "level_indices": list(ch.level_indices),
@@ -142,8 +146,8 @@ def _settled_blocks(fam: LeveledFamily, ch) -> frozenset:
     when the family has the conjunction."""
     # level 0 is not characterized, and always equal
     equal = dict(zip(ch.level_indices, ch.borel_equal))
-    lasts = [(lv.index, lv.last.head_index(), lv.last.tail_index())
-             for lv in fam.levels if equal.get(lv.index, True)]
+    lasts = [(lv.index, *lv._ends) for lv in fam.levels
+             if equal.get(lv.index, True)]
     return frozenset(
         (i, j) for k, (i, head, _) in enumerate(lasts)
         for j, _, tail in lasts[k:]
@@ -158,11 +162,16 @@ def _settled_rule_count(fam: LeveledFamily, settled) -> int:
     i < j and C(|L_i|+1, 2) - |B(u_i^2)| for i = j.  The counts are
     not capped by size, as a product's Borel set may pass ``BOREL_CAP``
     where no level does: B(x450^2) in 450 variables has 101,475
-    members.  Counting B(u_i*u_j) takes at most
-    max(tail_i, tail_j) * (deg_i + deg_j + 1) steps, and their sum over
-    the blocks is refused past ``COUNT_STEP_CAP`` before any count."""
-    levels = {lv.index: (lv.last.tail_index(), lv.degree, len(lv),
-                         lv.last.exps) for lv in fam.levels}
+    members.  Each distinct product is counted once, memoized by its
+    exponent vector; the memo starts with each counted level's size
+    (``Level.borel``), which is |B(u_i)|, so a product equal to a
+    level's least generator, or to another block's product, costs no
+    count.  Counting B(u_i*u_j) takes at most
+    max(tail_i, tail_j) * (deg_i + deg_j + 1) steps; their sum over
+    every settled block, an upper bound on what the memoized counts
+    take, is refused past ``COUNT_STEP_CAP`` before any count."""
+    levels = {lv.index: (lv._ends[1], lv.degree, len(lv), lv.last.exps)
+              for lv in fam.levels}
     steps = 0
     for i, j in settled:
         s, d, _, _ = levels[i]
@@ -172,12 +181,17 @@ def _settled_rule_count(fam: LeveledFamily, settled) -> int:
         raise ResourceCapError(
             f"counting the settled blocks takes {steps} steps,"
             f" more than {COUNT_STEP_CAP}")
+    sizes = {lv.last.exps: len(lv) for lv in fam.levels if lv.borel}
     count = 0
     for i, j in settled:
         _, _, a, u = levels[i]
         _, _, b, w = levels[j]
         pairs = a * (a + 1) // 2 if i == j else a * b
-        count += pairs - _borel_count(tuple(map(add, u, w)))
+        product = tuple(map(add, u, w))
+        size = sizes.get(product)
+        if size is None:
+            size = sizes[product] = _borel_count(product)
+        count += pairs - size
     return count
 
 

@@ -113,26 +113,35 @@ class Level:
     level built as the Borel set of its least generator."""
 
     __slots__ = ("index", "degree", "borel", "last", "_size", "_generators",
-                 "_factors")
+                 "_factors", "_ends")
 
     def __init__(self, index: int, degree: int,
                  generators: tuple[Monomial, ...]):
-        self._set(index=index, degree=degree, borel=False,
-                  last=generators[-1], _size=len(generators),
-                  _generators=generators, _factors=None)
+        self._fill(index, degree, False, generators[-1], len(generators),
+                   generators)
 
     @classmethod
     def _counted(cls, index: int, least: Monomial, size: int) -> "Level":
         """The Borel set of ``least``, of ``size`` members, built on
         first read."""
         lv = object.__new__(cls)
-        lv._set(index=index, degree=least.degree, borel=True, last=least,
-                _size=size, _generators=None, _factors=None)
+        lv._fill(index, least.degree, True, least, size, None)
         return lv
 
-    def _set(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+    def _fill(self, index, degree, borel, last, size, generators) -> None:
+        """Set every slot; ``_ends`` holds the indices of the greatest
+        and the least variable of ``last`` (its head and tail), read
+        once here for the chain tests of ``characterize`` and
+        ``certify``."""
+        put = object.__setattr__
+        put(self, "index", index)
+        put(self, "degree", degree)
+        put(self, "borel", borel)
+        put(self, "last", last)
+        put(self, "_size", size)
+        put(self, "_generators", generators)
+        put(self, "_factors", None)
+        put(self, "_ends", (last.head_index(), last.tail_index()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Level is immutable")
@@ -203,12 +212,13 @@ class LeveledFamily:
     distinct product of a level block (the pairs of one level, or of two
     levels) is rewritten once, keyed by its packed exponent vector; a
     pair is comparable exactly when its product's image refs are its
-    own.  ``incomparable_pairs`` classifies every pair on its first
-    call; the closure scan stops at the first open pair past its
-    witness cap.  The family holds one whole table, that of the last
-    finished scan (``certify`` leaves out the blocks of levels the
-    paper's theorem settles), and replaces it when a scan of other
-    settled blocks finishes; a stopped scan is not held.
+    own, and an open pair keeps the image factorizations its product's
+    rewrite dealt, for its witness.  ``incomparable_pairs`` classifies
+    every pair on its first call; the closure scan stops at the first
+    open pair past its witness cap.  The family holds one whole table,
+    that of the last finished scan (``certify`` leaves out the blocks
+    of levels the paper's theorem settles), and replaces it when a scan
+    of other settled blocks finishes; a stopped scan is not held.
     More than ``PAIR_CAP`` pairs raise ``ResourceCapError`` from
     ``refs()``, before any ref is built or pair classified, and more
     than ``PAIR_CAP`` pairs of levels on construction.
@@ -226,27 +236,32 @@ class LeveledFamily:
         self._by_index = {lv.index: lv for lv in self.levels}
         self._size = sum(len(lv) for lv in self.levels)
         self._refs = None
-        # (settled blocks, pair table, open pairs) of the last finished
-        # scan; the table holds the refs of ``_refs``, not images: a
-        # Monomial pair per entry costs megabytes on the larger families
+        # (settled blocks, pair table, open pairs, their images) of the
+        # last finished scan; the table holds the refs of ``_refs``, not
+        # images: a Monomial pair per entry costs megabytes on the larger
+        # families.  The open pairs' image factorizations are a list of
+        # their own: a (pair, images) tuple per open pair stays with the
+        # collector, which slowed a full scan of an open family by a
+        # third.
         self._scan = None
 
     def _table(self, settled: frozenset, count=None):
-        """The pair table of the blocks of levels not in ``settled``, and
-        its first ``count`` open pairs (all of them when None) in table
-        order.  The held table answers when it was made for these
-        settled blocks.  Otherwise pairs are classified only as far as
-        the ``count``-th open pair, and the table is held, in place of
-        the one before, only when the scan finished.  A wide family
-        keys every product 0 and memoizes none."""
+        """The pair table of the blocks of levels not in ``settled``, its
+        first ``count`` open pairs (all of them when None) in table
+        order, and the factorizations of their images, a pair of tuples
+        for each, in the same order.  The held table answers when it was
+        made for these settled blocks.  Otherwise pairs are classified
+        only as far as the ``count``-th open pair, and the table is
+        held, in place of the one before, only when the scan finished.
+        A wide family keys every product 0 and memoizes none."""
         scan = self._scan
         if scan is None or scan[0] != settled:
-            pairs, found = {}, []
+            pairs, found, images = {}, [], []
             if not _classify(self.levels, self.refs(), _weights(self.n),
-                             pairs, found, settled, count):
-                return pairs, found
-            self._scan = scan = (settled, pairs, found)
-        return scan[1], scan[2][:count]
+                             pairs, found, images, settled, count):
+                return pairs, found, images
+            self._scan = scan = (settled, pairs, found, images)
+        return scan[1], scan[2][:count], scan[3][:count]
 
     @property
     def top_level(self) -> int:
@@ -264,7 +279,11 @@ class LeveledFamily:
         once ``PAIR_CAP`` admits their pairs."""
         if self._refs is None:
             _check_pair_cap(self._size)
-            self._refs = tuple(GenRef(lv.index, j) for lv in self.levels
+            # the NamedTuple's __new__ is a Python function; the tuple's
+            # builds the same ref in C
+            ref = tuple.__new__
+            self._refs = tuple(ref(GenRef, (lv.index, j))
+                               for lv in self.levels
                                for j in range(1, len(lv) + 1))
         return self._refs
 
@@ -303,18 +322,21 @@ class LeveledFamily:
 
 
 def _classify(levels, refs, weight, pairs: dict, open_pairs: list,
-              settled: frozenset, stop=None) -> bool:
+              open_images: list, settled: frozenset, stop=None) -> bool:
     """Classify the ref pairs of ``levels`` in lexicographic order,
     leaving out those of each block of levels (i, j), i <= j by level
     index, in ``settled``: enter each incomparable pair in ``pairs``
     with its image refs, and append each one with a missing image to
-    ``open_pairs``.  Return False as soon as ``open_pairs`` holds
-    ``stop`` entries, True once every pair is classified.  ``refs``
-    are the family's refs, in level order.  The first step reads
-    ``Level.factors`` of every level of a block left to classify, so a
-    counted level builds none of its members.  Each product is memoized
-    by its packed exponent vector, the sum of its factors' ``weight``,
-    unless ``weight`` is None.
+    ``open_pairs``, and the factorizations its rewrite dealt to
+    ``open_images``, so that a witness needs no second rewrite.  Return
+    False as soon as ``open_pairs`` holds ``stop`` entries, True once
+    every pair is classified.  ``refs`` are the family's refs, in
+    level order.  The first step reads ``Level.factors`` of every level
+    of a block left to classify, so a counted level builds none of its
+    members.  Each product is memoized by its packed exponent vector,
+    the sum of its factors' ``weight``, unless ``weight`` is None;
+    beside that memo, each target block keeps the images of its open
+    products.
 
     A cross-level pair (a, b) is fixed by ``ord_factors`` exactly when
     tail(b) <= head(a), head and tail the first and last standard
@@ -350,11 +372,11 @@ def _classify(levels, refs, weight, pairs: dict, open_pairs: list,
         # order either way.  Each target block keeps its own memo,
         # packed product -> image refs, for as long as this level's
         # rows are paired.
-        targets = [(sort_factors, here, None, None, {}) if lj == li
-                   else (ord_factors, *blocks[lj], {})
+        targets = [(sort_factors, here, None, None, {}, {}) if lj == li
+                   else (ord_factors, *blocks[lj], {}, {})
                    for lj in partners[li]]
         for ai, (a, fa, ka) in enumerate(row):
-            for rewrite, there, col, tails, memo in targets:
+            for rewrite, there, col, tails, memo, dealt in targets:
                 if col is None:
                     others = row[ai + 1:]
                 else:
@@ -363,8 +385,10 @@ def _classify(levels, refs, weight, pairs: dict, open_pairs: list,
                     key = ka + kb
                     trail = memo.get(key)
                     if trail is None:
-                        first, second = rewrite(fa, fb)
+                        first, second = images = rewrite(fa, fb)
                         trail = (here.get(first), there.get(second))
+                        if None in trail:
+                            dealt[key] = images
                         if weight:
                             memo[key] = trail
                     # the image refs come from the same blocks as a and
@@ -373,7 +397,9 @@ def _classify(levels, refs, weight, pairs: dict, open_pairs: list,
                         pair = (a, b)
                         pairs[pair] = trail
                         if None in trail:
+                            # key 0 of a wide family was dealt just now
                             open_pairs.append(pair)
+                            open_images.append(dealt[key])
                             if len(open_pairs) == stop:
                                 return False
     return True
@@ -384,10 +410,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_level(entry, pos: int, n: int) -> Level:
+def _parse_level(entry, pos: int, n: int, sizes: dict) -> Level:
     """Validate one level of a description and make it the ``Level`` of
     index ``pos``.  A ``"borel"`` level is counted from its generator and
-    builds no member; a listed one builds its generators, revlex
+    builds no member; ``sizes`` maps the exponents of each generator
+    counted so far to its count, so a generator is counted once per
+    description.  A listed level builds its generators, revlex
     descending."""
     if not isinstance(entry, dict):
         raise FamilyError(f"level {pos}: expected an object")
@@ -414,38 +442,36 @@ def _parse_level(entry, pos: int, n: int) -> Level:
             raise FamilyError(
                 f"level {pos}: borel generator {gen} has degree {gen.degree},"
                 f" expected {degree}")
-        return Level._counted(pos, gen, borel_size(gen))
+        size = sizes.get(gen.exps)
+        if size is None:
+            size = sizes[gen.exps] = borel_size(gen)
+        return Level._counted(pos, gen, size)
     raw = entry["generators"]
     if not isinstance(raw, list) or not raw:
         raise FamilyError(f"level {pos}: generators must be a non-empty list")
-    seen = set()
-    listed = []
+    listed = {}  # exponents -> generator, one monomial built for each
     for text in raw:
         if not isinstance(text, str):
             raise FamilyError(f"level {pos}: generators must be strings")
-        terms = parse_terms(text, n)
-        if sum(terms.values()) != degree:
-            m = monomial_of_terms(terms, n)
+        m = monomial_of_terms(parse_terms(text, n), n)
+        if m.degree != degree:
             raise FamilyError(
                 f"level {pos}: generator {m} has degree {m.degree},"
                 f" expected {degree}")
-        key = frozenset(terms.items())
-        if key in seen:
-            warnings.warn(f"level {pos}: duplicate generator"
-                          f" {monomial_of_terms(terms, n)} dropped")
+        if m.exps in listed:
+            warnings.warn(f"level {pos}: duplicate generator {m} dropped")
             continue
-        seen.add(key)
-        listed.append(terms)
+        listed[m.exps] = m
     return Level(pos, degree, tuple(sorted(
-        (monomial_of_terms(terms, n) for terms in listed),
-        key=revlex_key, reverse=True)))
+        listed.values(), key=revlex_key, reverse=True)))
 
 
 def build_family(data: dict) -> LeveledFamily:
     """Validate a family description (parsed JSON) and build the family.
 
     A ``"borel"`` level and level 0 are kept as counts, their members
-    built on first read; a listed level is built here."""
+    built on first read, and each distinct ``"borel"`` generator is
+    counted once; a listed level is built here."""
     if not isinstance(data, dict):
         raise FamilyError("family description must be an object")
     unknown = set(data) - {"mode", "variables", "embedding_degree",
@@ -463,7 +489,8 @@ def build_family(data: dict) -> LeveledFamily:
     if not isinstance(raw_levels, list):
         raise FamilyError("levels must be a list")
 
-    levels = [_parse_level(entry, pos, n)
+    sizes = {}
+    levels = [_parse_level(entry, pos, n, sizes)
               for pos, entry in enumerate(raw_levels, start=1)]
     degrees = [lv.degree for lv in levels]
     for a, b in zip(degrees, degrees[1:]):
@@ -568,10 +595,11 @@ def is_closed_under_comparability(
     and pairs are classified only as far as the next open pair, which
     marks the report truncated, and the family holds no table of that
     stopped scan; closure itself is always decided exactly.  A
-    witness's images are rewritten again from the factorizations the
-    scan kept, by ``sort_factors`` or ``ord_factors`` as in the scan,
-    one ``Monomial`` per distinct image, and ``missing`` is read off its
-    table entry, so no generator is built for them.
+    witness's images are built from the factorizations the scan dealt
+    when it rewrote the pair's product, one ``Monomial`` per distinct
+    image, and ``missing`` is read off its table entry: no pair is
+    rewritten again, no factorization read again and no generator
+    built for them.
 
     ``settled`` names blocks of levels (i, j), i <= j by level index,
     that the caller knows to hold no open pair, as those the paper's
@@ -582,8 +610,8 @@ def is_closed_under_comparability(
     """
     refs = len(fam)
     checked = refs * (refs - 1) // 2
-    trails, found = fam._table(frozenset(settled),
-                               None if all_witnesses else WITNESS_CAP + 1)
+    trails, found, dealt_images = fam._table(
+        frozenset(settled), None if all_witnesses else WITNESS_CAP + 1)
     truncated = not all_witnesses and len(found) > WITNESS_CAP
     if truncated:
         # ordinal of the stop pair (i, j) among the pairs of refs i < j
@@ -591,18 +619,28 @@ def is_closed_under_comparability(
         checked = i * (2 * refs - i - 1) // 2 + (j - i - 1) + 1
         found = found[:WITNESS_CAP]
     monomials = {}  # factorization -> its image, shared by witnesses
+    # The pairs of one open product share its dealt images, one object
+    # while ``found`` holds it, and its table entry: (images, missing)
+    # by the id of that object.
+    shared = {}
     witnesses = []
-    for pair in found:
-        a, b = pair
-        rewrite = sort_factors if a[0] == b[0] else ord_factors
-        images = []
-        for f in rewrite(fam.factors(a), fam.factors(b)):
-            image = monomials.get(f)
-            if image is None:
-                image = monomials[f] = Monomial._of_factors(f, fam.n)
-            images.append(image)
-        witnesses.append(Witness(pair, tuple(images), tuple(
-            k for k in (0, 1) if trails[pair][k] is None)))
+    # the NamedTuple's __new__ is a Python function; the tuple's builds
+    # the same witness in C
+    witness = tuple.__new__
+    for pair, dealt in zip(found, dealt_images):
+        parts = shared.get(id(dealt))
+        if parts is None:
+            trail = trails[pair]
+            images, missing = [], []
+            for k, f in enumerate(dealt):
+                image = monomials.get(f)
+                if image is None:
+                    image = monomials[f] = Monomial._of_factors(f, fam.n)
+                images.append(image)
+                if trail[k] is None:
+                    missing.append(k)
+            parts = shared[id(dealt)] = (tuple(images), tuple(missing))
+        witnesses.append(witness(Witness, (pair, *parts)))
     return ClosureReport(not witnesses and not truncated, tuple(witnesses),
                          checked, truncated)
 
@@ -647,7 +685,7 @@ def characterize(fam: LeveledFamily) -> Characterization:
     for prev, nxt in zip(levels, levels[1:]):
         # greatest variable of the lower last divides nothing above the
         # least variable of the upper last
-        chain.append(prev.last.head_index() >= nxt.last.tail_index())
+        chain.append(prev._ends[0] >= nxt._ends[1])
     return Characterization(
         tuple(lv.index for lv in levels),
         tuple(equal), tuple(subset), tuple(chain),

@@ -198,17 +198,17 @@ def sort_factors(fu: tuple[int, ...], fv: tuple[int, ...]):
     """Sorting rewrite on two standard factorizations of equal length:
     merge them and deal the factors alternately, odd positions to the
     first output, even to the second."""
-    fact = sorted(fu + fv)
-    return tuple(fact[0::2]), tuple(fact[1::2])
+    fact = tuple(sorted(fu + fv))
+    return fact[0::2], fact[1::2]
 
 
 def ord_factors(fu: tuple[int, ...], fv: tuple[int, ...]):
     """Ordering rewrite on two standard factorizations, len(fu) <= len(fv):
     merge them; the first len(fv) factors make the second output, the
     rest the first."""
-    fact = sorted(fu + fv)
+    fact = tuple(sorted(fu + fv))
     q = len(fv)
-    return tuple(fact[q:]), tuple(fact[:q])
+    return fact[q:], fact[:q]
 
 
 def ord_pair(u: Monomial, v: Monomial) -> tuple[Monomial, Monomial]:
@@ -274,21 +274,24 @@ def _borel_count(exps, cap=None) -> int:
     else exact up to ``cap`` and some number over it past that.
 
     With ``bound`` the suffix masses, ``ways[s]`` counts the exponent
-    choices on x_2..x_(k+1) once mass s sits on x_(k+2)..x_n.  No mass
-    sits past the least variable occurring, x_tail (``bound[tail]`` is
-    the first 0), so ``ways[0]`` after k = tail - 1 is the whole count.  Before that it counts the members
-    on x1..x_(k+1), a subset of the whole set, so a capped count stops
-    once it is over the cap.
+    choices on x_2..x_(k+1) once mass s sits on x_(k+2)..x_n; the table
+    is kept last entry first, ``ways[s]`` at position ``len - 1 - s``,
+    so the suffix sums that step k to k + 1 are one ``accumulate``,
+    less the entries past ``bound[k + 1]``.  No mass sits past the
+    least variable occurring, x_tail (``bound[tail]`` is the first 0),
+    so ``ways[0]``, the last entry, after k = tail - 1 is the whole
+    count.  Before that it counts the members on x1..x_(k+1), a subset
+    of the whole set, so a capped count stops once it is over the cap.
     """
     bound = _suffix_masses(exps)
     if cap is not None and bound[1] >= cap:  # x1^(d-t)*x2^t, t <= bound[1]
         return bound[1] + 1
     ways = [1] * (bound[1] + 1)
     for k in range(1, bound.index(0)):  # up to tail - 1
-        ways = list(accumulate(reversed(ways)))[::-1][:bound[k + 1] + 1]
-        if cap is not None and ways[0] > cap:
+        ways = list(accumulate(ways))[len(ways) - 1 - bound[k + 1]:]
+        if cap is not None and ways[-1] > cap:
             break
-    return ways[0]
+    return ways[-1]
 
 
 def borel_size(generator: Monomial) -> int:

@@ -8,7 +8,12 @@ these slow and obvious.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (
+    accumulate,
+    combinations,
+    combinations_with_replacement,
+    permutations,
+)
 from operator import add
 
 from reescert.errors import InternalInvariantError, NotClosedError
@@ -159,6 +164,27 @@ def borel_closure_by_filter(generator: Monomial) -> tuple[Monomial, ...]:
     ]
     members.sort(key=revlex_key, reverse=True)
     return tuple(members)
+
+
+def borel_count_by_two_reversals(exps, cap=None) -> int:
+    """Size of the Borel set of the exponent vector ``exps``, the
+    reference for ``_borel_count``: exact when ``cap`` is None, else
+    exact up to ``cap`` and some number over it past that.  ``ways[s]``
+    counts the exponent choices on x_2..x_(k+1) once mass s sits on
+    x_(k+2)..x_n, kept first entry first, so each variable reverses the
+    table, takes its running sums, reverses them back and cuts them at
+    the suffix mass."""
+    bound = [0] * (len(exps) + 1)
+    for k in range(len(exps) - 1, -1, -1):
+        bound[k] = bound[k + 1] + exps[k]
+    if cap is not None and bound[1] >= cap:  # x1^(d-t)*x2^t, t <= bound[1]
+        return bound[1] + 1
+    ways = [1] * (bound[1] + 1)
+    for k in range(1, bound.index(0)):  # up to tail - 1
+        ways = list(accumulate(reversed(ways)))[::-1][:bound[k + 1] + 1]
+        if cap is not None and ways[0] > cap:
+            break
+    return ways[0]
 
 
 def pair_table_by_rewrite_images(fam) -> dict:

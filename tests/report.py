@@ -108,7 +108,8 @@ def settled():
     """What the paper's theorem certifies, and the blocks it settles."""
     from families import LADDER, batch
     from run import CERTIFY_RUNGS
-    from reescert import build_certificate, build_family, characterize, family
+    from reescert import (build_certificate, build_family, certify,
+                          characterize, family, monomials)
     from reescert.certify import _settled_blocks
     built = []
     closure = family.borel_closure
@@ -162,6 +163,36 @@ def settled():
           f" blocks of levels settled: {kinds}")
     print(f"certify-mix batch(1, 0..29): {open_pairs} pairs in unsettled"
           f" blocks of {all_pairs} pairs, sum of C(v, 2)")
+    # Borel counts made by parsing and by the settled rule counts, against
+    # one per "borel" level and one per settled block a rule count reads
+    made, blocks = [], []
+
+    def tallied(fn, calls):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for module in (monomials, certify):
+            stack.enter_context(mock.patch.object(
+                module, "_borel_count", tallied(module._borel_count, made)))
+        stack.enter_context(mock.patch.object(
+            certify, "_settled_rule_count",
+            tallied(certify._settled_rule_count, blocks)))
+        for label, descs in (
+                ("certify-mix batch(1, 0..29)", mix),
+                ("ladder CERTIFY_RUNGS", [LADDER[r] for r in CERTIFY_RUNGS])):
+            made.clear()
+            blocks.clear()
+            levels = 0
+            for desc in descs:
+                levels += sum("borel" in lv for lv in desc["levels"])
+                build_certificate(build_family(desc))
+            counted = sum(len(args[1]) for args in blocks)
+            print(f"{label}: certificates make {len(made)} Borel counts,"
+                  f" against {counted} settled blocks counted plus {levels}"
+                  ' "borel" levels parsed')
 
 
 def traffic():

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from reescert import family
+from reescert import certify, family, monomials
 from reescert.certify import _settled_blocks, build_certificate, closure_json
 from reescert.cli import main
 from reescert.errors import NotClosedError
@@ -251,8 +251,9 @@ def open_descs() -> list[dict]:
 
 
 def test_witnesses_match_the_checked_rewrite():
-    """A witness's images are dealt on the factorizations the scan kept;
-    on every open pair they equal the checked public path,
+    """A witness's images are the factorizations the scan dealt when it
+    rewrote the pair's product; on every open pair they equal the
+    checked public path,
     ``rewrite_images`` on the generators, and an image is missing
     exactly when its target level does not list it.  A report holds one
     ``Monomial`` per distinct image."""
@@ -371,6 +372,43 @@ def test_routes_agree_on_max_n_4():
         cert = assert_routes_agree(max_powers(n, 4), n)
         assert cert["closed_under_comparability"]
         assert cert["basis_size"] == rules == max_powers_rule_count(n, 4)
+
+
+def _counted(monkeypatch, module) -> list:
+    """Patch ``module._borel_count`` to record each count's exponents."""
+    counts = []
+    original = module._borel_count
+
+    def count(exps, *rest):
+        counts.append(exps)
+        return original(exps, *rest)
+
+    monkeypatch.setattr(module, "_borel_count", count)
+    return counts
+
+
+def test_each_borel_set_is_counted_once(monkeypatch, bench_families):
+    """A certificate counts each distinct product of its settled blocks
+    once, and none that a counted level's size already gives: max(4,3)
+    and maxpowers3 have ten settled blocks, five distinct products and
+    three levels B(x_n^d), so three counts each.  ``build_family``
+    counts a repeated ``"borel"`` generator once.  The memoized rule
+    counts still equal the basis on every ladder family."""
+    counts = _counted(monkeypatch, certify)
+    for desc in (max_powers(4, 3), family_dict("maxpowers3")):
+        fam = build_family(desc)
+        assert len(_settled_blocks(fam, characterize(fam))) == 10
+        assert build_certificate(fam)["conclusions"]
+        assert len(counts) == len(set(counts)) == 3, desc
+        counts.clear()
+    for name, desc in bench_families.LADDER.items():
+        cert = build_certificate(build_family(desc))
+        assert cert["basis_size"] == len(build_basis(build_family(desc))), name
+    parsed = _counted(monkeypatch, monomials)
+    fam = build_family({"mode": "rees", "variables": 5, "levels": [
+        {"degree": 1, "borel": "x5"}] * 50})
+    assert parsed == [(0, 0, 0, 0, 1)]
+    assert [len(lv) for lv in fam.levels] == [5] * 51
 
 
 # max(12,4), max(20,3) and max(60,2) are pinned through the CLI in

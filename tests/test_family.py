@@ -14,6 +14,7 @@ from reescert.errors import FamilyError, ResourceCapError
 from reescert.family import (
     GenRef,
     Level,
+    LeveledFamily,
     Witness,
     build_family,
     characterize,
@@ -692,6 +693,48 @@ def test_a_certificate_rewrites_only_the_open_blocks(monkeypatch):
     ordered.clear()
     open_pairs(build_family(family_dict("fiber_pair")))
     assert 0 < certified <= len(sorted_) + len(ordered)
+
+
+def test_the_report_derives_nothing_twice(monkeypatch, bench_families):
+    """A closure report builds its witnesses from the image
+    factorizations its scan dealt: it rewrites no product and reads no
+    generator's factorization beyond the scan's own, by default and
+    with every witness asked for, and each witness's images still equal
+    the checked public path, ``rewrite_images``."""
+    calls = {"sort": [], "ord": [], "factors": []}
+    _counting(monkeypatch, calls["sort"], family, "sort_factors")
+    _counting(monkeypatch, calls["ord"], family, "ord_factors")
+    _counting(monkeypatch, calls["factors"], LeveledFamily, "factors")
+    in_scan = []
+    original = family._classify
+
+    def classify(*args):
+        before = {name: len(made) for name, made in calls.items()}
+        try:
+            return original(*args)
+        finally:
+            in_scan.append({name: len(made) - before[name]
+                            for name, made in calls.items()})
+
+    monkeypatch.setattr(family, "_classify", classify)
+    descs = [open_tower4(), open_nochain()] + [
+        desc for desc, _ in bench_families.batch(1, 0)]
+    witnesses = 0
+    for desc in descs:
+        for everything in (False, True):
+            for made in calls.values():
+                made.clear()
+            in_scan.clear()
+            fam = build_family(desc)
+            report = is_closed_under_comparability(fam, everything)
+            scanned = {name: sum(s[name] for s in in_scan) for name in calls}
+            assert in_scan and {name: len(made) for name, made
+                                in calls.items()} == scanned, desc
+            assert scanned["factors"] == 0, desc
+            for w in report.witnesses:
+                assert w.images == rewrite_images(fam, *w.pair), desc
+            witnesses += len(report.witnesses)
+    assert witnesses > 2 * family.WITNESS_CAP
 
 
 def _as_listed(desc: dict):

@@ -26,6 +26,7 @@ from reescert.errors import MonomialParseError, ResourceCapError
 
 from bruteforce import (
     borel_closure_by_filter,
+    borel_count_by_two_reversals,
     borel_closure_by_moves,
     from_factors,
     order_by_exponents,
@@ -318,6 +319,25 @@ def test_borel_closure_matches_filter():
         assert borel_closure(gen) == borel_closure_by_filter(gen)
         assert (borel_size(gen) == _borel_count(gen.exps)
                 == len(borel_closure_by_filter(gen)))
+
+
+def test_borel_count_matches_the_two_reversal_dp():
+    """The DP that keeps its table last entry first counts as the one
+    that reversed it twice per variable, on seeded exponent vectors,
+    pure powers and single variables, uncapped and capped below, at and
+    above the count: exact up to the cap, over it past that."""
+    rng = random.Random(40)
+    vectors = [tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 7)))
+               for _ in range(600)]
+    vectors += [tuple(e if k == i else 0 for k in range(n))
+                for n in range(1, 8) for i in range(n) for e in (0, 1, 5)]
+    for exps in vectors:
+        count = borel_count_by_two_reversals(exps)
+        assert _borel_count(exps) == count, exps
+        for cap in (count - 1, count, count + 1):
+            capped = _borel_count(exps, cap)
+            assert capped == borel_count_by_two_reversals(exps, cap), exps
+            assert (capped == count) if cap >= count else (capped > cap), exps
 
 
 def test_borel_factors_match_the_closure():
