@@ -21,16 +21,18 @@ pays in its shared columns one way round or the other; a standard
 factorization is sorted, so a row has no inversions of its own.  That
 sum is exact whenever the level's strict pairwise preferences have no
 cycle (see ``inversion_minimal``); ``_measure`` adds, for a level whose
-preferences cycle, what ``inversion_minimal`` finds beyond it.  The
-measure suite keeps each pair's part, with its preference, in one memo
-for all the monomials it checks, and tests each level slice for a cycle
-once.
+preferences cycle, what ``inversion_minimal`` finds beyond it.  Each
+pair's part is packed into one int, in fields that cannot carry
+(``_layout``), so a monomial's (c, e) is one C-level sum; the measure
+suite keeps one memo of packed parts for all the monomials it checks,
+and tests each level slice for a cycle once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from itertools import chain, groupby
+from itertools import chain, combinations, groupby, repeat
+from math import comb
 from operator import gt, lt
 from typing import NamedTuple
 
@@ -122,9 +124,9 @@ def _check_row_cap(n: int) -> None:
 def _descents(groups) -> int:
     """Pairs (u, v), u in a group and v in a later one, with u > v: each
     entry is counted against the sorted entries of all earlier groups,
-    then insorted among them.  The groups are columns of at most
-    ``ROW_CAP`` entries or a pair's two sorted factor rows.  Groups must
-    be sequences.
+    then insorted among them.  The groups are columns, of at most
+    ``ROW_CAP`` rows or of a same-level pair's two rows.  Groups must be
+    sequences.
     """
     total = 0
     seen = []
@@ -143,21 +145,22 @@ def _column_wins(a, b) -> tuple[int, int]:
     return sum(map(gt, a, b)), sum(map(lt, a, b))
 
 
-def _pair_part(fam: LeveledFamily, r, s) -> tuple[int, int, int]:
-    """(c, e, prefer) of one occurrence pair r <= s in ref order.
+def _pair_part(a, b, same_level: bool) -> tuple[int, int, int]:
+    """(c, e, prefer) of one occurrence pair r <= s in ref order, of
+    factor rows a and b.
 
     Across levels, c counts the descents from the row of s, the higher
     ref, to that of r: an entry of s with the larger index (the smaller
-    variable) over one of r.  Within a level, e is the pair's order-free
-    part, the descents from one column to a later one (the rows are
-    sorted, so all between the two rows), plus min(w_rs, w_sr) of
-    ``_column_wins``: what the pair pays in its shared columns with the
-    cheaper row first.  prefer is the sign of w_rs - w_sr: -1 when r is
-    strictly preferred before s, 1 when s is before r, else 0.
+    variable) over one of r, found by bisection in the sorted b.  Within
+    a level, e is the pair's order-free part, the descents from one
+    column to a later one (the rows are sorted, so all between the two
+    rows), plus min(w_rs, w_sr) of ``_column_wins``: what the pair pays
+    in its shared columns with the cheaper row first.  prefer is the
+    sign of w_rs - w_sr: -1 when r is strictly preferred before s, 1
+    when s is before r, else 0.
     """
-    a, b = fam.factors(r), fam.factors(s)
-    if r.level != s.level:
-        return _descents((b, a)), 0, 0
+    if not same_level:
+        return len(a) * len(b) - sum(map(bisect_right, repeat(b), a)), 0, 0
     rs, sr = _column_wins(a, b)
     return 0, _descents(zip(a, b)) + min(rs, sr), (rs > sr) - (rs < sr)
 
@@ -175,21 +178,23 @@ def _level_runs(ps: tuple, refs: tuple) -> list[tuple]:
 def _cycle_excess(run: tuple, refs: tuple, fam: LeveledFamily,
                   memo: dict) -> int:
     """What the level at these sorted positions pays beyond its pair
-    sum: 0 unless its strict preferences, read from the pair parts in
-    ``memo``, cycle, which Kahn's algorithm finds when it cannot place
-    every row; then ``inversion_minimal`` less the pair sum."""
+    sum: 0 unless its strict preferences, read from the packed pair
+    parts in ``memo``, cycle, which Kahn's algorithm finds when it
+    cannot place every row; then ``inversion_minimal`` less the pair
+    sum.  A level none of whose pairs goes against ref order is in a
+    row order that honours them all."""
+    w, mask, top = memo[None]
+    total = sum(map(memo.__getitem__, combinations(run, 2)))
+    if not total >> top:
+        return 0
     after = [[] for _ in run]
     preds = [0] * len(run)
-    pair_e = 0
-    for i, r in enumerate(run):
-        parts = memo[r]
-        for j in range(i + 1, len(run)):
-            _, pe, prefer = parts[run[j]]
-            pair_e += pe
-            if prefer:
-                a, b = (i, j) if prefer < 0 else (j, i)
-                after[a].append(b)
-                preds[b] += 1
+    for i, j in combinations(range(len(run)), 2):
+        part = memo[run[i], run[j]]
+        if part >> 2 * w:
+            a, b = (j, i) if part >> top else (i, j)
+            after[a].append(b)
+            preds[b] += 1
     placed = [i for i, n in enumerate(preds) if not n]
     for a in placed:  # grows as rows are freed
         for b in after[a]:
@@ -199,13 +204,26 @@ def _cycle_excess(run: tuple, refs: tuple, fam: LeveledFamily,
     if len(placed) == len(run):
         return 0
     rows = [fam.factors(refs[p]) for p in run]
-    return inversion_minimal(rows)[0] - pair_e
+    return inversion_minimal(rows)[0] - (total >> w & mask)
+
+
+def _layout(fam: LeveledFamily) -> tuple[int, int, int]:
+    """(w, mask, top) of the family's packed pair parts: c in the low w
+    bits, e in the next w, a bit at 2 * w where the pair's strict
+    preference follows ref order and one at ``top`` where it goes
+    against it.  A part is below 2 * L**2, L the longest factor row, and
+    the row cap admits at most ``ROW_CAP`` rows a level, so each field
+    holds its sum over any monomial's pairs with no carry."""
+    pairs = comb(ROW_CAP * len(fam.levels), 2)
+    longest = max((lv.degree for lv in fam.levels), default=0)
+    w = (2 * longest * longest * pairs).bit_length()
+    return w, (1 << w) - 1, 2 * w + pairs.bit_length()
 
 
 def _measure(ps: tuple, refs: tuple, fam: LeveledFamily,
-             memo: dict) -> ReductionMeasure:
+             memo: dict) -> tuple[int, int]:
     """(c, e) of the monomial at these sorted positions of ``refs``,
-    from its pair parts.
+    from its pair parts, as a plain tuple.
 
     c is the sum of the cross-level pair parts.  e is the sum of the
     same-level pair parts, the pairwise bound of ``inversion_minimal``
@@ -215,40 +233,47 @@ def _measure(ps: tuple, refs: tuple, fam: LeveledFamily,
     order, so no level cycles unless ref order breaks some pair's
     preference, and a cycle takes three rows.  A level of more than
     ``ROW_CAP`` rows is refused before any pair part is computed.
-    ``memo``, kept over many monomials of one numbering, maps each
-    position, on first use, to a dict of its pair parts with the
-    positions after it, and each tested level slice to its excess.
+
+    ``memo``, kept over many monomials of one numbering, holds the
+    family's ``_layout`` under None, each position's factor row under
+    the position, each position pair (r, s), r <= s, on first use, with
+    its part packed by that layout, and each tested level slice with its
+    excess.  One C-level sum over the monomial's pairs gives c, e and
+    whether any pair goes against its preference; only then are its
+    level slices tested for a cycle.
     """
     runs = _level_runs(ps, refs) if len(ps) > ROW_CAP else ()
-    c = e = 0
-    missed = False
-    for i, r in enumerate(ps):
-        parts = memo.get(r)
-        if parts is None:
-            parts = memo[r] = {}
-        for s in ps[i + 1:]:
-            try:
-                pc, pe, prefer = parts[s]
-            except KeyError:
-                pc, pe, prefer = parts[s] = _pair_part(fam, refs[r], refs[s])
-            c += pc
-            e += pe
-            if prefer > 0:
-                missed = True
-    if missed:
+    w, mask, top = memo.get(None) or memo.setdefault(None, _layout(fam))
+    try:
+        total = sum(map(memo.__getitem__, combinations(ps, 2)))
+    except KeyError:
+        total = 0
+        for pair in combinations(ps, 2):
+            part = memo.get(pair)
+            if part is None:
+                r, s = pair
+                a = memo.get(r) or memo.setdefault(r, fam.factors(refs[r]))
+                b = memo.get(s) or memo.setdefault(s, fam.factors(refs[s]))
+                c, e, prefer = _pair_part(a, b, refs[r][0] == refs[s][0])
+                part = memo[pair] = (c | e << w | (prefer < 0) << 2 * w
+                                     | (prefer > 0) << top)
+            total += part
+    e = total >> w & mask
+    if total >> top:
         for run in runs or _level_runs(ps, refs):
             excess = memo.get(run)
             if excess is None:
                 excess = memo[run] = _cycle_excess(run, refs, fam, memo)
             e += excess
-    return ReductionMeasure(c, e)
+    return total & mask, e
 
 
 def reduction_level(mono: TMonomial, fam: LeveledFamily) -> ReductionMeasure:
     """The pair (c, minimal e summed over levels) for one T-monomial,
     or for its refs given as a tuple in any order."""
     index = _RuleIndex((), mono)
-    return _measure(index.positions(mono), index.refs, fam, {})
+    return ReductionMeasure(*_measure(index.positions(mono), index.refs,
+                                      fam, {}))
 
 
 def _polynomial_measure(f: TPolynomial, index: _RuleIndex,

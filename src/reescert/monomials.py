@@ -27,7 +27,9 @@ from operator import le
 
 from .errors import MonomialParseError, ResourceCapError
 
-_TERM_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z")
+# One term a match: x<index>, maybe ^<exponent>, then the "*" after it;
+# any other character matches alone, with no index.
+_TERMS_RE = re.compile(r"\s*(?:x(\d+)(?:\^(-?\d+))?\s*(?:\*|\Z)|.)", re.S)
 
 # Largest Borel set ``borel_closure`` builds (bset, family levels).
 BOREL_CAP = 10**5
@@ -144,7 +146,9 @@ def _power_parts(exps, var: str = "x") -> list[str]:
 def parse_terms(text: str, n: int) -> dict[int, int]:
     """The exponents of ``x3*x4``, ``x1^2*x3`` or ``1`` in n variables,
     by variable index, zero ones left out.  Allocates nothing of size n,
-    so a family can be counted before any of its monomials is built."""
+    so a family can be counted before any of its monomials is built.
+    One regex pass reads the terms; they are checked in order, and the
+    first bad one is named."""
     if n < 1:
         raise MonomialParseError("need at least one variable")
     s = text.strip()
@@ -153,24 +157,27 @@ def parse_terms(text: str, n: int) -> dict[int, int]:
     terms: dict[int, int] = {}
     if s == "1":
         return terms
-    for raw in s.split("*"):
-        term = raw.strip()
-        m = _TERM_RE.match(term)
-        if m is None:
+    found = _TERMS_RE.findall(s)
+    for i, e in found:
+        if not i:  # no term starts here, so the one it is in is bad
+            term = s.split("*")[found.index(("", ""))].strip()
             raise MonomialParseError(f"bad term {term!r} in {text!r}")
         try:
-            idx = int(m.group(1))
-            exp = 1 if m.group(2) is None else int(m.group(2))
+            idx, exp = int(i), int(e or 1)
         except ValueError:  # over Python's digit limit for int()
+            term = f"x{i}^{e}" if e else f"x{i}"
             raise MonomialParseError(
                 f"number too long in term {term[:16]!r}...") from None
         if not 1 <= idx <= n:
             raise MonomialParseError(
                 f"variable x{idx} out of range x1..x{n} in {text!r}")
-        if exp < 0:
-            raise MonomialParseError(f"negative exponent in term {term!r}")
-        if exp:
+        if exp > 0:
             terms[idx] = terms.get(idx, 0) + exp
+        elif exp:
+            raise MonomialParseError(
+                f"negative exponent in term {f'x{i}^{e}'!r}")
+    if s.endswith("*"):  # its last term is empty
+        raise MonomialParseError(f"bad term '' in {text!r}")
     return terms
 
 

@@ -13,6 +13,7 @@ calling both on equal inputs runs it once.
 from __future__ import annotations
 
 from math import comb
+from operator import gt
 from typing import Callable, NamedTuple
 
 from . import reduction
@@ -190,12 +191,14 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
     walk_is_table = table == index.partners
     mono = index.monomial
     memo = {}
+    # an entry is a non-empty tuple: a hit is the walk's whole answer
+    hit = memo.get
     # up to FAILURE_CAP + 1 each: one more marks the report truncated
     unique, kernel = [], []
     largest = 0
     for image, members in buckets.items():
         largest = max(largest, len(members))
-        walks = [_normal_form(m, index, memo) for m in members]
+        walks = [hit(m) or _normal_form(m, index, memo) for m in members]
         outs = [out for out, _ in walks]
         reduced = ([m for m, (_, steps) in zip(members, walks) if not steps]
                    if walk_is_table else
@@ -286,8 +289,13 @@ def verify_measure_decrease(fam: LeveledFamily, basis, samples: int = 200,
                             seed: int = 20260822) -> MeasureReport:
     """Walk random T-monomials along the rewrite chain whose critical
     pairs ``confluence_check`` joins, and insist the (c, e) measure drops
-    strictly in lexicographic order at every single step.  One memo of
-    ref and pair parts serves every measure of the suite."""
+    strictly in lexicographic order at every single step.  A fresh walk
+    memo holds a sample's chain nearest the normal form first, so the
+    chain is read from it in reverse.  One memo of factor rows and
+    packed pair parts serves every measure of the suite: each is one
+    C-level sum over a monomial's pairs, whose c, e and preference
+    fields are sized for the longest monomial the row cap admits, so
+    that they cannot carry (``measure._layout``)."""
     import random
 
     if samples < 1:
@@ -305,11 +313,8 @@ def verify_measure_decrease(fam: LeveledFamily, basis, samples: int = 200,
             refs, k=rng.randint(1, max_degree)))
         walk = {}
         steps += _normal_form(ps, index, walk)[1]
-        # one chain: its distances to the normal form are distinct
-        chain = sorted(walk, key=lambda r: walk[r][1], reverse=True)
-        seq = [_measure(r, index.refs, fam, parts) for r in chain]
-        ok = all(after < before for before, after in zip(seq, seq[1:]))
-        if not ok or seq[-1] != (0, 0):
+        seq = [_measure(r, index.refs, fam, parts) for r in reversed(walk)]
+        if seq[-1] != (0, 0) or not all(map(gt, seq, seq[1:])):
             if len(failures) < FAILURE_CAP:
                 failures.append(index.monomial(ps))
     return MeasureReport(samples, max_degree, steps, tuple(failures))

@@ -69,6 +69,42 @@ def confluence():
         assert got == want, (name, got, want)
 
 
+def measure():
+    """The measure suite's reports, 1,000 samples of degree 8, on the
+    benchmark's three measure rungs at two seeds each and on max(5,3) at
+    seed 16, whose walks meet three cyclic level slices; each suite's
+    wall is the median of three runs."""
+    from statistics import median
+
+    from families import LADDER
+    from reescert import build_basis, build_family, verify_measure_decrease
+    # (rung, seed): (samples, max_degree, steps, failures)
+    frozen = {
+        ("tower4", 1): (1000, 8, 2348, ()),
+        ("tower4", 2): (1000, 8, 2397, ()),
+        ("max4_3", 1): (1000, 8, 4099, ()),
+        ("max4_3", 2): (1000, 8, 3966, ()),
+        ("max4_4", 1): (1000, 8, 5576, ()),
+        ("max4_4", 2): (1000, 8, 5369, ()),
+        ("max5_3", 16): (1000, 8, 4365, ()),
+    }
+    built = {}
+    for (rung, seed), want in frozen.items():
+        if rung not in built:
+            fam = build_family(LADDER[rung])
+            built[rung] = fam, build_basis(fam)
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            report = verify_measure_decrease(*built[rung], 1000, 8, seed)
+            times.append(time.perf_counter() - t0)
+            got = (report.samples, report.max_degree, report.steps,
+                   report.failures)
+            assert got == want, (rung, seed, got, want)
+        print(f"measure suite on {rung}, seed {seed}: {median(times):.3f} s,"
+              f" (samples, max_degree, steps, failures) = {got}")
+
+
 def past_cap():
     """The theorem certifies past ``PAIR_CAP`` while ``check`` refuses to
     scan (exit 3), ``certify`` refuses to count the settled blocks of
@@ -101,7 +137,8 @@ def past_cap():
         assert lines == 100001, lines
 
 
-GATES = {"census": census, "confluence": confluence, "past-cap": past_cap}
+GATES = {"census": census, "confluence": confluence, "measure": measure,
+         "past-cap": past_cap}
 
 if __name__ == "__main__":
     if not __debug__:  # the gates check with assert, which -O strips

@@ -26,6 +26,7 @@ from reescert.presentation import (
 from reescert.reduction import (
     TPolynomial,
     _RuleIndex,
+    _normal_form,
     normal_form,
     parse_tpolynomial,
 )
@@ -311,7 +312,7 @@ def test_cycle_excess_decides_acyclicity():
                     pool = [row for row in pool if sum(row) == weight]
                 rows = rng.choices(pool, k=rng.randint(3, 8))
                 ps = tuple(sorted(map(at_row.__getitem__, rows)))
-                e = _measure(ps, refs, fam, memo).e
+                e = _measure(ps, refs, fam, memo)[1]
                 excess = measure._cycle_excess(ps, refs, fam, memo)
                 assert (excess > 0) == has_preference_cycle(rows), rows
                 assert e == inversion_minimal(rows)[0] == \
@@ -356,6 +357,77 @@ def test_measure_on_high_degree_rows():
         want = reference_measure(m, fam, max_permuted=4)
         assert _measure(at(refs, m), refs, fam, memo) == want
         assert reduction_level(m, fam) == want
+
+
+def comparability_by_counts(m, fam) -> int:
+    """c by its definition, counted by variable: an occurrence of x_i
+    at a lower level and one of x_j, j > i, at a higher level make a
+    pair, so each pair of levels adds the products of their exponent
+    sums.  ``comparability_by_occurrences`` reads every occurrence pair,
+    too many for rows of degree 1000."""
+    sums = {}
+    for ref in m.refs:
+        exps = fam.generator(ref).exps
+        row = sums.setdefault(ref.level, [0] * len(exps))
+        for k, e in enumerate(exps):
+            row[k] += e
+    return sum(lo[i] * hi[j]
+               for a, lo in sums.items() for b, hi in sums.items() if a < b
+               for i in range(len(lo)) for j in range(i + 1, len(hi)))
+
+
+def test_packed_parts_do_not_carry(tower4, monkeypatch):
+    # the largest parts the caps allow: up to ROW_CAP rows of degree
+    # 1000 (the generator degree cap) at each of two levels, so that a
+    # monomial's c and e each sum to far more than one part can reach
+    # (under 2 * 1000**2); no field may carry into the next.  c is
+    # counted by variable, e level by level through inversion_minimal
+    assert comparability_by_counts(demo_monomial(tower4), tower4) == 25
+    low = ["x1^1000", "x1^500*x3^500", "x2^1000", "x1^999*x2",
+           "x1*x2^998*x3"]
+    high = ["x3^1000", "x2^500*x3^500", "x1^1000", "x1*x3^999",
+            "x2^999*x3"]
+    fam = build_family({"mode": "rees", "variables": 3, "levels": [
+        {"degree": 1000, "generators": low},
+        {"degree": 1000, "generators": high}]})
+    refs = fam.refs()
+    by_level = {}
+    for ref in refs:
+        by_level.setdefault(ref.level, []).append(ref)
+    tested = []
+    real = measure._cycle_excess
+
+    def counted(run, *args):
+        tested.append(run)
+        return real(run, *args)
+    monkeypatch.setattr(measure, "_cycle_excess", counted)
+
+    def check(m, memo):
+        want = (comparability_by_counts(m, fam),
+                sum(inversion_minimal(rows)[0]
+                    for rows in rows_by_level(m.refs, fam).values()))
+        assert _measure(at(refs, m), refs, fam, memo) == want
+        assert reduction_level(m, fam) == want
+        return want
+
+    rng = random.Random(63)
+    memo = {}
+    wants = [check(TMonomial(
+        rng.choices(by_level[0], k=rng.randint(0, ROW_CAP))
+        + rng.choices(by_level[1], k=ROW_CAP)
+        + rng.choices(by_level[2], k=rng.randint(1, ROW_CAP))), memo)
+        for _ in range(6)]
+    # the largest c and the largest e each pass what one part can reach
+    assert min(map(max, zip(*wants))) > 2 * 1000**2
+    # five rows each of two refs whose strict preference follows ref
+    # order: 25 pairs count with ref order and none against it, so the
+    # level is not tested for a cycle
+    r, s = next((r, s) for r, s in combinations(by_level[1], 2)
+                if sum(a > b for a, b in zip(fam.factors(r), fam.factors(s)))
+                < sum(a < b for a, b in zip(fam.factors(r), fam.factors(s))))
+    tested.clear()
+    check(TMonomial([r] * 5 + [s] * 5 + by_level[2][:3]), {})
+    assert tested == []
 
 
 def test_reduction_level_row_cap(tower4):
@@ -454,6 +526,31 @@ def test_measure_drops_lexicographically(tower4, maxpowers3):
             for before, after in zip(seq, seq[1:]):
                 assert after < before
             assert seq[-1] == (0, 0)
+
+
+def test_fresh_walk_memo_holds_the_chain_nearest_first(bench_families):
+    # the measure suite reads a sample's chain off its fresh walk memo in
+    # reverse: _normal_form stores the normal form first, then each
+    # walked monomial, nearest to the normal form first.  Reversed, the
+    # memo is the chain by distance, start first, and the reference
+    # chain of the rewrite rule
+    for rung in ("tower4", "max4_3", "max4_4"):
+        fam = build_family(bench_families.LADDER[rung])
+        basis = build_basis(fam)
+        rules = rules_by_lead(basis)
+        index = _RuleIndex(basis, fam.refs())
+        rng = random.Random(f"walk memo/{rung}")
+        for _ in range(100):
+            m = TMonomial(rng.choices(fam.refs(), k=rng.randint(1, 8)))
+            walk = {}
+            nf, steps = _normal_form(index.positions(m.refs), index, walk)
+            chain = list(reversed(walk))
+            assert chain == sorted(walk, key=lambda ps: walk[ps][1],
+                                   reverse=True)
+            assert [walk[ps] for ps in chain] == [
+                (nf, d) for d in range(steps, -1, -1)]
+            assert list(map(index.monomial, chain)) == [
+                TMonomial(r) for r in rewrite_chain(m.refs, rules)]
 
 
 def test_rewrite_chain_is_the_one_term_trace(tower4, maxpowers3):

@@ -44,5 +44,6 @@ def test_every_workflow_command_names_an_entry(module, table):
 
 
 def test_every_gate_runs_in_the_workflow():
-    assert entries("gates", "GATES") == {"census", "confluence", "past-cap"}
+    assert entries("gates", "GATES") == {"census", "confluence", "measure",
+                                         "past-cap"}
     assert entries("gates", "GATES") <= set(run_names("gates"))
