@@ -151,7 +151,7 @@ def _settled_blocks(fam: LeveledFamily, ch) -> frozenset:
     return frozenset(
         (i, j) for k, (i, head, _) in enumerate(lasts)
         for j, _, tail in lasts[k:]
-        if i == j or i == 0 or head >= tail)
+        if i == j or head >= tail)
 
 
 def _settled_rule_count(fam: LeveledFamily, settled) -> int:
@@ -205,8 +205,7 @@ def build_certificate(fam: LeveledFamily) -> dict:
     block: no ref, no member and no pair is built for it."""
     ch = characterize(fam)
     settled = _settled_blocks(fam, ch)
-    size = len(fam.levels)
-    scanned = len(settled) < size * (size + 1) // 2
+    scanned = not ch.conjunction
     if scanned:
         report = is_closed_under_comparability(fam, settled=settled)
     else:

@@ -159,75 +159,49 @@ def cmd_verify(args) -> int:
                 f"--drop-rule index out of range 0..{len(basis) - 1}")
         basis = basis[:args.drop_rule] + basis[args.drop_rule + 1:]
 
+    degree = args.max_degree
+    # one row a suite: JSON key, call, figures, verdict attribute, text
+    # line over the figures, and whether it lists the first failure
+    # reasons; both fiber suites are one pass, run by the first
+    suites = (
+        ("confluence", lambda: confluence_check(basis),
+         lambda r: {"pairs": r.pairs_total,
+                    "pairs_reduced": r.pairs_reduced,
+                    "pairs_skipped": r.pairs_skipped,
+                    "max_reduction_length": r.max_reduction_length,
+                    "normal_forms": r.normal_forms}, "confluent",
+         "confluence: {pairs} s-pairs, {failures} failure(s),"
+         " {pairs_reduced} reduced, {pairs_skipped} skipped (coprime"
+         " leads), max reduction length {max_reduction_length}", False),
+        ("normal_forms",
+         lambda: verify_unique_normal_forms(fam, basis, degree),
+         lambda r: {"monomials": r.monomials, "fibers": r.fibers,
+                    "largest_fiber": r.largest_fiber,
+                    "reductions": r.reductions}, "passed",
+         "normal forms: {monomials} monomials in {fibers} fibers up to"
+         " degree {degree}, {failures} failure(s)", True),
+        ("kernel", lambda: verify_kernel_generation(fam, basis, degree),
+         lambda r: {"differences": r.differences}, "passed",
+         "kernel: {differences} fiber differences, {failures} failure(s)",
+         False),
+        ("measure", lambda: verify_measure_decrease(fam, basis),
+         lambda r: {"samples": r.samples, "steps": r.steps}, "passed",
+         "measure: {samples} random monomials, {steps} steps,"
+         " {failures} monotonicity failure(s)", False),
+    )
     results = {}
     lines = []
-
-    t0 = time.perf_counter()
-    confl = confluence_check(basis)
-    dt = time.perf_counter() - t0
-    results["confluence"] = {
-        "pairs": confl.pairs_total,
-        "pairs_reduced": confl.pairs_reduced,
-        "pairs_skipped": confl.pairs_skipped,
-        "max_reduction_length": confl.max_reduction_length,
-        "normal_forms": confl.normal_forms,
-        "failures": len(confl.failures),
-        "passed": confl.confluent,
-        "seconds": round(dt, 3),
-    }
-    lines.append(
-        f"confluence: {confl.pairs_total} s-pairs,"
-        f" {len(confl.failures)} failure(s), {confl.pairs_reduced} reduced,"
-        f" {confl.pairs_skipped} skipped (coprime leads), max reduction"
-        f" length {confl.max_reduction_length} ({dt:.2f}s)")
-
-    # both fiber suites are one pass, run by the first; the second
-    # reads its reports
-    t0 = time.perf_counter()
-    unf = verify_unique_normal_forms(fam, basis, args.max_degree)
-    dt = time.perf_counter() - t0
-    results["normal_forms"] = {
-        "monomials": unf.monomials,
-        "fibers": unf.fibers,
-        "largest_fiber": unf.largest_fiber,
-        "reductions": unf.reductions,
-        "failures": len(unf.failures),
-        "passed": unf.passed,
-        "seconds": round(dt, 3),
-    }
-    lines.append(
-        f"normal forms: {unf.monomials} monomials in {unf.fibers} fibers"
-        f" up to degree {args.max_degree}, {len(unf.failures)} failure(s)"
-        f" ({dt:.2f}s)")
-    for fail in unf.failures[:4]:
-        lines.append(f"  {fail.reason}")
-
-    t0 = time.perf_counter()
-    ker = verify_kernel_generation(fam, basis, args.max_degree)
-    dt = time.perf_counter() - t0
-    results["kernel"] = {
-        "differences": ker.differences,
-        "failures": len(ker.failures),
-        "passed": ker.passed,
-        "seconds": round(dt, 3),
-    }
-    lines.append(
-        f"kernel: {ker.differences} fiber differences,"
-        f" {len(ker.failures)} failure(s) ({dt:.2f}s)")
-
-    t0 = time.perf_counter()
-    meas = verify_measure_decrease(fam, basis)
-    dt = time.perf_counter() - t0
-    results["measure"] = {
-        "samples": meas.samples,
-        "steps": meas.steps,
-        "failures": len(meas.failures),
-        "passed": meas.passed,
-        "seconds": round(dt, 3),
-    }
-    lines.append(
-        f"measure: {meas.samples} random monomials, {meas.steps} steps,"
-        f" {len(meas.failures)} monotonicity failure(s) ({dt:.2f}s)")
+    for key, call, figures, verdict, text, reasons in suites:
+        t0 = time.perf_counter()
+        report = call()
+        dt = time.perf_counter() - t0
+        entry = results[key] = {
+            **figures(report), "failures": len(report.failures),
+            "passed": getattr(report, verdict), "seconds": round(dt, 3)}
+        lines.append(text.format(degree=degree, **entry)
+                     + f" ({entry['seconds']:.2f}s)")
+        if reasons:
+            lines.extend(f"  {fail.reason}" for fail in report.failures[:4])
 
     passed = all(r["passed"] for r in results.values())
     results["passed"] = passed

@@ -195,9 +195,7 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
     hit = memo.get
     # up to FAILURE_CAP + 1 each: one more marks the report truncated
     unique, kernel = [], []
-    largest = 0
     for image, members in buckets.items():
-        largest = max(largest, len(members))
         walks = [hit(m) or _normal_form(m, index, memo) for m in members]
         outs = [out for out, _ in walks]
         reduced = ([m for m, (_, steps) in zip(members, walks) if not steps]
@@ -210,6 +208,12 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
                 tuple(map(mono, reduced or members))))
         rep = reduced[0] if len(reduced) == 1 else members[0]
         rep_nf = outs[members.index(rep)]
+        # a fiber whose members all reach rep_nf, and rep when it is the
+        # one reduced member, reports nothing: C-level counts tell it
+        size = len(outs)
+        if outs.count(rep_nf) == size and (
+                len(reduced) != 1 or outs.count(rep) == size):
+            continue
         for m, out in zip(members, outs):
             if (len(reduced) == 1 and out != rep
                     and len(unique) <= FAILURE_CAP):
@@ -225,6 +229,7 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
                     f" reduce to zero (normal form {nf})",
                     (mono(m), mono(rep))))
     monomials = sum(len(v) for v in buckets.values())
+    largest = max(map(len, buckets.values()), default=0)
     return (FiberReport(max_degree, monomials, len(buckets), largest,
                         monomials, tuple(unique[:FAILURE_CAP]),
                         len(unique) > FAILURE_CAP),

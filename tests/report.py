@@ -25,9 +25,25 @@ ROOT = HERE.parent
 sys.path += [str(HERE / "golden"), str(ROOT / "perfbench")]
 
 
+def code_lines(text):
+    """Lines of a source that are not blank, comment-only or part of a
+    module, class or function docstring."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            docs.update(range(doc.lineno, doc.end_lineno + 1))
+    return sum(1 for n, line in enumerate(text.splitlines(), start=1)
+               if line.strip() and not line.lstrip().startswith("#")
+               and n not in docs)
+
+
 def sizes():
-    """Public names, optional parameters of public functions, slots, and
-    each module's upper-case int constants."""
+    """Public names, optional parameters of public functions, slots,
+    each module's upper-case int constants, and each module's code
+    lines (``code_lines``)."""
     import reescert
     from reescert.family import Level, LeveledFamily
     print(len(reescert.__all__), "public names")
@@ -39,10 +55,13 @@ def sizes():
     for cls in (Level, LeveledFamily):
         print(len(cls.__slots__), "slots of", cls.__name__)
     total = 0
+    code = {}
     for path in sorted((ROOT / "src" / "reescert").glob("*.py")):
         module = importlib.import_module(
             "reescert" if path.stem == "__init__" else f"reescert.{path.stem}")
-        names = [t.id for node in ast.parse(path.read_text()).body
+        text = path.read_text()
+        code[path.stem] = code_lines(text), len(text.splitlines())
+        names = [t.id for node in ast.parse(text).body
                  if isinstance(node, ast.Assign) for t in node.targets
                  if isinstance(t, ast.Name) and t.id.isupper()
                  and type(getattr(module, t.id)) is int]
@@ -50,6 +69,10 @@ def sizes():
         print(f"{path.stem}:", ", ".join(
             f"{n} = {getattr(module, n)}" for n in names) or "-")
     print(total, "upper-case int constants")
+    for stem, (count, lines) in code.items():
+        print(f"{stem}: {count} code lines of {lines}")
+    print(sum(count for count, _ in code.values()), "code lines of",
+          sum(lines for _, lines in code.values()), "in src/reescert")
 
 
 def profile(part):

@@ -56,7 +56,8 @@ def test_parse_accepts_whitespace_and_merges_repeats():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "y1", "x0", "x5", "x1^", "x1^-2", "x1+x2", "x", "xx1"]:
+    for bad in ["", "y1", "x0", "x5", "x1^", "x1^-2", "x1+x2", "x", "xx1",
+                "x1*", "x1**x2"]:
         with pytest.raises(MonomialParseError):
             M(bad)
 
