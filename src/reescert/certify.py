@@ -18,7 +18,7 @@ only the pairs of the other blocks, in lexicographic order, and their
 rules are read off its table, without building a rule; a witness's
 images are the factorizations the scan dealt, so no pair is rewritten
 twice.  A family with the conjunction has no other block: it is
-certified with no ref, no member and no pair built.
+certified with no ref, no member, no pair and no set of blocks built.
 ``tests/test_census.py`` underwrites the route: the conjunction equals
 closure on every family of the (3, 3, 3) census in both modes, no open
 pair of a full scan of that census, or of the listed-level censuses,
@@ -38,6 +38,7 @@ Cohen-Macaulay (Hochster).
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from operator import add
 
 from .errors import InternalInvariantError, ResourceCapError
@@ -155,8 +156,9 @@ def _settled_blocks(fam: LeveledFamily, ch) -> frozenset:
 
 
 def _settled_rule_count(fam: LeveledFamily, settled) -> int:
-    """Rules of the settled blocks: the ref pairs a <= b of each block
-    less its comparable pairs, one per distinct product, so
+    """Rules of the settled blocks, ``settled`` or, when None, every
+    block of a family with the conjunction: the ref pairs a <= b of
+    each block less its comparable pairs, one per distinct product, so
     |B(u_i*u_j)| of them by the product identity B(u)*B(v) = B(uv) of
     principal Borel sets.  That is |L_i|*|L_j| - |B(u_i*u_j)| for
     i < j and C(|L_i|+1, 2) - |B(u_i^2)| for i = j.  The counts are
@@ -169,25 +171,32 @@ def _settled_rule_count(fam: LeveledFamily, settled) -> int:
     count.  Counting B(u_i*u_j) takes at most
     max(tail_i, tail_j) * (deg_i + deg_j + 1) steps; their sum over
     every settled block, an upper bound on what the memoized counts
-    take, is refused past ``COUNT_STEP_CAP`` before any count."""
-    levels = {lv.index: (lv._ends[1], lv.degree, len(lv), lv.last.exps)
-              for lv in fam.levels}
+    take, is refused past ``COUNT_STEP_CAP`` before any count.  The
+    blocks are walked as pairs of levels, twice, and never held."""
+    level = fam._by_index
+
+    def blocks():
+        # the conjunction settles each level with itself and every later
+        # one
+        if settled is None:
+            return combinations_with_replacement(level, 2)
+        return settled
+
     steps = 0
-    for i, j in settled:
-        s, d, _, _ = levels[i]
-        t, e, _, _ = levels[j]
-        steps += max(s, t) * (d + e + 1)
+    for i, j in blocks():
+        a, b = level[i], level[j]
+        steps += max(a._ends[1], b._ends[1]) * (a.degree + b.degree + 1)
     if steps > COUNT_STEP_CAP:
         raise ResourceCapError(
             f"counting the settled blocks takes {steps} steps,"
             f" more than {COUNT_STEP_CAP}")
     sizes = {lv.last.exps: len(lv) for lv in fam.levels if lv.borel}
     count = 0
-    for i, j in settled:
-        _, _, a, u = levels[i]
-        _, _, b, w = levels[j]
-        pairs = a * (a + 1) // 2 if i == j else a * b
-        product = tuple(map(add, u, w))
+    for i, j in blocks():
+        a, b = level[i], level[j]
+        s, t = len(a), len(b)
+        pairs = s * (s + 1) // 2 if i == j else s * t
+        product = tuple(map(add, a.last.exps, b.last.exps))
         size = sizes.get(product)
         if size is None:
             size = sizes[product] = _borel_count(product)
@@ -198,19 +207,20 @@ def _settled_rule_count(fam: LeveledFamily, settled) -> int:
 def build_certificate(fam: LeveledFamily) -> dict:
     """Certificate dict; JSON-ready.  Conclusions only when closed.
 
-    The blocks of levels the paper's theorem settles
-    (``_settled_blocks``) are counted; the closure scan classifies only
-    the pairs of the others, and reads the rule count of those off their
-    table.  A family with the structural conjunction has no other
-    block: no ref, no member and no pair is built for it."""
+    The blocks of levels the paper's theorem settles are counted; the
+    closure scan classifies only the pairs of the others
+    (``_settled_blocks`` names the settled ones for it), and reads the
+    rule count of those off their table.  A family with the structural
+    conjunction has no other block: no ref, no member, no pair and no
+    set of blocks is built for it."""
     ch = characterize(fam)
-    settled = _settled_blocks(fam, ch)
-    scanned = not ch.conjunction
-    if scanned:
-        report = is_closed_under_comparability(fam, settled=settled)
-    else:
+    if ch.conjunction:
+        settled = None
         refs = len(fam)
         report = ClosureReport(True, (), refs * (refs - 1) // 2, False)
+    else:
+        settled = _settled_blocks(fam, ch)
+        report = is_closed_under_comparability(fam, settled=settled)
     closure = closure_json(report, ch)
     witnesses = closure.pop("witnesses")
     out = {
@@ -236,7 +246,8 @@ def build_certificate(fam: LeveledFamily) -> dict:
     # entry, lead to trail: its size and shape are read off it without
     # building a rule.  The theorem's blocks are quadratic with
     # squarefree leads.
-    shape = basis_shape(fam._table(settled)[0].items() if scanned else ())
+    shape = basis_shape(
+        () if settled is None else fam._table(settled)[0].items())
     if not (shape["quadratic"] and shape["squarefree_leads"]):
         # each table entry is a product of two distinct refs rewritten
         # to two refs, so a closed family always has this shape

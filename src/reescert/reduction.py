@@ -120,29 +120,27 @@ class PsiImage(NamedTuple):
 
 
 def psi_eval(mono: TMonomial, fam: LeveledFamily) -> PsiImage:
-    """Image of a T-monomial: multiply the referenced generators.
+    """Image of a T-monomial: multiply the referenced generators, read
+    as their standard factorizations (``fam.factors``), so that no
+    member of a counted level is built.
 
     rees mode records one t_i per level-i factor (levels >= 1); fiber
     mode pads each level-i generator with the auxiliary variable
     x_{n+i} up to the embedding degree.
     """
-    if fam.mode == "rees":
-        xs = [0] * fam.n
-        ts = [0] * fam.top_level
-        for ref in mono:
-            for k, e in enumerate(fam.generator(ref).exps):
-                xs[k] += e
-            if ref.level >= 1:
-                ts[ref.level - 1] += 1
-        return PsiImage(tuple(xs), tuple(ts))
-    s = fam.top_level
-    xs = [0] * (fam.n + s)
+    n = fam.n
+    rees = fam.mode == "rees"
+    # x_1..x_n, then one entry per level 0..top: t_i in rees mode,
+    # x_{n+i} in fiber mode, which has no level 0
+    xs = [0] * (n + 1 + fam.top_level)
     for ref in mono:
-        lv = fam.level(ref.level)
-        for k, e in enumerate(fam.generator(ref).exps):
-            xs[k] += e
-        xs[fam.n + ref.level - 1] += fam.embedding_degree - lv.degree
-    return PsiImage(tuple(xs), ())
+        for k in fam.factors(ref):
+            xs[k - 1] += 1
+        i = ref[0]
+        xs[n + i] += 1 if rees else (
+            fam.embedding_degree - fam.level(i).degree)
+    x, t = tuple(xs[:n]), tuple(xs[n + 1:])
+    return PsiImage(x, t) if rees else PsiImage(x + t, ())
 
 
 def _partners(pairs, size: int) -> list[set]:

@@ -108,11 +108,11 @@ def measure():
 def past_cap():
     """The theorem certifies past ``PAIR_CAP`` while ``check`` refuses to
     scan (exit 3), ``certify`` refuses to count the settled blocks of
-    240 levels past ``COUNT_STEP_CAP`` (exit 3), and ``bset`` expands
-    100,000 members; 10 s a run."""
+    240 and of 1,400 levels past ``COUNT_STEP_CAP`` (exit 3), and
+    ``bset`` expands 100,000 members; 10 s a run."""
     def cli(*args, **kwargs):
         return subprocess.run([sys.executable, "-m", "reescert.cli", *args],
-                              timeout=10, **kwargs).returncode
+                              timeout=10, **kwargs)
 
     with tempfile.TemporaryDirectory() as tmp:
         for n, k in ((12, 4), (20, 3), (60, 2)):
@@ -120,15 +120,27 @@ def past_cap():
             path.write_text(json.dumps(max_powers(n, k)))
             cli("certify", path, "--format", "json",
                 stdout=subprocess.DEVNULL, check=True)
-        code = cli("check", Path(tmp, "max12_4.json"))
+        code = cli("check", Path(tmp, "max12_4.json")).returncode
         assert code == 3, code
         path = Path(tmp, "levels240.json")
         path.write_text(json.dumps({
             "mode": "rees", "variables": 2000,
             "levels": [{"degree": 1, "borel": "x2000"}] * 240}))
-        code = cli("certify", path, stderr=subprocess.DEVNULL)
+        code = cli("certify", path, stderr=subprocess.DEVNULL).returncode
         print(f"certify on 240 levels B(x2000): exit {code}")
         assert code == 3, code
+        # the theorem route's worst case: 982,101 settled blocks, walked
+        # without holding a set of them
+        path = Path(tmp, "levels1400.json")
+        path.write_text(json.dumps({
+            "mode": "rees", "variables": 2000,
+            "levels": [{"degree": 1, "borel": "x2000"}] * 1400}))
+        start = time.perf_counter()
+        proc = cli("certify", path, capture_output=True, text=True)
+        print(f"certify on 1,400 levels B(x2000): exit {proc.returncode}"
+              f" in {time.perf_counter() - start:.2f} s")
+        assert proc.returncode == 3, proc.returncode
+        assert "counting the settled blocks takes" in proc.stderr, proc.stderr
         bset = Path(tmp, "bset.txt")
         with open(bset, "wb") as out:
             cli("bset", "-n", "2", "x2^99999", stdout=out, check=True)

@@ -187,8 +187,9 @@ def settled():
     print(f"certify-mix batch(1, 0..29): {open_pairs} pairs in unsettled"
           f" blocks of {all_pairs} pairs, sum of C(v, 2)")
     # Borel counts made by parsing and by the settled rule counts, against
-    # one per "borel" level and one per settled block a rule count reads
-    made, blocks = [], []
+    # one per "borel" level and one per settled block a rule count reads;
+    # and the certificates that build a set of settled blocks
+    made, counts, sets = [], [], []
 
     def tallied(fn, calls):
         def wrapper(*args):
@@ -200,21 +201,27 @@ def settled():
         for module in (monomials, certify):
             stack.enter_context(mock.patch.object(
                 module, "_borel_count", tallied(module._borel_count, made)))
-        stack.enter_context(mock.patch.object(
-            certify, "_settled_rule_count",
-            tallied(certify._settled_rule_count, blocks)))
+        for name, calls in (("_settled_rule_count", counts),
+                            ("_settled_blocks", sets)):
+            stack.enter_context(mock.patch.object(
+                certify, name, tallied(getattr(certify, name), calls)))
         for label, descs in (
                 ("certify-mix batch(1, 0..29)", mix),
                 ("ladder CERTIFY_RUNGS", [LADDER[r] for r in CERTIFY_RUNGS])):
             made.clear()
-            blocks.clear()
+            counts.clear()
+            sets.clear()
             levels = 0
             for desc in descs:
                 levels += sum("borel" in lv for lv in desc["levels"])
                 build_certificate(build_family(desc))
-            counted = sum(len(args[1]) for args in blocks)
-            print(f"{label}: certificates make {len(made)} Borel counts,"
-                  f" against {counted} settled blocks counted plus {levels}"
+            print(f"{label}: {len(sets)} of {len(descs)} certificates"
+                  " build a set of settled blocks")
+            borel_counts = len(made)
+            blocks = sum(len(_settled_blocks(fam, characterize(fam)))
+                         for fam, _ in counts)
+            print(f"{label}: certificates make {borel_counts} Borel counts,"
+                  f" against {blocks} settled blocks counted plus {levels}"
                   ' "borel" levels parsed')
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from itertools import combinations_with_replacement, product as cartesian
 from math import comb
 from pathlib import Path
@@ -23,7 +24,7 @@ import pytest
 from reescert import certify, family, monomials
 from reescert.certify import _settled_blocks, build_certificate, closure_json
 from reescert.cli import main
-from reescert.errors import NotClosedError
+from reescert.errors import NotClosedError, ResourceCapError
 from reescert.family import (
     Witness,
     build_family,
@@ -409,6 +410,27 @@ def test_each_borel_set_is_counted_once(monkeypatch, bench_families):
         {"degree": 1, "borel": "x5"}] * 50})
     assert parsed == [(0, 0, 0, 0, 1)]
     assert [len(lv) for lv in fam.levels] == [5] * 51
+
+
+def test_the_step_cap_walks_the_levels_without_holding_blocks():
+    """A family with the conjunction is refused past ``COUNT_STEP_CAP``
+    from a walk over its pairs of levels, with no set of them held: 600
+    levels B(x2000) of degree 1 in 2,000 variables, with level 0, make
+    180,901 blocks of 6,000 steps each, and the certificate's
+    tracemalloc peak stays under 2 MiB."""
+    fam = build_family({"mode": "rees", "variables": 2000, "levels": [
+        {"degree": 1, "borel": "x2000"}] * 600})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError) as refused:
+            build_certificate(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == (
+        "counting the settled blocks takes 1085406000 steps, more than"
+        " 10000000")
+    assert peak < 2 * 2**20, peak
 
 
 # max(12,4), max(20,3) and max(60,2) are pinned through the CLI in

@@ -491,6 +491,15 @@ SRC = ROOT / "src"
 OVERSIZED_TIMEOUT_S = 10
 
 
+def _fresh_env() -> dict:
+    """This process's environment with ``src`` first on ``PYTHONPATH``,
+    for a CLI run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
 LEVELS_240 = json.dumps({"mode": "rees", "variables": 2000, "levels":
                          [{"degree": 1, "borel": "x2000"}] * 240})
 
@@ -547,11 +556,9 @@ def test_oversized_input_refused_before_building(tmp_path, case):
     """Run as a child with a hard timeout, so that a family built before
     it is counted fails here in seconds rather than hanging the suite."""
     message, argv = OVERSIZED[case]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "reescert.cli", *argv(tmp_path)], env=env,
+        [sys.executable, "-m", "reescert.cli", *argv(tmp_path)],
+        env=_fresh_env(),
         capture_output=True, text=True, timeout=OVERSIZED_TIMEOUT_S)
     assert proc.returncode == 3
     assert proc.stderr.startswith("resource cap: ")
@@ -569,12 +576,9 @@ def test_trace_refuses_a_wide_high_degree_level_at_once(tmp_path):
         "mode": "rees", "variables": 2,
         "levels": [{"degree": 1000, "generators": gens}]}))
     term = "*".join(f"T[1,{i}]" for i in range(1, 51))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "reescert.cli", "normal-form", "--trace",
-         path, term], env=env,
+         path, term], env=_fresh_env(),
         capture_output=True, text=True, timeout=OVERSIZED_TIMEOUT_S)
     assert proc.returncode == 3
     assert proc.stderr == (
@@ -591,9 +595,7 @@ def test_a_dropped_duplicate_warns_in_one_line(tmp_path, command):
     closed["levels"][3]["generators"] *= 2
     opened = open_tower4()
     opened["levels"][0]["generators"].append("x2*x4")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env = _fresh_env()
     for desc, code, line in (
             (closed, 0, "warning: level 4: duplicate generator x1^5 dropped"),
             (opened, 1, "warning: level 1: duplicate generator x2*x4"
@@ -697,13 +699,10 @@ def test_long_coefficients_exit_2(case):
     traceback when printed; run as a child, so that the interpreter's
     default limit holds."""
     position, expression = LONG_COEFFICIENTS[case]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "reescert.cli", "normal-form",
          str(ROOT / "demos" / "families" / "tower4.json"), expression],
-        env=env, capture_output=True, text=True,
+        env=_fresh_env(), capture_output=True, text=True,
         timeout=OVERSIZED_TIMEOUT_S)
     assert proc.returncode == 2
     assert proc.stderr == ("error: coefficients over 4000 digits in all"

@@ -14,11 +14,14 @@ from pathlib import Path
 
 import pytest
 
+from reescert import family, oracle
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROOT = GOLDEN.parent.parent
 sys.path.insert(0, str(GOLDEN))
 
 import make_golden  # noqa: E402
+from test_census import _refuse  # noqa: E402
 
 INDEX = json.loads((GOLDEN / "index.json").read_text())
 
@@ -29,13 +32,33 @@ def test_golden_index_covers_every_case(tmp_path):
     assert sorted(names) == sorted(INDEX)
 
 
+def assert_golden(fname, code, out, err):
+    """An in-process CLI run's exit code, stdout and stderr against the
+    golden file ``fname`` and its index entry."""
+    assert (make_golden.mask(fname, out).encode("utf-8")
+            == (GOLDEN / fname).read_bytes()), fname
+    assert (code, err) == (INDEX[fname]["exit"],
+                           INDEX[fname]["stderr"]), fname
+
+
 @pytest.mark.parametrize("fname", sorted(INDEX))
 def test_golden_cli_output(tmp_path, fname):
     argv = dict(make_golden.cases(tmp_path))[fname]
-    code, out, err = make_golden.run_cli(argv)
-    assert (make_golden.mask(fname, out).encode("utf-8")
-            == (GOLDEN / fname).read_bytes())
-    assert (code, err) == (INDEX[fname]["exit"], INDEX[fname]["stderr"])
+    assert_golden(fname, *make_golden.run_cli(argv))
+
+
+def test_golden_cli_output_builds_no_borel_member(tmp_path, monkeypatch):
+    """With ``family.borel_closure`` refusing, every golden case still
+    prints its golden output: ``check``, ``basis``, ``certify``,
+    ``verify`` and ``normal-form`` read a counted level as its count and
+    its factorizations, and build none of its members.  The fiber
+    suites' one-slot memo is emptied before each case, as in a fresh
+    CLI process: comparing a held key's levels with a rebuilt family's
+    reads their members."""
+    monkeypatch.setattr(family, "borel_closure", _refuse)
+    for fname, argv in make_golden.cases(tmp_path):
+        monkeypatch.setattr(oracle, "_last_pass", None)
+        assert_golden(fname, *make_golden.run_cli(argv))
 
 
 # One case of each subcommand on tower4, and the failing verify on tower4
