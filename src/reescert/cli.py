@@ -301,6 +301,9 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warning_line
+            # the package's own warnings are lines, even under -W error,
+            # whose raise would exit 1 and read as "not closed"
+            warnings.filterwarnings("default", module=r"reescert\.")
             return _COMMANDS[args.command](args)
     except (FamilyError, MonomialParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

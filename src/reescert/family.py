@@ -177,14 +177,19 @@ class Level:
             object.__setattr__(self, "_factors", fs)
         return fs
 
-    def _key(self):
-        return (self.index, self.degree, self.generators)
-
     def __eq__(self, other):
-        return isinstance(other, Level) and self._key() == other._key()
+        """Equal index, degree and generators.  Equal generators have
+        equal least ones, and two counted levels with equal least ones
+        are equal, since B(u) = B(v) exactly when u = v: so only a
+        listed level makes this read generators."""
+        return isinstance(other, Level) and (
+            (self.index, self.degree, self.last)
+            == (other.index, other.degree, other.last)) and (
+            self.borel and other.borel
+            or self.generators == other.generators)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.index, self.degree, self.last))
 
     def __repr__(self) -> str:
         return (f"Level(index={self.index!r}, degree={self.degree!r},"

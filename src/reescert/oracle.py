@@ -249,7 +249,8 @@ def _shared_pass(fam: LeveledFamily, basis, max_degree: int
     The key is content, so that a family and basis rebuilt equal hit;
     it holds ``tuple(basis)``, the degree with its type (the reports
     print it) and the caps the pass reads at call time.  A pass that
-    raises stores nothing."""
+    raises stores nothing.  The pass runs with the cyclic garbage
+    collector paused (``reduction._paused``)."""
     global _last_pass
     rules = tuple(basis)
     key = (fam.mode, fam.n, fam.embedding_degree, fam.levels, rules,
@@ -257,7 +258,7 @@ def _shared_pass(fam: LeveledFamily, basis, max_degree: int
            reduction.DEFAULT_STEP_CAP)
     if _last_pass is not None and _last_pass[0] == key:
         return _last_pass[1]
-    reports = _check_fibers(fam, rules, max_degree)
+    reports = reduction._paused(_check_fibers, fam, rules, max_degree)
     _last_pass = key, reports
     return reports
 
@@ -300,13 +301,23 @@ def verify_measure_decrease(fam: LeveledFamily, basis, samples: int = 200,
     packed pair parts serves every measure of the suite: each is one
     C-level sum over a monomial's pairs, whose c, e and preference
     fields are sized for the longest monomial the row cap admits, so
-    that they cannot carry (``measure._layout``)."""
-    import random
-
+    that they cannot carry (``measure._layout``).  The samples run with
+    the cyclic garbage collector paused (``reduction._paused``)."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
+    steps, failures = reduction._paused(_sampled, fam, basis, samples,
+                                        max_degree, seed)
+    return MeasureReport(samples, max_degree, steps, tuple(failures))
+
+
+def _sampled(fam: LeveledFamily, basis, samples: int, max_degree: int,
+             seed: int) -> tuple[int, list[TMonomial]]:
+    """``verify_measure_decrease``'s pass: the steps its samples walk,
+    and the first ``FAILURE_CAP`` samples whose measure fails to drop."""
+    import random
+
     rng = random.Random(seed)
     refs = fam.refs()
     index = _RuleIndex(basis, refs)
@@ -322,4 +333,4 @@ def verify_measure_decrease(fam: LeveledFamily, basis, samples: int = 200,
         if seq[-1] != (0, 0) or not all(map(gt, seq, seq[1:])):
             if len(failures) < FAILURE_CAP:
                 failures.append(index.monomial(ps))
-    return MeasureReport(samples, max_degree, steps, tuple(failures))
+    return steps, failures

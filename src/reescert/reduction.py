@@ -12,6 +12,7 @@ Coefficients are exact rationals throughout.
 
 from __future__ import annotations
 
+import gc
 import re
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -410,6 +411,25 @@ class ConfluenceReport(NamedTuple):
         return not self.failures
 
 
+def _paused(run, *args):
+    """``run(*args)`` with Python's cyclic garbage collector paused.
+
+    The pause is process-wide: nothing is collected until ``run`` ends.
+    It is safe around the passes that use it, which leave no cyclic
+    garbage: their memos hold tuples, ints and lists, freed by reference
+    counting, that the collector would traverse again and again as they
+    grow.  Once ``run`` returns or raises, and its locals are gone, the
+    collector runs again if it ran on entry: a caller that paused it
+    keeps it paused."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return run(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def confluence_check(basis) -> ConfluenceReport:
     """Join every critical pair of the basis on monomials.
 
@@ -440,8 +460,14 @@ def confluence_check(basis) -> ConfluenceReport:
     entry per monomial the walks pass (``normal_forms``), so memory
     grows with that number: the tracemalloc peak of one call, rule index
     included, is about 1.0 MiB on max(4,3), 6.0 MiB on max(4,4) and
-    27.6 MiB on max(5,4).
+    27.6 MiB on max(5,4).  The check runs with the cyclic garbage
+    collector paused (``_paused``).
     """
+    return _paused(_joined, basis)
+
+
+def _joined(basis) -> ConfluenceReport:
+    """``confluence_check``'s pass, run with the collector paused."""
     index = _RuleIndex(basis)
     # per lead position, in basis order: (the rule's place in the basis,
     # the lead's other position, the trail's positions)

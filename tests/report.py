@@ -7,6 +7,7 @@ tracer, set first, sees the package's import."""
 import ast
 import contextlib
 import cProfile
+import gc
 import importlib.util
 import inspect
 import io
@@ -77,7 +78,9 @@ def sizes():
 
 def profile(part):
     """cProfile of certify on a certify-mix batch and of the ladder's bases
-    (``certify``), or of the oracle suites and of confluence (``oracle``)."""
+    (``certify``), or of the oracle suites and of confluence (``oracle``),
+    each oracle part with the garbage collections that ran while it was
+    profiled, per generation."""
     from families import LADDER, batch
     from run import (MEASURE_DEGREE, MEASURE_RUNGS, MEASURE_SAMPLES,
                      ORACLE_RUNGS)
@@ -121,7 +124,14 @@ def profile(part):
                 for r, *seed in [*zip(MEASURE_RUNGS), ("max5_3", 16)]]),
             ("confluence on max(4,3)", [(confluence_check, bases["max4_3"])])):
         print("==", label)
+        before = gc.get_stats()
         stats = profiled("tottime", calls)
+        # the passes run with the collector paused, so each collection
+        # here starts between them: after a pass, at the first allocation
+        # past the count the pause carried
+        print("collections per generation while profiled:", [
+            now["collections"] - then["collections"]
+            for then, now in zip(before, gc.get_stats())])
         if label == "measure suite":
             # the path of cyclic levels, too rare for the top 15
             stats.print_stats("_cycle_excess|inversion_minimal")

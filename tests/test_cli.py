@@ -608,6 +608,23 @@ def test_a_dropped_duplicate_warns_in_one_line(tmp_path, command):
         assert proc.stdout
 
 
+def test_a_warning_under_w_error_keeps_the_verdict(tmp_path):
+    """Under ``-W error`` the package's own warning is still one line:
+    its raise would exit 1, the "not closed" code, with a traceback."""
+    path = _write(tmp_path, json.dumps({
+        "mode": "rees", "variables": 2,
+        "levels": [{"degree": 1, "generators": ["x1", "x2", "x1"]}]}))
+    runs = [subprocess.run(
+        [sys.executable, *flags, "-m", "reescert.cli", "check", path],
+        env=_fresh_env(), capture_output=True, text=True,
+        timeout=OVERSIZED_TIMEOUT_S) for flags in ([], ["-W", "error"])]
+    for proc in runs:
+        assert (proc.returncode, proc.stderr) == (
+            0, "warning: level 1: duplicate generator x1 dropped\n")
+    assert runs[0].stdout == runs[1].stdout
+    assert "closed under comparability: yes" in runs[0].stdout
+
+
 def test_variable_cap_is_inclusive(capsys, tmp_path):
     cap = MAX_VARIABLES
     path = _write(tmp_path, json.dumps({

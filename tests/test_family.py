@@ -880,6 +880,24 @@ def test_level_record(tower4):
     assert lv != family.Level(1, 2, lv.generators[:-1])
 
 
+def test_counted_levels_compare_by_their_least_generators(monkeypatch):
+    # B(u) = B(v) exactly when u = v: two counted levels compare and hash
+    # with none of their members built; a listed level still compares
+    # generators, and hashes as the counted level it equals
+    one, two = (build_family(family_dict("tower4")) for _ in range(2))
+    built = []
+    monkeypatch.setattr(family, "borel_closure", built.append)
+    assert one.levels == two.levels
+    assert list(map(hash, one.levels)) == list(map(hash, two.levels))
+    assert one.level(2) != two.level(3) and one.level(2) != two.level(1)
+    assert built == []
+    monkeypatch.undo()
+    lv = one.level(1)
+    listed = family.Level(1, 2, lv.generators)
+    assert listed == lv == listed and hash(listed) == hash(lv)
+    assert lv != family.Level(1, 2, lv.generators[1:])
+
+
 def test_closure_records_keep_their_fields(monkeypatch):
     fam = build_family(open_tower4())
     monkeypatch.setattr(family, "WITNESS_CAP", 1)

@@ -52,12 +52,12 @@ def test_golden_cli_output_builds_no_borel_member(tmp_path, monkeypatch):
     prints its golden output: ``check``, ``basis``, ``certify``,
     ``verify`` and ``normal-form`` read a counted level as its count and
     its factorizations, and build none of its members.  The fiber
-    suites' one-slot memo is emptied before each case, as in a fresh
-    CLI process: comparing a held key's levels with a rebuilt family's
-    reads their members."""
+    suites' one-slot memo is emptied once, before the first case, and
+    then kept: comparing a held key's counted levels with a rebuilt
+    family's reads their least generators, not their members."""
     monkeypatch.setattr(family, "borel_closure", _refuse)
+    monkeypatch.setattr(oracle, "_last_pass", None)
     for fname, argv in make_golden.cases(tmp_path):
-        monkeypatch.setattr(oracle, "_last_pass", None)
         assert_golden(fname, *make_golden.run_cli(argv))
 
 

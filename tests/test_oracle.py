@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from reescert import oracle, reduction
+from reescert import family, oracle, reduction
 from reescert.errors import InternalInvariantError, ResourceCapError
 from reescert.family import build_family
 from reescert.oracle import (
@@ -27,6 +28,7 @@ from reescert.presentation import (
 )
 from reescert.reduction import (
     TPolynomial,
+    confluence_check,
     normal_form,
     parse_tpolynomial,
     psi_eval,
@@ -154,6 +156,26 @@ def test_suites_on_rebuilt_inputs_share_one_pass(monkeypatch):
     assert verify_kernel_generation(*third, 2) == want[1]
     assert verify_unique_normal_forms(*first, 2) == want[0]
     assert calls == [2]
+
+
+def test_a_rebuilt_family_is_compared_without_building_a_level(
+        monkeypatch):
+    # counted levels compare by their least generators: a rebuilt family
+    # whose counted levels hold no member yet still hits the held pass
+    fam, basis = tower4_case()
+    want = verify_unique_normal_forms(fam, basis, 2), \
+        verify_kernel_generation(fam, basis, 2)
+    rebuilt = build_family(family_dict("tower4"))
+    assert all(lv._generators is None for lv in rebuilt.levels if lv.borel)
+
+    def refuse(least):
+        raise AssertionError(f"built the Borel set of {least}")
+
+    monkeypatch.setattr(family, "borel_closure", refuse)
+    calls = count_passes(monkeypatch)
+    assert verify_kernel_generation(rebuilt, basis, 2) == want[1]
+    assert verify_unique_normal_forms(rebuilt, basis, 2) == want[0]
+    assert calls == []
 
 
 @pytest.mark.parametrize("change", ["dropped rule", "flipped rule",
@@ -453,3 +475,102 @@ def test_report_records_keep_their_fields(tower4):
     assert not failed._replace(failures=(), truncated=True).passed
     assert not type(ker)(2, 1, 1, (fail,), False).passed
     assert not type(meas)(1, 2, 3, (fail.monomials[0],)).passed
+
+
+# ------------------------------------------------- the collector's pause
+
+def swap(a, b):
+    """The two rules that rewrite a to b and b back to a."""
+    a, b = TMonomial(a), TMonomial(b)
+    return MarkedBinomial(a, b), MarkedBinomial(b, a)
+
+
+def paused_passes(fam) -> list:
+    """(label, call, whether it raises) of each pass that runs with the
+    collector paused, on tower4 (``fam``): the fiber pass, the measure
+    suite and confluence, on the basis and on the basis less rule 17,
+    then each of the three on a basis whose walks cycle, which raises.
+    Each fiber pass has inputs of its own, so none reads a held one."""
+    basis = build_basis(fam)
+    dropped = basis[:17] + basis[18:]
+    # the two-rule cycle of test_presentation's step-cap test, and the
+    # pair whose leads share T[1,3], so that confluence walks it
+    cycling = swap(((1, 3), (1, 4)), ((1, 2), (1, 5)))
+    overlapping = swap(((1, 3), (1, 4)), ((1, 3), (1, 5)))
+    return [
+        ("fiber pass", lambda: verify_unique_normal_forms(fam, basis, 3),
+         False),
+        ("fiber pass, dropped rule",
+         lambda: verify_kernel_generation(fam, dropped, 3), False),
+        ("measure", lambda: verify_measure_decrease(fam, basis), False),
+        ("measure, dropped rule",
+         lambda: verify_measure_decrease(fam, dropped), False),
+        ("confluence", lambda: confluence_check(basis), False),
+        ("confluence, dropped rule", lambda: confluence_check(dropped),
+         False),
+        ("fiber pass, flipped rule 1",
+         lambda: verify_kernel_generation(fam, flipped(basis, 1), 3), True),
+        ("measure, cycling rules",
+         lambda: verify_measure_decrease(fam, cycling), True),
+        ("confluence, cycling rules", lambda: confluence_check(overlapping),
+         True),
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_each_pass_pauses_the_collector_and_restores_it(
+        tower4, monkeypatch, enabled):
+    # every walk of a pass sees the collector paused; afterwards it is
+    # as the caller left it, also when the pass raises
+    seen = []
+    for module in (oracle, reduction):
+        def walk(*args, _walk=module._normal_form):
+            seen.append(gc.isenabled())
+            return _walk(*args)
+        monkeypatch.setattr(module, "_normal_form", walk)
+    cases = paused_passes(tower4)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for label, run, raises in cases:
+            seen.clear()
+            if raises:
+                with pytest.raises(InternalInvariantError, match="cycles"):
+                    run()
+            else:
+                run()
+            assert seen and not any(seen), label
+            assert gc.isenabled() == enabled, label
+    finally:
+        gc.enable()
+
+
+PAUSE_SCRIPT = """
+import gc
+from conftest import family_dict
+from reescert.family import build_family
+from test_oracle import paused_passes
+
+cases = paused_passes(build_family(family_dict("tower4")))
+gc.collect()
+for label, run, raises in cases:
+    if not raises:
+        run()
+        print(label, gc.collect(), sep=": ")
+"""
+
+
+def test_the_paused_passes_leave_no_cyclic_garbage(tower4):
+    """The premise that makes the pause safe: nothing a pass leaves
+    behind needs the cyclic collector.  A fresh interpreter, so that no
+    other test's garbage is counted."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), str(Path(__file__).parent),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", PAUSE_SCRIPT], env=env,
+                          capture_output=True, text=True,
+                          timeout=CYCLE_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{label}: 0" for label, _, raises in paused_passes(tower4)
+        if not raises]
