@@ -13,12 +13,15 @@ a block holds no open pair, and its rule count is its pairs less the
 comparable ones, which by the product identity B(u)*B(v) = B(uv) of
 principal Borel sets number |B(u_i*u_j)|, counted without building a
 set, once per distinct product; a product equal to a counted level's
-least generator takes that level's size.  The closure scan classifies
-only the pairs of the other blocks, in lexicographic order, and their
-rules are read off its table, without building a rule; a witness's
-images are the factorizations the scan dealt, so no pair is rewritten
-twice.  A family with the conjunction has no other block: it is
-certified with no ref, no member, no pair and no set of blocks built.
+least generator takes that level's size.  The other blocks are the
+open ones (``_open_blocks``), and the closure scan is handed them
+(``blocks=``): it classifies only their pairs, in lexicographic order,
+so it holds the blocks it reads, never the settled ones it skips, and
+their rules are read off its table, without building a rule; a
+witness's images are the factorizations the scan dealt, so no pair is
+rewritten twice.  A family with the conjunction has no open block: it
+is certified with no ref, no member, no pair and no set of blocks
+built.
 ``tests/test_census.py`` underwrites the route: the conjunction equals
 closure on every family of the (3, 3, 3) census in both modes, no open
 pair of a full scan of that census, or of the listed-level censuses,
@@ -38,7 +41,7 @@ Cohen-Macaulay (Hochster).
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, filterfalse
 from operator import add
 
 from .errors import InternalInvariantError, ResourceCapError
@@ -135,52 +138,54 @@ def closure_lines(data: dict, closed: bool) -> list[str]:
     return lines
 
 
-def _settled_blocks(fam: LeveledFamily, ch) -> frozenset:
+def _open_blocks(fam: LeveledFamily, ch) -> frozenset:
     """The blocks of levels (i, j), i <= j by level index, that the
-    paper's theorem closes: those whose own two-level family (level 0
-    added in rees mode) has the structural conjunction.  Both levels
-    equal the Borel set of their least generator (level 0 always does),
-    and i = j, or i = 0, or the support chain head(u_i) >= tail(u_j)
+    paper's theorem leaves open, the ones a certificate scans.  The
+    theorem closes a block whose own two-level family (level 0 added in
+    rees mode) has the structural conjunction: both levels equal the
+    Borel set of their least generator (level 0 always does), and
+    i = j, or i = 0, or the support chain head(u_i) >= tail(u_j)
     holds.  A rewrite of a pair reads only its two generators, so such
     a block holds no open pair in any family.  The chain is transitive
-    (head <= tail on every monomial), so every block is settled exactly
-    when the family has the conjunction."""
+    (head <= tail on every monomial), so the set is empty exactly when
+    the family has the conjunction, and is returned at once then."""
+    if ch.conjunction:
+        return frozenset()
     # level 0 is not characterized, and always equal
-    equal = dict(zip(ch.level_indices, ch.borel_equal))
-    lasts = [(lv.index, *lv._ends) for lv in fam.levels
-             if equal.get(lv.index, True)]
+    unequal = {i for i, ok in zip(ch.level_indices, ch.borel_equal) if not ok}
+    ends = [(lv.index, *lv._ends) for lv in fam.levels]
     return frozenset(
-        (i, j) for k, (i, head, _) in enumerate(lasts)
-        for j, _, tail in lasts[k:]
-        if i == j or head >= tail)
+        (i, j) for k, (i, head, _) in enumerate(ends)
+        for j, _, tail in ends[k:]
+        if i in unequal or j in unequal or not (i == j or head >= tail))
 
 
-def _settled_rule_count(fam: LeveledFamily, settled) -> int:
-    """Rules of the settled blocks, ``settled`` or, when None, every
-    block of a family with the conjunction: the ref pairs a <= b of
-    each block less its comparable pairs, one per distinct product, so
-    |B(u_i*u_j)| of them by the product identity B(u)*B(v) = B(uv) of
-    principal Borel sets.  That is |L_i|*|L_j| - |B(u_i*u_j)| for
-    i < j and C(|L_i|+1, 2) - |B(u_i^2)| for i = j.  The counts are
-    not capped by size, as a product's Borel set may pass ``BOREL_CAP``
-    where no level does: B(x450^2) in 450 variables has 101,475
-    members.  Each distinct product is counted once, memoized by its
-    exponent vector; the memo starts with each counted level's size
-    (``Level.borel``), which is |B(u_i)|, so a product equal to a
-    level's least generator, or to another block's product, costs no
-    count.  Counting B(u_i*u_j) takes at most
-    max(tail_i, tail_j) * (deg_i + deg_j + 1) steps; their sum over
-    every settled block, an upper bound on what the memoized counts
-    take, is refused past ``COUNT_STEP_CAP`` before any count.  The
-    blocks are walked as pairs of levels, twice, and never held."""
+def _settled_rule_count(fam: LeveledFamily, open_blocks) -> int:
+    """Rules of the blocks the theorem settles, every block not in
+    ``open_blocks``: the ref pairs a <= b of each block less its
+    comparable pairs, one per distinct product, so |B(u_i*u_j)| of them
+    by the product identity B(u)*B(v) = B(uv) of principal Borel sets.
+    That is |L_i|*|L_j| - |B(u_i*u_j)| for i < j and
+    C(|L_i|+1, 2) - |B(u_i^2)| for i = j.  The counts are not capped by
+    size, as a product's Borel set may pass ``BOREL_CAP`` where no
+    level does: B(x450^2) in 450 variables has 101,475 members.  Each
+    distinct product is counted once, memoized by its exponent vector;
+    the memo starts with each counted level's size (``Level.borel``),
+    which is |B(u_i)|, so a product equal to a level's least generator,
+    or to another block's product, costs no count.  Counting
+    B(u_i*u_j) takes at most max(tail_i, tail_j) * (deg_i + deg_j + 1)
+    steps; their sum over every settled block, an upper bound on what
+    the memoized counts take, is refused past ``COUNT_STEP_CAP`` before
+    any count.  The blocks are walked as pairs of levels, twice, and
+    never held."""
     level = fam._by_index
 
     def blocks():
-        # the conjunction settles each level with itself and every later
-        # one
-        if settled is None:
-            return combinations_with_replacement(level, 2)
-        return settled
+        # every pair of levels, filtered only when some block is open
+        pairs = combinations_with_replacement(level, 2)
+        if open_blocks:
+            pairs = filterfalse(open_blocks.__contains__, pairs)
+        return pairs
 
     steps = 0
     for i, j in blocks():
@@ -208,19 +213,18 @@ def build_certificate(fam: LeveledFamily) -> dict:
     """Certificate dict; JSON-ready.  Conclusions only when closed.
 
     The blocks of levels the paper's theorem settles are counted; the
-    closure scan classifies only the pairs of the others
-    (``_settled_blocks`` names the settled ones for it), and reads the
-    rule count of those off their table.  A family with the structural
-    conjunction has no other block: no ref, no member, no pair and no
-    set of blocks is built for it."""
+    closure scan classifies only the pairs of the blocks it leaves open
+    (``_open_blocks`` hands them to it), and reads the rule count of
+    those off their table.  A family with the structural conjunction
+    has no open block: no ref, no member, no pair and no set of blocks
+    is built for it."""
     ch = characterize(fam)
-    if ch.conjunction:
-        settled = None
+    open_blocks = _open_blocks(fam, ch)
+    if open_blocks:
+        report = is_closed_under_comparability(fam, blocks=open_blocks)
+    else:
         refs = len(fam)
         report = ClosureReport(True, (), refs * (refs - 1) // 2, False)
-    else:
-        settled = _settled_blocks(fam, ch)
-        report = is_closed_under_comparability(fam, settled=settled)
     closure = closure_json(report, ch)
     witnesses = closure.pop("witnesses")
     out = {
@@ -247,14 +251,14 @@ def build_certificate(fam: LeveledFamily) -> dict:
     # building a rule.  The theorem's blocks are quadratic with
     # squarefree leads.
     shape = basis_shape(
-        () if settled is None else fam._table(settled)[0].items())
+        fam._table(open_blocks)[0].items() if open_blocks else ())
     if not (shape["quadratic"] and shape["squarefree_leads"]):
         # each table entry is a product of two distinct refs rewritten
         # to two refs, so a closed family always has this shape
         raise InternalInvariantError(
             "the marked basis of a closed family is not quadratic with"
             " squarefree leads")
-    out["basis_size"] = shape["count"] + _settled_rule_count(fam, settled)
+    out["basis_size"] = shape["count"] + _settled_rule_count(fam, open_blocks)
     out["quadratic"] = shape["quadratic"]
     out["squarefree_leads"] = shape["squarefree_leads"]
     out["conclusions"] = ["koszul", "normal_domain", "cohen_macaulay"]

@@ -220,10 +220,12 @@ class LeveledFamily:
     own, and an open pair keeps the image factorizations its product's
     rewrite dealt, for its witness.  ``incomparable_pairs`` classifies
     every pair on its first call; the closure scan stops at the first
-    open pair past its witness cap.  The family holds one whole table,
-    that of the last finished scan (``certify`` leaves out the blocks
-    of levels the paper's theorem settles), and replaces it when a scan
-    of other settled blocks finishes; a stopped scan is not held.
+    open pair past its witness cap.  A scan classifies the blocks of
+    levels it is handed, or every block (``certify`` hands it those the
+    paper's theorem leaves open), so what it holds follows the blocks
+    it reads.  The family holds one whole table, that of the last
+    finished scan, and replaces it when a scan of other blocks
+    finishes; a stopped scan is not held.
     More than ``PAIR_CAP`` pairs raise ``ResourceCapError`` from
     ``refs()``, before any ref is built or pair classified, and more
     than ``PAIR_CAP`` pairs of levels on construction.
@@ -241,31 +243,32 @@ class LeveledFamily:
         self._by_index = {lv.index: lv for lv in self.levels}
         self._size = sum(len(lv) for lv in self.levels)
         self._refs = None
-        # (settled blocks, pair table, open pairs, their images) of the
-        # last finished scan; the table holds the refs of ``_refs``, not
-        # images: a Monomial pair per entry costs megabytes on the larger
-        # families.  The open pairs' image factorizations are a list of
+        # (blocks classified, pair table, open pairs, their images) of
+        # the last finished scan; the table holds the refs of ``_refs``,
+        # not images: a Monomial pair per entry costs megabytes on the
+        # larger families.  The open pairs' image factorizations are a list of
         # their own: a (pair, images) tuple per open pair stays with the
         # collector, which slowed a full scan of an open family by a
         # third.
         self._scan = None
 
-    def _table(self, settled: frozenset, count=None):
-        """The pair table of the blocks of levels not in ``settled``, its
-        first ``count`` open pairs (all of them when None) in table
-        order, and the factorizations of their images, a pair of tuples
-        for each, in the same order.  The held table answers when it was
-        made for these settled blocks.  Otherwise pairs are classified
-        only as far as the ``count``-th open pair, and the table is
-        held, in place of the one before, only when the scan finished.
-        A wide family keys every product 0 and memoizes none."""
+    def _table(self, blocks: frozenset | None = None, count=None):
+        """The pair table of the blocks of levels in ``blocks`` (every
+        block when None), its first ``count`` open pairs (all of them
+        when None) in table order, and the factorizations of their
+        images, a pair of tuples for each, in the same order.  The held
+        table answers when it was made for these blocks.  Otherwise
+        pairs are classified only as far as the ``count``-th open pair,
+        and the table is held, in place of the one before, only when
+        the scan finished.  A wide family keys every product 0 and
+        memoizes none."""
         scan = self._scan
-        if scan is None or scan[0] != settled:
+        if scan is None or scan[0] != blocks:
             pairs, found, images = {}, [], []
             if not _classify(self.levels, self.refs(), _weights(self.n),
-                             pairs, found, images, settled, count):
+                             pairs, found, images, blocks, count):
                 return pairs, found, images
-            self._scan = scan = (settled, pairs, found, images)
+            self._scan = scan = (blocks, pairs, found, images)
         return scan[1], scan[2][:count], scan[3][:count]
 
     @property
@@ -316,7 +319,7 @@ class LeveledFamily:
         the rule ``T_a*T_b -> T_c*T_d``.  A ref is None when that image
         is not in the family.  Completed on the first call, one rewrite
         per distinct product of a level block.  Do not mutate."""
-        return self._table(frozenset())[0]
+        return self._table()[0]
 
     def __len__(self) -> int:
         return self._size
@@ -327,21 +330,21 @@ class LeveledFamily:
 
 
 def _classify(levels, refs, weight, pairs: dict, open_pairs: list,
-              open_images: list, settled: frozenset, stop=None) -> bool:
+              open_images: list, blocks, stop=None) -> bool:
     """Classify the ref pairs of ``levels`` in lexicographic order,
-    leaving out those of each block of levels (i, j), i <= j by level
-    index, in ``settled``: enter each incomparable pair in ``pairs``
-    with its image refs, and append each one with a missing image to
-    ``open_pairs``, and the factorizations its rewrite dealt to
-    ``open_images``, so that a witness needs no second rewrite.  Return
-    False as soon as ``open_pairs`` holds ``stop`` entries, True once
-    every pair is classified.  ``refs`` are the family's refs, in
-    level order.  The first step reads ``Level.factors`` of every level
-    of a block left to classify, so a counted level builds none of its
-    members.  Each product is memoized by its packed exponent vector,
-    the sum of its factors' ``weight``, unless ``weight`` is None;
-    beside that memo, each target block keeps the images of its open
-    products.
+    those of each block of levels (i, j), i <= j by level index, in
+    ``blocks``, or of every block when it is None: enter each
+    incomparable pair in ``pairs`` with its image refs, and append each
+    one with a missing image to ``open_pairs``, and the factorizations
+    its rewrite dealt to ``open_images``, so that a witness needs no
+    second rewrite.  Return False as soon as ``open_pairs`` holds
+    ``stop`` entries, True once every pair is classified.  ``refs`` are
+    the family's refs, in level order.  The first step reads
+    ``Level.factors`` of every level of a block left to classify, so a
+    counted level builds none of its members.  Each product is memoized
+    by its packed exponent vector, the sum of its factors' ``weight``,
+    unless ``weight`` is None; beside that memo, each target block
+    keeps the images of its open products.
 
     A cross-level pair (a, b) is fixed by ``ord_factors`` exactly when
     tail(b) <= head(a), head and tail the first and last standard
@@ -354,7 +357,7 @@ def _classify(levels, refs, weight, pairs: dict, open_pairs: list,
     # per level, the positions of the levels it is classified against,
     # its own first
     partners = [[lj for lj in range(li, len(levels))
-                 if (lv.index, levels[lj].index) not in settled]
+                 if blocks is None or (lv.index, levels[lj].index) in blocks]
                 for li, lv in enumerate(levels)]
     used = {lj for row in partners for lj in row}
     used.update(li for li, row in enumerate(partners) if row)
@@ -578,11 +581,12 @@ class ClosureReport(NamedTuple):
     ``pairs_checked`` counts the ref pairs, in lexicographic order,
     that the verdict rests on: C(v, 2) for v refs, or, when the scan
     stopped at the first open pair past ``WITNESS_CAP``, the pairs up to
-    and including that one.  The pairs of a block of levels settled by
-    the paper's theorem count as checked without being classified, so a
-    certificate reports the same figure as a full scan, C(v, 2) for a
-    family whose blocks are all settled; ``reescert check`` rescans
-    them."""
+    and including that one.  A scan handed only some blocks of levels
+    (``blocks``) counts the pairs of the others, which the paper's
+    theorem settles for ``certify``, as checked without classifying
+    them, so a certificate reports the same figure as a full scan,
+    C(v, 2) for a family whose blocks are all settled; ``reescert
+    check`` rescans them."""
     closed: bool
     witnesses: tuple[Witness, ...]
     pairs_checked: int
@@ -591,7 +595,7 @@ class ClosureReport(NamedTuple):
 
 def is_closed_under_comparability(
         fam: LeveledFamily, all_witnesses: bool = False, *,
-        settled=frozenset()) -> ClosureReport:
+        blocks=None) -> ClosureReport:
     """Check that every incomparable pair rewrites back into the family.
 
     Walks the entries of the family's pair table with a missing image,
@@ -606,17 +610,18 @@ def is_closed_under_comparability(
     rewritten again, no factorization read again and no generator
     built for them.
 
-    ``settled`` names blocks of levels (i, j), i <= j by level index,
-    that the caller knows to hold no open pair, as those the paper's
-    theorem settles (``certify``) do.  Their pairs are not classified;
-    the others are, in the same order, and a finished scan's table
-    replaces the one the family held for other blocks.  The report is
-    that of a full scan.
+    ``blocks`` names the blocks of levels (i, j), i <= j by level index,
+    to classify, every block when None; the caller knows the others to
+    hold no open pair, as ``certify`` knows those the paper's theorem
+    settles.  Only the pairs of these blocks are classified, in the
+    same order, and a finished scan's table replaces the one the family
+    held for other blocks.  The report is that of a full scan.
     """
     refs = len(fam)
     checked = refs * (refs - 1) // 2
     trails, found, dealt_images = fam._table(
-        frozenset(settled), None if all_witnesses else WITNESS_CAP + 1)
+        None if blocks is None else frozenset(blocks),
+        None if all_witnesses else WITNESS_CAP + 1)
     truncated = not all_witnesses and len(found) > WITNESS_CAP
     if truncated:
         # ordinal of the stop pair (i, j) among the pairs of refs i < j

@@ -164,16 +164,18 @@ class _RuleIndex:
     ``pos`` maps each ref to it, so int order is ref order and a sorted
     ref tuple maps to a sorted position tuple and back.  ``trails`` maps
     each lead, as its sorted position pair (a, b), to its trail's sorted
-    position pair, and ``rules`` to its ``MarkedBinomial``, for reports;
-    both are in basis order.  ``partners`` holds the lead partners of
-    each position.  A lead that is not squarefree quadratic, a duplicate
-    one, or a trail that is not quadratic raises ``ValueError``, the
-    first in basis order, so every rule is a quadratic binomial.  Leads
-    and trails may come as unsorted ref tuples; the message names them
-    as T-monomials.
+    position pair, in basis order; it is the index's only record of the
+    rules, and ``partners`` holds the lead partners of each position.
+    A lead that is not squarefree quadratic, a duplicate one, or a trail
+    that is not quadratic raises ``ValueError``, the first in basis
+    order, so every rule is a quadratic binomial.  Leads and trails may
+    come as unsorted ref tuples; the message names them as T-monomials.
+    A step's rule is rebuilt from the positions (``_polynomial_step``),
+    so ``TraceStep.rule`` is the ``MarkedBinomial`` of the sorted lead
+    and trail even for a rule given as unsorted ref tuples.
     """
 
-    __slots__ = ("refs", "pos", "partners", "trails", "rules")
+    __slots__ = ("refs", "pos", "partners", "trails")
 
     def __init__(self, basis, refs=()):
         basis = tuple(basis)
@@ -181,7 +183,6 @@ class _RuleIndex:
             refs, *(g.lead + g.trail for g in basis)))))
         self.pos = pos = {ref: i for i, ref in enumerate(self.refs)}
         self.trails = trails = {}
-        self.rules = rules = {}
         for g in basis:
             lead, trail = g.lead, g.trail
             if len(lead) != 2 or lead[0] == lead[1]:
@@ -189,7 +190,7 @@ class _RuleIndex:
                     f"lead {TMonomial(lead)} is not squarefree quadratic")
             a, b = pos[lead[0]], pos[lead[1]]
             key = (a, b) if a < b else (b, a)
-            if key in rules:
+            if key in trails:
                 raise ValueError(f"duplicate lead {TMonomial(lead)}")
             if len(trail) != 2:
                 raise ValueError(
@@ -197,7 +198,6 @@ class _RuleIndex:
                     " is not quadratic")
             p, q = pos[trail[0]], pos[trail[1]]
             trails[key] = (p, q) if p <= q else (q, p)
-            rules[key] = g
         self.partners = _partners(trails, len(self.refs))
 
     def positions(self, refs) -> tuple[int, ...]:
@@ -244,17 +244,18 @@ def _polynomial_step(f: TPolynomial, index: _RuleIndex
                      ) -> tuple[TMonomial, MarkedBinomial, TPolynomial] | None:
     """(rewritten monomial, rule, result) of one deterministic step on f,
     or None at a normal form: the greatest reducible support monomial
-    (factor-lex order) rewrites along its ``_least_lead``.  Every ref of
-    f must have a position in the index."""
+    (factor-lex order) rewrites along its ``_least_lead``.  The rule is
+    the ``MarkedBinomial`` of that lead and its trail, read off the
+    index as sorted T-monomials.  Every ref of f must have a position
+    in the index."""
     for mono in f.support():
         ps = index.positions(mono)
         lead = _least_lead(ps, index.partners)
         if lead is not None:
-            coeff = f.terms[mono]
-            out = index.monomial(
-                _rewrite_step(ps, lead, index.trails[lead]))
-            return (mono, index.rules[lead],
-                    f + TPolynomial({mono: -coeff, out: coeff}))
+            coeff, trail = f.terms[mono], index.trails[lead]
+            out = index.monomial(_rewrite_step(ps, lead, trail))
+            rule = MarkedBinomial(index.monomial(lead), index.monomial(trail))
+            return mono, rule, f + TPolynomial({mono: -coeff, out: coeff})
     return None
 
 
@@ -498,7 +499,7 @@ def _joined(basis) -> ConfluenceReport:
                 if ((hit(one) or _normal_form(one, index, memo))[0]
                         != (hit(two) or _normal_form(two, index, memo))[0]):
                     failures.append((i, j))
-    total = len(index.rules) * (len(index.rules) - 1) // 2
+    total = len(index.trails) * (len(index.trails) - 1) // 2
     longest = max((steps for _, steps in memo.values()), default=0)
     return ConfluenceReport(total, critical, tuple(sorted(failures)),
                             longest, len(memo))

@@ -17,6 +17,8 @@ import runpy
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -137,13 +139,21 @@ def profile(part):
             stats.print_stats("_cycle_excess|inversion_minimal")
 
 
+# 1,399 levels {x1}, then {x2}: a scan of 1,401 open blocks among
+# 982,101 (tests/test_census.py)
+SCAN1400 = {"mode": "rees", "variables": 2, "levels": [
+    {"degree": 1, "generators": ["x1"]}] * 1399 + [
+    {"degree": 1, "generators": ["x2"]}]}
+
+
 def settled():
-    """What the paper's theorem certifies, and the blocks it settles."""
+    """What the paper's theorem certifies, the blocks it settles and the
+    blocks it leaves to the scan."""
     from families import LADDER, batch
     from run import CERTIFY_RUNGS
     from reescert import (build_certificate, build_family, certify,
                           characterize, family, monomials)
-    from reescert.certify import _settled_blocks
+    from reescert.certify import _open_blocks, _yn
     built = []
     closure = family.borel_closure
 
@@ -164,55 +174,69 @@ def settled():
                 build_certificate(fam)
             print(f"{label}: {len(route)} of {len(descs)} families have the"
                   f" conjunction, building {sum(built)} Borel members")
-        # blocks of levels (i, j), i <= j, the theorem settles; what the
-        # scanning certificates build (no Borel member: a scan reads
+        # blocks of levels (i, j), i <= j, the theorem leaves open; what
+        # the scanning certificates build (no Borel member: a scan reads
         # counted levels as factorizations) and the witnesses they hold
         built.clear()
         scanning = witnesses = images = open_pairs = all_pairs = 0
+        held = scanned_blocks = 0
         kinds = {"all": 0, "some": 0, "none": 0}
         for desc in mix:
             fam = build_family(desc)
             ch = characterize(fam)
-            closed = _settled_blocks(fam, ch)
+            opened = _open_blocks(fam, ch)
             size = {lv.index: len(lv) for lv in fam.levels}
             blocks = [(i, j) for i in size for j in size if i <= j]
-            kinds["all" if len(closed) == len(blocks)
-                  else "some" if closed else "none"] += 1
+            kinds["none" if len(opened) == len(blocks)
+                  else "some" if opened else "all"] += 1
             open_pairs += sum(comb(size[i], 2) if i == j else size[i] * size[j]
-                              for i, j in blocks if (i, j) not in closed)
+                              for i, j in opened)
             all_pairs += comb(len(fam), 2)
             if not ch.conjunction:
                 build_certificate(fam)
                 scanning += 1
+                held += len(opened)
+                scanned_blocks += len(blocks)
                 report = family.is_closed_under_comparability(
-                    fam, settled=closed)
+                    fam, blocks=opened)
                 witnesses += len(report.witnesses)
                 images += len({id(img) for w in report.witnesses
                                for img in w.images})
     print(f"certify-mix batch(1, 0..29): {scanning} scanning"
           f" certificates build {sum(built)} Borel members; their"
           f" {witnesses} witnesses hold {images} distinct images")
+    print(f"certify-mix batch(1, 0..29): the {scanning} scanning"
+          f" certificates hold {held} open blocks of their"
+          f" {scanned_blocks} blocks")
     print("certify-mix batch(1, 0..29): families with all, some or no"
           f" blocks of levels settled: {kinds}")
-    print(f"certify-mix batch(1, 0..29): {open_pairs} pairs in unsettled"
+    print(f"certify-mix batch(1, 0..29): {open_pairs} pairs in open"
           f" blocks of {all_pairs} pairs, sum of C(v, 2)")
     # Borel counts made by parsing and by the settled rule counts, against
     # one per "borel" level and one per settled block a rule count reads;
-    # and the certificates that build a set of settled blocks
-    made, counts, sets = [], [], []
+    # and the sets of blocks the certificates hand the scan, each block
+    # settled when its own two-level family (level 0 added in rees mode)
+    # has the conjunction
+    made, counts, scans = [], [], []
 
     def tallied(fn, calls):
-        def wrapper(*args):
-            calls.append(args)
-            return fn(*args)
+        def wrapper(*args, **kwargs):
+            calls.append((args, kwargs))
+            return fn(*args, **kwargs)
         return wrapper
+
+    def is_settled(fam, i, j):
+        pair = {0, i, j} if fam.mode == "rees" else {i, j}
+        return characterize(family.LeveledFamily(
+            fam.mode, fam.n, [fam.level(k) for k in sorted(pair)],
+            fam.embedding_degree)).conjunction
 
     with contextlib.ExitStack() as stack:
         for module in (monomials, certify):
             stack.enter_context(mock.patch.object(
                 module, "_borel_count", tallied(module._borel_count, made)))
         for name, calls in (("_settled_rule_count", counts),
-                            ("_settled_blocks", sets)):
+                            ("is_closed_under_comparability", scans)):
             stack.enter_context(mock.patch.object(
                 certify, name, tallied(getattr(certify, name), calls)))
         for label, descs in (
@@ -220,19 +244,37 @@ def settled():
                 ("ladder CERTIFY_RUNGS", [LADDER[r] for r in CERTIFY_RUNGS])):
             made.clear()
             counts.clear()
-            sets.clear()
+            scans.clear()
             levels = 0
             for desc in descs:
                 levels += sum("borel" in lv for lv in desc["levels"])
                 build_certificate(build_family(desc))
-            print(f"{label}: {len(sets)} of {len(descs)} certificates"
-                  " build a set of settled blocks")
+            with_settled = sum(
+                any(is_settled(args[0], *b) for b in kwargs["blocks"])
+                for args, kwargs in scans)
+            print(f"{label}: {len(scans)} of {len(descs)} certificates"
+                  f" build a set of open blocks, {with_settled} of"
+                  f" {len(descs)} a set holding a settled block")
             borel_counts = len(made)
-            blocks = sum(len(_settled_blocks(fam, characterize(fam)))
-                         for fam, _ in counts)
+            blocks = sum(
+                comb(len(fam.levels) + 1, 2) - len(opened)
+                for (fam, opened), _ in counts)
             print(f"{label}: certificates make {borel_counts} Borel counts,"
                   f" against {blocks} settled blocks counted plus {levels}"
                   ' "borel" levels parsed')
+    fam = build_family(SCAN1400)
+    start = time.perf_counter()
+    cert = build_certificate(fam)
+    wall = time.perf_counter() - start
+    fam = build_family(SCAN1400)
+    tracemalloc.start()
+    build_certificate(fam)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(f"scan1400 ({len(fam)} refs): certificate in {wall:.3f} s,"
+          f" tracemalloc peak {peak / 2**20:.2f} MiB, closed:"
+          f" {_yn(cert['closed_under_comparability'])},"
+          f" {cert['pairs_checked']} pairs checked")
 
 
 def traffic():

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from reescert import certify, family, monomials
-from reescert.certify import _settled_blocks, build_certificate, closure_json
+from reescert.certify import _open_blocks, build_certificate, closure_json
 from reescert.cli import main
 from reescert.errors import NotClosedError, ResourceCapError
 from reescert.family import (
@@ -102,13 +102,25 @@ def assert_routes_agree(desc: dict, label) -> dict:
     return cert
 
 
+def all_blocks(fam) -> set:
+    """Every block of levels (i, j), i <= j by level index."""
+    indices = [lv.index for lv in fam.levels]
+    return {(i, j) for k, i in enumerate(indices) for j in indices[k:]}
+
+
+def settled_blocks(fam) -> set:
+    """The blocks of levels the paper's theorem settles: every block
+    less those it leaves open (``_open_blocks``)."""
+    return all_blocks(fam) - _open_blocks(fam, characterize(fam))
+
+
 def open_pairs_in_settled_blocks(fam) -> list:
-    """The open pairs of a full scan of ``fam`` that lie in a block of
-    levels the paper's theorem settles: none, if the settled rule is
-    sound."""
-    settled = _settled_blocks(fam, characterize(fam))
+    """The open pairs of a full scan of ``fam`` that lie outside every
+    block of levels the paper's theorem leaves open, so in a settled
+    one: none, if the settled rule is sound."""
+    blocks = _open_blocks(fam, characterize(fam))
     return [(a, b) for a, b in open_pairs(fam)
-            if (a.level, b.level) in settled]
+            if (a.level, b.level) not in blocks]
 
 
 @pytest.mark.parametrize("mode", ["rees", "fiber"])
@@ -170,9 +182,10 @@ def test_routes_agree_on_every_census_family(bench_families):
 
 def test_every_block_is_settled_exactly_with_the_conjunction(bench_families):
     """The support chain is transitive, so the paper's theorem settles
-    every block of levels exactly when the family has the structural
-    conjunction: on the (3, 3, 3) census in both modes, the ladder and
-    the demo families."""
+    every block of levels, and leaves none open, exactly when the
+    family has the structural conjunction: on the (3, 3, 3) census in
+    both modes, the ladder and the demo families.  The open blocks are
+    blocks of the family's levels."""
     descs = [desc for mode in ("rees", "fiber") for desc in census(mode)]
     descs += bench_families.LADDER.values()
     descs += [json.loads(path.read_text())
@@ -181,11 +194,9 @@ def test_every_block_is_settled_exactly_with_the_conjunction(bench_families):
     for desc in descs:
         fam = build_family(desc)
         ch = characterize(fam)
-        indices = [lv.index for lv in fam.levels]
-        blocks = {(i, j) for k, i in enumerate(indices) for j in indices[k:]}
-        settled = _settled_blocks(fam, ch)
-        assert settled <= blocks, desc
-        assert (settled == blocks) == ch.conjunction, desc
+        blocks = _open_blocks(fam, ch)
+        assert type(blocks) is frozenset and blocks <= all_blocks(fam), desc
+        assert (not blocks) == ch.conjunction, desc
         every += ch.conjunction
     # the census has 346 conjunction families; the six ladder families
     # and the three demos, seven
@@ -215,9 +226,9 @@ def _family_reads(fam) -> tuple:
                           "open_nochain"])
 def test_the_held_scan_answers_like_a_fresh_family(desc):
     """A family holds one whole pair table, replaced when a scan of other
-    settled blocks of levels finishes.  After a certificate, the family's table reads,
-    witnesses and basis equal a fresh family's; after a basis, its
-    certificate equals a fresh family's."""
+    blocks of levels finishes.  After a certificate, the family's table
+    reads, witnesses and basis equal a fresh family's; after a basis,
+    its certificate equals a fresh family's."""
     fam = build_family(desc)
     cert = build_certificate(fam)
     assert _family_reads(fam) == _family_reads(build_family(desc))
@@ -236,7 +247,7 @@ def test_no_open_pair_in_a_settled_block_on_the_census():
     for mode in ("rees", "fiber"):
         for desc in census(mode):
             fam = build_family(desc)
-            settled = _settled_blocks(fam, characterize(fam))
+            settled = settled_blocks(fam)
             assert {(lv.index, lv.index) for lv in fam.levels} <= settled
             assert open_pairs_in_settled_blocks(fam) == [], desc
             open_families += bool(open_pairs(fam))
@@ -375,6 +386,19 @@ def test_routes_agree_on_max_n_4():
         assert cert["basis_size"] == rules == max_powers_rule_count(n, 4)
 
 
+def test_routes_agree_on_a_closed_family_that_scans():
+    """A closed family whose certificate scans some blocks and counts
+    the others: fiber_pair's two listed levels, neither the Borel set
+    of its least generator, then 200 levels B(x1^3), in 5 variables
+    with embedding degree 4.  Both routes find it closed, with one rule
+    and all 21,115 pairs of its 206 refs checked."""
+    desc = family_dict("fiber_pair")
+    desc["levels"] += [{"degree": 3, "borel": "x1^3"}] * 200
+    cert = assert_routes_agree(desc, "fiber_pair and 200 B(x1^3)")
+    assert cert["closed_under_comparability"]
+    assert (cert["basis_size"], cert["pairs_checked"]) == (1, 21115)
+
+
 def _counted(monkeypatch, module) -> list:
     """Patch ``module._borel_count`` to record each count's exponents."""
     counts = []
@@ -398,7 +422,7 @@ def test_each_borel_set_is_counted_once(monkeypatch, bench_families):
     counts = _counted(monkeypatch, certify)
     for desc in (max_powers(4, 3), family_dict("maxpowers3")):
         fam = build_family(desc)
-        assert len(_settled_blocks(fam, characterize(fam))) == 10
+        assert len(settled_blocks(fam)) == 10
         assert build_certificate(fam)["conclusions"]
         assert len(counts) == len(set(counts)) == 3, desc
         counts.clear()
@@ -431,6 +455,36 @@ def test_the_step_cap_walks_the_levels_without_holding_blocks():
         "counting the settled blocks takes 1085406000 steps, more than"
         " 10000000")
     assert peak < 2 * 2**20, peak
+
+
+# 1,399 levels {x1}, then {x2}, which is not the Borel set of x2
+SCAN1400 = {"mode": "rees", "variables": 2, "levels": [
+    {"degree": 1, "generators": ["x1"]}] * 1399 + [
+    {"degree": 1, "generators": ["x2"]}]}
+
+
+def test_the_scan_holds_only_the_blocks_it_classifies():
+    """A scanning certificate holds the blocks of levels it classifies,
+    not those it skips: ``SCAN1400``, with level 0, has 1,402 refs and
+    982,101 blocks, of which the theorem leaves open the 1,401 with the
+    last level.  The certificate's tracemalloc peak stays under 2 MiB,
+    where the 980,700 settled blocks as a set of tuples would take about
+    85 MiB, and its verdict, pairs checked and 32 witnesses are a full
+    scan's."""
+    fam = build_family(SCAN1400)
+    tracemalloc.start()
+    try:
+        cert = build_certificate(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    assert len(fam) == 1402
+    assert len(_open_blocks(fam, characterize(fam))) == 1401
+    assert not cert["closed_under_comparability"]
+    assert cert["pairs_checked"] == 47073
+    assert len(cert["witnesses"]) == family.WITNESS_CAP
+    assert assert_routes_agree(SCAN1400, "scan1400") == cert
 
 
 # max(12,4), max(20,3) and max(60,2) are pinned through the CLI in

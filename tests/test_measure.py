@@ -594,6 +594,30 @@ def test_cross_level_steps_drop_c_same_level_steps_drop_e(tower4):
     assert cross > 50 and same > 50
 
 
+def test_trace_steps_carry_the_basis_rules(tower4):
+    """Each ``TraceStep.rule`` on tower4 equals the basis rule with its
+    lead, though it is rebuilt from the rule index's positions; a basis
+    given as unsorted ref tuples traces to the same sorted rules."""
+    basis = build_basis(tower4)
+    by_lead = {g.lead: g for g in basis}
+    unsorted = [MarkedBinomial(tuple(reversed(g.lead)),
+                               tuple(reversed(g.trail))) for g in basis]
+    rng = random.Random(48)
+    refs = tower4.refs()
+    steps = 0
+    for _ in range(100):
+        f = TPolynomial.monomial(
+            TMonomial(rng.choices(refs, k=rng.randint(2, 5))))
+        trace = traced_normal_form(f, basis, tower4)
+        for step in trace.steps:
+            assert type(step.rule) is MarkedBinomial
+            assert step.rule == by_lead[step.rule.lead]
+            assert isinstance(step.rule.trail, TMonomial)
+        assert traced_normal_form(f, unsorted, tower4) == trace
+        steps += len(trace.steps)
+    assert steps > 100
+
+
 def test_polynomial_trace_decreases(tower4):
     basis = build_basis(tower4)
     rng = random.Random(47)
