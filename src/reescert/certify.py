@@ -14,20 +14,32 @@ comparable ones, which by the product identity B(u)*B(v) = B(uv) of
 principal Borel sets number |B(u_i*u_j)|, counted without building a
 set, once per distinct product; a product equal to a counted level's
 least generator takes that level's size.  The other blocks are the
-open ones (``_open_blocks``), and the closure scan is handed them
-(``blocks=``): it classifies only their pairs, in lexicographic order,
-so it holds the blocks it reads, never the settled ones it skips, and
+open ones (``_open_blocks``).
+
+An open block whose levels lie inside their Borel hulls H = B(u), u
+the least generator, and whose hull block the theorem settles, is
+classified from the hulls' missing members M = H less L when that
+takes no more candidates than a scan takes pairs (``hull``): merging
+factors is monotone, so every pair of the block rewrites to the
+canonical split of its product inside H_i x H_j, and is open exactly
+when that split touches a member of M, which its witness names.  A
+closed family's hull block has |B(u_i*u_j)| - N comparable pairs, N its
+open products.  The closure scan is handed the remaining open blocks
+(``blocks=``) and the hull blocks' open pairs (``known=``): it
+classifies only the pairs of those blocks, in lexicographic order, so
+it holds the blocks it reads, never the settled ones it skips, and
 their rules are read off its table, without building a rule; a
-witness's images are the factorizations the scan dealt, so no pair is
-rewritten twice.  A family with the conjunction has no open block: it
-is certified with no ref, no member, no pair and no set of blocks
-built.
+witness's images are the factorizations the scan or the hull dealt, so
+no pair is rewritten twice.  A family with the conjunction has no open
+block: it is certified with no ref, no member, no pair and no set of
+blocks built.
 ``tests/test_census.py`` underwrites the route: the conjunction equals
 closure on every family of the (3, 3, 3) census in both modes, no open
 pair of a full scan of that census, or of the listed-level censuses,
 lies in a settled block, the product identity holds by enumeration for
 n <= 5 and degrees <= 3, and the certificate agrees with a full scan,
-witnesses included, on those censuses, the ladders and the demos.
+witnesses and rule counts included, on those censuses, where both the
+hull route and the scan are taken, the ladders and the demos.
 
 ``reescert check``, ``basis`` and ``verify`` always scan.  The
 ring-theoretic conclusions are not recomputed homologically; they follow
@@ -160,31 +172,37 @@ def _open_blocks(fam: LeveledFamily, ch) -> frozenset:
         if i in unequal or j in unequal or not (i == j or head >= tail))
 
 
-def _settled_rule_count(fam: LeveledFamily, open_blocks) -> int:
-    """Rules of the blocks the theorem settles, every block not in
-    ``open_blocks``: the ref pairs a <= b of each block less its
-    comparable pairs, one per distinct product, so |B(u_i*u_j)| of them
-    by the product identity B(u)*B(v) = B(uv) of principal Borel sets.
-    That is |L_i|*|L_j| - |B(u_i*u_j)| for i < j and
-    C(|L_i|+1, 2) - |B(u_i^2)| for i = j.  The counts are not capped by
-    size, as a product's Borel set may pass ``BOREL_CAP`` where no
-    level does: B(x450^2) in 450 variables has 101,475 members.  Each
-    distinct product is counted once, memoized by its exponent vector;
-    the memo starts with each counted level's size (``Level.borel``),
-    which is |B(u_i)|, so a product equal to a level's least generator,
-    or to another block's product, costs no count.  Counting
-    B(u_i*u_j) takes at most max(tail_i, tail_j) * (deg_i + deg_j + 1)
-    steps; their sum over every settled block, an upper bound on what
-    the memoized counts take, is refused past ``COUNT_STEP_CAP`` before
-    any count.  The blocks are walked as pairs of levels, twice, and
-    never held."""
+def _settled_rule_count(fam: LeveledFamily, scanned, products) -> int:
+    """Rules of the blocks not in ``scanned``: those the theorem settles
+    and those classified from their levels' hulls, which hold
+    ``products`` open products between them.  A block's
+    rules are its ref pairs a <= b less the comparable ones, the pairs
+    that are the canonical split of their product.  A settled block has
+    one per product, so |B(u_i*u_j)| of them by the product identity
+    B(u)*B(v) = B(uv) of principal Borel sets: |L_i|*|L_j| -
+    |B(u_i*u_j)| rules for i < j and C(|L_i|+1, 2) - |B(u_i^2)| for
+    i = j.  In a hull block each product of B(u_i*u_j) splits inside
+    H_i x H_j, by the monotone merge, and the split lies in L_i x L_j
+    unless it touches a missing member: one rule more for each of the
+    block's N open products.  The counts are
+    not capped by size, as a product's Borel set may pass ``BOREL_CAP``
+    where no level does: B(x450^2) in 450 variables has 101,475
+    members.  Each distinct product is counted once, memoized by its
+    exponent vector; the memo starts with each counted level's size
+    (``Level.borel``), which is |B(u_i)|, so a product equal to a
+    level's least generator, or to another block's product, costs no
+    count.  Counting B(u_i*u_j) takes at most max(tail_i, tail_j) *
+    (deg_i + deg_j + 1) steps; their sum over every block counted, an
+    upper bound on what the memoized counts take, is refused past
+    ``COUNT_STEP_CAP`` before any count.  The blocks are walked as
+    pairs of levels, twice, and never held."""
     level = fam._by_index
 
     def blocks():
-        # every pair of levels, filtered only when some block is open
+        # every pair of levels, filtered only when some block is scanned
         pairs = combinations_with_replacement(level, 2)
-        if open_blocks:
-            pairs = filterfalse(open_blocks.__contains__, pairs)
+        if scanned:
+            pairs = filterfalse(scanned.__contains__, pairs)
         return pairs
 
     steps = 0
@@ -206,22 +224,36 @@ def _settled_rule_count(fam: LeveledFamily, open_blocks) -> int:
         if size is None:
             size = sizes[product] = _borel_count(product)
         count += pairs - size
-    return count
+    return count + products
 
 
 def build_certificate(fam: LeveledFamily) -> dict:
     """Certificate dict; JSON-ready.  Conclusions only when closed.
 
-    The blocks of levels the paper's theorem settles are counted; the
-    closure scan classifies only the pairs of the blocks it leaves open
-    (``_open_blocks`` hands them to it), and reads the rule count of
-    those off their table.  A family with the structural conjunction
-    has no open block: no ref, no member, no pair and no set of blocks
-    is built for it."""
+    The blocks of levels the paper's theorem settles are counted.  Of
+    the blocks it leaves open (``_open_blocks``), those whose levels'
+    Borel hulls it settles are classified from the hulls' missing
+    members when that takes no more candidates than a scan takes pairs
+    (``hull._hull_blocks``); the closure scan classifies only the pairs
+    of the others, and reads the rule count of those off their table.  A
+    family with the structural conjunction has no open block: no ref,
+    no member, no pair and no set of blocks is built for it."""
     ch = characterize(fam)
     open_blocks = _open_blocks(fam, ch)
+    scanned, products = open_blocks, 0
     if open_blocks:
-        report = is_closed_under_comparability(fam, blocks=open_blocks)
+        known = ()
+        # only a level that misses members of its Borel hull puts a block
+        # on the hull route (if every level equals its hull, the open
+        # blocks fail the chain); the route's module loads on first use
+        if not all(ch.borel_equal):
+            from . import hull
+            routed = hull._hull_blocks(fam, ch, open_blocks)
+            if routed:
+                scanned = open_blocks.difference(routed)
+                known, products = hull._hull_open_pairs(fam, routed)
+        report = is_closed_under_comparability(
+            fam, blocks=scanned, known=known)
     else:
         refs = len(fam)
         report = ClosureReport(True, (), refs * (refs - 1) // 2, False)
@@ -250,15 +282,15 @@ def build_certificate(fam: LeveledFamily) -> dict:
     # entry, lead to trail: its size and shape are read off it without
     # building a rule.  The theorem's blocks are quadratic with
     # squarefree leads.
-    shape = basis_shape(
-        fam._table(open_blocks)[0].items() if open_blocks else ())
+    shape = basis_shape(fam._table(scanned)[0].items() if scanned else ())
     if not (shape["quadratic"] and shape["squarefree_leads"]):
         # each table entry is a product of two distinct refs rewritten
         # to two refs, so a closed family always has this shape
         raise InternalInvariantError(
             "the marked basis of a closed family is not quadratic with"
             " squarefree leads")
-    out["basis_size"] = shape["count"] + _settled_rule_count(fam, open_blocks)
+    out["basis_size"] = shape["count"] + _settled_rule_count(
+        fam, scanned, products)
     out["quadratic"] = shape["quadratic"]
     out["squarefree_leads"] = shape["squarefree_leads"]
     out["conclusions"] = ["koszul", "normal_domain", "cohen_macaulay"]

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import FamilyError, ResourceCapError
@@ -222,10 +224,11 @@ class LeveledFamily:
     every pair on its first call; the closure scan stops at the first
     open pair past its witness cap.  A scan classifies the blocks of
     levels it is handed, or every block (``certify`` hands it those the
-    paper's theorem leaves open), so what it holds follows the blocks
-    it reads.  The family holds one whole table, that of the last
-    finished scan, and replaces it when a scan of other blocks
-    finishes; a stopped scan is not held.
+    paper's theorem leaves open and the levels' Borel hulls do not
+    settle), so what it holds follows the blocks it reads.  The family
+    holds one whole table, that of the last finished scan, and replaces
+    it when a scan of other blocks finishes; a stopped scan is not
+    held.
     More than ``PAIR_CAP`` pairs raise ``ResourceCapError`` from
     ``refs()``, before any ref is built or pair classified, and more
     than ``PAIR_CAP`` pairs of levels on construction.
@@ -260,8 +263,12 @@ class LeveledFamily:
         table answers when it was made for these blocks.  Otherwise
         pairs are classified only as far as the ``count``-th open pair,
         and the table is held, in place of the one before, only when
-        the scan finished.  A wide family keys every product 0 and
-        memoizes none."""
+        the scan finished.  Blocks that hold no pair, diagonal blocks
+        of one-generator levels or none at all, classify nothing.  A
+        wide family keys every product 0 and memoizes none."""
+        if blocks is not None and all(
+                i == j and len(self._by_index[i]) == 1 for i, j in blocks):
+            return {}, [], []
         scan = self._scan
         if scan is None or scan[0] != blocks:
             pairs, found, images = {}, [], []
@@ -355,10 +362,19 @@ def _classify(levels, refs, weight, pairs: dict, open_pairs: list,
     the comparable b of each a in a higher level are therefore a prefix
     of its block, found by bisection on the tails and skipped."""
     # per level, the positions of the levels it is classified against,
-    # its own first
-    partners = [[lj for lj in range(li, len(levels))
-                 if blocks is None or (lv.index, levels[lj].index) in blocks]
-                for li, lv in enumerate(levels)]
+    # its own first, read off the blocks: bucketed by the later level
+    # first, so that each row comes out ascending
+    if blocks is None:
+        partners = [range(li, len(levels)) for li in range(len(levels))]
+    else:
+        at = {lv.index: k for k, lv in enumerate(levels)}
+        later = [[] for _ in levels]
+        for i, j in blocks:
+            later[at[j]].append(at[i])
+        partners = [[] for _ in levels]
+        for lj, column in enumerate(later):
+            for li in column:
+                partners[li].append(lj)
     used = {lj for row in partners for lj in row}
     used.update(li for li, row in enumerate(partners) if row)
     # per level used: ({standard factorization: ref}, its generators as
@@ -583,7 +599,8 @@ class ClosureReport(NamedTuple):
     stopped at the first open pair past ``WITNESS_CAP``, the pairs up to
     and including that one.  A scan handed only some blocks of levels
     (``blocks``) counts the pairs of the others, which the paper's
-    theorem settles for ``certify``, as checked without classifying
+    theorem settles for ``certify`` or which it classifies from their
+    levels' Borel hulls (``known``), as checked without classifying
     them, so a certificate reports the same figure as a full scan,
     C(v, 2) for a family whose blocks are all settled; ``reescert
     check`` rescans them."""
@@ -593,9 +610,24 @@ class ClosureReport(NamedTuple):
     truncated: bool
 
 
+def _starts(fam: LeveledFamily) -> dict:
+    """Each level's first position among the family's refs, by level
+    index, read off the level sizes."""
+    return dict(zip(fam._by_index,
+                    accumulate(map(len, fam.levels), initial=0)))
+
+
+def _pair_ordinal(fam: LeveledFamily, a, b) -> int:
+    """The rank, from 1, of the ref pair (a, b), a < b, among all ref
+    pairs in lexicographic order."""
+    start, v = _starts(fam), len(fam)
+    i, j = (start[level] + index - 1 for level, index in (a, b))
+    return i * (2 * v - i - 1) // 2 + j - i
+
+
 def is_closed_under_comparability(
         fam: LeveledFamily, all_witnesses: bool = False, *,
-        blocks=None) -> ClosureReport:
+        blocks=None, known=()) -> ClosureReport:
     """Check that every incomparable pair rewrites back into the family.
 
     Walks the entries of the family's pair table with a missing image,
@@ -611,36 +643,46 @@ def is_closed_under_comparability(
     built for them.
 
     ``blocks`` names the blocks of levels (i, j), i <= j by level index,
-    to classify, every block when None; the caller knows the others to
-    hold no open pair, as ``certify`` knows those the paper's theorem
-    settles.  Only the pairs of these blocks are classified, in the
-    same order, and a finished scan's table replaces the one the family
-    held for other blocks.  The report is that of a full scan.
+    to classify, every block when None; the caller knows the others,
+    as ``certify`` knows those the paper's theorem settles.  Only the
+    pairs of these blocks are classified, in the same order, and a
+    finished scan's table replaces the one the family held for other
+    blocks.  ``known`` lists the open pairs of the blocks left out that
+    the caller classified itself, in lexicographic order, each as
+    (pair, image factorizations, image refs), a ref None where its
+    image is missing, as in a table entry, and the images shared by the
+    pairs of one product; they are merged with the scan's.  The report
+    is that of a full scan.
     """
     refs = len(fam)
     checked = refs * (refs - 1) // 2
+    count = None if all_witnesses else WITNESS_CAP + 1
     trails, found, dealt_images = fam._table(
-        None if blocks is None else frozenset(blocks),
-        None if all_witnesses else WITNESS_CAP + 1)
-    truncated = not all_witnesses and len(found) > WITNESS_CAP
+        None if blocks is None else frozenset(blocks), count)
+    # a scanned pair's image refs are read off its table entry
+    opened = [*zip(found, dealt_images, repeat(None)), *known]
+    if known:
+        # two runs in lexicographic order, which the sort merges
+        opened.sort(key=itemgetter(0))
+        opened = opened[:count]
+    truncated = not all_witnesses and len(opened) > WITNESS_CAP
     if truncated:
-        # ordinal of the stop pair (i, j) among the pairs of refs i < j
-        i, j = (fam.refs().index(ref) for ref in found[WITNESS_CAP])
-        checked = i * (2 * refs - i - 1) // 2 + (j - i - 1) + 1
-        found = found[:WITNESS_CAP]
+        checked = _pair_ordinal(fam, *opened[WITNESS_CAP][0])
+        del opened[WITNESS_CAP:]
     monomials = {}  # factorization -> its image, shared by witnesses
     # The pairs of one open product share its dealt images, one object
-    # while ``found`` holds it, and its table entry: (images, missing)
+    # while ``opened`` holds it, and its image refs: (images, missing)
     # by the id of that object.
     shared = {}
     witnesses = []
     # the NamedTuple's __new__ is a Python function; the tuple's builds
     # the same witness in C
     witness = tuple.__new__
-    for pair, dealt in zip(found, dealt_images):
+    for pair, dealt, trail in opened:
         parts = shared.get(id(dealt))
         if parts is None:
-            trail = trails[pair]
+            if trail is None:
+                trail = trails[pair]
             images, missing = [], []
             for k, f in enumerate(dealt):
                 image = monomials.get(f)

@@ -15,9 +15,12 @@ from families import max_powers  # noqa: E402
 
 def census():
     """The conjunction equals closure on the (4,3,3) census, and certify
-    agrees with a full scan there and on the listed shapes tier-1 skips."""
+    agrees with a full scan there and on the listed shapes tier-1 skips,
+    where it takes the hull route on some open blocks and the scan on
+    the others."""
     from test_census import (LISTED_SHAPES, assert_routes_agree,
-                             census as full_census, listed_census)
+                             census as full_census, listed_census,
+                             route_counts)
     for mode in ("rees", "fiber"):
         descs = full_census(mode, 4, 3, 3)
         closed = conjunction = 0
@@ -32,13 +35,26 @@ def census():
               f" {conjunction} with the conjunction; certify agrees"
               f" with a full scan on all {len(descs)}")
         assert (len(descs), closed, conjunction) == (7769, 383, 383), mode
+    # (n, degrees, mode): open blocks on the hull route and on the scan
+    routes = {(3, (3,), "rees"): (726, 1300), (3, (3,), "fiber"): (96, 917),
+              (3, (2, 2), "rees"): (6622, 11696),
+              (3, (2, 2), "fiber"): (1582, 9554),
+              (4, (2,), "rees"): (726, 1300), (4, (2,), "fiber"): (96, 917)}
     for n, degrees in LISTED_SHAPES[2:]:
         for mode in ("rees", "fiber"):
             descs = listed_census(mode, n, degrees)
+            on_hull = scanned = 0
             for desc in descs:
                 assert_routes_agree(desc, desc)
+                routed, scans = route_counts(desc)
+                on_hull += routed
+                scanned += scans
             print(f"{mode}, n={n}, listed degrees {list(degrees)}:"
-                  f" certify agrees with a full scan on {len(descs)} families")
+                  f" certify agrees with a full scan on {len(descs)} families;"
+                  f" open blocks on the hull route {on_hull}, on the scan"
+                  f" {scanned}")
+            assert (on_hull, scanned) == routes[n, degrees, mode], (
+                n, degrees)
 
 
 def confluence():

@@ -152,7 +152,7 @@ def settled():
     from families import LADDER, batch
     from run import CERTIFY_RUNGS
     from reescert import (build_certificate, build_family, certify,
-                          characterize, family, monomials)
+                          characterize, family, hull, monomials)
     from reescert.certify import _open_blocks, _yn
     built = []
     closure = family.borel_closure
@@ -175,12 +175,24 @@ def settled():
             print(f"{label}: {len(route)} of {len(descs)} families have the"
                   f" conjunction, building {sum(built)} Borel members")
         # blocks of levels (i, j), i <= j, the theorem leaves open; what
-        # the scanning certificates build (no Borel member: a scan reads
-        # counted levels as factorizations) and the witnesses they hold
+        # the other certificates build (no Borel member: a scan and a hull
+        # read counted levels as factorizations), the witnesses they hold
+        # and the open blocks they classify from their levels' hulls
         built.clear()
         scanning = witnesses = images = open_pairs = all_pairs = 0
-        held = scanned_blocks = 0
+        held = scanned_blocks = hull_blocks = hull_pairs = unscanned = 0
         kinds = {"all": 0, "some": 0, "none": 0}
+        classified = []
+        classify = family._classify
+
+        def tallied_classify(*args):
+            classified.append(args)
+            return classify(*args)
+
+        def pairs(size, blocks):
+            return sum(comb(size[i], 2) if i == j else size[i] * size[j]
+                       for i, j in blocks)
+
         for desc in mix:
             fam = build_family(desc)
             ch = characterize(fam)
@@ -189,11 +201,16 @@ def settled():
             blocks = [(i, j) for i in size for j in size if i <= j]
             kinds["none" if len(opened) == len(blocks)
                   else "some" if opened else "all"] += 1
-            open_pairs += sum(comb(size[i], 2) if i == j else size[i] * size[j]
-                              for i, j in opened)
+            open_pairs += pairs(size, opened)
             all_pairs += comb(len(fam), 2)
             if not ch.conjunction:
-                build_certificate(fam)
+                routed = hull._hull_blocks(fam, ch, opened)
+                hull_blocks += len(routed)
+                hull_pairs += pairs(size, routed)
+                classified.clear()
+                with mock.patch.object(family, "_classify", tallied_classify):
+                    build_certificate(fam)
+                unscanned += not classified
                 scanning += 1
                 held += len(opened)
                 scanned_blocks += len(blocks)
@@ -202,22 +219,27 @@ def settled():
                 witnesses += len(report.witnesses)
                 images += len({id(img) for w in report.witnesses
                                for img in w.images})
-    print(f"certify-mix batch(1, 0..29): {scanning} scanning"
-          f" certificates build {sum(built)} Borel members; their"
+    print(f"certify-mix batch(1, 0..29): {scanning} certificates without"
+          f" the conjunction build {sum(built)} Borel members; their"
           f" {witnesses} witnesses hold {images} distinct images")
-    print(f"certify-mix batch(1, 0..29): the {scanning} scanning"
-          f" certificates hold {held} open blocks of their"
+    print(f"certify-mix batch(1, 0..29): the {scanning} certificates"
+          f" without the conjunction hold {held} open blocks of their"
           f" {scanned_blocks} blocks")
     print("certify-mix batch(1, 0..29): families with all, some or no"
           f" blocks of levels settled: {kinds}")
     print(f"certify-mix batch(1, 0..29): {open_pairs} pairs in open"
           f" blocks of {all_pairs} pairs, sum of C(v, 2)")
-    # Borel counts made by parsing and by the settled rule counts, against
-    # one per "borel" level and one per settled block a rule count reads;
+    print(f"certify-mix batch(1, 0..29): {hull_blocks} of the {held} open"
+          f" blocks take the hull route, and their {hull_pairs} pairs are"
+          f" not classified; {unscanned} of the {scanning} certificates"
+          " classify no pair")
+    # Borel counts made by parsing, by the rule counts and by sizing the
+    # hulls of listed levels, against one per "borel" level, one per
+    # settled or hull block a rule count reads and one per hull sized;
     # and the sets of blocks the certificates hand the scan, each block
     # settled when its own two-level family (level 0 added in rees mode)
     # has the conjunction
-    made, counts, scans = [], [], []
+    made, rules, hulls, counts, scans = [], [], [], [], []
 
     def tallied(fn, calls):
         def wrapper(*args, **kwargs):
@@ -232,9 +254,10 @@ def settled():
             fam.embedding_degree)).conjunction
 
     with contextlib.ExitStack() as stack:
-        for module in (monomials, certify):
+        for module, calls in ((monomials, made), (certify, rules),
+                              (hull, hulls)):
             stack.enter_context(mock.patch.object(
-                module, "_borel_count", tallied(module._borel_count, made)))
+                module, "_borel_count", tallied(module._borel_count, calls)))
         for name, calls in (("_settled_rule_count", counts),
                             ("is_closed_under_comparability", scans)):
             stack.enter_context(mock.patch.object(
@@ -242,9 +265,8 @@ def settled():
         for label, descs in (
                 ("certify-mix batch(1, 0..29)", mix),
                 ("ladder CERTIFY_RUNGS", [LADDER[r] for r in CERTIFY_RUNGS])):
-            made.clear()
-            counts.clear()
-            scans.clear()
+            for calls in (made, rules, hulls, counts, scans):
+                calls.clear()
             levels = 0
             for desc in descs:
                 levels += sum("borel" in lv for lv in desc["levels"])
@@ -255,13 +277,13 @@ def settled():
             print(f"{label}: {len(scans)} of {len(descs)} certificates"
                   f" build a set of open blocks, {with_settled} of"
                   f" {len(descs)} a set holding a settled block")
-            borel_counts = len(made)
-            blocks = sum(
-                comb(len(fam.levels) + 1, 2) - len(opened)
-                for (fam, opened), _ in counts)
-            print(f"{label}: certificates make {borel_counts} Borel counts,"
-                  f" against {blocks} settled blocks counted plus {levels}"
-                  ' "borel" levels parsed')
+            blocks = sum(comb(len(fam.levels) + 1, 2) - len(scanned)
+                         for (fam, scanned, _), _ in counts)
+            print(f"{label}: certificates make"
+                  f" {len(made) + len(rules) + len(hulls)} Borel counts,"
+                  f" against {blocks} settled and hull blocks counted,"
+                  f" {len(hulls)} hulls of listed levels sized and"
+                  f' {levels} "borel" levels parsed')
     fam = build_family(SCAN1400)
     start = time.perf_counter()
     cert = build_certificate(fam)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from reescert import certify, family, monomials
+from reescert import certify, family, hull, monomials
 from reescert.certify import _open_blocks, build_certificate, closure_json
 from reescert.cli import main
 from reescert.errors import NotClosedError, ResourceCapError
@@ -100,6 +100,16 @@ def assert_routes_agree(desc: dict, label) -> dict:
     if report.closed:
         assert cert["basis_size"] == len(fam.incomparable_pairs()), label
     return cert
+
+
+def route_counts(desc: dict) -> tuple[int, int]:
+    """The open blocks of levels of ``desc``'s family that a certificate
+    classifies from its levels' Borel hulls, and those it scans."""
+    fam = build_family(desc)
+    ch = characterize(fam)
+    blocks = _open_blocks(fam, ch)
+    routed = len(hull._hull_blocks(fam, ch, blocks)) if blocks else 0
+    return routed, len(blocks) - routed
 
 
 def all_blocks(fam) -> set:
@@ -319,23 +329,69 @@ def test_certificates_build_no_borel_member(monkeypatch, bench_families):
 LISTED_SHAPES = ((3, (2,)), (3, (1, 2)), (3, (3,)), (3, (2, 2)), (4, (2,)))
 
 
+# (n, degrees, mode): open blocks on the hull route, on the scan, and
+# closed families with a block on the hull route, whose rule count adds
+# the hull blocks' open products
+LISTED_ROUTES = {
+    (3, (2,), "rees"): (49, 65, 0), (3, (2,), "fiber"): (9, 48, 4),
+    (3, (1, 2), "rees"): (608, 1125, 0), (3, (1, 2), "fiber"): (139, 943, 16),
+}
+
+
 @pytest.mark.parametrize("mode", ["rees", "fiber"])
 @pytest.mark.parametrize("n, degrees", LISTED_SHAPES[:2],
                          ids=["n3-2", "n3-1,2"])
 def test_routes_agree_on_listed_levels(mode, n, degrees):
     """Every level an arbitrary non-empty subset of the monomials of its
     degree: listed levels equal to their Borel set are settled, thinned
-    ones are scanned, and the certificate agrees with a full scan."""
+    ones are classified from their Borel hulls or scanned, as the route
+    rule picks, and the certificate agrees with a full scan.  Both
+    routes are taken, and some closed families count hull blocks."""
     descs = listed_census(mode, n, degrees)
-    equal = 0
+    equal = on_hull = scanned = closed = 0
     for desc in descs:
         cert = assert_routes_agree(desc, desc)
         assert open_pairs_in_settled_blocks(build_family(desc)) == [], desc
         equal += sum(cert["characterization"]["borel_equal"])
+        routed, scans = route_counts(desc)
+        on_hull += routed
+        scanned += scans
+        closed += bool(routed) and cert["closed_under_comparability"]
     # one subset per Borel set equals it: six principal ones of degree
     # 2, three of degree 1 (x1, x1..x2, x1..x3)
     assert (len(descs), equal) == {
         (2,): (63, 6), (1, 2): (441, 3 * 63 + 7 * 6)}[degrees]
+    assert (on_hull, scanned, closed) == LISTED_ROUTES[n, degrees, mode]
+
+
+def test_the_route_rule_keeps_the_scan_on_a_sparse_level(monkeypatch):
+    """A listed level far thinner than its hull keeps the scan: {x1*x23,
+    x23^2} in fiber mode holds 2 of the 276 members of B(x23^2), so its
+    diagonal block would take 274 * 276 candidates for one scanned
+    pair.  The rule reads that off the counts, and no hull member is
+    built.  In 30 variables, past packed keys, the level scans too."""
+    monkeypatch.setattr(hull, "_borel_factors", _refuse)
+    for n in (23, 30):
+        desc = {"mode": "fiber", "variables": n, "embedding_degree": 3,
+                "levels": [{"degree": 2,
+                            "generators": [f"x1*x{n}", f"x{n}^2"]}]}
+        assert route_counts(desc) == (0, 1)
+        assert assert_routes_agree(desc, n)["closed_under_comparability"]
+
+
+def test_routes_agree_on_a_wide_family_with_a_missing_member():
+    """B(x2*x30) less x2*x29, in 30 variables with level 0: a family too
+    wide for packed keys scans every open block, and its certificate
+    agrees with a full scan."""
+    members = [f"x{a}*x{b}" for a in (1, 2) for b in range(a, 31)]
+    members.remove("x2*x29")
+    desc = {"mode": "rees", "variables": 30,
+            "levels": [{"degree": 2, "generators": members}]}
+    assert route_counts(desc) == (0, 2)
+    cert = assert_routes_agree(desc, "wide drop")
+    assert not cert["closed_under_comparability"]
+    assert any(w["images"][0] == "x2*x29" or w["images"][1] == "x2*x29"
+               for w in cert["witnesses"])
 
 
 WIDE = {"mode": "rees", "variables": 450,

@@ -8,20 +8,26 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from reescert import family, oracle
+from reescert import build_certificate, build_family, family, oracle
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROOT = GOLDEN.parent.parent
 sys.path.insert(0, str(GOLDEN))
 
 import make_golden  # noqa: E402
-from test_census import _refuse  # noqa: E402
+from conftest import open_tower4  # noqa: E402
+from test_census import (  # noqa: E402
+    _refuse,
+    assert_routes_agree,
+    route_counts,
+)
 
 INDEX = json.loads((GOLDEN / "index.json").read_text())
 
@@ -59,6 +65,32 @@ def test_golden_cli_output_builds_no_borel_member(tmp_path, monkeypatch):
     monkeypatch.setattr(oracle, "_last_pass", None)
     for fname, argv in make_golden.cases(tmp_path):
         assert_golden(fname, *make_golden.run_cli(argv))
+
+
+def _unscanned(*args):
+    raise AssertionError("classified a pair")
+
+
+def test_a_hull_routed_certificate_classifies_no_pair(
+        tmp_path, monkeypatch, bench_families):
+    """Every open block of ``open_tower4`` and of a certify-mix
+    ``rees-drop`` draw is classified from its levels' Borel hulls: with
+    ``family._classify`` refusing, their certificates equal a full
+    scan's, and ``open_tower4``'s certify cases print their golden
+    output."""
+    descs = (open_tower4(), bench_families.draw_family(
+        random.Random(3), (20, 30), "rees-drop"))
+    cases = dict(make_golden.cases(tmp_path))
+    with monkeypatch.context() as patched:
+        patched.setattr(family, "_classify", _unscanned)
+        certs = [build_certificate(build_family(desc)) for desc in descs]
+        for fname in ("open_tower4.certify.json", "open_tower4.certify.text"):
+            assert_golden(fname, *make_golden.run_cli(cases[fname]))
+    for desc, cert in zip(descs, certs):
+        routed, scanned = route_counts(desc)
+        assert routed and not scanned, desc
+        assert not cert["closed_under_comparability"], desc
+        assert cert == assert_routes_agree(desc, desc)
 
 
 # One case of each subcommand on tower4, and the failing verify on tower4
