@@ -74,9 +74,11 @@ from .presentation import build_basis  # noqa: F401
 # of the settled blocks' products, about 3 s: one product costs up to
 # its least variable's index times its degree, and the blocks grow as
 # the square of the levels.  The sum runs over every block, an upper
-# bound once repeated products are counted once.  max(12,4), max(20,3)
-# and max(60,2) take at most 1,320; 240 levels B(x2000) of degree 1 in
-# 2,000 variables take 1.75 * 10^8.
+# bound once repeated products are counted once, and is taken in closed
+# form over the levels (``_settled_steps``), so a family past it is
+# refused before any block is walked; the blocks are walked once, to
+# count.  max(12,4), max(20,3) and max(60,2) take at most 1,320; 240
+# levels B(x2000) of degree 1 in 2,000 variables take 1.75 * 10^8.
 COUNT_STEP_CAP = 10**7
 
 CITATIONS = {
@@ -172,6 +174,27 @@ def _open_blocks(fam: LeveledFamily, ch) -> frozenset:
         if i in unequal or j in unequal or not (i == j or head >= tail))
 
 
+def _settled_steps(fam: LeveledFamily, scanned) -> int:
+    """The sum over the blocks (i, j) not in ``scanned`` of
+    max(t_i, t_j) * (d_i + d_j + 1), t a level's tail and d its degree,
+    without walking the blocks.  In the levels sorted by tail each
+    block's max is its later level's tail, so the level at position k
+    (from 1), with D the sum of the degrees up to and including its
+    own, adds t * (D + k * (d + 1)) for its k blocks with itself and
+    the levels before it; then each scanned block's own term is taken
+    off.  O(L log L) for L levels, plus one term per scanned block."""
+    steps = degrees = 0
+    ordered = sorted((lv._ends[1], lv.degree) for lv in fam.levels)
+    for k, (tail, degree) in enumerate(ordered, start=1):
+        degrees += degree
+        steps += tail * (degrees + k * (degree + 1))
+    level = fam._by_index
+    for i, j in scanned:
+        a, b = level[i], level[j]
+        steps -= max(a._ends[1], b._ends[1]) * (a.degree + b.degree + 1)
+    return steps
+
+
 def _settled_rule_count(fam: LeveledFamily, scanned, products) -> int:
     """Rules of the blocks not in ``scanned``: those the theorem settles
     and those classified from their levels' hulls, which hold
@@ -193,31 +216,26 @@ def _settled_rule_count(fam: LeveledFamily, scanned, products) -> int:
     level's least generator, or to another block's product, costs no
     count.  Counting B(u_i*u_j) takes at most max(tail_i, tail_j) *
     (deg_i + deg_j + 1) steps; their sum over every block counted, an
-    upper bound on what the memoized counts take, is refused past
-    ``COUNT_STEP_CAP`` before any count.  The blocks are walked as
-    pairs of levels, twice, and never held."""
-    level = fam._by_index
-
-    def blocks():
-        # every pair of levels, filtered only when some block is scanned
-        pairs = combinations_with_replacement(level, 2)
-        if scanned:
-            pairs = filterfalse(scanned.__contains__, pairs)
-        return pairs
-
-    steps = 0
-    for i, j in blocks():
-        a, b = level[i], level[j]
-        steps += max(a._ends[1], b._ends[1]) * (a.degree + b.degree + 1)
+    upper bound on what the memoized counts take, is taken in closed
+    form over the levels (``_settled_steps``) and refused past
+    ``COUNT_STEP_CAP`` before any block is walked.  The blocks are then
+    walked once, as pairs of levels, to count, and never held; each
+    level's size is the one it keeps."""
+    steps = _settled_steps(fam, scanned)
     if steps > COUNT_STEP_CAP:
         raise ResourceCapError(
             f"counting the settled blocks takes {steps} steps,"
             f" more than {COUNT_STEP_CAP}")
-    sizes = {lv.last.exps: len(lv) for lv in fam.levels if lv.borel}
+    level = fam._by_index
+    # every pair of levels, filtered only when some block is scanned
+    blocks = combinations_with_replacement(level, 2)
+    if scanned:
+        blocks = filterfalse(scanned.__contains__, blocks)
+    sizes = {lv.last.exps: lv._size for lv in fam.levels if lv.borel}
     count = 0
-    for i, j in blocks():
+    for i, j in blocks:
         a, b = level[i], level[j]
-        s, t = len(a), len(b)
+        s, t = a._size, b._size
         pairs = s * (s + 1) // 2 if i == j else s * t
         product = tuple(map(add, a.last.exps, b.last.exps))
         size = sizes.get(product)
@@ -264,7 +282,7 @@ def build_certificate(fam: LeveledFamily) -> dict:
         "subject": SUBJECTS[fam.mode],
         "variables": fam.n,
         "levels": [
-            {"index": lv.index, "degree": lv.degree, "size": len(lv)}
+            {"index": lv.index, "degree": lv.degree, "size": lv._size}
             for lv in fam.levels
         ],
         "closed_under_comparability": report.closed,

@@ -109,8 +109,9 @@ class Level:
     ``len`` is the number of generators.
 
     A counted level (``build_family``'s Borel levels and level 0, the
-    Borel set of x_n) keeps its size and its least generator, and builds
-    its generators on their first read as ``borel_closure(last)``, and
+    Borel set of x_n) keeps its size, its least generator and that
+    generator's head and tail as its parse read them, and builds its
+    generators on their first read as ``borel_closure(last)``, and
     its ``factors`` with none of them built.  ``borel`` is true for a
     level built as the Borel set of its least generator."""
 
@@ -119,22 +120,27 @@ class Level:
 
     def __init__(self, index: int, degree: int,
                  generators: tuple[Monomial, ...]):
-        self._fill(index, degree, False, generators[-1], len(generators),
-                   generators)
+        last = generators[-1]
+        self._fill(index, degree, False, last, len(generators), generators,
+                   (last.head_index(), last.tail_index()))
 
     @classmethod
-    def _counted(cls, index: int, least: Monomial, size: int) -> "Level":
+    def _counted(cls, index: int, least: Monomial, size: int,
+                 ends: tuple[int, int]) -> "Level":
         """The Borel set of ``least``, of ``size`` members, built on
-        first read."""
+        first read.  ``ends`` is the head and tail of ``least``, which
+        its caller already holds (the least and greatest index of its
+        parsed terms, or (n, n) for x_n), so no exponent vector is
+        scanned for them."""
         lv = object.__new__(cls)
-        lv._fill(index, least.degree, True, least, size, None)
+        lv._fill(index, least.degree, True, least, size, None, ends)
         return lv
 
-    def _fill(self, index, degree, borel, last, size, generators) -> None:
+    def _fill(self, index, degree, borel, last, size, generators,
+              ends) -> None:
         """Set every slot; ``_ends`` holds the indices of the greatest
-        and the least variable of ``last`` (its head and tail), read
-        once here for the chain tests of ``characterize`` and
-        ``certify``."""
+        and the least variable of ``last`` (its head and tail), for the
+        chain tests of ``characterize`` and ``certify``."""
         put = object.__setattr__
         put(self, "index", index)
         put(self, "degree", degree)
@@ -143,7 +149,7 @@ class Level:
         put(self, "_size", size)
         put(self, "_generators", generators)
         put(self, "_factors", None)
-        put(self, "_ends", (last.head_index(), last.tail_index()))
+        put(self, "_ends", ends)
 
     def __setattr__(self, name, value):
         raise AttributeError("Level is immutable")
@@ -244,7 +250,7 @@ class LeveledFamily:
         self.levels = tuple(levels)
         _check_pair_cap(len(self.levels), "levels")
         self._by_index = {lv.index: lv for lv in self.levels}
-        self._size = sum(len(lv) for lv in self.levels)
+        self._size = sum(lv._size for lv in self.levels)
         self._refs = None
         # (blocks classified, pair table, open pairs, their images) of
         # the last finished scan; the table holds the refs of ``_refs``,
@@ -439,7 +445,8 @@ def _parse_level(entry, pos: int, n: int, sizes: dict) -> Level:
     index ``pos``.  A ``"borel"`` level is counted from its generator and
     builds no member; ``sizes`` maps the exponents of each generator
     counted so far to its count, so a generator is counted once per
-    description.  A listed level builds its generators, revlex
+    description, and its head and tail are the least and greatest index
+    of the parsed terms.  A listed level builds its generators, revlex
     descending."""
     if not isinstance(entry, dict):
         raise FamilyError(f"level {pos}: expected an object")
@@ -469,7 +476,7 @@ def _parse_level(entry, pos: int, n: int, sizes: dict) -> Level:
         size = sizes.get(gen.exps)
         if size is None:
             size = sizes[gen.exps] = borel_size(gen)
-        return Level._counted(pos, gen, size)
+        return Level._counted(pos, gen, size, (min(terms), max(terms)))
     raw = entry["generators"]
     if not isinstance(raw, list) or not raw:
         raise FamilyError(f"level {pos}: generators must be a non-empty list")
@@ -536,7 +543,7 @@ def build_family(data: dict) -> LeveledFamily:
     if mode == "fiber":
         return LeveledFamily("fiber", n, levels, embedding_degree=m)
     # the variables are the Borel set of x_n
-    level0 = Level._counted(0, Monomial.variable(n, n), n)
+    level0 = Level._counted(0, Monomial.variable(n, n), n, (n, n))
     return LeveledFamily("rees", n, [level0] + levels)
 
 

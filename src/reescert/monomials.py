@@ -93,7 +93,7 @@ class Monomial:
     def variable(cls, i: int, n: int) -> "Monomial":
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
-        return cls(tuple(1 if k == i else 0 for k in range(1, n + 1)))
+        return cls._of_exps((0,) * (i - 1) + (1,) + (0,) * (n - i), 1)
 
     def factors(self) -> tuple[int, ...]:
         """Standard factorization as variable indices, ascending.
@@ -268,10 +268,10 @@ def borel_member(candidate: Monomial, generator: Monomial) -> bool:
 
 def _suffix_masses(exps) -> list[int]:
     """``bound[k]``: the exponent mass on x_(k+1)..x_n, 0-based k, with
-    ``bound[n] = 0``."""
-    bound = [0] * (len(exps) + 1)
-    for k in range(len(exps) - 1, -1, -1):
-        bound[k] = bound[k + 1] + exps[k]
+    ``bound[n] = 0``: the running sums of the exponents read from x_n
+    back, in reverse."""
+    bound = list(accumulate(reversed(exps), initial=0))
+    bound.reverse()
     return bound
 
 
@@ -286,19 +286,23 @@ def _borel_count(exps, cap=None) -> int:
     so the suffix sums that step k to k + 1 are one ``accumulate``,
     less the entries past ``bound[k + 1]``.  No mass sits past the
     least variable occurring, x_tail (``bound[tail]`` is the first 0),
-    so ``ways[0]``, the last entry, after k = tail - 1 is the whole
-    count.  Before that it counts the members on x1..x_(k+1), a subset
+    so the steps stop there, and the whole count is the table's sum,
+    the one entry that step k = tail - 1 would leave.  Before that the
+    last entry, ``ways[0]``, counts the members on x1..x_(k+1), a subset
     of the whole set, so a capped count stops once it is over the cap.
     """
     bound = _suffix_masses(exps)
-    if cap is not None and bound[1] >= cap:  # x1^(d-t)*x2^t, t <= bound[1]
-        return bound[1] + 1
-    ways = [1] * (bound[1] + 1)
-    for k in range(1, bound.index(0)):  # up to tail - 1
-        ways = list(accumulate(ways))[len(ways) - 1 - bound[k + 1]:]
-        if cap is not None and ways[-1] > cap:
+    top = bound[1]
+    if cap is not None and top >= cap:  # x1^(d-t)*x2^t, t <= top
+        return top + 1
+    ways = [1] * (top + 1)
+    for mass in bound[2:]:  # bound[k + 1] for k = 1, 2, ...
+        if not mass:
             break
-    return ways[-1]
+        ways = list(accumulate(ways))[len(ways) - 1 - mass:]
+        if cap is not None and ways[-1] > cap:
+            return ways[-1]
+    return sum(ways)
 
 
 def borel_size(generator: Monomial) -> int:

@@ -187,6 +187,20 @@ def borel_count_by_two_reversals(exps, cap=None) -> int:
     return ways[0]
 
 
+def settled_steps_by_blocks(fam, scanned) -> int:
+    """``COUNT_STEP_CAP``'s bound summed block by block, the reference
+    for ``certify._settled_steps``: max(t_i, t_j) * (d_i + d_j + 1) over
+    every block of levels (i, j), i <= j, not in ``scanned``, each
+    level's tail t read off its least generator."""
+    levels = [(lv.index, lv.last.tail_index(), lv.degree)
+              for lv in fam.levels]
+    steps = 0
+    for (i, ti, di), (j, tj, dj) in combinations_with_replacement(levels, 2):
+        if (i, j) not in scanned:
+            steps += max(ti, tj) * (di + dj + 1)
+    return steps
+
+
 def pair_table_by_rewrite_images(fam) -> dict:
     """The pair table from ``rewrite_images`` on generator monomials,
     with image refs looked up by ``Monomial`` in each level."""

@@ -146,6 +146,12 @@ SCAN1400 = {"mode": "rees", "variables": 2, "levels": [
     {"degree": 1, "generators": ["x2"]}]}
 
 
+# the past-cap gate's 1,400 levels B(x2000) of degree 1 in 2,000
+# variables, refused at COUNT_STEP_CAP (tests/gates.py)
+LEVELS1400 = {"mode": "rees", "variables": 2000, "levels": [
+    {"degree": 1, "borel": "x2000"}] * 1400}
+
+
 def settled():
     """What the paper's theorem certifies, the blocks it settles and the
     blocks it leaves to the scan."""
@@ -154,6 +160,7 @@ def settled():
     from reescert import (build_certificate, build_family, certify,
                           characterize, family, hull, monomials)
     from reescert.certify import _open_blocks, _yn
+    from reescert.errors import ResourceCapError
     built = []
     closure = family.borel_closure
 
@@ -297,6 +304,23 @@ def settled():
           f" tracemalloc peak {peak / 2**20:.2f} MiB, closed:"
           f" {_yn(cert['closed_under_comparability'])},"
           f" {cert['pairs_checked']} pairs checked")
+    # the past-cap gate's 1,400-level file in-process, apart from the
+    # CLI's start-up: its parse, and its certificate's refusal at
+    # COUNT_STEP_CAP; best of five of each
+    parses, refusals = [], []
+    for _ in range(5):
+        start = time.perf_counter()
+        fam = build_family(LEVELS1400)
+        parses.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        try:
+            build_certificate(fam)
+        except ResourceCapError as exc:
+            refusals.append(time.perf_counter() - start)
+            refused = exc
+    print(f"levels1400 (1,400 levels B(x2000)): parsed in"
+          f" {min(parses):.3f} s, certificate refused in"
+          f" {min(refusals):.4f} s: {refused}")
 
 
 def traffic():

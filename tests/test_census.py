@@ -34,7 +34,12 @@ from reescert.family import (
 )
 from reescert.presentation import build_basis
 
-from bruteforce import borel_closure_by_filter, from_factors, product
+from bruteforce import (
+    borel_closure_by_filter,
+    from_factors,
+    product,
+    settled_steps_by_blocks,
+)
 from conftest import family_dict, open_nochain, open_pairs, open_tower4
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "families"
@@ -494,9 +499,9 @@ def test_each_borel_set_is_counted_once(monkeypatch, bench_families):
 
 def test_the_step_cap_walks_the_levels_without_holding_blocks():
     """A family with the conjunction is refused past ``COUNT_STEP_CAP``
-    from a walk over its pairs of levels, with no set of them held: 600
-    levels B(x2000) of degree 1 in 2,000 variables, with level 0, make
-    180,901 blocks of 6,000 steps each, and the certificate's
+    from the closed form over its levels, with no set of blocks held:
+    600 levels B(x2000) of degree 1 in 2,000 variables, with level 0,
+    make 180,901 blocks of 6,000 steps each, and the certificate's
     tracemalloc peak stays under 2 MiB."""
     fam = build_family({"mode": "rees", "variables": 2000, "levels": [
         {"degree": 1, "borel": "x2000"}] * 600})
@@ -511,6 +516,72 @@ def test_the_step_cap_walks_the_levels_without_holding_blocks():
         "counting the settled blocks takes 1085406000 steps, more than"
         " 10000000")
     assert peak < 2 * 2**20, peak
+
+
+def levels_b2000(count: int) -> dict:
+    """``count`` levels B(x2000) of degree 1 in 2,000 variables, the
+    ``past-cap`` gate's files for 240 and 1,400."""
+    return {"mode": "rees", "variables": 2000, "levels": [
+        {"degree": 1, "borel": "x2000"}] * count}
+
+
+@pytest.mark.parametrize("mode", ["rees", "fiber"])
+def test_the_step_bound_in_closed_form_is_the_block_sum(mode):
+    """``_settled_steps`` equals the block-by-block sum it replaced on
+    every family of the (3, 3, 3) census, with no block scanned, with
+    the open blocks scanned and with every block scanned."""
+    for desc in census(mode):
+        fam = build_family(desc)
+        opened = _open_blocks(fam, characterize(fam))
+        for scanned in (frozenset(), opened, frozenset(all_blocks(fam))):
+            assert certify._settled_steps(fam, scanned) == (
+                settled_steps_by_blocks(fam, scanned)), (desc, scanned)
+
+
+@pytest.mark.parametrize("count, steps", [
+    (240, 174966000), (1400, 5892606000)])
+def test_the_step_bound_in_closed_form_on_the_past_cap_files(count, steps):
+    """The closed form and the block sum agree on the ``past-cap``
+    gate's files, 29,161 and 982,101 blocks."""
+    fam = build_family(levels_b2000(count))
+    assert certify._settled_steps(fam, frozenset()) == steps
+    assert settled_steps_by_blocks(fam, frozenset()) == steps
+
+
+def test_the_step_cap_refuses_before_any_walk(monkeypatch):
+    """A family past ``COUNT_STEP_CAP`` is refused before any pair of
+    levels is walked: with ``combinations_with_replacement`` unusable in
+    ``certify``, 240 levels B(x2000) are still refused at 174,966,000
+    steps."""
+    def no_walk(*args):
+        raise AssertionError("the pairs of levels were walked")
+
+    monkeypatch.setattr(certify, "combinations_with_replacement", no_walk)
+    with pytest.raises(ResourceCapError) as refused:
+        build_certificate(build_family(levels_b2000(240)))
+    assert str(refused.value) == (
+        "counting the settled blocks takes 174966000 steps, more than"
+        " 10000000")
+
+
+def test_levels_keep_the_head_and_tail_their_parse_read(bench_families):
+    """Every level's ``_ends``, taken from its parse (a ``"borel"``
+    level's terms, (n, n) for level 0) or read off a listed level's
+    last generator, is that generator's head and tail: on the ladder,
+    the (3, 3, 3) census and the listed census shapes in both modes,
+    and levels B(x2000) and B(x1*x2000) in 2,000 variables."""
+    descs = list(bench_families.LADDER.values())
+    for mode in ("rees", "fiber"):
+        descs += census(mode)
+        for n, degrees in LISTED_SHAPES:
+            descs += listed_census(mode, n, degrees)
+    descs.append({"mode": "rees", "variables": 2000, "levels": [
+        {"degree": 1, "borel": "x2000"},
+        {"degree": 2, "borel": "x1*x2000"}]})
+    for desc in descs:
+        for lv in build_family(desc).levels:
+            assert lv._ends == (lv.last.head_index(),
+                                lv.last.tail_index()), (desc, lv.index)
 
 
 # 1,399 levels {x1}, then {x2}, which is not the Borel set of x2
