@@ -166,13 +166,22 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
                   ) -> tuple[FiberReport, KernelReport]:
     """Both fiber suites in one pass over one enumeration.
 
-    Each fiber's completely reduced members are found on the pair table,
-    and each member is reduced once, through one ``_normal_form`` memo.
-    Its normal form is then compared twice.  The unique suite wants it
-    to be the fiber's one reduced member.  The kernel suite wants it to
-    equal the representative's own normal form: member - representative
-    reduces to zero exactly then, and these differences span the
-    degree-bounded kernel of the monomial map.  The kernel
+    The fibers are taken out one at a time, in enumeration order, and
+    each member is reduced once through a ``_normal_form`` memo of its
+    fiber's own.  Any memo gives the same answers, since the rule a
+    monomial takes depends on the monomial alone; a kernel basis's
+    walks stay in their fiber, so a shared memo would only hit there,
+    and a wrong trail that leaves it only walks some monomials again.
+    When the basis's leads are the pair table's, a fiber whose members
+    all reach one member f fails neither suite (f is its one reduced
+    member and every normal form), and one count settles it.
+
+    Any other fiber's completely reduced members are found on the pair
+    table, and each normal form is compared twice.  The unique suite
+    wants it to be the fiber's one reduced member.  The kernel suite
+    wants it to equal the representative's own normal form: member -
+    representative reduces to zero exactly then, and these differences
+    span the degree-bounded kernel of the monomial map.  The kernel
     representative is the reduced member, or the first member when
     there is not exactly one.  Both comparisons are needed: under a
     flipped rule a reduced member need not be its own normal form.
@@ -190,14 +199,23 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
     # a member is reduced exactly when its walk takes no step
     walk_is_table = table == index.partners
     mono = index.monomial
-    memo = {}
-    # an entry is a non-empty tuple: a hit is the walk's whole answer
-    hit = memo.get
+    fibers = len(buckets)
+    monomials = sum(map(len, buckets.values()))
+    largest = max(map(len, buckets.values()), default=0)
     # up to FAILURE_CAP + 1 each: one more marks the report truncated
     unique, kernel = [], []
-    for image, members in buckets.items():
+    # popped in enumeration order (popitem would take the last first)
+    for image in list(buckets):
+        members = buckets.pop(image)
+        memo = {}
+        # an entry is a non-empty tuple: a hit is the walk's whole answer
+        hit = memo.get
         walks = [hit(m) or _normal_form(m, index, memo) for m in members]
         outs = [out for out, _ in walks]
+        size = len(outs)
+        if (walk_is_table and outs.count(outs[0]) == size
+                and outs[0] in members):
+            continue
         reduced = ([m for m, (_, steps) in zip(members, walks) if not steps]
                    if walk_is_table else
                    [m for m in members if _least_lead(m, table) is None])
@@ -210,7 +228,6 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
         rep_nf = outs[members.index(rep)]
         # a fiber whose members all reach rep_nf, and rep when it is the
         # one reduced member, reports nothing: C-level counts tell it
-        size = len(outs)
         if outs.count(rep_nf) == size and (
                 len(reduced) != 1 or outs.count(rep) == size):
             continue
@@ -228,12 +245,10 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
                     unpack(image), f"{mono(m)} - {mono(rep)} does not"
                     f" reduce to zero (normal form {nf})",
                     (mono(m), mono(rep))))
-    monomials = sum(len(v) for v in buckets.values())
-    largest = max(map(len, buckets.values()), default=0)
-    return (FiberReport(max_degree, monomials, len(buckets), largest,
+    return (FiberReport(max_degree, monomials, fibers, largest,
                         monomials, tuple(unique[:FAILURE_CAP]),
                         len(unique) > FAILURE_CAP),
-            KernelReport(max_degree, len(buckets), monomials - len(buckets),
+            KernelReport(max_degree, fibers, monomials - fibers,
                          tuple(kernel[:FAILURE_CAP]),
                          len(kernel) > FAILURE_CAP))
 
@@ -324,9 +339,10 @@ def _sampled(fam: LeveledFamily, basis, samples: int, max_degree: int,
     parts = {}
     steps = 0
     failures = []
+    # choices picks by index, so drawing positions draws the same samples
+    code = index.positions(refs)
     for _ in range(samples):
-        ps = index.positions(rng.choices(
-            refs, k=rng.randint(1, max_degree)))
+        ps = tuple(sorted(rng.choices(code, k=rng.randint(1, max_degree))))
         walk = {}
         steps += _normal_form(ps, index, walk)[1]
         seq = [_measure(r, index.refs, fam, parts) for r in reversed(walk)]

@@ -107,7 +107,25 @@ def profile(part):
             build_family(d)), desc) for desc, _ in batch(1, 0)])
         return profiled("cumulative", [(ladder,)])
     assert part == "oracle", f"profile takes certify or oracle, not {part}"
+    from reescert import oracle
+    from reescert.reduction import _RuleIndex
     fams, bases = ladder()
+    # the fiber pass holds one fiber's walks at a time, so its peak
+    # should stay near its enumeration's; each pass runs once unmeasured
+    # first, so that what a family builds on first use is not counted
+    for r, d in ORACLE_RUNGS:
+        refs = fams[r].refs()
+        code = _RuleIndex(bases[r], refs).positions(refs)
+        oracle._check_fibers(fams[r], bases[r], d)
+        peaks = []
+        for fn, *args in ((oracle._fiber_members, fams[r], d, code),
+                          (oracle._check_fibers, fams[r], bases[r], d)):
+            tracemalloc.start()
+            fn(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            tracemalloc.stop()
+        print(f"{r} at degree {d}: tracemalloc peak of the fiber pass"
+              f" {peaks[1]:.2f} MiB, of its enumeration {peaks[0]:.2f} MiB")
     # each rung rebuilt for the kernel suite, as the benchmark does:
     # the log should show one _check_fibers per rung, not two
     rebuilt = {r: (fam, build_basis(fam))

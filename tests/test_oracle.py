@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -259,23 +260,63 @@ def reference_summary(fam, basis, max_degree):
              len(kernel) > cap, kernel[:cap]))
 
 
+def wrong_trail(fam, basis):
+    """The basis with rule 5's trail the square of the last ref, which
+    lies in the top level: its walks leave their fiber."""
+    top = fam.refs()[-1]
+    return basis[:5] + (MarkedBinomial(basis[5].lead, TMonomial([top, top])),
+                        ) + basis[6:]
+
+
 @pytest.mark.parametrize("name", ["tower4", "maxpowers3"])
 def test_fiber_suites_match_chain_reference(name, request):
-    # the full basis, every single-rule drop and one flipped rule, at
-    # degree 2
+    # the full basis, every single-rule drop, one flipped rule and one
+    # wrong trail at degree 2, and the full basis and the wrong trail at
+    # degree 3: each fiber's own walk memo must not change an answer
+    # where walks leave their fiber either
     fam = request.getfixturevalue(name)
     basis = build_basis(fam)
-    cases = [basis, flipped(basis, 0)]
+    cases = [basis, flipped(basis, 0), wrong_trail(fam, basis)]
     cases += [basis[:k] + basis[k + 1:] for k in range(len(basis))]
-    for case in cases:
-        got = summary(verify_unique_normal_forms(fam, case, 2),
-                      verify_kernel_generation(fam, case, 2))
-        assert got == reference_summary(fam, case, 2)
+    runs = [(case, 2) for case in cases] + [(basis, 3), (cases[2], 3)]
+    for case, degree in runs:
+        got = summary(verify_unique_normal_forms(fam, case, degree),
+                      verify_kernel_generation(fam, case, degree))
+        assert got == reference_summary(fam, case, degree)
+    assert not reference_summary(fam, cases[2], 3)[0][0]
     # under the flipped rule a reduced member is not its own normal
     # form, yet every fiber difference reduces to zero: a pass that took
     # the representative for its normal form would fail the kernel here
     unique, kernel = reference_summary(fam, cases[1], 2)
     assert not unique[0] and kernel[0]
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["tower4", "maxpowers3"])
+def test_the_fiber_pass_holds_one_fiber_at_a_time(name, request):
+    # the pass frees each fiber once checked and walks it through a memo
+    # of its own, so its peak is its enumeration's plus one fiber's
+    # walks; one memo for every fiber doubled it.  A ratio, so that
+    # Python versions of different object sizes agree
+    fam = request.getfixturevalue(name)
+    basis = build_basis(fam)
+    refs = fam.refs()
+    code = reduction._RuleIndex(basis, refs).positions(refs)
+    # first unmeasured, so that what the family builds on first use is
+    # not counted
+    oracle._check_fibers(fam, basis, 3)
+    enumeration = traced_peak(oracle._fiber_members, fam, 3, code)
+    fiber_pass = traced_peak(oracle._check_fibers, fam, basis, 3)
+    assert fiber_pass <= 1.5 * enumeration, fiber_pass / enumeration
 
 
 def test_enumeration_cap(monkeypatch):
