@@ -366,6 +366,22 @@ def test_fibers_with_no_reduced_member_fail():
     assert first.monomials == tuple(enumerate_fibers(fam, 2)[first.image])
 
 
+def test_a_fiber_whose_walks_all_leave_it_still_fails(monkeypatch):
+    # every lead of the open family's pair table rewrites to the square
+    # of the last ref: the leads are the table's, so one count may settle
+    # a fiber, yet each fiber with no reduced member sends every member
+    # to that one monomial of another fiber, and must still fail
+    fam = build_family(open_tower4())
+    top = TMonomial([fam.refs()[-1]] * 2)
+    basis = tuple(MarkedBinomial(TMonomial(pair), top)
+                  for pair in fam.incomparable_pairs())
+    monkeypatch.setattr(oracle, "FAILURE_CAP", 10**6)
+    report = verify_unique_normal_forms(fam, basis, 2)
+    assert sum(f.reason.endswith("found 0") for f in report.failures) == 10
+    assert summary(report, verify_kernel_generation(fam, basis, 2)) == \
+        reference_summary(fam, basis, 2)
+
+
 def test_dropped_rule_is_caught(tower4):
     basis = build_basis(tower4)
     broken = basis[:10] + basis[11:]
