@@ -443,11 +443,11 @@ def _is_int(value) -> bool:
 def _parse_level(entry, pos: int, n: int, sizes: dict) -> Level:
     """Validate one level of a description and make it the ``Level`` of
     index ``pos``.  A ``"borel"`` level is counted from its generator and
-    builds no member; ``sizes`` maps the exponents of each generator
-    counted so far to its count, so a generator is counted once per
-    description, and its head and tail are the least and greatest index
-    of the parsed terms.  A listed level builds its generators, revlex
-    descending."""
+    builds no member; ``sizes`` maps the sorted parsed terms of each
+    generator counted so far to the generator and its count, so a
+    generator is built and counted once per description, and its head
+    and tail are the least and greatest index of those terms.  A listed
+    level builds its generators, revlex descending."""
     if not isinstance(entry, dict):
         raise FamilyError(f"level {pos}: expected an object")
     unknown = set(entry) - {"degree", "borel", "generators"}
@@ -468,15 +468,18 @@ def _parse_level(entry, pos: int, n: int, sizes: dict) -> Level:
         if not isinstance(entry["borel"], str):
             raise FamilyError(f"level {pos}: borel must be a string")
         terms = parse_terms(entry["borel"], n)
-        gen = monomial_of_terms(terms, n)
+        key = tuple(sorted(terms.items()))
+        gen, size = sizes.get(key) or (monomial_of_terms(terms, n), None)
+        # before any count, so that a mis-declared degree is malformed
+        # input even when the generator's Borel set is past the cap
         if gen.degree != degree:
             raise FamilyError(
                 f"level {pos}: borel generator {gen} has degree {gen.degree},"
                 f" expected {degree}")
-        size = sizes.get(gen.exps)
         if size is None:
-            size = sizes[gen.exps] = borel_size(gen)
-        return Level._counted(pos, gen, size, (min(terms), max(terms)))
+            size = borel_size(gen)
+            sizes[key] = gen, size
+        return Level._counted(pos, gen, size, (key[0][0], key[-1][0]))
     raw = entry["generators"]
     if not isinstance(raw, list) or not raw:
         raise FamilyError(f"level {pos}: generators must be a non-empty list")
@@ -502,7 +505,7 @@ def build_family(data: dict) -> LeveledFamily:
 
     A ``"borel"`` level and level 0 are kept as counts, their members
     built on first read, and each distinct ``"borel"`` generator is
-    counted once; a listed level is built here."""
+    built and counted once; a listed level is built here."""
     if not isinstance(data, dict):
         raise FamilyError("family description must be an object")
     unknown = set(data) - {"mode", "variables", "embedding_degree",

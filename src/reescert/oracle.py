@@ -12,6 +12,7 @@ calling both on equal inputs runs it once.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from operator import gt
 from typing import Callable, NamedTuple
@@ -25,9 +26,7 @@ from .reduction import (
     PsiImage,
     TPolynomial,
     _RuleIndex,
-    _least_lead,
     _normal_form,
-    _partners,
     psi_eval,
 )
 # Not called here (the suites reduce monomials directly); imported because
@@ -172,14 +171,19 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
     monomial takes depends on the monomial alone; a kernel basis's
     walks stay in their fiber, so a shared memo would only hit there,
     and a wrong trail that leaves it only walks some monomials again.
-    When the basis's leads are the pair table's, a fiber whose members
+    The basis's leads are the pair table's keys, as on a built basis,
+    when the index holds a trail for each key and no other lead; this
+    is read off ``index.trails`` in place.  Then a fiber whose members
     all reach one member f fails neither suite (f is its one reduced
     member and every normal form), and one count settles it.
 
-    Any other fiber's completely reduced members are found on the pair
-    table, and each normal form is compared twice.  The unique suite
-    wants it to be the fiber's one reduced member.  The kernel suite
-    wants it to equal the representative's own normal form: member -
+    Any other fiber's completely reduced members are those with no
+    pair of their sorted positions a table key: looked up in
+    ``index.trails`` when its leads are the table's, and in a set of
+    the table's position pairs, built once, only when they are not.
+    Each normal form is then compared twice.  The unique suite wants
+    it to be the fiber's one reduced member.  The kernel suite wants it
+    to equal the representative's own normal form: member -
     representative reduces to zero exactly then, and these differences
     span the degree-bounded kernel of the monomial map.  The kernel
     representative is the reduced member, or the first member when
@@ -193,11 +197,11 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
     refs = fam.refs()
     index = _RuleIndex(basis, refs)
     buckets, unpack = _fiber_members(fam, max_degree, index.positions(refs))
-    table = _partners(map(index.positions, fam.incomparable_pairs()),
-                      len(index.refs))
-    # when the basis's leads are the table's keys, as on a built basis,
-    # a member is reduced exactly when its walk takes no step
-    walk_is_table = table == index.partners
+    table, trails = fam.incomparable_pairs(), index.trails
+    leads_are_table = len(table) == len(trails) and all(
+        index.positions(pair) in trails for pair in table)
+    leads = (trails.keys() if leads_are_table
+             else set(map(index.positions, table)))
     mono = index.monomial
     fibers = len(buckets)
     monomials = sum(map(len, buckets.values()))
@@ -210,15 +214,12 @@ def _check_fibers(fam: LeveledFamily, basis, max_degree: int
         memo = {}
         # an entry is a non-empty tuple: a hit is the walk's whole answer
         hit = memo.get
-        walks = [hit(m) or _normal_form(m, index, memo) for m in members]
-        outs = [out for out, _ in walks]
+        outs = [(hit(m) or _normal_form(m, index, memo))[0] for m in members]
         size = len(outs)
-        if (walk_is_table and outs.count(outs[0]) == size
+        if (leads_are_table and outs.count(outs[0]) == size
                 and outs[0] in members):
             continue
-        reduced = ([m for m, (_, steps) in zip(members, walks) if not steps]
-                   if walk_is_table else
-                   [m for m in members if _least_lead(m, table) is None])
+        reduced = [m for m in members if leads.isdisjoint(combinations(m, 2))]
         if len(reduced) != 1 and len(unique) <= FAILURE_CAP:
             unique.append(FiberFailure(
                 unpack(image), f"expected exactly one completely reduced"

@@ -144,15 +144,6 @@ def psi_eval(mono: TMonomial, fam: LeveledFamily) -> PsiImage:
     return PsiImage(x, t) if rees else PsiImage(x + t, ())
 
 
-def _partners(pairs, size: int) -> list[set]:
-    """Per position a, the set of positions b > a with (a, b) among the
-    sorted position pairs: the lead partners ``_least_lead`` reads."""
-    rows = [set() for _ in range(size)]
-    for a, b in pairs:
-        rows[a].add(b)
-    return rows
-
-
 class _RuleIndex:
     """The basis on ref positions, the one form every reduction reads,
     and the one place that checks a basis's shape and turns refs into
@@ -165,7 +156,8 @@ class _RuleIndex:
     ref tuple maps to a sorted position tuple and back.  ``trails`` maps
     each lead, as its sorted position pair (a, b), to its trail's sorted
     position pair, in basis order; it is the index's only record of the
-    rules, and ``partners`` holds the lead partners of each position.
+    rules.  ``partners`` holds, per position a, the set of positions
+    b > a with (a, b) a lead: the lead partners ``_least_lead`` reads.
     A lead that is not squarefree quadratic, a duplicate one, or a trail
     that is not quadratic raises ``ValueError``, the first in basis
     order, so every rule is a quadratic binomial.  Leads and trails may
@@ -183,13 +175,16 @@ class _RuleIndex:
             refs, *(g.lead + g.trail for g in basis)))))
         self.pos = pos = {ref: i for i, ref in enumerate(self.refs)}
         self.trails = trails = {}
+        self.partners = partners = [set() for _ in self.refs]
         for g in basis:
             lead, trail = g.lead, g.trail
             if len(lead) != 2 or lead[0] == lead[1]:
                 raise ValueError(
                     f"lead {TMonomial(lead)} is not squarefree quadratic")
             a, b = pos[lead[0]], pos[lead[1]]
-            key = (a, b) if a < b else (b, a)
+            if a > b:
+                a, b = b, a
+            key = a, b
             if key in trails:
                 raise ValueError(f"duplicate lead {TMonomial(lead)}")
             if len(trail) != 2:
@@ -198,7 +193,7 @@ class _RuleIndex:
                     " is not quadratic")
             p, q = pos[trail[0]], pos[trail[1]]
             trails[key] = (p, q) if p <= q else (q, p)
-        self.partners = _partners(trails, len(self.refs))
+            partners[a].add(b)
 
     def positions(self, refs) -> tuple[int, ...]:
         """The sorted positions of these refs, given in any order."""
@@ -216,8 +211,7 @@ def _least_lead(ps: tuple, partners) -> tuple[int, int] | None:
     This is the one rule choice of every reduction in the package: a
     monomial rewrites along the rule with this lead.  ``_normal_form``
     probes quadratic and cubic monomials for it directly, in this order.
-    ``partners`` is a ``_RuleIndex``'s, or the pair table's from
-    ``_partners``.
+    ``partners`` is a ``_RuleIndex``'s.
     """
     for i, a in enumerate(ps):
         row = partners[a]

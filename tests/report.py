@@ -110,22 +110,33 @@ def profile(part):
     from reescert import oracle
     from reescert.reduction import _RuleIndex
     fams, bases = ladder()
-    # the fiber pass holds one fiber's walks at a time, so its peak
-    # should stay near its enumeration's; each pass runs once unmeasured
-    # first, so that what a family builds on first use is not counted
+    def held(fam, basis, d, refs):
+        index = _RuleIndex(basis, refs)
+        return index, oracle._fiber_members(fam, d, index.positions(refs))
+
+    # the fiber pass holds its rule index, its enumeration and one
+    # fiber's walks at a time, so its peak should stay near the first
+    # two held together; each pass runs once unmeasured first, so that
+    # what a family builds on first use is not counted.  Peaks taken
+    # one by one need not add up: a call's tuples may come from the
+    # free lists the call before filled, which tracemalloc counts there
     for r, d in ORACLE_RUNGS:
         refs = fams[r].refs()
         code = _RuleIndex(bases[r], refs).positions(refs)
         oracle._check_fibers(fams[r], bases[r], d)
         peaks = []
-        for fn, *args in ((oracle._fiber_members, fams[r], d, code),
-                          (oracle._check_fibers, fams[r], bases[r], d)):
+        for fn, *args in ((oracle._check_fibers, fams[r], bases[r], d),
+                          (oracle._fiber_members, fams[r], d, code),
+                          (_RuleIndex, bases[r], refs),
+                          (held, fams[r], bases[r], d, refs)):
             tracemalloc.start()
             fn(*args)
             peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
             tracemalloc.stop()
         print(f"{r} at degree {d}: tracemalloc peak of the fiber pass"
-              f" {peaks[1]:.2f} MiB, of its enumeration {peaks[0]:.2f} MiB")
+              f" {peaks[0]:.2f} MiB, of its enumeration {peaks[1]:.2f} MiB,"
+              f" of its _RuleIndex build {peaks[2]:.2f} MiB, of the two"
+              f" held together {peaks[3]:.2f} MiB")
     # each rung rebuilt for the kernel suite, as the benchmark does:
     # the log should show one _check_fibers per rung, not two
     rebuilt = {r: (fam, build_basis(fam))

@@ -24,7 +24,7 @@ import pytest
 from reescert import certify, family, hull, monomials
 from reescert.certify import _open_blocks, build_certificate, closure_json
 from reescert.cli import main
-from reescert.errors import NotClosedError, ResourceCapError
+from reescert.errors import FamilyError, NotClosedError, ResourceCapError
 from reescert.family import (
     Witness,
     build_family,
@@ -582,6 +582,36 @@ def test_levels_keep_the_head_and_tail_their_parse_read(bench_families):
         for lv in build_family(desc).levels:
             assert lv._ends == (lv.last.head_index(),
                                 lv.last.tail_index()), (desc, lv.index)
+
+
+def test_a_repeated_borel_generator_is_built_once(monkeypatch):
+    """The ``past-cap`` gate's 1,400 levels B(x2000) build one
+    generator, which every level shares, since the parse memo is keyed
+    by the parsed terms.  The declared degree is checked on every level,
+    memo hit or not, and before any count: a generator past
+    ``BOREL_CAP`` declared at the wrong degree is malformed (exit 2),
+    not refused (exit 3)."""
+    built = []
+
+    def counting(terms, n):
+        built.append(dict(terms))
+        return monomials.monomial_of_terms(terms, n)
+
+    monkeypatch.setattr(family, "monomial_of_terms", counting)
+    fam = build_family(levels_b2000(1400))
+    assert built == [{2000: 1}]
+    assert len({id(lv.last) for lv in fam.levels[1:]}) == 1
+    with pytest.raises(FamilyError, match="level 2: borel generator x2000"
+                       " has degree 1, expected 2"):
+        build_family({"mode": "rees", "variables": 2000, "levels": [
+            {"degree": 1, "borel": "x2000"},
+            {"degree": 2, "borel": "x2000"}]})
+    with pytest.raises(FamilyError, match="has degree 5, expected 4"):
+        build_family({"mode": "rees", "variables": 2000, "levels": [
+            {"degree": 4, "borel": "x2000^5"}]})
+    with pytest.raises(ResourceCapError):
+        build_family({"mode": "rees", "variables": 2000, "levels": [
+            {"degree": 5, "borel": "x2000^5"}]})
 
 
 # 1,399 levels {x1}, then {x2}, which is not the Borel set of x2
