@@ -322,10 +322,8 @@ def index_and_fibers(fam, basis, max_degree):
                                         index.positions(refs))
 
 
-@pytest.mark.parametrize("name, degree", [
-    ("tower4", 3), ("maxpowers3", 3), ("max4_4", 2)])
-def test_the_fiber_pass_holds_one_fiber_at_a_time(name, degree,
-                                                  bench_families):
+@pytest.mark.parametrize("name", ["tower4", "maxpowers3", "max4_4"])
+def test_the_fiber_pass_holds_one_fiber_at_a_time(name, bench_families):
     # the pass frees each fiber once checked and walks it through a memo
     # of its own, and reads the pair table in place, so its peak is its
     # rule index's and enumeration's plus one fiber's walks: one memo
@@ -337,6 +335,7 @@ def test_the_fiber_pass_holds_one_fiber_at_a_time(name, degree,
     # different object sizes agree
     fam = build_family(bench_families.LADDER[name])
     basis = build_basis(fam)
+    degree = 2 if name == "max4_4" else 3
     # first unmeasured, so that what the family builds on first use is
     # not counted
     oracle._check_fibers(fam, basis, degree)
