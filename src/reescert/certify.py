@@ -2,37 +2,27 @@
 
 The verified facts are closure under comparability and the shape of the
 marked basis (its rule count, quadratic, squarefree leads).  They come
-by one route, block by block of levels.  The rewrite of a pair reads
-only its two generators, so the theorem of "On the Koszulness of
-multi-Rees algebras of certain strongly stable ideals" (arXiv
-1406.2188) settles every block of two levels (L_i, L_j) whose own
-two-level family (level 0 added in rees mode) has the structural
-conjunction: both levels the Borel set of their least generator, and
-i = j, or i = 0, or the least generators under the support chain.  Such
-a block holds no open pair, and its rule count is its pairs less the
-comparable ones, which by the product identity B(u)*B(v) = B(uv) of
-principal Borel sets number |B(u_i*u_j)|, counted without building a
-set, once per distinct product; a product equal to a counted level's
-least generator takes that level's size.  The other blocks are the
-open ones (``_open_blocks``).
-
-An open block whose levels lie inside their Borel hulls H = B(u), u
-the least generator, and whose hull block the theorem settles, is
-classified from the hulls' missing members M = H less L when that
-takes no more candidates than a scan takes pairs (``hull``): merging
-factors is monotone, so every pair of the block rewrites to the
-canonical split of its product inside H_i x H_j, and is open exactly
-when that split touches a member of M, which its witness names.  A
-closed family's hull block has |B(u_i*u_j)| - N comparable pairs, N its
-open products.  The closure scan is handed the remaining open blocks
-(``blocks=``) and the hull blocks' open pairs (``known=``): it
-classifies only the pairs of those blocks, in lexicographic order, so
-it holds the blocks it reads, never the settled ones it skips, and
-their rules are read off its table, without building a rule; a
-witness's images are the factorizations the scan or the hull dealt, so
-no pair is rewritten twice.  A family with the conjunction has no open
-block: it is certified with no ref, no member, no pair and no set of
-blocks built.
+block by block of levels, each block by the one route ``_routes`` gives
+it, whose docstring states the rule and its proof: the theorem of "On
+the Koszulness of multi-Rees algebras of certain strongly stable
+ideals" (arXiv 1406.2188) settles a block whose own two-level family
+has the structural conjunction, a block whose levels lie inside their
+Borel hulls, and whose hull block the theorem settles, is classified
+from the hulls' missing members (``hull``), and the other blocks are
+scanned.  A settled block holds no open pair, and its rule count is its
+pairs less the comparable ones, which by the product identity
+B(u)*B(v) = B(uv) of principal Borel sets number |B(u_i*u_j)|, counted
+without building a set, once per distinct product; a product equal to
+a counted level's least generator takes that level's size.  A routed
+block adds its open products.  The closure scan is handed the scanned
+blocks (``blocks=``) and the routed blocks' open pairs (``known=``): it
+classifies only the pairs of the scanned blocks, in lexicographic
+order, so it holds the blocks it reads, never the settled ones it
+skips, and their rules are read off its table, without building a
+rule; a witness's images are the factorizations the scan or the hull
+dealt, so no pair is rewritten twice.  A family with the conjunction
+is all the theorem's: it is certified with no ref, no member, no pair
+and no set of blocks built.
 ``tests/test_census.py`` underwrites the route: the conjunction equals
 closure on every family of the (3, 3, 3) census in both modes, no open
 pair of a full scan of that census, or of the listed-level censuses,
@@ -58,12 +48,14 @@ from operator import add
 
 from .errors import InternalInvariantError, ResourceCapError
 from .family import (
+    PAIR_CAP,
     ClosureReport,
     LeveledFamily,
+    _weights,
     characterize,
     is_closed_under_comparability,
 )
-from .monomials import _borel_count
+from .monomials import BOREL_ENTRY_CAP, _borel_count
 from .presentation import basis_shape
 # Not called here (the rule count and shape come from the closed form or
 # the pair table); imported because perfbench/tracer.py patches this
@@ -152,26 +144,81 @@ def closure_lines(data: dict, closed: bool) -> list[str]:
     return lines
 
 
-def _open_blocks(fam: LeveledFamily, ch) -> frozenset:
-    """The blocks of levels (i, j), i <= j by level index, that the
-    paper's theorem leaves open, the ones a certificate scans.  The
-    theorem closes a block whose own two-level family (level 0 added in
-    rees mode) has the structural conjunction: both levels equal the
-    Borel set of their least generator (level 0 always does), and
-    i = j, or i = 0, or the support chain head(u_i) >= tail(u_j)
-    holds.  A rewrite of a pair reads only its two generators, so such
-    a block holds no open pair in any family.  The chain is transitive
-    (head <= tail on every monomial), so the set is empty exactly when
-    the family has the conjunction, and is returned at once then."""
+def _routes(fam: LeveledFamily, ch) -> tuple[frozenset, list]:
+    """The route of every block of levels (i, j), i <= j by level index,
+    as (scanned, routed): the frozenset of blocks the closure scan
+    classifies and the list of blocks ``hull._hull_open_pairs``
+    classifies.  Every other block is the paper's theorem's.
+
+    A rewrite of a pair reads only its two generators, so the theorem
+    settles a block whose own two-level family (level 0 added in rees
+    mode) has the structural conjunction: both levels equal the Borel
+    set of their least generator (level 0 and ``"borel"`` levels always
+    do), and i = j or the support chain head(u_i) >= tail(u_j) holds
+    (level 0's ends are (n, n)).  Such a block holds no open pair in any
+    family.  The chain is transitive (head <= tail on every monomial),
+    so every block is the theorem's exactly when the family has the
+    conjunction, and no block is walked then.
+
+    A level L inside its Borel hull H = B(u), u its least generator,
+    misses the members M = H less L.  Merging factors is monotone: if
+    a <= g and b <= h componentwise, the sorted merge of a and b lies
+    below that of g and h, and both rewrites read fixed positions of
+    it.  So when both levels of a block lie inside their hulls and the
+    chain holds, the theorem settles the hull block (H_i, H_j), every
+    pair of L_i x L_j rewrites to the canonical split of its product
+    inside H_i x H_j, and it is open exactly when that split touches a
+    member of M, which its witness names.  Its rules are its ref pairs
+    a <= b less the comparable ones, those that are the split of their
+    product; the products are B(u_i*u_j), by the product identity
+    B(u)*B(v) = B(uv) of principal Borel sets, so the block holds
+    |L_i|*|L_j| - |B(u_i*u_j)| + N rules (C(|L_i|+1, 2) - |B(u_i^2)| + N
+    for i = j), N its open products, the pairs (c, d) of H_i x H_j that
+    are their own split and touch M.  The theorem's blocks are the case
+    M empty on both sides, with N = 0.
+
+    A block off the theorem that meets both conditions is routed when
+    the family has packed keys (``_weights``) and listing its open
+    products takes no more candidates than a scan takes pairs: sum
+    |M|*|H_other| over its two slots at most C(|L|, 2), or |L_i|*|L_j|
+    across levels, with each hull at most ``BOREL_ENTRY_CAP`` factors.
+    A hull is counted on first need, never built, capped at
+    ``PAIR_CAP`` (a count past it exceeds every scan); an equal level
+    is its own hull.  Every other block is scanned."""
     if ch.conjunction:
-        return frozenset()
+        return frozenset(), []
     # level 0 is not characterized, and always equal
     unequal = {i for i, ok in zip(ch.level_indices, ch.borel_equal) if not ok}
+    outside = {i for i, ok in zip(ch.level_indices, ch.borel_subset)
+               if not ok}
     ends = [(lv.index, *lv._ends) for lv in fam.levels]
-    return frozenset(
-        (i, j) for k, (i, head, _) in enumerate(ends)
-        for j, _, tail in ends[k:]
-        if i in unequal or j in unequal or not (i == j or head >= tail))
+    opened = ((i, j, head, tail) for k, (i, head, _) in enumerate(ends)
+              for j, _, tail in ends[k:]
+              if i in unequal or j in unequal or not (i == j or head >= tail))
+    packed = _weights(fam.n) is not None
+    level = fam._by_index
+    hulls = {}  # level index -> |H|, counted on first need
+    scanned, routed = [], []
+    for i, j, head, tail in opened:
+        # the chain again, on the open blocks only: carried out of the
+        # filter, it would cost every block a store
+        on_hull = (packed and (i == j or head >= tail)
+                   and i not in outside and j not in outside)
+        if on_hull:
+            for k in (i, j):
+                if k not in hulls:
+                    hulls[k] = (_borel_count(level[k].last.exps, PAIR_CAP)
+                                if k in unequal else len(level[k]))
+            a, b = level[i], level[j]
+            s, t, hs, ht = len(a), len(b), hulls[i], hulls[j]
+            if i == j:
+                work, scan = (hs - s) * hs, s * (s - 1) // 2
+            else:
+                work, scan = (hs - s) * ht + (ht - t) * hs, s * t
+            on_hull = (work <= scan and hs * a.degree <= BOREL_ENTRY_CAP
+                       and ht * b.degree <= BOREL_ENTRY_CAP)
+        (routed if on_hull else scanned).append((i, j))
+    return frozenset(scanned), routed
 
 
 def _settled_steps(fam: LeveledFamily, scanned) -> int:
@@ -198,16 +245,11 @@ def _settled_steps(fam: LeveledFamily, scanned) -> int:
 def _settled_rule_count(fam: LeveledFamily, scanned, products) -> int:
     """Rules of the blocks not in ``scanned``: those the theorem settles
     and those classified from their levels' hulls, which hold
-    ``products`` open products between them.  A block's
-    rules are its ref pairs a <= b less the comparable ones, the pairs
-    that are the canonical split of their product.  A settled block has
-    one per product, so |B(u_i*u_j)| of them by the product identity
-    B(u)*B(v) = B(uv) of principal Borel sets: |L_i|*|L_j| -
-    |B(u_i*u_j)| rules for i < j and C(|L_i|+1, 2) - |B(u_i^2)| for
-    i = j.  In a hull block each product of B(u_i*u_j) splits inside
-    H_i x H_j, by the monotone merge, and the split lies in L_i x L_j
-    unless it touches a missing member: one rule more for each of the
-    block's N open products.  The counts are
+    ``products`` open products between them.  A block's rules are its
+    ref pairs a <= b less the comparable ones, the pairs that are the
+    canonical split of their product: |L_i|*|L_j| - |B(u_i*u_j)| + N for
+    i < j and C(|L_i|+1, 2) - |B(u_i^2)| + N for i = j, N the block's
+    open products, 0 on a settled block (``_routes``).  The counts are
     not capped by size, as a product's Borel set may pass ``BOREL_CAP``
     where no level does: B(x450^2) in 450 variables has 101,475
     members.  Each distinct product is counted once, memoized by its
@@ -248,28 +290,21 @@ def _settled_rule_count(fam: LeveledFamily, scanned, products) -> int:
 def build_certificate(fam: LeveledFamily) -> dict:
     """Certificate dict; JSON-ready.  Conclusions only when closed.
 
-    The blocks of levels the paper's theorem settles are counted.  Of
-    the blocks it leaves open (``_open_blocks``), those whose levels'
-    Borel hulls it settles are classified from the hulls' missing
-    members when that takes no more candidates than a scan takes pairs
-    (``hull._hull_blocks``); the closure scan classifies only the pairs
-    of the others, and reads the rule count of those off their table.  A
-    family with the structural conjunction has no open block: no ref,
-    no member, no pair and no set of blocks is built for it."""
+    Each block of levels takes the route ``_routes`` gives it: the
+    theorem's blocks are counted, the routed ones are classified from
+    their levels' hulls (``hull``, loaded only then), and the closure
+    scan classifies only the pairs of the scanned ones, whose rule
+    count it reads off their table.  A family with the structural
+    conjunction is all the theorem's: no ref, no member, no pair and no
+    set of blocks is built for it."""
     ch = characterize(fam)
-    open_blocks = _open_blocks(fam, ch)
-    scanned, products = open_blocks, 0
-    if open_blocks:
+    scanned, routed = _routes(fam, ch)
+    products = 0
+    if scanned or routed:
         known = ()
-        # only a level that misses members of its Borel hull puts a block
-        # on the hull route (if every level equals its hull, the open
-        # blocks fail the chain); the route's module loads on first use
-        if not all(ch.borel_equal):
+        if routed:
             from . import hull
-            routed = hull._hull_blocks(fam, ch, open_blocks)
-            if routed:
-                scanned = open_blocks.difference(routed)
-                known, products = hull._hull_open_pairs(fam, routed)
+            known, products = hull._hull_open_pairs(fam, routed)
         report = is_closed_under_comparability(
             fam, blocks=scanned, known=known)
     else:

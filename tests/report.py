@@ -187,8 +187,10 @@ def settled():
     from families import LADDER, batch
     from run import CERTIFY_RUNGS
     from reescert import (build_certificate, build_family, certify,
-                          characterize, family, hull, monomials)
-    from reescert.certify import _open_blocks, _yn
+                          characterize, family, monomials)
+    from reescert.certify import _routes, _yn
+    from reescert.family import PAIR_CAP
+    from test_census import two_level_conjunction
     from reescert.errors import ResourceCapError
     built = []
     closure = family.borel_closure
@@ -232,7 +234,8 @@ def settled():
         for desc in mix:
             fam = build_family(desc)
             ch = characterize(fam)
-            opened = _open_blocks(fam, ch)
+            scanned, routed = _routes(fam, ch)
+            opened = scanned.union(routed)
             size = {lv.index: len(lv) for lv in fam.levels}
             blocks = [(i, j) for i in size for j in size if i <= j]
             kinds["none" if len(opened) == len(blocks)
@@ -240,7 +243,6 @@ def settled():
             open_pairs += pairs(size, opened)
             all_pairs += comb(len(fam), 2)
             if not ch.conjunction:
-                routed = hull._hull_blocks(fam, ch, opened)
                 hull_blocks += len(routed)
                 hull_pairs += pairs(size, routed)
                 classified.clear()
@@ -270,12 +272,13 @@ def settled():
           f" not classified; {unscanned} of the {scanning} certificates"
           " classify no pair")
     # Borel counts made by parsing, by the rule counts and by sizing the
-    # hulls of listed levels, against one per "borel" level, one per
-    # settled or hull block a rule count reads and one per hull sized;
+    # hulls of listed levels (``certify`` both, a hull's capped at
+    # PAIR_CAP), against one per "borel" level, one per settled or hull
+    # block a rule count reads and one per hull sized;
     # and the sets of blocks the certificates hand the scan, each block
     # settled when its own two-level family (level 0 added in rees mode)
     # has the conjunction
-    made, rules, hulls, counts, scans = [], [], [], [], []
+    made, sized, counts, scans = [], [], [], []
 
     def tallied(fn, calls):
         def wrapper(*args, **kwargs):
@@ -283,15 +286,8 @@ def settled():
             return fn(*args, **kwargs)
         return wrapper
 
-    def is_settled(fam, i, j):
-        pair = {0, i, j} if fam.mode == "rees" else {i, j}
-        return characterize(family.LeveledFamily(
-            fam.mode, fam.n, [fam.level(k) for k in sorted(pair)],
-            fam.embedding_degree)).conjunction
-
     with contextlib.ExitStack() as stack:
-        for module, calls in ((monomials, made), (certify, rules),
-                              (hull, hulls)):
+        for module, calls in ((monomials, made), (certify, sized)):
             stack.enter_context(mock.patch.object(
                 module, "_borel_count", tallied(module._borel_count, calls)))
         for name, calls in (("_settled_rule_count", counts),
@@ -301,24 +297,26 @@ def settled():
         for label, descs in (
                 ("certify-mix batch(1, 0..29)", mix),
                 ("ladder CERTIFY_RUNGS", [LADDER[r] for r in CERTIFY_RUNGS])):
-            for calls in (made, rules, hulls, counts, scans):
+            for calls in (made, sized, counts, scans):
                 calls.clear()
             levels = 0
             for desc in descs:
                 levels += sum("borel" in lv for lv in desc["levels"])
                 build_certificate(build_family(desc))
             with_settled = sum(
-                any(is_settled(args[0], *b) for b in kwargs["blocks"])
+                any(two_level_conjunction(args[0], *b)
+                    for b in kwargs["blocks"])
                 for args, kwargs in scans)
             print(f"{label}: {len(scans)} of {len(descs)} certificates"
                   f" build a set of open blocks, {with_settled} of"
                   f" {len(descs)} a set holding a settled block")
             blocks = sum(comb(len(fam.levels) + 1, 2) - len(scanned)
                          for (fam, scanned, _), _ in counts)
+            hulls = sum(args[1:] == (PAIR_CAP,) for args, _ in sized)
             print(f"{label}: certificates make"
-                  f" {len(made) + len(rules) + len(hulls)} Borel counts,"
+                  f" {len(made) + len(sized)} Borel counts,"
                   f" against {blocks} settled and hull blocks counted,"
-                  f" {len(hulls)} hulls of listed levels sized and"
+                  f" {hulls} hulls of listed levels sized and"
                   f' {levels} "borel" levels parsed')
     fam = build_family(SCAN1400)
     start = time.perf_counter()

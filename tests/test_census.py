@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from reescert import certify, family, hull, monomials
-from reescert.certify import _open_blocks, build_certificate, closure_json
+from reescert.certify import _routes, build_certificate, closure_json
 from reescert.cli import main
 from reescert.errors import FamilyError, NotClosedError, ResourceCapError
 from reescert.family import (
@@ -108,13 +108,11 @@ def assert_routes_agree(desc: dict, label) -> dict:
 
 
 def route_counts(desc: dict) -> tuple[int, int]:
-    """The open blocks of levels of ``desc``'s family that a certificate
+    """The blocks of levels of ``desc``'s family that a certificate
     classifies from its levels' Borel hulls, and those it scans."""
     fam = build_family(desc)
-    ch = characterize(fam)
-    blocks = _open_blocks(fam, ch)
-    routed = len(hull._hull_blocks(fam, ch, blocks)) if blocks else 0
-    return routed, len(blocks) - routed
+    scanned, routed = _routes(fam, characterize(fam))
+    return len(routed), len(scanned)
 
 
 def all_blocks(fam) -> set:
@@ -125,15 +123,17 @@ def all_blocks(fam) -> set:
 
 def settled_blocks(fam) -> set:
     """The blocks of levels the paper's theorem settles: every block
-    less those it leaves open (``_open_blocks``)."""
-    return all_blocks(fam) - _open_blocks(fam, characterize(fam))
+    less those ``_routes`` scans or routes."""
+    scanned, routed = _routes(fam, characterize(fam))
+    return all_blocks(fam) - scanned.union(routed)
 
 
 def open_pairs_in_settled_blocks(fam) -> list:
     """The open pairs of a full scan of ``fam`` that lie outside every
-    block of levels the paper's theorem leaves open, so in a settled
-    one: none, if the settled rule is sound."""
-    blocks = _open_blocks(fam, characterize(fam))
+    block of levels ``_routes`` scans or routes, so in a block the
+    paper's theorem settles: none, if the settled rule is sound."""
+    scanned, routed = _routes(fam, characterize(fam))
+    blocks = scanned.union(routed)
     return [(a, b) for a, b in open_pairs(fam)
             if (a.level, b.level) not in blocks]
 
@@ -195,27 +195,56 @@ def test_routes_agree_on_every_census_family(bench_families):
         assert not assert_routes_agree(desc, desc)["closed_under_comparability"]
 
 
+def two_level_conjunction(fam, i: int, j: int) -> bool:
+    """The structural conjunction of the block (i, j)'s own two-level
+    family, level 0 added in rees mode."""
+    pair = {0, i, j} if fam.mode == "rees" else {i, j}
+    return characterize(family.LeveledFamily(
+        fam.mode, fam.n, [fam.level(k) for k in sorted(pair)],
+        fam.embedding_degree)).conjunction
+
+
 def test_every_block_is_settled_exactly_with_the_conjunction(bench_families):
-    """The support chain is transitive, so the paper's theorem settles
-    every block of levels, and leaves none open, exactly when the
-    family has the structural conjunction: on the (3, 3, 3) census in
-    both modes, the ladder and the demo families.  The open blocks are
-    blocks of the family's levels."""
+    """``_routes`` leaves a block of levels to the paper's theorem, out
+    of both the scanned and the routed blocks, exactly when the block's
+    own two-level family has the structural conjunction; the support
+    chain is transitive, so it leaves every block to the theorem
+    exactly when the family has the conjunction.  The routed blocks are
+    distinct, none is scanned, and each has both levels inside their
+    Borel hulls.  On the (3, 3, 3) census in both modes, the ladder,
+    the demo families and the listed n = 3 degree-2 census in both
+    modes, where blocks are routed."""
     descs = [desc for mode in ("rees", "fiber") for desc in census(mode)]
     descs += bench_families.LADDER.values()
     descs += [json.loads(path.read_text())
               for path in sorted(DEMOS.glob("*.json"))]
-    every = 0
+    descs += [desc for mode in ("rees", "fiber")
+              for desc in listed_census(mode, 3, (2,))]
+    every = on_hull = 0
     for desc in descs:
         fam = build_family(desc)
         ch = characterize(fam)
-        blocks = _open_blocks(fam, ch)
-        assert type(blocks) is frozenset and blocks <= all_blocks(fam), desc
-        assert (not blocks) == ch.conjunction, desc
+        scanned, routed = _routes(fam, ch)
+        assert type(scanned) is frozenset and type(routed) is list, desc
+        assert len(set(routed)) == len(routed), desc
+        assert scanned.isdisjoint(routed), desc
+        inside = dict(zip(ch.level_indices, ch.borel_subset))
+        assert all(inside.get(i, True) and inside.get(j, True)
+                   for i, j in routed), desc
+        for i, j in all_blocks(fam):
+            assert ((i, j) not in scanned and (i, j) not in routed) == (
+                two_level_conjunction(fam, i, j)), (desc, i, j)
+        assert scanned.union(routed) <= all_blocks(fam), desc
+        assert (not scanned and not routed) == ch.conjunction, desc
         every += ch.conjunction
-    # the census has 346 conjunction families; the six ladder families
-    # and the three demos, seven
-    assert (len(descs), every) == (3078 + 9, 346 + 7)
+        on_hull += len(routed)
+    # the census has 346 conjunction families, the six ladder families
+    # and the three demos seven, and the listed census six per mode, one
+    # per principal Borel set of degree 2; only the listed census
+    # routes blocks
+    assert (len(descs), every) == (3078 + 9 + 2 * 63, 346 + 7 + 2 * 6)
+    assert on_hull == sum(LISTED_ROUTES[3, (2,), mode][0]
+                          for mode in ("rees", "fiber"))
 
 
 def _outcome(call, *args):
@@ -529,13 +558,15 @@ def levels_b2000(count: int) -> dict:
 def test_the_step_bound_in_closed_form_is_the_block_sum(mode):
     """``_settled_steps`` equals the block-by-block sum it replaced on
     every family of the (3, 3, 3) census, with no block scanned, with
-    the open blocks scanned and with every block scanned."""
+    the blocks ``_routes`` scans or routes scanned, with those it scans
+    and with every block scanned."""
     for desc in census(mode):
         fam = build_family(desc)
-        opened = _open_blocks(fam, characterize(fam))
-        for scanned in (frozenset(), opened, frozenset(all_blocks(fam))):
-            assert certify._settled_steps(fam, scanned) == (
-                settled_steps_by_blocks(fam, scanned)), (desc, scanned)
+        scanned, routed = _routes(fam, characterize(fam))
+        for blocks in (frozenset(), scanned.union(routed), scanned,
+                       frozenset(all_blocks(fam))):
+            assert certify._settled_steps(fam, blocks) == (
+                settled_steps_by_blocks(fam, blocks)), (desc, blocks)
 
 
 @pytest.mark.parametrize("count, steps", [
@@ -637,7 +668,8 @@ def test_the_scan_holds_only_the_blocks_it_classifies():
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
     assert len(fam) == 1402
-    assert len(_open_blocks(fam, characterize(fam))) == 1401
+    scanned, routed = _routes(fam, characterize(fam))
+    assert len(scanned) + len(routed) == 1401
     assert not cert["closed_under_comparability"]
     assert cert["pairs_checked"] == 47073
     assert len(cert["witnesses"]) == family.WITNESS_CAP

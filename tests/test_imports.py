@@ -60,15 +60,34 @@ def test_import_loads_only_the_certify_path():
     assert got == {"reescert": CERTIFY_PATH, "unwanted": []}
 
 
-def test_cli_certify_loads_only_the_certify_path():
-    after = ("import contextlib, io, reescert.cli\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = reescert.cli.main(\n"
-             "        ['certify', 'demos/families/tower4.json'])\n"
-             "assert code == 0, code")
-    got = run_python(FOOTPRINT.format(after=after, unwanted=NOT_LOADED))
-    assert got == {"reescert": sorted(CERTIFY_PATH + ["reescert.cli"]),
-                   "unwanted": []}
+# a listed level inside its Borel hull but not equal to it, every block
+# of which keeps the scan; and B(x2*x3) less x2^2, whose blocks are
+# classified from its hull
+SCANNED_LISTED = {"mode": "rees", "variables": 3, "levels": [
+    {"degree": 2, "generators": ["x1*x3", "x3^2"]}]}
+ROUTED_DROP = {"mode": "rees", "variables": 3, "levels": [
+    {"degree": 2, "generators": ["x1^2", "x1*x2", "x1*x3", "x2*x3"]}]}
+
+
+def test_cli_certify_loads_only_the_certify_path(tmp_path):
+    # ``hull`` too, exactly when a block takes the hull route
+    cases = [("demos/families/tower4.json", 0, [])]
+    for name, desc, code, more in (
+            ("scanned", SCANNED_LISTED, 1, []),
+            ("routed", ROUTED_DROP, 1, ["reescert.hull"])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(desc))
+        cases.append((str(path), code, more))
+    for path, code, more in cases:
+        after = ("import contextlib, io, reescert.cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = reescert.cli.main(\n"
+                 f"        ['certify', {path!r}])\n"
+                 f"assert code == {code}, code")
+        got = run_python(FOOTPRINT.format(after=after, unwanted=NOT_LOADED))
+        assert got == {
+            "reescert": sorted(CERTIFY_PATH + ["reescert.cli"] + more),
+            "unwanted": []}, path
 
 
 def test_every_public_name_resolves_to_its_home_object():
