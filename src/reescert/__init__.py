@@ -17,7 +17,6 @@ from .monomials import (
     borel_member,
     ord_pair,
     parse_monomial,
-    revlex_key,
     sort_pair,
 )
 from .family import (
@@ -84,7 +83,6 @@ __all__ = [
     "borel_member",
     "ord_pair",
     "parse_monomial",
-    "revlex_key",
     "sort_pair",
     "GenRef",
     "LeveledFamily",

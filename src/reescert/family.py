@@ -34,7 +34,6 @@ from .monomials import (
     ord_factors,
     ord_pair,
     parse_terms,
-    revlex_key,
     sort_factors,
     sort_pair,
 )
@@ -108,47 +107,29 @@ class Level:
     descending, the last of them ``last``.  Immutable and non-empty;
     ``len`` is the number of generators.
 
-    A counted level (``build_family``'s Borel levels and level 0, the
-    Borel set of x_n) keeps its size, its least generator and that
-    generator's head and tail as its parse read them, and builds its
-    generators on their first read as ``borel_closure(last)``, and
-    its ``factors`` with none of them built.  ``borel`` is true for a
-    level built as the Borel set of its least generator."""
+    A level keeps its size, its least generator and that generator's
+    head and tail as its parse read them (``_ends``, for the chain tests
+    of ``characterize`` and ``certify``), and builds its generators on
+    their first read.  A listed level keeps the standard factorizations
+    its parse made, ``factors``; a counted level (``build_family``'s
+    Borel levels and level 0, the Borel set of x_n), given None for
+    them, makes its ``factors`` with none of its members built, and
+    builds its generators as ``borel_closure(last)``.  ``borel`` is true
+    for a level built as the Borel set of its least generator."""
 
     __slots__ = ("index", "degree", "borel", "last", "_size", "_generators",
                  "_factors", "_ends")
 
-    def __init__(self, index: int, degree: int,
-                 generators: tuple[Monomial, ...]):
-        last = generators[-1]
-        self._fill(index, degree, False, last, len(generators), generators,
-                   (last.head_index(), last.tail_index()))
-
-    @classmethod
-    def _counted(cls, index: int, least: Monomial, size: int,
-                 ends: tuple[int, int]) -> "Level":
-        """The Borel set of ``least``, of ``size`` members, built on
-        first read.  ``ends`` is the head and tail of ``least``, which
-        its caller already holds (the least and greatest index of its
-        parsed terms, or (n, n) for x_n), so no exponent vector is
-        scanned for them."""
-        lv = object.__new__(cls)
-        lv._fill(index, least.degree, True, least, size, None, ends)
-        return lv
-
-    def _fill(self, index, degree, borel, last, size, generators,
-              ends) -> None:
-        """Set every slot; ``_ends`` holds the indices of the greatest
-        and the least variable of ``last`` (its head and tail), for the
-        chain tests of ``characterize`` and ``certify``."""
+    def __init__(self, index: int, last: Monomial, size: int,
+                 ends: tuple[int, int], factors: tuple | None):
         put = object.__setattr__
         put(self, "index", index)
-        put(self, "degree", degree)
-        put(self, "borel", borel)
+        put(self, "degree", last.degree)
+        put(self, "borel", factors is None)
         put(self, "last", last)
         put(self, "_size", size)
-        put(self, "_generators", generators)
-        put(self, "_factors", None)
+        put(self, "_generators", None)
+        put(self, "_factors", factors)
         put(self, "_ends", ends)
 
     def __setattr__(self, name, value):
@@ -158,43 +139,45 @@ class Level:
     def generators(self) -> tuple[Monomial, ...]:
         gens = self._generators
         if gens is None:
-            # read from this module's globals, so a patch of
-            # ``family.borel_closure`` sees the build
-            gens = borel_closure(self.last)
+            if self.borel:
+                # read from this module's globals, so a patch of
+                # ``family.borel_closure`` sees the build
+                gens = borel_closure(self.last)
+            else:
+                n = self.last.n
+                gens = tuple(Monomial._of_factors(f, n)
+                             for f in self._factors)
             object.__setattr__(self, "_generators", gens)
         return gens
 
     @property
     def factors(self) -> tuple[tuple[int, ...], ...]:
-        """The standard factorizations of the generators, in their order,
-        made on first read and kept; the one place that decides how.  A
-        counted level's come from ``_borel_factors``, refused before any
-        is made when they hold more than ``BOREL_ENTRY_CAP`` factors in
-        all; a listed level's from its generators."""
+        """The standard factorizations of the generators, in their order;
+        the one place that decides how.  A counted level's come from
+        ``_borel_factors`` on first read and are kept, refused before
+        any is made when they hold more than ``BOREL_ENTRY_CAP`` factors
+        in all."""
         fs = self._factors
         if fs is None:
-            if not self.borel:
-                fs = tuple(g.factors() for g in self.generators)
-            elif self._size * self.degree > BOREL_ENTRY_CAP:
+            if self._size * self.degree > BOREL_ENTRY_CAP:
                 raise ResourceCapError(
                     f"Borel set of {self.last} has {self._size} members of"
                     f" degree {self.degree}, more than {BOREL_ENTRY_CAP}"
                     " factors")
-            else:
-                fs = _borel_factors(self.last)
+            fs = _borel_factors(self.last)
             object.__setattr__(self, "_factors", fs)
         return fs
 
     def __eq__(self, other):
         """Equal index, degree and generators.  Equal generators have
         equal least ones, and two counted levels with equal least ones
-        are equal, since B(u) = B(v) exactly when u = v: so only a
-        listed level makes this read generators."""
+        are equal, since B(u) = B(v) exactly when u = v; any other pair
+        compares sizes, then factorizations, so no member is built."""
         return isinstance(other, Level) and (
             (self.index, self.degree, self.last)
             == (other.index, other.degree, other.last)) and (
             self.borel and other.borel
-            or self.generators == other.generators)
+            or self._size == other._size and self.factors == other.factors)
 
     def __hash__(self) -> int:
         return hash((self.index, self.degree, self.last))
@@ -212,7 +195,7 @@ class LeveledFamily:
 
     Construction keeps the levels and their sizes and computes nothing
     else: a certificate read off the paper's theorem builds no member of
-    a counted level, no ref and no pair.  ``refs()`` builds one
+    a level but its least, no ref and no pair.  ``refs()`` builds one
     ``GenRef`` per generator on first use, and ``factors`` reads a
     generator's standard factorization off its level.  The ref pairs are
     classified on demand, in lexicographic order, into the pair table
@@ -220,7 +203,7 @@ class LeveledFamily:
     incomparable pair mapped to the refs of its rewrite images, lead to
     trail.  The scan's first step packs the factorizations of every
     level it classifies (``Level.factors``) into level blocks, with no
-    member of a counted level built.  The
+    member of a level built.  The
     rewrite of a pair is a function of its product alone, so each
     distinct product of a level block (the pairs of one level, or of two
     levels) is rewritten once, keyed by its packed exponent vector; a
@@ -353,8 +336,8 @@ def _classify(levels, refs, weight, pairs: dict, open_pairs: list,
     second rewrite.  Return False as soon as ``open_pairs`` holds
     ``stop`` entries, True once every pair is classified.  ``refs`` are
     the family's refs, in level order.  The first step reads
-    ``Level.factors`` of every level of a block left to classify, so a
-    counted level builds none of its members.  Each product is memoized
+    ``Level.factors`` of every level of a block left to classify, so no
+    level builds its members.  Each product is memoized
     by its packed exponent vector, the sum of its factors' ``weight``,
     unless ``weight`` is None; beside that memo, each target block
     keeps the images of its open products.
@@ -368,19 +351,15 @@ def _classify(levels, refs, weight, pairs: dict, open_pairs: list,
     the comparable b of each a in a higher level are therefore a prefix
     of its block, found by bisection on the tails and skipped."""
     # per level, the positions of the levels it is classified against,
-    # its own first, read off the blocks: bucketed by the later level
-    # first, so that each row comes out ascending
+    # its own first, read off the sorted blocks: levels are held in index
+    # order, so each row comes out ascending
     if blocks is None:
         partners = [range(li, len(levels)) for li in range(len(levels))]
     else:
         at = {lv.index: k for k, lv in enumerate(levels)}
-        later = [[] for _ in levels]
-        for i, j in blocks:
-            later[at[j]].append(at[i])
         partners = [[] for _ in levels]
-        for lj, column in enumerate(later):
-            for li in column:
-                partners[li].append(lj)
+        for i, j in sorted(blocks):
+            partners[at[i]].append(at[j])
     used = {lj for row in partners for lj in row}
     used.update(li for li, row in enumerate(partners) if row)
     # per level used: ({standard factorization: ref}, its generators as
@@ -447,7 +426,8 @@ def _parse_level(entry, pos: int, n: int, sizes: dict) -> Level:
     generator counted so far to the generator and its count, so a
     generator is built and counted once per description, and its head
     and tail are the least and greatest index of those terms.  A listed
-    level builds its generators, revlex descending."""
+    level keeps its generators' standard factorizations, revlex
+    descending, and builds only its least generator."""
     if not isinstance(entry, dict):
         raise FamilyError(f"level {pos}: expected an object")
     unknown = set(entry) - {"degree", "borel", "generators"}
@@ -479,33 +459,41 @@ def _parse_level(entry, pos: int, n: int, sizes: dict) -> Level:
         if size is None:
             size = borel_size(gen)
             sizes[key] = gen, size
-        return Level._counted(pos, gen, size, (key[0][0], key[-1][0]))
+        return Level(pos, gen, size, (key[0][0], key[-1][0]), None)
     raw = entry["generators"]
     if not isinstance(raw, list) or not raw:
         raise FamilyError(f"level {pos}: generators must be a non-empty list")
-    listed = {}  # exponents -> generator, one monomial built for each
+    listed = set()  # standard factorizations
     for text in raw:
         if not isinstance(text, str):
             raise FamilyError(f"level {pos}: generators must be strings")
-        m = monomial_of_terms(parse_terms(text, n), n)
-        if m.degree != degree:
+        terms = parse_terms(text, n)
+        if sum(terms.values()) != degree:
+            m = monomial_of_terms(terms, n)
             raise FamilyError(
                 f"level {pos}: generator {m} has degree {m.degree},"
                 f" expected {degree}")
-        if m.exps in listed:
-            warnings.warn(f"level {pos}: duplicate generator {m} dropped")
+        f = tuple(i for i, e in sorted(terms.items()) for _ in range(e))
+        if f in listed:
+            warnings.warn(f"level {pos}: duplicate generator"
+                          f" {monomial_of_terms(terms, n)} dropped")
             continue
-        listed[m.exps] = m
-    return Level(pos, degree, tuple(sorted(
-        listed.values(), key=revlex_key, reverse=True)))
+        listed.add(f)
+    # revlex descending is ascending order of the factors read last to
+    # first, within one degree
+    factors = tuple(sorted(listed, key=lambda f: f[::-1]))
+    least = factors[-1]
+    return Level(pos, Monomial._of_factors(least, n), len(factors),
+                 (least[0], least[-1]), factors)
 
 
 def build_family(data: dict) -> LeveledFamily:
     """Validate a family description (parsed JSON) and build the family.
 
-    A ``"borel"`` level and level 0 are kept as counts, their members
-    built on first read, and each distinct ``"borel"`` generator is
-    built and counted once; a listed level is built here."""
+    A ``"borel"`` level and level 0 are kept as counts, and each
+    distinct ``"borel"`` generator is built and counted once; a listed
+    level as its generators' factorizations.  Either builds its members
+    on first read."""
     if not isinstance(data, dict):
         raise FamilyError("family description must be an object")
     unknown = set(data) - {"mode", "variables", "embedding_degree",
@@ -546,7 +534,7 @@ def build_family(data: dict) -> LeveledFamily:
     if mode == "fiber":
         return LeveledFamily("fiber", n, levels, embedding_degree=m)
     # the variables are the Borel set of x_n
-    level0 = Level._counted(0, Monomial.variable(n, n), n, (n, n))
+    level0 = Level(0, Monomial.variable(n, n), n, (n, n), None)
     return LeveledFamily("rees", n, [level0] + levels)
 
 
@@ -564,18 +552,20 @@ def family_from_file(path) -> LeveledFamily:
     return build_family(data)
 
 
-def _check_refs(fam: LeveledFamily, a: GenRef, b: GenRef):
-    ua = fam.generator(a)
-    ub = fam.generator(b)
+def _check_refs(fam: LeveledFamily, a: GenRef, b: GenRef) -> None:
+    """Refuse a ref out of range, then a pair out of order; no member of
+    a level is built."""
+    fam._level_of(a)
+    fam._level_of(b)
     if not tuple(a) < tuple(b):
         raise ValueError(f"need {GenRef(*a)} < {GenRef(*b)} lexicographically")
-    return ua, ub
 
 
 def rewrite_images(fam: LeveledFamily, a: GenRef, b: GenRef):
     """The sorted (same level) or ordered (lower by higher level) pair of
     monomials that replaces the product of the two referenced generators."""
-    ua, ub = _check_refs(fam, a, b)
+    _check_refs(fam, a, b)
+    ua, ub = fam.generator(a), fam.generator(b)
     if a[0] == b[0]:
         return sort_pair(ua, ub)
     return ord_pair(ua, ub)

@@ -194,13 +194,6 @@ def parse_monomial(text: str, n: int) -> Monomial:
     return monomial_of_terms(parse_terms(text, n), n)
 
 
-def revlex_key(u: Monomial):
-    """Graded reverse lexicographic sort key: ascending by this key is
-    ascending revlex order.  Degree decides first.  On equal degrees
-    u > v exactly when the last nonzero entry of u - v is negative."""
-    return (u.degree, tuple(-e for e in reversed(u.exps)))
-
-
 def sort_factors(fu: tuple[int, ...], fv: tuple[int, ...]):
     """Sorting rewrite on two standard factorizations of equal length:
     merge them and deal the factors alternately, odd positions to the

@@ -123,7 +123,7 @@ class PsiImage(NamedTuple):
 def psi_eval(mono: TMonomial, fam: LeveledFamily) -> PsiImage:
     """Image of a T-monomial: multiply the referenced generators, read
     as their standard factorizations (``fam.factors``), so that no
-    member of a counted level is built.
+    member of a level is built.
 
     rees mode records one t_i per level-i factor (levels >= 1); fiber
     mode pads each level-i generator with the auxiliary variable

@@ -23,7 +23,7 @@ from reescert.family import (
     is_closed_under_comparability,
     rewrite_images,
 )
-from reescert.monomials import Monomial, revlex_key
+from reescert.monomials import Monomial
 from reescert.presentation import (
     MarkedBinomial,
     TMonomial,
@@ -150,6 +150,13 @@ def borel_member_by_suffix_masses(candidate: Monomial,
         if cs > vs:
             return False
     return True
+
+
+def revlex_key(u: Monomial):
+    """Graded reverse lexicographic sort key: ascending by this key is
+    ascending revlex order.  Degree decides first.  On equal degrees
+    u > v exactly when the last nonzero entry of u - v is negative."""
+    return (u.degree, tuple(-e for e in reversed(u.exps)))
 
 
 def borel_closure_by_filter(generator: Monomial) -> tuple[Monomial, ...]:

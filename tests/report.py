@@ -402,9 +402,25 @@ def missed(tree, lines):
     return out
 
 
+class _Failures:
+    """A pytest plugin that lists the ids of the tests, or collections,
+    that fail."""
+
+    def __init__(self):
+        self.ids = []
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.ids.append(report.nodeid)
+
+    pytest_collectreport = pytest_runtest_logreport
+
+
 def coverage(which=None, out=None):
     """Statements of the package tier-1 never executes, and those only
-    tier-1 reaches; ``coverage tests|traffic OUT`` collects one run."""
+    tier-1 reaches; ``coverage tests|traffic OUT`` collects one run.
+    The tier-1 run's failures are named after the report, which then
+    exits with pytest's status."""
     # spelt as the package's co_filename: PYTHONPATH made absolute, no import
     pkg = importlib.util.find_spec("reescert").submodule_search_locations[0]
     if which:
@@ -422,20 +438,28 @@ def coverage(which=None, out=None):
                 return local
 
         import pytest
+        failed, status = _Failures(), 0
         sys.settrace(hook)
         if which == "tests":
-            pytest.main(["-q", str(HERE), "-k", "not fresh_interpreter"])
+            status = pytest.main(
+                ["-q", str(HERE), "-k", "not fresh_interpreter"],
+                plugins=[failed])
         else:
             traffic()
         sys.settrace(None)
-        return Path(out).write_text(json.dumps(hits, default=sorted))
+        return Path(out).write_text(json.dumps(
+            {"hits": hits, "failed": failed.ids, "status": int(status)},
+            default=sorted))
     hits = {}
     with tempfile.TemporaryDirectory() as tmp:
         for side in ("tests", "traffic"):
             dump = Path(tmp, side)
             subprocess.run([sys.executable, __file__, "coverage", side, dump],
                            check=True)
-            hits[side] = json.loads(dump.read_text())
+            run = json.loads(dump.read_text())
+            hits[side] = run["hits"]
+            if side == "tests":
+                failed, status = run["failed"], run["status"]
     totals = [0, 0]
     for path in sorted(Path(pkg).glob("*.py")):
         text = path.read_text()
@@ -450,6 +474,10 @@ def coverage(which=None, out=None):
             totals[k] += len(found)
     print(totals[0], "statement(s) of src/reescert never executed by tier-1")
     print(totals[1], "statement(s) of src/reescert reached only by tier-1")
+    if status:
+        print(f"tier-1 under the tracer exited {status}; failed:",
+              *failed or ["(none named)"], sep="\n  ")
+        sys.exit(status)
 
 
 SECTIONS = {"sizes": sizes, "profile": profile, "settled": settled,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import warnings
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -30,7 +31,9 @@ from bruteforce import (
     borel_closure_by_moves,
     order_by_exponents,
     pair_table_by_rewrite_images,
+    rand_monomial,
     rand_rees_family,
+    revlex_key,
     sort_closed_form,
 )
 from conftest import (
@@ -41,6 +44,15 @@ from conftest import (
     reference_descs,
 )
 from test_census import census, max_powers
+
+
+def listed_level(index: int, generators) -> Level:
+    """The listed level of ``generators``, revlex descending, as a parse
+    makes it: their factorizations, the least one built."""
+    factors = tuple(g.factors() for g in generators)
+    least = factors[-1]
+    return Level(index, generators[-1], len(factors), (least[0], least[-1]),
+                 factors)
 
 
 # ----------------------------------------------------------- construction
@@ -89,6 +101,45 @@ def test_duplicate_generators_warn_and_dedupe():
             "mode": "rees", "variables": 2,
             "levels": [{"degree": 1, "generators": ["x1", "x1", "x2"]}]})
     assert len(fam.level(1)) == 2
+
+
+def test_a_listed_level_builds_only_its_least_generator(monkeypatch):
+    """A listed level is parsed to its generators' factorizations: of
+    its five generators only the least is built, until ``generators``
+    is read."""
+    built = []
+    of_exps = Monomial._of_exps
+    monkeypatch.setattr(Monomial, "_of_exps", classmethod(
+        lambda cls, exps, degree: built.append(exps) or of_exps(exps, degree)))
+    fam = build_family({
+        "mode": "fiber", "variables": 3, "embedding_degree": 3,
+        "levels": [{"degree": 2, "generators": [
+            "x2*x3", "x1^2", "x1*x3", "x2^2", "x1*x2"]}]})
+    lv = fam.level(1)
+    assert built == [(0, 1, 1)] and lv._generators is None
+    assert lv.factors == ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3))
+    assert lv._ends == (2, 3) and lv.last == parse_monomial("x2*x3", 3)
+    assert [g.text() for g in lv.generators] == [
+        "x1^2", "x1*x2", "x2^2", "x1*x3", "x2*x3"]
+
+
+def test_listed_order_is_the_reference_revlex_order():
+    """On random listed levels with duplicates, the parse keeps one
+    generator of each, revlex descending by the reference key, and
+    warns once per duplicate."""
+    rng = random.Random(7)
+    for _ in range(200):
+        n, d = rng.randint(1, 5), rng.randint(1, 4)
+        monos = [rand_monomial(rng, n, d) for _ in range(rng.randint(1, 12))]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lv = build_family({"mode": "rees", "variables": n, "levels": [
+                {"degree": d, "generators": [m.text() for m in monos]}]
+            }).level(1)
+        assert len(caught) == len(monos) - len(set(monos))
+        want = tuple(sorted(set(monos), key=revlex_key, reverse=True))
+        assert lv.generators == want
+        assert lv.factors == tuple(m.factors() for m in want)
 
 
 def test_empty_levels_ok_in_rees():
@@ -167,6 +218,24 @@ def test_comparable_frozen_pairs(tower4):
         parse_monomial("x3", 4), parse_monomial("x1*x2^2", 4))
     # identical monomials on different levels order to themselves
     assert comparable(tower4, GenRef(2, 1), GenRef(3, 1))
+
+
+def test_comparable_builds_no_member_of_a_counted_level(monkeypatch):
+    """``comparable`` checks its refs against the level sizes, so on
+    B(x4^3), counted, every pair gets the same answer, and a ref out of
+    range the same refusal, with ``family.borel_closure`` refusing."""
+    desc = {"mode": "rees", "variables": 4,
+            "levels": [{"degree": 3, "borel": "x4^3"}]}
+    refs = build_family(desc).refs()
+    pairs = [(a, b) for k, a in enumerate(refs) for b in refs[k + 1:]]
+    want = [comparable(build_family(desc), a, b) for a, b in pairs]
+    assert True in want and False in want
+    monkeypatch.setattr(family, "borel_closure", _refuse)
+    fam = build_family(desc)
+    assert [comparable(fam, a, b) for a, b in pairs] == want
+    with pytest.raises(ValueError, match="index 21 out of range 1..20"):
+        comparable(fam, GenRef(1, 1), GenRef(1, 21))
+    assert fam.level(1)._generators is None
 
 
 @pytest.mark.parametrize("name", ["tower4", "maxpowers3", "fiber_pair",
@@ -398,7 +467,7 @@ def test_counted_level_builds_on_first_read():
         assert lv.generators is lv.generators
         assert lv.generators == borel_closure_by_filter(lv.last)
     assert fam.level(1).last == Monomial((0, 1, 1))
-    plain = Level(1, 2, listed.level(1).generators)
+    plain = listed_level(1, listed.level(1).generators)
     assert plain == fam.level(1) and len(plain) == 5 and not plain.borel
     with pytest.raises(AttributeError):
         fam.level(1).degree = 3
@@ -646,9 +715,12 @@ def test_a_conjunction_certificate_factors_nothing(monkeypatch):
     fiber = {"mode": "fiber", "variables": 4, "embedding_degree": 4,
              "levels": [{"degree": 2, "borel": "x3*x4"},
                         {"degree": 3, "borel": "x2^3"}]}
-    factored, tested = [], []
+    factored, tested, read = [], [], []
     _counting(monkeypatch, factored, Monomial, "factors")
     _counting(monkeypatch, tested, family, "_factors_below")
+    factors = Level.factors.fget
+    monkeypatch.setattr(Level, "factors", property(
+        lambda lv: read.append(lv) or factors(lv)))
     monkeypatch.setattr(family, "borel_closure", _refuse)
     for desc in (family_dict("tower4"), conjunction, fiber,
                  max_powers(4, 3), max_powers(12, 4)):
@@ -656,9 +728,8 @@ def test_a_conjunction_certificate_factors_nothing(monkeypatch):
         cert = build_certificate(fam)
         assert cert["conclusions"], desc
         assert (fam._refs, fam._scan) == (None, None)
-        assert all(lv._generators is None for lv in fam.levels if lv.borel)
-        assert all(lv._factors is None for lv in fam.levels)
-    assert factored == [] and tested == []
+        assert all(lv._generators is None for lv in fam.levels)
+    assert factored == [] and tested == [] and read == []
     # a scan reads a counted level's factorizations and builds no member;
     # a later read of a member builds them by the patched name
     fam = build_family(family_dict("tower4"))
@@ -875,15 +946,15 @@ def test_level_record(tower4):
     assert lv.last == lv.generators[-1] == parse_monomial("x3*x4", 4)
     with pytest.raises(AttributeError):
         lv.degree = 3
-    assert lv == family.Level(1, 2, lv.generators)
-    assert hash(lv) == hash(family.Level(1, 2, lv.generators))
-    assert lv != family.Level(1, 2, lv.generators[:-1])
+    assert lv == listed_level(1, lv.generators)
+    assert hash(lv) == hash(listed_level(1, lv.generators))
+    assert lv != listed_level(1, lv.generators[:-1])
 
 
 def test_counted_levels_compare_by_their_least_generators(monkeypatch):
     # B(u) = B(v) exactly when u = v: two counted levels compare and hash
-    # with none of their members built; a listed level still compares
-    # generators, and hashes as the counted level it equals
+    # with none of their members built; a listed level compares sizes,
+    # then factorizations, and hashes as the counted level it equals
     one, two = (build_family(family_dict("tower4")) for _ in range(2))
     built = []
     monkeypatch.setattr(family, "borel_closure", built.append)
@@ -893,9 +964,9 @@ def test_counted_levels_compare_by_their_least_generators(monkeypatch):
     assert built == []
     monkeypatch.undo()
     lv = one.level(1)
-    listed = family.Level(1, 2, lv.generators)
+    listed = listed_level(1, lv.generators)
     assert listed == lv == listed and hash(listed) == hash(lv)
-    assert lv != family.Level(1, 2, lv.generators[1:])
+    assert lv != listed_level(1, lv.generators[1:])
 
 
 def test_closure_records_keep_their_fields(monkeypatch):

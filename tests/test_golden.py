@@ -54,14 +54,16 @@ def test_golden_cli_output(tmp_path, fname):
 
 
 def test_golden_cli_output_builds_no_borel_member(tmp_path, monkeypatch):
-    """With ``family.borel_closure`` refusing, every golden case still
-    prints its golden output: ``check``, ``basis``, ``certify``,
-    ``verify`` and ``normal-form`` read a counted level as its count and
-    its factorizations, and build none of its members.  The fiber
-    suites' one-slot memo is emptied once, before the first case, and
-    then kept: comparing a held key's counted levels with a rebuilt
-    family's reads their least generators, not their members."""
+    """With ``family.borel_closure`` and ``Level.generators`` refusing,
+    every golden case still prints its golden output: ``check``,
+    ``basis``, ``certify``, ``verify`` and ``normal-form`` read a level
+    as its count and its factorizations, and build none of its members.
+    The fiber suites' one-slot memo is emptied once, before the first
+    case, and then kept: comparing a held key's levels with a rebuilt
+    family's reads their least generators, sizes and factorizations,
+    not their members."""
     monkeypatch.setattr(family, "borel_closure", _refuse)
+    monkeypatch.setattr(family.Level, "generators", property(_refuse))
     monkeypatch.setattr(oracle, "_last_pass", None)
     for fname, argv in make_golden.cases(tmp_path):
         assert_golden(fname, *make_golden.run_cli(argv))

@@ -18,7 +18,6 @@ from reescert.monomials import (
     ord_pair,
     parse_monomial,
     parse_terms,
-    revlex_key,
     sort_factors,
     sort_pair,
 )
@@ -33,6 +32,7 @@ from bruteforce import (
     product,
     rand_monomial,
     revlex_gt_by_factors,
+    revlex_key,
     sort_closed_form,
 )
 

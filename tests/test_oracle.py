@@ -304,13 +304,20 @@ def test_fiber_suites_match_chain_reference(name, request):
 
 
 def traced_peak(fn, *args) -> int:
-    """The tracemalloc peak of one call, in bytes."""
+    """The tracemalloc peak of one call, in bytes.  A trace hook, such as
+    a coverage tracer, is suspended for the call and garbage is
+    collected before it, so that neither the hook's records nor the
+    cycles earlier tests left are counted."""
+    hook = sys.gettrace()
+    sys.settrace(None)
+    gc.collect()
     tracemalloc.start()
     try:
         fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        sys.settrace(hook)
 
 
 def index_and_fibers(fam, basis, max_degree):
